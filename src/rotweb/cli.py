@@ -1,8 +1,8 @@
 """Command-line interface: classification, table reproduction, compatibility
 solving, and symmetry scans, with deterministic JSON-first output.
 
-Exit codes: 0 success, 1 internal classification inconsistency (reported as
-findings), 2 input error.
+Exit codes: 0 success, 1 internal classification inconsistency or failed
+canonicalization (reported as findings), 2 input error.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from .ckt_core import CktError, ckv_by_name, killing_obstruction, symmetry_subsp
 from .exactmath import ExactMathError, rat, rat_str
 from .expr import ExprError, eval_rational
 from .group_action import GroupElement, apply_quartic
-from .quartic_class import (BinaryQuartic, ClassificationError, canonical_form,
-                            classify_by_invariants, classify_by_roots, invariants,
-                            root_structure)
+from .quartic_class import (BinaryQuartic, ClassificationError, RootStructure,
+                            canonical_form, classify_by_invariants, classify_by_roots,
+                            invariants, root_structure)
 from .rotational import CatalogEntry, RotParams, catalog
 from .separability import Potential, classify_potential
 
@@ -53,11 +53,10 @@ def _parse_rationals(text: str, count: int, what: str) -> tuple[Fraction, ...]:
         raise InputError(str(exc)) from exc
 
 
-def _float_probe_finding(quartic: BinaryQuartic, seed: int) -> list:
+def _float_probe_finding(quartic: BinaryQuartic, structure: RootStructure) -> list:
     """Companion-matrix cross-check of the exact real-root count."""
     import numpy as np
 
-    structure = root_structure(quartic)
     poly = quartic.dehomogenize()
     finite_real_exact = sum(m for m in structure.real_multiplicities) - structure.infinity_multiplicity
     if poly.degree < 1:
@@ -93,7 +92,7 @@ def cmd_classify(args) -> tuple[dict, int]:
         raise InputError("tensor is equivalent to C33 * R3 . R3 + f * g; no web defined")
 
     structure = root_structure(quartic)
-    by_roots = classify_by_roots(quartic)
+    by_roots = classify_by_roots(quartic, structure)
     findings: list = []
     try:
         by_inv, audit = classify_by_invariants(quartic)
@@ -107,9 +106,14 @@ def cmd_classify(args) -> tuple[dict, int]:
             "detail": f"roots say {by_roots.value}, invariants say {by_inv.value}",
             "audit": audit,
         })
-    canonical, witness = canonical_form(quartic)
+    try:
+        canonical, witness = canonical_form(quartic, structure)
+        canonical, witness = canonical.to_json_dict(), witness.to_json_dict()
+    except ClassificationError as exc:
+        canonical = witness = None
+        findings.append({"kind": "canonicalization_failed", "detail": str(exc)})
     if args.float_probe:
-        findings.extend(_float_probe_finding(quartic, args.seed))
+        findings.extend(_float_probe_finding(quartic, structure))
     results = {
         "quartic": quartic.to_json(),
         "root_structure": structure.to_json_dict(),
@@ -117,8 +121,8 @@ def cmd_classify(args) -> tuple[dict, int]:
         "type": by_roots.value,
         "type_by_invariants": inv_value,
         "audit": audit,
-        "canonical": canonical.to_json_dict(),
-        "witness": witness.to_json_dict(),
+        "canonical": canonical,
+        "witness": witness,
     }
     code = 1 if findings else 0
     return _report("classify", inputs, results, findings, started), code
@@ -287,7 +291,8 @@ def _render_human(report: dict) -> str:
         lines.append(f"type: {results['type']} (invariants: {results['type_by_invariants']})")
         lines.append(f"invariants: {results['invariants']}")
         canonical = results["canonical"]
-        lines.append(f"canonical form: {canonical['form']} parameter {canonical['parameter']}")
+        if canonical is not None:
+            lines.append(f"canonical form: {canonical['form']} parameter {canonical['parameter']}")
     elif report["command"] == "tables":
         for row in results["rows"]:
             status = "ok" if row["ok"] else "MISMATCH"
@@ -313,12 +318,9 @@ def _render_human(report: dict) -> str:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        help="emit the JSON report (default output format)")
     common.add_argument("--human", action="store_true", help="render a plain-text summary")
     common.add_argument("--float-probe", action="store_true",
                         help="cross-check exact results against floating-point oracles")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized probes")
 
     parser = argparse.ArgumentParser(
         prog="rotweb",
@@ -351,9 +353,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options that take a value.  argparse reads a separate value that starts
+# with "-" (a negative number, "-4/(x^2+1)") as an option, so such a pair is
+# joined into "--option=value" before parsing.
+_VALUE_OPTIONS = {"--params", "--quartic", "--scale", "--potential", "--energy", "--h"}
+
+
+def _join_values(argv: list) -> list:
+    out = []
+    for arg in argv:
+        if out and out[-1] in _VALUE_OPTIONS:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_values(sys.argv[1:] if argv is None else argv))
     try:
         report, code = args.func(args)
     except InputError as exc:

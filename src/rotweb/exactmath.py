@@ -12,8 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 
 class ExactMathError(ValueError):
     """Domain error raised by the exact-arithmetic layer."""
@@ -370,12 +368,6 @@ class UniPoly:
         total = Fraction(0)
         for c in reversed(self.coeffs):
             total = total * Fraction(x) + c
-        return total
-
-    def eval_float(self, x: float) -> float:
-        total = 0.0
-        for c in reversed(self.coeffs):
-            total = total * x + float(c)
         return total
 
     def __str__(self) -> str:

@@ -17,15 +17,18 @@ everywhere and not identically zero.
 
 from __future__ import annotations
 
+import cmath
 import enum
+import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactmath import (UniPoly, rat, rat_str, real_root_count,
-                        isolate_real_roots, rational_roots, refine_root,
-                        squarefree_decomposition, squarefree_part)
-from .group_action import GroupElement, Mat2, apply_quartic
+from .ckt_core import CktError
+from .exactmath import (UniPoly, rat, rat_str, real_root_count, refine_root,
+                        squarefree_decomposition)
+from .group_action import GroupElement, Mat2, apply_quartic, from_gl2
 from .rotational import RotParams
 
 
@@ -267,10 +270,11 @@ _PARTITION_TO_TYPE: dict = {
 }
 
 
-def classify_by_roots(q: BinaryQuartic) -> WebType:
+def classify_by_roots(q: BinaryQuartic, structure: RootStructure | None = None) -> WebType:
     """The authoritative classifier: map the real/complex root partition of
-    the quartic (roots at infinity counting as real) to the nine web types."""
-    structure = root_structure(q)
+    the quartic (roots at infinity counting as real) to the nine web types.
+    Pass the quartic's root structure when it is already at hand."""
+    structure = structure or root_structure(q)
     key = (structure.real_multiplicities, structure.cc_pair_multiplicities)
     try:
         return _PARTITION_TO_TYPE[key]
@@ -281,47 +285,48 @@ def classify_by_roots(q: BinaryQuartic) -> WebType:
 def classify_by_invariants(q: BinaryQuartic) -> tuple[WebType, list[dict]]:
     """The algebraic decision list over (Delta, H, L, M, I, J), evaluated
     strictly top to bottom; covariant inequalities are read semidefinitely.
-    Returns the type and the audit trail of every condition evaluated."""
+    Each covariant sign is computed when a row first needs it.  Returns the
+    type and the audit trail of every condition evaluated."""
     if q.is_zero:
         raise ClassificationError("the zero form has no web type")
     inv = invariants(q)
-    h_sign = form_sign(hessian(q))
-    l_sign = form_sign(covariant_l(q))
-    m_sign = form_sign(covariant_m(q))
-    audit: list[dict] = []
-
-    def record(web: WebType, condition: str, matched: bool) -> bool:
-        audit.append({"web": web.value, "condition": condition, "matched": matched})
-        return matched
-
+    h_sign = functools.cache(lambda: form_sign(hessian(q)))
+    l_sign = functools.cache(lambda: form_sign(covariant_l(q)))
+    m_sign = functools.cache(lambda: form_sign(covariant_m(q)))
     rows = [
         (WebType.DISK_CYCLIDE, "Delta < 0",
-         inv.delta < 0),
+         lambda: inv.delta < 0),
         (WebType.BI_CYCLIDE, "Delta > 0 and H < 0 and M > 0",
-         inv.delta > 0 and h_sign is FormSign.NSD_NONZERO and m_sign is FormSign.PSD_NONZERO),
-        (WebType.FLAT_RING_CYCLIDE, "Delta > 0 and (H > 0 or M > 0)",
-         inv.delta > 0 and (h_sign is FormSign.PSD_NONZERO or m_sign is FormSign.PSD_NONZERO)),
+         lambda: inv.delta > 0 and h_sign() is FormSign.NSD_NONZERO
+         and m_sign() is FormSign.PSD_NONZERO),
+        # Delta > 0 leaves four real roots or two complex pairs, and the row
+        # above takes the first, so no covariant is needed here.
+        (WebType.FLAT_RING_CYCLIDE, "Delta > 0",
+         lambda: inv.delta > 0),
         (WebType.INVERSE_PROLATE_SPHEROIDAL, "Delta = 0 and L < 0",
-         inv.delta == 0 and l_sign is FormSign.NSD_NONZERO),
+         lambda: inv.delta == 0 and l_sign() is FormSign.NSD_NONZERO),
         (WebType.INVERSE_OBLATE_SPHEROIDAL, "Delta = 0 and L > 0",
-         inv.delta == 0 and l_sign is FormSign.PSD_NONZERO),
+         lambda: inv.delta == 0 and l_sign() is FormSign.PSD_NONZERO),
         # Triple-root quartics also satisfy L = 0 with a semidefinite Hessian,
         # so the next two rows carry the guard I, J not both zero (always true
         # on genuine toroidal/bispherical orbits, where I scales as a3^2 from
         # 16); without it they would swallow every cardioid quartic.
         (WebType.TOROIDAL, "L = 0 and H > 0 and not I = J = 0",
-         l_sign is FormSign.IDENTICALLY_ZERO and h_sign is FormSign.PSD_NONZERO
+         lambda: l_sign() is FormSign.IDENTICALLY_ZERO and h_sign() is FormSign.PSD_NONZERO
          and not (inv.i == 0 and inv.j == 0)),
         (WebType.BISPHERICAL, "L = 0 and H < 0 and not I = J = 0",
-         l_sign is FormSign.IDENTICALLY_ZERO and h_sign is FormSign.NSD_NONZERO
+         lambda: l_sign() is FormSign.IDENTICALLY_ZERO and h_sign() is FormSign.NSD_NONZERO
          and not (inv.i == 0 and inv.j == 0)),
         (WebType.CARDIOID, "I = J = 0 and H != 0",
-         inv.i == 0 and inv.j == 0 and h_sign is not FormSign.IDENTICALLY_ZERO),
+         lambda: inv.i == 0 and inv.j == 0 and h_sign() is not FormSign.IDENTICALLY_ZERO),
         (WebType.TANGENT_SPHERE, "H = 0",
-         h_sign is FormSign.IDENTICALLY_ZERO),
+         lambda: h_sign() is FormSign.IDENTICALLY_ZERO),
     ]
-    for web, condition, matched in rows:
-        if record(web, condition, matched):
+    audit: list[dict] = []
+    for web, condition, test in rows:
+        matched = test()
+        audit.append({"web": web.value, "condition": condition, "matched": matched})
+        if matched:
             return web, audit
     raise ClassificationError("no algebraic condition matched", audit)
 
@@ -334,26 +339,14 @@ def classify_by_invariants(q: BinaryQuartic) -> tuple[WebType, list[dict]]:
 class CanonicalForm:
     """Representative forms: I = (1, 0, mu, 0, 1); II = (1, 0, mu, 0, -1);
     III = (1, 0, nu, 0, 0) with nu = +-1; IV = (0, 1, 0, 0, 0); V =
-    (1, 0, 0, 0, 0)."""
+    (1, 0, 0, 0, 0).  witness_residual is the largest coefficient error of
+    the witness's image of the quartic, divided by max(1, largest
+    representative coefficient)."""
 
     form: str
     parameter: Fraction | float | None
     exact: bool
-
-    def quartic(self) -> BinaryQuartic | None:
-        """The canonical representative when the parameter is exact."""
-        if not self.exact and self.parameter is not None:
-            return None
-        p = self.parameter
-        if self.form == "I":
-            return BinaryQuartic.make(1, 0, p, 0, 1)
-        if self.form == "II":
-            return BinaryQuartic.make(1, 0, p, 0, -1)
-        if self.form == "III":
-            return BinaryQuartic.make(1, 0, p, 0, 0)
-        if self.form == "IV":
-            return BinaryQuartic.make(0, 1, 0, 0, 0)
-        return BinaryQuartic.make(1, 0, 0, 0, 0)
+    witness_residual: float
 
     def to_json_dict(self) -> dict:
         if self.parameter is None:
@@ -362,19 +355,13 @@ class CanonicalForm:
             parameter = rat_str(self.parameter)
         else:
             parameter = float(self.parameter)
-        return {"form": self.form, "parameter": parameter, "exact_parameter": self.exact}
+        return {"form": self.form, "parameter": parameter, "exact_parameter": self.exact,
+                "witness_residual": self.witness_residual}
 
 
-def _canonical_coeffs(form: str, parameter) -> tuple:
-    if form == "I":
-        return (1, 0, parameter, 0, 1)
-    if form == "II":
-        return (1, 0, parameter, 0, -1)
-    if form == "III":
-        return (1, 0, parameter, 0, 0)
-    if form == "IV":
-        return (0, 1, 0, 0, 0)
-    return (1, 0, 0, 0, 0)
+def _canonical_coeffs(form: str, p) -> tuple:
+    return {"I": (1, 0, p, 0, 1), "II": (1, 0, p, 0, -1), "III": (1, 0, p, 0, 0),
+            "IV": (0, 1, 0, 0, 0), "V": (1, 0, 0, 0, 0)}[form]
 
 
 _TYPE_TO_FORM = {
@@ -389,273 +376,220 @@ _TYPE_TO_FORM = {
     WebType.TANGENT_SPHERE: "V",
 }
 
+# Parameter and distinct roots, as homogeneous points (x, y) for the root
+# (x : y), of the representatives with a repeated root, ordered by
+# multiplicity and with a complex pair kept together, as _float_roots
+# orders the input's roots.
+_DEGENERATE_FORMS = {
+    WebType.TOROIDAL: (Fraction(2), ((1j, 1), (-1j, 1))),
+    WebType.BISPHERICAL: (Fraction(-2), ((1, 1), (-1, 1))),
+    WebType.INVERSE_PROLATE_SPHEROIDAL: (Fraction(-1), ((0, 1), (1, 1), (-1, 1))),
+    WebType.INVERSE_OBLATE_SPHEROIDAL: (Fraction(1), ((0, 1), (1j, 1), (-1j, 1))),
+    WebType.CARDIOID: (None, ((0, 1), (1, 0))),
+    WebType.TANGENT_SPHERE: (None, ((0, 1),)),
+}
 
-def _mu_in_range(web: WebType, mu) -> bool:
+
+def _mu_in_range(web: WebType, mu: float) -> bool:
     if web is WebType.BI_CYCLIDE:
         return mu < -2
     if web is WebType.FLAT_RING_CYCLIDE:
-        return mu > -2 and mu != 2
+        return -2 < mu < 2
     return True  # form II takes any mu
 
 
-def _mu_candidates(web: WebType, inv: Invariants) -> list[tuple[Fraction | float, bool]]:
-    """Parameters of canonical form I/II matching the absolute invariant
-    F = I^3/J^2, ordered deterministically.  The F-equation can have several
-    in-range roots that are complex- but not real-equivalent to the input, so
-    callers must keep the first candidate whose witness verifies."""
-    if inv.j == 0:
-        # F undefined: finitely many candidates, picked by type.
-        return [(Fraction(-6), True)] if web is WebType.BI_CYCLIDE else [(Fraction(0), True)]
-    f = inv.f
-    if web is WebType.DISK_CYCLIDE:
-        # (mu^2 - 12)^3 = F * 4 mu^2 (36 + mu^2)^2
-        poly = UniPoly([
-            -1728, 0, 432 - 5184 * f, 0, -36 - 288 * f, 0, 1 - 4 * f,
-        ])
-    else:
-        # (12 + mu^2)^3 = F * 4 mu^2 (36 - mu^2)^2
-        poly = UniPoly([
-            1728, 0, 432 - 5184 * f, 0, 36 + 288 * f, 0, 1 - 4 * f,
-        ])
-    exact = []
-    for mu in rational_roots(poly):
-        if not _mu_in_range(web, mu):
-            continue
-        candidate = BinaryQuartic.from_tuple(_canonical_coeffs(_TYPE_TO_FORM[web], mu))
-        if classify_by_roots(candidate) is web:
-            exact.append(mu)
-    exact.sort(key=lambda v: (abs(v), v < 0))
-    numeric = []
-    sf = squarefree_part(poly)
-    exact_floats = [float(v) for v in exact]
-    for lo, hi in isolate_real_roots(poly):
-        lo, hi = refine_root(sf, lo, hi, Fraction(1, 10**15))
-        mu = float((lo + hi) / 2)
-        if _mu_in_range(web, mu) and not any(abs(mu - e) < 1e-9 for e in exact_floats):
-            numeric.append(mu)
-    numeric.sort(key=lambda v: (abs(v), v < 0))
-    out: list[tuple[Fraction | float, bool]] = [(mu, True) for mu in exact]
-    out.extend((mu, False) for mu in numeric)
-    if not out:
-        raise ClassificationError(f"no canonical parameter in range for {web.value}")
-    return out
-
-
-def _roots_with_multiplicity(q: BinaryQuartic) -> list[tuple[complex | None, int]]:
-    """Float roots over the projective line; None encodes infinity."""
+def _float_roots(structure: RootStructure) -> list[tuple]:
+    """Distinct roots over the projective line as homogeneous float points,
+    (1, 0) for infinity, ordered by decreasing multiplicity.  Real roots are
+    exactly real (the exact structure says how many there are) and complex
+    roots come as exactly conjugate neighbours."""
     import numpy as np
 
-    poly = q.dehomogenize()
-    out: list[tuple[complex | None, int]] = []
-    if poly.degree < 4:
-        out.append((None, 4 - poly.degree))
-    if poly.degree > 0:
-        for factor, mult in squarefree_decomposition(poly):
-            cs = [float(c) for c in reversed(factor.coeffs)]
-            for root in np.roots(cs):
-                root = complex(root)
-                if abs(root.imag) < 1e-9:
-                    root = complex(root.real, 0.0)
-                out.append((root, mult))
-    return out
+    roots = []
+    if structure.infinity_multiplicity:
+        roots.append((structure.infinity_multiplicity, (1, 0)))
+    for factor, mult, nreal in structure.finite_factors:
+        # Roots of factor(x + centre) are resolved relative to their spread
+        # about the centroid, not to its distance from 0.
+        coeffs = list(factor.coeffs)
+        centre = -Fraction(coeffs[-2]) / (len(coeffs) - 1)
+        for i in range(len(coeffs) - 1):
+            for j in range(len(coeffs) - 2, i - 1, -1):
+                coeffs[j] += centre * coeffs[j + 1]
+        found = np.roots([float(c) for c in reversed(coeffs)]) + float(centre)
+        found = sorted((complex(z) for z in found), key=lambda z: abs(z.imag))
+        roots.extend((mult, (_polish(factor, z.real).real, 1)) for z in found[:nreal])
+        pairs = sorted(found[nreal:], key=lambda z: -z.imag)[:len(found[nreal:]) // 2]
+        for z in pairs:
+            z = _polish(factor, z)
+            roots.extend([(mult, (z, 1)), (mult, (z.conjugate(), 1))])
+    roots.sort(key=lambda item: -item[0])
+    points = [point for _, point in roots]
+    if any(_bracket(u, v) == 0 for u, v in itertools.combinations(points, 2)):
+        raise ClassificationError("two roots coincide in floating point")
+    return points
 
 
-def _mobius_three_points(src: list, dst: list) -> Mat2 | None:
-    """Complex Moebius matrix sending the three source points to the three
-    targets (None = infinity); returns None for degenerate data."""
+def _polish(factor: UniPoly, z: complex) -> complex:
+    """Newton steps on a simple root with the factor's value at z computed
+    exactly, until a step is below 1e-10 |z|: numpy's roots of clustered
+    factors are too coarse for a 1e-9 witness."""
+    for _ in range(8):
+        x, y = Fraction(z.real), Fraction(z.imag)
+        re = im = Fraction(0)
+        slope = 0j
+        for c in reversed(factor.coeffs):
+            slope = slope * z + complex(re, im)
+            re, im = re * x - im * y + c, re * y + im * x
+        if not slope:
+            break
+        step = complex(re, im) / slope
+        z -= step
+        if abs(step) <= 1e-10 * abs(z):
+            break
+    return z
 
-    def to_01inf(z1, z2, z3):
-        # Rows of the map sending (z1, z2, z3) -> (0, 1, inf).
-        if z1 is None:
-            return Mat2(0, z2 - z3, 1, -z3)
-        if z2 is None:
-            return Mat2(1, -z1, 1, -z3)
-        if z3 is None:
-            return Mat2(1, -z1, 0, z2 - z1)
-        return Mat2(z2 - z3, -z1 * (z2 - z3), z2 - z1, -z3 * (z2 - z1))
 
-    try:
-        a = to_01inf(*src)
-        b = to_01inf(*dst)
-        det_b = b.det()
-        if abs(det_b) < 1e-14 or abs(a.det()) < 1e-14:
-            return None
-        b_inv = Mat2(b.delta / det_b, -b.beta / det_b, -b.gamma / det_b, b.alpha / det_b)
-        return b_inv.mul(a)
-    except ZeroDivisionError:
+def _bracket(u, v):
+    """u0 v1 - u1 v0: the difference u - v of two finite points."""
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _frame(points) -> Mat2:
+    """A matrix whose Moebius map sends 0, infinity and 1 to the given
+    distinct points, in that order; with two points the image of 1 is free,
+    and a lone real point gets its orthogonal point as the image of
+    infinity."""
+    if len(points) == 1:
+        points = (points[0], (points[0][1], -points[0][0]))
+    a, b = points[:2]
+    s, t = 1, 1
+    if len(points) == 3:
+        c = points[2]
+        s, t = _bracket(c, a), _bracket(b, c)
+    return Mat2(s * b[0], t * a[0], s * b[1], t * a[1])
+
+
+def _real_matrix(src, dst) -> Mat2 | None:
+    """The real matrix, up to scale, whose Moebius map sends the source
+    points onto the target points (up to three used), or None when that map
+    is not real."""
+    f = _frame(src)
+    m = _frame(dst).mul(Mat2(f.delta, -f.beta, -f.gamma, f.alpha))
+    entries = (m.alpha, m.beta, m.gamma, m.delta)
+    pivot = complex(max(entries, key=abs))
+    entries = [complex(e) / pivot for e in entries]
+    if max(abs(e.imag) for e in entries) > 1e-7:
         return None
+    return Mat2(*(e.real for e in entries))
 
 
-def _from_gl2_float(m: Mat2) -> GroupElement | None:
-    scale = max(abs(m.alpha), abs(m.beta), abs(m.gamma), abs(m.delta))
-    if scale == 0:
-        return None
-    if abs(m.alpha) < 1e-10 * scale:
-        m1 = Mat2(m.gamma, m.delta, m.alpha, m.beta)
-        base = _from_gl2_float(m1)
-        if base is None:
-            return None
-        return GroupElement.make(base.a0, base.a1, base.a2, base.a3, 0, True)
-    det = m.det()
-    if det == 0:
-        return None
-    a0 = Fraction(-m.gamma / m.alpha)
-    a1 = Fraction(-m.beta / m.alpha)
-    a2 = Fraction(det / (m.alpha * m.alpha))
-    a3 = Fraction(det * det)
-    if a2 == 0 or a3 == 0:
-        return None
-    return GroupElement.make(a0, a1, a2, a3, 0, False)
-
-
-def _anchor_candidates(src_roots, dst_roots):
-    """Multiplicity-respecting anchor triples (source -> target), conjugation
-    stable so the interpolating Moebius map is real."""
-    from itertools import permutations
-
-    def split(roots):
-        reals, pairs = [], []
-        for root, mult in roots:
-            if root is None or root.imag == 0:
-                reals.append((root, mult))
-            elif root.imag > 0:
-                pairs.append((root, mult))
-        return reals, pairs
-
-    src_reals, src_pairs = split(src_roots)
-    dst_reals, dst_pairs = split(dst_roots)
-    if sorted(m for _, m in src_reals) != sorted(m for _, m in dst_reals):
-        return
-    if sorted(m for _, m in src_pairs) != sorted(m for _, m in dst_pairs):
-        return
-
-    def conj(z):
-        return None if z is None else z.conjugate()
-
-    pads_dst = [0.0, 1.0, -1.0, 0.5, 2.0, None]
-    for real_perm in permutations(dst_reals):
-        if any(sm != dm for (_, sm), (_, dm) in zip(src_reals, real_perm)):
+def _generic_form(web: WebType, roots: list) -> tuple[float, Mat2]:
+    """Parameter and matrix for four simple roots (forms I and II).  Each
+    labeling (z1, z2, z3, z4) of the roots with z1 fixed has the
+    cross-ratio lam = [z1 z3][z2 z4] / ([z1 z4][z2 z3]), which the canonical
+    roots (a, -a, s/a, -s/a) of X^4 + mu X^2 Y^2 + s^2 Y^4 take for
+    mu = 2 s (lam + 1) / (lam - 1) = 2 s ([z1 z3][z2 z4] + [z1 z4][z2 z3]) /
+    ([z1 z2][z3 z4]), with s = 1 (form I) or i (form II).  A labeling
+    qualifies when mu is real and in range and the Moebius map from the
+    canonical roots onto the labeled ones is real; the smallest |mu| wins,
+    then mu >= 0."""
+    s = 1j if web is WebType.DISK_CYCLIDE else 1
+    first, *rest = roots
+    found = []
+    for z2, z3, z4 in itertools.permutations(rest):
+        mu = (2 * s * (_bracket(first, z3) * _bracket(z2, z4)
+                       + _bracket(first, z4) * _bracket(z2, z3))
+              / (_bracket(first, z2) * _bracket(z3, z4)))
+        if abs(mu.imag) > 1e-7 * max(1.0, abs(mu)) or not _mu_in_range(web, mu.real):
             continue
-        for pair_perm in permutations(dst_pairs):
-            if any(sm != dm for (_, sm), (_, dm) in zip(src_pairs, pair_perm)):
-                continue
-            for orientation in (1, -1):
-                constraints = [(s, d) for (s, _), (d, _) in zip(src_reals, real_perm)]
-                for (s, _), (d, _) in zip(src_pairs, pair_perm):
-                    target = d if orientation == 1 else conj(d)
-                    constraints.append((s, target))
-                    constraints.append((conj(s), conj(target)))
-                if len(constraints) >= 3:
-                    yield constraints[:3]
-                    continue
-                # Pad degenerate configurations with real auxiliary anchors.
-                used_src = [s for s, _ in constraints]
-                used_dst = [d for d, _ in constraints]
-                aux_src = []
-                base = 0.0
-                for s, _ in constraints:
-                    if s is not None and s.imag != 0:
-                        base = s.real
-                        break
-                    if s is not None:
-                        base = s.real + 1.0
-                candidates_src = [complex(base, 0), complex(base + 1, 0), complex(base + 2, 0), None]
-                for cand in candidates_src:
-                    if cand not in used_src and len(aux_src) +  len(constraints) < 3:
-                        aux_src.append(cand)
-                for dst_choice in permutations([d for d in pads_dst if d not in used_dst],
-                                               3 - len(constraints)):
-                    padded = list(constraints)
-                    for s, d in zip(aux_src, dst_choice):
-                        padded.append((s, None if d is None else complex(d, 0)))
-                    if len(padded) == 3:
-                        yield padded
+        a = cmath.sqrt((-mu.real + cmath.sqrt(mu.real ** 2 - 4 * s * s)) / 2)
+        matrix = _real_matrix([(a, 1), (-a, 1), (s / a, 1)], [first, z2, z3])
+        if matrix is not None:
+            found.append((mu.real, matrix))
+    if not found:
+        raise ClassificationError(f"no real labeling of the roots reaches form "
+                                  f"{_TYPE_TO_FORM[web]} for {web.value}")
+    smallest = min(abs(mu) for mu, _ in found)
+    return max((item for item in found if abs(item[0]) <= smallest * (1 + 1e-9) + 1e-12),
+               key=lambda item: item[0])
 
 
-def _float_quartic(values) -> tuple:
-    return tuple(float(v) for v in values)
-
-
-def _find_witness(q: BinaryQuartic, target_coeffs: tuple, exact: bool) -> GroupElement | None:
-    """Search for a real group element carrying q onto the target quartic by
-    matching root configurations with Moebius maps; verified by applying the
-    action and comparing all coefficients to 1e-9 relative accuracy."""
-    if exact:
-        dst_roots = _roots_with_multiplicity(BinaryQuartic.make(*(rat(c) for c in target_coeffs)))
+def _pin_parameter(form: str, inv: Invariants, approx: float) -> tuple[Fraction | float, bool]:
+    """Bracket the parameter of form I/II exactly on the F-equation
+    I(mu)^3 - F J(mu)^2 = 0 (J(mu) = 0 when J = 0), with I(mu) and J(mu) the
+    invariants of the representative, and bisect to width 1/(4 * 10^12).
+    Returns the rational root in the bracket with denominator up to 10^6,
+    or else the bracket's midpoint as a float."""
+    c = 1 if form == "I" else -1
+    i_mu = UniPoly([12 * c, 0, 1])
+    j_mu = UniPoly([0, 72 * c, 0, -2])
+    poly = j_mu if inv.j == 0 else i_mu * i_mu * i_mu - j_mu * j_mu * inv.f
+    centre = Fraction(approx)
+    for width in (Fraction(1, 10**12), Fraction(1, 10**9), Fraction(1, 10**6)):
+        lo, hi = centre - width * max(1, abs(centre)), centre + width * max(1, abs(centre))
+        if poly.eval(lo) * poly.eval(hi) <= 0:
+            break
     else:
-        import numpy as np
-
-        poly_coeffs = [float(c) for c in target_coeffs]
-        if poly_coeffs[0] == 0:
-            return None
-        dst_roots = []
-        for root in np.roots(poly_coeffs):
-            root = complex(root)
-            if abs(root.imag) < 1e-9:
-                root = complex(root.real, 0.0)
-            dst_roots.append((root, 1))
-    src_roots = _roots_with_multiplicity(q)
-    target_float = _float_quartic(target_coeffs)
-    scale_ref = max(abs(c) for c in target_float)
-    for anchors in _anchor_candidates(src_roots, dst_roots):
-        # The substitution action pulls roots back, so the interpolating
-        # matrix must send the canonical roots onto the input's roots.
-        mat = _mobius_three_points([d for _, d in anchors], [s for s, _ in anchors])
-        if mat is None:
-            continue
-        entries = (mat.alpha, mat.beta, mat.gamma, mat.delta)
-        if max(abs(e.imag) for e in entries) > 1e-7 * max(abs(e) for e in entries):
-            continue
-        real_mat = Mat2(*(e.real for e in entries))
-        witness = _from_gl2_float(real_mat)
-        if witness is None:
-            continue
-        moved = _float_quartic(apply_quartic(witness, q.as_tuple()))
-        pivot = max(range(5), key=lambda idx: abs(target_float[idx]))
-        if abs(moved[pivot]) < 1e-13:
-            continue
-        ratio = moved[pivot] / target_float[pivot]
-        if ratio == 0:
-            continue
-        adjusted = GroupElement.make(witness.a0, witness.a1, witness.a2,
-                                     witness.a3 / Fraction(ratio), 0, witness.discrete)
-        final = _float_quartic(apply_quartic(adjusted, q.as_tuple()))
-        err = max(abs(a - b) for a, b in zip(final, target_float))
-        if err <= 1e-9 * max(1.0, scale_ref):
-            return adjusted
-    return None
+        return approx, False
+    max_width = Fraction(1, 4 * 10**12) * min(1, abs(centre) or 1)
+    lo, hi = refine_root(poly, lo, hi, max_width)
+    candidate = ((lo + hi) / 2).limit_denominator(10**6) if lo != hi else lo
+    if lo <= candidate <= hi and poly.eval(candidate) == 0:
+        return candidate, True
+    return float((lo + hi) / 2), False
 
 
-def canonical_form(q: BinaryQuartic) -> tuple[CanonicalForm, GroupElement]:
-    """Canonical representative of the quartic's orbit and an approximate
-    witness group element carrying it there.
+def _witness(q: BinaryQuartic, matrix: Mat2, target: tuple) -> tuple[GroupElement, float]:
+    """The group element substituting by the matrix, rescaled to agree with
+    the target at its largest coefficient, and its residual."""
+    pivot = max(range(5), key=lambda k: abs(target[k]))
+    try:
+        g = from_gl2(Mat2(*(Fraction(e) for e in
+                            (matrix.alpha, matrix.beta, matrix.gamma, matrix.delta))))
+        moved = apply_quartic(g, q.as_tuple())
+        scale = Fraction(float(target[pivot]) / float(moved[pivot]))
+        g = GroupElement.make(g.a0, g.a1, g.a2, g.a3 * scale, 0, g.discrete)
+        error = max(abs(float(m * scale) - float(t)) for m, t in zip(moved, target))
+    except (CktError, ZeroDivisionError, OverflowError) as exc:
+        raise ClassificationError(f"degenerate canonicalization matrix: {exc}") from None
+    return g, error / max(1.0, max(abs(float(t)) for t in target))
 
-    The form is determined by the web type; the parameter of forms I/II comes
-    from matching the absolute invariant F, with the verified witness acting
-    as the arbiter among F-equivalent candidates that are not real-equivalent.
+
+def canonical_form(q: BinaryQuartic, structure: RootStructure | None = None
+                   ) -> tuple[CanonicalForm, GroupElement]:
+    """Canonical representative of the quartic's orbit and a witness group
+    element carrying it there, verified to 1e-9 relative accuracy.
+
+    The witness substitutes by the real Moebius map sending the
+    representative's roots onto the quartic's float roots.  For four simple
+    roots (forms I/II) the parameter mu comes from the cross-ratio of the
+    chosen labeling and is then pinned exactly on the F-equation; the forms
+    with a repeated root have fixed parameters.  Pass the quartic's root
+    structure when it is already at hand.
     """
     if q.is_zero:
         raise ClassificationError("the zero form has no canonical form")
-    web = classify_by_roots(q)
+    structure = structure or root_structure(q)
+    web = classify_by_roots(q, structure)
     form = _TYPE_TO_FORM[web]
-    inv = invariants(q)
-    if web is WebType.TOROIDAL:
-        candidates = [(Fraction(2), True)]
-    elif web is WebType.BISPHERICAL:
-        candidates = [(Fraction(-2), True)]
-    elif web is WebType.INVERSE_PROLATE_SPHEROIDAL:
-        candidates = [(Fraction(-1), True)]
-    elif web is WebType.INVERSE_OBLATE_SPHEROIDAL:
-        candidates = [(Fraction(1), True)]
-    elif web in (WebType.CARDIOID, WebType.TANGENT_SPHERE):
-        candidates = [(None, True)]
+    try:
+        roots = _float_roots(structure)
+    except OverflowError:
+        raise ClassificationError("a root factor is beyond floating-point range") from None
+    if web in _DEGENERATE_FORMS:
+        parameter, canonical_roots = _DEGENERATE_FORMS[web]
+        exact = True
+        matrix = _real_matrix(canonical_roots, roots)
+        if matrix is None:
+            raise ClassificationError(f"the root map for {web.value} is not real")
     else:
-        candidates = _mu_candidates(web, inv)
-    for parameter, exact in candidates:
-        target_coeffs = _canonical_coeffs(form, parameter if parameter is not None else 0)
-        witness = _find_witness(q, target_coeffs, exact)
-        if witness is not None:
-            return CanonicalForm(form=form, parameter=parameter, exact=exact), witness
-    raise ClassificationError(
-        f"could not verify a canonicalization witness for {web.value} "
-        f"(form {form}); candidates tried: {[str(c[0]) for c in candidates]}")
+        approx, matrix = _generic_form(web, roots)
+        parameter, exact = _pin_parameter(form, invariants(q), approx)
+    target = _canonical_coeffs(form, parameter)
+    witness, residual = _witness(q, matrix, target)
+    if not residual <= 1e-9:
+        raise ClassificationError(
+            f"the witness for {web.value} (form {form}) misses the representative "
+            f"by {residual:.3g}")
+    return CanonicalForm(form, parameter, exact, residual), witness

@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
+from rotweb import cli
 from rotweb.cli import main
+from rotweb.quartic_class import ClassificationError
 
 
 def run(capsys, *argv):
@@ -59,6 +63,38 @@ class TestClassify:
         assert code == 0
         assert "type: cardioid" in out
 
+    @pytest.mark.parametrize("quartic,web", [
+        ("3,-7,2,5,-11", "disk_cyclide"),
+        ("560/27,-10,85/9,-25/3,5/2", "flat_ring_cyclide"),
+        ("24320/9,-566768/27,1649572/27,-2131904/27,114700/3", "bi_cyclide"),
+        ("-3,30,-111,180,-108", "bispherical"),
+        ("-27/8,-9/8,9/8,5/8,1/12", "cardioid"),
+    ])
+    def test_formerly_failing_quartics(self, capsys, quartic, web):
+        code, report = run_json(capsys, "classify", "--quartic=" + quartic)
+        assert code == 0, report["findings"]
+        assert report["results"]["type"] == report["results"]["type_by_invariants"] == web
+        assert report["results"]["canonical"]["witness_residual"] <= 1e-9
+
+    def test_negative_values_as_separate_arguments(self, capsys):
+        code, report = run_json(capsys, "classify", "--quartic", "-3,30,-111,180,-108")
+        assert code == 0
+        assert report["inputs"]["quartic"] == ["-3", "30", "-111", "180", "-108"]
+        code, report = run_json(capsys, "classify", "--params", "-1,0,1,0,0,0")
+        assert code == 0
+        assert report["results"]["type"] == "inverse_prolate_spheroidal"
+
+    def test_canonicalization_failure_is_a_finding(self, capsys, monkeypatch):
+        def fail(*args):
+            raise ClassificationError("no witness")
+
+        monkeypatch.setattr(cli, "canonical_form", fail)
+        code, report = run_json(capsys, "classify", "--quartic", "1,0,-5,0,4")
+        assert code == 1
+        assert report["findings"] == [{"kind": "canonicalization_failed", "detail": "no witness"}]
+        assert report["results"]["canonical"] is None
+        assert report["results"]["type"] == "bi_cyclide"
+
 
 class TestTables:
     def test_default_scales(self, capsys):
@@ -97,6 +133,11 @@ class TestCompat:
         code, report = run_json(capsys, "compat", "--potential", "0", "--energy", "1")
         assert code == 0
         assert report["results"]["solution"]["dimension"] == 4
+
+    def test_negative_values_as_separate_arguments(self, capsys):
+        code, report = run_json(capsys, "compat", "--potential", "-4/(x^2+1)", "--energy", "-1/2")
+        assert code == 0
+        assert report["inputs"] == {"potential": "-4/(x^2+1)", "energy": "-1/2"}
 
     def test_malformed_potential_exits_2(self, capsys):
         assert run(capsys, "compat", "--potential", "x +")[0] == 2
