@@ -668,10 +668,10 @@ def _assembly_matrix() -> list[list[Fraction]]:
 def tensor_to_free(k: SymTensorField) -> list[Fraction]:
     """Exact coordinates of a trace-free conformal Killing tensor in the
     35-parameter basis; raises if the tensor is outside that space."""
-    sol = linalg.solve(_assembly_matrix(), _vectorize(k))
+    sol = linalg.solve_many(_assembly_matrix(), [_vectorize(k)])
     if sol is None:
         raise CktError("tensor is not in the trace-free conformal Killing space")
-    return sol
+    return sol[0]
 
 
 def trace_free_reduce(coeffs: CktCoefficients) -> CktCoefficients:
@@ -718,20 +718,22 @@ def symmetry_subspace(v: VectorField, mode: str) -> list[tuple[Fraction, list[Ck
     return out
 
 
+def eigenvector_cross(k: SymTensorField, v: VectorField) -> VectorField:
+    """(K.v) x v, identically zero iff v is everywhere an eigenvector of K."""
+    kv = k.dot_vector(v)
+    return VectorField((kv[1] * v[2] - kv[2] * v[1],
+                        kv[2] * v[0] - kv[0] * v[2],
+                        kv[0] * v[1] - kv[1] * v[0]))
+
+
 def eigenvector_subspace(v: VectorField, basis: list[CktCoefficients]) -> list[CktCoefficients]:
     """Members of span(basis) whose assembled tensor admits v as an
     eigenvector everywhere: (K.v) x v = 0 identically, a linear condition."""
     rows: dict = {}
     for col, coeffs in enumerate(basis):
-        k = assemble_ckt(coeffs)
-        kv = k.dot_vector(v)
+        cross = eigenvector_cross(assemble_ckt(coeffs), v)
         for i in range(3):
-            cross = Poly.zero(k.nvars)
-            for j in range(3):
-                for kk in range(3):
-                    if EPS[i][j][kk]:
-                        cross = cross + kv[j] * v[kk] * EPS[i][j][kk]
-            for exps, coeff in cross.terms.items():
+            for exps, coeff in cross[i].terms.items():
                 rows.setdefault((i, exps), [Fraction(0)] * len(basis))[col] = Fraction(coeff)
     matrix = list(rows.values())
     combos = linalg.nullspace(matrix, len(basis))

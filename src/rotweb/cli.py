@@ -17,7 +17,7 @@ from . import __version__, ckt_core
 from .ckt_core import CktError, ckv_by_name, killing_obstruction, symmetry_subspace, tsn_filter
 from .exactmath import ExactMathError, rat, rat_str
 from .expr import ExprError, eval_rational
-from .group_action import GroupElement, apply_quartic
+from .group_action import apply_quartic
 from .quartic_class import (BinaryQuartic, ClassificationError, RootStructure,
                             canonical_form, classify_by_invariants, classify_by_roots,
                             invariants, root_structure)
@@ -128,19 +128,9 @@ def cmd_classify(args) -> tuple[dict, int]:
     return _report("classify", inputs, results, findings, started), code
 
 
-_EQUIVALENCE_WITNESSES = {
-    # Explicit exact witnesses for the catalog equivalences; built per scale.
-    "prolate_spheroidal": lambda a, k: GroupElement.make(0, 0, a * a, 1, 0, True),
-    "oblate_spheroidal": lambda a, k: GroupElement.make(0, 0, a * a, -1, 0, True),
-    "parabolical": lambda a, k: GroupElement.make(0, 0, 1, 1, 0, True),
-    "cylindrical": lambda a, k: GroupElement.make(0, 0, 1, 1, 1, True),
-    "spherical": lambda a, k: GroupElement.make(1, a, -2 * a, -1, -1, False),
-}
-
-
-def _check_equivalence(entry: CatalogEntry, partners: dict, a: Fraction, k: Fraction) -> dict:
+def _check_equivalence(entry: CatalogEntry, partners: dict) -> dict:
     """Verify a catalog equivalence: type-level always; exact quartic
-    proportionality through the explicit witness where one is defined."""
+    proportionality through the row's explicit witness where it has one."""
     partner = partners[entry.equivalent_to]
     result = {
         "row": entry.name,
@@ -150,14 +140,12 @@ def _check_equivalence(entry: CatalogEntry, partners: dict, a: Fraction, k: Frac
         "ok": True,
         "detail": "type-level equivalence",
     }
-    witness_builder = _EQUIVALENCE_WITNESSES.get(entry.name)
-    if witness_builder is None:
+    witness = entry.witness
+    if witness is None:
         return result
-    witness = witness_builder(a, k)
     moved = apply_quartic(witness, entry.params.quartic_tuple())
     target = partner.params.quartic_tuple()
-    pairs = [(m, t) for m, t in zip(moved, target)]
-    nonzero = [(m, t) for m, t in pairs if m != 0 or t != 0]
+    nonzero = [(m, t) for m, t in zip(moved, target) if m != 0 or t != 0]
     proportional = bool(nonzero) and all(m * nonzero[0][1] == t * nonzero[0][0] for m, t in nonzero)
     result["witness"] = witness.to_json_dict()
     result["ok"] = proportional
@@ -210,7 +198,7 @@ def cmd_tables(args) -> tuple[dict, int]:
                              "detail": f"expected {entry.expected_type}, roots {by_roots.value}, "
                                        f"invariants {inv_value}"})
         if entry.equivalent_to:
-            check = _check_equivalence(entry, partners, scales["a"], scales["k"])
+            check = _check_equivalence(entry, partners)
             row["equivalence"] = check
             if not check["ok"]:
                 findings.append({"kind": "equivalence_witness_failed", "row": entry.name,
@@ -374,10 +362,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_join_values(sys.argv[1:] if argv is None else argv))
     try:
         report, code = args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ExactMathError, ExprError, CktError, ClassificationError) as exc:
+    except (InputError, ExactMathError, ExprError, CktError, ClassificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.human:

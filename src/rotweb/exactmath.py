@@ -252,10 +252,6 @@ class Poly:
     __repr__ = __str__
 
 
-def variables(nvars: int = 3) -> list[Poly]:
-    return [Poly.variable(i, nvars) for i in range(nvars)]
-
-
 # ---------------------------------------------------------------------------
 # Dense univariate polynomials
 
@@ -342,9 +338,6 @@ class UniPoly:
             for j, b in enumerate(other.coeffs):
                 rem[i - d + j] -= c * b
         return UniPoly(quot), UniPoly(rem)
-
-    def __floordiv__(self, other: UniPoly) -> UniPoly:
-        return divmod(self, other)[0]
 
     def __mod__(self, other: UniPoly) -> UniPoly:
         return divmod(self, other)[1]
@@ -617,10 +610,6 @@ class RationalFunction:
     @classmethod
     def const(cls, value, nvars: int = 3) -> RationalFunction:
         return cls(Poly.const(value, nvars))
-
-    @classmethod
-    def from_poly(cls, p: Poly) -> RationalFunction:
-        return cls(p)
 
     @property
     def nvars(self) -> int:

@@ -96,6 +96,13 @@ class Mat2:
             self.gamma * other.beta + self.delta * other.delta,
         )
 
+    def adjugate(self) -> Mat2:
+        """det(self) times the inverse."""
+        return Mat2(self.delta, -self.beta, -self.gamma, self.alpha)
+
+    def swap_columns(self) -> Mat2:
+        return Mat2(self.beta, self.alpha, self.delta, self.gamma)
+
 
 Quartic = tuple  # (M33, L3, H, D3, A33)
 
@@ -149,49 +156,30 @@ def apply(g: GroupElement, p: RotParams) -> RotParams:
 # ---------------------------------------------------------------------------
 # Group structure via 2x2 Moebius representatives
 
-_SWAP = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
 
-
-def _rep(g: GroupElement) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
+def _rep(g: GroupElement) -> Mat2:
     """Moebius matrix of the axis action: C(a0, a1, a2) . Swap^discrete."""
-    c = ((g.a2 + g.a1 * g.a0, g.a1), (g.a0, Fraction(1)))
-    if not g.discrete:
-        return c
-    return ((c[0][1], c[0][0]), (c[1][1], c[1][0]))
+    c = Mat2(g.a2 + g.a1 * g.a0, g.a1, g.a0, Fraction(1))
+    return c.swap_columns() if g.discrete else c
 
 
-def _mat_mul(a, b):
-    return (
-        (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-        (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
-    )
-
-
-def _from_rep(mat, a3: Fraction, a4: Fraction) -> GroupElement:
+def _from_rep(mat: Mat2, a3: Fraction, a4: Fraction) -> GroupElement:
     """Normalize a Moebius matrix back to (a0, a1, a2, discrete) form."""
-    discrete = False
-    if mat[1][1] == 0:
-        mat = ((mat[0][1], mat[0][0]), (mat[1][1], mat[1][0]))
-        discrete = True
-    s = mat[1][1]
-    det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    a0 = mat[1][0] / s
-    a1 = mat[0][1] / s
-    a2 = det / (s * s)
-    return GroupElement.make(a0, a1, a2, a3, a4, discrete)
+    discrete = mat.delta == 0
+    if discrete:
+        mat = mat.swap_columns()
+    s = mat.delta
+    return GroupElement.make(mat.gamma / s, mat.beta / s, mat.det() / (s * s), a3, a4, discrete)
 
 
 def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
     """Element acting as g1 after g2: apply(compose(g1, g2), p) =
     apply(g1, apply(g2, p)) exactly."""
-    mat = _mat_mul(_rep(g1), _rep(g2))
-    return _from_rep(mat, g1.a3 * g2.a3, g1.a4 + g1.a3 * g2.a4)
+    return _from_rep(_rep(g1).mul(_rep(g2)), g1.a3 * g2.a3, g1.a4 + g1.a3 * g2.a4)
 
 
 def inverse(g: GroupElement) -> GroupElement:
-    mat = _rep(g)
-    adj = ((mat[1][1], -mat[0][1]), (-mat[1][0], mat[0][0]))
-    return _from_rep(adj, 1 / g.a3, -g.a4 / g.a3)
+    return _from_rep(_rep(g).adjugate(), 1 / g.a3, -g.a4 / g.a3)
 
 
 # ---------------------------------------------------------------------------

@@ -66,74 +66,51 @@ def row_echelon(matrix: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
     return rows[:rank], pivots
 
 
-def nullspace(matrix: Sequence[Sequence], ncols: int | None = None) -> list[list[Fraction]]:
-    """Basis of the right null space, as Fraction vectors."""
-    if not matrix:
-        if ncols is None:
-            return []
-        return [[Fraction(i == j) for i in range(ncols)] for j in range(ncols)]
-    ncols = len(matrix[0]) if ncols is None else ncols
-    ech, pivots = row_echelon(matrix)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r in range(len(ech) - 1, -1, -1):
-            pc = pivots[r]
-            s = Fraction(0)
-            for c in range(pc + 1, ncols):
-                if vec[c]:
-                    s += ech[r][c] * vec[c]
-            vec[pc] = -s / ech[r][pc]
-        basis.append(vec)
-    return basis
-
-
-def solve(matrix: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
-    """One solution of A x = b, or None when inconsistent.
-
-    Free variables are set to zero.
-    """
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    ncols = len(matrix[0]) if matrix else 0
-    ech, pivots = row_echelon(aug)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
+def _back_substitute(ech: Matrix, pivots: list[int], x: list, rhs: Sequence) -> list:
+    """Set the pivot entries of x so that each echelon row r satisfies
+    ech[r] . x = rhs[r]; the free entries of x are kept as given."""
     for r in range(len(ech) - 1, -1, -1):
         pc = pivots[r]
-        s = Fraction(ech[r][ncols])
-        for c in range(pc + 1, ncols):
+        s = Fraction(rhs[r])
+        for c in range(pc + 1, len(x)):
             if x[c]:
                 s -= ech[r][c] * x[c]
         x[pc] = s / ech[r][pc]
     return x
 
 
+def nullspace(matrix: Sequence[Sequence], ncols: int | None = None) -> list[list[Fraction]]:
+    """Basis of the right null space, as Fraction vectors: one per free
+    column, with that entry 1 and the other free entries 0."""
+    if not matrix:
+        if ncols is None:
+            return []
+        return [[Fraction(i == j) for i in range(ncols)] for j in range(ncols)]
+    ncols = len(matrix[0]) if ncols is None else ncols
+    ech, pivots = row_echelon(matrix)
+    zeros = [0] * len(ech)
+    basis = []
+    for fc in range(ncols):
+        if fc not in pivots:
+            vec = [Fraction(0)] * ncols
+            vec[fc] = Fraction(1)
+            basis.append(_back_substitute(ech, pivots, vec, zeros))
+    return basis
+
+
 def solve_many(matrix: Sequence[Sequence], rhs_columns: Sequence[Sequence]) -> list[list[Fraction]] | None:
-    """Solve A X = B column by column over a single elimination of A.
+    """Solve A X = B column by column over a single elimination of A, with
+    free variables set to zero.
 
     Returns the solution columns, or None if any column is inconsistent.
     """
     ncols = len(matrix[0]) if matrix else 0
-    k = len(rhs_columns)
     aug = [list(row) + [col[i] for col in rhs_columns] for i, row in enumerate(matrix)]
     ech, pivots = row_echelon(aug)
     if any(p >= ncols for p in pivots):
         return None
-    solutions = []
-    for j in range(k):
-        x = [Fraction(0)] * ncols
-        for r in range(len(ech) - 1, -1, -1):
-            pc = pivots[r]
-            s = Fraction(ech[r][ncols + j])
-            for c in range(pc + 1, ncols):
-                if x[c]:
-                    s -= ech[r][c] * x[c]
-            x[pc] = s / ech[r][pc]
-        solutions.append(x)
-    return solutions
+    return [_back_substitute(ech, pivots, [Fraction(0)] * ncols, [row[ncols + j] for row in ech])
+            for j in range(len(rhs_columns))]
 
 
 def rank(matrix: Sequence[Sequence]) -> int:

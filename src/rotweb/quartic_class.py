@@ -474,8 +474,7 @@ def _real_matrix(src, dst) -> Mat2 | None:
     """The real matrix, up to scale, whose Moebius map sends the source
     points onto the target points (up to three used), or None when that map
     is not real."""
-    f = _frame(src)
-    m = _frame(dst).mul(Mat2(f.delta, -f.beta, -f.gamma, f.alpha))
+    m = _frame(dst).mul(_frame(src).adjugate())
     entries = (m.alpha, m.beta, m.gamma, m.delta)
     pivot = complex(max(entries, key=abs))
     entries = [complex(e) / pivot for e in entries]

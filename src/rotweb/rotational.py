@@ -10,12 +10,15 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import ckt_core
-from .ckt_core import CktError, SymTensorField, ckv_basis, symmetric_product, verify_ckt
+from .ckt_core import (CktError, SymTensorField, ckv_basis, eigenvector_cross, symmetric_product,
+                       verify_ckt)
 from .exactmath import Poly, UniPoly, rat, rat_str
 from .expr import eval_rational
+
+if TYPE_CHECKING:
+    from .group_action import GroupElement
 
 
 @dataclass(frozen=True)
@@ -35,12 +38,6 @@ class RotParams:
     @classmethod
     def make(cls, m33=0, l3=0, h=0, c33=0, d3=0, a33=0) -> RotParams:
         return cls(rat(m33), rat(l3), rat(h), rat(c33), rat(d3), rat(a33))
-
-    @classmethod
-    def from_sequence(cls, values: Sequence) -> RotParams:
-        if len(values) != 6:
-            raise CktError("expected six rotational parameters (M33, L3, H, C33, D3, A33)")
-        return cls.make(*values)
 
     def as_tuple(self) -> tuple[Fraction, ...]:
         return (self.m33, self.l3, self.h, self.c33, self.d3, self.a33)
@@ -94,17 +91,7 @@ def rotational_eigencondition(k: SymTensorField) -> bool:
     """True iff (K.R3) x R3 vanishes identically, i.e. R3 is everywhere an
     eigenvector; this carves out exactly the span of the rotational family
     modulo metric multiples."""
-    r3 = ckv_basis(k.nvars)[5]
-    kv = k.dot_vector(r3)
-    for i in range(3):
-        cross = Poly.zero(k.nvars)
-        for j in range(3):
-            for m in range(3):
-                if ckt_core.EPS[i][j][m]:
-                    cross = cross + kv[j] * r3[m] * ckt_core.EPS[i][j][m]
-        if not cross.is_zero:
-            return False
-    return True
+    return eigenvector_cross(k, ckv_basis(k.nvars)[5]).is_zero
 
 
 def extract_parameters(k: SymTensorField) -> RotParams:
@@ -190,13 +177,16 @@ def cyclide_surface_residual(p: RotParams, h: Fraction, point: Sequence) -> Frac
 class CatalogEntry:
     """One classical coordinate web: name, instantiated parameters, the web
     type its quartic must classify to, and the optional conformal-equivalence
-    note naming the partner web and transformation."""
+    note naming the partner web and transformation, with the group element
+    that carries this row's quartic onto a multiple of the partner's when
+    one is known."""
 
     name: str
     params: RotParams
     expected_type: str
     equivalent_to: str | None = None
     transformation: str | None = None
+    witness: GroupElement | None = None
 
 
 def _catalog_path() -> str | None:
@@ -213,11 +203,14 @@ def load_catalog_data() -> dict:
 
 
 def catalog(a: Fraction | str = 1, k: Fraction | str = Fraction(1, 2)) -> list[CatalogEntry]:
-    """The 15 catalog rows with scale constants instantiated.
+    """The 15 catalog rows with scale constants instantiated, witnesses
+    included.
 
     Requires a > 0 and 0 < k < 1; classification is constant-independent on
     those ranges.
     """
+    from .group_action import GroupElement  # group_action imports this module
+
     a = rat(a)
     k = rat(k)
     if a <= 0:
@@ -230,12 +223,18 @@ def catalog(a: Fraction | str = 1, k: Fraction | str = Fraction(1, 2)) -> list[C
     for row in data["rows"]:
         params = RotParams.make(*(eval_rational(row[key], env)
                                   for key in ("m33", "l3", "h", "c33", "d3", "a33")))
+        witness = row.get("witness")
+        if witness is not None:
+            witness = GroupElement.make(*(eval_rational(witness[key], env)
+                                          for key in ("a0", "a1", "a2", "a3", "a4")),
+                                        discrete=witness["discrete"])
         entries.append(CatalogEntry(
             name=row["name"],
             params=params,
             expected_type=row["expected_type"],
             equivalent_to=row.get("equivalent_to"),
             transformation=row.get("transformation"),
+            witness=witness,
         ))
     if len(entries) != 15:
         raise CktError(f"catalog must contain 15 rows, found {len(entries)}")

@@ -1,6 +1,6 @@
 """Compatibility between rotational conformal Killing tensors and
 fixed-energy Hamilton-Jacobi separation: the closedness condition on
-(E - V) k_flat + 2 K dV, an exact linear solver for the compatible
+(E - V) k_flat - K dV, an exact linear solver for the compatible
 six-parameter subfamily, and the Killing-tensor special case d(K dV) = 0.
 """
 
@@ -46,12 +46,9 @@ def parse_potential(text: str) -> RationalFunction:
 
 @dataclass(frozen=True)
 class ParamSolution:
-    """Affine space of compatible rotational parameters: a particular solution
-    plus a basis of homogeneous solutions.  The compatibility condition is
-    linear and homogeneous in the parameters, so the particular part is zero;
-    it is kept for interface stability."""
+    """Linear space of compatible rotational parameters, given by a basis
+    (the compatibility condition is linear and homogeneous in them)."""
 
-    particular: RotParams
     basis: tuple[RotParams, ...]
 
     @property
@@ -65,27 +62,36 @@ class ParamSolution:
 
     def to_json_dict(self) -> dict:
         return {
-            "particular": self.particular.to_json_dict(),
             "basis": [p.to_json_dict() for p in self.basis],
             "dimension": self.dimension,
             "c33_free": self.c33_free(),
         }
 
 
-def _form_over_common_denominator(tensor: SymTensorField, kvec, v: RationalFunction,
-                                  energy) -> OneForm:
-    """(E - V) k_flat - K dV assembled as P_i / den^2 over the single
-    denominator of V, which keeps the exact arithmetic small."""
-    n, d = v.num, v.den
-    energy_poly = Poly.const(energy, n.nvars)
-    den = d * d
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def _form_numerators(tensor: SymTensorField, n: Poly, d: Poly, kvec=None, energy=0) -> list[Poly]:
+    """Numerators P_i of the compatibility one-form (E - V) k_flat - K dV
+    over d^2, for V = n/d, which keeps the exact arithmetic to polynomials;
+    without kvec, of -K dV alone."""
+    grad = [n.diff(j) * d - n * d.diff(j) for j in range(3)]
+    if kvec is not None:
+        weight = (Poly.const(energy, n.nvars) * d - n) * d
     comps = []
     for i in range(3):
-        total = (energy_poly * d - n) * kvec[i] * d
+        total = Poly.zero(n.nvars) if kvec is None else weight * kvec[i]
         for j in range(3):
-            total = total - tensor[i][j] * (n.diff(j) * d - n * d.diff(j))
-        comps.append(RationalFunction(total, den))
-    return OneForm(tuple(comps))
+            total = total - tensor[i][j] * grad[j]
+        comps.append(total)
+    return comps
+
+
+def _curl_numerators(p: list[Poly], d: Poly, power: int) -> list[Poly]:
+    """Numerators over d^(power + 1) of the components (12, 13, 23) of
+    d(omega) for omega_i = p_i / d^power."""
+    return [d * (p[j].diff(i) - p[i].diff(j)) - (p[j] * d.diff(i) - p[i] * d.diff(j)) * power
+            for i, j in _PAIRS]
 
 
 def compatibility_form(p: RotParams, pot: Potential) -> OneForm:
@@ -104,25 +110,21 @@ def compatibility_form(p: RotParams, pot: Potential) -> OneForm:
     holds, kvec = verify_ckt(k)
     if not holds:
         raise CktError("rotational tensor failed the conformal Killing check")
-    return _form_over_common_denominator(k, kvec, pot.v, pot.energy)
-
-
-def _curl_component(omega: OneForm, i: int, j: int) -> RationalFunction:
-    a, b = omega[i], omega[j]
-    if a.den == b.den:
-        # d(P_i/d), d(P_j/d) over the shared denominator: numerator over d^2.
-        d = a.den
-        num = d * (b.num.diff(i) - a.num.diff(j)) - (b.num * d.diff(i) - a.num * d.diff(j))
-        return RationalFunction(num, d * d)
-    return b.diff(i) - a.diff(j)
+    n, d = pot.v.num, pot.v.den
+    den = d * d
+    return OneForm(tuple(RationalFunction(p, den)
+                         for p in _form_numerators(k, n, d, kvec, pot.energy)))
 
 
 def exterior_derivative(omega: OneForm) -> TwoForm:
-    return TwoForm(
-        d12=_curl_component(omega, 0, 1),
-        d13=_curl_component(omega, 0, 2),
-        d23=_curl_component(omega, 1, 2),
-    )
+    """d(omega), from the polynomial curl numerators when the nonzero
+    components share one denominator."""
+    dens = [c.den for c in omega.components if not c.is_zero]
+    if dens and all(den == dens[0] for den in dens[1:]):
+        d = dens[0]
+        nums = _curl_numerators([c.num for c in omega.components], d, 1)
+        return TwoForm(*(RationalFunction(num, d * d) for num in nums))
+    return TwoForm(*(omega[j].diff(i) - omega[i].diff(j) for i, j in _PAIRS))
 
 
 def is_closed(omega: OneForm) -> bool:
@@ -159,15 +161,8 @@ def dkdv_check(k: SymTensorField, v: RationalFunction) -> bool:
     if not killing_obstruction(k).is_zero:
         raise CktError("tensor class has no Killing representative; use solve_compatible "
                        "with the full compatibility condition")
-    n, d = v.num, v.den
-    den = d * d
-    comps = []
-    for i in range(3):
-        total = Poly.zero(3)
-        for j in range(3):
-            total = total + k[i][j] * (n.diff(j) * d - n * d.diff(j))
-        comps.append(RationalFunction(total, den))
-    return is_closed(OneForm(tuple(comps)))
+    curl = _curl_numerators(_form_numerators(k, v.num, v.den), v.den, 2)
+    return all(c.is_zero for c in curl)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +193,7 @@ def _collect_linear_rows(polys: list[Poly]) -> list[list[Fraction]]:
 
 def solve_compatible(pot: Potential) -> ParamSolution:
     """All rotational parameters whose tensor satisfies the closedness of
-    (E - V) k_flat + 2 K dV, solved exactly by clearing denominators and
+    (E - V) k_flat - K dV, solved exactly by clearing denominators and
     matching polynomial coefficients (no sampling in the certified path)."""
     nvars = 3 + _NPARAMS
     params = [Poly.variable(3 + i, nvars) for i in range(_NPARAMS)]
@@ -206,21 +201,8 @@ def solve_compatible(pot: Potential) -> ParamSolution:
     kvec = contraction_vector(tensor)
     n = pot.v.num.extend(nvars)
     d = pot.v.den.extend(nvars)
-    energy = Poly.const(pot.energy, nvars)
-    # omega_i = P_i / d^2 with polynomial numerators, linear in the parameters.
-    p_comps = []
-    for i in range(3):
-        total = (energy * d - n) * kvec[i] * d
-        for j in range(3):
-            total = total - tensor[i][j] * (n.diff(j) * d - n * d.diff(j))
-        p_comps.append(total)
-    # d(omega)_{ij} over d^3.
-    numerators = []
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        numerators.append(
-            d * (p_comps[j].diff(i) - p_comps[i].diff(j))
-            - (p_comps[j] * d.diff(i) - p_comps[i] * d.diff(j)) * 2
-        )
+    # omega_i = P_i / d^2 with P_i linear in the parameters, d(omega) over d^3.
+    numerators = _curl_numerators(_form_numerators(tensor, n, d, kvec, pot.energy), d, 2)
     if all(poly.is_zero for poly in numerators):
         basis = [tuple(Fraction(int(i == j)) for j in range(_NPARAMS)) for i in range(_NPARAMS)]
     else:
@@ -229,7 +211,7 @@ def solve_compatible(pot: Potential) -> ParamSolution:
     for member in members:
         if not is_closed(compatibility_form(member, pot)):
             raise CktError("solver self-check failed: a solution is not closed")
-    return ParamSolution(particular=RotParams.make(), basis=members)
+    return ParamSolution(basis=members)
 
 
 # ---------------------------------------------------------------------------

@@ -67,12 +67,6 @@ def test_criterion_2_rotational_family_bulk():
 
 def test_criterion_3_table_reproduction():
     started = time.time()
-    witnesses = {
-        "prolate_spheroidal": lambda a: GroupElement.make(0, 0, a * a, 1, 0, True),
-        "oblate_spheroidal": lambda a: GroupElement.make(0, 0, a * a, -1, 0, True),
-        "parabolical": lambda a: GroupElement.make(0, 0, 1, 1, 0, True),
-        "cylindrical": lambda a: GroupElement.make(0, 0, 1, 1, 1, True),
-    }
     for a, k in ((Fraction(1), Fraction(1, 2)), (Fraction(2), Fraction(1, 3))):
         entries = catalog(a, k)
         assert len(entries) == 15
@@ -81,19 +75,21 @@ def test_criterion_3_table_reproduction():
             quartic = BinaryQuartic.from_rot_params(entry.params)
             assert classify_by_roots(quartic).value == entry.expected_type, entry.name
         assert by_name["cap_cyclide"].expected_type == "flat_ring_cyclide"
-        # Explicit witnesses for the discrete-inversion equivalences: the moved
-        # quartic must be exactly proportional to the partner row's quartic.
-        for name, builder in witnesses.items():
-            entry = by_name[name]
+        # Explicit witnesses from the catalog: the moved quartic must be
+        # exactly proportional to the partner row's quartic.
+        witnessed = [e for e in entries if e.witness is not None]
+        assert {e.name for e in witnessed} == {"prolate_spheroidal", "oblate_spheroidal",
+                                               "parabolical", "cylindrical", "spherical"}
+        for entry in witnessed:
             partner = by_name[entry.equivalent_to]
-            moved = apply_quartic(builder(a), entry.params.quartic_tuple())
+            moved = apply_quartic(entry.witness, entry.params.quartic_tuple())
             target = partner.params.quartic_tuple()
             pairs = [(m, t) for m, t in zip(moved, target) if m != 0 or t != 0]
-            assert pairs and all(m * pairs[0][1] == t * pairs[0][0] for m, t in pairs), name
-        # Type-level verification of the continuous-inversion equivalences.
-        for name in ("cap_cyclide", "spherical"):
-            entry = by_name[name]
-            assert entry.expected_type == by_name[entry.equivalent_to].expected_type
+            assert pairs and all(m * pairs[0][1] == t * pairs[0][0] for m, t in pairs), entry.name
+        # Type-level verification of the equivalence without a witness.
+        entry = by_name["cap_cyclide"]
+        assert entry.witness is None
+        assert entry.expected_type == by_name[entry.equivalent_to].expected_type
     report(3, "15 catalog rows at two instantiations, six equivalences verified", started, 10.0)
 
 

@@ -1,10 +1,16 @@
 import json
+import shlex
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from rotweb import cli
 from rotweb.cli import main
+from rotweb.exactmath import rat_str
 from rotweb.quartic_class import ClassificationError
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -83,6 +89,24 @@ class TestClassify:
         code, report = run_json(capsys, "classify", "--params", "-1,0,1,0,0,0")
         assert code == 0
         assert report["results"]["type"] == "inverse_prolate_spheroidal"
+
+    @pytest.mark.parametrize("lead,web", [
+        (Fraction(1, 10**320), "bi_cyclide"),
+        (Fraction(10**320), "flat_ring_cyclide"),
+    ])
+    def test_beyond_double_range_is_a_finding(self, capsys, lead, web):
+        # Roots or root-factor coefficients beyond double range: no float
+        # witness, but still an answer with one structured finding.
+        code, report = run_json(capsys, "classify", "--quartic", f"{rat_str(lead)},0,-1,0,1")
+        assert code == 1
+        assert [f["kind"] for f in report["findings"]] == ["canonicalization_failed"]
+        results = report["results"]
+        assert results["type"] == results["type_by_invariants"] == web
+        i, j = 12 * lead + 1, 2 - 72 * lead
+        assert results["invariants"] == {"I": rat_str(i), "J": rat_str(j),
+                                         "Delta": rat_str(4 * i ** 3 - j ** 2),
+                                         "F": rat_str(i ** 3 / j ** 2)}
+        assert results["canonical"] is None and results["witness"] is None
 
     def test_canonicalization_failure_is_a_finding(self, capsys, monkeypatch):
         def fail(*args):
@@ -168,3 +192,33 @@ class TestSymmetry:
 
     def test_unknown_generator_exits_2(self, capsys):
         assert run(capsys, "symmetry", "R1")[0] == 2
+
+
+def readme_commands() -> list:
+    """The arguments of every distinct `rotweb ...` line in the README's
+    code blocks."""
+    commands, in_block = [], False
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_block = not in_block
+        elif in_block and line.startswith("rotweb "):
+            argv = shlex.split(line, comments=True)[1:]
+            if argv not in commands:
+                commands.append(argv)
+    return commands
+
+
+def test_readme_lists_the_reproduction_calls():
+    commands = readme_commands()
+    assert ["tables"] in commands
+    assert ["tables", "--scale", "a=2", "--scale", "k=1/3"] in commands
+    assert ["classify", "--params", "1/2,0,1,0,0,1/2"] in commands
+    scans = {(argv[1], argv[3]) for argv in commands if argv[0] == "symmetry"}
+    assert {("R3", "0"), ("X3", "0"), ("I3", "0"), ("D", "const")} <= scans
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_runs(capsys, argv):
+    code, report = run_json(capsys, *argv)
+    assert code == 0, report["findings"]
+    assert report["command"] == argv[0]

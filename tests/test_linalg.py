@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rotweb.exactmath import ExactMathError, UniPoly
-from rotweb.linalg import char_poly, nullspace, rank, rational_eigenvalues, row_echelon, solve, solve_many
+from rotweb.linalg import char_poly, nullspace, rank, rational_eigenvalues, row_echelon, solve_many
 
 
 def frac_matrix(rows):
@@ -32,18 +32,32 @@ class TestElimination:
                 for row in m:
                     assert sum(a * b for a, b in zip(row, vec)) == 0
 
-    def test_solve_consistent_and_inconsistent(self):
+    def test_solve_many_consistent_and_inconsistent(self):
         m = frac_matrix([[1, 1], [1, -1]])
-        assert solve(m, [Fraction(2), Fraction(0)]) == [1, 1]
+        assert solve_many(m, [[Fraction(2), Fraction(0)]]) == [[1, 1]]
+        # Free variables are set to zero.
+        assert solve_many(frac_matrix([[1, 1], [2, 2]]), [[Fraction(1), Fraction(2)]]) == [[1, 0]]
         bad = frac_matrix([[1, 1], [2, 2]])
-        assert solve(bad, [Fraction(1), Fraction(3)]) is None
+        assert solve_many(bad, [[Fraction(1), Fraction(3)]]) is None
+        # One inconsistent column makes the whole system inconsistent.
+        assert solve_many(bad, [[Fraction(1), Fraction(2)], [Fraction(1), Fraction(3)]]) is None
 
-    def test_solve_many_matches_solve(self):
-        m = frac_matrix([[2, 0, 1], [0, 1, 1], [1, 1, 0]])
-        cols = [[Fraction(1), Fraction(0), Fraction(0)], [Fraction(0), Fraction(2), Fraction(1)]]
-        many = solve_many(m, cols)
-        for rhs, got in zip(cols, many):
-            assert solve(m, rhs) == got
+    def test_solve_many_residual(self):
+        rng = random.Random(11)
+        for _ in range(50):
+            rows = rng.randint(1, 6)
+            cols = rng.randint(1, 6)
+            m = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(cols)]
+                 for _ in range(rows)]
+            # Right-hand sides in the column space are consistent.
+            xs = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(cols)]
+                  for _ in range(rng.randint(1, 3))]
+            rhs = [[sum(a * x for a, x in zip(row, xv)) for row in m] for xv in xs]
+            solutions = solve_many(m, rhs)
+            assert solutions is not None and len(solutions) == len(rhs)
+            for b, x in zip(rhs, solutions):
+                assert len(x) == cols
+                assert [sum(a * v for a, v in zip(row, x)) for row in m] == b
 
 
 class TestCharPoly:
