@@ -3,7 +3,10 @@
 Elimination clears each row to integers and then runs fraction-free
 (Bareiss) Gaussian elimination, so all intermediate quantities stay
 integral; back-substitution reintroduces fractions only at the end.
-The characteristic polynomial uses Berkowitz's division-free algorithm.
+The characteristic polynomial splits the matrix into the diagonal blocks of
+its block-triangular form (the strongly connected components of its
+sparsity graph) and runs Berkowitz's division-free algorithm on each block
+in Python ints, after clearing the block's denominators.
 """
 
 from __future__ import annotations
@@ -119,38 +122,75 @@ def rank(matrix: Sequence[Sequence]) -> int:
     return len(row_echelon(matrix)[0])
 
 
+def _reach(start: int, edges: list[list[int]]) -> set[int]:
+    seen = {start}
+    todo = [start]
+    while todo:
+        for w in edges[todo.pop()]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
+
+
+def _strong_components(succ: list[list[int]]) -> list[list[int]]:
+    """Strongly connected components of the graph with edges i -> j for j in
+    succ[i]: the component of v is what v reaches and what reaches v."""
+    pred: list[list[int]] = [[] for _ in succ]
+    for i, js in enumerate(succ):
+        for j in js:
+            pred[j].append(i)
+    assigned: set[int] = set()
+    components = []
+    for v in range(len(succ)):
+        if v not in assigned:
+            component = sorted(_reach(v, succ) & _reach(v, pred))
+            assigned.update(component)
+            components.append(component)
+    return components
+
+
+def _berkowitz(rows: list[list[tuple[int, int]]]) -> list[int]:
+    """Coefficients of det(t*I - B), highest degree first, for an integer
+    matrix B given as sparse rows of (column, value); division-free, so the
+    arithmetic stays in Python ints."""
+    poly = [1]
+    for k in range(len(rows)):
+        # A_k is the leading k x k block, R the row below it, C the column
+        # to its right; the Toeplitz column is 1, -b_kk, -R C, -R A_k C, ...
+        lead = [[(j, v) for j, v in rows[i] if j < k] for i in range(k)]
+        r = [(j, v) for j, v in rows[k] if j < k]
+        diag = sum(v for j, v in rows[k] if j == k)
+        vec = [sum(v for j, v in rows[i] if j == k) for i in range(k)]
+        col = [1, -diag]
+        for step in range(k):
+            if step:
+                vec = [sum(v * vec[j] for j, v in row) for row in lead]
+            col.append(-sum(v * vec[j] for j, v in r))
+        poly = [sum(col[i - j] * poly[j] for j in range(min(i, k) + 1)) for i in range(k + 2)]
+    return poly
+
+
 def char_poly(matrix: Sequence[Sequence]) -> UniPoly:
-    """Characteristic polynomial det(t*I - A) by Berkowitz's division-free
-    algorithm, exact over the rationals.
+    """Characteristic polynomial det(t*I - A), exact over the rationals.
+
+    The indices are split into the strongly connected components of the
+    graph i -> j for a[i][j] != 0; ordered along that graph the matrix is
+    block triangular, so the polynomial is the product of the diagonal
+    blocks'.  Each block is scaled to integers by the least common
+    denominator d of its entries and run through Berkowitz's division-free
+    algorithm: the coefficient of t^(m-i) of a block of size m is
+    c_i(d A) / d^i.  A fully connected matrix is one block.
     """
-    n = len(matrix)
-    if n == 0:
-        return UniPoly([1])
-    a = [[Fraction(x) for x in row] for row in matrix]
-    # Vector of polynomial coefficients, highest degree first.
-    poly = [Fraction(1), -a[0][0]]
-    for k in range(1, n):
-        # Principal submatrix A_k is a[:k+1][:k+1]; build the Toeplitz column.
-        r = [a[k][j] for j in range(k)]       # row below the principal block
-        c = [a[j][k] for j in range(k)]       # column right of the block
-        block = [row[:k] for row in a[:k]]
-        # entries s_i = R * A_{k-1}^{i} * C
-        s = [sum(r[j] * c[j] for j in range(k))]
-        vec = c
-        for _ in range(k - 1):
-            vec = [sum(block[i][j] * vec[j] for j in range(k)) for i in range(k)]
-            s.append(sum(r[j] * vec[j] for j in range(k)))
-        # Toeplitz multiply: new_poly has length k+2.
-        col = [Fraction(1), -a[k][k]] + [-si for si in s]
-        new = [Fraction(0)] * (k + 2)
-        for i in range(k + 2):
-            total = Fraction(0)
-            for j in range(min(i, len(poly) - 1) + 1):
-                if i - j < len(col):
-                    total += col[i - j] * poly[j]
-            new[i] = total
-        poly = new
-    return UniPoly(list(reversed(poly)))
+    sparse = [[(j, Fraction(x)) for j, x in enumerate(row) if x] for row in matrix]
+    result = UniPoly([1])
+    for component in _strong_components([[j for j, _ in row] for row in sparse]):
+        position = {g: p for p, g in enumerate(component)}
+        block = [[(position[j], x) for j, x in sparse[g] if j in position] for g in component]
+        d = lcm(1, *(x.denominator for row in block for _, x in row))
+        coeffs = _berkowitz([[(j, x.numerator * (d // x.denominator)) for j, x in row] for row in block])
+        result = result * UniPoly([Fraction(coeffs[i], d ** i) for i in range(len(component), -1, -1)])
+    return result
 
 
 def rational_eigenvalues(matrix: Sequence[Sequence]) -> list[tuple[Fraction, list[list[Fraction]]]]:

@@ -194,10 +194,17 @@ def _catalog_path() -> str | None:
 
 
 def load_catalog_data() -> dict:
+    """The catalog JSON, from the file named by ROTWEB_CATALOG if set and
+    from the packaged data otherwise; an unreadable file raises CktError."""
     override = _catalog_path()
     if override:
-        with open(override, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        try:
+            with open(override, "r", encoding="utf-8") as fh:
+                return json.load(fh)
+        except OSError as exc:
+            raise CktError(f"cannot read catalog {override}: {exc.strerror}") from exc
+        except ValueError as exc:
+            raise CktError(f"catalog {override} is not valid JSON: {exc}") from exc
     with resources.files("rotweb.data").joinpath("catalog.json").open("r", encoding="utf-8") as fh:
         return json.load(fh)
 
@@ -220,22 +227,30 @@ def catalog(a: Fraction | str = 1, k: Fraction | str = Fraction(1, 2)) -> list[C
     env = {"a": a, "k": k}
     data = load_catalog_data()
     entries = []
-    for row in data["rows"]:
-        params = RotParams.make(*(eval_rational(row[key], env)
-                                  for key in ("m33", "l3", "h", "c33", "d3", "a33")))
-        witness = row.get("witness")
-        if witness is not None:
-            witness = GroupElement.make(*(eval_rational(witness[key], env)
-                                          for key in ("a0", "a1", "a2", "a3", "a4")),
-                                        discrete=witness["discrete"])
-        entries.append(CatalogEntry(
-            name=row["name"],
-            params=params,
-            expected_type=row["expected_type"],
-            equivalent_to=row.get("equivalent_to"),
-            transformation=row.get("transformation"),
-            witness=witness,
-        ))
+    where = "top level"
+    try:
+        for index, row in enumerate(data["rows"]):
+            where = f"row {index}"
+            params = RotParams.make(*(eval_rational(row[key], env)
+                                      for key in ("m33", "l3", "h", "c33", "d3", "a33")))
+            name, expected_type = row["name"], row["expected_type"]
+            witness = row.get("witness")
+            if witness is not None:
+                where += " witness"
+                witness = GroupElement.make(*(eval_rational(witness[key], env)
+                                              for key in ("a0", "a1", "a2", "a3", "a4")),
+                                            discrete=witness["discrete"])
+            entries.append(CatalogEntry(
+                name=name,
+                params=params,
+                expected_type=expected_type,
+                equivalent_to=row.get("equivalent_to"),
+                transformation=row.get("transformation"),
+                witness=witness,
+            ))
+    except KeyError as exc:
+        source = _catalog_path() or "rotweb/data/catalog.json"
+        raise CktError(f"catalog {source}: {where} has no key {exc.args[0]!r}") from exc
     if len(entries) != 15:
         raise CktError(f"catalog must contain 15 rows, found {len(entries)}")
     return entries

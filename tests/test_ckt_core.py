@@ -9,7 +9,8 @@ from rotweb.ckt_core import (CktCoefficients, CktError, SymTensorField, assemble
                              eigenvector_subspace, killing_obstruction, lie_derivative,
                              metric, nijenhuis, symmetric_product, symmetry_subspace,
                              trace_free_reduce, tsn_check, tsn_filter, verify_ckt)
-from rotweb.exactmath import Poly
+from rotweb.exactmath import Poly, UniPoly
+from rotweb.linalg import char_poly
 
 from conftest import rand_fraction
 
@@ -403,6 +404,28 @@ class TestSymmetrySubspace:
             for coeffs in basis:
                 k = assemble_ckt(coeffs)
                 assert lie_derivative(d, k) == k.scale(h)
+
+    def test_dilation_char_poly_is_product_over_eigenspaces(self):
+        d = ckv_by_name("D")
+        columns = []
+        for idx in range(cc.DIM_TRACE_FREE):
+            unit = [Fraction(int(i == idx)) for i in range(cc.DIM_TRACE_FREE)]
+            columns.append(cc.tensor_to_free(lie_derivative(d, assemble_free(unit))))
+        operator = [[col[r] for col in columns] for r in range(cc.DIM_TRACE_FREE)]
+        expected = UniPoly([1])
+        spaces = symmetry_subspace(d, "h_constant")
+        for h, basis in spaces:
+            for _ in basis:
+                expected = expected * UniPoly([-h, 1])
+        assert sum(len(basis) for _, basis in spaces) == cc.DIM_TRACE_FREE
+        assert char_poly(operator) == expected
+
+    @pytest.mark.parametrize("name", ["X3", "I3", "R3"])
+    def test_constant_mode_finds_only_the_kernel(self, name):
+        v = ckv_by_name(name)
+        spaces = symmetry_subspace(v, "h_constant")
+        assert [h for h, _ in spaces] == [0]
+        assert spaces == symmetry_subspace(v, "h_zero")
 
     def test_inversion_kernel_dimension(self):
         i3 = ckv_by_name("I3")

@@ -1,6 +1,7 @@
 import json
 import shlex
 from fractions import Fraction
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -142,6 +143,37 @@ class TestTables:
         assert run(capsys, "tables", "--scale", "a=zero")[0] == 2
         assert run(capsys, "tables", "--scale", "q=2")[0] == 2
         assert run(capsys, "tables", "--scale", "k=7")[0] == 2
+
+
+def drop_m33(text):
+    data = json.loads(text)
+    del data["rows"][2]["m33"]
+    return json.dumps(data)
+
+
+def drop_discrete(text):
+    data = json.loads(text)
+    del next(row for row in data["rows"] if "witness" in row)["witness"]["discrete"]
+    return json.dumps(data)
+
+
+class TestMalformedCatalog:
+    @pytest.mark.parametrize("edit, message", [
+        (drop_m33, "row 2 has no key 'm33'"),
+        (drop_discrete, "witness has no key 'discrete'"),
+        (lambda text: text[:len(text) // 2], "is not valid JSON"),
+        (None, "cannot read catalog"),
+    ], ids=["row_without_m33", "witness_without_discrete", "truncated", "missing"])
+    def test_exits_2_naming_the_file(self, capsys, monkeypatch, tmp_path, edit, message):
+        path = tmp_path / "catalog.json"
+        if edit is not None:
+            packaged = resources.files("rotweb.data").joinpath("catalog.json").read_text("utf-8")
+            path.write_text(edit(packaged), encoding="utf-8")
+        monkeypatch.setenv("ROTWEB_CATALOG", str(path))
+        code, out, err = run(capsys, "tables")
+        assert code == 2
+        assert out == ""
+        assert str(path) in err and message in err
 
 
 class TestCompat:

@@ -88,3 +88,84 @@ class TestCharPoly:
     def test_irrational_eigenvalue_raises(self):
         with pytest.raises(ExactMathError):
             rational_eigenvalues(frac_matrix([[0, 2], [1, 0]]))
+
+
+def bareiss_det(m):
+    """Determinant by fraction-free elimination with row swaps."""
+    a = [list(row) for row in m]
+    n = len(a)
+    sign, prev = 1, Fraction(1)
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if swap is None:
+                return Fraction(0)
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1] if n else Fraction(1)
+
+
+def interpolated_char_poly(m):
+    """det(t*I - A) from its values at t = 0..n, by Lagrange interpolation."""
+    n = len(m)
+    points = list(range(n + 1))
+    result = UniPoly([])
+    for xk in points:
+        shifted = [[(xk if i == j else 0) - Fraction(m[i][j]) for j in range(n)] for i in range(n)]
+        term = UniPoly([bareiss_det(shifted)])
+        for xj in points:
+            if xj != xk:
+                term = term * UniPoly([Fraction(-xj, xk - xj), Fraction(1, xk - xj)])
+        result = result + term
+    return result
+
+
+def random_entry(rng):
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+
+
+def block_triangular(rng, n):
+    """Random lower block-triangular matrix, then conjugated by a random
+    permutation so the blocks are scattered."""
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(rng.randint(1, n - sum(sizes)))
+    block_of = [b for b, size in enumerate(sizes) for _ in range(size)]
+    m = [[random_entry(rng) if block_of[j] <= block_of[i] and rng.random() < 0.7 else 0
+          for j in range(n)] for i in range(n)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [[m[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+
+
+class TestCharPolyParity:
+    def test_random_against_interpolation(self):
+        rng = random.Random(2024)
+        for trial in range(180):
+            n = trial % 9
+            kind = (trial // 9) % 3
+            if kind == 2:
+                m = block_triangular(rng, n)
+            else:
+                density = 0.25 if kind == 0 else 1.0
+                m = [[random_entry(rng) if rng.random() < density else 0 for _ in range(n)]
+                     for _ in range(n)]
+            assert char_poly(m) == interpolated_char_poly(m), m
+
+    def test_empty_matrix(self):
+        assert char_poly([]) == UniPoly([1])
+
+    def test_strictly_upper_triangular(self):
+        rng = random.Random(8)
+        for n in range(1, 9):
+            m = [[random_entry(rng) if j > i else 0 for j in range(n)] for i in range(n)]
+            assert char_poly(m) == UniPoly.monomial(n)
+
+    def test_rotation_block(self):
+        m = frac_matrix([[0, -1, 5, 0], [1, 0, 2, 0], [0, 0, 3, 0], [7, 0, 1, Fraction(1, 2)]])
+        expected = UniPoly([1, 0, 1]) * UniPoly([-3, 1]) * UniPoly([Fraction(-1, 2), 1])
+        assert char_poly(m) == expected == interpolated_char_poly(m)
