@@ -312,9 +312,11 @@ class CktCoefficients:
         K = A_ij Xi.Xj + B_ij Xi.Rj + C_ij Ri.Rj + D_i Xi.D + E_ij Xi.Ij
           + F_i Ri.D + G_ij Ri.Ij + H D.D + L_i D.Ii + M_ij Ii.Ij
 
-    A, C, M are symmetric.  After trace_free_reduce the trace relations hold:
-    tr A = tr B = tr G = tr M = 0, H = 0, F = 0, D = eps-contraction of B,
-    L = eps-contraction of G, and C is determined by the symmetric part of E.
+    A, C, M are symmetric.  Coefficients built by coefficients_from_free
+    satisfy the trace relations tr A = tr B = tr G = tr M = 0, H = 0, F = 0,
+    D = eps-contraction of B, L = eps-contraction of G, and
+    C_ij = E_ij + E_ji - (1/2) tr E delta_ij, which make the assembled tensor
+    trace-free.
     """
 
     a: tuple
@@ -441,11 +443,11 @@ def contraction_vector(k: SymTensorField) -> VectorField:
 def verify_ckt(k: SymTensorField) -> tuple[bool, VectorField]:
     """Check d_(i K_jk) = k_(i g_jk) identically; returns the verdict and k."""
     kv = contraction_vector(k)
-    third = Fraction(1, 3)
+    # Both sides of the symmetrized equation carry a factor 1/3; it is dropped.
     for i in range(3):
         for j in range(i, 3):
             for m in range(j, 3):
-                lhs = (k[j][m].diff(i) + k[i][m].diff(j) + k[i][j].diff(m)) * third
+                lhs = k[j][m].diff(i) + k[i][m].diff(j) + k[i][j].diff(m)
                 rhs = Poly.zero(k.nvars)
                 if j == m:
                     rhs = rhs + kv[i]
@@ -453,7 +455,6 @@ def verify_ckt(k: SymTensorField) -> tuple[bool, VectorField]:
                     rhs = rhs + kv[j]
                 if i == j:
                     rhs = rhs + kv[m]
-                rhs = rhs * third
                 if lhs != rhs:
                     return False, kv
     return True, kv
@@ -504,7 +505,12 @@ def tsn_check(k: SymTensorField) -> bool:
 
     N is antisymmetric in its lower pair, so only the three (j < k) slices
     are computed; overall constants are dropped (vanishing is all that
-    matters)."""
+    matters).  The conditions are homogeneous in K (of degrees 2, 3 and 4),
+    so K is first multiplied by the least common denominator of its
+    coefficients and everything runs on integers."""
+    lcd = math.lcm(*(p.content().denominator for row in k.comps for p in row))
+    if lcd != 1:
+        k = k.scale(lcd)
     zero = Poly.zero(k.nvars)
     dk = [[[k[a][b].diff(c) for c in range(3)] for b in range(3)] for a in range(3)]
     pairs = ((0, 1), (0, 2), (1, 2))
@@ -646,7 +652,7 @@ def _vectorize(k: SymTensorField) -> list[Fraction]:
     index, mons = _monomials()
     out = [Fraction(0)] * (6 * len(mons))
     for comp, (i, j) in enumerate(_UPPER):
-        for exps, coeff in k[i][j].terms.items():
+        for exps, coeff in k[i][j].exponent_items():
             if exps not in index:
                 raise CktError("tensor component outside the degree-4 space")
             out[comp * len(mons) + index[exps]] = Fraction(coeff)
@@ -665,30 +671,23 @@ def _assembly_matrix() -> list[list[Fraction]]:
     return [[cols[c][r] for c in range(DIM_TRACE_FREE)] for r in range(rows)]
 
 
-def tensor_to_free(k: SymTensorField) -> list[Fraction]:
-    """Exact coordinates of a trace-free conformal Killing tensor in the
-    35-parameter basis; raises if the tensor is outside that space."""
-    sol = linalg.solve_many(_assembly_matrix(), [_vectorize(k)])
-    if sol is None:
-        raise CktError("tensor is not in the trace-free conformal Killing space")
-    return sol[0]
-
-
-def trace_free_reduce(coeffs: CktCoefficients) -> CktCoefficients:
-    """Replace coefficients by the unique equivalent set (modulo metric
-    multiples) whose assembled tensor is trace-free."""
-    k = assemble_ckt(coeffs)
-    tau = k.trace()
-    reduced = k - metric(k.nvars).scale(tau * Fraction(1, 3))
-    try:
-        free = tensor_to_free(reduced)
-    except CktError as exc:
-        raise CktError(f"trace is not removable: {exc}") from exc
-    return coefficients_from_free(free)
-
-
 # ---------------------------------------------------------------------------
 # Symmetry subspace scans
+
+
+def lie_operator(v: VectorField) -> list[list[Fraction]]:
+    """Matrix of Lie_v on the 35 trace-free coordinates: column c holds the
+    coordinates of Lie_v applied to basis vector c, all columns solved in one
+    elimination of the assembly matrix."""
+    columns = []
+    for idx in range(DIM_TRACE_FREE):
+        unit = [Fraction(0)] * DIM_TRACE_FREE
+        unit[idx] = Fraction(1)
+        columns.append(_vectorize(lie_derivative(v, assemble_free(unit))))
+    solutions = linalg.solve_many(_assembly_matrix(), columns)
+    if solutions is None:
+        raise CktError("Lie derivative left the trace-free space; v is not a CKV")
+    return [[solutions[c][r] for c in range(DIM_TRACE_FREE)] for r in range(DIM_TRACE_FREE)]
 
 
 def symmetry_subspace(v: VectorField, mode: str) -> list[tuple[Fraction, list[CktCoefficients]]]:
@@ -698,17 +697,7 @@ def symmetry_subspace(v: VectorField, mode: str) -> list[tuple[Fraction, list[Ck
     """
     if mode not in ("h_zero", "h_constant"):
         raise CktError(f"unknown mode {mode!r}; expected h_zero or h_constant")
-    smat = _assembly_matrix()
-    columns = []
-    for idx in range(DIM_TRACE_FREE):
-        unit = [Fraction(0)] * DIM_TRACE_FREE
-        unit[idx] = Fraction(1)
-        lie = lie_derivative(v, assemble_free(unit))
-        columns.append(_vectorize(lie))
-    solutions = linalg.solve_many(smat, columns)
-    if solutions is None:
-        raise CktError("Lie derivative left the trace-free space; v is not a CKV")
-    lam = [[solutions[c][r] for c in range(DIM_TRACE_FREE)] for r in range(DIM_TRACE_FREE)]
+    lam = lie_operator(v)
     if mode == "h_zero":
         kernel = linalg.nullspace(lam, DIM_TRACE_FREE)
         return [(Fraction(0), [coefficients_from_free(vec) for vec in kernel])] if kernel else []
@@ -733,7 +722,7 @@ def eigenvector_subspace(v: VectorField, basis: list[CktCoefficients]) -> list[C
     for col, coeffs in enumerate(basis):
         cross = eigenvector_cross(assemble_ckt(coeffs), v)
         for i in range(3):
-            for exps, coeff in cross[i].terms.items():
+            for exps, coeff in cross[i].exponent_items():
                 rows.setdefault((i, exps), [Fraction(0)] * len(basis))[col] = Fraction(coeff)
     matrix = list(rows.values())
     combos = linalg.nullspace(matrix, len(basis))

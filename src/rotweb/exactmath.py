@@ -5,6 +5,8 @@ Every classification decision downstream is a sign or vanishing test, so
 everything here is exact.  Coefficients are Python ints or
 ``fractions.Fraction``; integer-valued coefficients are stored as ints
 because plain int arithmetic is much faster than Fraction arithmetic.
+Multivariate monomials are keyed by packed exponent ints, which limits
+total degrees to 2^32 - 1.
 """
 
 from __future__ import annotations
@@ -40,22 +42,53 @@ def rat_str(value: int | Fraction) -> str:
 
 
 def _norm(c):
-    # Keep integer-valued coefficients as ints (fast path).
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
+    # Keep integer-valued coefficients as ints (fast path).  A class test,
+    # because isinstance against Fraction goes through ABCMeta.
+    if c.__class__ is Fraction and c.denominator == 1:
+        return c.numerator
     return c
 
 
 # ---------------------------------------------------------------------------
 # Sparse multivariate polynomials
 
+# A monomial is stored as one int key: the exponent of variable i sits in
+# bits [32 i, 32 i + 32) and the total degree above the nvars variable
+# fields.  Multiplying monomials is then one int addition, and comparing keys
+# compares total degrees first.  Every exponent is at most the total degree,
+# so keeping the total degree within DEGREE_LIMIT keeps every field from
+# carrying into the next one (Monagan & Pearce, CASC 2007).
+_BITS = 32
+_MASK = (1 << _BITS) - 1
+DEGREE_LIMIT = _MASK
+
+
+def _pack(exps: Sequence[int], nvars: int) -> int:
+    if len(exps) != nvars:
+        raise ExactMathError(f"exponent vector {tuple(exps)} does not have {nvars} entries")
+    if min(exps, default=0) < 0:
+        raise ExactMathError(f"negative exponent in {tuple(exps)}")
+    key = sum(exps)
+    if key > DEGREE_LIMIT:
+        raise ExactMathError(f"total degree {key} exceeds the degree limit {DEGREE_LIMIT} = 2^32 - 1")
+    for k in reversed(exps):
+        key = key << _BITS | k
+    return key
+
+
+def _unpack(key: int, nvars: int) -> tuple[int, ...]:
+    return tuple((key >> (_BITS * i)) & _MASK for i in range(nvars))
+
 
 class Poly:
     """Sparse polynomial over the rationals in a fixed number of variables.
 
-    ``terms`` maps exponent tuples to nonzero coefficients.  Variables 0, 1, 2
-    are the Cartesian coordinates x, y, z throughout the package; additional
-    variables act as inert symbolic parameters.
+    ``terms`` maps packed exponent keys (see ``_pack``) to nonzero
+    coefficients; ``exponent_items`` gives them back as exponent tuples.
+    Total degrees are limited to DEGREE_LIMIT = 2^32 - 1, and a product past
+    it raises.  Variables 0, 1, 2 are the Cartesian coordinates x, y, z
+    throughout the package; additional variables act as inert symbolic
+    parameters.
     """
 
     __slots__ = ("nvars", "terms")
@@ -73,23 +106,28 @@ class Poly:
         value = _norm(Fraction(value) if not isinstance(value, (int, Fraction)) else value)
         if value == 0:
             return cls(nvars)
-        return cls(nvars, {(0,) * nvars: value})
+        return cls(nvars, {0: value})
 
     @classmethod
     def variable(cls, index: int, nvars: int = 3) -> Poly:
         if not 0 <= index < nvars:
             raise ExactMathError(f"variable index {index} out of range for {nvars} variables")
-        exps = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, {exps: 1})
+        return cls(nvars, {1 << (_BITS * index) | 1 << (_BITS * nvars): 1})
 
     @classmethod
     def from_terms(cls, mapping: dict, nvars: int = 3) -> Poly:
+        """Build from a mapping of exponent tuples to coefficients."""
         terms = {}
         for exps, coeff in mapping.items():
             coeff = _norm(coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff))
             if coeff != 0:
-                terms[tuple(exps)] = coeff
+                terms[_pack(exps, nvars)] = coeff
         return cls(nvars, terms)
+
+    def exponent_items(self) -> Iterable[tuple[tuple[int, ...], int | Fraction]]:
+        """(exponent tuple, coefficient) pairs, in no particular order."""
+        nvars = self.nvars
+        return ((_unpack(key, nvars), c) for key, c in self.terms.items())
 
     @property
     def is_zero(self) -> bool:
@@ -99,10 +137,10 @@ class Poly:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(other, self.nvars)
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Poly.const(other, self.nvars)
         return self.nvars == other.nvars and self.terms == other.terms
 
     __hash__ = None
@@ -111,17 +149,25 @@ class Poly:
         if self.nvars != other.nvars:
             raise ExactMathError("polynomials live in different variable sets")
 
+    def _shift(self, var: int) -> int:
+        if not 0 <= var < self.nvars:
+            raise ExactMathError(f"variable index {var} out of range for {self.nvars} variables")
+        return _BITS * var
+
     def __add__(self, other) -> Poly:
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Poly.const(other, self.nvars)
         self._check(other)
         terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            new = terms.get(exps, 0) + coeff
-            if new == 0:
-                terms.pop(exps, None)
+        get = terms.get
+        for key, coeff in other.terms.items():
+            new = get(key, 0) + coeff
+            if not new:
+                del terms[key]
             else:
-                terms[exps] = _norm(new)
+                terms[key] = new if new.__class__ is int else _norm(new)
         return Poly(self.nvars, terms)
 
     __radd__ = __add__
@@ -130,30 +176,36 @@ class Poly:
         return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> Poly:
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(other, self.nvars)
         return self + (-other)
 
     def __rsub__(self, other) -> Poly:
         return (-self) + other
 
     def __mul__(self, other) -> Poly:
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = _norm(other)
             if other == 0:
                 return Poly(self.nvars)
             return Poly(self.nvars, {e: _norm(c * other) for e, c in self.terms.items()})
         self._check(other)
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return Poly(self.nvars)
+        shift = _BITS * self.nvars
+        degree = (max(a) >> shift) + (max(b) >> shift)
+        if degree > DEGREE_LIMIT:
+            raise ExactMathError(f"product of total degree {degree} exceeds the degree limit "
+                                 f"{DEGREE_LIMIT} = 2^32 - 1")
         terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                new = terms.get(exps, 0) + c1 * c2
-                if new == 0:
-                    terms.pop(exps, None)
-                else:
-                    terms[exps] = new
-        return Poly(self.nvars, {e: _norm(c) for e, c in terms.items()})
+        get = terms.get
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = e1 + e2
+                terms[e] = get(e, 0) + c1 * c2
+        return Poly(self.nvars, {e: c if c.__class__ is int else _norm(c)
+                                 for e, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -170,35 +222,36 @@ class Poly:
         return result
 
     def diff(self, var: int) -> Poly:
+        # Distinct monomials keep distinct derivatives, so nothing accumulates.
+        shift = self._shift(var)
+        unit = 1 << shift | 1 << (_BITS * self.nvars)
         terms = {}
-        for exps, coeff in self.terms.items():
-            k = exps[var]
+        for key, coeff in self.terms.items():
+            k = (key >> shift) & _MASK
             if k:
-                new_exps = exps[:var] + (k - 1,) + exps[var + 1:]
-                new = terms.get(new_exps, 0) + coeff * k
-                if new != 0:
-                    terms[new_exps] = _norm(new)
+                terms[key - unit] = _norm(coeff * k)
         return Poly(self.nvars, terms)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(self.terms) >> (_BITS * self.nvars)
 
     def degree_in(self, var: int) -> int:
+        shift = self._shift(var)
         if not self.terms:
             return -1
-        return max(e[var] for e in self.terms)
+        return max((key >> shift) & _MASK for key in self.terms)
 
     def coeff(self, exps: Sequence[int]) -> Fraction:
-        return Fraction(self.terms.get(tuple(exps), 0))
+        return Fraction(self.terms.get(_pack(exps, self.nvars), 0))
 
     def eval(self, point: Sequence) -> Fraction:
         if len(point) != self.nvars:
             raise ExactMathError("evaluation point has wrong dimension")
         total = Fraction(0)
-        for exps, coeff in self.terms.items():
+        for exps, coeff in self.exponent_items():
             term = Fraction(coeff)
             for value, k in zip(point, exps):
                 if k:
@@ -212,8 +265,10 @@ class Poly:
             raise ExactMathError("cannot shrink variable set")
         if nvars == self.nvars:
             return self
-        pad = (0,) * (nvars - self.nvars)
-        return Poly(nvars, {e + pad: c for e, c in self.terms.items()})
+        old = _BITS * self.nvars
+        low = (1 << old) - 1
+        up = _BITS * (nvars - self.nvars)
+        return Poly(nvars, {(e & low) | (e & ~low) << up: c for e, c in self.terms.items()})
 
     def content(self) -> Fraction:
         """Positive rational c such that self/c has coprime integer coefficients."""
@@ -232,7 +287,8 @@ class Poly:
         return Fraction(g, l)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        return sorted(self.terms.items())
+        """Terms as (exponent tuple, coefficient), lexicographic in the tuples."""
+        return sorted(self.exponent_items())
 
     def __str__(self) -> str:
         if not self.terms:
@@ -597,7 +653,7 @@ class RationalFunction:
             den = Poly.const(1, num.nvars)
         else:
             c = den.content()
-            lead = den.sorted_terms()[-1][1]
+            lead = max(den.exponent_items())[1]
             if lead < 0:
                 c = -c
             if c != 1:

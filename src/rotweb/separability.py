@@ -147,11 +147,8 @@ def poincare_potential(omega: OneForm) -> Poly:
     inner = Poly.zero(3)
     for i in range(3):
         inner = inner + x[i] * comps[i]
-    result = Poly.zero(3)
-    for exps, coeff in inner.terms.items():
-        degree = sum(exps)
-        result = result + Poly.from_terms({exps: Fraction(coeff, degree)}, 3)
-    return result
+    return Poly.from_terms({exps: Fraction(coeff, sum(exps))
+                            for exps, coeff in inner.exponent_items()}, 3)
 
 
 def dkdv_check(k: SymTensorField, v: RationalFunction) -> bool:
@@ -177,7 +174,7 @@ def _collect_linear_rows(polys: list[Poly]) -> list[list[Fraction]]:
     3..8; return one row of parameter coefficients per (poly, xyz-monomial)."""
     rows: dict = {}
     for idx, poly in enumerate(polys):
-        for exps, coeff in poly.terms.items():
+        for exps, coeff in poly.exponent_items():
             xyz = exps[:3]
             params = exps[3:]
             weight = sum(params)

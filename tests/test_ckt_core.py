@@ -6,9 +6,9 @@ from rotweb import ckt_core as cc
 from rotweb.ckt_core import (CktCoefficients, CktError, SymTensorField, assemble_ckt,
                              assemble_free, ckt_dimension, ckv_basis, ckv_by_name,
                              commutator, conformal_factor, coefficients_from_free,
-                             eigenvector_subspace, killing_obstruction, lie_derivative,
-                             metric, nijenhuis, symmetric_product, symmetry_subspace,
-                             trace_free_reduce, tsn_check, tsn_filter, verify_ckt)
+                             eigenvector_subspace, free_from_coefficients, killing_obstruction,
+                             lie_derivative, lie_operator, metric, nijenhuis, symmetric_product,
+                             symmetry_subspace, tsn_check, tsn_filter, verify_ckt)
 from rotweb.exactmath import Poly, UniPoly
 from rotweb.linalg import char_poly
 
@@ -199,34 +199,28 @@ class TestVerifyCkt:
         assert holds
 
 
-class TestTraceFreeReduce:
-    def test_idempotent(self, rng):
-        vec = [rand_fraction(rng) for _ in range(35)]
-        coeffs = coefficients_from_free(vec)
-        assert trace_free_reduce(coeffs) == coeffs
-
-    def test_random_inputs_become_trace_free(self, rng):
-        for _ in range(100):
-            raw = CktCoefficients.make(
-                a=[[rand_fraction(rng)] * 3 for _ in range(3)],
-                h=rand_fraction(rng),
-                f=[rand_fraction(rng) for _ in range(3)],
-                d=[rand_fraction(rng) for _ in range(3)],
-            )
-            sym_a = tuple(tuple((raw.a[i][j] + raw.a[j][i]) / 2 for j in range(3)) for i in range(3))
-            raw = CktCoefficients.make(a=sym_a, h=raw.h, f=raw.f, d=raw.d)
-            reduced = trace_free_reduce(raw)
-            k = assemble_ckt(reduced)
+class TestFreeCoordinates:
+    def test_c_block_follows_e(self, rng):
+        for _ in range(20):
+            coeffs = coefficients_from_free([rand_fraction(rng) for _ in range(35)])
+            e, c = coeffs.e, coeffs.c
+            tr_e = e[0][0] + e[1][1] + e[2][2]
+            for i in range(3):
+                for j in range(3):
+                    # The printed relation C_ij = E_ij + E_ji - (1/2) tr E delta_ij.
+                    assert c[i][j] == e[i][j] + e[j][i] - (tr_e / 2 if i == j else 0)
+            k = assemble_ckt(coeffs)
             assert k.trace().is_zero
             assert verify_ckt(k)[0]
 
     def test_e_entry_determines_c(self):
-        coeffs = CktCoefficients.make(e=((0, 1, 0), (1, 0, 0), (0, 0, 0)))
-        reduced = trace_free_reduce(coeffs)
-        # The printed relation C_ij = 2 E_(ij) - (1/2) tr E delta_ij.
+        raw = CktCoefficients.make(e=((0, 1, 0), (1, 0, 0), (0, 0, 0)))
+        # Modulo the metric, the raw E.I term keeps a third of its weight in E
+        # and moves the rest into C.
+        reduced = coefficients_from_free([x / 3 for x in free_from_coefficients(raw)])
         assert reduced.c[0][1] == 2 * reduced.e[0][1]
         # Same equivalence class: the difference is a multiple of the metric.
-        diff = assemble_ckt(coeffs) - assemble_ckt(reduced)
+        diff = assemble_ckt(raw) - assemble_ckt(reduced)
         assert diff[0][1].is_zero and diff[0][2].is_zero and diff[1][2].is_zero
         assert diff[0][0] == diff[1][1] == diff[2][2]
 
@@ -312,6 +306,22 @@ class TestTsn:
             shift = metric(3).scale(f)
             assert tsn_check(inside + shift)
             assert not tsn_check(outside + shift)
+
+
+    def test_verdict_is_homogeneous(self, rng):
+        from rotweb.rotational import RotParams, assemble_rotational
+        tensors = [assemble_ckt(c) for c in symmetry_subspace(ckv_by_name("R3"), "h_zero")[0][1]]
+        tensors += [assemble_rotational(RotParams.make(*(rand_fraction(rng) for _ in range(6))))
+                    for _ in range(5)]
+        tensors += [assemble_free([rand_fraction(rng, -3, 3) for _ in range(35)]) for _ in range(5)]
+        verdicts = set()
+        for k in tensors:
+            verdict = tsn_check(k)
+            for _ in range(2):
+                q = rand_fraction(rng, 1, 9, 7) * rng.choice([-1, 1])
+                assert tsn_check(k.scale(q)) == verdict
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
 class TestLieDerivative:
@@ -407,11 +417,7 @@ class TestSymmetrySubspace:
 
     def test_dilation_char_poly_is_product_over_eigenspaces(self):
         d = ckv_by_name("D")
-        columns = []
-        for idx in range(cc.DIM_TRACE_FREE):
-            unit = [Fraction(int(i == idx)) for i in range(cc.DIM_TRACE_FREE)]
-            columns.append(cc.tensor_to_free(lie_derivative(d, assemble_free(unit))))
-        operator = [[col[r] for col in columns] for r in range(cc.DIM_TRACE_FREE)]
+        operator = lie_operator(d)
         expected = UniPoly([1])
         spaces = symmetry_subspace(d, "h_constant")
         for h, basis in spaces:

@@ -195,6 +195,17 @@ class TestCompat:
         assert code == 0
         assert report["inputs"] == {"potential": "-4/(x^2+1)", "energy": "-1/2"}
 
+    @pytest.mark.parametrize("power", [300, 70000])
+    def test_high_powers_solve(self, capsys, power):
+        code, report = run_json(capsys, "compat", f"--potential=x^{power}", "--energy", "0")
+        assert code == 0
+        assert report["results"]["solution"]["dimension"] == 1
+
+    def test_degree_past_the_limit_exits_2(self, capsys):
+        code, _, err = run(capsys, "compat", "--potential=x^4294967296", "--energy", "0")
+        assert code == 2
+        assert "degree limit 4294967295" in err
+
     def test_malformed_potential_exits_2(self, capsys):
         assert run(capsys, "compat", "--potential", "x +")[0] == 2
         assert run(capsys, "compat", "--potential", "1/(x-x)")[0] == 2

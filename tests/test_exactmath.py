@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rotweb.exactmath import (ExactMathError, Poly, RationalFunction, UniPoly,
+from rotweb.exactmath import (DEGREE_LIMIT, ExactMathError, Poly, RationalFunction, UniPoly,
                               isolate_real_roots, poly_gcd, rat, rat_str,
                               rational_roots, real_root_count, refine_root,
                               squarefree_decomposition)
@@ -171,6 +171,173 @@ class TestPoly:
         q = Poly.from_terms({e: c for e, c in items[len(items) // 2:]}, 3)
         assert p + q == q + p
         assert (p - q) + q == p
+
+
+class RefPoly:
+    """Tuple-keyed reference for the packed-key kernel: exponent tuples to
+    nonzero Fraction coefficients, every operation spelled out directly."""
+
+    def __init__(self, nvars, terms):
+        self.nvars = nvars
+        self.terms = {tuple(e): Fraction(c) for e, c in terms.items() if c}
+
+    def _combine(self, other, sign):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, 0) + sign * c
+        return RefPoly(self.nvars, out)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __mul__(self, other):
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        return RefPoly(self.nvars, out)
+
+    def __pow__(self, n):
+        result = RefPoly(self.nvars, {(0,) * self.nvars: 1})
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def diff(self, var):
+        out = {}
+        for e, c in self.terms.items():
+            if e[var]:
+                d = e[:var] + (e[var] - 1,) + e[var + 1:]
+                out[d] = out.get(d, 0) + c * e[var]
+        return RefPoly(self.nvars, out)
+
+    def extend(self, nvars):
+        pad = (0,) * (nvars - self.nvars)
+        return RefPoly(nvars, {e + pad: c for e, c in self.terms.items()})
+
+    def degree(self):
+        return max((sum(e) for e in self.terms), default=-1)
+
+    def degree_in(self, var):
+        return max((e[var] for e in self.terms), default=-1)
+
+    def eval(self, point):
+        total = Fraction(0)
+        for e, c in self.terms.items():
+            term = c
+            for value, k in zip(point, e):
+                term *= Fraction(value) ** k
+            total += term
+        return total
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        names = ["x", "y", "z"] + [f"t{i}" for i in range(self.nvars - 3)]
+        parts = []
+        for e, c in sorted(self.terms.items()):
+            factors = [] if c == 1 and any(e) else [rat_str(c)]
+            factors += [name if k == 1 else f"{name}^{k}" for name, k in zip(names, e) if k]
+            parts.append("*".join(factors))
+        return " + ".join(parts)
+
+
+def assert_same(p, ref):
+    assert p.nvars == ref.nvars
+    assert dict(p.exponent_items()) == ref.terms
+    for c in p.terms.values():
+        # Nonzero, and integer-valued coefficients are stored as ints.
+        assert c != 0 and (type(c) is int or c.denominator != 1)
+
+
+COEFFS = st.one_of(st.integers(-6, 6),
+                   st.fractions(min_value=-6, max_value=6, max_denominator=5))
+
+
+@st.composite
+def poly_pairs(draw, max_exp=3, nvars=None):
+    """Two random polynomials in 3 or 9 variables, with their references."""
+    nvars = nvars or draw(st.sampled_from([3, 9]))
+    exps = st.tuples(*[st.integers(0, max_exp)] * nvars)
+    out = []
+    for _ in range(2):
+        mapping = draw(st.dictionaries(exps, COEFFS, max_size=5))
+        out += [Poly.from_terms(mapping, nvars), RefPoly(nvars, mapping)]
+    return out
+
+
+class TestPackedKernel:
+    @given(poly_pairs(), st.integers(0, 3))
+    def test_ring_operations(self, pair, n):
+        p, rp, q, rq = pair
+        assert_same(p + q, rp + rq)
+        assert_same(p - q, rp - rq)
+        assert_same(p * q, rp * rq)
+        assert_same(p ** n, rp ** n)
+        assert_same(p * Fraction(3, 2), rp * RefPoly(p.nvars, {(0,) * p.nvars: Fraction(3, 2)}))
+        assert (p * q == q * p) and ((p - q) + q == p)
+
+    @given(poly_pairs(), st.data())
+    def test_calculus_and_queries(self, pair, data):
+        p, rp, _, _ = pair
+        for var in range(p.nvars):
+            assert_same(p.diff(var), rp.diff(var))
+            assert p.degree_in(var) == rp.degree_in(var)
+        assert_same(p.extend(p.nvars + 2), rp.extend(p.nvars + 2))
+        assert p.extend(p.nvars + 2).degree() == p.degree() == rp.degree()
+        for exps, c in rp.terms.items():
+            assert p.coeff(exps) == c
+        assert p.coeff((4,) * p.nvars) == 0
+        point = data.draw(st.lists(COEFFS, min_size=p.nvars, max_size=p.nvars))
+        assert p.eval(point) == rp.eval(point)
+        assert p.sorted_terms() == sorted(rp.terms.items())
+        assert str(p) == str(rp)
+
+    @given(poly_pairs(max_exp=2**30, nvars=3), poly_pairs(max_exp=2**28, nvars=9))
+    def test_wide_exponents(self, small, wide):
+        for p, rp, q, rq in (small, wide):
+            if rp.degree() + rq.degree() > DEGREE_LIMIT and rp.terms and rq.terms:
+                with pytest.raises(ExactMathError, match=str(DEGREE_LIMIT)):
+                    p * q
+            else:
+                assert_same(p * q, rp * rq)
+            for var in range(p.nvars):
+                assert_same(p.diff(var), rp.diff(var))
+                assert p.degree_in(var) == rp.degree_in(var)
+            assert_same(p.extend(12), rp.extend(12))
+            assert p.degree() == rp.degree()
+            assert str(p) == str(rp)
+
+
+class TestDegreeLimit:
+    def test_limit_is_accepted(self):
+        x = Poly.variable(0, 3)
+        top = x ** DEGREE_LIMIT
+        assert DEGREE_LIMIT == 2**32 - 1
+        assert top.degree() == top.degree_in(0) == DEGREE_LIMIT
+        assert top.diff(0).coeff((DEGREE_LIMIT - 1, 0, 0)) == DEGREE_LIMIT
+        mixed = Poly.from_terms({(DEGREE_LIMIT - 7, 0, 7): 1}, 3)
+        assert mixed.degree() == DEGREE_LIMIT and mixed.degree_in(2) == 7
+        assert (Poly.variable(8, 9) ** DEGREE_LIMIT).extend(12).degree_in(8) == DEGREE_LIMIT
+
+    def test_product_past_the_limit_raises(self):
+        x, y = Poly.variable(0, 3), Poly.variable(1, 3)
+        with pytest.raises(ExactMathError, match="degree limit 4294967295"):
+            x ** DEGREE_LIMIT * y
+        with pytest.raises(ExactMathError, match="degree limit 4294967295"):
+            x ** (DEGREE_LIMIT + 1)
+        with pytest.raises(ExactMathError, match="degree limit 4294967295"):
+            Poly.from_terms({(2**31, 0, 0): 1}, 3) * Poly.from_terms({(0, 0, 2**31): 1}, 3)
+
+    @pytest.mark.parametrize("exps", [(-1, 0, 0), (0, 2, -1), (DEGREE_LIMIT + 1, 0, 0),
+                                      (2**31, 2**31, 0), (1, 0), (1, 0, 0, 0)])
+    def test_from_terms_rejects_bad_exponents(self, exps):
+        with pytest.raises(ExactMathError):
+            Poly.from_terms({exps: 1}, 3)
 
 
 class TestRationalFunction:
