@@ -374,11 +374,10 @@ class CktCoefficients:
 
 
 @lru_cache(maxsize=None)
-def _products(nvars: int = 3) -> dict:
-    """All symmetric products of basis CKVs, keyed by basis index pairs."""
+def basis_product(i: int, j: int, nvars: int = 3) -> SymTensorField:
+    """Symmetric product of the basis CKVs i and j (``ckv_basis`` order)."""
     basis = ckv_basis(nvars)
-    return {(i, j): symmetric_product(basis[i], basis[j])
-            for i in range(10) for j in range(10)}
+    return symmetric_product(basis[i], basis[j])
 
 
 _X, _R, _D, _I = 0, 3, 6, 7  # offsets into the basis ordering
@@ -386,7 +385,6 @@ _X, _R, _D, _I = 0, 3, 6, 7  # offsets into the basis ordering
 
 def _assemble_blocks(a, b, c, d, e, f, g, h, l, m, nvars: int = 3) -> SymTensorField:
     """Assemble from raw blocks whose entries are rationals or polynomials."""
-    prods = _products(nvars)
     total = SymTensorField.zero(nvars)
 
     def add(coeff, key):
@@ -396,7 +394,7 @@ def _assemble_blocks(a, b, c, d, e, f, g, h, l, m, nvars: int = 3) -> SymTensorF
                 return
         elif coeff == 0:
             return
-        total = total + prods[key].scale(coeff)
+        total = total + basis_product(*key, nvars).scale(coeff)
 
     for i in range(3):
         for j in range(3):
@@ -772,7 +770,7 @@ def tsn_filter(v: VectorField, basis: list[CktCoefficients]) -> TsnFilterResult:
         if not tsn_check(family):
             raise CktError("eigenvector subspace fails the TSN conditions; filter is unsound")
     sub_rows = [free_from_coefficients(c) for c in sub]
-    base_rank = linalg.rank(sub_rows) if sub_rows else 0
+    base_rank = linalg.rank(sub_rows)
     outside = []
     for idx, coeffs in enumerate(basis):
         row = free_from_coefficients(coeffs)

@@ -1,83 +1,88 @@
 """Exact linear algebra over the rationals.
 
-Elimination clears each row to integers and then runs fraction-free
-(Bareiss) Gaussian elimination, so all intermediate quantities stay
-integral; back-substitution reintroduces fractions only at the end.
-The characteristic polynomial splits the matrix into the diagonal blocks of
-its block-triangular form (the strongly connected components of its
-sparsity graph) and runs Berkowitz's division-free algorithm on each block
-in Python ints, after clearing the block's denominators.
+Elimination works on sparse integer rows, ``{column: value}`` dicts over the
+nonzero entries: each row is cleared to integers once, the columns are taken
+from the left, the pivot is the row with the fewest nonzeros, and each
+combined row is divided by its gcd, so every entry stays an int.
+The characteristic polynomial runs Berkowitz's division-free algorithm on
+the same rows, per diagonal block of the matrix's block-triangular form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .exactmath import ExactMathError, UniPoly, rational_roots, real_root_count
 
-Matrix = list[list]
+Row = dict  # sparse row: {column: value} over the nonzero entries
 
 
-def _clear_row(row: Sequence) -> list[int]:
-    l = 1
-    for c in row:
-        if isinstance(c, Fraction):
-            l = lcm(l, c.denominator)
-    out = []
-    for c in row:
-        v = c * l
-        out.append(int(v) if not isinstance(v, int) else v)
-    return out
+def _sparse(row: Sequence) -> Row:
+    return {j: x for j, x in enumerate(row) if x}
 
 
-def row_echelon(matrix: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
-    """Fraction-free row echelon form.  Returns integer rows and the list of
-    pivot columns.  Row scaling does not change the row space or null space.
+def _scaled(row: Row, d: int) -> Row:
+    """The rational row times d, a common multiple of its denominators."""
+    return {j: x.numerator * (d // x.denominator) for j, x in row.items()}
+
+
+def _primitive(row: Row) -> Row:
+    g = gcd(*row.values())
+    return row if g == 1 else {j: v // g for j, v in row.items()}
+
+
+def _echelon(rows: list[Row]) -> tuple[list[Row], list[int]]:
+    """Echelon form of nonzero sparse rational rows: the pivot rows as
+    primitive integer rows, each with its pivot column as its leftmost entry,
+    and the pivot columns, which are the leftmost independent columns.
+
+    An unused row has no entry left of the current column, so the rows with
+    a nonzero in it are exactly those whose leftmost entry is there.
     """
-    rows = [_clear_row(r) for r in matrix]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
+    by_lead: dict[int, list[Row]] = {}
+    for row in rows:
+        row = _primitive(_scaled(row, lcm(*(x.denominator for x in row.values()))))
+        by_lead.setdefault(min(row), []).append(row)
+    ech: list[Row] = []
     pivots: list[int] = []
-    rank = 0
-    prev_pivot = 1
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        p = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            f = rows[r][col]
-            row = rows[r]
-            top = rows[rank]
-            for c in range(ncols):
-                num = row[c] * p - f * top[c]
-                q, rem = divmod(num, prev_pivot)
-                if rem:
-                    raise ArithmeticError("fraction-free elimination lost exactness")
-                row[c] = q
-        prev_pivot = p
+    while by_lead:
+        col = min(by_lead)
+        candidates = by_lead.pop(col)
+        top = min(candidates, key=len)
+        candidates.remove(top)
+        p = top[col]
+        for row in candidates:
+            g = gcd(p, row[col])
+            a, b = p // g, row[col] // g
+            new = {j: v for j in row.keys() | top.keys() if (v := row.get(j, 0) * a - top.get(j, 0) * b)}
+            if new:
+                by_lead.setdefault(min(new), []).append(_primitive(new))
+        ech.append(top)
         pivots.append(col)
-        rank += 1
-    return rows[:rank], pivots
+    return ech, pivots
 
 
-def _back_substitute(ech: Matrix, pivots: list[int], x: list, rhs: Sequence) -> list:
+def row_echelon(matrix: Sequence[Sequence]) -> tuple[list[Row], list[int]]:
+    """Row echelon form by sparse integer elimination.  Returns the pivot
+    rows as sparse integer rows ``{column: value}`` and the list of pivot
+    columns.  Row scaling does not change the row space or null space.
+    """
+    return _echelon([row for row in map(_sparse, matrix) if row])
+
+
+def _back_substitute(ech: list[Row], pivots: list[int], x: list, rhs: Sequence) -> list:
     """Set the pivot entries of x so that each echelon row r satisfies
-    ech[r] . x = rhs[r]; the free entries of x are kept as given."""
+    ech[r] . x = rhs[r] over the columns of x; the free entries of x are kept
+    as given."""
+    n = len(x)
     for r in range(len(ech) - 1, -1, -1):
         pc = pivots[r]
         s = Fraction(rhs[r])
-        for c in range(pc + 1, len(x)):
-            if x[c]:
-                s -= ech[r][c] * x[c]
+        for c, v in ech[r].items():
+            if c != pc and c < n and x[c]:
+                s -= v * x[c]
         x[pc] = s / ech[r][pc]
     return x
 
@@ -85,11 +90,8 @@ def _back_substitute(ech: Matrix, pivots: list[int], x: list, rhs: Sequence) -> 
 def nullspace(matrix: Sequence[Sequence], ncols: int | None = None) -> list[list[Fraction]]:
     """Basis of the right null space, as Fraction vectors: one per free
     column, with that entry 1 and the other free entries 0."""
-    if not matrix:
-        if ncols is None:
-            return []
-        return [[Fraction(i == j) for i in range(ncols)] for j in range(ncols)]
-    ncols = len(matrix[0]) if ncols is None else ncols
+    if ncols is None:
+        ncols = len(matrix[0]) if matrix else 0
     ech, pivots = row_echelon(matrix)
     zeros = [0] * len(ech)
     basis = []
@@ -108,18 +110,23 @@ def solve_many(matrix: Sequence[Sequence], rhs_columns: Sequence[Sequence]) -> l
     Returns the solution columns, or None if any column is inconsistent.
     """
     ncols = len(matrix[0]) if matrix else 0
-    aug = [list(row) + [col[i] for col in rhs_columns] for i, row in enumerate(matrix)]
-    ech, pivots = row_echelon(aug)
+    aug = []
+    for i, row in enumerate(matrix):
+        entries = _sparse(row)
+        for j, col in enumerate(rhs_columns):
+            if col[i]:
+                entries[ncols + j] = col[i]
+        if entries:
+            aug.append(entries)
+    ech, pivots = _echelon(aug)
     if any(p >= ncols for p in pivots):
         return None
-    return [_back_substitute(ech, pivots, [Fraction(0)] * ncols, [row[ncols + j] for row in ech])
+    return [_back_substitute(ech, pivots, [Fraction(0)] * ncols, [row.get(ncols + j, 0) for row in ech])
             for j in range(len(rhs_columns))]
 
 
 def rank(matrix: Sequence[Sequence]) -> int:
-    if not matrix:
-        return 0
-    return len(row_echelon(matrix)[0])
+    return len(row_echelon(matrix)[1])
 
 
 def _reach(start: int, edges: list[list[int]]) -> set[int]:
@@ -150,19 +157,18 @@ def _strong_components(succ: list[list[int]]) -> list[list[int]]:
     return components
 
 
-def _berkowitz(rows: list[list[tuple[int, int]]]) -> list[int]:
+def _berkowitz(rows: list[Row]) -> list[int]:
     """Coefficients of det(t*I - B), highest degree first, for an integer
-    matrix B given as sparse rows of (column, value); division-free, so the
+    matrix B given as sparse integer rows; division-free, so the
     arithmetic stays in Python ints."""
     poly = [1]
     for k in range(len(rows)):
         # A_k is the leading k x k block, R the row below it, C the column
         # to its right; the Toeplitz column is 1, -b_kk, -R C, -R A_k C, ...
-        lead = [[(j, v) for j, v in rows[i] if j < k] for i in range(k)]
-        r = [(j, v) for j, v in rows[k] if j < k]
-        diag = sum(v for j, v in rows[k] if j == k)
-        vec = [sum(v for j, v in rows[i] if j == k) for i in range(k)]
-        col = [1, -diag]
+        lead = [[(j, v) for j, v in rows[i].items() if j < k] for i in range(k)]
+        r = [(j, v) for j, v in rows[k].items() if j < k]
+        vec = [rows[i].get(k, 0) for i in range(k)]
+        col = [1, -rows[k].get(k, 0)]
         for step in range(k):
             if step:
                 vec = [sum(v * vec[j] for j, v in row) for row in lead]
@@ -182,13 +188,13 @@ def char_poly(matrix: Sequence[Sequence]) -> UniPoly:
     algorithm: the coefficient of t^(m-i) of a block of size m is
     c_i(d A) / d^i.  A fully connected matrix is one block.
     """
-    sparse = [[(j, Fraction(x)) for j, x in enumerate(row) if x] for row in matrix]
+    sparse = [_sparse(row) for row in matrix]
     result = UniPoly([1])
-    for component in _strong_components([[j for j, _ in row] for row in sparse]):
+    for component in _strong_components([list(row) for row in sparse]):
         position = {g: p for p, g in enumerate(component)}
-        block = [[(position[j], x) for j, x in sparse[g] if j in position] for g in component]
-        d = lcm(1, *(x.denominator for row in block for _, x in row))
-        coeffs = _berkowitz([[(j, x.numerator * (d // x.denominator)) for j, x in row] for row in block])
+        block = [{position[j]: x for j, x in sparse[g].items() if j in position} for g in component]
+        d = lcm(1, *(x.denominator for row in block for x in row.values()))
+        coeffs = _berkowitz([_scaled(row, d) for row in block])
         result = result * UniPoly([Fraction(coeffs[i], d ** i) for i in range(len(component), -1, -1)])
     return result
 

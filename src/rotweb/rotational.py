@@ -12,8 +12,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import TYPE_CHECKING, Sequence
 
-from .ckt_core import (CktError, SymTensorField, ckv_basis, eigenvector_cross, symmetric_product,
-                       verify_ckt)
+from .ckt_core import CktError, SymTensorField, basis_product, ckv_basis, eigenvector_cross, verify_ckt
 from .exactmath import Poly, UniPoly, rat, rat_str
 from .expr import eval_rational
 
@@ -58,6 +57,11 @@ class RotParams:
         return "(" + ", ".join(rat_str(v) for v in self.as_tuple()) + ")"
 
 
+# ckv_basis index pairs of I3.I3, D.I3, D.D, R3.R3, D.X3, X3.X3, the products
+# the six parameters multiply.
+_PIECES = ((9, 9), (6, 9), (6, 6), (5, 5), (6, 2), (2, 2))
+
+
 def assemble_rotational(p: RotParams) -> SymTensorField:
     """Expand the rotational combination into exact Cartesian components."""
     return assemble_rotational_generic(p.as_tuple(), nvars=3)
@@ -66,24 +70,14 @@ def assemble_rotational(p: RotParams) -> SymTensorField:
 def assemble_rotational_generic(values: Sequence, nvars: int = 3) -> SymTensorField:
     """Assemble with rational or polynomial parameter values (the latter lets
     callers work with the whole family symbolically)."""
-    basis = ckv_basis(nvars)
-    x3, r3, d, i3 = basis[2], basis[5], basis[6], basis[9]
-    pieces = [
-        symmetric_product(i3, i3),
-        symmetric_product(d, i3),
-        symmetric_product(d, d),
-        symmetric_product(r3, r3),
-        symmetric_product(d, x3),
-        symmetric_product(x3, x3),
-    ]
     total = SymTensorField.zero(nvars)
-    for value, piece in zip(values, pieces):
+    for value, key in zip(values, _PIECES):
         if isinstance(value, Poly):
             if value.is_zero:
                 continue
         elif value == 0:
             continue
-        total = total + piece.scale(value)
+        total = total + basis_product(*key, nvars).scale(value)
     return total
 
 

@@ -441,3 +441,9 @@ class TestSymmetrySubspace:
     def test_bad_mode(self):
         with pytest.raises(CktError):
             symmetry_subspace(ckv_by_name("D"), "h_linear")
+
+    def test_non_ckv_leaves_the_trace_free_space(self):
+        # Lie_v maps CKTs to CKTs only for a CKV v; for x d/dx the assembly
+        # system of lie_operator is inconsistent.
+        with pytest.raises(CktError, match="left the trace-free space"):
+            lie_operator(vector(X, ZERO, ZERO))

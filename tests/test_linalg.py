@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 import pytest
 
+from rotweb import ckt_core
 from rotweb.exactmath import ExactMathError, UniPoly
 from rotweb.linalg import char_poly, nullspace, rank, rational_eigenvalues, row_echelon, solve_many
 
@@ -169,3 +171,173 @@ class TestCharPolyParity:
         m = frac_matrix([[0, -1, 5, 0], [1, 0, 2, 0], [0, 0, 3, 0], [7, 0, 1, Fraction(1, 2)]])
         expected = UniPoly([1, 0, 1]) * UniPoly([-3, 1]) * UniPoly([Fraction(-1, 2), 1])
         assert char_poly(m) == expected == interpolated_char_poly(m)
+
+
+# ---------------------------------------------------------------------------
+# Parity of the sparse elimination with dense fraction-free (Bareiss)
+# elimination, the former implementation of row_echelon, kept here as an
+# independent oracle.
+
+
+def dense_row_echelon(matrix):
+    """Dense Bareiss elimination of the rows cleared to integers; returns
+    the nonzero echelon rows and the pivot columns."""
+    rows = []
+    for r in matrix:
+        d = lcm(1, *(Fraction(c).denominator for c in r))
+        rows.append([int(Fraction(c) * d) for c in r])
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivots = []
+    rank_ = 0
+    prev_pivot = 1
+    for col in range(ncols):
+        pivot_row = next((r for r in range(rank_, len(rows)) if rows[r][col] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[rank_], rows[pivot_row] = rows[pivot_row], rows[rank_]
+        p = rows[rank_][col]
+        top = rows[rank_]
+        for r in range(rank_ + 1, len(rows)):
+            f = rows[r][col]
+            for c in range(ncols):
+                q, rem = divmod(rows[r][c] * p - f * top[c], prev_pivot)
+                assert rem == 0
+                rows[r][c] = q
+        prev_pivot = p
+        pivots.append(col)
+        rank_ += 1
+    return rows[:rank_], pivots
+
+
+def dense_back_substitute(ech, pivots, x, rhs):
+    for r in range(len(ech) - 1, -1, -1):
+        pc = pivots[r]
+        s = Fraction(rhs[r]) - sum(ech[r][c] * x[c] for c in range(pc + 1, len(x)))
+        x[pc] = s / ech[r][pc]
+    return x
+
+
+def dense_nullspace(matrix, ncols):
+    ech, pivots = dense_row_echelon(matrix)
+    basis = []
+    for fc in range(ncols):
+        if fc not in pivots:
+            vec = [Fraction(0)] * ncols
+            vec[fc] = Fraction(1)
+            basis.append(dense_back_substitute(ech, pivots, vec, [0] * len(ech)))
+    return basis
+
+
+def dense_solve_many(matrix, rhs_columns):
+    ncols = len(matrix[0]) if matrix else 0
+    aug = [list(row) + [col[i] for col in rhs_columns] for i, row in enumerate(matrix)]
+    ech, pivots = dense_row_echelon(aug)
+    if any(p >= ncols for p in pivots):
+        return None
+    return [dense_back_substitute(ech, pivots, [Fraction(0)] * ncols, [row[ncols + j] for row in ech])
+            for j in range(len(rhs_columns))]
+
+
+def sparse_rational(rng, rows, cols, max_per_row):
+    """Rows with 1 to max_per_row nonzero entries each."""
+    m = [[Fraction(0)] * cols for _ in range(rows)]
+    for row in m:
+        for c in rng.sample(range(cols), min(rng.randint(1, max_per_row), cols)):
+            row[c] = Fraction(rng.randint(1, 9) * rng.choice((-1, 1)), rng.randint(1, 5))
+    return m
+
+
+def images(rng, matrix, count):
+    """Right-hand sides in the column space: images of random vectors."""
+    xs = [[random_entry(rng) for _ in matrix[0]] for _ in range(count)]
+    return [[sum(a * v for a, v in zip(row, x)) for row in matrix] for x in xs]
+
+
+def assert_parity(m, rhs_sets):
+    """Equal pivots, rank, null space basis and solutions; returns the
+    solve_many results."""
+    ncols = len(m[0]) if m else 0
+    ech, pivots = row_echelon(m)
+    ref_pivots = dense_row_echelon(m)[1]
+    assert pivots == ref_pivots
+    assert rank(m) == len(ref_pivots)
+    assert len(ech) == len(pivots)
+    for row, pc in zip(ech, pivots):
+        # Primitive integer rows, each starting at its pivot column.
+        assert min(row) == pc and all(type(v) is int and v for v in row.values())
+        assert gcd(*row.values()) == 1
+    assert nullspace(m, ncols) == dense_nullspace(m, ncols)
+    results = [solve_many(m, rhs) for rhs in rhs_sets]
+    assert results == [dense_solve_many(m, rhs) for rhs in rhs_sets]
+    return results
+
+
+class TestEliminationParity:
+    def test_dense(self):
+        rng = random.Random(71)
+        for _ in range(120):
+            m = [[random_entry(rng) for _ in range(rng.randint(1, 8))]]
+            m += [[random_entry(rng) for _ in m[0]] for _ in range(rng.randint(0, 7))]
+            random_columns = [[random_entry(rng) for _ in m] for _ in range(2)]
+            solved, _ = assert_parity(m, [images(rng, m, rng.randint(1, 3)), random_columns])
+            assert solved is not None
+
+    def test_tall_sparse(self):
+        rng = random.Random(72)
+        for _ in range(3):
+            m = sparse_rational(rng, 200, 35, 3)
+            # Three columns dependent on others, so the null space is not
+            # trivial.
+            for c in rng.sample(range(35), 3):
+                a, b = rng.sample([j for j in range(35) if j != c], 2)
+                for row in m:
+                    row[c] = row[a] - 2 * row[b]
+            consistent, inconsistent = assert_parity(m, [images(rng, m, 4), [[Fraction(1)] * 200]])
+            assert consistent is not None and inconsistent is None
+
+    def test_zero_rows_columns_and_duplicates(self):
+        rng = random.Random(73)
+        for _ in range(60):
+            rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+            m = sparse_rational(rng, rows, cols, 3)
+            for c in rng.sample(range(cols), rng.randint(0, cols // 2)):
+                for row in m:
+                    row[c] = Fraction(0)
+            m += [[Fraction(0)] * cols for _ in range(rng.randint(0, 2))]
+            m += [list(rng.choice(m)) for _ in range(rng.randint(0, 3))]
+            m += [[3 * x for x in rng.choice(m)]]
+            rng.shuffle(m)
+            assert assert_parity(m, [images(rng, m, 2)])[0] is not None
+
+    def test_zero_rows(self):
+        assert row_echelon([]) == ([], [])
+        assert rank([]) == 0
+        assert nullspace([], 3) == dense_nullspace([], 3) == [
+            [Fraction(i == j) for i in range(3)] for j in range(3)]
+        assert nullspace([]) == []
+        assert solve_many([], [[], []]) == dense_solve_many([], [[], []]) == [[], []]
+        assert row_echelon([[0, 0], [Fraction(0), 0]]) == ([], [])
+        assert nullspace([[0, 0]]) == [[1, 0], [0, 1]]
+
+    def test_large_denominators(self):
+        rng = random.Random(74)
+        for _ in range(30):
+            rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+            m = [[Fraction(rng.randint(-10 ** 25, 10 ** 25), rng.randint(1, 10 ** 30))
+                  if rng.random() < 0.6 else Fraction(0) for _ in range(cols)] for _ in range(rows)]
+            assert assert_parity(m, [images(rng, m, 2)])[0] is not None
+
+    @pytest.mark.parametrize("name", ["X3", "D", "I3", "R3"])
+    def test_assembly_matrix_against_lie_columns(self, name):
+        v = ckt_core.ckv_by_name(name)
+        columns = []
+        for idx in range(ckt_core.DIM_TRACE_FREE):
+            unit = [Fraction(0)] * ckt_core.DIM_TRACE_FREE
+            unit[idx] = Fraction(1)
+            columns.append(ckt_core._vectorize(ckt_core.lie_derivative(v, ckt_core.assemble_free(unit))))
+        a = ckt_core._assembly_matrix()
+        solutions = solve_many(a, columns)
+        assert solutions is not None and solutions == dense_solve_many(a, columns)
+        assert rank(a) == ckt_core.DIM_TRACE_FREE
