@@ -658,15 +658,17 @@ def _vectorize(k: SymTensorField) -> list[Fraction]:
 
 
 @lru_cache(maxsize=None)
+def _free_basis() -> tuple[SymTensorField, ...]:
+    """The assembled tensors of the 35 unit free-parameter vectors."""
+    return tuple(assemble_free([Fraction(int(i == idx)) for i in range(DIM_TRACE_FREE)])
+                 for idx in range(DIM_TRACE_FREE))
+
+
+@lru_cache(maxsize=None)
 def _assembly_matrix() -> list[list[Fraction]]:
     """Columns are the vectorized tensors of the 35 free-parameter basis."""
-    cols = []
-    for idx in range(DIM_TRACE_FREE):
-        vec = [Fraction(0)] * DIM_TRACE_FREE
-        vec[idx] = Fraction(1)
-        cols.append(_vectorize(assemble_free(vec)))
-    rows = len(cols[0])
-    return [[cols[c][r] for c in range(DIM_TRACE_FREE)] for r in range(rows)]
+    cols = [_vectorize(k) for k in _free_basis()]
+    return [[col[r] for col in cols] for r in range(len(cols[0]))]
 
 
 # ---------------------------------------------------------------------------
@@ -677,11 +679,7 @@ def lie_operator(v: VectorField) -> list[list[Fraction]]:
     """Matrix of Lie_v on the 35 trace-free coordinates: column c holds the
     coordinates of Lie_v applied to basis vector c, all columns solved in one
     elimination of the assembly matrix."""
-    columns = []
-    for idx in range(DIM_TRACE_FREE):
-        unit = [Fraction(0)] * DIM_TRACE_FREE
-        unit[idx] = Fraction(1)
-        columns.append(_vectorize(lie_derivative(v, assemble_free(unit))))
+    columns = [_vectorize(lie_derivative(v, k)) for k in _free_basis()]
     solutions = linalg.solve_many(_assembly_matrix(), columns)
     if solutions is None:
         raise CktError("Lie derivative left the trace-free space; v is not a CKV")
@@ -716,23 +714,11 @@ def eigenvector_cross(k: SymTensorField, v: VectorField) -> VectorField:
 def eigenvector_subspace(v: VectorField, basis: list[CktCoefficients]) -> list[CktCoefficients]:
     """Members of span(basis) whose assembled tensor admits v as an
     eigenvector everywhere: (K.v) x v = 0 identically, a linear condition."""
-    rows: dict = {}
-    for col, coeffs in enumerate(basis):
-        cross = eigenvector_cross(assemble_ckt(coeffs), v)
-        for i in range(3):
-            for exps, coeff in cross[i].exponent_items():
-                rows.setdefault((i, exps), [Fraction(0)] * len(basis))[col] = Fraction(coeff)
-    matrix = list(rows.values())
-    combos = linalg.nullspace(matrix, len(basis))
-    out = []
-    for combo in combos:
-        free = [Fraction(0)] * DIM_TRACE_FREE
-        for weight, coeffs in zip(combo, basis):
-            if weight:
-                for idx, value in enumerate(free_from_coefficients(coeffs)):
-                    free[idx] += weight * value
-        out.append(coefficients_from_free(free))
-    return out
+    combos = linalg.vanishing_combinations(
+        [eigenvector_cross(assemble_ckt(coeffs), v).components for coeffs in basis])
+    columns = list(zip(*(free_from_coefficients(coeffs) for coeffs in basis)))
+    return [coefficients_from_free([sum(w * x for w, x in zip(combo, column)) for column in columns])
+            for combo in combos]
 
 
 @dataclass(frozen=True)

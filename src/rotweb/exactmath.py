@@ -12,6 +12,7 @@ total degrees to 2^32 - 1.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import floor, gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -274,17 +275,8 @@ class Poly:
         """Positive rational c such that self/c has coprime integer coefficients."""
         if not self.terms:
             return Fraction(1)
-        from math import gcd, lcm
-
-        nums = [Fraction(c).numerator for c in self.terms.values()]
-        dens = [Fraction(c).denominator for c in self.terms.values()]
-        g = 0
-        for n in nums:
-            g = gcd(g, abs(n))
-        l = 1
-        for d in dens:
-            l = lcm(l, d)
-        return Fraction(g, l)
+        coeffs = self.terms.values()
+        return Fraction(gcd(*(c.numerator for c in coeffs)), lcm(*(c.denominator for c in coeffs)))
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms as (exponent tuple, coefficient), lexicographic in the tuples."""
@@ -610,21 +602,22 @@ def refine_root(p: UniPoly, lo: Fraction, hi: Fraction, max_width: Fraction) -> 
     return lo, hi
 
 
-def rational_roots(p: UniPoly, max_denominator: int = 10**6) -> list[Fraction]:
-    """Exactly verified rational roots of p with denominator up to the bound.
+def rational_roots(p: UniPoly) -> list[Fraction]:
+    """The distinct rational roots of p, increasing, each verified exactly.
 
-    Every returned value satisfies p(r) == 0 exactly.  Real roots that are
-    irrational (or have larger denominators) are not returned.
+    With c the least common denominator of the monic square-free part s,
+    c s has integer coefficients and leading coefficient c, so every rational
+    root is k / c for an integer k.  Each isolating interval is narrowed
+    below 1 / (2 c), which leaves one candidate k / c in it to test.
     """
+    intervals = isolate_real_roots(p)
+    sf = squarefree_part(p)
+    c = lcm(*(x.denominator for x in sf.coeffs))
     roots = []
-    width = Fraction(1, 4 * max_denominator * max_denominator)
-    for lo, hi in isolate_real_roots(p):
-        lo, hi = refine_root(squarefree_part(p), lo, hi, width)
-        if lo == hi:
-            candidate = lo
-        else:
-            candidate = Fraction((lo + hi) / 2).limit_denominator(max_denominator)
-        if p.eval(candidate) == 0 and lo <= candidate <= hi:
+    for lo, hi in intervals:
+        lo, hi = refine_root(sf, lo, hi, Fraction(1, 2 * c))
+        candidate = Fraction(floor(hi * c), c)
+        if lo <= candidate and sf.eval(candidate) == 0:
             roots.append(candidate)
     return roots
 

@@ -4,6 +4,8 @@ Elimination works on sparse integer rows, ``{column: value}`` dicts over the
 nonzero entries: each row is cleared to integers once, the columns are taken
 from the left, the pivot is the row with the fewest nonzeros, and each
 combined row is divided by its gcd, so every entry stays an int.
+A polynomial identity that is linear in some unknowns becomes one such row
+per (component, monomial) in ``vanishing_combinations``.
 The characteristic polynomial runs Berkowitz's division-free algorithm on
 the same rows, per diagonal block of the matrix's block-triangular form.
 """
@@ -14,7 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .exactmath import ExactMathError, UniPoly, rational_roots, real_root_count
+from .exactmath import ExactMathError, Poly, UniPoly, rational_roots, real_root_count
 
 Row = dict  # sparse row: {column: value} over the nonzero entries
 
@@ -87,12 +89,8 @@ def _back_substitute(ech: list[Row], pivots: list[int], x: list, rhs: Sequence) 
     return x
 
 
-def nullspace(matrix: Sequence[Sequence], ncols: int | None = None) -> list[list[Fraction]]:
-    """Basis of the right null space, as Fraction vectors: one per free
-    column, with that entry 1 and the other free entries 0."""
-    if ncols is None:
-        ncols = len(matrix[0]) if matrix else 0
-    ech, pivots = row_echelon(matrix)
+def _null_basis(rows: list[Row], ncols: int) -> list[list[Fraction]]:
+    ech, pivots = _echelon(rows)
     zeros = [0] * len(ech)
     basis = []
     for fc in range(ncols):
@@ -101,6 +99,27 @@ def nullspace(matrix: Sequence[Sequence], ncols: int | None = None) -> list[list
             vec[fc] = Fraction(1)
             basis.append(_back_substitute(ech, pivots, vec, zeros))
     return basis
+
+
+def nullspace(matrix: Sequence[Sequence], ncols: int | None = None) -> list[list[Fraction]]:
+    """Basis of the right null space, as Fraction vectors: one per free
+    column, with that entry 1 and the other free entries 0."""
+    if ncols is None:
+        ncols = len(matrix[0]) if matrix else 0
+    return _null_basis([row for row in map(_sparse, matrix) if row], ncols)
+
+
+def vanishing_combinations(images: Sequence[Sequence[Poly]]) -> list[list[Fraction]]:
+    """Basis, in the normal form of ``nullspace``, of the vectors x with
+    sum_c x_c images[c] = 0 identically, where each image is a sequence of
+    polynomial components.  Each (component, monomial) pair is one row of
+    the system, keyed by the packed monomial of ``Poly.terms``."""
+    rows: dict = {}
+    for c, image in enumerate(images):
+        for i, poly in enumerate(image):
+            for key, coeff in poly.terms.items():
+                rows.setdefault((i, key), {})[c] = coeff
+    return _null_basis(list(rows.values()), len(images))
 
 
 def solve_many(matrix: Sequence[Sequence], rhs_columns: Sequence[Sequence]) -> list[list[Fraction]] | None:
@@ -209,18 +228,8 @@ def rational_eigenvalues(matrix: Sequence[Sequence]) -> list[tuple[Fraction, lis
     n = len(matrix)
     p = char_poly(matrix)
     roots = rational_roots(p)
-    # Certify completeness: after deflating the rational roots (with
-    # multiplicity), the remaining factor must have no real roots.
-    residual = p
-    for r in roots:
-        lin = UniPoly([-r, 1])
-        while True:
-            q, rem = divmod(residual, lin)
-            if rem.is_zero:
-                residual = q
-            else:
-                break
-    if not residual.is_zero and residual.degree > 0 and real_root_count(residual) > 0:
+    # The roots are distinct and real, so a missed real root shows in the count.
+    if real_root_count(p) != len(roots):
         raise ExactMathError("matrix has an irrational real eigenvalue; exact eigenspaces unavailable")
     out = []
     for r in sorted(roots):

@@ -2,19 +2,25 @@
 fixed-energy Hamilton-Jacobi separation: the closedness condition on
 (E - V) k_flat - K dV, an exact linear solver for the compatible
 six-parameter subfamily, and the Killing-tensor special case d(K dV) = 0.
+
+The solver works with polynomials in x, y, z alone: the curl numerators of
+the six unit parameter vectors' tensors are the columns of a linear system,
+solved by ``linalg.vanishing_combinations``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg
-from .ckt_core import CktError, OneForm, SymTensorField, TwoForm, contraction_vector, killing_obstruction, verify_ckt
+from .ckt_core import (CktError, OneForm, SymTensorField, TwoForm, VectorField, contraction_vector,
+                       killing_obstruction, verify_ckt)
 from .exactmath import Poly, RationalFunction, rat
 from .expr import eval_expr
 from .quartic_class import BinaryQuartic, WebType, classify_by_roots
-from .rotational import RotParams, assemble_rotational, assemble_rotational_generic
+from .rotational import RotParams, assemble_rotational
 
 
 @dataclass(frozen=True)
@@ -169,42 +175,27 @@ def dkdv_check(k: SymTensorField, v: RationalFunction) -> bool:
 _NPARAMS = 6
 
 
-def _collect_linear_rows(polys: list[Poly]) -> list[list[Fraction]]:
-    """Each input polynomial is linear homogeneous in the parameter variables
-    3..8; return one row of parameter coefficients per (poly, xyz-monomial)."""
-    rows: dict = {}
-    for idx, poly in enumerate(polys):
-        for exps, coeff in poly.exponent_items():
-            xyz = exps[:3]
-            params = exps[3:]
-            weight = sum(params)
-            if weight == 0:
-                raise CktError("compatibility system has a parameter-free term; "
-                               "the condition is not homogeneous")
-            if weight > 1:
-                raise CktError("compatibility system is not linear in the parameters")
-            which = params.index(1)
-            rows.setdefault((idx, xyz), [Fraction(0)] * _NPARAMS)[which] = Fraction(coeff)
-    return list(rows.values())
+@lru_cache(maxsize=None)
+def _unit_tensors() -> tuple[tuple[SymTensorField, VectorField], ...]:
+    """The tensor of each unit parameter vector, with its vector k."""
+    tensors = (assemble_rotational(RotParams.make(*(int(i == j) for i in range(_NPARAMS))))
+               for j in range(_NPARAMS))
+    return tuple((k, contraction_vector(k)) for k in tensors)
 
 
 def solve_compatible(pot: Potential) -> ParamSolution:
     """All rotational parameters whose tensor satisfies the closedness of
-    (E - V) k_flat - K dV, solved exactly by clearing denominators and
-    matching polynomial coefficients (no sampling in the certified path)."""
-    nvars = 3 + _NPARAMS
-    params = [Poly.variable(3 + i, nvars) for i in range(_NPARAMS)]
-    tensor = assemble_rotational_generic(params, nvars=nvars)
-    kvec = contraction_vector(tensor)
-    n = pot.v.num.extend(nvars)
-    d = pot.v.den.extend(nvars)
-    # omega_i = P_i / d^2 with P_i linear in the parameters, d(omega) over d^3.
-    numerators = _curl_numerators(_form_numerators(tensor, n, d, kvec, pot.energy), d, 2)
-    if all(poly.is_zero for poly in numerators):
-        basis = [tuple(Fraction(int(i == j)) for j in range(_NPARAMS)) for i in range(_NPARAMS)]
-    else:
-        basis = linalg.nullspace(_collect_linear_rows(numerators), _NPARAMS)
-    members = tuple(RotParams.make(*vec) for vec in basis)
+    (E - V) k_flat - K dV, solved exactly (no sampling in the certified path).
+
+    The curl numerators are linear in the tensor, so the condition on the
+    parameters is the linear system whose column j is the curl numerator of
+    the j-th unit parameter vector's tensor, matched coefficient by
+    coefficient in x, y, z."""
+    n, d = pot.v.num, pot.v.den
+    # omega_i = P_i / d^2, d(omega) over d^3.
+    images = [_curl_numerators(_form_numerators(k, n, d, kvec, pot.energy), d, 2)
+              for k, kvec in _unit_tensors()]
+    members = tuple(RotParams.make(*vec) for vec in linalg.vanishing_combinations(images))
     for member in members:
         if not is_closed(compatibility_form(member, pot)):
             raise CktError("solver self-check failed: a solution is not closed")

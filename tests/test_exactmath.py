@@ -142,6 +142,37 @@ class TestRootIsolation:
     def test_irrational_roots_not_reported(self):
         assert rational_roots(up(-2, 0, 1)) == []
 
+    def test_large_denominators(self):
+        a, b = Fraction(1, 10**7 + 1), Fraction(-5, 2**70)
+        assert rational_roots(up(-a, 1)) == [a]
+        assert rational_roots(up(-b, 1)) == [b]
+        # sqrt(2) and -sqrt(2) sit between and around them and are not reported.
+        assert rational_roots(up(-a, 1) * up(-b, 1) * up(-2, 0, 1)) == [b, a]
+
+    def test_repeated_root_once(self):
+        r = Fraction(3, 7)
+        assert rational_roots(up(-r, 1) * up(-r, 1) * up(-r, 1) * up(1, 1)) == [-1, r]
+
+    def test_zero_and_constant(self):
+        assert rational_roots(up(0, -1, 0, 1)) == [-1, 0, 1]
+        assert rational_roots(up(0, 0, 5)) == [0]
+        assert rational_roots(up(Fraction(7, 3))) == []
+
+    def test_random_products_of_factors(self):
+        rng = random.Random(17)
+        for _ in range(40):
+            roots = {Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**9))
+                     for _ in range(rng.randint(0, 3))}
+            p = up(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+            for r in roots:
+                for _ in range(rng.randint(1, 2)):
+                    p = p * up(-r, 1)
+            if rng.random() < 0.5:
+                p = p * up(-rng.choice((2, 3, 5, 7)), 0, 1)  # two irrational roots
+            if rng.random() < 0.5:
+                p = p * up(rng.randint(1, 9), 0, 1)  # no real roots
+            assert rational_roots(p) == sorted(roots)
+
     def test_refine_narrows(self):
         p = up(-2, 0, 1)
         lo, hi = isolate_real_roots(p)[1]  # the positive root sqrt(2)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from rotweb import ckt_core
-from rotweb.exactmath import ExactMathError, UniPoly
-from rotweb.linalg import char_poly, nullspace, rank, rational_eigenvalues, row_echelon, solve_many
+from rotweb.exactmath import ExactMathError, Poly, UniPoly
+from rotweb.linalg import (char_poly, nullspace, rank, rational_eigenvalues, row_echelon, solve_many,
+                           vanishing_combinations)
 
 
 def frac_matrix(rows):
@@ -90,6 +91,38 @@ class TestCharPoly:
     def test_irrational_eigenvalue_raises(self):
         with pytest.raises(ExactMathError):
             rational_eigenvalues(frac_matrix([[0, 2], [1, 0]]))
+
+    def test_eigenvalue_with_large_denominator(self):
+        small = Fraction(1, 10**6 + 3)
+        eig = rational_eigenvalues(frac_matrix([[small, 0], [0, 2]]))
+        assert eig == [(small, [[1, 0]]), (2, [[0, 1]])]
+
+
+class TestVanishingCombinations:
+    def test_dependent_images(self):
+        x, y = Poly.variable(0, 2), Poly.variable(1, 2)
+        p, q = [x * y, Poly.const(3, 2)], [x - y, y * y]
+        assert vanishing_combinations([p, [-c for c in p], q]) == [[1, 1, 0]]
+
+    def test_zero_images_give_identity(self):
+        zero = [Poly.zero(3)] * 2
+        assert vanishing_combinations([zero] * 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+    def test_no_images(self):
+        assert vanishing_combinations([]) == []
+
+    def test_matches_nullspace_of_coefficient_matrix(self):
+        rng = random.Random(9)
+        monomials = [(0, 0), (1, 0), (0, 1), (2, 1)]
+        for _ in range(30):
+            ncols = rng.randint(1, 6)
+            # Rows 4 k .. 4 k + 3 of the matrix are the coefficients of the
+            # four monomials in component k, for two components.
+            m = [[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) if rng.random() < 0.6 else 0
+                  for _ in range(ncols)] for _ in range(2 * len(monomials))]
+            images = [[Poly.from_terms({e: m[4 * k + i][c] for i, e in enumerate(monomials)}, 2)
+                       for k in range(2)] for c in range(ncols)]
+            assert vanishing_combinations(images) == nullspace(m, ncols)
 
 
 def bareiss_det(m):

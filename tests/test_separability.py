@@ -1,13 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from rotweb.ckt_core import CktError, OneForm, ckv_by_name, metric, symmetric_product
+from rotweb import linalg
+from rotweb.ckt_core import CktError, OneForm, ckv_by_name, contraction_vector, metric, symmetric_product
 from rotweb.exactmath import Poly, RationalFunction
 from rotweb.expr import ExprError
 from rotweb.quartic_class import WebType
-from rotweb.rotational import RotParams, assemble_rotational
-from rotweb.separability import (Potential, classify_potential,
+from rotweb.rotational import RotParams, assemble_rotational, assemble_rotational_generic
+from rotweb.separability import (Potential, _curl_numerators, _form_numerators, classify_potential,
                                  compatibility_form, dkdv_check, is_closed,
                                  parse_potential, poincare_potential, solve_compatible)
 
@@ -117,6 +119,53 @@ class TestSolveCompatible:
         rows_a = [list(p.as_tuple()) for p in plain.basis]
         rows_b = [list(p.as_tuple()) for p in rescaled.basis]
         assert linalg.rank(rows_a) == linalg.rank(rows_b) == linalg.rank(rows_a + rows_b)
+
+
+def reference_solve(pot):
+    """The symbolic solver the package used before: the six parameters are
+    polynomial variables 3..8 of one 9-variable family, and the parameter
+    coefficients of each (component, x y z monomial) form one row."""
+    nvars = 9
+    tensor = assemble_rotational_generic([Poly.variable(3 + i, nvars) for i in range(6)], nvars=nvars)
+    n, d = pot.v.num.extend(nvars), pot.v.den.extend(nvars)
+    kvec = contraction_vector(tensor)
+    numerators = _curl_numerators(_form_numerators(tensor, n, d, kvec, pot.energy), d, 2)
+    if all(poly.is_zero for poly in numerators):
+        return [tuple(Fraction(int(i == j)) for j in range(6)) for i in range(6)]
+    rows: dict = {}
+    for idx, poly in enumerate(numerators):
+        for exps, coeff in poly.exponent_items():
+            params = exps[3:]
+            assert sum(params) == 1, "not linear homogeneous in the parameters"
+            rows.setdefault((idx, exps[:3]), [Fraction(0)] * 6)[params.index(1)] = Fraction(coeff)
+    return [tuple(vec) for vec in linalg.nullspace(list(rows.values()), 6)]
+
+
+def _seeded_potentials():
+    """Ten draws each of the scaled worked example, radial, harmonic and
+    linear-in-z potentials, each with a seeded rational energy."""
+    rng = random.Random(8)
+    out = []
+    for _ in range(10):
+        c2 = Fraction(rng.randint(1, 7), rng.randint(1, 4)) ** 2
+        k = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+        a, b = (Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(2))
+        out += [f"-4*({c2})/((x^2+y^2+z^2-({c2}))^2+4*({c2})*z^2)",
+                f"({k})/(x^2+y^2+z^2)", f"({a})*(x^2+y^2)+({b})*z^2", f"({k})*z"]
+    return [(text, Fraction(rng.randint(-5, 5), rng.randint(1, 3))) for text in out]
+
+
+class TestSolverOracle:
+    @pytest.mark.parametrize("text,energy", _seeded_potentials())
+    def test_seeded_families(self, text, energy):
+        pot = Potential.from_expression(text, energy)
+        assert [p.as_tuple() for p in solve_compatible(pot).basis] == reference_solve(pot)
+
+    @pytest.mark.parametrize("text", ["0", "3", "x^300", "1/z^2", "x*y/(1+z^2)"])
+    @pytest.mark.parametrize("energy", [0, 1, Fraction(-5, 3)])
+    def test_edge_potentials(self, text, energy):
+        pot = Potential.from_expression(text, energy)
+        assert [p.as_tuple() for p in solve_compatible(pot).basis] == reference_solve(pot)
 
 
 class TestDkdv:
