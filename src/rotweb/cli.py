@@ -18,9 +18,9 @@ from .ckt_core import CktError, ckv_by_name, killing_obstruction, symmetry_subsp
 from .exactmath import ExactMathError, rat, rat_str
 from .expr import ExprError, eval_rational
 from .group_action import apply_quartic
-from .quartic_class import (BinaryQuartic, ClassificationError, RootStructure,
-                            canonical_form, classify_by_invariants, classify_by_roots,
-                            invariants, root_structure)
+from .quartic_class import (BinaryQuartic, ClassificationError, canonical_form,
+                            classify_by_invariants, classify_by_roots, invariants,
+                            root_structure)
 from .rotational import CatalogEntry, RotParams, catalog
 from .separability import Potential, classify_potential
 
@@ -51,28 +51,6 @@ def _parse_rationals(text: str, count: int, what: str) -> tuple[Fraction, ...]:
         return tuple(rat(p) for p in parts)
     except ExactMathError as exc:
         raise InputError(str(exc)) from exc
-
-
-def _float_probe_finding(quartic: BinaryQuartic, structure: RootStructure) -> list:
-    """Companion-matrix cross-check of the exact real-root count."""
-    import numpy as np
-
-    poly = quartic.dehomogenize()
-    finite_real_exact = sum(m for m in structure.real_multiplicities) - structure.infinity_multiplicity
-    if poly.degree < 1:
-        return []
-    sf_coeffs = [float(c) for c in reversed(poly.coeffs)]
-    roots = np.roots(sf_coeffs)
-    finite_real_float = int(sum(1 for r in roots if abs(complex(r).imag) < 1e-9))
-    findings = []
-    # Exact count weights multiplicity; the float count sees every copy too.
-    if finite_real_float != finite_real_exact:
-        findings.append({
-            "kind": "float_probe_mismatch",
-            "detail": f"companion matrix sees {finite_real_float} real roots, "
-                      f"exact arithmetic sees {finite_real_exact}",
-        })
-    return findings
 
 
 def cmd_classify(args) -> tuple[dict, int]:
@@ -112,8 +90,6 @@ def cmd_classify(args) -> tuple[dict, int]:
     except ClassificationError as exc:
         canonical = witness = None
         findings.append({"kind": "canonicalization_failed", "detail": str(exc)})
-    if args.float_probe:
-        findings.extend(_float_probe_finding(quartic, structure))
     results = {
         "quartic": quartic.to_json(),
         "root_structure": structure.to_json_dict(),
@@ -307,8 +283,6 @@ def _render_human(report: dict) -> str:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--human", action="store_true", help="render a plain-text summary")
-    common.add_argument("--float-probe", action="store_true",
-                        help="cross-check exact results against floating-point oracles")
 
     parser = argparse.ArgumentParser(
         prog="rotweb",

@@ -7,6 +7,11 @@ everything here is exact.  Coefficients are Python ints or
 because plain int arithmetic is much faster than Fraction arithmetic.
 Multivariate monomials are keyed by packed exponent ints, which limits
 total degrees to 2^32 - 1.
+
+Real roots are counted by the Sturm sequence of the polynomial itself and
+isolated by bisecting its square-free part at plain midpoints.  Isolating
+intervals are half-open, (lo, hi] with lo < hi: a root may sit at hi, and lo
+may be the root of the interval below.
 """
 
 from __future__ import annotations
@@ -509,17 +514,15 @@ def _variations_at_inf(seq: list[UniPoly], positive: bool) -> int:
 
 
 def real_root_count(p: UniPoly) -> int:
-    """Number of distinct real roots, by a Sturm sequence over the whole line.
+    """Number of distinct real roots, by the Sturm sequence of p itself.
 
-    Non-square-free input is tolerated: p is divided by gcd(p, p') first, so
-    the count is always over distinct roots.
+    The sequence ends at g = gcd(p, p'), and dividing every member by g
+    changes no sign variation at either infinity, so a repeated root is
+    counted once.
     """
     if p.is_zero:
         raise ExactMathError("root count of the zero polynomial")
-    sf = squarefree_part(p)
-    if sf.degree <= 0:
-        return 0
-    seq = sturm_sequence(sf)
+    seq = sturm_sequence(p)
     return _variations_at_inf(seq, positive=False) - _variations_at_inf(seq, positive=True)
 
 
@@ -531,74 +534,51 @@ def root_bound(p: UniPoly) -> Fraction:
     return 1 + max(abs(Fraction(c)) for c in p.coeffs[:-1]) / lead
 
 
-def isolate_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint isolating intervals (lo, hi] for the distinct real roots of p,
-    sorted increasingly.  Exact roots found along the way come back as
-    degenerate intervals (r, r).
-    """
-    if p.is_zero:
-        raise ExactMathError("cannot isolate roots of the zero polynomial")
-    sf = squarefree_part(p)
-    if sf.degree <= 0:
-        return []
+def _isolate(sf: UniPoly) -> list[tuple[Fraction, Fraction]]:
+    # For square-free sf, V(a) = V(a+) at a root a, so V(lo) - V(hi) counts
+    # the roots in (lo, hi] even when lo or hi is a root.
     seq = sturm_sequence(sf)
-    bound = root_bound(sf)
-
-    def var(x: Fraction) -> int:
-        return _variations_at(seq, x)
-
     out: list[tuple[Fraction, Fraction]] = []
 
-    def split_point(lo: Fraction, hi: Fraction) -> Fraction:
-        # Sturm endpoints must not be roots; nudge toward lo if we hit one.
-        mid = (lo + hi) / 2
-        while sf.eval(mid) == 0:
-            out.append((mid, mid))
-            mid = (lo + mid) / 2
-        return mid
-
     def recurse(lo: Fraction, hi: Fraction, vlo: int, vhi: int) -> None:
-        count = vlo - vhi
-        if count == 0:
-            return
-        if count == 1:
+        if vlo - vhi == 1:
             out.append((lo, hi))
-            return
-        mid = split_point(lo, hi)
-        vmid = var(mid)
-        recurse(lo, mid, vlo, vmid)
-        recurse(mid, hi, vmid, vhi)
+        elif vlo > vhi:
+            mid = (lo + hi) / 2
+            vmid = _variations_at(seq, mid)
+            recurse(lo, mid, vlo, vmid)
+            recurse(mid, hi, vmid, vhi)
 
-    recurse(-bound, bound, var(-bound), var(bound))
-    # Exact roots recorded by split_point also show up in a surrounding
-    # one-root interval; drop that duplicate.
-    exact = {lo for lo, hi in out if lo == hi}
-    deduped = []
-    for lo, hi in sorted(set(out)):
-        if lo != hi and any(lo < r <= hi for r in exact):
-            continue
-        deduped.append((lo, hi))
-    return deduped
+    bound = root_bound(sf)
+    recurse(-bound, bound, _variations_at(seq, -bound), _variations_at(seq, bound))
+    return out
+
+
+def isolate_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
+    """Isolating intervals (lo, hi], lo < hi, one for each distinct real root
+    of p, increasing and disjoint.  A root may sit at hi, and lo may be the
+    root of the interval below.  Raises on the zero polynomial.
+    """
+    return _isolate(squarefree_part(p))
 
 
 def refine_root(p: UniPoly, lo: Fraction, hi: Fraction, max_width: Fraction) -> tuple[Fraction, Fraction]:
     """Shrink an isolating interval (lo, hi] of a square-free p by bisection
-    until its width is below max_width or the root is hit exactly.
+    until its width is below max_width or the root is hit exactly.  Only the
+    sign at hi is read, since lo may be the root of a neighbouring interval.
     """
-    if lo == hi:
-        return lo, hi
-    if p.eval(hi) == 0:
+    shi = _sign(p.eval(hi))
+    if shi == 0:
         return hi, hi
-    slo = _sign(p.eval(lo))
     while hi - lo > max_width:
         mid = (lo + hi) / 2
         smid = _sign(p.eval(mid))
         if smid == 0:
             return mid, mid
-        if smid == slo:
-            lo = mid
-        else:
+        if smid == shi:
             hi = mid
+        else:
+            lo = mid
     return lo, hi
 
 
@@ -607,17 +587,17 @@ def rational_roots(p: UniPoly) -> list[Fraction]:
 
     With c the least common denominator of the monic square-free part s,
     c s has integer coefficients and leading coefficient c, so every rational
-    root is k / c for an integer k.  Each isolating interval is narrowed
-    below 1 / (2 c), which leaves one candidate k / c in it to test.
+    root is k / c for an integer k.  Each isolating interval (lo, hi] is
+    narrowed below 1 / (2 c), which leaves one candidate k / c in it to test;
+    lo itself may be the root below, so it is not a candidate.
     """
-    intervals = isolate_real_roots(p)
     sf = squarefree_part(p)
     c = lcm(*(x.denominator for x in sf.coeffs))
     roots = []
-    for lo, hi in intervals:
+    for lo, hi in _isolate(sf):
         lo, hi = refine_root(sf, lo, hi, Fraction(1, 2 * c))
         candidate = Fraction(floor(hi * c), c)
-        if lo <= candidate and sf.eval(candidate) == 0:
+        if (lo < candidate or lo == hi) and sf.eval(candidate) == 0:
             roots.append(candidate)
     return roots
 

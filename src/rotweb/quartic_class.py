@@ -21,9 +21,10 @@ import cmath
 import enum
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .ckt_core import CktError
 from .exactmath import (UniPoly, rat, rat_str, real_root_count, refine_root,
@@ -139,11 +140,8 @@ def form_sign(coeffs: Sequence) -> FormSign:
         return FormSign.IDENTICALLY_ZERO
     # C(x, 1): coefficient of x^k is coeffs[degree - k].
     poly = UniPoly(list(reversed(coeffs)))
-    odd_product = UniPoly([1])
-    for factor, mult in squarefree_decomposition(poly):
-        if mult % 2 == 1:
-            odd_product = odd_product * factor
-    if odd_product.degree > 0 and real_root_count(odd_product) > 0:
+    if any(mult % 2 == 1 and real_root_count(factor) > 0
+           for factor, mult in squarefree_decomposition(poly)):
         return FormSign.INDEFINITE
     return FormSign.PSD_NONZERO if poly.lead > 0 else FormSign.NSD_NONZERO
 
@@ -257,17 +255,37 @@ def root_structure(q: BinaryQuartic) -> RootStructure:
     return structure
 
 
-_PARTITION_TO_TYPE: dict = {
-    ((1, 1, 1, 1), ()): WebType.BI_CYCLIDE,
-    ((), (1, 1)): WebType.FLAT_RING_CYCLIDE,
-    ((1, 1), (1,)): WebType.DISK_CYCLIDE,
-    ((2, 1, 1), ()): WebType.INVERSE_PROLATE_SPHEROIDAL,
-    ((2,), (1,)): WebType.INVERSE_OBLATE_SPHEROIDAL,
-    ((), (2,)): WebType.TOROIDAL,
-    ((2, 2), ()): WebType.BISPHERICAL,
-    ((3, 1), ()): WebType.CARDIOID,
-    ((4,), ()): WebType.TANGENT_SPHERE,
+class _Stratum(NamedTuple):
+    """One of the nine strata: its root partition over RP^1 (real
+    multiplicities, complex-pair multiplicities), its canonical form, and
+    either the fixed parameter and distinct roots of a representative with a
+    repeated root, or the open range of mu for four simple roots."""
+
+    partition: tuple
+    form: str
+    parameter: Fraction | None = None
+    roots: tuple | None = None
+    mu_range: tuple = (-math.inf, math.inf)
+
+
+# Canonical roots are homogeneous points (x, y) for the root (x : y),
+# ordered by multiplicity and with a complex pair kept together, as
+# _float_roots orders the input's roots.
+_STRATA = {
+    WebType.BI_CYCLIDE: _Stratum(((1, 1, 1, 1), ()), "I", mu_range=(-math.inf, -2)),
+    WebType.FLAT_RING_CYCLIDE: _Stratum(((), (1, 1)), "I", mu_range=(-2, 2)),
+    WebType.DISK_CYCLIDE: _Stratum(((1, 1), (1,)), "II"),
+    WebType.INVERSE_PROLATE_SPHEROIDAL: _Stratum(((2, 1, 1), ()), "III", Fraction(-1),
+                                                 ((0, 1), (1, 1), (-1, 1))),
+    WebType.INVERSE_OBLATE_SPHEROIDAL: _Stratum(((2,), (1,)), "III", Fraction(1),
+                                                ((0, 1), (1j, 1), (-1j, 1))),
+    WebType.TOROIDAL: _Stratum(((), (2,)), "I", Fraction(2), ((1j, 1), (-1j, 1))),
+    WebType.BISPHERICAL: _Stratum(((2, 2), ()), "I", Fraction(-2), ((1, 1), (-1, 1))),
+    WebType.CARDIOID: _Stratum(((3, 1), ()), "IV", roots=((0, 1), (1, 0))),
+    WebType.TANGENT_SPHERE: _Stratum(((4,), ()), "V", roots=((0, 1),)),
 }
+
+_PARTITION_TO_TYPE = {stratum.partition: web for web, stratum in _STRATA.items()}
 
 
 def classify_by_roots(q: BinaryQuartic, structure: RootStructure | None = None) -> WebType:
@@ -362,40 +380,6 @@ class CanonicalForm:
 def _canonical_coeffs(form: str, p) -> tuple:
     return {"I": (1, 0, p, 0, 1), "II": (1, 0, p, 0, -1), "III": (1, 0, p, 0, 0),
             "IV": (0, 1, 0, 0, 0), "V": (1, 0, 0, 0, 0)}[form]
-
-
-_TYPE_TO_FORM = {
-    WebType.BI_CYCLIDE: "I",
-    WebType.FLAT_RING_CYCLIDE: "I",
-    WebType.TOROIDAL: "I",
-    WebType.BISPHERICAL: "I",
-    WebType.DISK_CYCLIDE: "II",
-    WebType.INVERSE_PROLATE_SPHEROIDAL: "III",
-    WebType.INVERSE_OBLATE_SPHEROIDAL: "III",
-    WebType.CARDIOID: "IV",
-    WebType.TANGENT_SPHERE: "V",
-}
-
-# Parameter and distinct roots, as homogeneous points (x, y) for the root
-# (x : y), of the representatives with a repeated root, ordered by
-# multiplicity and with a complex pair kept together, as _float_roots
-# orders the input's roots.
-_DEGENERATE_FORMS = {
-    WebType.TOROIDAL: (Fraction(2), ((1j, 1), (-1j, 1))),
-    WebType.BISPHERICAL: (Fraction(-2), ((1, 1), (-1, 1))),
-    WebType.INVERSE_PROLATE_SPHEROIDAL: (Fraction(-1), ((0, 1), (1, 1), (-1, 1))),
-    WebType.INVERSE_OBLATE_SPHEROIDAL: (Fraction(1), ((0, 1), (1j, 1), (-1j, 1))),
-    WebType.CARDIOID: (None, ((0, 1), (1, 0))),
-    WebType.TANGENT_SPHERE: (None, ((0, 1),)),
-}
-
-
-def _mu_in_range(web: WebType, mu: float) -> bool:
-    if web is WebType.BI_CYCLIDE:
-        return mu < -2
-    if web is WebType.FLAT_RING_CYCLIDE:
-        return -2 < mu < 2
-    return True  # form II takes any mu
 
 
 def _float_roots(structure: RootStructure) -> list[tuple]:
@@ -493,14 +477,16 @@ def _generic_form(web: WebType, roots: list) -> tuple[float, Mat2]:
     qualifies when mu is real and in range and the Moebius map from the
     canonical roots onto the labeled ones is real; the smallest |mu| wins,
     then mu >= 0."""
-    s = 1j if web is WebType.DISK_CYCLIDE else 1
+    stratum = _STRATA[web]
+    low, high = stratum.mu_range
+    s = 1j if stratum.form == "II" else 1
     first, *rest = roots
     found = []
     for z2, z3, z4 in itertools.permutations(rest):
         mu = (2 * s * (_bracket(first, z3) * _bracket(z2, z4)
                        + _bracket(first, z4) * _bracket(z2, z3))
               / (_bracket(first, z2) * _bracket(z3, z4)))
-        if abs(mu.imag) > 1e-7 * max(1.0, abs(mu)) or not _mu_in_range(web, mu.real):
+        if abs(mu.imag) > 1e-7 * max(1.0, abs(mu)) or not low < mu.real < high:
             continue
         a = cmath.sqrt((-mu.real + cmath.sqrt(mu.real ** 2 - 4 * s * s)) / 2)
         matrix = _real_matrix([(a, 1), (-a, 1), (s / a, 1)], [first, z2, z3])
@@ -508,7 +494,7 @@ def _generic_form(web: WebType, roots: list) -> tuple[float, Mat2]:
             found.append((mu.real, matrix))
     if not found:
         raise ClassificationError(f"no real labeling of the roots reaches form "
-                                  f"{_TYPE_TO_FORM[web]} for {web.value}")
+                                  f"{stratum.form} for {web.value}")
     smallest = min(abs(mu) for mu, _ in found)
     return max((item for item in found if abs(item[0]) <= smallest * (1 + 1e-9) + 1e-12),
                key=lambda item: item[0])
@@ -571,15 +557,15 @@ def canonical_form(q: BinaryQuartic, structure: RootStructure | None = None
         raise ClassificationError("the zero form has no canonical form")
     structure = structure or root_structure(q)
     web = classify_by_roots(q, structure)
-    form = _TYPE_TO_FORM[web]
+    stratum = _STRATA[web]
+    form = stratum.form
     try:
         roots = _float_roots(structure)
     except OverflowError:
         raise ClassificationError("a root factor is beyond floating-point range") from None
-    if web in _DEGENERATE_FORMS:
-        parameter, canonical_roots = _DEGENERATE_FORMS[web]
-        exact = True
-        matrix = _real_matrix(canonical_roots, roots)
+    if stratum.roots is not None:
+        parameter, exact = stratum.parameter, True
+        matrix = _real_matrix(stratum.roots, roots)
         if matrix is None:
             raise ClassificationError(f"the root map for {web.value} is not real")
     else:

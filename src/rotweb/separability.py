@@ -77,26 +77,33 @@ class ParamSolution:
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
-def _form_numerators(tensor: SymTensorField, n: Poly, d: Poly, kvec=None, energy=0) -> list[Poly]:
+def _potential_parts(v: RationalFunction, energy=0) -> tuple[list[Poly], Poly, list[Poly]]:
+    """The parts of the compatibility numerators that depend on V = n/d
+    alone: the gradient numerators n_j d - n d_j, the weight (E d - n) d and
+    the partials d_j."""
+    n, d = v.num, v.den
+    dd = [d.diff(j) for j in range(3)]
+    grad = [n.diff(j) * d - n * dd[j] for j in range(3)]
+    return grad, (Poly.const(energy, n.nvars) * d - n) * d, dd
+
+
+def _form_numerators(tensor: SymTensorField, grad: list[Poly], kvec=None, weight=None) -> list[Poly]:
     """Numerators P_i of the compatibility one-form (E - V) k_flat - K dV
-    over d^2, for V = n/d, which keeps the exact arithmetic to polynomials;
-    without kvec, of -K dV alone."""
-    grad = [n.diff(j) * d - n * d.diff(j) for j in range(3)]
-    if kvec is not None:
-        weight = (Poly.const(energy, n.nvars) * d - n) * d
+    over d^2, from the potential's parts, which keeps the exact arithmetic to
+    polynomials; without kvec, of -K dV alone."""
     comps = []
     for i in range(3):
-        total = Poly.zero(n.nvars) if kvec is None else weight * kvec[i]
+        total = Poly.zero() if kvec is None else weight * kvec[i]
         for j in range(3):
             total = total - tensor[i][j] * grad[j]
         comps.append(total)
     return comps
 
 
-def _curl_numerators(p: list[Poly], d: Poly, power: int) -> list[Poly]:
+def _curl_numerators(p: list[Poly], d: Poly, dd: list[Poly], power: int) -> list[Poly]:
     """Numerators over d^(power + 1) of the components (12, 13, 23) of
-    d(omega) for omega_i = p_i / d^power."""
-    return [d * (p[j].diff(i) - p[i].diff(j)) - (p[j] * d.diff(i) - p[i] * d.diff(j)) * power
+    d(omega) for omega_i = p_i / d^power, given the partials dd of d."""
+    return [d * (p[j].diff(i) - p[i].diff(j)) - (p[j] * dd[i] - p[i] * dd[j]) * power
             for i, j in _PAIRS]
 
 
@@ -116,10 +123,9 @@ def compatibility_form(p: RotParams, pot: Potential) -> OneForm:
     holds, kvec = verify_ckt(k)
     if not holds:
         raise CktError("rotational tensor failed the conformal Killing check")
-    n, d = pot.v.num, pot.v.den
-    den = d * d
-    return OneForm(tuple(RationalFunction(p, den)
-                         for p in _form_numerators(k, n, d, kvec, pot.energy)))
+    grad, weight, _ = _potential_parts(pot.v, pot.energy)
+    den = pot.v.den * pot.v.den
+    return OneForm(tuple(RationalFunction(p, den) for p in _form_numerators(k, grad, kvec, weight)))
 
 
 def exterior_derivative(omega: OneForm) -> TwoForm:
@@ -128,7 +134,8 @@ def exterior_derivative(omega: OneForm) -> TwoForm:
     dens = [c.den for c in omega.components if not c.is_zero]
     if dens and all(den == dens[0] for den in dens[1:]):
         d = dens[0]
-        nums = _curl_numerators([c.num for c in omega.components], d, 1)
+        nums = _curl_numerators([c.num for c in omega.components], d,
+                                [d.diff(i) for i in range(3)], 1)
         return TwoForm(*(RationalFunction(num, d * d) for num in nums))
     return TwoForm(*(omega[j].diff(i) - omega[i].diff(j) for i, j in _PAIRS))
 
@@ -164,7 +171,8 @@ def dkdv_check(k: SymTensorField, v: RationalFunction) -> bool:
     if not killing_obstruction(k).is_zero:
         raise CktError("tensor class has no Killing representative; use solve_compatible "
                        "with the full compatibility condition")
-    curl = _curl_numerators(_form_numerators(k, v.num, v.den), v.den, 2)
+    grad, _, dd = _potential_parts(v)
+    curl = _curl_numerators(_form_numerators(k, grad), v.den, dd, 2)
     return all(c.is_zero for c in curl)
 
 
@@ -191,9 +199,9 @@ def solve_compatible(pot: Potential) -> ParamSolution:
     parameters is the linear system whose column j is the curl numerator of
     the j-th unit parameter vector's tensor, matched coefficient by
     coefficient in x, y, z."""
-    n, d = pot.v.num, pot.v.den
+    grad, weight, dd = _potential_parts(pot.v, pot.energy)
     # omega_i = P_i / d^2, d(omega) over d^3.
-    images = [_curl_numerators(_form_numerators(k, n, d, kvec, pot.energy), d, 2)
+    images = [_curl_numerators(_form_numerators(k, grad, kvec, weight), pot.v.den, dd, 2)
               for k, kvec in _unit_tensors()]
     members = tuple(RotParams.make(*vec) for vec in linalg.vanishing_combinations(images))
     for member in members:

@@ -53,11 +53,6 @@ class TestClassify:
     def test_malformed_rational_exits_2(self, capsys):
         assert run(capsys, "classify", "--quartic", "1,0,zero,0,0")[0] == 2
 
-    def test_float_probe(self, capsys):
-        code, report = run_json(capsys, "classify", "--quartic", "1,0,-5,0,4", "--float-probe")
-        assert code == 0
-        assert report["findings"] == []
-
     def test_deterministic_output(self, capsys):
         _, first = run_json(capsys, "classify", "--quartic", "1,0,-5,0,4")
         _, second = run_json(capsys, "classify", "--quartic", "1,0,-5,0,4")

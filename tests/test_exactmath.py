@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,6 +16,30 @@ from conftest import companion_real_root_count
 
 def up(*coeffs):
     return UniPoly(coeffs)
+
+
+def check_isolation(p, rationals, irrational=()) -> int:
+    """Assert the root contract of p, whose distinct real roots are the given
+    rationals and the irrationals sign * sqrt(c) for each (sign, c), c not a
+    square: one increasing, disjoint interval (lo, hi], lo < hi, around each
+    root, the rational roots exactly, and the count.  Returns how many
+    nonzero roots sit at a right end, that is, were hit by a midpoint."""
+    def below(x, root):  # x < root
+        if isinstance(root, Fraction):
+            return x < root
+        sign, c = root
+        return x < 0 or x * x < c if sign > 0 else x < 0 and x * x > c
+
+    rationals = sorted(Fraction(r) for r in rationals)
+    known = rationals + list(irrational)
+    intervals = isolate_real_roots(p)
+    assert len(intervals) == len(known) == real_root_count(p)
+    for lo, hi in intervals:
+        assert lo < hi
+        assert sum(below(lo, r) and not below(hi, r) for r in known) == 1
+    assert all(a[1] <= b[0] for a, b in zip(intervals, intervals[1:]))
+    assert rational_roots(p) == rationals
+    return sum(hi != 0 and hi in rationals for _, hi in intervals)
 
 
 class TestRational:
@@ -172,6 +197,64 @@ class TestRootIsolation:
             if rng.random() < 0.5:
                 p = p * up(rng.randint(1, 9), 0, 1)  # no real roots
             assert rational_roots(p) == sorted(roots)
+
+    def test_midpoints_that_are_roots(self):
+        # z^3 - z: the Cauchy bound is 2, so the midpoints 0 and -1 are roots,
+        # and they come back as the right ends of their intervals.
+        p = up(0, -1, 0, 1)
+        assert isolate_real_roots(p) == [(-2, -1), (-1, 0), (0, 2)]
+        assert real_root_count(p) == 3
+        assert rational_roots(p) == [-1, 0, 1]
+
+    def test_root_at_lo_is_not_a_candidate(self):
+        # z (z^2 - 1000 z + 1): 0 is the first midpoint, and the irrational
+        # root near 1/1000 is isolated in an interval (0, hi] narrowed to
+        # width 1/2, where floor(hi) = 0 is the root below, not this one.
+        p = up(0, 1, -1000, 1)
+        assert isolate_real_roots(p)[1][0] == 0
+        assert rational_roots(p) == [0]
+
+    def test_refine_from_a_root_at_lo(self):
+        # z^3 - 2 z isolates sqrt(2) in (0, 3], and 0 is the root below it.
+        p = up(0, -2, 0, 1)
+        lo, hi = isolate_real_roots(p)[2]
+        assert (lo, hi) == (0, 3)
+        lo, hi = refine_root(p, lo, hi, Fraction(1, 10**6))
+        assert hi - lo <= Fraction(1, 10**6)
+        assert lo * lo < 2 < hi * hi and lo > 0
+
+    def test_roots_at_bisection_midpoints(self):
+        # Roots on the grid k/4 with B = 1 + max |e_i(roots)| dyadic: for
+        # (z + 3)(z - 1), B = 4 and both roots are midpoints.  Over all these
+        # root sets, dozens of nonzero roots are hit by a midpoint.
+        grid = [Fraction(k, 4) for k in range(-4, 5)]
+        hits = 0
+        for n in range(1, 5):
+            for i, roots in enumerate(itertools.combinations(grid, n)):
+                p = up(1)
+                for r in roots:
+                    for _ in range(1 + i % 3):
+                        p = p * up(-r, 1)
+                hits += check_isolation(p, roots)
+        assert hits >= 50
+
+    def test_random_dyadic_products(self):
+        rng = random.Random(29)
+        for _ in range(200):
+            j = rng.randint(0, 6)
+            rationals = {Fraction(rng.randint(-64, 64), 2 ** j) for _ in range(rng.randint(0, 5))}
+            p = up(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)))
+            for r in rationals:
+                for _ in range(rng.randint(1, 3)):
+                    p = p * up(-r, 1)
+            irrational = ()
+            if rng.random() < 0.5:
+                c = rng.choice((2, 3, 5, 7))
+                p = p * up(-c, 0, 1)
+                irrational = ((-1, c), (1, c))
+            if rng.random() < 0.5:
+                p = p * up(rng.randint(1, 9), 0, 1)  # no real roots
+            check_isolation(p, rationals, irrational)
 
     def test_refine_narrows(self):
         p = up(-2, 0, 1)

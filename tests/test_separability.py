@@ -9,9 +9,8 @@ from rotweb.exactmath import Poly, RationalFunction
 from rotweb.expr import ExprError
 from rotweb.quartic_class import WebType
 from rotweb.rotational import RotParams, assemble_rotational, assemble_rotational_generic
-from rotweb.separability import (Potential, _curl_numerators, _form_numerators, classify_potential,
-                                 compatibility_form, dkdv_check, is_closed,
-                                 parse_potential, poincare_potential, solve_compatible)
+from rotweb.separability import (Potential, classify_potential, compatibility_form, dkdv_check,
+                                 is_closed, parse_potential, poincare_potential, solve_compatible)
 
 from conftest import rand_fraction
 
@@ -124,12 +123,20 @@ class TestSolveCompatible:
 def reference_solve(pot):
     """The symbolic solver the package used before: the six parameters are
     polynomial variables 3..8 of one 9-variable family, and the parameter
-    coefficients of each (component, x y z monomial) form one row."""
+    coefficients of each (component, x y z monomial) form one row.  The
+    one-form numerators P_i over d^2 and the curl numerators over d^3 are
+    spelled out here, independent of the module's helpers."""
     nvars = 9
     tensor = assemble_rotational_generic([Poly.variable(3 + i, nvars) for i in range(6)], nvars=nvars)
     n, d = pot.v.num.extend(nvars), pot.v.den.extend(nvars)
     kvec = contraction_vector(tensor)
-    numerators = _curl_numerators(_form_numerators(tensor, n, d, kvec, pot.energy), d, 2)
+    grad = [n.diff(j) * d - n * d.diff(j) for j in range(3)]
+    weight = (Poly.const(pot.energy, nvars) * d - n) * d
+    form = [weight * kvec[i] - sum((tensor[i][j] * grad[j] for j in range(3)), Poly.zero(nvars))
+            for i in range(3)]
+    numerators = [d * (form[j].diff(i) - form[i].diff(j))
+                  - (form[j] * d.diff(i) - form[i] * d.diff(j)) * 2
+                  for i, j in ((0, 1), (0, 2), (1, 2))]
     if all(poly.is_zero for poly in numerators):
         return [tuple(Fraction(int(i == j)) for j in range(6)) for i in range(6)]
     rows: dict = {}
