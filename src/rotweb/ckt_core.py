@@ -383,32 +383,27 @@ def basis_product(i: int, j: int, nvars: int = 3) -> SymTensorField:
 _X, _R, _D, _I = 0, 3, 6, 7  # offsets into the basis ordering
 
 
+def _block_terms(a, b, c, d, e, f, g, h, l, m):
+    """The nonzero (coefficient, (p, q)) of K = sum coefficient X_p.X_q
+    (``ckv_basis`` indices) over raw blocks of rationals or polynomials."""
+    terms = []
+    for i in range(3):
+        for j in range(3):
+            terms += [(a[i][j], (_X + i, _X + j)), (b[i][j], (_X + i, _R + j)),
+                      (c[i][j], (_R + i, _R + j)), (e[i][j], (_X + i, _I + j)),
+                      (g[i][j], (_R + i, _I + j)), (m[i][j], (_I + i, _I + j))]
+    for i in range(3):
+        terms += [(d[i], (_X + i, _D)), (f[i], (_R + i, _D)), (l[i], (_D, _I + i))]
+    terms.append((h, (_D, _D)))
+    return [(coeff, key) for coeff, key in terms
+            if not (coeff.is_zero if isinstance(coeff, Poly) else coeff == 0)]
+
+
 def _assemble_blocks(a, b, c, d, e, f, g, h, l, m, nvars: int = 3) -> SymTensorField:
     """Assemble from raw blocks whose entries are rationals or polynomials."""
     total = SymTensorField.zero(nvars)
-
-    def add(coeff, key):
-        nonlocal total
-        if isinstance(coeff, Poly):
-            if coeff.is_zero:
-                return
-        elif coeff == 0:
-            return
+    for coeff, key in _block_terms(a, b, c, d, e, f, g, h, l, m):
         total = total + basis_product(*key, nvars).scale(coeff)
-
-    for i in range(3):
-        for j in range(3):
-            add(a[i][j], (_X + i, _X + j))
-            add(b[i][j], (_X + i, _R + j))
-            add(c[i][j], (_R + i, _R + j))
-            add(e[i][j], (_X + i, _I + j))
-            add(g[i][j], (_R + i, _I + j))
-            add(m[i][j], (_I + i, _I + j))
-    for i in range(3):
-        add(d[i], (_X + i, _D))
-        add(f[i], (_R + i, _D))
-        add(l[i], (_D, _I + i))
-    add(h, (_D, _D))
     return total
 
 
@@ -675,15 +670,119 @@ def _assembly_matrix() -> list[list[Fraction]]:
 # Symmetry subspace scans
 
 
+_LEFT_SPACE = "Lie derivative left the trace-free space; v is not a CKV"
+
+_PAIRS = [(p, q) for p in range(10) for q in range(p, 10)]
+# _PAIR[p][q]: the index in _PAIRS of the product X_p.X_q.
+_PAIR = [[_PAIRS.index((min(p, q), max(p, q))) for q in range(10)] for p in range(10)]
+
+
+def _within(weights: dict, coords: list, n: int) -> dict:
+    """The basis coordinates of sum_j weights[j] coords[j], a combination of
+    ``linalg.extended_coordinates`` entries over a basis of n columns;
+    raises when it has a component outside the span of that basis."""
+    acc: dict = {}
+    for j, w in weights.items():
+        for k, x in coords[j].items():
+            acc[k] = acc.get(k, 0) + w * x
+    if any(x for k, x in acc.items() if k >= n):
+        raise CktError(_LEFT_SPACE)
+    return acc
+
+
+@lru_cache(maxsize=None)
+def _slot_coordinates() -> list:
+    """Extended coordinates, over ``ckv_basis``, of the 30 unit fields with
+    one monomial of degree <= 2 in one component (slot 10 i + monomial)."""
+    index, _ = _monomials()
+    columns = []
+    for field in ckv_basis():
+        col = [0] * 30
+        for i, p in enumerate(field.components):
+            for exps, coeff in p.exponent_items():
+                col[10 * i + index[exps]] = coeff
+        columns.append(col)
+    return linalg.extended_coordinates(columns, [[int(s == t) for s in range(30)] for t in range(30)])
+
+
+def _ckv_coordinates(v: VectorField) -> dict:
+    """{k: c_k} with v = sum c_k X_k over ``ckv_basis``; raises when v is
+    not in their span."""
+    index, _ = _monomials()
+    weights: dict = {}
+    for i, p in enumerate(v.components):
+        for exps, coeff in p.exponent_items():
+            slot = index.get(exps, 10)
+            if slot >= 10:
+                raise CktError(_LEFT_SPACE)
+            weights[10 * i + slot] = coeff
+    return {k: x for k, x in _within(weights, _slot_coordinates(), 10).items() if x}
+
+
+@lru_cache(maxsize=None)
+def _structure_constants() -> tuple:
+    """[X_k, X_p] = sum_r c[k][p][r] X_r, as sparse dicts c[k][p]."""
+    basis = ckv_basis()
+    return tuple(tuple(_ckv_coordinates(commutator(x, y)) for y in basis) for x in basis)
+
+
+@lru_cache(maxsize=None)
+def _pair_coordinates() -> list:
+    """Extended coordinates of the 55 products X_p.X_q, p <= q, over the 35
+    free basis tensors: 41 lie in the span of those before them, 14 extend
+    it to their 49-dimensional span."""
+    products = [_vectorize(basis_product(p, q)) for p, q in _PAIRS]
+    return linalg.extended_coordinates(list(zip(*_assembly_matrix())), products)
+
+
+@lru_cache(maxsize=None)
+def _free_terms() -> tuple:
+    """Per free coordinate c, the (coefficient, (p, q)) of its unit vector's
+    tensor sum coefficient X_p.X_q."""
+    return tuple(tuple(_block_terms(*_blocks_from_free([int(i == c) for i in range(DIM_TRACE_FREE)])))
+                 for c in range(DIM_TRACE_FREE))
+
+
 def lie_operator(v: VectorField) -> list[list[Fraction]]:
     """Matrix of Lie_v on the 35 trace-free coordinates: column c holds the
-    coordinates of Lie_v applied to basis vector c, all columns solved in one
-    elimination of the assembly matrix."""
-    columns = [_vectorize(lie_derivative(v, k)) for k in _free_basis()]
-    solutions = linalg.solve_many(_assembly_matrix(), columns)
-    if solutions is None:
-        raise CktError("Lie derivative left the trace-free space; v is not a CKV")
-    return [[solutions[c][r] for c in range(DIM_TRACE_FREE)] for r in range(DIM_TRACE_FREE)]
+    coordinates of Lie_v applied to basis vector c.
+
+    No tensor is differentiated.  Lie_v is a derivation, so on products of
+    conformal Killing vectors L_v(X_p.X_q) = [v, X_p].X_q + X_p.[v, X_q].
+    With ad_v the 10x10 matrix whose column p holds [v, X_p] in
+    ``ckv_basis`` coordinates (``ad[p]`` below: the structure constants
+    weighted by the coordinates of v), the tensor sum S_pq X_p.X_q of basis
+    vector c goes to the one with coefficients ad_v S + S ad_v^T.  That
+    combination of the 55 products X_p.X_q, p <= q, is reduced to the 35
+    free coordinates by ``_pair_coordinates``, built on first use by one
+    elimination of the assembly matrix beside the 55 vectorized products.
+    Their span has dimension 49, so each column also has 14 complement
+    coordinates; they must vanish exactly, and v must lie in the span of
+    ``ckv_basis``, or this raises CktError.
+    """
+    alpha = _ckv_coordinates(v)
+    constants = _structure_constants()
+    ad = []
+    for p in range(10):
+        col: dict = {}
+        for k, a in alpha.items():
+            for r, x in constants[k][p].items():
+                col[r] = col.get(r, 0) + a * x
+        ad.append({r: x for r, x in col.items() if x})
+    coords = _pair_coordinates()
+    columns = []
+    for terms in _free_terms():
+        image: dict = {}
+        for s, (p, q) in terms:
+            for r, x in ad[p].items():
+                pair = _PAIR[r][q]
+                image[pair] = image.get(pair, 0) + s * x
+            for r, x in ad[q].items():
+                pair = _PAIR[p][r]
+                image[pair] = image.get(pair, 0) + s * x
+        columns.append(_within(image, coords, DIM_TRACE_FREE))
+    zero = Fraction(0)
+    return [[col.get(r, zero) for col in columns] for r in range(DIM_TRACE_FREE)]
 
 
 def symmetry_subspace(v: VectorField, mode: str) -> list[tuple[Fraction, list[CktCoefficients]]]:

@@ -12,6 +12,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 from . import __version__, ckt_core
 from .ckt_core import CktError, ckv_by_name, killing_obstruction, symmetry_subspace, tsn_filter
@@ -331,9 +332,14 @@ def _join_values(argv: list) -> list:
     return out
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept for the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_values(sys.argv[1:] if argv is None else argv))
+    args = _parser().parse_args(_join_values(sys.argv[1:] if argv is None else argv))
     try:
         report, code = args.func(args)
     except (InputError, ExactMathError, ExprError, CktError, ClassificationError) as exc:

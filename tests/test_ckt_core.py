@@ -10,7 +10,7 @@ from rotweb.ckt_core import (CktCoefficients, CktError, SymTensorField, assemble
                              lie_derivative, lie_operator, metric, nijenhuis, symmetric_product,
                              symmetry_subspace, tsn_check, tsn_filter, verify_ckt)
 from rotweb.exactmath import Poly, UniPoly
-from rotweb.linalg import char_poly
+from rotweb.linalg import char_poly, solve_many
 
 from conftest import rand_fraction
 
@@ -338,6 +338,63 @@ class TestLieDerivative:
 
     def test_translation_kills_metric(self):
         assert lie_derivative(ckv_by_name("X3"), metric(3)).is_zero
+
+
+class TestLeibnizRule:
+    @pytest.mark.parametrize("index", range(10))
+    def test_lie_derivative_of_products(self, index):
+        # The identity lie_operator rests on, over every product X_a.X_b.
+        basis = ckv_basis(3)
+        v = basis[index]
+        for a in range(10):
+            for b in range(a, 10):
+                assert lie_derivative(v, cc.basis_product(a, b)) == (
+                    symmetric_product(commutator(v, basis[a]), basis[b])
+                    + symmetric_product(basis[a], commutator(v, basis[b]))), (a, b)
+
+
+def reference_lie_operator(v):
+    """Lie_v on the 35 free coordinates through polynomial tensors: each
+    basis tensor is differentiated, vectorized and solved against the
+    assembly matrix."""
+    columns = [cc._vectorize(lie_derivative(v, k)) for k in cc._free_basis()]
+    solutions = solve_many(cc._assembly_matrix(), columns)
+    if solutions is None:
+        raise CktError("Lie derivative left the trace-free space; v is not a CKV")
+    return [[solutions[c][r] for c in range(cc.DIM_TRACE_FREE)] for r in range(cc.DIM_TRACE_FREE)]
+
+
+class TestLieOperator:
+    @pytest.mark.parametrize("index", range(10))
+    def test_basis_fields_match_the_reference(self, index):
+        v = ckv_basis(3)[index]
+        operator = lie_operator(v)
+        assert operator == reference_lie_operator(v)
+        assert all(type(x) is Fraction for row in operator for x in row)
+
+    def test_rational_combinations_match_the_reference(self, rng):
+        basis = ckv_basis(3)
+        for _ in range(20):
+            v = vector(ZERO, ZERO, ZERO)
+            for field in rng.sample(basis, rng.randint(1, 10)):
+                v = v + field.scale(rand_fraction(rng))
+            assert lie_operator(v) == reference_lie_operator(v)
+
+    @pytest.mark.parametrize("v", [vector(Y, ZERO, ZERO), vector(X * X, ZERO, ZERO),
+                                   vector(X * Y * Z, ZERO, X * X * X)],
+                             ids=["y_dx", "x2_dx", "cubic"])
+    def test_non_ckvs_raise(self, v):
+        with pytest.raises(CktError, match="left the trace-free space"):
+            lie_operator(v)
+
+    def test_complement_check_rejects_a_non_derivation(self, monkeypatch):
+        # Structure constants of the map scaling X1 alone, which is no
+        # derivation: it sends X1.X1 - X3.X3 to 2 X1.X1, which has a trace.
+        constants = tuple(tuple({0: 1} if (k, p) == (0, 0) else {} for p in range(10))
+                          for k in range(10))
+        monkeypatch.setattr(cc, "_structure_constants", lambda: constants)
+        with pytest.raises(CktError, match="left the trace-free space"):
+            lie_operator(ckv_by_name("X1"))
 
 
 class TestDimension:

@@ -1,5 +1,9 @@
+import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -11,7 +15,8 @@ from rotweb.cli import main
 from rotweb.exactmath import rat_str
 from rotweb.quartic_class import ClassificationError
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def run(capsys, *argv):
@@ -230,6 +235,60 @@ class TestSymmetry:
 
     def test_unknown_generator_exits_2(self, capsys):
         assert run(capsys, "symmetry", "R1")[0] == 2
+
+
+def without_timing(out: str) -> str:
+    if not out:
+        return out
+    report = json.loads(out)
+    del report["timing_ms"]
+    return json.dumps(report, sort_keys=True)
+
+
+# sha256 of the report without timing_ms, as json.dumps(..., sort_keys=True):
+# any change to a scan's output, or to the package version it reports,
+# shows here.
+SCAN_DIGESTS = {
+    ("X3", "0"): "cd23836ab832e8b4c61a6a624975ec19681702cceefced694117ea38e990fb15",
+    ("X3", "const"): "98d611ec362171bee0e0bdb66bb32f15a509e43b9b9378654355cfbbd80612cf",
+    ("D", "0"): "9a2ba291b7c64c110328414c0fda9e401c15a3dbf4bd60f68addd076258f72b2",
+    ("D", "const"): "a52323f8607bf772eddd34989668ad519788075d3292746c611e817db873ab43",
+    ("I3", "0"): "f7c11a77651ff83929337d42557ac5a09db61b6696603b54e7803db9cb1b6379",
+    ("I3", "const"): "af89f53c61370e6dce8f37b6df0057f6e2c309fe9ce82e4ddfaba1f5eadbde33",
+    ("R3", "0"): "d90f18e0c2c2ea17183f80cb16a942891355d1222bc41d13d59f6eb996be159f",
+    ("R3", "const"): "14a0c973b53f58db1e3e2dd1e42bbc78aca6e9f4d77eb408ddaaa61b856d5b36",
+}
+
+
+@pytest.mark.parametrize("generator,h", list(SCAN_DIGESTS), ids=[f"{g} {h}" for g, h in SCAN_DIGESTS])
+def test_scan_output_is_unchanged(capsys, generator, h):
+    code, out, _ = run(capsys, "symmetry", generator, "--h", h)
+    assert code == 0
+    assert hashlib.sha256(without_timing(out).encode()).hexdigest() == SCAN_DIGESTS[(generator, h)]
+
+
+def test_one_parser_serves_a_sequence_of_calls(capsys):
+    # The parser is built once per process; reusing it must not carry
+    # state from one call into the next.
+    calls = [["classify", "--quartic", "3,-7,2,5,-11"], ["symmetry", "X3"],
+             ["classify", "--no-such-option"], ["compat", "--potential", "-4/(x^2+1)"]]
+    in_process = []
+    for argv in calls:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, without_timing(captured.out), captured.err))
+    assert cli._parser() is cli._parser()
+    fresh = []
+    for argv in calls:
+        done = subprocess.run([sys.executable, "-m", "rotweb", *argv], capture_output=True, text=True,
+                              cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                              timeout=120)
+        fresh.append((done.returncode, without_timing(done.stdout), done.stderr))
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0]
+    assert in_process == fresh
 
 
 def readme_commands() -> list:
