@@ -491,7 +491,7 @@ def nijenhuis(k: SymTensorField):
     return tuple(out)
 
 
-def tsn_check(k: SymTensorField) -> bool:
+def tsn_check(k: SymTensorField, plane: tuple[int, int] | None = None) -> bool:
     """Normal-eigenvector test: the three antisymmetrized conditions
     N^l_[jk A_i]l = 0 for A = g, K, K.K, each a single polynomial identity
     in 3 dimensions via contraction with the Levi-Civita symbol.
@@ -500,12 +500,22 @@ def tsn_check(k: SymTensorField) -> bool:
     are computed; overall constants are dropped (vanishing is all that
     matters).  The conditions are homogeneous in K (of degrees 2, 3 and 4),
     so K is first multiplied by the least common denominator of its
-    coefficients and everything runs on integers."""
+    coefficients and everything runs on integers.
+
+    With ``plane = (i, c)`` the three scalars are only required to vanish
+    on the plane x_i = c: K is differentiated in x, y, z first, then K and
+    its derivatives are restricted to the plane, then multiplied.  That
+    decides the identity only for tensors whose scalars are determined by
+    their values on the plane; ``tsn_filter`` states when that holds."""
     lcd = math.lcm(*(p.content().denominator for row in k.comps for p in row))
     if lcd != 1:
         k = k.scale(lcd)
     zero = Poly.zero(k.nvars)
     dk = [[[k[a][b].diff(c) for c in range(3)] for b in range(3)] for a in range(3)]
+    if plane is not None:
+        var, value = plane
+        k = SymTensorField.from_upper(*(k[i][j].restrict(var, value) for i, j in _UPPER))
+        dk = [[[p.restrict(var, value) for p in grads] for grads in row] for row in dk]
     pairs = ((0, 1), (0, 2), (1, 2))
     n: dict = {}
     for j, kk in pairs:
@@ -760,6 +770,13 @@ def lie_operator(v: VectorField) -> list[list[Fraction]]:
     coordinates; they must vanish exactly, and v must lie in the span of
     ``ckv_basis``, or this raises CktError.
     """
+    columns = _lie_columns(v)
+    zero = Fraction(0)
+    return [[col.get(r, zero) for col in columns] for r in range(DIM_TRACE_FREE)]
+
+
+def _lie_columns(v: VectorField) -> list[dict]:
+    """The columns of ``lie_operator(v)`` as sparse dicts {row: value}."""
     alpha = _ckv_coordinates(v)
     constants = _structure_constants()
     ad = []
@@ -781,8 +798,7 @@ def lie_operator(v: VectorField) -> list[list[Fraction]]:
                 pair = _PAIR[p][r]
                 image[pair] = image.get(pair, 0) + s * x
         columns.append(_within(image, coords, DIM_TRACE_FREE))
-    zero = Fraction(0)
-    return [[col.get(r, zero) for col in columns] for r in range(DIM_TRACE_FREE)]
+    return columns
 
 
 def symmetry_subspace(v: VectorField, mode: str) -> list[tuple[Fraction, list[CktCoefficients]]]:
@@ -810,25 +826,61 @@ def eigenvector_cross(k: SymTensorField, v: VectorField) -> VectorField:
                         kv[0] * v[1] - kv[1] * v[0]))
 
 
+def _free_rows(basis: list[CktCoefficients]) -> list[dict]:
+    """The free coordinates of each basis member as a sparse dict."""
+    return [{j: x for j, x in enumerate(free_from_coefficients(c)) if x} for c in basis]
+
+
 def eigenvector_subspace(v: VectorField, basis: list[CktCoefficients]) -> list[CktCoefficients]:
     """Members of span(basis) whose assembled tensor admits v as an
     eigenvector everywhere: (K.v) x v = 0 identically, a linear condition."""
     combos = linalg.vanishing_combinations(
         [eigenvector_cross(assemble_ckt(coeffs), v).components for coeffs in basis])
-    columns = list(zip(*(free_from_coefficients(coeffs) for coeffs in basis)))
-    return [coefficients_from_free([sum(w * x for w, x in zip(combo, column)) for column in columns])
-            for combo in combos]
+    rows = _free_rows(basis)
+    out = []
+    for combo in combos:
+        acc = _within({i: w for i, w in enumerate(combo) if w}, rows, DIM_TRACE_FREE)
+        out.append(coefficients_from_free([acc.get(j, 0) for j in range(DIM_TRACE_FREE)]))
+    return out
+
+
+def _transversal_plane(v: VectorField) -> tuple[int, int]:
+    """The first coordinate plane x_i = c, trying c = 0 on every axis before
+    c = 1, on which v_i does not vanish identically.  A nonzero conformal
+    Killing vector has one: its components have degree <= 2, and no
+    component of one is a multiple of x_i (x_i - 1)."""
+    for value in (0, 1):
+        for var in range(3):
+            if not v[var].restrict(var, value).is_zero:
+                return var, value
+    raise CktError("no coordinate plane x_i = 0 or x_i = 1 is transversal to v")
+
+
+def _check_one_eigenspace(v: VectorField, rows: list[dict]) -> None:
+    """Raise unless every free-coordinate row lies in one eigenspace of
+    ``lie_operator(v)``, with one eigenvalue for all of them."""
+    columns = _lie_columns(v)
+    h = None
+    for row in rows:
+        image = {c: x for c, x in _within(row, columns, DIM_TRACE_FREE).items() if x}
+        if row and h is None:
+            j = next(iter(row))
+            h = Fraction(image.get(j, 0)) / row[j]
+        if image != {c: h * x for c, x in row.items() if h}:
+            raise CktError("basis does not lie in one eigenspace of Lie_v; "
+                           "the TSN certificate on a transversal plane does not apply")
 
 
 @dataclass(frozen=True)
 class TsnFilterResult:
     """Outcome of restricting a symmetry subspace by the TSN conditions.
 
-    ``subspace`` always satisfies TSN identically (certified symbolically on
-    the whole family).  ``variety_is_linear`` is False when some direction
-    outside the subspace also satisfies TSN individually, i.e. the full TSN
-    solution set inside the span is not a linear space; the offending
-    directions are reported rather than silently absorbed."""
+    ``subspace`` always satisfies TSN identically (certified on the whole
+    symbolic family, on a plane transversal to v; see ``tsn_filter``).
+    ``variety_is_linear`` is False when some direction outside the subspace
+    also satisfies TSN individually, i.e. the full TSN solution set inside
+    the span is not a linear space; the offending directions are reported
+    rather than silently absorbed."""
 
     subspace: tuple[CktCoefficients, ...]
     variety_is_linear: bool
@@ -839,11 +891,43 @@ def tsn_filter(v: VectorField, basis: list[CktCoefficients]) -> TsnFilterResult:
     """Restrict span(basis) to the members satisfying the normal-eigenvector
     (TSN) conditions identically.
 
-    The candidate is the linear eigenvector condition (K.v) x v = 0, whose
-    sufficiency is certified symbolically (parameters as extra polynomial
-    variables).  Basis directions outside the candidate are spot-checked; any
-    that satisfy TSN individually are reported in the result.
+    The basis must lie in one eigenspace of Lie_v, Lie_v K = h K; this is
+    checked exactly against ``lie_operator(v)`` and CktError is raised
+    otherwise.  The candidate is the linear eigenvector condition
+    (K.v) x v = 0, whose sufficiency is certified symbolically (parameters
+    as extra polynomial variables).  Basis directions outside the candidate
+    are spot-checked; any that satisfy TSN individually are reported in the
+    result.
+
+    Both checks run ``tsn_check`` on one coordinate plane x_i = c
+    transversal to v (``_transversal_plane``: z = 0 for X3 and I3, x = 0
+    for R3, x = 1 for D).  That is exact because the TSN conditions are
+    conformally invariant, the invariance on which the classification of
+    the webs up to the conformal group rests:
+
+    - The flow phi_t of v is conformal, phi_t^* g = w g with w > 0, and
+      Lie_v K = h K + f g integrates to phi_t^* K = e^(ht) K + b g for some
+      function b.  So the endomorphism L = K g pulls back to s L + c I,
+      with s = e^(ht) w > 0 and c = b w.
+    - N_{sL}(X, Y) - s^2 N_L(X, Y) and N_{L + cI} - N_L are sums of terms
+      a(X) B Y - a(Y) B X, with a a one-form and B a polynomial in L.  The
+      scalars of ``tsn_check`` are the 3-forms C_p = Alt g(N(X, Y), L^p Z),
+      p = 0, 1, 2, and g(B Y, L^p Z) is symmetric in (Y, Z), so such terms
+      drop out.  Hence C_p(s L + c I; w g) is w s^(2+p) C_p(L; g) plus a
+      combination of the C_q with q < p: an invertible map.
+    - These objects are natural under diffeomorphisms.  So the scalars at
+      phi_t(x) vanish iff those at x do.
+
+    If the scalars vanish on the plane P, they vanish on the flow-out of P,
+    which contains an open set wherever v is transversal to P.  Being
+    polynomials, they then vanish identically; for a family, this holds for
+    each value of the parameters.  The converse is immediate.  The argument
+    is the same for isometries, the dilation and the special conformal I_i.
+    A plane that v does not cross (z = 0 for R3) gives wrong verdicts.
     """
+    rows = _free_rows(basis)
+    _check_one_eigenspace(v, rows)
+    plane = _transversal_plane(v)
     sub = eigenvector_subspace(v, basis)
     if sub:
         nparams = len(sub)
@@ -852,14 +936,14 @@ def tsn_filter(v: VectorField, basis: list[CktCoefficients]) -> TsnFilterResult:
         for idx, coeffs in enumerate(sub):
             t = Poly.variable(3 + idx, nv)
             family = family + assemble_ckt(coeffs).extend(nv).scale(t)
-        if not tsn_check(family):
+        if not tsn_check(family, plane):
             raise CktError("eigenvector subspace fails the TSN conditions; filter is unsound")
     sub_rows = [free_from_coefficients(c) for c in sub]
     base_rank = linalg.rank(sub_rows)
     outside = []
     for idx, coeffs in enumerate(basis):
         row = free_from_coefficients(coeffs)
-        if linalg.rank(sub_rows + [row]) > base_rank and tsn_check(assemble_ckt(coeffs)):
+        if linalg.rank(sub_rows + [row]) > base_rank and tsn_check(assemble_ckt(coeffs), plane):
             outside.append(idx)
     return TsnFilterResult(subspace=tuple(sub),
                            variety_is_linear=not outside,

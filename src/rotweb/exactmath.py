@@ -265,6 +265,24 @@ class Poly:
             total += term
         return total
 
+    def restrict(self, var: int, value) -> Poly:
+        """Substitute the constant ``value`` for variable ``var``; the result
+        keeps the same variable set, with ``var`` no longer occurring."""
+        shift = self._shift(var)
+        value = _norm(rat(value))
+        deg_shift = _BITS * self.nvars
+        terms: dict = {}
+        get = terms.get
+        for key, coeff in self.terms.items():
+            k = (key >> shift) & _MASK
+            if k:
+                if not value:
+                    continue
+                key -= k << shift | k << deg_shift
+                coeff = coeff * value ** k
+            terms[key] = get(key, 0) + coeff
+        return Poly(self.nvars, {e: _norm(c) for e, c in terms.items() if c})
+
     def extend(self, nvars: int) -> Poly:
         """Embed into a larger variable set (new variables appended)."""
         if nvars < self.nvars:

@@ -257,6 +257,10 @@ def rational_eigenvalues(matrix: Sequence[Sequence]) -> list[tuple[Fraction, lis
     Every real eigenvalue must be rational (true for the operators this
     package diagonalizes); an irrational real eigenvalue raises, it is never
     silently dropped.
+
+    The matrix is cleared once to sparse integer rows M = d A; for an
+    eigenvalue p/q the rows q M - d p I span the row space of A - (p/q) I,
+    so only the diagonal changes from one eigenvalue to the next.
     """
     n = len(matrix)
     p = char_poly(matrix)
@@ -264,10 +268,22 @@ def rational_eigenvalues(matrix: Sequence[Sequence]) -> list[tuple[Fraction, lis
     # The roots are distinct and real, so a missed real root shows in the count.
     if real_root_count(p) != len(roots):
         raise ExactMathError("matrix has an irrational real eigenvalue; exact eigenspaces unavailable")
+    sparse = [_sparse(row) for row in matrix]
+    d = lcm(1, *(x.denominator for row in sparse for x in row.values()))
+    cleared = [_scaled(row, d) for row in sparse]
     out = []
     for r in sorted(roots):
-        shifted = [[Fraction(matrix[i][j]) - (r if i == j else 0) for j in range(n)] for i in range(n)]
-        space = nullspace(shifted, n)
+        shift = d * r.numerator
+        rows = []
+        for i, row in enumerate(cleared):
+            shifted = {j: r.denominator * x for j, x in row.items()}
+            if diag := shifted.get(i, 0) - shift:
+                shifted[i] = diag
+            else:
+                shifted.pop(i, None)
+            if shifted:
+                rows.append(shifted)
+        space = _null_basis(rows, n)
         if space:
             out.append((r, space))
     return out

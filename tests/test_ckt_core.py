@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -504,3 +505,83 @@ class TestSymmetrySubspace:
         # system of lie_operator is inconsistent.
         with pytest.raises(CktError, match="left the trace-free space"):
             lie_operator(vector(X, ZERO, ZERO))
+
+
+# The eigenspaces of the eight scans: X3, I3 and R3 have only h = 0, the
+# same kernel in both modes; D has h = -2..2, and its h = 0 is its kernel.
+SCAN_EIGENSPACES = [("X3", 0), ("I3", 0), ("R3", 0)] + [("D", h) for h in range(-2, 3)]
+
+
+def scan_eigenspace(name, h):
+    v = ckv_by_name(name)
+    return v, dict(symmetry_subspace(v, "h_constant"))[h]
+
+
+def symbolic_family(members):
+    """sum_i t_i K_i, with the t_i as extra polynomial variables."""
+    nv = 3 + len(members)
+    family = SymTensorField.zero(nv)
+    for idx, coeffs in enumerate(members):
+        family = family + assemble_ckt(coeffs).extend(nv).scale(Poly.variable(3 + idx, nv))
+    return family
+
+
+def combination(members, weights):
+    rows = [free_from_coefficients(c) for c in members]
+    return assemble_free([sum(w * row[j] for w, row in zip(weights, rows)) for j in range(cc.DIM_TRACE_FREE)])
+
+
+class TestTsnPlane:
+    """``tsn_filter`` certifies on a plane transversal to v; the unsliced
+    ``tsn_check`` is the oracle."""
+
+    @pytest.mark.parametrize("name,h", SCAN_EIGENSPACES, ids=[f"{n} h={h}" for n, h in SCAN_EIGENSPACES])
+    def test_plane_verdict_matches_the_full_check(self, name, h):
+        rng = random.Random(1)
+        v, basis = scan_eigenspace(name, h)
+        plane = cc._transversal_plane(v)
+        sub = eigenvector_subspace(v, basis)
+        if sub:
+            family = symbolic_family(sub)
+            assert tsn_check(family) and tsn_check(family, plane)
+        tensors = [assemble_ckt(c) for c in basis]
+        for members in (sub, basis):  # inside, then mostly outside the subspace
+            if members:
+                tensors += [combination(members, [rand_fraction(rng, -3, 3) for _ in members])
+                            for _ in range(25)]
+        for k in tensors:
+            assert tsn_check(k, plane) == tsn_check(k)
+
+    def test_plane_chooser(self):
+        expected = {"X1": (0, 0), "X2": (1, 0), "X3": (2, 0), "R1": (1, 0), "R2": (0, 0),
+                    "R3": (0, 0), "D": (0, 1), "I1": (0, 0), "I2": (1, 0), "I3": (2, 0)}
+        for name, plane in expected.items():
+            assert cc._transversal_plane(ckv_by_name(name)) == plane
+        rng = random.Random(2)
+        fields = [ckv_by_name(name) for name in expected]
+        fields += [sum((f.scale(rand_fraction(rng)) for f in ckv_basis(3)[1:]), ckv_basis(3)[0])
+                   for _ in range(10)]
+        for v in fields:
+            var, value = cc._transversal_plane(v)
+            assert not v[var].restrict(var, value).is_zero
+        with pytest.raises(CktError, match="transversal"):
+            cc._transversal_plane(vector(ZERO, ZERO, ZERO))
+
+    def test_basis_outside_one_eigenspace_raises(self):
+        d = ckv_by_name("D")
+        spaces = symmetry_subspace(d, "h_constant")
+        for _, basis in spaces:
+            tsn_filter(d, basis)
+        (_, first), (_, second) = spaces[3], spaces[4]
+        with pytest.raises(CktError, match="one eigenspace"):
+            tsn_filter(d, [first[0], second[0]])
+        with pytest.raises(CktError, match="one eigenspace"):
+            tsn_filter(d, first + [coefficients_from_free(
+                [a + b for a, b in zip(free_from_coefficients(first[0]), free_from_coefficients(second[0]))])])
+        r3 = ckv_by_name("R3")
+        (_, kernel), = symmetry_subspace(r3, "h_zero")
+        units = (coefficients_from_free([int(i == j) for i in range(cc.DIM_TRACE_FREE)])
+                 for j in range(cc.DIM_TRACE_FREE))
+        moved = next(c for c in units if not lie_derivative(r3, assemble_ckt(c)).is_zero)
+        with pytest.raises(CktError, match="one eigenspace"):
+            tsn_filter(r3, kernel + [moved])

@@ -411,6 +411,21 @@ class TestPackedKernel:
         assert p.sorted_terms() == sorted(rp.terms.items())
         assert str(p) == str(rp)
 
+    @given(poly_pairs(), st.data())
+    def test_restrict_matches_eval(self, pair, data):
+        p = pair[0]
+        var = data.draw(st.integers(0, p.nvars - 1))
+        value = data.draw(st.one_of(st.sampled_from([0, 1, -1]), COEFFS))
+        r = p.restrict(var, value)
+        assert r.nvars == p.nvars and r.degree_in(var) <= 0
+        # The packed keys are well formed: the same as building from tuples.
+        assert r == Poly.from_terms(dict(r.exponent_items()), p.nvars)
+        for c in r.terms.values():
+            assert c != 0 and (type(c) is int or c.denominator != 1)
+        point = data.draw(st.lists(COEFFS, min_size=p.nvars, max_size=p.nvars))
+        on_plane = point[:var] + [value] + point[var + 1:]
+        assert r.eval(point) == p.eval(on_plane)
+
     @given(poly_pairs(max_exp=2**30, nvars=3), poly_pairs(max_exp=2**28, nvars=9))
     def test_wide_exponents(self, small, wide):
         for p, rp, q, rq in (small, wide):

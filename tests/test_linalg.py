@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rotweb import ckt_core
-from rotweb.exactmath import ExactMathError, Poly, UniPoly
+from rotweb.exactmath import ExactMathError, Poly, UniPoly, rational_roots, real_root_count
 from rotweb.linalg import (char_poly, extended_coordinates, nullspace, rank, rational_eigenvalues,
                            row_echelon, solve_many, vanishing_combinations)
 
@@ -407,3 +407,76 @@ class TestEliminationParity:
         solutions = solve_many(a, columns)
         assert solutions is not None and solutions == dense_solve_many(a, columns)
         assert rank(a) == ckt_core.DIM_TRACE_FREE
+
+
+# ---------------------------------------------------------------------------
+# rational_eigenvalues against its former implementation, which built a dense
+# shifted Fraction matrix for every eigenvalue.
+
+
+def dense_rational_eigenvalues(matrix):
+    n = len(matrix)
+    p = char_poly(matrix)
+    roots = rational_roots(p)
+    if real_root_count(p) != len(roots):
+        raise ExactMathError("matrix has an irrational real eigenvalue; exact eigenspaces unavailable")
+    out = []
+    for r in sorted(roots):
+        shifted = [[Fraction(matrix[i][j]) - (r if i == j else 0) for j in range(n)] for i in range(n)]
+        space = nullspace(shifted, n)
+        if space:
+            out.append((r, space))
+    return out
+
+
+def conjugated(rng, m):
+    """m conjugated by random elementary matrices E = I + c e_i e_j^T
+    (row i += c row j, then column j -= c column i) and a random
+    permutation: same eigenvalues, mixed denominators everywhere."""
+    n = len(m)
+    m = [list(row) for row in m]
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = random_entry(rng)
+        m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+        for row in m:
+            row[j] -= c * row[i]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [[m[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+
+
+def triangular(rng, eigenvalues):
+    """Upper triangular, with the eigenvalues on the diagonal."""
+    n = len(eigenvalues)
+    return [[Fraction(eigenvalues[i]) if i == j else random_entry(rng) if j > i and rng.random() < 0.5
+             else Fraction(0) for j in range(n)] for i in range(n)]
+
+
+class TestRationalEigenvaluesParity:
+    @pytest.mark.parametrize("name", ["X1", "X2", "X3", "R1", "R2", "R3", "D", "I1", "I2", "I3"])
+    def test_lie_operators(self, name):
+        operator = ckt_core.lie_operator(ckt_core.ckv_by_name(name))
+        assert rational_eigenvalues(operator) == dense_rational_eigenvalues(operator)
+
+    def test_random_mixed_denominators(self):
+        rng = random.Random(81)
+        pool = [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4), Fraction(7, 6), Fraction(-3, 10), 2]
+        for _ in range(40):
+            eigenvalues = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
+            m = conjugated(rng, triangular(rng, eigenvalues))
+            result = rational_eigenvalues(m)
+            assert result == dense_rational_eigenvalues(m)
+            assert [h for h, _ in result] == sorted(set(eigenvalues))
+            for h, space in result:
+                for vec in space:
+                    assert [sum(a * x for a, x in zip(row, vec)) for row in m] == [h * x for x in vec]
+
+    def test_irrational_eigenvalue_still_raises(self):
+        # Eigenvalues 1/3, -1/2 and the irrational pair +-sqrt(2).
+        rng = random.Random(82)
+        block = triangular(rng, [Fraction(1, 3), Fraction(-1, 2)])
+        m = [row + [Fraction(0)] * 2 for row in block]
+        m += [[Fraction(0)] * 2 + [Fraction(0), Fraction(2)], [Fraction(0)] * 2 + [Fraction(1), Fraction(0)]]
+        with pytest.raises(ExactMathError, match="irrational"):
+            rational_eigenvalues(conjugated(rng, m))
