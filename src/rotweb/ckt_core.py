@@ -312,11 +312,13 @@ class CktCoefficients:
         K = A_ij Xi.Xj + B_ij Xi.Rj + C_ij Ri.Rj + D_i Xi.D + E_ij Xi.Ij
           + F_i Ri.D + G_ij Ri.Ij + H D.D + L_i D.Ii + M_ij Ii.Ij
 
-    A, C, M are symmetric.  Coefficients built by coefficients_from_free
-    satisfy the trace relations tr A = tr B = tr G = tr M = 0, H = 0, F = 0,
-    D = eps-contraction of B, L = eps-contraction of G, and
-    C_ij = E_ij + E_ji - (1/2) tr E delta_ij, which make the assembled tensor
-    trace-free.
+    A, C, M are symmetric.  This is the JSON and outside-input form of a
+    tensor: ``assemble_ckt`` expands it, and the symmetry scans work on the
+    35 free coordinates instead (``FREE_COORDS``, ``assemble_free``).
+    Coefficients built by coefficients_from_free satisfy the trace
+    relations tr A = tr B = tr G = tr M = 0, H = 0, F = 0, D =
+    eps-contraction of B, L = eps-contraction of G, and C_ij = E_ij + E_ji -
+    (1/2) tr E delta_ij, which make the assembled tensor trace-free.
     """
 
     a: tuple
@@ -385,7 +387,7 @@ _X, _R, _D, _I = 0, 3, 6, 7  # offsets into the basis ordering
 
 def _block_terms(a, b, c, d, e, f, g, h, l, m):
     """The nonzero (coefficient, (p, q)) of K = sum coefficient X_p.X_q
-    (``ckv_basis`` indices) over raw blocks of rationals or polynomials."""
+    (``ckv_basis`` indices) over raw blocks of rationals."""
     terms = []
     for i in range(3):
         for j in range(3):
@@ -395,23 +397,15 @@ def _block_terms(a, b, c, d, e, f, g, h, l, m):
     for i in range(3):
         terms += [(d[i], (_X + i, _D)), (f[i], (_R + i, _D)), (l[i], (_D, _I + i))]
     terms.append((h, (_D, _D)))
-    return [(coeff, key) for coeff, key in terms
-            if not (coeff.is_zero if isinstance(coeff, Poly) else coeff == 0)]
-
-
-def _assemble_blocks(a, b, c, d, e, f, g, h, l, m, nvars: int = 3) -> SymTensorField:
-    """Assemble from raw blocks whose entries are rationals or polynomials."""
-    total = SymTensorField.zero(nvars)
-    for coeff, key in _block_terms(a, b, c, d, e, f, g, h, l, m):
-        total = total + basis_product(*key, nvars).scale(coeff)
-    return total
+    return [(coeff, key) for coeff, key in terms if coeff]
 
 
 def assemble_ckt(coeffs: CktCoefficients) -> SymTensorField:
     """Expand the symmetric-product combination into Cartesian components."""
     coeffs.validate()
-    return _assemble_blocks(coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.e,
-                            coeffs.f, coeffs.g, coeffs.h, coeffs.l, coeffs.m)
+    terms = _block_terms(coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.e,
+                         coeffs.f, coeffs.g, coeffs.h, coeffs.l, coeffs.m)
+    return sum((basis_product(*key).scale(coeff) for coeff, key in terms), SymTensorField.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -626,16 +620,17 @@ def coefficients_from_free(vec: Sequence) -> CktCoefficients:
     return CktCoefficients.make(a=a, b=b, c=c, d=d, e=e, f=f, g=g, h=h, l=l, m=m)
 
 
-def free_from_coefficients(coeffs: CktCoefficients) -> list[Fraction]:
-    blocks = {"a": coeffs.a, "b": coeffs.b, "e": coeffs.e, "g": coeffs.g, "m": coeffs.m}
-    return [Fraction(blocks[block][i][j]) for block, i, j in FREE_COORDS]
-
-
 def assemble_free(vec: Sequence, nvars: int = 3) -> SymTensorField:
-    """Assemble the tensor of a free-parameter vector; entries may be
-    rationals or polynomials in the extra variables."""
-    a, b, c, d, e, f, g, h, l, m = _blocks_from_free(list(vec))
-    return _assemble_blocks(a, b, c, d, e, f, g, h, l, m, nvars=nvars)
+    """The tensor sum_c x_c F_c of a free-parameter vector x over the basis
+    tensors F_c of ``_free_basis``.  The x_c may be rationals or
+    polynomials in nvars variables, the first three being x, y, z."""
+    if len(vec) != DIM_TRACE_FREE:
+        raise CktError(f"expected {DIM_TRACE_FREE} free parameters")
+    total = SymTensorField.zero(nvars)
+    for x, basis_tensor in zip(vec, _free_basis()):
+        if x:
+            total = total + basis_tensor.extend(nvars).scale(x)
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -663,10 +658,18 @@ def _vectorize(k: SymTensorField) -> list[Fraction]:
 
 
 @lru_cache(maxsize=None)
+def _free_terms() -> tuple:
+    """Per free coordinate c, the (coefficient, (p, q)) of its unit vector's
+    tensor sum coefficient X_p.X_q."""
+    return tuple(tuple(_block_terms(*_blocks_from_free([int(i == c) for i in range(DIM_TRACE_FREE)])))
+                 for c in range(DIM_TRACE_FREE))
+
+
+@lru_cache(maxsize=None)
 def _free_basis() -> tuple[SymTensorField, ...]:
-    """The assembled tensors of the 35 unit free-parameter vectors."""
-    return tuple(assemble_free([Fraction(int(i == idx)) for i in range(DIM_TRACE_FREE)])
-                 for idx in range(DIM_TRACE_FREE))
+    """The tensors F_c of the 35 unit free-parameter vectors."""
+    return tuple(sum((basis_product(*key).scale(coeff) for coeff, key in terms), SymTensorField.zero())
+                 for terms in _free_terms())
 
 
 @lru_cache(maxsize=None)
@@ -745,14 +748,6 @@ def _pair_coordinates() -> list:
     return linalg.extended_coordinates(list(zip(*_assembly_matrix())), products)
 
 
-@lru_cache(maxsize=None)
-def _free_terms() -> tuple:
-    """Per free coordinate c, the (coefficient, (p, q)) of its unit vector's
-    tensor sum coefficient X_p.X_q."""
-    return tuple(tuple(_block_terms(*_blocks_from_free([int(i == c) for i in range(DIM_TRACE_FREE)])))
-                 for c in range(DIM_TRACE_FREE))
-
-
 def lie_operator(v: VectorField) -> list[list[Fraction]]:
     """Matrix of Lie_v on the 35 trace-free coordinates: column c holds the
     coordinates of Lie_v applied to basis vector c.
@@ -801,21 +796,21 @@ def _lie_columns(v: VectorField) -> list[dict]:
     return columns
 
 
-def symmetry_subspace(v: VectorField, mode: str) -> list[tuple[Fraction, list[CktCoefficients]]]:
+def symmetry_subspace(v: VectorField, mode: str) -> list[tuple[Fraction, list[list[Fraction]]]]:
     """Treat Lie_v as a linear operator on the 35-dimensional trace-free
     coefficient space.  mode "h_zero" returns the kernel; mode "h_constant"
-    returns every real eigenvalue with its exact eigenspace.
+    returns every real eigenvalue with its exact eigenspace.  Each basis
+    vector is a list of 35 free coordinates (``FREE_COORDS``), as
+    ``linalg.nullspace`` and ``linalg.rational_eigenvalues`` give it;
+    ``assemble_free`` turns one into its tensor.
     """
     if mode not in ("h_zero", "h_constant"):
         raise CktError(f"unknown mode {mode!r}; expected h_zero or h_constant")
     lam = lie_operator(v)
     if mode == "h_zero":
         kernel = linalg.nullspace(lam, DIM_TRACE_FREE)
-        return [(Fraction(0), [coefficients_from_free(vec) for vec in kernel])] if kernel else []
-    out = []
-    for h, space in linalg.rational_eigenvalues(lam):
-        out.append((h, [coefficients_from_free(vec) for vec in space]))
-    return out
+        return [(Fraction(0), kernel)] if kernel else []
+    return linalg.rational_eigenvalues(lam)
 
 
 def eigenvector_cross(k: SymTensorField, v: VectorField) -> VectorField:
@@ -824,24 +819,6 @@ def eigenvector_cross(k: SymTensorField, v: VectorField) -> VectorField:
     return VectorField((kv[1] * v[2] - kv[2] * v[1],
                         kv[2] * v[0] - kv[0] * v[2],
                         kv[0] * v[1] - kv[1] * v[0]))
-
-
-def _free_rows(basis: list[CktCoefficients]) -> list[dict]:
-    """The free coordinates of each basis member as a sparse dict."""
-    return [{j: x for j, x in enumerate(free_from_coefficients(c)) if x} for c in basis]
-
-
-def eigenvector_subspace(v: VectorField, basis: list[CktCoefficients]) -> list[CktCoefficients]:
-    """Members of span(basis) whose assembled tensor admits v as an
-    eigenvector everywhere: (K.v) x v = 0 identically, a linear condition."""
-    combos = linalg.vanishing_combinations(
-        [eigenvector_cross(assemble_ckt(coeffs), v).components for coeffs in basis])
-    rows = _free_rows(basis)
-    out = []
-    for combo in combos:
-        acc = _within({i: w for i, w in enumerate(combo) if w}, rows, DIM_TRACE_FREE)
-        out.append(coefficients_from_free([acc.get(j, 0) for j in range(DIM_TRACE_FREE)]))
-    return out
 
 
 def _transversal_plane(v: VectorField) -> tuple[int, int]:
@@ -856,12 +833,13 @@ def _transversal_plane(v: VectorField) -> tuple[int, int]:
     raise CktError("no coordinate plane x_i = 0 or x_i = 1 is transversal to v")
 
 
-def _check_one_eigenspace(v: VectorField, rows: list[dict]) -> None:
-    """Raise unless every free-coordinate row lies in one eigenspace of
+def _check_one_eigenspace(v: VectorField, basis: list[list[Fraction]]) -> None:
+    """Raise unless every free-coordinate vector lies in one eigenspace of
     ``lie_operator(v)``, with one eigenvalue for all of them."""
     columns = _lie_columns(v)
     h = None
-    for row in rows:
+    for vec in basis:
+        row = {j: x for j, x in enumerate(vec) if x}
         image = {c: x for c, x in _within(row, columns, DIM_TRACE_FREE).items() if x}
         if row and h is None:
             j = next(iter(row))
@@ -875,21 +853,27 @@ def _check_one_eigenspace(v: VectorField, rows: list[dict]) -> None:
 class TsnFilterResult:
     """Outcome of restricting a symmetry subspace by the TSN conditions.
 
-    ``subspace`` always satisfies TSN identically (certified on the whole
-    symbolic family, on a plane transversal to v; see ``tsn_filter``).
-    ``variety_is_linear`` is False when some direction outside the subspace
-    also satisfies TSN individually, i.e. the full TSN solution set inside
-    the span is not a linear space; the offending directions are reported
+    ``subspace`` is a basis, as free-coordinate vectors, of the members of
+    the span that admit v as an eigenvector; it always satisfies TSN
+    identically (certified on the whole symbolic family, on a plane
+    transversal to v; see ``tsn_filter``).  ``outside_tsn_directions``
+    indexes the basis directions outside the subspace that also satisfy TSN
+    individually; when there is one, the full TSN solution set inside the
+    span is not a linear space, and the offending directions are reported
     rather than silently absorbed."""
 
-    subspace: tuple[CktCoefficients, ...]
-    variety_is_linear: bool
+    subspace: tuple[list[Fraction], ...]
     outside_tsn_directions: tuple[int, ...]
 
+    @property
+    def variety_is_linear(self) -> bool:
+        return not self.outside_tsn_directions
 
-def tsn_filter(v: VectorField, basis: list[CktCoefficients]) -> TsnFilterResult:
-    """Restrict span(basis) to the members satisfying the normal-eigenvector
-    (TSN) conditions identically.
+
+def tsn_filter(v: VectorField, basis: list[list[Fraction]]) -> TsnFilterResult:
+    """Restrict span(basis), a list of free-coordinate vectors such as one
+    eigenspace of ``symmetry_subspace``, to the members satisfying the
+    normal-eigenvector (TSN) conditions identically.
 
     The basis must lie in one eigenspace of Lie_v, Lie_v K = h K; this is
     checked exactly against ``lie_operator(v)`` and CktError is raised
@@ -897,7 +881,9 @@ def tsn_filter(v: VectorField, basis: list[CktCoefficients]) -> TsnFilterResult:
     (K.v) x v = 0, whose sufficiency is certified symbolically (parameters
     as extra polynomial variables).  Basis directions outside the candidate
     are spot-checked; any that satisfy TSN individually are reported in the
-    result.
+    result.  Each basis tensor is assembled once and serves both the
+    eigenvector condition and the spot checks; the subspace and the symbolic
+    family are combined from the free-coordinate vectors.
 
     Both checks run ``tsn_check`` on one coordinate plane x_i = c
     transversal to v (``_transversal_plane``: z = 0 for X3 and I3, x = 0
@@ -925,26 +911,20 @@ def tsn_filter(v: VectorField, basis: list[CktCoefficients]) -> TsnFilterResult:
     is the same for isometries, the dilation and the special conformal I_i.
     A plane that v does not cross (z = 0 for R3) gives wrong verdicts.
     """
-    rows = _free_rows(basis)
-    _check_one_eigenspace(v, rows)
+    _check_one_eigenspace(v, basis)
     plane = _transversal_plane(v)
-    sub = eigenvector_subspace(v, basis)
+    tensors = [assemble_free(vec) for vec in basis]
+    combos = linalg.vanishing_combinations([eigenvector_cross(k, v).components for k in tensors])
+    sub = [[sum((w * vec[j] for w, vec in zip(combo, basis) if w), Fraction(0))
+            for j in range(DIM_TRACE_FREE)] for combo in combos]
     if sub:
-        nparams = len(sub)
-        nv = 3 + nparams
-        family = SymTensorField.zero(nv)
-        for idx, coeffs in enumerate(sub):
-            t = Poly.variable(3 + idx, nv)
-            family = family + assemble_ckt(coeffs).extend(nv).scale(t)
+        nv = 3 + len(sub)
+        ts = [Poly.variable(3 + idx, nv) for idx in range(len(sub))]
+        family = assemble_free([sum((t * vec[j] for t, vec in zip(ts, sub) if vec[j]), Poly.zero(nv))
+                                for j in range(DIM_TRACE_FREE)], nv)
         if not tsn_check(family, plane):
             raise CktError("eigenvector subspace fails the TSN conditions; filter is unsound")
-    sub_rows = [free_from_coefficients(c) for c in sub]
-    base_rank = linalg.rank(sub_rows)
-    outside = []
-    for idx, coeffs in enumerate(basis):
-        row = free_from_coefficients(coeffs)
-        if linalg.rank(sub_rows + [row]) > base_rank and tsn_check(assemble_ckt(coeffs), plane):
-            outside.append(idx)
-    return TsnFilterResult(subspace=tuple(sub),
-                           variety_is_linear=not outside,
-                           outside_tsn_directions=tuple(outside))
+    base_rank = linalg.rank(sub)
+    outside = [idx for idx, (vec, k) in enumerate(zip(basis, tensors))
+               if linalg.rank(sub + [vec]) > base_rank and tsn_check(k, plane)]
+    return TsnFilterResult(subspace=tuple(sub), outside_tsn_directions=tuple(outside))

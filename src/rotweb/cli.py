@@ -227,7 +227,7 @@ def cmd_symmetry(args) -> tuple[dict, int]:
         block = {
             "h": rat_str(h),
             "dimension": len(basis),
-            "basis": [c.to_json_dict() for c in basis],
+            "basis": [ckt_core.coefficients_from_free(vec).to_json_dict() for vec in basis],
         }
         if mode == "h_zero":
             filtered = tsn_filter(v, basis)
@@ -241,7 +241,7 @@ def cmd_symmetry(args) -> tuple[dict, int]:
                     "directions": list(filtered.outside_tsn_directions),
                 })
             block["killing_obstruction_zero"] = [
-                killing_obstruction(ckt_core.assemble_ckt(c)).is_zero for c in basis
+                killing_obstruction(ckt_core.assemble_free(vec)).is_zero for vec in basis
             ]
         results["eigenvalues"].append(block)
     # Informational findings never signal failure here; surprises are data.

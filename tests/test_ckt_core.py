@@ -6,8 +6,7 @@ import pytest
 from rotweb import ckt_core as cc
 from rotweb.ckt_core import (CktCoefficients, CktError, SymTensorField, assemble_ckt,
                              assemble_free, ckt_dimension, ckv_basis, ckv_by_name,
-                             commutator, conformal_factor, coefficients_from_free,
-                             eigenvector_subspace, free_from_coefficients, killing_obstruction,
+                             commutator, conformal_factor, coefficients_from_free, killing_obstruction,
                              lie_derivative, lie_operator, metric, nijenhuis, symmetric_product,
                              symmetry_subspace, tsn_check, tsn_filter, verify_ckt)
 from rotweb.exactmath import Poly, UniPoly
@@ -214,11 +213,31 @@ class TestFreeCoordinates:
             assert k.trace().is_zero
             assert verify_ckt(k)[0]
 
+    def test_assemble_free_matches_the_coefficient_route(self, rng):
+        # assemble_free sums the cached free basis tensors; the reference
+        # expands the full coefficient blocks.
+        vecs = [[rand_fraction(rng) for _ in range(35)] for _ in range(20)]
+        for name, mode in (("X3", "h_zero"), ("I3", "h_zero"), ("R3", "h_zero"), ("D", "h_constant")):
+            vecs += [vec for _, basis in symmetry_subspace(ckv_by_name(name), mode) for vec in basis]
+        for vec in vecs:
+            assert assemble_free(vec) == assemble_ckt(coefficients_from_free(vec))
+        rows = vecs[18:23]  # random and scan vectors
+        nv = 3 + len(rows)
+        ts = [Poly.variable(3 + i, nv) for i in range(len(rows))]
+        family = assemble_free([sum((t * row[j] for t, row in zip(ts, rows)), Poly.zero(nv))
+                                for j in range(35)], nvars=nv)
+        assert family == sum((assemble_ckt(coefficients_from_free(row)).extend(nv).scale(t)
+                              for t, row in zip(ts, rows)), SymTensorField.zero(nv))
+        for bad in (vecs[0][:34], vecs[0] + [1]):
+            with pytest.raises(CktError, match="35 free parameters"):
+                assemble_free(bad)
+
     def test_e_entry_determines_c(self):
         raw = CktCoefficients.make(e=((0, 1, 0), (1, 0, 0), (0, 0, 0)))
         # Modulo the metric, the raw E.I term keeps a third of its weight in E
         # and moves the rest into C.
-        reduced = coefficients_from_free([x / 3 for x in free_from_coefficients(raw)])
+        reduced = coefficients_from_free([Fraction(1, 3) if coord in (("e", 0, 1), ("e", 1, 0)) else 0
+                                          for coord in cc.FREE_COORDS])
         assert reduced.c[0][1] == 2 * reduced.e[0][1]
         # Same equivalence class: the difference is a multiple of the metric.
         diff = assemble_ckt(raw) - assemble_ckt(reduced)
@@ -293,11 +312,11 @@ class TestTsn:
         r3 = ckv_by_name("R3")
         kernel = symmetry_subspace(r3, "h_zero")[0][1]
         filtered = tsn_filter(r3, kernel).subspace
-        inside = assemble_ckt(filtered[0])
+        inside = assemble_free(filtered[0])
         outside = None
-        for c in kernel:
-            if not tsn_check(assemble_ckt(c)):
-                outside = assemble_ckt(c)
+        for vec in kernel:
+            if not tsn_check(assemble_free(vec)):
+                outside = assemble_free(vec)
                 break
         assert outside is not None
         for _ in range(5):
@@ -311,7 +330,7 @@ class TestTsn:
 
     def test_verdict_is_homogeneous(self, rng):
         from rotweb.rotational import RotParams, assemble_rotational
-        tensors = [assemble_ckt(c) for c in symmetry_subspace(ckv_by_name("R3"), "h_zero")[0][1]]
+        tensors = [assemble_free(vec) for vec in symmetry_subspace(ckv_by_name("R3"), "h_zero")[0][1]]
         tensors += [assemble_rotational(RotParams.make(*(rand_fraction(rng) for _ in range(6))))
                     for _ in range(5)]
         tensors += [assemble_free([rand_fraction(rng, -3, 3) for _ in range(35)]) for _ in range(5)]
@@ -437,30 +456,30 @@ class TestSymmetrySubspace:
         r3 = ckv_by_name("R3")
         (h, basis), = symmetry_subspace(r3, "h_zero")
         assert h == 0 and len(basis) == 9
-        for coeffs in basis:
-            assert lie_derivative(r3, assemble_ckt(coeffs)).is_zero
+        for vec in basis:
+            assert lie_derivative(r3, assemble_free(vec)).is_zero
         result = tsn_filter(r3, basis)
         assert len(result.subspace) == 6
         assert result.variety_is_linear
-        for coeffs in result.subspace:
-            assert tsn_check(assemble_ckt(coeffs))
+        for vec in result.subspace:
+            assert tsn_check(assemble_free(vec))
 
     def test_translation_kernel_pattern(self):
         x3 = ckv_by_name("X3")
         (h, basis), = symmetry_subspace(x3, "h_zero")
         assert len(basis) == 9
-        for coeffs in basis:
-            k = assemble_ckt(coeffs)
+        for vec in basis:
+            k = assemble_free(vec)
             assert lie_derivative(x3, k).is_zero
             assert k.degree() <= 2
             assert all(p.degree_in(2) <= 0 for row in k.comps for p in row)
             assert killing_obstruction(k).is_zero
         # Requiring X3 as eigenvector leaves the printed six-parameter family:
         # only K11, K12, K22, K33 occupied, translation-invariant, degree <= 2.
-        sub = eigenvector_subspace(x3, basis)
+        sub = tsn_filter(x3, basis).subspace
         assert len(sub) == 6
-        for coeffs in sub:
-            k = assemble_ckt(coeffs)
+        for vec in sub:
+            k = assemble_free(vec)
             assert k[0][2].is_zero and k[1][2].is_zero
 
     def test_dilation_eigenvalues(self):
@@ -469,8 +488,8 @@ class TestSymmetrySubspace:
         eigen = {int(h): len(basis) for h, basis in spaces}
         assert eigen == {-2: 5, -1: 8, 0: 9, 1: 8, 2: 5}
         for h, basis in spaces:
-            for coeffs in basis:
-                k = assemble_ckt(coeffs)
+            for vec in basis:
+                k = assemble_free(vec)
                 assert lie_derivative(d, k) == k.scale(h)
 
     def test_dilation_char_poly_is_product_over_eigenspaces(self):
@@ -521,14 +540,13 @@ def symbolic_family(members):
     """sum_i t_i K_i, with the t_i as extra polynomial variables."""
     nv = 3 + len(members)
     family = SymTensorField.zero(nv)
-    for idx, coeffs in enumerate(members):
-        family = family + assemble_ckt(coeffs).extend(nv).scale(Poly.variable(3 + idx, nv))
+    for idx, vec in enumerate(members):
+        family = family + assemble_free(vec).extend(nv).scale(Poly.variable(3 + idx, nv))
     return family
 
 
 def combination(members, weights):
-    rows = [free_from_coefficients(c) for c in members]
-    return assemble_free([sum(w * row[j] for w, row in zip(weights, rows)) for j in range(cc.DIM_TRACE_FREE)])
+    return assemble_free([sum(w * vec[j] for w, vec in zip(weights, members)) for j in range(cc.DIM_TRACE_FREE)])
 
 
 class TestTsnPlane:
@@ -540,11 +558,11 @@ class TestTsnPlane:
         rng = random.Random(1)
         v, basis = scan_eigenspace(name, h)
         plane = cc._transversal_plane(v)
-        sub = eigenvector_subspace(v, basis)
+        sub = tsn_filter(v, basis).subspace
         if sub:
             family = symbolic_family(sub)
             assert tsn_check(family) and tsn_check(family, plane)
-        tensors = [assemble_ckt(c) for c in basis]
+        tensors = [assemble_free(vec) for vec in basis]
         for members in (sub, basis):  # inside, then mostly outside the subspace
             if members:
                 tensors += [combination(members, [rand_fraction(rng, -3, 3) for _ in members])
@@ -576,12 +594,10 @@ class TestTsnPlane:
         with pytest.raises(CktError, match="one eigenspace"):
             tsn_filter(d, [first[0], second[0]])
         with pytest.raises(CktError, match="one eigenspace"):
-            tsn_filter(d, first + [coefficients_from_free(
-                [a + b for a, b in zip(free_from_coefficients(first[0]), free_from_coefficients(second[0]))])])
+            tsn_filter(d, first + [[a + b for a, b in zip(first[0], second[0])]])
         r3 = ckv_by_name("R3")
         (_, kernel), = symmetry_subspace(r3, "h_zero")
-        units = (coefficients_from_free([int(i == j) for i in range(cc.DIM_TRACE_FREE)])
-                 for j in range(cc.DIM_TRACE_FREE))
-        moved = next(c for c in units if not lie_derivative(r3, assemble_ckt(c)).is_zero)
+        units = ([Fraction(int(i == j)) for i in range(cc.DIM_TRACE_FREE)] for j in range(cc.DIM_TRACE_FREE))
+        moved = next(vec for vec in units if not lie_derivative(r3, assemble_free(vec)).is_zero)
         with pytest.raises(CktError, match="one eigenspace"):
             tsn_filter(r3, kernel + [moved])

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from rotweb import cli
+from rotweb.ckt_core import CktCoefficients, assemble_ckt, assemble_free, ckv_by_name, symmetry_subspace
 from rotweb.cli import main
 from rotweb.exactmath import rat_str
 from rotweb.quartic_class import ClassificationError
@@ -225,6 +226,12 @@ class TestSymmetry:
         assert code == 0
         eigen = {block["h"]: block["dimension"] for block in report["results"]["eigenvalues"]}
         assert eigen == {"-2": 5, "-1": 8, "0": 9, "1": 8, "2": 5}
+        # The JSON coefficients, read back as outside input, give the tensors
+        # of the scan's free-coordinate vectors.
+        spaces = symmetry_subspace(ckv_by_name("D"), "h_constant")
+        assert [[assemble_ckt(CktCoefficients.from_json_dict(entry)) for entry in block["basis"]]
+                for block in report["results"]["eigenvalues"]] == [
+            [assemble_free(vec) for vec in basis] for _, basis in spaces]
 
     def test_translation_scan_killing_flags(self, capsys):
         code, report = run_json(capsys, "symmetry", "X3", "--h", "0")
