@@ -617,7 +617,8 @@ def _blocks_from_free(vec: Sequence):
 
 def coefficients_from_free(vec: Sequence) -> CktCoefficients:
     a, b, c, d, e, f, g, h, l, m = _blocks_from_free([rat(v) for v in vec])
-    return CktCoefficients.make(a=a, b=b, c=c, d=d, e=e, f=f, g=g, h=h, l=l, m=m)
+    a, b, c, e, g, m = (tuple(map(tuple, block)) for block in (a, b, c, e, g, m))
+    return CktCoefficients(a=a, b=b, c=c, d=tuple(d), e=e, f=tuple(f), g=g, h=h, l=tuple(l), m=m)
 
 
 def assemble_free(vec: Sequence, nvars: int = 3) -> SymTensorField:
@@ -860,10 +861,12 @@ class TsnFilterResult:
     indexes the basis directions outside the subspace that also satisfy TSN
     individually; when there is one, the full TSN solution set inside the
     span is not a linear space, and the offending directions are reported
-    rather than silently absorbed."""
+    rather than silently absorbed.  ``tensors`` holds the tensors of the
+    input basis vectors, in basis order."""
 
     subspace: tuple[list[Fraction], ...]
     outside_tsn_directions: tuple[int, ...]
+    tensors: tuple[SymTensorField, ...]
 
     @property
     def variety_is_linear(self) -> bool:
@@ -927,4 +930,5 @@ def tsn_filter(v: VectorField, basis: list[list[Fraction]]) -> TsnFilterResult:
     base_rank = linalg.rank(sub)
     outside = [idx for idx, (vec, k) in enumerate(zip(basis, tensors))
                if linalg.rank(sub + [vec]) > base_rank and tsn_check(k, plane)]
-    return TsnFilterResult(subspace=tuple(sub), outside_tsn_directions=tuple(outside))
+    return TsnFilterResult(subspace=tuple(sub), outside_tsn_directions=tuple(outside),
+                           tensors=tuple(tensors))

@@ -241,7 +241,7 @@ def cmd_symmetry(args) -> tuple[dict, int]:
                     "directions": list(filtered.outside_tsn_directions),
                 })
             block["killing_obstruction_zero"] = [
-                killing_obstruction(ckt_core.assemble_free(vec)).is_zero for vec in basis
+                killing_obstruction(k).is_zero for k in filtered.tensors
             ]
         results["eigenvalues"].append(block)
     # Informational findings never signal failure here; surprises are data.

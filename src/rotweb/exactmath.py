@@ -41,7 +41,6 @@ def rat(value: int | str | Fraction) -> Fraction:
 
 def rat_str(value: int | Fraction) -> str:
     """Format a rational as "p/q", or "p" when the denominator is 1."""
-    value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

@@ -268,9 +268,9 @@ class _Stratum(NamedTuple):
     mu_range: tuple = (-math.inf, math.inf)
 
 
-# Canonical roots are homogeneous points (x, y) for the root (x : y),
-# ordered by multiplicity and with a complex pair kept together, as
-# _float_roots orders the input's roots.
+# Canonical roots are homogeneous points (x, y) for the root (x : y), in
+# the order in which _float_roots gives the input's roots: by decreasing
+# multiplicity, and a complex pair as z then conj(z), with Im z > 0.
 _STRATA = {
     WebType.BI_CYCLIDE: _Stratum(((1, 1, 1, 1), ()), "I", mu_range=(-math.inf, -2)),
     WebType.FLAT_RING_CYCLIDE: _Stratum(((), (1, 1)), "I", mu_range=(-2, 2)),
@@ -386,27 +386,22 @@ def _float_roots(structure: RootStructure) -> list[tuple]:
     """Distinct roots over the projective line as homogeneous float points,
     (1, 0) for infinity, ordered by decreasing multiplicity.  Real roots are
     exactly real (the exact structure says how many there are) and complex
-    roots come as exactly conjugate neighbours."""
-    import numpy as np
-
+    roots come as exactly conjugate neighbours.  Roots are found and
+    polished in the variable of ``_normalized`` and then written exactly as
+    points with no coordinate above 1 in size, so roots of any size stay
+    within double range."""
     roots = []
     if structure.infinity_multiplicity:
         roots.append((structure.infinity_multiplicity, (1, 0)))
     for factor, mult, nreal in structure.finite_factors:
-        # Roots of factor(x + centre) are resolved relative to their spread
-        # about the centroid, not to its distance from 0.
-        coeffs = list(factor.coeffs)
-        centre = -Fraction(coeffs[-2]) / (len(coeffs) - 1)
-        for i in range(len(coeffs) - 1):
-            for j in range(len(coeffs) - 2, i - 1, -1):
-                coeffs[j] += centre * coeffs[j + 1]
-        found = np.roots([float(c) for c in reversed(coeffs)]) + float(centre)
-        found = sorted((complex(z) for z in found), key=lambda z: abs(z.imag))
-        roots.extend((mult, (_polish(factor, z.real).real, 1)) for z in found[:nreal])
-        pairs = sorted(found[nreal:], key=lambda z: -z.imag)[:len(found[nreal:]) // 2]
-        for z in pairs:
-            z = _polish(factor, z)
-            roots.extend([(mult, (z, 1)), (mult, (z.conjugate(), 1))])
+        centre, k, scaled = _normalized(factor)
+        found = sorted(_aberth(scaled), key=lambda w: abs(w.imag))
+        for w in found[:nreal]:
+            roots.append((mult, _point(centre, k, _polish(scaled, w.real).real)))
+        pairs = sorted(found[nreal:], key=lambda w: -w.imag)[:len(found[nreal:]) // 2]
+        for w in pairs:
+            x, y = _point(centre, k, _polish(scaled, w))
+            roots.extend([(mult, (x, y)), (mult, (x.conjugate(), y.conjugate()))])
     roots.sort(key=lambda item: -item[0])
     points = [point for _, point in roots]
     if any(_bracket(u, v) == 0 for u, v in itertools.combinations(points, 2)):
@@ -414,24 +409,121 @@ def _float_roots(structure: RootStructure) -> list[tuple]:
     return points
 
 
-def _polish(factor: UniPoly, z: complex) -> complex:
-    """Newton steps on a simple root with the factor's value at z computed
-    exactly, until a step is below 1e-10 |z|: numpy's roots of clustered
-    factors are too coarse for a 1e-9 witness."""
-    for _ in range(8):
-        x, y = Fraction(z.real), Fraction(z.imag)
-        re = im = Fraction(0)
-        slope = 0j
-        for c in reversed(factor.coeffs):
-            slope = slope * z + complex(re, im)
-            re, im = re * x - im * y + c, re * y + im * x
-        if not slope:
+def _log2(c) -> float:
+    """log2 |c| of a nonzero rational of any size."""
+    return math.log2(abs(c.numerator)) - math.log2(c.denominator)
+
+
+def _normalized(factor: UniPoly) -> tuple[Fraction, int, UniPoly]:
+    """A centre c, a k and the monic g(w) = factor(c + 2^k w) / 2^(k d) of a
+    monic factor of degree d, all exact.  The centre is the root centroid
+    when the factor is smaller in size there than at 0, and is 0 otherwise:
+    roots are resolved relative to their distance from the centre, so a
+    cluster of all the roots is taken about its centroid, and a root near 0
+    far from the others about 0.  2^k is near the geometric mean of the
+    sizes of the nonzero roots of factor(c + x), so the roots of g stay
+    within double range unless their sizes differ by a factor beyond
+    about 10^600."""
+    coeffs = list(factor.coeffs)
+    d = len(coeffs) - 1
+    centre = -Fraction(coeffs[-2]) / d
+    if abs(factor.eval(centre)) >= abs(coeffs[0]):
+        centre = Fraction(0)
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            coeffs[j] += centre * coeffs[j + 1]
+    low = next(i for i, c in enumerate(coeffs) if c)
+    k = round(_log2(coeffs[low]) / (d - low)) if low < d else 0
+    return centre, k, UniPoly([c * Fraction(2) ** (k * (i - d)) for i, c in enumerate(coeffs)])
+
+
+def _aberth(poly: UniPoly) -> list[complex]:
+    """The roots of a monic square-free polynomial, by the simultaneous
+    Aberth-Ehrlich iteration in doubles (Aberth 1973; Ehrlich 1967).  The
+    starting points lie on circles whose radii come from the Newton polygon
+    of log2 |coefficient| (Bini 1996), so that roots of very different
+    sizes each start near their own size, and each Newton correction is
+    taken on the polynomial rescaled to the size of its point, so that no
+    coefficient or value leaves double range."""
+    logs = {i: _log2(c) for i, c in enumerate(poly.coeffs) if c}
+    hull: list[int] = []  # upper convex hull of the points (i, logs[i])
+    for i in logs:
+        while len(hull) > 1 and ((logs[hull[-1]] - logs[hull[-2]]) * (i - hull[-1])
+                                 <= (logs[i] - logs[hull[-1]]) * (hull[-1] - hull[-2])):
+            hull.pop()
+        hull.append(i)
+    z = [0j] * hull[0]
+    for i, j in zip(hull, hull[1:]):
+        size = (logs[i] - logs[j]) / (j - i)
+        if abs(size) > 1000:
+            raise ClassificationError("the roots of a factor differ in size beyond double range")
+        radius = 2.0 ** size
+        z += [radius * cmath.exp(1j * (2 * math.pi * t / (j - i) + 0.4)) for t in range(j - i)]
+    terms = []  # (i, m, x) with c_i = m 2^x and m about 1 in size, highest i first
+    for i in reversed(range(len(poly.coeffs))):
+        x = math.floor(logs[i]) + 1 if i in logs else 0
+        terms.append((i, float(poly.coeffs[i] / Fraction(2) ** x), x))
+    for _ in range(50):
+        moved = False
+        for j, zj in enumerate(z):
+            e = math.frexp(abs(zj))[1]
+            top = max(x + i * e for i, m, x in terms if m)
+            u = complex(math.ldexp(zj.real, -e), math.ldexp(zj.imag, -e))
+            p = dp = 0j
+            for i, m, x in terms:
+                dp = dp * u + p
+                p = p * u + math.ldexp(m, x + i * e - top)
+            scale = 2.0 ** e
+            denom = dp - scale * p * sum(1 / (zj - zk) for zk in z if zk != zj)
+            if denom:
+                step = scale * p / denom
+                z[j] = zj - step
+                moved = moved or abs(step) > 1e-14 * abs(zj)
+        if not moved:
             break
-        step = complex(re, im) / slope
+    return z
+
+
+def _polish(factor: UniPoly, z: complex) -> complex:
+    """Newton steps on a simple root, each computed exactly from the
+    factor's value and slope at z, until a step is below 1e-10 |z|: float
+    roots of clustered factors are too coarse for a 1e-9 witness, and a
+    value at a root can be far below or above double range.  With the
+    coefficients as integers n_i / den and z = (X + iY) / 2^s, the value
+    times den 2^(s d) and the slope times den 2^(s (d - 1)) are Gaussian
+    integers."""
+    den = math.lcm(*(c.denominator for c in factor.coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in factor.coeffs]
+    d = len(ints) - 1
+    for _ in range(8):
+        (xn, xd), (yn, yd) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+        shift = max(xd, yd).bit_length() - 1
+        x, y = xn << (shift - xd.bit_length() + 1), yn << (shift - yd.bit_length() + 1)
+        re, im, dre, dim = ints[d], 0, 0, 0
+        for i in range(d - 1, -1, -1):
+            dre, dim = dre * x - dim * y + re, dre * y + dim * x + im
+            re, im = re * x - im * y + (ints[i] << (shift * (d - i))), re * y + im * x
+        norm = (dre * dre + dim * dim) << shift
+        if not norm:
+            break
+        step = complex((re * dre + im * dim) / norm, (im * dre - re * dim) / norm)
         z -= step
         if abs(step) <= 1e-10 * abs(z):
             break
     return z
+
+
+def _point(centre: Fraction, k: int, w) -> tuple:
+    """The homogeneous point of the root centre + 2^k w, computed exactly
+    and written as (z, 1) when |z| <= 1 and as (1, 1/z) otherwise; a real
+    w gives a real point."""
+    x = centre + Fraction(w.real) * Fraction(2) ** k
+    y = Fraction(w.imag) * Fraction(2) ** k
+    norm = x * x + y * y
+    if norm > 1:
+        x, y = x / norm, -y / norm
+    z = complex(x, y) if isinstance(w, complex) else float(x)
+    return (z, 1) if norm <= 1 else (1, z)
 
 
 def _bracket(u, v):
@@ -483,12 +575,19 @@ def _generic_form(web: WebType, roots: list) -> tuple[float, Mat2]:
     first, *rest = roots
     found = []
     for z2, z3, z4 in itertools.permutations(rest):
-        mu = (2 * s * (_bracket(first, z3) * _bracket(z2, z4)
-                       + _bracket(first, z4) * _bracket(z2, z3))
-              / (_bracket(first, z2) * _bracket(z3, z4)))
+        # Each bracket is divided before any two are multiplied, so that no
+        # product of small brackets underflows.
+        b12, b34 = _bracket(first, z2), _bracket(z3, z4)
+        mu = 2 * s * (_bracket(first, z3) / b12 * (_bracket(z2, z4) / b34)
+                      + _bracket(first, z4) / b12 * (_bracket(z2, z3) / b34))
         if abs(mu.imag) > 1e-7 * max(1.0, abs(mu)) or not low < mu.real < high:
             continue
-        a = cmath.sqrt((-mu.real + cmath.sqrt(mu.real ** 2 - 4 * s * s)) / 2)
+        # a^2 = (-mu + r) / 2 with r = sqrt(mu^2 - 4 s^2), which is taken as
+        # c sqrt((mu/c)^2 - 4 (s/c)^2) to stay within double range, and
+        # evaluated as 2 s^2 / (-mu - r) where -mu + r would cancel.
+        c = max(1.0, abs(mu.real))
+        r = c * cmath.sqrt((mu.real / c) ** 2 - 4 * (s / c) ** 2)
+        a = cmath.sqrt((-mu.real + r) / 2 if mu.real * r.real <= 0 else 2 * s * s / (-mu.real - r))
         matrix = _real_matrix([(a, 1), (-a, 1), (s / a, 1)], [first, z2, z3])
         if matrix is not None:
             found.append((mu.real, matrix))
@@ -528,17 +627,18 @@ def _pin_parameter(form: str, inv: Invariants, approx: float) -> tuple[Fraction 
 def _witness(q: BinaryQuartic, matrix: Mat2, target: tuple) -> tuple[GroupElement, float]:
     """The group element substituting by the matrix, rescaled to agree with
     the target at its largest coefficient, and its residual."""
+    target = [Fraction(t) for t in target]
     pivot = max(range(5), key=lambda k: abs(target[k]))
     try:
         g = from_gl2(Mat2(*(Fraction(e) for e in
                             (matrix.alpha, matrix.beta, matrix.gamma, matrix.delta))))
         moved = apply_quartic(g, q.as_tuple())
-        scale = Fraction(float(target[pivot]) / float(moved[pivot]))
+        scale = target[pivot] / moved[pivot]
         g = GroupElement.make(g.a0, g.a1, g.a2, g.a3 * scale, 0, g.discrete)
-        error = max(abs(float(m * scale) - float(t)) for m, t in zip(moved, target))
-    except (CktError, ZeroDivisionError, OverflowError) as exc:
+    except (CktError, ZeroDivisionError) as exc:
         raise ClassificationError(f"degenerate canonicalization matrix: {exc}") from None
-    return g, error / max(1.0, max(abs(float(t)) for t in target))
+    error = max(abs(m * scale - t) for m, t in zip(moved, target))
+    return g, float(error / max(1, max(abs(t) for t in target)))
 
 
 def canonical_form(q: BinaryQuartic, structure: RootStructure | None = None
@@ -559,10 +659,7 @@ def canonical_form(q: BinaryQuartic, structure: RootStructure | None = None
     web = classify_by_roots(q, structure)
     stratum = _STRATA[web]
     form = stratum.form
-    try:
-        roots = _float_roots(structure)
-    except OverflowError:
-        raise ClassificationError("a root factor is beyond floating-point range") from None
+    roots = _float_roots(structure)
     if stratum.roots is not None:
         parameter, exact = stratum.parameter, True
         matrix = _real_matrix(stratum.roots, roots)

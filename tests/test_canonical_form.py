@@ -8,14 +8,18 @@ roots at infinity), then moves the product by a random rational GL(2)
 substitution and a random scale.
 """
 
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from rotweb import quartic_class
 from rotweb.group_action import Mat2, apply_quartic, substitution_action
-from rotweb.quartic_class import (BinaryQuartic, WebType, canonical_form,
-                                  classify_by_invariants, classify_by_roots)
+from rotweb.quartic_class import (BinaryQuartic, ClassificationError, WebType, _float_roots, _polish,
+                                  canonical_form, classify_by_invariants, classify_by_roots,
+                                  root_structure)
 
 from conftest import rand_fraction
 
@@ -132,24 +136,146 @@ def parameter_in_range(web, parameter):
     return parameter == FIXED_PARAMETERS[web]
 
 
+def canonicalization_problems(q, web):
+    """What is wrong with the classification and canonical form of a quartic
+    from the web's stratum: an empty list when nothing is."""
+    assert classify_by_roots(q) is web, q.to_json()
+    problems = []
+    by_invariants, audit = classify_by_invariants(q)
+    if by_invariants is not web:
+        problems.append((q.to_json(), "invariants", by_invariants.value, audit))
+    cf, witness = canonical_form(q)
+    target = representative(cf.form, cf.parameter)
+    residual = witness_residual(witness, q, target)
+    if cf.form != FORMS[web] or not parameter_in_range(web, cf.parameter):
+        problems.append((q.to_json(), "form", cf))
+    if not residual <= 1e-9 or abs(residual - cf.witness_residual) > 1e-12:
+        problems.append((q.to_json(), "residual", residual, cf.witness_residual))
+    return problems
+
+
 @pytest.mark.parametrize("web", list(WebType), ids=lambda w: w.value)
 def test_stratified_canonicalization(web):
     rng = random.Random(f"canonical-{web.value}")
     problems = []
     for _ in range(PER_STRATUM):
-        q = partition_quartic(rng, web)
-        assert classify_by_roots(q) is web, q.to_json()
-        by_invariants, audit = classify_by_invariants(q)
-        if by_invariants is not web:
-            problems.append((q.to_json(), "invariants", by_invariants.value, audit))
-        cf, witness = canonical_form(q)
-        target = representative(cf.form, cf.parameter)
-        residual = witness_residual(witness, q, target)
-        if cf.form != FORMS[web] or not parameter_in_range(web, cf.parameter):
-            problems.append((q.to_json(), "form", cf))
-        if not residual <= 1e-9 or abs(residual - cf.witness_residual) > 1e-12:
-            problems.append((q.to_json(), "residual", residual, cf.witness_residual))
+        problems += canonicalization_problems(partition_quartic(rng, web), web)
     assert problems == []
+
+
+def reference_float_roots(structure):
+    """numpy's companion-matrix roots of each square-free factor, each
+    polished by _polish and ordered as _float_roots orders its roots: the
+    reference for the package's own root finder."""
+    roots = [(structure.infinity_multiplicity, (1, 0))] if structure.infinity_multiplicity else []
+    for factor, mult, nreal in structure.finite_factors:
+        found = sorted((complex(z) for z in np.roots([float(c) for c in reversed(factor.coeffs)])),
+                       key=lambda z: abs(z.imag))
+        roots += [(mult, (_polish(factor, z.real).real, 1)) for z in found[:nreal]]
+        for z in sorted(found[nreal:], key=lambda z: -z.imag)[:len(found[nreal:]) // 2]:
+            z = _polish(factor, z)
+            roots += [(mult, (z, 1)), (mult, (z.conjugate(), 1))]
+    roots.sort(key=lambda item: -item[0])
+    return [point for _, point in roots]
+
+
+def chordal_distance(p, q):
+    """|p0 q1 - p1 q0| / (|p| |q|): the distance of two points of the
+    projective line, whatever their scale and including infinity."""
+    return abs(p[0] * q[1] - p[1] * q[0]) / (math.hypot(abs(p[0]), abs(p[1]))
+                                             * math.hypot(abs(q[0]), abs(q[1])))
+
+
+def set_distance(points, others):
+    """The Hausdorff distance of two sets of points in chordal distance."""
+    return max(max(min(chordal_distance(p, q) for q in b) for p in a)
+               for a, b in ((points, others), (others, points)))
+
+
+@pytest.mark.parametrize("web", list(WebType), ids=lambda w: w.value)
+def test_root_finder_matches_numpy(web, monkeypatch):
+    rng = random.Random(f"canonical-{web.value}")
+    problems = []
+    for _ in range(PER_STRATUM):
+        q = partition_quartic(rng, web)
+        structure = root_structure(q)
+        points, reference = _float_roots(structure), reference_float_roots(structure)
+        if len(points) != len(reference) or set_distance(points, reference) > 1e-9:
+            problems.append((q.to_json(), "roots", points, reference))
+        cf, _ = canonical_form(q, structure)
+        with monkeypatch.context() as patch:
+            patch.setattr(quartic_class, "_float_roots", reference_float_roots)
+            expected, _ = canonical_form(q, structure)
+        if (cf.form, cf.exact) != (expected.form, expected.exact) or (
+                cf.parameter != expected.parameter if cf.exact
+                else abs(cf.parameter - expected.parameter) > 1e-12 * abs(expected.parameter)):
+            problems.append((q.to_json(), "canonical", cf, expected))
+    assert problems == []
+
+
+EXTREME_PER_STRATUM = 24
+
+
+def extreme_quartic(rng, web):
+    """A quartic from partition_quartic with every root moved near 0 or near
+    infinity, by Y -> 10^e Y with 60 <= |e| <= 85, and scaled by 10^f with
+    |f| <= 60: coefficient heights reach about 10^385."""
+    q = partition_quartic(rng, web)
+    e = rng.choice((-1, 1)) * rng.randint(60, 85)
+    f = rng.randint(-60, 60)
+    return BinaryQuartic.make(*(c * Fraction(10) ** (e * i + f) for i, c in enumerate(q.as_tuple())))
+
+
+@pytest.mark.parametrize("web", list(WebType), ids=lambda w: w.value)
+def test_extreme_magnitudes(web):
+    rng = random.Random(f"extreme-{web.value}")
+    problems = []
+    for _ in range(EXTREME_PER_STRATUM):
+        problems += canonicalization_problems(extreme_quartic(rng, web), web)
+    assert problems == []
+
+
+TINY, HUGE, SMALL = Fraction(1, 10**400), Fraction(10**400), Fraction(1, 10**200)
+
+
+@pytest.mark.parametrize("coeffs,web", [
+    ((TINY, 0, -1, 0, 1), WebType.BI_CYCLIDE),              # +-1 and +-10^200
+    ((TINY, 0, -1, 0, -1), WebType.DISK_CYCLIDE),           # +-i and +-10^200
+    ((HUGE, 0, -1, 0, 1), WebType.FLAT_RING_CYCLIDE),       # four of size 10^-100
+    ((0, SMALL, -1 - SMALL, 1, 0), WebType.BI_CYCLIDE),     # 0, 1, 10^200 and infinity
+    ((1, -1 - SMALL, SMALL, 0, 0), WebType.INVERSE_PROLATE_SPHEROIDAL),  # 0 twice, 1, 10^-200
+    ((TINY, -1, 0, 0, 0), WebType.CARDIOID),                # 0 three times and 10^400
+], ids=["bi_cyclide", "disk_cyclide", "flat_ring_cyclide", "bi_cyclide_infinity",
+        "inverse_prolate", "cardioid"])
+def test_roots_far_apart(coeffs, web):
+    # Roots of one square-free factor whose sizes differ by up to 10^200.
+    assert canonicalization_problems(BinaryQuartic.make(*coeffs), web) == []
+
+
+@pytest.mark.parametrize("centre,spread", [(7, Fraction(1, 10**4)), (25, Fraction(1, 10**5)),
+                                           (Fraction(100, 3), Fraction(1, 10**5))])
+def test_four_clustered_roots(centre, spread):
+    # The roots are resolved about their centroid; about 0 they would
+    # coincide in doubles.  Their cross-ratio fixes mu = -13/4.
+    form = [Fraction(1)]
+    for r in (0, 3, 7, 12):
+        form = _mul(form, [Fraction(1), -(centre + r * spread)])
+    cf, _ = canonical_form(BinaryQuartic.make(*form))
+    assert (cf.form, cf.parameter, cf.exact) == ("I", Fraction(-13, 4), True)
+
+
+def test_root_cluster_beside_a_far_root():
+    # Three roots of size about 1 and one near -3e10: about the centroid
+    # the three would coincide in doubles, so they are resolved about 0.
+    q = BinaryQuartic.make(Fraction(1, 10**10), 3, -1, 0, 1)
+    assert canonicalization_problems(q, WebType.DISK_CYCLIDE) == []
+
+
+def test_root_sizes_beyond_double_range_are_a_finding():
+    # Roots near 10^400 and 10^-400 in one factor: no power-of-two scale
+    # brings both within double range.
+    with pytest.raises(ClassificationError, match="differ in size beyond double range"):
+        canonical_form(BinaryQuartic.make(1, 0, -Fraction(10**800), 0, 1))
 
 
 class TestFaultRegressions:
