@@ -71,10 +71,11 @@ def cmd_classify(args) -> tuple[dict, int]:
         raise InputError("tensor is equivalent to C33 * R3 . R3 + f * g; no web defined")
 
     structure = root_structure(quartic)
+    inv = invariants(quartic)
     by_roots = classify_by_roots(quartic, structure)
     findings: list = []
     try:
-        by_inv, audit = classify_by_invariants(quartic)
+        by_inv, audit = classify_by_invariants(quartic, inv)
         inv_value = by_inv.value
     except ClassificationError as exc:
         by_inv, audit, inv_value = None, exc.audit, None
@@ -86,7 +87,7 @@ def cmd_classify(args) -> tuple[dict, int]:
             "audit": audit,
         })
     try:
-        canonical, witness = canonical_form(quartic, structure)
+        canonical, witness = canonical_form(quartic, structure, inv)
         canonical, witness = canonical.to_json_dict(), witness.to_json_dict()
     except ClassificationError as exc:
         canonical = witness = None
@@ -94,7 +95,7 @@ def cmd_classify(args) -> tuple[dict, int]:
     results = {
         "quartic": quartic.to_json(),
         "root_structure": structure.to_json_dict(),
-        "invariants": invariants(quartic).to_json_dict(),
+        "invariants": inv.to_json_dict(),
         "type": by_roots.value,
         "type_by_invariants": inv_value,
         "audit": audit,

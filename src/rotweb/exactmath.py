@@ -8,10 +8,17 @@ because plain int arithmetic is much faster than Fraction arithmetic.
 Multivariate monomials are keyed by packed exponent ints, which limits
 total degrees to 2^32 - 1.
 
-Real roots are counted by the Sturm sequence of the polynomial itself and
-isolated by bisecting its square-free part at plain midpoints.  Isolating
-intervals are half-open, (lo, hi] with lo < hi: a root may sit at hi, and lo
-may be the root of the interval below.
+The univariate kernel (gcd, square-free decomposition, Sturm counts, root
+isolation and rational roots) runs on primitive integer coefficient lists:
+``UniPoly`` and ``Fraction`` appear only at its API boundary.  Gcds and
+Yun's square-free decomposition use primitive pseudo-remainder sequences and
+exact integer quotients by primitive divisors (Gauss's lemma); Sturm
+sequences use a sign-keeping primitive PRS (Collins 1967; Brown and Traub
+1971); a sign at p/q is the sign of q^n P(p/q), by homogeneous integer
+Horner.  Real roots are counted by the Sturm sequence of the polynomial
+itself and isolated by bisecting its square-free part at plain midpoints.
+Isolating intervals are half-open, (lo, hi] with lo < hi: a root may sit at
+hi, and lo may be the root of the interval below.
 """
 
 from __future__ import annotations
@@ -393,37 +400,6 @@ class UniPoly:
 
     __rmul__ = __mul__
 
-    def __divmod__(self, other: UniPoly) -> tuple[UniPoly, UniPoly]:
-        if other.is_zero:
-            raise ExactMathError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quot = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
-        d = other.degree
-        lead = Fraction(other.coeffs[-1])
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = Fraction(rem[i]) / lead
-            if c == 0:
-                continue
-            quot[i - d] = c
-            for j, b in enumerate(other.coeffs):
-                rem[i - d + j] -= c * b
-        return UniPoly(quot), UniPoly(rem)
-
-    def __mod__(self, other: UniPoly) -> UniPoly:
-        return divmod(self, other)[1]
-
-    def exact_div(self, other: UniPoly) -> UniPoly:
-        q, r = divmod(self, other)
-        if not r.is_zero:
-            raise ExactMathError("inexact polynomial division")
-        return q
-
-    def monic(self) -> UniPoly:
-        if self.is_zero:
-            return self
-        lead = self.lead
-        return UniPoly([Fraction(c) / lead for c in self.coeffs])
-
     def derivative(self) -> UniPoly:
         return UniPoly([c * i for i, c in enumerate(self.coeffs)][1:])
 
@@ -451,56 +427,134 @@ class UniPoly:
     __repr__ = __str__
 
 
-def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Monic greatest common divisor via the Euclidean algorithm."""
-    if p.is_zero and q.is_zero:
-        raise ExactMathError("gcd of two zero polynomials is undefined")
-    a, b = p, q
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+# ---------------------------------------------------------------------------
+# The univariate kernel over the integers
+
+# A polynomial inside the kernel is a list of ints, low degree first, with no
+# trailing zero; [] is the zero polynomial.  Each UniPoly argument is cleared
+# once to a primitive integer multiple c p with c > 0, which has the same
+# roots and the same signs.  Remainders are pseudo-remainders and quotients
+# are exact, so no rational is divided until a monic factor, an interval end
+# or a root is handed back.
 
 
-def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
-    """Yun's algorithm: pairwise-coprime monic square-free factors with
-    multiplicities.  The product of factor**mult equals p up to a nonzero
-    rational constant; a nonzero constant input yields the empty list.
-    """
+def _cleared(p: UniPoly) -> list[int]:
+    """The primitive integer polynomial c p with c > 0."""
+    coeffs = p.coeffs
+    den = lcm(*(c.denominator for c in coeffs))
+    return _primitive([c.numerator * (den // c.denominator) for c in coeffs])
+
+
+def _nonzero(p: UniPoly, what: str) -> list[int]:
     if p.is_zero:
-        raise ExactMathError("square-free decomposition of the zero polynomial")
-    if p.degree == 0:
-        return []
-    factors: list[tuple[UniPoly, int]] = []
-    g = poly_gcd(p, p.derivative())
-    b = p.exact_div(g)
-    c = p.derivative().exact_div(g)
-    d = c - b.derivative()
+        raise ExactMathError(f"{what} of the zero polynomial")
+    return _cleared(p)
+
+
+def _primitive(a: list[int]) -> list[int]:
+    """a divided by its positive content."""
+    g = gcd(*a)
+    return a if g <= 1 else [c // g for c in a]
+
+
+def _monic(a: list[int]) -> UniPoly:
+    lead = a[-1]
+    return UniPoly([Fraction(c, lead) for c in a])
+
+
+def _derivative(a: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def _sub(a: list[int], b: list[int]) -> list[int]:
+    n = max(len(a), len(b))
+    out = [x - y for x, y in zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """A positive integer multiple of the remainder of a by a nonzero b.
+    Each step multiplies a by |lc b| / g and subtracts a multiple of b that
+    cancels the leading term, g being the gcd of the two leading
+    coefficients; the multiplier is positive, so every sign is kept."""
+    n = len(b) - 1
+    lead = b[-1]
+    while len(a) > n:
+        top = a[-1]
+        if not top:
+            a = a[:-1]
+            continue
+        g = gcd(top, lead)
+        s, t = abs(lead) // g, top // g if lead > 0 else -top // g
+        k = len(a) - 1 - n
+        if s == 1:
+            a = a[:k] + [x - t * y for x, y in zip(a[k:-1], b)]
+        else:
+            a = [s * x for x in a[:k]] + [s * x - t * y for x, y in zip(a[k:-1], b)]
+    while a and not a[-1]:
+        a = a[:-1]
+    return a
+
+
+def _quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b, for a primitive b that divides a over the rationals: the
+    quotient has integer coefficients by Gauss's lemma."""
+    a = list(a)
+    n = len(b) - 1
+    lead = b[-1]
+    q = [0] * (len(a) - n)
+    for k in range(len(a) - 1 - n, -1, -1):
+        c = a[k + n] // lead
+        if c:
+            q[k] = c
+            a[k:k + n] = [x - c * y for x, y in zip(a[k:k + n], b)]
+    return q
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """The primitive gcd with a positive leading coefficient, by the
+    primitive pseudo-remainder sequence; a and b are not both zero."""
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+    a = _primitive(a)
+    return a if a[-1] > 0 else [-c for c in a]
+
+
+def _squarefree(p: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's algorithm on a nonconstant p: primitive square-free factors and
+    their multiplicities.  b and c = d + b' are always divided by the same
+    primitive polynomial, exactly, so they stay integral and in step."""
+    dp = _derivative(p)
+    g = _gcd(p, dp)
+    b = _quotient(p, g)
+    d = _sub(_quotient(dp, g), _derivative(b))
+    factors = []
     mult = 1
-    while b.degree > 0:
-        a = poly_gcd(b, d) if not (b.is_zero and d.is_zero) else b.monic()
-        if a.degree > 0:
-            factors.append((a.monic(), mult))
-        b = b.exact_div(a)
-        c = d.exact_div(a)
-        d = c - b.derivative()
+    while len(b) > 1:
+        a = _gcd(b, d)
+        if len(a) > 1:
+            factors.append((a, mult))
+        b = _quotient(b, a)
+        d = _sub(_quotient(d, a), _derivative(b))
         mult += 1
     return factors
 
 
-def squarefree_part(p: UniPoly) -> UniPoly:
-    """Monic product of the distinct irreducible factors of p."""
-    if p.is_zero:
-        raise ExactMathError("square-free part of the zero polynomial")
-    if p.degree == 0:
-        return UniPoly([1])
-    return p.exact_div(poly_gcd(p, p.derivative())).monic()
+def _squarefree_part(p: list[int]) -> list[int]:
+    """p / gcd(p, p'): primitive, since p is."""
+    return _quotient(p, _gcd(p, _derivative(p)))
 
 
-def sturm_sequence(p: UniPoly) -> list[UniPoly]:
-    seq = [p, p.derivative()]
-    while not seq[-1].is_zero:
-        seq.append(-(seq[-2] % seq[-1]))
-    seq.pop()
+def _sturm(p: list[int]) -> list[list[int]]:
+    """The Sturm sequence of p up to positive factors: p, p', then each
+    negated pseudo-remainder divided by its positive content."""
+    seq = [p]
+    r = _primitive(_derivative(p))
+    while r:
+        seq.append(r)
+        r = _primitive([-c for c in _prem(seq[-2], r)])
     return seq
 
 
@@ -508,26 +562,98 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
+def _sign_at(a: list[int], num: int, den: int) -> int:
+    """The sign of a at num/den with den > 0: the sign of the integer
+    den^n a(num/den), by homogeneous Horner."""
+    coeffs = reversed(a)
+    value, power = next(coeffs, 0), 1
+    for c in coeffs:
+        power *= den
+        value = value * num + c * power
+    return (value > 0) - (value < 0)
+
+
 def _variations(signs: Iterable[int]) -> int:
     cleaned = [s for s in signs if s != 0]
     return sum(1 for a, b in zip(cleaned, cleaned[1:]) if a != b)
 
 
-def _variations_at(seq: list[UniPoly], x: Fraction) -> int:
-    return _variations(_sign(q.eval(x)) for q in seq)
+def _variations_at(seq: list[list[int]], num: int, den: int) -> int:
+    return _variations(_sign_at(a, num, den) for a in seq)
 
 
-def _variations_at_inf(seq: list[UniPoly], positive: bool) -> int:
-    signs = []
-    for q in seq:
-        if q.is_zero:
-            signs.append(0)
+def _variations_at_inf(seq: list[list[int]], positive: bool) -> int:
+    # At -infinity a member of odd degree, that is of even length, flips.
+    return _variations(_sign(a[-1] if positive or len(a) % 2 else -a[-1]) for a in seq)
+
+
+# Bisection keeps both ends of an interval as integers over one positive
+# denominator, doubled at each midpoint, so no step reduces a Fraction.
+
+
+def _isolate(sf: list[int]) -> list[tuple[Fraction, Fraction]]:
+    # For square-free sf, V(a) = V(a+) at a root a, so V(lo) - V(hi) counts
+    # the roots in (lo, hi] even when lo or hi is a root.  The bisection
+    # tree can be thousands of levels deep when the Cauchy bound is far
+    # above the root separation, so it is walked with a stack, lower half
+    # first, rather than by recursion.
+    seq = _sturm(sf)
+    out: list[tuple[Fraction, Fraction]] = []
+    # Cauchy bound: every real root lies strictly inside (-bound, bound).
+    bound = 1 + Fraction(max((abs(c) for c in sf[:-1]), default=0), abs(sf[-1]))
+    b, den = bound.numerator, bound.denominator
+    stack = [(-b, b, den, _variations_at(seq, -b, den), _variations_at(seq, b, den))]
+    while stack:
+        lo, hi, den, vlo, vhi = stack.pop()
+        if vlo - vhi == 1:
+            out.append((Fraction(lo, den), Fraction(hi, den)))
+        elif vlo > vhi:
+            mid, den = lo + hi, 2 * den
+            vmid = _variations_at(seq, mid, den)
+            stack += [(mid, 2 * hi, den, vmid, vhi), (2 * lo, mid, den, vlo, vmid)]
+    return out
+
+
+def _refine(a: list[int], lo: Fraction, hi: Fraction, max_width: Fraction) -> tuple[Fraction, Fraction]:
+    den = lcm(lo.denominator, hi.denominator)
+    low, high = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+    shi = _sign_at(a, high, den)
+    if shi == 0:
+        return hi, hi
+    width_num, width_den = max_width.numerator, max_width.denominator
+    while (high - low) * width_den > width_num * den:
+        mid, low, high, den = low + high, 2 * low, 2 * high, 2 * den
+        smid = _sign_at(a, mid, den)
+        if smid == 0:
+            return Fraction(mid, den), Fraction(mid, den)
+        if smid == shi:
+            high = mid
         else:
-            s = _sign(q.lead)
-            if not positive and q.degree % 2 == 1:
-                s = -s
-            signs.append(s)
-    return _variations(signs)
+            low = mid
+    return Fraction(low, den), Fraction(high, den)
+
+
+def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
+    """Monic greatest common divisor."""
+    if p.is_zero and q.is_zero:
+        raise ExactMathError("gcd of two zero polynomials is undefined")
+    return _monic(_gcd(_cleared(p), _cleared(q)))
+
+
+def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
+    """Yun's algorithm: pairwise-coprime monic square-free factors with
+    multiplicities.  The product of factor**mult equals p up to a nonzero
+    rational constant; a nonzero constant input yields the empty list.
+    """
+    a = _nonzero(p, "square-free decomposition")
+    if len(a) == 1:
+        return []
+    return [(_monic(factor), mult) for factor, mult in _squarefree(a)]
+
+
+def squarefree_part(p: UniPoly) -> UniPoly:
+    """Monic product of the distinct irreducible factors of p."""
+    return _monic(_squarefree_part(_nonzero(p, "square-free part")))
 
 
 def real_root_count(p: UniPoly) -> int:
@@ -537,38 +663,13 @@ def real_root_count(p: UniPoly) -> int:
     changes no sign variation at either infinity, so a repeated root is
     counted once.
     """
-    if p.is_zero:
-        raise ExactMathError("root count of the zero polynomial")
-    seq = sturm_sequence(p)
+    seq = _sturm(_nonzero(p, "root count"))
     return _variations_at_inf(seq, positive=False) - _variations_at_inf(seq, positive=True)
 
 
-def root_bound(p: UniPoly) -> Fraction:
-    """Cauchy bound: every real root lies strictly inside (-B, B)."""
-    if p.is_zero or p.degree <= 0:
-        return Fraction(1)
-    lead = abs(p.lead)
-    return 1 + max(abs(Fraction(c)) for c in p.coeffs[:-1]) / lead
-
-
-def _isolate(sf: UniPoly) -> list[tuple[Fraction, Fraction]]:
-    # For square-free sf, V(a) = V(a+) at a root a, so V(lo) - V(hi) counts
-    # the roots in (lo, hi] even when lo or hi is a root.
-    seq = sturm_sequence(sf)
-    out: list[tuple[Fraction, Fraction]] = []
-
-    def recurse(lo: Fraction, hi: Fraction, vlo: int, vhi: int) -> None:
-        if vlo - vhi == 1:
-            out.append((lo, hi))
-        elif vlo > vhi:
-            mid = (lo + hi) / 2
-            vmid = _variations_at(seq, mid)
-            recurse(lo, mid, vlo, vmid)
-            recurse(mid, hi, vmid, vhi)
-
-    bound = root_bound(sf)
-    recurse(-bound, bound, _variations_at(seq, -bound), _variations_at(seq, bound))
-    return out
+def sign_at(p: UniPoly, x: int | Fraction) -> int:
+    """The sign of p(x): -1, 0 or 1."""
+    return _sign_at(_cleared(p), x.numerator, x.denominator)
 
 
 def isolate_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
@@ -576,7 +677,7 @@ def isolate_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
     of p, increasing and disjoint.  A root may sit at hi, and lo may be the
     root of the interval below.  Raises on the zero polynomial.
     """
-    return _isolate(squarefree_part(p))
+    return _isolate(_squarefree_part(_nonzero(p, "root isolation")))
 
 
 def refine_root(p: UniPoly, lo: Fraction, hi: Fraction, max_width: Fraction) -> tuple[Fraction, Fraction]:
@@ -584,38 +685,25 @@ def refine_root(p: UniPoly, lo: Fraction, hi: Fraction, max_width: Fraction) -> 
     until its width is below max_width or the root is hit exactly.  Only the
     sign at hi is read, since lo may be the root of a neighbouring interval.
     """
-    shi = _sign(p.eval(hi))
-    if shi == 0:
-        return hi, hi
-    while hi - lo > max_width:
-        mid = (lo + hi) / 2
-        smid = _sign(p.eval(mid))
-        if smid == 0:
-            return mid, mid
-        if smid == shi:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
+    return _refine(_cleared(p), lo, hi, max_width)
 
 
 def rational_roots(p: UniPoly) -> list[Fraction]:
     """The distinct rational roots of p, increasing, each verified exactly.
 
-    With c the least common denominator of the monic square-free part s,
-    c s has integer coefficients and leading coefficient c, so every rational
-    root is k / c for an integer k.  Each isolating interval (lo, hi] is
+    The square-free part s is primitive, so every rational root is k / c for
+    an integer k, with c = |lc s|.  Each isolating interval (lo, hi] is
     narrowed below 1 / (2 c), which leaves one candidate k / c in it to test;
     lo itself may be the root below, so it is not a candidate.
     """
-    sf = squarefree_part(p)
-    c = lcm(*(x.denominator for x in sf.coeffs))
+    sf = _squarefree_part(_nonzero(p, "rational roots"))
+    c = abs(sf[-1])
     roots = []
     for lo, hi in _isolate(sf):
-        lo, hi = refine_root(sf, lo, hi, Fraction(1, 2 * c))
-        candidate = Fraction(floor(hi * c), c)
-        if (lo < candidate or lo == hi) and sf.eval(candidate) == 0:
-            roots.append(candidate)
+        lo, hi = _refine(sf, lo, hi, Fraction(1, 2 * c))
+        k = floor(hi * c)
+        if (lo < Fraction(k, c) or lo == hi) and _sign_at(sf, k, c) == 0:
+            roots.append(Fraction(k, c))
     return roots
 
 

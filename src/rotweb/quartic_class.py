@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .ckt_core import CktError
-from .exactmath import (UniPoly, rat, rat_str, real_root_count, refine_root,
+from .exactmath import (UniPoly, rat, rat_str, real_root_count, refine_root, sign_at,
                         squarefree_decomposition)
 from .group_action import GroupElement, Mat2, apply_quartic, from_gl2
 from .rotational import RotParams
@@ -185,15 +185,17 @@ def hessian(q: BinaryQuartic) -> tuple:
     return form_sub(form_mul(qxx, qyy), form_mul(qxy, qxy))
 
 
-def covariant_l(q: BinaryQuartic) -> tuple:
-    """L(X, Y) = I H(X, Y) - 6 J Q(X, Y), a quartic covariant."""
-    inv = invariants(q)
+def covariant_l(q: BinaryQuartic, inv: Invariants | None = None) -> tuple:
+    """L(X, Y) = I H(X, Y) - 6 J Q(X, Y), a quartic covariant.  Pass the
+    quartic's invariants when they are already at hand."""
+    inv = inv or invariants(q)
     return form_sub(form_scale(hessian(q), inv.i), form_scale(q.as_tuple(), 6 * inv.j))
 
 
-def covariant_m(q: BinaryQuartic) -> tuple:
-    """M(X, Y) = 12 H(X, Y)^2 - I Q(X, Y)^2, a degree-8 covariant."""
-    inv = invariants(q)
+def covariant_m(q: BinaryQuartic, inv: Invariants | None = None) -> tuple:
+    """M(X, Y) = 12 H(X, Y)^2 - I Q(X, Y)^2, a degree-8 covariant.  Pass
+    the quartic's invariants when they are already at hand."""
+    inv = inv or invariants(q)
     h = hessian(q)
     return form_sub(form_scale(form_mul(h, h), 12),
                     form_scale(form_mul(q.as_tuple(), q.as_tuple()), inv.i))
@@ -300,17 +302,19 @@ def classify_by_roots(q: BinaryQuartic, structure: RootStructure | None = None) 
         raise ClassificationError(f"unmatched root partition {key}") from None
 
 
-def classify_by_invariants(q: BinaryQuartic) -> tuple[WebType, list[dict]]:
+def classify_by_invariants(q: BinaryQuartic, inv: Invariants | None = None
+                           ) -> tuple[WebType, list[dict]]:
     """The algebraic decision list over (Delta, H, L, M, I, J), evaluated
     strictly top to bottom; covariant inequalities are read semidefinitely.
     Each covariant sign is computed when a row first needs it.  Returns the
-    type and the audit trail of every condition evaluated."""
+    type and the audit trail of every condition evaluated.  Pass the
+    quartic's invariants when they are already at hand."""
     if q.is_zero:
         raise ClassificationError("the zero form has no web type")
-    inv = invariants(q)
+    inv = inv or invariants(q)
     h_sign = functools.cache(lambda: form_sign(hessian(q)))
-    l_sign = functools.cache(lambda: form_sign(covariant_l(q)))
-    m_sign = functools.cache(lambda: form_sign(covariant_m(q)))
+    l_sign = functools.cache(lambda: form_sign(covariant_l(q, inv)))
+    m_sign = functools.cache(lambda: form_sign(covariant_m(q, inv)))
     rows = [
         (WebType.DISK_CYCLIDE, "Delta < 0",
          lambda: inv.delta < 0),
@@ -612,14 +616,14 @@ def _pin_parameter(form: str, inv: Invariants, approx: float) -> tuple[Fraction 
     centre = Fraction(approx)
     for width in (Fraction(1, 10**12), Fraction(1, 10**9), Fraction(1, 10**6)):
         lo, hi = centre - width * max(1, abs(centre)), centre + width * max(1, abs(centre))
-        if poly.eval(lo) * poly.eval(hi) <= 0:
+        if sign_at(poly, lo) * sign_at(poly, hi) <= 0:
             break
     else:
         return approx, False
     max_width = Fraction(1, 4 * 10**12) * min(1, abs(centre) or 1)
     lo, hi = refine_root(poly, lo, hi, max_width)
     candidate = ((lo + hi) / 2).limit_denominator(10**6) if lo != hi else lo
-    if lo <= candidate <= hi and poly.eval(candidate) == 0:
+    if lo <= candidate <= hi and sign_at(poly, candidate) == 0:
         return candidate, True
     return float((lo + hi) / 2), False
 
@@ -641,8 +645,8 @@ def _witness(q: BinaryQuartic, matrix: Mat2, target: tuple) -> tuple[GroupElemen
     return g, float(error / max(1, max(abs(t) for t in target)))
 
 
-def canonical_form(q: BinaryQuartic, structure: RootStructure | None = None
-                   ) -> tuple[CanonicalForm, GroupElement]:
+def canonical_form(q: BinaryQuartic, structure: RootStructure | None = None,
+                   inv: Invariants | None = None) -> tuple[CanonicalForm, GroupElement]:
     """Canonical representative of the quartic's orbit and a witness group
     element carrying it there, verified to 1e-9 relative accuracy.
 
@@ -651,7 +655,7 @@ def canonical_form(q: BinaryQuartic, structure: RootStructure | None = None
     roots (forms I/II) the parameter mu comes from the cross-ratio of the
     chosen labeling and is then pinned exactly on the F-equation; the forms
     with a repeated root have fixed parameters.  Pass the quartic's root
-    structure when it is already at hand.
+    structure and invariants when they are already at hand.
     """
     if q.is_zero:
         raise ClassificationError("the zero form has no canonical form")
@@ -667,7 +671,7 @@ def canonical_form(q: BinaryQuartic, structure: RootStructure | None = None
             raise ClassificationError(f"the root map for {web.value} is not real")
     else:
         approx, matrix = _generic_form(web, roots)
-        parameter, exact = _pin_parameter(form, invariants(q), approx)
+        parameter, exact = _pin_parameter(form, inv or invariants(q), approx)
     target = _canonical_coeffs(form, parameter)
     witness, residual = _witness(q, matrix, target)
     if not residual <= 1e-9:

@@ -11,13 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from rotweb import cli
+from rotweb import cli, quartic_class
 from rotweb.ckt_core import CktCoefficients, assemble_ckt, assemble_free, ckv_by_name, symmetry_subspace
 from rotweb.cli import main
 from rotweb.exactmath import rat_str
-from rotweb.quartic_class import ClassificationError, WebType
+from rotweb.quartic_class import ClassificationError, WebType, invariants
 
-from test_canonical_form import partition_quartic
+from test_canonical_form import extreme_quartic, partition_quartic
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -277,6 +277,50 @@ def test_scan_output_is_unchanged(capsys, generator, h):
     code, out, _ = run(capsys, "symmetry", generator, "--h", h)
     assert code == 0
     assert hashlib.sha256(without_timing(out).encode()).hexdigest() == SCAN_DIGESTS[(generator, h)]
+
+
+def digest_quartics() -> list:
+    """Five quartics of each stratum, the fifth with every root moved near 0
+    or infinity, and the two quartics beyond double range."""
+    quartics = []
+    for web in WebType:
+        rng = random.Random(f"digest-{web.value}")
+        quartics += [partition_quartic(rng, web) for _ in range(4)] + [extreme_quartic(rng, web)]
+    beyond_double_range = (Fraction(1, 10**320), Fraction(10**320))
+    return [q.to_json() for q in quartics] + [[rat_str(lead), "0", "-1", "0", "1"] for lead in beyond_double_range]
+
+
+# sha256 of the classify reports of digest_quartics() without timing_ms, as
+# json.dumps(..., sort_keys=True), one line each.
+CLASSIFY_DIGEST = "e933259d8ed38837d3201332a55db7bbf30fab2eacbf856ee63280f9e74d0bf2"
+
+
+def test_classify_output_is_unchanged(capsys):
+    lines = []
+    for quartic in digest_quartics():
+        code, out, _ = run(capsys, "classify", "--quartic=" + ",".join(quartic))
+        assert code == 0
+        lines.append(without_timing(out))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CLASSIFY_DIGEST
+
+
+def test_classify_computes_the_invariants_once(capsys, monkeypatch):
+    # The decision list, its L and M covariants, the canonical parameter and
+    # the report all share one computation of I, J, Delta and F.
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return invariants(q)
+
+    monkeypatch.setattr(quartic_class, "invariants", counted)
+    monkeypatch.setattr(cli, "invariants", counted)
+    for web in WebType:
+        quartic = partition_quartic(random.Random(web.value), web).to_json()
+        calls.clear()
+        code, _ = run_json(capsys, "classify", "--quartic=" + ",".join(quartic))
+        assert code == 0
+        assert len(calls) == 1, web
 
 
 def test_one_parser_serves_a_sequence_of_calls(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,16 +7,148 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rotweb.ckt_core import ckv_by_name, lie_operator
 from rotweb.exactmath import (DEGREE_LIMIT, ExactMathError, Poly, RationalFunction, UniPoly,
                               isolate_real_roots, poly_gcd, rat, rat_str,
-                              rational_roots, real_root_count, refine_root,
-                              squarefree_decomposition)
+                              rational_roots, real_root_count, refine_root, sign_at,
+                              squarefree_decomposition, squarefree_part)
+from rotweb.linalg import char_poly
+from rotweb.quartic_class import WebType, covariant_l, covariant_m, hessian
 
 from conftest import companion_real_root_count
+from test_canonical_form import extreme_quartic, partition_quartic
 
 
 def up(*coeffs):
     return UniPoly(coeffs)
+
+
+# ---------------------------------------------------------------------------
+# The former univariate kernel over Fraction, kept as the reference: Euclid's
+# algorithm with Fraction long division, Yun's algorithm on monic gcds, and
+# Sturm sequences of Fraction remainders evaluated by Fraction Horner.
+
+
+def ref_divmod(p, q):
+    rem = [Fraction(c) for c in p.coeffs]
+    quot = [Fraction(0)] * max(0, len(rem) - len(q.coeffs) + 1)
+    d, lead = q.degree, Fraction(q.coeffs[-1])
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i] / lead
+        if c:
+            quot[i - d] = c
+            for j, b in enumerate(q.coeffs):
+                rem[i - d + j] -= c * b
+    return UniPoly(quot), UniPoly(rem)
+
+
+def ref_exact_div(p, q):
+    quot, rem = ref_divmod(p, q)
+    assert rem.is_zero
+    return quot
+
+
+def ref_monic(p):
+    return UniPoly([Fraction(c) / p.lead for c in p.coeffs]) if not p.is_zero else p
+
+
+def ref_gcd(p, q):
+    a, b = p, q
+    while not b.is_zero:
+        a, b = b, ref_divmod(a, b)[1]
+    return ref_monic(a)
+
+
+def ref_squarefree_decomposition(p):
+    if p.degree == 0:
+        return []
+    factors = []
+    g = ref_gcd(p, p.derivative())
+    b = ref_exact_div(p, g)
+    d = ref_exact_div(p.derivative(), g) - b.derivative()
+    mult = 1
+    while b.degree > 0:
+        a = ref_gcd(b, d)
+        if a.degree > 0:
+            factors.append((a, mult))
+        b = ref_exact_div(b, a)
+        d = ref_exact_div(d, a) - b.derivative()
+        mult += 1
+    return factors
+
+
+def ref_squarefree_part(p):
+    return UniPoly([1]) if p.degree == 0 else ref_monic(ref_exact_div(p, ref_gcd(p, p.derivative())))
+
+
+def ref_sturm(p):
+    seq = [p, p.derivative()]
+    while not seq[-1].is_zero:
+        seq.append(-ref_divmod(seq[-2], seq[-1])[1])
+    return seq[:-1]
+
+
+def ref_sign(x):
+    return (x > 0) - (x < 0)
+
+
+def ref_variations(signs):
+    cleaned = [s for s in signs if s]
+    return sum(1 for a, b in zip(cleaned, cleaned[1:]) if a != b)
+
+
+def ref_real_root_count(p):
+    seq = ref_sturm(p)
+    at = lambda positive: ref_variations(  # noqa: E731
+        ref_sign(q.lead) * (1 if positive or q.degree % 2 == 0 else -1) for q in seq)
+    return at(False) - at(True)
+
+
+def ref_isolate(sf):
+    seq = ref_sturm(sf)
+    out = []
+
+    def variations(x):
+        return ref_variations(ref_sign(q.eval(x)) for q in seq)
+
+    bound = Fraction(1)
+    if sf.degree > 0:
+        bound += max(abs(Fraction(c)) for c in sf.coeffs[:-1]) / abs(sf.lead)
+    stack = [(-bound, bound, variations(-bound), variations(bound))]
+    while stack:
+        lo, hi, vlo, vhi = stack.pop()
+        if vlo - vhi == 1:
+            out.append((lo, hi))
+        elif vlo > vhi:
+            mid = (lo + hi) / 2
+            vmid = variations(mid)
+            stack += [(mid, hi, vmid, vhi), (lo, mid, vlo, vmid)]
+    return out
+
+
+def ref_refine(p, lo, hi, max_width):
+    shi = ref_sign(p.eval(hi))
+    if shi == 0:
+        return hi, hi
+    while hi - lo > max_width:
+        mid = (lo + hi) / 2
+        smid = ref_sign(p.eval(mid))
+        if smid == 0:
+            return mid, mid
+        lo, hi = (lo, mid) if smid == shi else (mid, hi)
+    return lo, hi
+
+
+def ref_rational_roots(p):
+    sf = ref_squarefree_part(p)
+    c = math.lcm(*(x.denominator for x in sf.coeffs))
+    roots = []
+    for lo, hi in ref_isolate(sf):
+        lo, hi = ref_refine(sf, lo, hi, Fraction(1, 2 * c))
+        candidate = Fraction(math.floor(hi * c), c)
+        if (lo < candidate or lo == hi) and sf.eval(candidate) == 0:
+            roots.append(candidate)
+    return roots
 
 
 def check_isolation(p, rationals, irrational=()) -> int:
@@ -78,7 +211,7 @@ class TestPolyGcd:
         g = poly_gcd(p, q)
         for poly in (p, q):
             if not poly.is_zero:
-                assert (poly % g).is_zero
+                assert ref_divmod(poly, g)[1].is_zero
         assert g.degree <= min(d for d in (p.degree, q.degree) if d >= 0)
 
 
@@ -118,7 +251,7 @@ class TestSquarefree:
             for factor, mult in squarefree_decomposition(p):
                 for _ in range(mult):
                     product = product * factor
-            assert product.monic() == p.monic()
+            assert ref_monic(product) == ref_monic(p)
 
 
 class TestRealRootCount:
@@ -256,6 +389,14 @@ class TestRootIsolation:
                 p = p * up(rng.randint(1, 9), 0, 1)  # no real roots
             check_isolation(p, rationals, irrational)
 
+    def test_bisection_deeper_than_the_recursion_limit(self):
+        # Two roots 10^-400 apart lie some 1330 bisection levels below the
+        # Cauchy bound, deeper than Python's default recursion limit.
+        a, b = Fraction(1, 10**400), Fraction(2, 10**400)
+        p = up(a * b, -(a + b), 1)
+        assert len(isolate_real_roots(p)) == 2
+        assert rational_roots(p) == [a, b]
+
     def test_refine_narrows(self):
         p = up(-2, 0, 1)
         lo, hi = isolate_real_roots(p)[1]  # the positive root sqrt(2)
@@ -263,6 +404,103 @@ class TestRootIsolation:
         assert hi2 - lo2 <= Fraction(1, 10**6)
         assert lo <= lo2 <= hi2 <= hi
         assert lo2 <= Fraction(141421356, 10**8) <= hi2
+
+
+def assert_same_as_reference(p, intervals=True):
+    """The integer kernel gives exactly what the Fraction kernel gave: the
+    same printed factors, counts, gcd and square-free part, and unless
+    intervals is false the same isolating intervals, refinements and
+    rational roots."""
+    factors = squarefree_decomposition(p)
+    assert [(str(f), m) for f, m in factors] == [(str(f), m) for f, m in ref_squarefree_decomposition(p)]
+    assert [real_root_count(f) for f, _ in factors] == [ref_real_root_count(f) for f, _ in factors]
+    assert real_root_count(p) == ref_real_root_count(p)
+    assert str(poly_gcd(p, p.derivative())) == str(ref_gcd(p, p.derivative()))
+    sf = ref_squarefree_part(p)
+    assert str(squarefree_part(p)) == str(sf)
+    if not intervals:
+        return
+    found = isolate_real_roots(p)
+    assert found == ref_isolate(sf)
+    width = Fraction(1, 10**12)
+    assert [refine_root(squarefree_part(p), lo, hi, width) for lo, hi in found] == [
+        ref_refine(sf, lo, hi, width) for lo, hi in found]
+    assert rational_roots(p) == ref_rational_roots(p)
+
+
+def quartic_and_covariants(q) -> dict:
+    """q(z) and its H, L and M covariants at Y = 1, by name, leaving out the
+    ones that vanish."""
+    forms = {"Q": q.as_tuple(), "H": hessian(q), "L": covariant_l(q), "M": covariant_m(q)}
+    return {name: UniPoly(reversed(f)) for name, f in forms.items() if any(f)}
+
+
+class TestReferenceParity:
+    @pytest.mark.parametrize("web", list(WebType), ids=lambda w: w.value)
+    def test_stratified_quartics_and_covariants(self, web):
+        rng = random.Random(f"parity-{web.value}")
+        for _ in range(12):
+            for p in quartic_and_covariants(partition_quartic(rng, web)).values():
+                assert_same_as_reference(p)
+
+    @pytest.mark.parametrize("web", list(WebType), ids=lambda w: w.value)
+    def test_extreme_magnitudes(self, web):
+        # Coefficient heights up to about 10^400 in the quartic and 10^1000
+        # in M.  Bisecting down from M's Cauchy bound, some 10^900 above
+        # its roots, takes seconds per polynomial in either kernel, so the
+        # interval checks stop at L.
+        rng = random.Random(f"parity-extreme-{web.value}")
+        for _ in range(2):
+            for name, p in quartic_and_covariants(extreme_quartic(rng, web)).items():
+                assert_same_as_reference(p, intervals=name != "M")
+
+    @pytest.mark.parametrize("name", ["X3", "R3", "D", "I3"])
+    def test_lie_operator_char_polys(self, name):
+        p = char_poly(lie_operator(ckv_by_name(name)))
+        assert p.degree == 35
+        assert_same_as_reference(p)
+
+
+def irreducible_quadratic(rng, digits, real):
+    """z^2 - 2 r z + r^2 - s^2 d for rationals r, s of the given size and a
+    non-square d: roots r +- s sqrt(d), real when d > 0."""
+    r = Fraction(rng.randint(-10**digits, 10**digits), rng.randint(1, 10**digits))
+    s = Fraction(rng.randint(1, 10**digits), rng.randint(1, 10**digits))
+    d = rng.choice((2, 3, 5, 6, 7)) * (1 if real else -1)
+    return up(r * r - s * s * d, -2 * r, 1)
+
+
+class TestExtremeHeights:
+    def test_root_counts_of_constructed_products(self):
+        # Distinct rational roots and irreducible quadratics with p/q of up
+        # to 120 digits, each to a power up to 3, times 10^(+-400).
+        rng = random.Random(400)
+        highest = 0
+        for _ in range(40):
+            digits = rng.randint(1, 120)
+            roots = {Fraction(rng.randint(-10**digits, 10**digits), rng.randint(1, 10**digits))
+                     for _ in range(rng.randint(0, 3))}
+            real = [rng.random() < 0.5 for _ in range(rng.randint(0, 2))]
+            quadratics = {str(q): q for q in (irreducible_quadratic(rng, digits, r) for r in real)}
+            p = up(Fraction(10) ** rng.randint(-400, 400) * rng.choice((-1, 1)))
+            for factor in [up(-r, 1) for r in roots] + list(quadratics.values()):
+                for _ in range(rng.randint(1, 3)):
+                    p = p * factor
+            highest = max(highest, *(max(abs(c.numerator), c.denominator) for c in p.coeffs))
+            count = len(roots) + sum(2 for q in quadratics.values() if q.coeffs[1] ** 2 > 4 * q.coeffs[0])
+            assert real_root_count(p) == len(isolate_real_roots(p)) == count
+            for x in list(roots) + [Fraction(rng.randint(-10**digits, 10**digits), rng.randint(1, 10**digits))
+                                    for _ in range(5)]:
+                assert sign_at(p, x) == ref_sign(p.eval(x))
+        assert highest > 10**400
+
+    def test_sign_at_random_points(self):
+        rng = random.Random(401)
+        for _ in range(200):
+            p = UniPoly([Fraction(rng.randint(-10**k, 10**k), rng.randint(1, 10**k))
+                         for k in (rng.randint(0, 400) for _ in range(rng.randint(1, 9)))])
+            for x in (Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**9)), rng.randint(-5, 5)):
+                assert sign_at(p, x) == ref_sign(p.eval(x))
 
 
 class TestPoly:
