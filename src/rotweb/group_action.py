@@ -234,11 +234,10 @@ def from_gl2(m: Mat2) -> GroupElement:
         m1 = Mat2(m.gamma, m.delta, m.alpha, m.beta)
         base = from_gl2(m1)
         return GroupElement.make(base.a0, base.a1, base.a2, base.a3, 0, True)
-    a0 = -m.gamma / m.alpha
-    a1 = -m.beta / m.alpha
-    a2 = det / (m.alpha * m.alpha)
-    a3 = det * det
-    return GroupElement.make(rat(a0), rat(a1), rat(a2), rat(a3), 0, False)
+    a0 = Fraction(-m.gamma, m.alpha)
+    a1 = Fraction(-m.beta, m.alpha)
+    a2 = Fraction(det, m.alpha * m.alpha)
+    return GroupElement.make(a0, a1, a2, det * det, 0, False)
 
 
 # ---------------------------------------------------------------------------

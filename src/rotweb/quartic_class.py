@@ -13,6 +13,12 @@ coefficient convention used here, the quartic discriminant is proportional
 to 4 I^3 - J^2, and that is the Delta used throughout.  Covariant sign
 conditions ("H > 0") are read as global semidefiniteness: nonnegative
 everywhere and not identically zero.
+
+Exactness: the covariants behind those signs and the canonical form's
+witness image are formed in ints, on the cleared quartic c Q (the
+primitive integer multiple, c > 0).  Its H, L and M are c^2 H, c^4 L and
+c^4 M, so no sign moves, and c is absorbed exactly into the witness's
+rescaling factor.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from typing import NamedTuple, Sequence
 from .ckt_core import CktError
 from .exactmath import (UniPoly, rat, rat_str, real_root_count, refine_root, sign_at,
                         squarefree_decomposition)
-from .group_action import GroupElement, Mat2, apply_quartic, from_gl2
+from .group_action import GroupElement, Mat2, from_gl2, substitution_action
 from .rotational import RotParams
 
 
@@ -92,6 +98,15 @@ class BinaryQuartic:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.as_tuple())
 
+    def cleared(self) -> tuple[Fraction, BinaryQuartic]:
+        """A c > 0 and the primitive quartic c Q with int coefficients; the
+        zero quartic has c = 1."""
+        coeffs = self.as_tuple()
+        den = math.lcm(*(c.denominator for c in coeffs))
+        ints = [c.numerator * (den // c.denominator) for c in coeffs]
+        g = math.gcd(*ints) or 1
+        return Fraction(den, g), BinaryQuartic(*(c // g for c in ints))
+
     def dehomogenize(self) -> UniPoly:
         """q(z) = Q(z, 1), low-degree-first."""
         return UniPoly([self.y4, self.xy3, self.x2y2, self.x3y, self.x4])
@@ -105,7 +120,7 @@ class BinaryQuartic:
 
 
 def form_mul(a: Sequence, b: Sequence) -> tuple:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca == 0:
             continue
@@ -163,6 +178,14 @@ class Invariants:
             "F": rat_str(self.f) if self.f is not None else None,
         }
 
+    def scaled(self, c: Fraction) -> Invariants:
+        """The invariants of c Q (c != 0): I, J and Delta have degrees 2, 3
+        and 6 in the coefficients, and F is absolute.  Integer values come
+        back as ints."""
+        values = (c ** k * v for k, v in ((2, self.i), (3, self.j), (6, self.delta)))
+        i, j, delta = (v.numerator if v.denominator == 1 else v for v in values)
+        return Invariants(i, j, delta, self.f)
+
 
 def invariants(q: BinaryQuartic) -> Invariants:
     """I, J, the discriminant Delta = 4 I^3 - J^2, and the absolute invariant
@@ -171,7 +194,7 @@ def invariants(q: BinaryQuartic) -> Invariants:
     i_val = 12 * a * m - 3 * l * d + h * h
     j_val = 72 * a * m * h - 27 * a * l * l - 27 * d * d * m + 9 * d * l * h - 2 * h ** 3
     delta = 4 * i_val ** 3 - j_val ** 2
-    f_val = i_val ** 3 / (j_val * j_val) if j_val != 0 else None
+    f_val = Fraction(i_val ** 3, j_val * j_val) if j_val != 0 else None
     return Invariants(i_val, j_val, delta, f_val)
 
 
@@ -306,15 +329,19 @@ def classify_by_invariants(q: BinaryQuartic, inv: Invariants | None = None
                            ) -> tuple[WebType, list[dict]]:
     """The algebraic decision list over (Delta, H, L, M, I, J), evaluated
     strictly top to bottom; covariant inequalities are read semidefinitely.
-    Each covariant sign is computed when a row first needs it.  Returns the
+    Each covariant sign is computed when a row first needs it, in integers:
+    on the cleared quartic c Q (c > 0), whose H, L and M are c^2 H, c^4 L
+    and c^4 M, so every sign is that of the covariant of Q.  Returns the
     type and the audit trail of every condition evaluated.  Pass the
     quartic's invariants when they are already at hand."""
     if q.is_zero:
         raise ClassificationError("the zero form has no web type")
     inv = inv or invariants(q)
-    h_sign = functools.cache(lambda: form_sign(hessian(q)))
-    l_sign = functools.cache(lambda: form_sign(covariant_l(q, inv)))
-    m_sign = functools.cache(lambda: form_sign(covariant_m(q, inv)))
+    c, cleared = q.cleared()
+    cleared_inv = inv.scaled(c)
+    h_sign = functools.cache(lambda: form_sign(hessian(cleared)))
+    l_sign = functools.cache(lambda: form_sign(covariant_l(cleared, cleared_inv)))
+    m_sign = functools.cache(lambda: form_sign(covariant_m(cleared, cleared_inv)))
     rows = [
         (WebType.DISK_CYCLIDE, "Delta < 0",
          lambda: inv.delta < 0),
@@ -630,19 +657,36 @@ def _pin_parameter(form: str, inv: Invariants, approx: float) -> tuple[Fraction 
 
 def _witness(q: BinaryQuartic, matrix: Mat2, target: tuple) -> tuple[GroupElement, float]:
     """The group element substituting by the matrix, rescaled to agree with
-    the target at its largest coefficient, and its residual."""
+    the target at its largest coefficient, and its residual.
+
+    All in integers: the matrix of doubles is multiplied by the power of two
+    that clears it, and acts on the cleared quartic c Q.  The image is
+    homogeneous in both scales, so they cancel in the rescaling factor and
+    in the residual, and a0, a1, a2 and the discrete flag do not depend on
+    the matrix's scale."""
+    entries = [Fraction(e) for e in (matrix.alpha, matrix.beta, matrix.gamma, matrix.delta)]
+    power = math.lcm(*(e.denominator for e in entries))
+    matrix = Mat2(*(e.numerator * (power // e.denominator) for e in entries))
     target = [Fraction(t) for t in target]
+    den = math.lcm(*(t.denominator for t in target))
+    target = [t.numerator * (den // t.denominator) for t in target]  # den times the target
     pivot = max(range(5), key=lambda k: abs(target[k]))
     try:
-        g = from_gl2(Mat2(*(Fraction(e) for e in
-                            (matrix.alpha, matrix.beta, matrix.gamma, matrix.delta))))
-        moved = apply_quartic(g, q.as_tuple())
-        scale = target[pivot] / moved[pivot]
-        g = GroupElement.make(g.a0, g.a1, g.a2, g.a3 * scale, 0, g.discrete)
-    except (CktError, ZeroDivisionError) as exc:
+        g = from_gl2(matrix)
+    except CktError as exc:
         raise ClassificationError(f"degenerate canonicalization matrix: {exc}") from None
-    error = max(abs(m * scale - t) for m, t in zip(moved, target))
-    return g, float(error / max(1, max(abs(t) for t in target)))
+    c, cleared = q.cleared()
+    moved = substitution_action(matrix, cleared.as_tuple())  # c times g's image of Q
+    if moved[pivot] == 0:
+        raise ClassificationError("degenerate canonicalization matrix: "
+                                  "the image vanishes at the target's largest coefficient")
+    g = GroupElement.make(g.a0, g.a1, g.a2,
+                          g.a3 * c * Fraction(target[pivot], den * moved[pivot]), 0, g.discrete)
+    # With T = den t (the list target) and m the image, den times the
+    # rescaled image misses T by |m T_p - T m_p| / |m_p|, and
+    # den max(1, |t_p|) = max(den, |T_p|).
+    error = max(abs(m * target[pivot] - t * moved[pivot]) for m, t in zip(moved, target))
+    return g, error / (abs(moved[pivot]) * max(den, abs(target[pivot])))
 
 
 def canonical_form(q: BinaryQuartic, structure: RootStructure | None = None,

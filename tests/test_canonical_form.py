@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from rotweb import quartic_class
-from rotweb.group_action import Mat2, apply_quartic, substitution_action
+from rotweb.group_action import GroupElement, Mat2, apply_quartic, from_gl2, substitution_action
 from rotweb.quartic_class import (BinaryQuartic, ClassificationError, WebType, _float_roots, _polish,
                                   canonical_form, classify_by_invariants, classify_by_roots,
                                   root_structure)
@@ -126,6 +126,39 @@ def witness_residual(witness, q, target):
     return error / max(1.0, max(abs(float(t)) for t in target))
 
 
+def fraction_witness(q, matrix, target):
+    """The reference for _witness, in Fractions: the group element of the
+    matrix's exact entries, its image of Q itself by apply_quartic,
+    rescaled at the target's largest coefficient, and the residual."""
+    target = [Fraction(t) for t in target]
+    pivot = max(range(5), key=lambda k: abs(target[k]))
+    g = from_gl2(Mat2(*(Fraction(e) for e in (matrix.alpha, matrix.beta, matrix.gamma,
+                                               matrix.delta))))
+    moved = apply_quartic(g, q.as_tuple())
+    scale = target[pivot] / moved[pivot]
+    g = GroupElement.make(g.a0, g.a1, g.a2, g.a3 * scale, 0, g.discrete)
+    error = max(abs(m * scale - t) for m, t in zip(moved, target))
+    return g, float(error / max(1, max(abs(t) for t in target)))
+
+
+@pytest.fixture
+def witness_mismatches(monkeypatch):
+    """Every _witness call is checked against fraction_witness: the same
+    group element and a bit-identical residual.  Collects the mismatches."""
+    mismatches = []
+    witness = quartic_class._witness
+
+    def checked(q, matrix, target):
+        got = witness(q, matrix, target)
+        expected = fraction_witness(q, matrix, target)
+        if got != expected:
+            mismatches.append((q.to_json(), got, expected))
+        return got
+
+    monkeypatch.setattr(quartic_class, "_witness", checked)
+    return mismatches
+
+
 def parameter_in_range(web, parameter):
     if web is WebType.BI_CYCLIDE:
         return parameter < -2
@@ -155,12 +188,13 @@ def canonicalization_problems(q, web):
 
 
 @pytest.mark.parametrize("web", list(WebType), ids=lambda w: w.value)
-def test_stratified_canonicalization(web):
+def test_stratified_canonicalization(web, witness_mismatches):
     rng = random.Random(f"canonical-{web.value}")
     problems = []
     for _ in range(PER_STRATUM):
         problems += canonicalization_problems(partition_quartic(rng, web), web)
     assert problems == []
+    assert witness_mismatches == []
 
 
 def reference_float_roots(structure):
@@ -227,12 +261,13 @@ def extreme_quartic(rng, web):
 
 
 @pytest.mark.parametrize("web", list(WebType), ids=lambda w: w.value)
-def test_extreme_magnitudes(web):
+def test_extreme_magnitudes(web, witness_mismatches):
     rng = random.Random(f"extreme-{web.value}")
     problems = []
     for _ in range(EXTREME_PER_STRATUM):
         problems += canonicalization_problems(extreme_quartic(rng, web), web)
     assert problems == []
+    assert witness_mismatches == []
 
 
 TINY, HUGE, SMALL = Fraction(1, 10**400), Fraction(10**400), Fraction(1, 10**200)

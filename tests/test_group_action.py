@@ -100,6 +100,17 @@ class TestGl2Bridge:
             q = tuple(rand_fraction(rng) for _ in range(5))
             assert substitution_action(m, q) == apply_quartic(from_gl2(m), q)
 
+    def test_from_gl2_on_integer_matrices(self, rng):
+        assert from_gl2(Mat2(3, 1, 1, 1)) == GroupElement.make(Fraction(-1, 3), Fraction(-1, 3),
+                                                               Fraction(2, 9), 4)
+        for _ in range(100):
+            while True:
+                m = Mat2(*(rng.randint(-9, 9) for _ in range(4)))
+                if m.det() != 0:
+                    break
+            q = tuple(rand_fraction(rng) for _ in range(5))
+            assert substitution_action(m, q) == apply_quartic(from_gl2(m), q)
+
     def test_to_gl2_reproduces_apply_numerically(self, rng):
         for _ in range(50):
             g = random_element(rng)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,10 @@ from rotweb.group_action import GroupElement, apply_quartic
 from rotweb.quartic_class import (BinaryQuartic, ClassificationError,
                                   FormSign, WebType, canonical_form, classify_by_invariants,
                                   classify_by_roots, covariant_l, covariant_m, form_is_zero,
-                                  form_sign, hessian, invariants, root_structure)
+                                  form_scale, form_sign, hessian, invariants, root_structure)
 
 from conftest import rand_fraction
+from test_canonical_form import extreme_quartic, partition_quartic
 
 CANONICAL_REPRESENTATIVES = {
     WebType.BI_CYCLIDE: (1, 0, -3, 0, 1),
@@ -35,6 +37,13 @@ class TestInvariants:
     def test_quadruple_at_infinity(self):
         inv = invariants(BinaryQuartic.make(0, 0, 0, 0, 1))
         assert (inv.i, inv.j, inv.delta, inv.f) == (0, 0, 0, None)
+
+    def test_f_is_exact_on_integer_coefficients(self):
+        inv = invariants(BinaryQuartic(1, 0, -3, 0, 1))
+        assert (inv.i, inv.j, inv.f) == (21, -162, Fraction(343, 972))
+        big = 10**200
+        inv = invariants(BinaryQuartic(big, 0, -3, 0, 1))
+        assert inv.f == Fraction((12 * big + 9) ** 3, (216 * big - 54) ** 2)
 
     def test_delta_vanishes_iff_repeated_root(self, rng):
         for _ in range(200):
@@ -84,6 +93,30 @@ class TestCovariants:
         expected = tuple(16 * h + 768 * c for h, c in zip(hessian(q), q.as_tuple()))
         assert covariant_l(q) == expected
         assert form_is_zero(expected)
+
+
+class TestIntegerCovariants:
+    """classify_by_invariants reads the covariant signs of the cleared
+    integer quartic c Q, with the invariants of Q scaled to c Q."""
+
+    def test_scaling_signs_and_int_coefficients(self):
+        rng = random.Random("integer-covariants")
+        quartics = [partition_quartic(rng, web) for web in WebType for _ in range(12)]
+        quartics += [extreme_quartic(rng, web) for web in WebType for _ in range(2)]
+        for q in quartics:
+            c = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+            cq = BinaryQuartic.make(*(c * x for x in q.as_tuple()))
+            for covariant, degree in ((hessian, 2), (covariant_l, 4), (covariant_m, 4)):
+                assert covariant(cq) == form_scale(covariant(q), c ** degree)
+            factor, cleared = q.cleared()
+            assert cleared.as_tuple() == tuple(factor * x for x in q.as_tuple())
+            scaled = invariants(q).scaled(factor)
+            for covariant in (hessian, covariant_l, covariant_m):
+                ints = covariant(cleared)
+                assert all(type(x) is int for x in ints)
+                assert form_sign(ints) is form_sign(covariant(q))
+            assert covariant_l(cleared, scaled) == covariant_l(cleared)
+            assert covariant_m(cleared, scaled) == covariant_m(cleared)
 
 
 class TestFormSign:
