@@ -464,27 +464,6 @@ def killing_obstruction(k: SymTensorField) -> TwoForm:
     )
 
 
-def nijenhuis(k: SymTensorField):
-    """Nijenhuis tensor N^i_jk = K^i_l K^l_[j,k] + K^l_[j K^i_k],l with the
-    1/2-weighted antisymmetrization over (j, k)."""
-    half = Fraction(1, 2)
-    dk = [[[k[a][b].diff(c) for c in range(3)] for b in range(3)] for a in range(3)]
-    out = []
-    for i in range(3):
-        plane = []
-        for j in range(3):
-            row = []
-            for kk in range(3):
-                acc = Poly.zero(k.nvars)
-                for ll in range(3):
-                    acc = acc + k[i][ll] * (dk[ll][j][kk] - dk[ll][kk][j])
-                    acc = acc + k[ll][j] * dk[i][kk][ll] - k[ll][kk] * dk[i][j][ll]
-                row.append(acc * half)
-            plane.append(tuple(row))
-        out.append(tuple(plane))
-    return tuple(out)
-
-
 def tsn_check(k: SymTensorField, plane: tuple[int, int] | None = None) -> bool:
     """Normal-eigenvector test: the three antisymmetrized conditions
     N^l_[jk A_i]l = 0 for A = g, K, K.K, each a single polynomial identity

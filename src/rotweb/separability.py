@@ -1,7 +1,7 @@
 """Compatibility between rotational conformal Killing tensors and
 fixed-energy Hamilton-Jacobi separation: the closedness condition on
-(E - V) k_flat - K dV, an exact linear solver for the compatible
-six-parameter subfamily, and the Killing-tensor special case d(K dV) = 0.
+(E - V) k_flat - K dV, and an exact linear solver for the compatible
+six-parameter subfamily.
 
 The solver works with polynomials in x, y, z alone: the curl numerators of
 the six unit parameter vectors' tensors are the columns of a linear system,
@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from . import linalg
 from .ckt_core import (CktError, OneForm, SymTensorField, TwoForm, VectorField, contraction_vector,
-                       killing_obstruction, verify_ckt)
+                       verify_ckt)
 from .exactmath import Poly, RationalFunction, rat
 from .expr import eval_expr
 from .quartic_class import BinaryQuartic, WebType, classify_by_roots
@@ -162,18 +162,6 @@ def poincare_potential(omega: OneForm) -> Poly:
         inner = inner + x[i] * comps[i]
     return Poly.from_terms({exps: Fraction(coeff, sum(exps))
                             for exps, coeff in inner.exponent_items()}, 3)
-
-
-def dkdv_check(k: SymTensorField, v: RationalFunction) -> bool:
-    """Killing-tensor compatibility d(K dV) = 0, exact.  Only meaningful for
-    tensors whose class contains a Killing tensor; others must go through the
-    full compatibility form."""
-    if not killing_obstruction(k).is_zero:
-        raise CktError("tensor class has no Killing representative; use solve_compatible "
-                       "with the full compatibility condition")
-    grad, _, dd = _potential_parts(v)
-    curl = _curl_numerators(_form_numerators(k, grad), v.den, dd, 2)
-    return all(c.is_zero for c in curl)
 
 
 # ---------------------------------------------------------------------------

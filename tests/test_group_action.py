@@ -3,13 +3,105 @@ from fractions import Fraction
 import pytest
 
 from rotweb.ckt_core import CktError
+from rotweb.exactmath import UniPoly, rat
 from rotweb.group_action import (INFINITY, GroupElement, Mat2, apply, apply_quartic,
-                                 axis_action, compose, covariance_residual, from_gl2,
-                                 inverse, substitution_action, to_gl2)
+                                 axis_action, compose, from_gl2, inverse,
+                                 substitution_action)
 from rotweb.quartic_class import BinaryQuartic, invariants, root_structure
 from rotweb.rotational import RotParams, singular_polynomial
 
 from conftest import rand_fraction
+
+
+# ---------------------------------------------------------------------------
+# Oracles.  The program builds every action from one Moebius matrix; these
+# are the independent constructions it is checked against.
+
+
+def _action_polynomial(q):
+    """P(a0) = A33 a0^4 - D3 a0^3 + H a0^2 - L3 a0 + M33, the building block
+    of the continuous action."""
+    m33, l3, h, d3, a33 = q
+    return UniPoly([m33, -l3, h, -d3, a33])
+
+
+def _taylor(p: UniPoly, x, upto: int) -> list:
+    """[P(x), P'(x)/1!, P''(x)/2!, ...] up to the requested order."""
+    out = []
+    current = p
+    factorial = 1
+    for n in range(upto + 1):
+        if n:
+            factorial *= n
+        out.append(current.eval(x) / factorial)
+        current = current.derivative()
+    return out
+
+
+def taylor_apply_quartic(g: GroupElement, q):
+    """Exact action on the five quartic coefficients (M33, L3, H, D3, A33)."""
+    if g.discrete:
+        m33, l3, h, d3, a33 = q
+        q = (a33, d3, h, l3, m33)
+    p0, p1, p2, p3, p4 = _taylor(_action_polynomial(q), g.a0, 4)
+    a1, a2 = g.a1, g.a2
+    scale = g.a3 / (a2 * a2)
+    m33 = scale * p0
+    l3 = scale * (-4 * a1 * p0 - a2 * p1)
+    h = scale * (6 * a1 ** 2 * p0 + 3 * a1 * a2 * p1 + a2 ** 2 * p2)
+    d3 = scale * (-4 * a1 ** 3 * p0 - 3 * a1 ** 2 * a2 * p1
+                  - 2 * a1 * a2 ** 2 * p2 - a2 ** 3 * p3)
+    a33 = scale * (a1 ** 4 * p0 + a1 ** 3 * a2 * p1 + a1 ** 2 * a2 ** 2 * p2
+                   + a1 * a2 ** 3 * p3 + a2 ** 4 * p4)
+    return (m33, l3, h, d3, a33)
+
+
+def explicit_axis_action(g: GroupElement, z):
+    """Moebius image of a point of the extended z-axis (Fraction or INFINITY)."""
+    if g.discrete:
+        if z is INFINITY:
+            z = Fraction(0)
+        elif z == 0:
+            z = INFINITY
+        else:
+            z = 1 / Fraction(z)
+    if z is INFINITY:
+        if g.a0 == 0:
+            return INFINITY
+        return (g.a2 + g.a1 * g.a0) / g.a0
+    z = Fraction(z)
+    den = g.a0 * z + 1
+    if den == 0:
+        return INFINITY
+    return ((g.a2 + g.a1 * g.a0) * z + g.a1) / den
+
+
+def to_gl2(g: GroupElement) -> Mat2:
+    """Float matrix whose substitution action reproduces apply(g) on the
+    quartic part; requires a3 > 0.  The fourth-root scaling (a3/a2^2)^(1/4)
+    makes the reproduction exact rather than projective."""
+    if g.a3 <= 0:
+        raise CktError("to_gl2 requires a3 > 0")
+    r = float(g.a3 / (g.a2 * g.a2)) ** 0.25
+    mc = Mat2(r, -float(g.a1) * r, -float(g.a0) * r, float(g.a1 * g.a0 + g.a2) * r)
+    if not g.discrete:
+        return mc
+    return Mat2(mc.gamma, mc.delta, mc.alpha, mc.beta)  # left-multiplied swap
+
+
+def covariance_residual(g: GroupElement, p: RotParams, z) -> Fraction:
+    """den(z)^4 q~(z~) - a3 a2^2 q(z): identically zero, exposed as an exact
+    test oracle for the covariance of the singular polynomial."""
+    z = rat(z)
+    den = (z + g.a0) if g.discrete else (g.a0 * z + 1)
+    if den == 0:
+        raise CktError("covariance residual undefined at a pole of the axis action")
+    image = axis_action(g, z)
+    if image is INFINITY:
+        raise CktError("covariance residual undefined at a pole of the axis action")
+    q_before = singular_polynomial(p)
+    q_after = singular_polynomial(apply(g, p))
+    return den ** 4 * q_after.eval(image) - g.a3 * g.a2 ** 2 * q_before.eval(z)
 
 
 def random_element(rng, allow_discrete=True):
@@ -98,7 +190,8 @@ class TestGl2Bridge:
                 if m.det() != 0:
                     break
             q = tuple(rand_fraction(rng) for _ in range(5))
-            assert substitution_action(m, q) == apply_quartic(from_gl2(m), q)
+            g = from_gl2(m)
+            assert substitution_action(m, q) == apply_quartic(g, q) == taylor_apply_quartic(g, q)
 
     def test_from_gl2_on_integer_matrices(self, rng):
         assert from_gl2(Mat2(3, 1, 1, 1)) == GroupElement.make(Fraction(-1, 3), Fraction(-1, 3),
@@ -109,7 +202,8 @@ class TestGl2Bridge:
                 if m.det() != 0:
                     break
             q = tuple(rand_fraction(rng) for _ in range(5))
-            assert substitution_action(m, q) == apply_quartic(from_gl2(m), q)
+            g = from_gl2(m)
+            assert substitution_action(m, q) == apply_quartic(g, q) == taylor_apply_quartic(g, q)
 
     def test_to_gl2_reproduces_apply_numerically(self, rng):
         for _ in range(50):
@@ -143,6 +237,35 @@ class TestGl2Bridge:
     def test_from_gl2_rejects_singular(self):
         with pytest.raises(CktError):
             from_gl2(Mat2(Fraction(1), Fraction(2), Fraction(2), Fraction(4)))
+
+
+class TestOneMoebiusMatrix:
+    """apply_quartic and axis_action, both read off the one Moebius matrix,
+    against the Taylor and explicit constructions they replaced."""
+
+    def test_actions_match_the_oracles(self, rng):
+        checked = 0
+        for trial in range(600):
+            discrete = trial % 2 == 1
+            if trial % 4 < 2:
+                def draw():
+                    return rng.randint(-6, 6)
+            else:
+                def draw():
+                    return rand_fraction(rng, -6, 6)
+            a2 = a3 = 0
+            while a2 == 0 or a3 == 0:
+                a2, a3 = draw(), draw()
+            g = GroupElement.make(draw(), draw(), a2, a3, draw(), discrete)
+            q = tuple(draw() for _ in range(5))
+            assert apply_quartic(g, q) == taylor_apply_quartic(g, q)
+            pole = -g.a0 if discrete else (-1 / g.a0 if g.a0 else INFINITY)
+            for z in (draw(), Fraction(draw(), 7), 0, INFINITY, pole):
+                image = axis_action(g, z)
+                expected = explicit_axis_action(g, z)
+                assert image is INFINITY if expected is INFINITY else image == expected
+                checked += 1
+        assert checked == 3000
 
 
 class TestAxisAction:

@@ -4,13 +4,15 @@ from fractions import Fraction
 import pytest
 
 from rotweb import linalg
-from rotweb.ckt_core import CktError, OneForm, ckv_by_name, contraction_vector, metric, symmetric_product
+from rotweb.ckt_core import (CktError, OneForm, SymTensorField, ckv_by_name, contraction_vector,
+                             killing_obstruction, metric, symmetric_product)
 from rotweb.exactmath import Poly, RationalFunction
 from rotweb.expr import ExprError
 from rotweb.quartic_class import WebType
 from rotweb.rotational import RotParams, assemble_rotational, assemble_rotational_generic
-from rotweb.separability import (Potential, classify_potential, compatibility_form, dkdv_check,
-                                 is_closed, parse_potential, poincare_potential, solve_compatible)
+from rotweb.separability import (Potential, _curl_numerators, _form_numerators, _potential_parts,
+                                 classify_potential, compatibility_form, is_closed,
+                                 parse_potential, poincare_potential, solve_compatible)
 
 from conftest import rand_fraction
 
@@ -175,6 +177,18 @@ class TestSolverOracle:
         assert [p.as_tuple() for p in solve_compatible(pot).basis] == reference_solve(pot)
 
 
+def dkdv_check(k: SymTensorField, v: RationalFunction) -> bool:
+    """Killing-tensor compatibility d(K dV) = 0, exact.  Only meaningful for
+    tensors whose class contains a Killing tensor; others must go through the
+    full compatibility form."""
+    if not killing_obstruction(k).is_zero:
+        raise CktError("tensor class has no Killing representative; use solve_compatible "
+                       "with the full compatibility condition")
+    grad, _, dd = _potential_parts(v)
+    curl = _curl_numerators(_form_numerators(k, grad), v.den, dd, 2)
+    return all(c.is_zero for c in curl)
+
+
 class TestDkdv:
     def test_rotational_invariance(self):
         v = parse_potential("x^2 + y^2")
@@ -202,7 +216,6 @@ class TestDkdv:
     def test_reduction_for_constant_shift(self, rng):
         # For Killing-representable tensors and constant E - V, the full
         # compatibility is exactly the Killing-obstruction test.
-        from rotweb.ckt_core import killing_obstruction
         pot = Potential.from_expression("2", 5)
         for _ in range(10):
             p = RotParams.make(*(rand_fraction(rng) for _ in range(6)))
