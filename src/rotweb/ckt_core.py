@@ -25,6 +25,9 @@ for _i, _j, _k, _s in [(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
                        (0, 2, 1, -1), (2, 1, 0, -1), (1, 0, 2, -1)]:
     EPS[_i][_j][_k] = _s
 
+# The upper triangle of a symmetric 3x3 grid, row by row.
+_UPPER = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+
 
 class CktError(ValueError):
     """Domain or validation error in the tensor layer."""
@@ -127,26 +130,16 @@ class SymTensorField:
         return max(a.degree() for row in self.comps for a in row)
 
     def dot_vector(self, v: VectorField) -> VectorField:
-        out = []
-        for i in range(3):
-            acc = Poly.zero(self.nvars)
-            for j in range(3):
-                acc = acc + self.comps[i][j] * v[j]
-            out.append(acc)
-        return VectorField(tuple(out))
+        nvars = self.nvars
+        return VectorField(tuple(Poly.dot(nvars, [(1, a, b) for a, b in zip(row, v.components)])
+                                 for row in self.comps))
 
     def square(self) -> SymTensorField:
-        """Matrix square K.K (symmetric since K is)."""
-        rows = []
-        for i in range(3):
-            row = []
-            for j in range(3):
-                acc = Poly.zero(self.nvars)
-                for m in range(3):
-                    acc = acc + self.comps[i][m] * self.comps[m][j]
-                row.append(acc)
-            rows.append(tuple(row))
-        return SymTensorField(tuple(rows))
+        """Matrix square K.K, symmetric since K is: only the upper triangle
+        is multiplied out."""
+        k, nvars = self.comps, self.nvars
+        return SymTensorField.from_upper(*(Poly.dot(nvars, [(1, k[i][m], k[m][j]) for m in range(3)])
+                                           for i, j in _UPPER))
 
     def matrix_at(self, point: Sequence) -> list[list[Fraction]]:
         return [[self.comps[i][j].eval(point) for j in range(3)] for i in range(3)]
@@ -412,29 +405,39 @@ def assemble_ckt(coeffs: CktCoefficients) -> SymTensorField:
 # The conformal Killing tensor equation
 
 
+def _partials(k: SymTensorField) -> list:
+    """dk[a][b][c] = d_c K_ab, each of the 18 distinct derivatives taken
+    once: dk[a][b] and dk[b][a] are one list."""
+    dk = [[None] * 3 for _ in range(3)]
+    for a, b in _UPPER:
+        dk[a][b] = dk[b][a] = [k[a][b].diff(c) for c in range(3)]
+    return dk
+
+
+def _contraction_from_partials(dk: list) -> VectorField:
+    """``contraction_vector`` from the partials of ``_partials``."""
+    fifth = Fraction(1, 5)
+    return VectorField(tuple((dk[0][0][i] + dk[1][1][i] + dk[2][2][i]
+                              + (dk[0][i][0] + dk[1][i][1] + dk[2][i][2]) * 2) * fifth
+                             for i in range(3)))
+
+
 def contraction_vector(k: SymTensorField) -> VectorField:
     """The vector k_i = (d_i tr K + 2 d_j K_ji) / 5 obtained by contracting
     the valence-2 conformal Killing equation with the metric in dimension 3.
     """
-    tr = k.trace()
-    fifth = Fraction(1, 5)
-    out = []
-    for i in range(3):
-        acc = tr.diff(i)
-        for j in range(3):
-            acc = acc + k[j][i].diff(j) * 2
-        out.append(acc * fifth)
-    return VectorField(tuple(out))
+    return _contraction_from_partials(_partials(k))
 
 
 def verify_ckt(k: SymTensorField) -> tuple[bool, VectorField]:
     """Check d_(i K_jk) = k_(i g_jk) identically; returns the verdict and k."""
-    kv = contraction_vector(k)
+    dk = _partials(k)
+    kv = _contraction_from_partials(dk)
     # Both sides of the symmetrized equation carry a factor 1/3; it is dropped.
     for i in range(3):
         for j in range(i, 3):
             for m in range(j, 3):
-                lhs = k[j][m].diff(i) + k[i][m].diff(j) + k[i][j].diff(m)
+                lhs = dk[j][m][i] + dk[i][m][j] + dk[i][j][m]
                 rhs = Poly.zero(k.nvars)
                 if j == m:
                     rhs = rhs + kv[i]
@@ -483,37 +486,29 @@ def tsn_check(k: SymTensorField, plane: tuple[int, int] | None = None) -> bool:
     lcd = math.lcm(*(p.content().denominator for row in k.comps for p in row))
     if lcd != 1:
         k = k.scale(lcd)
-    zero = Poly.zero(k.nvars)
-    dk = [[[k[a][b].diff(c) for c in range(3)] for b in range(3)] for a in range(3)]
+    nvars = k.nvars
+    dk = _partials(k)
     if plane is not None:
         var, value = plane
         k = SymTensorField.from_upper(*(k[i][j].restrict(var, value) for i, j in _UPPER))
-        dk = [[[p.restrict(var, value) for p in grads] for grads in row] for row in dk]
+        for a, b in _UPPER:
+            dk[a][b] = dk[b][a] = [p.restrict(var, value) for p in dk[a][b]]
     pairs = ((0, 1), (0, 2), (1, 2))
+    # curl[m][(j, kk)] = d_kk K_mj - d_j K_mkk, shared by the three rows ll.
+    curl = [{(j, kk): dk[m][j][kk] - dk[m][kk][j] for j, kk in pairs} for m in range(3)]
     n: dict = {}
     for j, kk in pairs:
         for ll in range(3):
-            acc = zero
-            for m in range(3):
-                acc = acc + k[ll][m] * (dk[m][j][kk] - dk[m][kk][j])
-                acc = acc + k[m][j] * dk[ll][kk][m] - k[m][kk] * dk[ll][j][m]
-            n[(ll, j, kk)] = acc
+            n[(ll, j, kk)] = Poly.dot(nvars, [product for m in range(3) for product in (
+                (1, k[ll][m], curl[m][(j, kk)]), (1, k[m][j], dk[ll][kk][m]),
+                (-1, k[m][kk], dk[ll][j][m]))])
+    # The (i, j, kk) with eps_ijk != 0 and j < kk, with the sign of eps.
+    slots = [(i, j, kk, EPS[i][j][kk]) for j, kk in pairs for i in range(3) if EPS[i][j][kk]]
 
     def contract(a: SymTensorField | None) -> Poly:
-        acc = zero
-        for j, kk in pairs:
-            for i in range(3):
-                s = EPS[i][j][kk]
-                if not s:
-                    continue
-                if a is None:
-                    term = n[(i, j, kk)]
-                else:
-                    term = zero
-                    for ll in range(3):
-                        term = term + a[i][ll] * n[(ll, j, kk)]
-                acc = acc + term * s
-        return acc
+        if a is None:
+            return sum((n[(i, j, kk)] * s for i, j, kk, s in slots), Poly.zero(nvars))
+        return Poly.dot(nvars, [(s, a[i][ll], n[(ll, j, kk)]) for i, j, kk, s in slots for ll in range(3)])
 
     if not contract(None).is_zero:
         return False
@@ -594,10 +589,55 @@ def _blocks_from_free(vec: Sequence):
     return a, b, c, d, e, f, g, 0, l, m
 
 
+def _flatten(blocks) -> list:
+    """The entries of the blocks a, b, c, d, e, f, g, h, l, m of
+    ``_blocks_from_free``, block by block and row by row: 64 in all."""
+    flat = []
+    for block in blocks:
+        if not isinstance(block, list):
+            flat.append(block)
+        elif isinstance(block[0], list):
+            for row in block:
+                flat += row
+        else:
+            flat += block
+    return flat
+
+
+@lru_cache(maxsize=None)
+def _unit_blocks() -> tuple:
+    """``_blocks_from_free`` of each of the 35 unit free-parameter vectors."""
+    return tuple(_blocks_from_free([int(i == c) for i in range(DIM_TRACE_FREE)])
+                 for c in range(DIM_TRACE_FREE))
+
+
+@lru_cache(maxsize=None)
+def _free_entries() -> tuple:
+    """Per free coordinate c, the nonzero (entry, coefficient) of the
+    flattened blocks of its unit vector: the sparse matrix of the linear map
+    ``_blocks_from_free``."""
+    return tuple(tuple((entry, x) for entry, x in enumerate(_flatten(blocks)) if x)
+                 for blocks in _unit_blocks())
+
+
 def coefficients_from_free(vec: Sequence) -> CktCoefficients:
-    a, b, c, d, e, f, g, h, l, m = _blocks_from_free([rat(v) for v in vec])
-    a, b, c, e, g, m = (tuple(map(tuple, block)) for block in (a, b, c, e, g, m))
-    return CktCoefficients(a=a, b=b, c=c, d=tuple(d), e=e, f=tuple(f), g=g, h=h, l=tuple(l), m=m)
+    if len(vec) != DIM_TRACE_FREE:
+        raise CktError(f"expected {DIM_TRACE_FREE} free parameters")
+    flat = [0] * 64  # offsets of the blocks as in _flatten
+    for value, entries in zip(vec, _free_entries()):
+        value = rat(value)
+        if value:
+            for entry, x in entries:
+                flat[entry] += x * value
+
+    def vector(at):
+        return tuple(flat[at:at + 3])
+
+    def grid(at):
+        return tuple(vector(at + 3 * i) for i in range(3))
+
+    return CktCoefficients(a=grid(0), b=grid(9), c=grid(18), d=vector(27), e=grid(30), f=vector(39),
+                           g=grid(42), h=flat[51], l=vector(52), m=grid(55))
 
 
 def assemble_free(vec: Sequence, nvars: int = 3) -> SymTensorField:
@@ -623,9 +663,6 @@ def _monomials() -> tuple[dict, list]:
     return {m: idx for idx, m in enumerate(mons)}, mons
 
 
-_UPPER = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-
-
 def _vectorize(k: SymTensorField) -> list[Fraction]:
     index, mons = _monomials()
     out = [Fraction(0)] * (6 * len(mons))
@@ -641,8 +678,7 @@ def _vectorize(k: SymTensorField) -> list[Fraction]:
 def _free_terms() -> tuple:
     """Per free coordinate c, the (coefficient, (p, q)) of its unit vector's
     tensor sum coefficient X_p.X_q."""
-    return tuple(tuple(_block_terms(*_blocks_from_free([int(i == c) for i in range(DIM_TRACE_FREE)])))
-                 for c in range(DIM_TRACE_FREE))
+    return tuple(tuple(_block_terms(*blocks)) for blocks in _unit_blocks())
 
 
 @lru_cache(maxsize=None)
@@ -732,18 +768,20 @@ def lie_operator(v: VectorField) -> list[list[Fraction]]:
     """Matrix of Lie_v on the 35 trace-free coordinates: column c holds the
     coordinates of Lie_v applied to basis vector c.
 
-    No tensor is differentiated.  Lie_v is a derivation, so on products of
-    conformal Killing vectors L_v(X_p.X_q) = [v, X_p].X_q + X_p.[v, X_q].
-    With ad_v the 10x10 matrix whose column p holds [v, X_p] in
-    ``ckv_basis`` coordinates (``ad[p]`` below: the structure constants
-    weighted by the coordinates of v), the tensor sum S_pq X_p.X_q of basis
-    vector c goes to the one with coefficients ad_v S + S ad_v^T.  That
-    combination of the 55 products X_p.X_q, p <= q, is reduced to the 35
-    free coordinates by ``_pair_coordinates``, built on first use by one
-    elimination of the assembly matrix beside the 55 vectorized products.
-    Their span has dimension 49, so each column also has 14 complement
-    coordinates; they must vanish exactly, and v must lie in the span of
-    ``ckv_basis``, or this raises CktError.
+    No tensor is differentiated.  Lie_v is linear in v, so for v = sum_k
+    c_k X_k in ``ckv_basis`` coordinates the matrix is sum_k c_k rho(X_k),
+    where rho(X_k), the matrix of one basis field, is built once per k and
+    cached.  Lie_X is a derivation, so on products of conformal Killing
+    vectors L_X(X_p.X_q) = [X, X_p].X_q + X_p.[X, X_q].  With ad_X the 10x10
+    matrix whose column p holds [X, X_p] (for X = X_k, the structure
+    constants c[k][p]), the tensor sum S_pq X_p.X_q of basis vector c goes to
+    the one with coefficients ad_X S + S ad_X^T.  That combination of the 55
+    products X_p.X_q, p <= q, is reduced to the 35 free coordinates by
+    ``_pair_coordinates``, built on first use by one elimination of the
+    assembly matrix beside the 55 vectorized products.  Their span has
+    dimension 49, so each column also has 14 complement coordinates; they
+    must vanish exactly, and v must lie in the span of ``ckv_basis``, or
+    this raises CktError.
     """
     columns = _lie_columns(v)
     zero = Fraction(0)
@@ -751,16 +789,22 @@ def lie_operator(v: VectorField) -> list[list[Fraction]]:
 
 
 def _lie_columns(v: VectorField) -> list[dict]:
-    """The columns of ``lie_operator(v)`` as sparse dicts {row: value}."""
-    alpha = _ckv_coordinates(v)
-    constants = _structure_constants()
-    ad = []
-    for p in range(10):
-        col: dict = {}
-        for k, a in alpha.items():
-            for r, x in constants[k][p].items():
+    """The columns of ``lie_operator(v)`` as sparse dicts {row: value}:
+    Lie_v is linear in v, so they are sum_k c_k times those of the basis
+    field X_k, for v = sum_k c_k X_k."""
+    columns: list[dict] = [{} for _ in range(DIM_TRACE_FREE)]
+    for k, a in _ckv_coordinates(v).items():
+        for col, basis_col in zip(columns, _basis_lie_columns(k)):
+            for r, x in basis_col.items():
                 col[r] = col.get(r, 0) + a * x
-        ad.append({r: x for r, x in col.items() if x})
+    return [{r: x for r, x in col.items() if x} for col in columns]
+
+
+@lru_cache(maxsize=None)
+def _basis_lie_columns(k: int) -> tuple[dict, ...]:
+    """The columns of ``lie_operator`` of the basis field X_k, as sparse
+    dicts {row: value}."""
+    ad = _structure_constants()[k]
     coords = _pair_coordinates()
     columns = []
     for terms in _free_terms():
@@ -772,8 +816,8 @@ def _lie_columns(v: VectorField) -> list[dict]:
             for r, x in ad[q].items():
                 pair = _PAIR[p][r]
                 image[pair] = image.get(pair, 0) + s * x
-        columns.append(_within(image, coords, DIM_TRACE_FREE))
-    return columns
+        columns.append({r: x for r, x in _within(image, coords, DIM_TRACE_FREE).items() if x})
+    return tuple(columns)
 
 
 def symmetry_subspace(v: VectorField, mode: str) -> list[tuple[Fraction, list[list[Fraction]]]]:
@@ -796,9 +840,8 @@ def symmetry_subspace(v: VectorField, mode: str) -> list[tuple[Fraction, list[li
 def eigenvector_cross(k: SymTensorField, v: VectorField) -> VectorField:
     """(K.v) x v, identically zero iff v is everywhere an eigenvector of K."""
     kv = k.dot_vector(v)
-    return VectorField((kv[1] * v[2] - kv[2] * v[1],
-                        kv[2] * v[0] - kv[0] * v[2],
-                        kv[0] * v[1] - kv[1] * v[0]))
+    return VectorField(tuple(Poly.dot(k.nvars, [(1, kv[i], v[j]), (-1, kv[j], v[i])])
+                             for i, j in ((1, 2), (2, 0), (0, 1))))
 
 
 def _transversal_plane(v: VectorField) -> tuple[int, int]:
@@ -864,8 +907,9 @@ def tsn_filter(v: VectorField, basis: list[list[Fraction]]) -> TsnFilterResult:
     as extra polynomial variables).  Basis directions outside the candidate
     are spot-checked; any that satisfy TSN individually are reported in the
     result.  Each basis tensor is assembled once and serves both the
-    eigenvector condition and the spot checks; the subspace and the symbolic
-    family are combined from the free-coordinate vectors.
+    eigenvector condition and the spot checks.  The subspace vectors sub_a
+    are combined from the basis as sparse rows, and the symbolic family is
+    sum_a t_a assemble_free(sub_a), with t_a extra polynomial variables.
 
     Both checks run ``tsn_check`` on one coordinate plane x_i = c
     transversal to v (``_transversal_plane``: z = 0 for X3 and I3, x = 0
@@ -897,13 +941,20 @@ def tsn_filter(v: VectorField, basis: list[list[Fraction]]) -> TsnFilterResult:
     plane = _transversal_plane(v)
     tensors = [assemble_free(vec) for vec in basis]
     combos = linalg.vanishing_combinations([eigenvector_cross(k, v).components for k in tensors])
-    sub = [[sum((w * vec[j] for w, vec in zip(combo, basis) if w), Fraction(0))
-            for j in range(DIM_TRACE_FREE)] for combo in combos]
+    rows = [{j: x for j, x in enumerate(vec) if x} for vec in basis]
+    sub = []
+    for combo in combos:
+        acc: dict = {}
+        for w, row in zip(combo, rows):
+            if w:
+                for j, x in row.items():
+                    acc[j] = acc.get(j, 0) + w * x
+        sub.append([Fraction(acc.get(j, 0)) for j in range(DIM_TRACE_FREE)])
     if sub:
         nv = 3 + len(sub)
-        ts = [Poly.variable(3 + idx, nv) for idx in range(len(sub))]
-        family = assemble_free([sum((t * vec[j] for t, vec in zip(ts, sub) if vec[j]), Poly.zero(nv))
-                                for j in range(DIM_TRACE_FREE)], nv)
+        family = SymTensorField.zero(nv)
+        for idx, vec in enumerate(sub):
+            family = family + assemble_free(vec).extend(nv).scale(Poly.variable(3 + idx, nv))
         if not tsn_check(family, plane):
             raise CktError("eigenvector subspace fails the TSN conditions; filter is unsound")
     base_rank = linalg.rank(sub)

@@ -23,6 +23,7 @@ hi, and lo may be the root of the interval below.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import floor, gcd, lcm
 from typing import Iterable, Sequence
@@ -166,7 +167,9 @@ class Poly:
             raise ExactMathError(f"variable index {var} out of range for {self.nvars} variables")
         return _BITS * var
 
-    def __add__(self, other) -> Poly:
+    def _combine(self, other, op) -> Poly:
+        """self op other for op = operator.add or operator.sub, on a copy of
+        self's term table."""
         if not isinstance(other, Poly):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
@@ -175,12 +178,15 @@ class Poly:
         terms = dict(self.terms)
         get = terms.get
         for key, coeff in other.terms.items():
-            new = get(key, 0) + coeff
+            new = op(get(key, 0), coeff)
             if not new:
                 del terms[key]
             else:
                 terms[key] = new if new.__class__ is int else _norm(new)
         return Poly(self.nvars, terms)
+
+    def __add__(self, other) -> Poly:
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
@@ -188,7 +194,7 @@ class Poly:
         return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> Poly:
-        return self + (-other)
+        return self._combine(other, operator.sub)
 
     def __rsub__(self, other) -> Poly:
         return (-self) + other
@@ -201,25 +207,35 @@ class Poly:
             if other == 0:
                 return Poly(self.nvars)
             return Poly(self.nvars, {e: _norm(c * other) for e, c in self.terms.items()})
-        self._check(other)
-        a, b = self.terms, other.terms
-        if not a or not b:
-            return Poly(self.nvars)
-        shift = _BITS * self.nvars
-        degree = (max(a) >> shift) + (max(b) >> shift)
-        if degree > DEGREE_LIMIT:
-            raise ExactMathError(f"product of total degree {degree} exceeds the degree limit "
-                                 f"{DEGREE_LIMIT} = 2^32 - 1")
-        terms: dict = {}
-        get = terms.get
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                terms[e] = get(e, 0) + c1 * c2
-        return Poly(self.nvars, {e: c if c.__class__ is int else _norm(c)
-                                 for e, c in terms.items() if c})
+        return Poly.dot(self.nvars, [(1, self, other)])
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def dot(nvars: int, products: Iterable[tuple]) -> Poly:
+        """The sum of s a b over the (s, a, b) triples of ``products``, with
+        s a rational and a, b polynomials in nvars variables, accumulated into
+        one term table: no intermediate product or partial sum is built."""
+        shift = _BITS * nvars
+        terms: dict = {}
+        get = terms.get
+        for s, a, b in products:
+            if a.nvars != nvars or b.nvars != nvars:
+                raise ExactMathError("polynomials live in different variable sets")
+            ta, tb = a.terms, b.terms
+            if not ta or not tb or not s:
+                continue
+            degree = (max(ta) >> shift) + (max(tb) >> shift)
+            if degree > DEGREE_LIMIT:
+                raise ExactMathError(f"product of total degree {degree} exceeds the degree limit "
+                                     f"{DEGREE_LIMIT} = 2^32 - 1")
+            for e1, c1 in ta.items():
+                if s != 1:
+                    c1 = c1 * s
+                for e2, c2 in tb.items():
+                    e = e1 + e2
+                    terms[e] = get(e, 0) + c1 * c2
+        return Poly(nvars, {e: c if c.__class__ is int else _norm(c) for e, c in terms.items() if c})
 
     def __pow__(self, n: int) -> Poly:
         if n < 0:

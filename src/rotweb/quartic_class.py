@@ -189,13 +189,16 @@ class Invariants:
 
 def invariants(q: BinaryQuartic) -> Invariants:
     """I, J, the discriminant Delta = 4 I^3 - J^2, and the absolute invariant
-    F = I^3 / J^2 when J != 0."""
-    m, l, h, d, a = q.as_tuple()
+    F = I^3 / J^2 when J != 0.  They are formed in ints on the cleared
+    quartic c Q, then divided once by c^2, c^3 and c^6 (F is absolute);
+    integer values come back as ints."""
+    c, cleared = q.cleared()
+    m, l, h, d, a = cleared.as_tuple()
     i_val = 12 * a * m - 3 * l * d + h * h
     j_val = 72 * a * m * h - 27 * a * l * l - 27 * d * d * m + 9 * d * l * h - 2 * h ** 3
     delta = 4 * i_val ** 3 - j_val ** 2
     f_val = Fraction(i_val ** 3, j_val * j_val) if j_val != 0 else None
-    return Invariants(i_val, j_val, delta, f_val)
+    return Invariants(i_val, j_val, delta, f_val).scaled(1 / c)
 
 
 def hessian(q: BinaryQuartic) -> tuple:

@@ -91,19 +91,16 @@ def _form_numerators(tensor: SymTensorField, grad: list[Poly], kvec=None, weight
     """Numerators P_i of the compatibility one-form (E - V) k_flat - K dV
     over d^2, from the potential's parts, which keeps the exact arithmetic to
     polynomials; without kvec, of -K dV alone."""
-    comps = []
-    for i in range(3):
-        total = Poly.zero() if kvec is None else weight * kvec[i]
-        for j in range(3):
-            total = total - tensor[i][j] * grad[j]
-        comps.append(total)
-    return comps
+    return [Poly.dot(tensor.nvars, ([] if kvec is None else [(1, weight, kvec[i])])
+                     + [(-1, a, b) for a, b in zip(tensor[i], grad)])
+            for i in range(3)]
 
 
 def _curl_numerators(p: list[Poly], d: Poly, dd: list[Poly], power: int) -> list[Poly]:
     """Numerators over d^(power + 1) of the components (12, 13, 23) of
     d(omega) for omega_i = p_i / d^power, given the partials dd of d."""
-    return [d * (p[j].diff(i) - p[i].diff(j)) - (p[j] * dd[i] - p[i] * dd[j]) * power
+    return [Poly.dot(d.nvars, [(1, d, p[j].diff(i) - p[i].diff(j)), (-power, p[j], dd[i]),
+                               (power, p[i], dd[j])])
             for i, j in _PAIRS]
 
 
@@ -128,20 +125,32 @@ def compatibility_form(p: RotParams, pot: Potential) -> OneForm:
     return OneForm(tuple(RationalFunction(p, den) for p in _form_numerators(k, grad, kvec, weight)))
 
 
-def exterior_derivative(omega: OneForm) -> TwoForm:
-    """d(omega), from the polynomial curl numerators when the nonzero
-    components share one denominator."""
+def _shared_curl(omega: OneForm) -> tuple[list[Poly], Poly] | None:
+    """The curl numerators of omega over d^2 and d, when its nonzero
+    components share one denominator d; else None."""
     dens = [c.den for c in omega.components if not c.is_zero]
     if dens and all(den == dens[0] for den in dens[1:]):
         d = dens[0]
-        nums = _curl_numerators([c.num for c in omega.components], d,
-                                [d.diff(i) for i in range(3)], 1)
-        return TwoForm(*(RationalFunction(num, d * d) for num in nums))
+        return _curl_numerators([c.num for c in omega.components], d, [d.diff(i) for i in range(3)], 1), d
+    return None
+
+
+def exterior_derivative(omega: OneForm) -> TwoForm:
+    """d(omega), from the polynomial curl numerators when the nonzero
+    components share one denominator."""
+    shared = _shared_curl(omega)
+    if shared is not None:
+        nums, d = shared
+        square = d * d
+        return TwoForm(*(RationalFunction(num, square) for num in nums))
     return TwoForm(*(omega[j].diff(i) - omega[i].diff(j) for i, j in _PAIRS))
 
 
 def is_closed(omega: OneForm) -> bool:
     """Exact closedness of a one-form with rational-function components."""
+    shared = _shared_curl(omega)
+    if shared is not None:
+        return all(num.is_zero for num in shared[0])
     return exterior_derivative(omega).is_zero
 
 

@@ -199,7 +199,30 @@ class TestVerifyCkt:
         assert holds
 
 
+def oracle_coefficients_from_free(vec):
+    """``coefficients_from_free`` as it was before the cached sparse map:
+    ``_blocks_from_free`` run on the vector itself."""
+    a, b, c, d, e, f, g, h, l, m = cc._blocks_from_free([Fraction(v) for v in vec])
+    a, b, c, e, g, m = (tuple(map(tuple, block)) for block in (a, b, c, e, g, m))
+    return CktCoefficients(a=a, b=b, c=c, d=tuple(d), e=e, f=tuple(f), g=g, h=h, l=tuple(l), m=m)
+
+
 class TestFreeCoordinates:
+    def test_sparse_map_matches_the_block_route(self):
+        rng = random.Random(3517)
+        for trial in range(200):
+            density = (0.1, 0.3, 1.0)[trial % 3]
+            vec = [rand_fraction(rng, -20, 20, 9) if rng.random() < density else 0 for _ in range(35)]
+            if trial % 7 == 0:
+                vec = [int(x) if x == int(x) else str(x) for x in vec]
+            coeffs = coefficients_from_free(vec)
+            expected = oracle_coefficients_from_free(vec)
+            assert coeffs == expected
+            assert coeffs.to_json_dict() == expected.to_json_dict()
+        for bad in ([0] * 34, [0] * 36):
+            with pytest.raises(CktError, match="35 free parameters"):
+                coefficients_from_free(bad)
+
     def test_c_block_follows_e(self, rng):
         for _ in range(20):
             coeffs = coefficients_from_free([rand_fraction(rng) for _ in range(35)])
@@ -433,9 +456,15 @@ class TestLieOperator:
         # derivation: it sends X1.X1 - X3.X3 to 2 X1.X1, which has a trace.
         constants = tuple(tuple({0: 1} if (k, p) == (0, 0) else {} for p in range(10))
                           for k in range(10))
+        # The per-generator operators are cached from the real constants;
+        # clear them before the call and again at teardown.
+        cc._basis_lie_columns.cache_clear()
         monkeypatch.setattr(cc, "_structure_constants", lambda: constants)
-        with pytest.raises(CktError, match="left the trace-free space"):
-            lie_operator(ckv_by_name("X1"))
+        try:
+            with pytest.raises(CktError, match="left the trace-free space"):
+                lie_operator(ckv_by_name("X1"))
+        finally:
+            cc._basis_lie_columns.cache_clear()
 
 
 class TestDimension:

@@ -15,7 +15,7 @@ from rotweb.exactmath import (DEGREE_LIMIT, ExactMathError, Poly, RationalFuncti
 from rotweb.linalg import char_poly
 from rotweb.quartic_class import WebType, covariant_l, covariant_m, hessian
 
-from conftest import companion_real_root_count
+from conftest import companion_real_root_count, rand_fraction
 from test_canonical_form import extreme_quartic, partition_quartic
 
 
@@ -678,6 +678,70 @@ class TestPackedKernel:
             assert_same(p.extend(12), rp.extend(12))
             assert p.degree() == rp.degree()
             assert str(p) == str(rp)
+
+
+def oracle_mul(p, q):
+    """The double loop of ``Poly.__mul__`` before products went through
+    ``Poly.dot``: the reference for ``dot``, which ``__mul__`` now calls."""
+    a, b = p.terms, q.terms
+    if not a or not b:
+        return Poly(p.nvars)
+    terms: dict = {}
+    get = terms.get
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            terms[e] = get(e, 0) + c1 * c2
+    return Poly(p.nvars, {e: c if c.__class__ is int else c.numerator if c.denominator == 1 else c
+                          for e, c in terms.items() if c})
+
+
+def random_poly(rng, nvars, fractions, max_terms=6, max_exp=3):
+    """A seeded polynomial with up to max_terms terms, zero one time in six."""
+    if rng.random() < 1 / 6:
+        return Poly(nvars)
+    coeff = (lambda: rand_fraction(rng, -6, 6, 5)) if fractions else (lambda: rng.randint(-6, 6))
+    return Poly.from_terms({tuple(rng.randint(0, max_exp) for _ in range(nvars)): coeff()
+                            for _ in range(rng.randint(1, max_terms))}, nvars)
+
+
+class TestDot:
+    def test_matches_the_multiplication_oracle(self):
+        rng = random.Random(1707)
+        for trial in range(400):
+            nvars = (3, 9)[trial % 2]
+            fractions = trial % 4 >= 2
+            products = [(rng.choice((1, -1, 2, -2)), random_poly(rng, nvars, fractions),
+                         random_poly(rng, nvars, fractions)) for _ in range(rng.randint(0, 5))]
+            expected = Poly(nvars)
+            for s, a, b in products:
+                expected = expected + oracle_mul(a, b) * s
+            got = Poly.dot(nvars, products)
+            assert got == expected and got.nvars == nvars
+            for c in got.terms.values():
+                assert c != 0 and (type(c) is int or c.denominator != 1)
+            if len(products) == 1 and products[0][0] == 1:
+                assert products[0][1] * products[0][2] == expected
+
+    def test_empty_and_zero_products(self):
+        x = Poly.variable(0, 9)
+        assert Poly.dot(9, []) == Poly(9) and Poly.dot(9, []).nvars == 9
+        assert Poly.dot(9, [(1, x, Poly(9)), (0, x, x), (2, Poly(9), x)]).is_zero
+        # Terms that cancel across products leave no zero coefficient behind.
+        assert Poly.dot(9, [(1, x, x), (-1, x, x)]).terms == {}
+
+    def test_mismatched_variable_sets_raise(self):
+        x3, x9 = Poly.variable(0, 3), Poly.variable(0, 9)
+        for products in ([(1, x3, x9)], [(1, x9, x3)], [(1, x9, x9), (1, x3, x3)]):
+            with pytest.raises(ExactMathError, match="different variable sets"):
+                Poly.dot(9, products)
+
+    def test_product_past_the_degree_limit_raises(self):
+        x, y = Poly.variable(0, 3), Poly.variable(1, 3)
+        top = x ** DEGREE_LIMIT
+        assert Poly.dot(3, [(1, top, Poly.const(5, 3))]) == top * 5
+        with pytest.raises(ExactMathError, match="degree limit 4294967295"):
+            Poly.dot(3, [(1, x, y), (-1, top, y)])
 
 
 class TestDegreeLimit:

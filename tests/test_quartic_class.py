@@ -45,6 +45,19 @@ class TestInvariants:
         inv = invariants(BinaryQuartic(big, 0, -3, 0, 1))
         assert inv.f == Fraction((12 * big + 9) ** 3, (216 * big - 54) ** 2)
 
+    def test_cleared_integer_route_matches_the_rational_formulas(self, rng):
+        # The formulas evaluated directly in Fractions on Q are the reference.
+        for trial in range(300):
+            scale = Fraction(rng.randint(1, 9), 10 ** rng.randint(0, 40)) ** (1 if trial % 2 else -1)
+            q = BinaryQuartic.make(*(rand_fraction(rng, -9, 9, 7) * scale if rng.random() < 0.8 else 0
+                                     for _ in range(5)))
+            m, l, h, d, a = q.as_tuple()
+            i_val = 12 * a * m - 3 * l * d + h * h
+            j_val = 72 * a * m * h - 27 * a * l * l - 27 * d * d * m + 9 * d * l * h - 2 * h ** 3
+            inv = invariants(q)
+            assert (inv.i, inv.j, inv.delta) == (i_val, j_val, 4 * i_val ** 3 - j_val ** 2)
+            assert inv.f == (Fraction(i_val ** 3, j_val * j_val) if j_val else None)
+
     def test_delta_vanishes_iff_repeated_root(self, rng):
         for _ in range(200):
             q = BinaryQuartic.make(*(rng.randint(-6, 6) for _ in range(5)))
