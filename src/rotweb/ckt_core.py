@@ -589,19 +589,25 @@ def _blocks_from_free(vec: Sequence):
     return a, b, c, d, e, f, g, 0, l, m
 
 
-def _flatten(blocks) -> list:
-    """The entries of the blocks a, b, c, d, e, f, g, h, l, m of
-    ``_blocks_from_free``, block by block and row by row: 64 in all."""
-    flat = []
-    for block in blocks:
-        if not isinstance(block, list):
-            flat.append(block)
-        elif isinstance(block[0], list):
-            for row in block:
-                flat += row
-        else:
-            flat += block
-    return flat
+# The shapes of the blocks a, b, c, d, e, f, g, h, l, m of
+# ``_blocks_from_free`` and ``CktCoefficients``: grids, vectors and the
+# scalar h.
+_BLOCK_SHAPES = ((3, 3), (3, 3), (3, 3), (3,), (3, 3), (3,), (3, 3), (), (3,), (3, 3))
+
+
+def _flatten(block, shape: tuple) -> list:
+    """The entries of a block of the given shape, row by row."""
+    if not shape:
+        return [block]
+    return [x for part in block for x in _flatten(part, shape[1:])]
+
+
+def _unflatten(entries, shape: tuple):
+    """The block of the given shape, as nested tuples, taken from the front
+    of the entry iterator."""
+    if not shape:
+        return next(entries)
+    return tuple(_unflatten(entries, shape[1:]) for _ in range(shape[0]))
 
 
 @lru_cache(maxsize=None)
@@ -616,41 +622,46 @@ def _free_entries() -> tuple:
     """Per free coordinate c, the nonzero (entry, coefficient) of the
     flattened blocks of its unit vector: the sparse matrix of the linear map
     ``_blocks_from_free``."""
-    return tuple(tuple((entry, x) for entry, x in enumerate(_flatten(blocks)) if x)
-                 for blocks in _unit_blocks())
+    rows = []
+    for blocks in _unit_blocks():
+        flat = [x for block, shape in zip(blocks, _BLOCK_SHAPES) for x in _flatten(block, shape)]
+        rows.append(tuple((entry, x) for entry, x in enumerate(flat) if x))
+    return tuple(rows)
 
 
 def coefficients_from_free(vec: Sequence) -> CktCoefficients:
     if len(vec) != DIM_TRACE_FREE:
         raise CktError(f"expected {DIM_TRACE_FREE} free parameters")
-    flat = [0] * 64  # offsets of the blocks as in _flatten
+    flat = [0] * sum(math.prod(shape) for shape in _BLOCK_SHAPES)
     for value, entries in zip(vec, _free_entries()):
         value = rat(value)
         if value:
             for entry, x in entries:
                 flat[entry] += x * value
-
-    def vector(at):
-        return tuple(flat[at:at + 3])
-
-    def grid(at):
-        return tuple(vector(at + 3 * i) for i in range(3))
-
-    return CktCoefficients(a=grid(0), b=grid(9), c=grid(18), d=vector(27), e=grid(30), f=vector(39),
-                           g=grid(42), h=flat[51], l=vector(52), m=grid(55))
+    entries = iter(flat)
+    return CktCoefficients(*(_unflatten(entries, shape) for shape in _BLOCK_SHAPES))
 
 
-def assemble_free(vec: Sequence, nvars: int = 3) -> SymTensorField:
-    """The tensor sum_c x_c F_c of a free-parameter vector x over the basis
-    tensors F_c of ``_free_basis``.  The x_c may be rationals or
-    polynomials in nvars variables, the first three being x, y, z."""
+def assemble_free(vec: Sequence) -> SymTensorField:
+    """The tensor sum_c x_c F_c of a vector x of rational free parameters
+    over the basis tensors F_c of ``_free_basis``."""
     if len(vec) != DIM_TRACE_FREE:
         raise CktError(f"expected {DIM_TRACE_FREE} free parameters")
-    total = SymTensorField.zero(nvars)
+    total = SymTensorField.zero()
     for x, basis_tensor in zip(vec, _free_basis()):
         if x:
-            total = total + basis_tensor.extend(nvars).scale(x)
+            total = total + basis_tensor.scale(x)
     return total
+
+
+def symbolic_family(vecs: Sequence) -> SymTensorField:
+    """The family sum_a t_a assemble_free(vec_a), with the t_a extra
+    polynomial variables after x, y, z."""
+    nvars = 3 + len(vecs)
+    family = SymTensorField.zero(nvars)
+    for idx, vec in enumerate(vecs):
+        family = family + assemble_free(vec).extend(nvars).scale(Poly.variable(3 + idx, nvars))
+    return family
 
 
 @lru_cache(maxsize=None)
@@ -909,7 +920,8 @@ def tsn_filter(v: VectorField, basis: list[list[Fraction]]) -> TsnFilterResult:
     result.  Each basis tensor is assembled once and serves both the
     eigenvector condition and the spot checks.  The subspace vectors sub_a
     are combined from the basis as sparse rows, and the symbolic family is
-    sum_a t_a assemble_free(sub_a), with t_a extra polynomial variables.
+    ``symbolic_family(sub)``: sum_a t_a assemble_free(sub_a), with t_a extra
+    polynomial variables.
 
     Both checks run ``tsn_check`` on one coordinate plane x_i = c
     transversal to v (``_transversal_plane``: z = 0 for X3 and I3, x = 0
@@ -951,11 +963,7 @@ def tsn_filter(v: VectorField, basis: list[list[Fraction]]) -> TsnFilterResult:
                     acc[j] = acc.get(j, 0) + w * x
         sub.append([Fraction(acc.get(j, 0)) for j in range(DIM_TRACE_FREE)])
     if sub:
-        nv = 3 + len(sub)
-        family = SymTensorField.zero(nv)
-        for idx, vec in enumerate(sub):
-            family = family + assemble_free(vec).extend(nv).scale(Poly.variable(3 + idx, nv))
-        if not tsn_check(family, plane):
+        if not tsn_check(symbolic_family(sub), plane):
             raise CktError("eigenvector subspace fails the TSN conditions; filter is unsound")
     base_rank = linalg.rank(sub)
     outside = [idx for idx, (vec, k) in enumerate(zip(basis, tensors))

@@ -75,7 +75,7 @@ def cmd_classify(args) -> tuple[dict, int]:
     by_roots = classify_by_roots(quartic, structure)
     findings: list = []
     try:
-        by_inv, audit = classify_by_invariants(quartic, inv)
+        by_inv, audit = classify_by_invariants(quartic)
         inv_value = by_inv.value
     except ClassificationError as exc:
         by_inv, audit, inv_value = None, exc.audit, None

@@ -187,18 +187,25 @@ class Invariants:
         return Invariants(i, j, delta, self.f)
 
 
-def invariants(q: BinaryQuartic) -> Invariants:
-    """I, J, the discriminant Delta = 4 I^3 - J^2, and the absolute invariant
-    F = I^3 / J^2 when J != 0.  They are formed in ints on the cleared
-    quartic c Q, then divided once by c^2, c^3 and c^6 (F is absolute);
-    integer values come back as ints."""
+def _cleared_invariants(q: BinaryQuartic) -> tuple[Fraction, BinaryQuartic, Invariants]:
+    """The c > 0 and cleared quartic c Q of ``BinaryQuartic.cleared``, with
+    the invariants of c Q formed in ints."""
     c, cleared = q.cleared()
     m, l, h, d, a = cleared.as_tuple()
     i_val = 12 * a * m - 3 * l * d + h * h
     j_val = 72 * a * m * h - 27 * a * l * l - 27 * d * d * m + 9 * d * l * h - 2 * h ** 3
     delta = 4 * i_val ** 3 - j_val ** 2
     f_val = Fraction(i_val ** 3, j_val * j_val) if j_val != 0 else None
-    return Invariants(i_val, j_val, delta, f_val).scaled(1 / c)
+    return c, cleared, Invariants(i_val, j_val, delta, f_val)
+
+
+def invariants(q: BinaryQuartic) -> Invariants:
+    """I, J, the discriminant Delta = 4 I^3 - J^2, and the absolute invariant
+    F = I^3 / J^2 when J != 0.  They are formed in ints on the cleared
+    quartic c Q, then divided once by c^2, c^3 and c^6 (F is absolute);
+    integer values come back as ints."""
+    c, _, inv = _cleared_invariants(q)
+    return inv.scaled(1 / c)
 
 
 def hessian(q: BinaryQuartic) -> tuple:
@@ -328,23 +335,20 @@ def classify_by_roots(q: BinaryQuartic, structure: RootStructure | None = None) 
         raise ClassificationError(f"unmatched root partition {key}") from None
 
 
-def classify_by_invariants(q: BinaryQuartic, inv: Invariants | None = None
-                           ) -> tuple[WebType, list[dict]]:
+def classify_by_invariants(q: BinaryQuartic) -> tuple[WebType, list[dict]]:
     """The algebraic decision list over (Delta, H, L, M, I, J), evaluated
     strictly top to bottom; covariant inequalities are read semidefinitely.
-    Each covariant sign is computed when a row first needs it, in integers:
-    on the cleared quartic c Q (c > 0), whose H, L and M are c^2 H, c^4 L
-    and c^4 M, so every sign is that of the covariant of Q.  Returns the
-    type and the audit trail of every condition evaluated.  Pass the
-    quartic's invariants when they are already at hand."""
+    The invariants and each covariant sign, computed when a row first needs
+    it, are read in integers on the cleared quartic c Q (c > 0), whose I, J,
+    Delta, H, L and M are c^2 I, c^3 J, c^6 Delta, c^2 H, c^4 L and c^4 M,
+    so every sign is that of Q's.  Returns the type and the audit trail of
+    every condition evaluated."""
     if q.is_zero:
         raise ClassificationError("the zero form has no web type")
-    inv = inv or invariants(q)
-    c, cleared = q.cleared()
-    cleared_inv = inv.scaled(c)
+    _, cleared, inv = _cleared_invariants(q)
     h_sign = functools.cache(lambda: form_sign(hessian(cleared)))
-    l_sign = functools.cache(lambda: form_sign(covariant_l(cleared, cleared_inv)))
-    m_sign = functools.cache(lambda: form_sign(covariant_m(cleared, cleared_inv)))
+    l_sign = functools.cache(lambda: form_sign(covariant_l(cleared, inv)))
+    m_sign = functools.cache(lambda: form_sign(covariant_m(cleared, inv)))
     rows = [
         (WebType.DISK_CYCLIDE, "Delta < 0",
          lambda: inv.delta < 0),

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .ckt_core import (CktError, OneForm, SymTensorField, TwoForm, VectorField, contraction_vector,
+from .ckt_core import (CktError, OneForm, SymTensorField, VectorField, contraction_vector,
                        verify_ckt)
 from .exactmath import Poly, RationalFunction, rat
 from .expr import eval_expr
@@ -125,33 +125,16 @@ def compatibility_form(p: RotParams, pot: Potential) -> OneForm:
     return OneForm(tuple(RationalFunction(p, den) for p in _form_numerators(k, grad, kvec, weight)))
 
 
-def _shared_curl(omega: OneForm) -> tuple[list[Poly], Poly] | None:
-    """The curl numerators of omega over d^2 and d, when its nonzero
-    components share one denominator d; else None."""
+def is_closed(omega: OneForm) -> bool:
+    """Exact closedness of a one-form with rational-function components.
+    When the nonzero components share one denominator d, the curl
+    numerators over d^2 are tested directly."""
     dens = [c.den for c in omega.components if not c.is_zero]
     if dens and all(den == dens[0] for den in dens[1:]):
         d = dens[0]
-        return _curl_numerators([c.num for c in omega.components], d, [d.diff(i) for i in range(3)], 1), d
-    return None
-
-
-def exterior_derivative(omega: OneForm) -> TwoForm:
-    """d(omega), from the polynomial curl numerators when the nonzero
-    components share one denominator."""
-    shared = _shared_curl(omega)
-    if shared is not None:
-        nums, d = shared
-        square = d * d
-        return TwoForm(*(RationalFunction(num, square) for num in nums))
-    return TwoForm(*(omega[j].diff(i) - omega[i].diff(j) for i, j in _PAIRS))
-
-
-def is_closed(omega: OneForm) -> bool:
-    """Exact closedness of a one-form with rational-function components."""
-    shared = _shared_curl(omega)
-    if shared is not None:
-        return all(num.is_zero for num in shared[0])
-    return exterior_derivative(omega).is_zero
+        nums = _curl_numerators([c.num for c in omega.components], d, [d.diff(i) for i in range(3)], 1)
+        return all(num.is_zero for num in nums)
+    return all((omega[j].diff(i) - omega[i].diff(j)).is_zero for i, j in _PAIRS)
 
 
 def poincare_potential(omega: OneForm) -> Poly:

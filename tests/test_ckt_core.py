@@ -8,7 +8,7 @@ from rotweb.ckt_core import (CktCoefficients, CktError, SymTensorField, assemble
                              assemble_free, ckt_dimension, ckv_basis, ckv_by_name,
                              commutator, conformal_factor, coefficients_from_free, killing_obstruction,
                              lie_derivative, lie_operator, metric, symmetric_product,
-                             symmetry_subspace, tsn_check, tsn_filter, verify_ckt)
+                             symbolic_family, symmetry_subspace, tsn_check, tsn_filter, verify_ckt)
 from rotweb.exactmath import Poly, UniPoly
 from rotweb.linalg import char_poly, solve_many
 
@@ -191,9 +191,7 @@ class TestVerifyCkt:
     def test_contraction_formula_on_full_family(self):
         """The k-vector recipe must reproduce the conformal Killing equation
         identically across all 35 trace-free parameters at once."""
-        nv = 3 + 35
-        vec = [Poly.variable(3 + i, nv) for i in range(35)]
-        family = assemble_free(vec, nvars=nv)
+        family = symbolic_family([[int(i == c) for i in range(35)] for c in range(35)])
         assert family.trace().is_zero
         holds, _ = verify_ckt(family)
         assert holds
@@ -247,8 +245,7 @@ class TestFreeCoordinates:
         rows = vecs[18:23]  # random and scan vectors
         nv = 3 + len(rows)
         ts = [Poly.variable(3 + i, nv) for i in range(len(rows))]
-        family = assemble_free([sum((t * row[j] for t, row in zip(ts, rows)), Poly.zero(nv))
-                                for j in range(35)], nvars=nv)
+        family = symbolic_family(rows)
         assert family == sum((assemble_ckt(coefficients_from_free(row)).extend(nv).scale(t)
                               for t, row in zip(ts, rows)), SymTensorField.zero(nv))
         for bad in (vecs[0][:34], vecs[0] + [1]):
@@ -584,15 +581,6 @@ SCAN_EIGENSPACES = [("X3", 0), ("I3", 0), ("R3", 0)] + [("D", h) for h in range(
 def scan_eigenspace(name, h):
     v = ckv_by_name(name)
     return v, dict(symmetry_subspace(v, "h_constant"))[h]
-
-
-def symbolic_family(members):
-    """sum_i t_i K_i, with the t_i as extra polynomial variables."""
-    nv = 3 + len(members)
-    family = SymTensorField.zero(nv)
-    for idx, vec in enumerate(members):
-        family = family + assemble_free(vec).extend(nv).scale(Poly.variable(3 + idx, nv))
-    return family
 
 
 def combination(members, weights):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from rotweb import quartic_class as qc
 from rotweb.group_action import GroupElement, apply_quartic
 from rotweb.quartic_class import (BinaryQuartic, ClassificationError,
                                   FormSign, WebType, canonical_form, classify_by_invariants,
@@ -110,7 +111,7 @@ class TestCovariants:
 
 class TestIntegerCovariants:
     """classify_by_invariants reads the covariant signs of the cleared
-    integer quartic c Q, with the invariants of Q scaled to c Q."""
+    integer quartic c Q, with the invariants of c Q formed in ints."""
 
     def test_scaling_signs_and_int_coefficients(self):
         rng = random.Random("integer-covariants")
@@ -124,6 +125,7 @@ class TestIntegerCovariants:
             factor, cleared = q.cleared()
             assert cleared.as_tuple() == tuple(factor * x for x in q.as_tuple())
             scaled = invariants(q).scaled(factor)
+            assert qc._cleared_invariants(q) == (factor, cleared, scaled)
             for covariant in (hessian, covariant_l, covariant_m):
                 ints = covariant(cleared)
                 assert all(type(x) is int for x in ints)

@@ -63,6 +63,15 @@ class TestIsClosed:
         x, y, _ = (Poly.variable(i, 3) for i in range(3))
         assert not is_closed(one_form(-y, x, Poly.zero(3)))
 
+    def test_unshared_denominators(self):
+        # d(1/(1 + x^2) + y/(1 + z^2)), with a denominator per component.
+        x, y, z = (Poly.variable(i, 3) for i in range(3))
+        p, q = 1 + x * x, 1 + z * z
+        omega = OneForm((RationalFunction(-2 * x, p * p), RationalFunction(Poly.const(1, 3), q),
+                         RationalFunction(-2 * y * z, q * q)))
+        assert is_closed(omega)
+        assert not is_closed(OneForm((omega[0], omega[1] * 2, omega[2])))
+
     def test_poincare_potential_inverts_gradient(self):
         x, y, z = (Poly.variable(i, 3) for i in range(3))
         phi = x * x * y + 3 * z
