@@ -3,9 +3,17 @@ fixed-energy Hamilton-Jacobi separation: the closedness condition on
 (E - V) k_flat - K dV, and an exact linear solver for the compatible
 six-parameter subfamily.
 
-The solver works with polynomials in x, y, z alone: the curl numerators of
-the six unit parameter vectors' tensors are the columns of a linear system,
-solved by ``linalg.vanishing_combinations``.
+The potential is cleared once: V = N/D with N and D integer polynomials
+and E = e/b in lowest terms.  Over D^2, the one-form b omega, a nonzero
+constant multiple of omega with the same closedness, has integer polynomial
+numerators built from the parts b (N_j D - N D_j), (e D - b N) D, D_j and D
+(``_potential_parts``).  The solver works with these polynomials in x, y, z
+alone: the curl numerators, over D^3, of twice the six unit parameter
+vectors' tensors are the columns of a linear system, solved by
+``linalg.vanishing_combinations``.  Its self-check rebuilds each solution
+from integer parameters with ``assemble_rotational`` and ``verify_ckt`` and
+tests that the curl numerators of its form over D^3 vanish: the identity of
+``is_closed(compatibility_form(...))`` without the D^2 denominator.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from . import linalg
 from .ckt_core import (CktError, OneForm, SymTensorField, VectorField, contraction_vector,
@@ -77,20 +86,25 @@ class ParamSolution:
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
-def _potential_parts(v: RationalFunction, energy=0) -> tuple[list[Poly], Poly, list[Poly]]:
-    """The parts of the compatibility numerators that depend on V = n/d
-    alone: the gradient numerators n_j d - n d_j, the weight (E d - n) d and
-    the partials d_j."""
-    n, d = v.num, v.den
+def _potential_parts(v: RationalFunction, energy=0) -> tuple[list[Poly], Poly, list[Poly], Poly]:
+    """The parts of the numerators of b omega over D^2 that depend on V and
+    E alone, cleared to integer polynomials: with V = N/D, where N and D are
+    v's numerator and denominator times the lcm of their coefficient
+    denominators, and E = e/b in lowest terms, the gradient numerators
+    b (N_j D - N D_j), the weight (e D - b N) D, the partials D_j and D."""
+    energy = rat(energy)
+    e, b = energy.numerator, energy.denominator
+    scale = lcm(*(c.denominator for poly in (v.num, v.den) for c in poly.terms.values()))
+    n, d = v.num * scale, v.den * scale
     dd = [d.diff(j) for j in range(3)]
-    grad = [n.diff(j) * d - n * dd[j] for j in range(3)]
-    return grad, (Poly.const(energy, n.nvars) * d - n) * d, dd
+    grad = [Poly.dot(d.nvars, [(b, n.diff(j), d), (-b, n, dd[j])]) for j in range(3)]
+    return grad, Poly.dot(d.nvars, [(e, d, d), (-b, n, d)]), dd, d
 
 
 def _form_numerators(tensor: SymTensorField, grad: list[Poly], kvec=None, weight=None) -> list[Poly]:
-    """Numerators P_i of the compatibility one-form (E - V) k_flat - K dV
-    over d^2, from the potential's parts, which keeps the exact arithmetic to
-    polynomials; without kvec, of -K dV alone."""
+    """Numerators P_i over D^2 of b omega for the compatibility one-form
+    omega = (E - V) k_flat - K dV, from the potential's parts, which keeps
+    the exact arithmetic to polynomials; without kvec, of -b K dV alone."""
     return [Poly.dot(tensor.nvars, ([] if kvec is None else [(1, weight, kvec[i])])
                      + [(-1, a, b) for a, b in zip(tensor[i], grad)])
             for i in range(3)]
@@ -116,13 +130,22 @@ def compatibility_form(p: RotParams, pot: Potential) -> OneForm:
     reduces to d(K dV) = 0 when the class is Killing-representable with a
     constant E - V.
     """
+    parts = _potential_parts(pot.v, pot.energy)
+    d = parts[3]
+    den = Poly.dot(d.nvars, [(rat(pot.energy).denominator, d, d)])
+    return OneForm(tuple(RationalFunction(num, den) for num in _member_numerators(p, parts)))
+
+
+def _member_numerators(p: RotParams, parts) -> list[Poly]:
+    """The numerators P_i over D^2 of b omega for the tensor of p, given
+    the potential's parts; the tensor must pass the conformal Killing check,
+    which gives its vector k."""
     k = assemble_rotational(p)
     holds, kvec = verify_ckt(k)
     if not holds:
         raise CktError("rotational tensor failed the conformal Killing check")
-    grad, weight, _ = _potential_parts(pot.v, pot.energy)
-    den = pot.v.den * pot.v.den
-    return OneForm(tuple(RationalFunction(p, den) for p in _form_numerators(k, grad, kvec, weight)))
+    grad, weight, _, _ = parts
+    return _form_numerators(k, grad, kvec, weight)
 
 
 def is_closed(omega: OneForm) -> bool:
@@ -137,25 +160,6 @@ def is_closed(omega: OneForm) -> bool:
     return all((omega[j].diff(i) - omega[i].diff(j)).is_zero for i, j in _PAIRS)
 
 
-def poincare_potential(omega: OneForm) -> Poly:
-    """For a closed one-form with polynomial components, an exact polynomial
-    potential with d(potential) = omega (radial homotopy integral)."""
-    one = Poly.const(1, 3)
-    comps = []
-    for c in omega.components:
-        if c.den != one:
-            raise CktError("poincare_potential requires polynomial components")
-        comps.append(c.num)
-    if not is_closed(omega):
-        raise CktError("poincare_potential requires a closed form")
-    x = [Poly.variable(i, 3) for i in range(3)]
-    inner = Poly.zero(3)
-    for i in range(3):
-        inner = inner + x[i] * comps[i]
-    return Poly.from_terms({exps: Fraction(coeff, sum(exps))
-                            for exps, coeff in inner.exponent_items()}, 3)
-
-
 # ---------------------------------------------------------------------------
 # Exact solver
 
@@ -165,8 +169,9 @@ _NPARAMS = 6
 
 @lru_cache(maxsize=None)
 def _unit_tensors() -> tuple[tuple[SymTensorField, VectorField], ...]:
-    """The tensor of each unit parameter vector, with its vector k."""
-    tensors = (assemble_rotational(RotParams.make(*(int(i == j) for i in range(_NPARAMS))))
+    """Twice the tensor of each unit parameter vector, with its vector k;
+    the factor 2 makes every coefficient of both an integer."""
+    tensors = (assemble_rotational(RotParams.make(*(2 * (i == j) for i in range(_NPARAMS))))
                for j in range(_NPARAMS))
     return tuple((k, contraction_vector(k)) for k in tensors)
 
@@ -177,15 +182,19 @@ def solve_compatible(pot: Potential) -> ParamSolution:
 
     The curl numerators are linear in the tensor, so the condition on the
     parameters is the linear system whose column j is the curl numerator of
-    the j-th unit parameter vector's tensor, matched coefficient by
-    coefficient in x, y, z."""
-    grad, weight, dd = _potential_parts(pot.v, pot.energy)
-    # omega_i = P_i / d^2, d(omega) over d^3.
-    images = [_curl_numerators(_form_numerators(k, grad, kvec, weight), pot.v.den, dd, 2)
+    b omega for twice the j-th unit parameter vector's tensor, matched
+    coefficient by coefficient in x, y, z; a common nonzero scale of the
+    columns changes neither the null space nor its normal form."""
+    parts = grad, weight, dd, d = _potential_parts(pot.v, pot.energy)
+    # b omega_i = P_i / D^2, d(b omega) over D^3.
+    images = [_curl_numerators(_form_numerators(k, grad, kvec, weight), d, dd, 2)
               for k, kvec in _unit_tensors()]
     members = tuple(RotParams.make(*vec) for vec in linalg.vanishing_combinations(images))
     for member in members:
-        if not is_closed(compatibility_form(member, pot)):
+        # An integer multiple of the member, doubled so that its tensor is integer too.
+        scale = 2 * lcm(*(c.denominator for c in member.as_tuple()))
+        whole = RotParams.make(*(c * scale for c in member.as_tuple()))
+        if any(_curl_numerators(_member_numerators(whole, parts), d, dd, 2)):
             raise CktError("solver self-check failed: a solution is not closed")
     return ParamSolution(basis=members)
 
@@ -240,6 +249,8 @@ def classify_potential(pot: Potential) -> PotentialClassification:
         return PotentialClassification(solution, None, None,
                                        "underdetermined: every rotational tensor is compatible",
                                        ())
+    if solution.dimension == 0:
+        return PotentialClassification(solution, None, None, "no compatible rotational tensor", ())
     member_types = []
     for p in solution.basis:
         if any(c != 0 for c in p.quartic_tuple()):

@@ -196,6 +196,13 @@ class TestCompat:
         assert code == 0
         assert report["results"]["solution"]["dimension"] == 4
 
+    def test_no_compatible_tensor(self, capsys):
+        code, report = run_json(capsys, "compat", "--potential=x*y*z", "--energy=1/2")
+        assert code == 0
+        assert report["results"]["solution"]["dimension"] == 0
+        assert report["results"]["reason"] == "no compatible rotational tensor"
+        assert report["findings"] == []
+
     def test_negative_values_as_separate_arguments(self, capsys):
         code, report = run_json(capsys, "compat", "--potential", "-4/(x^2+1)", "--energy", "-1/2")
         assert code == 0

@@ -5,22 +5,49 @@ import pytest
 
 from rotweb import linalg
 from rotweb.ckt_core import (CktError, OneForm, SymTensorField, ckv_by_name, contraction_vector,
-                             killing_obstruction, metric, symmetric_product)
+                             killing_obstruction, metric, symmetric_product, verify_ckt)
 from rotweb.exactmath import Poly, RationalFunction
 from rotweb.expr import ExprError
 from rotweb.quartic_class import WebType
 from rotweb.rotational import RotParams, assemble_rotational, assemble_rotational_generic
 from rotweb.separability import (Potential, _curl_numerators, _form_numerators, _potential_parts,
                                  classify_potential, compatibility_form, is_closed,
-                                 parse_potential, poincare_potential, solve_compatible)
+                                 parse_potential, solve_compatible)
 
 from conftest import rand_fraction
 
 EXAMPLE_POTENTIAL = "-4/((x^2+y^2+z^2-1)^2 + 4*z^2)"
 
+# (numerator, denominator) pairs with non-integer, non-primitive coefficients
+# in both, one with a negative leading denominator coefficient.  The last is
+# the worked example moved along the axis by 1/2: at E = 0 its compatible
+# family has a member with every parameter but C33 nonzero.
+CLEARED = [("3/7*x^2+1/2", "-2/3*z^2-5/4"), ("9/4*z", "x^2+y^2+1/9"),
+           ("3/7", "x^2+y^2+z^2+1/2"), ("-5/6*x*z+2/9", "1/4*x^2-3/8*y*z"),
+           ("-4/3", "(x^2+y^2+(z-1/2)^2-1)^2+4*(z-1/2)^2")]
+CLEARED_POTENTIALS = [f"({num})/({den})" for num, den in CLEARED]
+
+
+def raw_quotient(num: Poly, den: Poly) -> RationalFunction:
+    """num/den as given, without the content normalization of
+    RationalFunction."""
+    v = object.__new__(RationalFunction)
+    v.num, v.den = num, den
+    return v
+
 
 def one_form(*polys):
     return OneForm(tuple(RationalFunction(p) for p in polys))
+
+
+def poincare_potential(omega: OneForm) -> Poly:
+    """For a closed one-form with polynomial components, an exact polynomial
+    potential with d(potential) = omega (radial homotopy integral)."""
+    assert all(c.den == Poly.const(1, 3) for c in omega.components) and is_closed(omega)
+    x = [Poly.variable(i, 3) for i in range(3)]
+    inner = Poly.dot(3, [(1, x[i], omega[i].num) for i in range(3)])
+    return Poly.from_terms({exps: Fraction(coeff, sum(exps))
+                            for exps, coeff in inner.exponent_items()}, 3)
 
 
 class TestParsePotential:
@@ -42,10 +69,22 @@ class TestCompatibilityForm:
         p = RotParams.make(*(rand_fraction(rng) for _ in range(6)))
         pot = Potential.from_expression("0", 1)
         omega = compatibility_form(p, pot)
-        from rotweb.ckt_core import verify_ckt
         _, k = verify_ckt(assemble_rotational(p))
         for i in range(3):
             assert omega[i] == RationalFunction(k[i])
+
+    @pytest.mark.parametrize("text", CLEARED_POTENTIALS + [EXAMPLE_POTENTIAL])
+    def test_matches_the_rational_function_route(self, rng, text):
+        pot = Potential.from_expression(text, Fraction(-5, 3))
+        p = RotParams.make(*(rand_fraction(rng) for _ in range(6)))
+        k = assemble_rotational(p)
+        _, kvec = verify_ckt(k)
+        n, d = pot.v.num, pot.v.den
+        dv = [n.diff(j) * d - n * d.diff(j) for j in range(3)]   # over d^2
+        omega = compatibility_form(p, pot)
+        for i in range(3):
+            k_dv = RationalFunction(sum((dv[j] * k[i][j] for j in range(3)), Poly.zero(3)), d * d)
+            assert omega[i] == (RationalFunction.const(pot.energy) - pot.v) * kvec[i] - k_dv
 
     def test_rotationally_symmetric_potential_annihilated_by_r3_square(self):
         pot = Potential.from_expression("x^2 + y^2", 5)
@@ -115,11 +154,20 @@ class TestSolveCompatible:
         sol = solve_compatible(Potential.from_expression("0", 0))
         assert sol.dimension == 6
 
-    def test_members_are_closed(self, rng):
-        pot = Potential.from_expression("x^2 + y^2 + z^2", 0)
-        sol = solve_compatible(pot)
-        for p in sol.basis:
-            assert is_closed(compatibility_form(p, pot))
+    def test_members_are_closed(self):
+        # Through the public route, independent of the solver's self-check.
+        for text, energy in [("x^2 + y^2 + z^2", 0)] + _seeded_potentials():
+            pot = Potential.from_expression(text, energy)
+            sol = solve_compatible(pot)
+            assert sol.basis
+            for p in sol.basis:
+                assert is_closed(compatibility_form(p, pot))
+
+    def test_self_check_rejects_a_non_solution(self, monkeypatch):
+        # M33 alone is not compatible with the worked example.
+        monkeypatch.setattr(linalg, "vanishing_combinations", lambda images: [[1, 0, 0, 0, 0, 0]])
+        with pytest.raises(CktError, match="solver self-check failed"):
+            solve_compatible(Potential.from_expression(EXAMPLE_POTENTIAL, 0))
 
     def test_invariant_under_representation_rescaling(self):
         plain = solve_compatible(Potential.from_expression(EXAMPLE_POTENTIAL, 0))
@@ -173,6 +221,22 @@ def _seeded_potentials():
     return [(text, Fraction(rng.randint(-5, 5), rng.randint(1, 3))) for text in out]
 
 
+class TestClearedParts:
+    @pytest.mark.parametrize("text", CLEARED_POTENTIALS + [EXAMPLE_POTENTIAL, "0", "7/3"])
+    @pytest.mark.parametrize("energy", [0, Fraction(-5, 3), Fraction(7, 2)])
+    def test_parts_are_b_times_the_rational_parts(self, text, energy):
+        v = parse_potential(text)
+        for same in (v, raw_quotient(v.num * Fraction(-7, 3), v.den * Fraction(-7, 3))):
+            grad, weight, dd, d = _potential_parts(same, energy)
+            for poly in grad + [weight, d] + dd:
+                assert all(c.__class__ is int for c in poly.terms.values())
+            b, d2 = Fraction(energy).denominator, RationalFunction(d * d)
+            for j in range(3):
+                assert dd[j] == d.diff(j)
+                assert RationalFunction(grad[j]) == v.diff(j) * d2 * b
+            assert RationalFunction(weight) == (RationalFunction.const(energy) - v) * d2 * b
+
+
 class TestSolverOracle:
     @pytest.mark.parametrize("text,energy", _seeded_potentials())
     def test_seeded_families(self, text, energy):
@@ -185,6 +249,20 @@ class TestSolverOracle:
         pot = Potential.from_expression(text, energy)
         assert [p.as_tuple() for p in solve_compatible(pot).basis] == reference_solve(pot)
 
+    @pytest.mark.parametrize("num,den", CLEARED)
+    @pytest.mark.parametrize("energy", [0, Fraction(-5, 3), Fraction(7, 2)])
+    def test_cleared_coefficients(self, num, den, energy):
+        pot = Potential.from_expression(f"({num})/({den})", energy)
+        basis = [p.as_tuple() for p in solve_compatible(pot).basis]
+        assert basis == reference_solve(pot)
+        # Numerator and denominator both times 7/3, through the parser and as
+        # a representation the clearing sees unnormalized.
+        scaled = [Potential.from_expression(f"(7/3*({num}))/(7/3*({den}))", energy),
+                  Potential(raw_quotient(pot.v.num * Fraction(7, 3), pot.v.den * Fraction(7, 3)),
+                            pot.energy)]
+        for other in scaled:
+            assert [p.as_tuple() for p in solve_compatible(other).basis] == basis
+
 
 def dkdv_check(k: SymTensorField, v: RationalFunction) -> bool:
     """Killing-tensor compatibility d(K dV) = 0, exact.  Only meaningful for
@@ -193,8 +271,8 @@ def dkdv_check(k: SymTensorField, v: RationalFunction) -> bool:
     if not killing_obstruction(k).is_zero:
         raise CktError("tensor class has no Killing representative; use solve_compatible "
                        "with the full compatibility condition")
-    grad, _, dd = _potential_parts(v)
-    curl = _curl_numerators(_form_numerators(k, grad), v.den, dd, 2)
+    grad, _, dd, d = _potential_parts(v)
+    curl = _curl_numerators(_form_numerators(k, grad), d, dd, 2)
     return all(c.is_zero for c in curl)
 
 
@@ -239,6 +317,12 @@ class TestClassifyPotential:
         assert outcome.web_type is WebType.TOROIDAL
         assert outcome.member == RotParams.make(Fraction(1, 2), 0, 1, 0, 0, Fraction(1, 2))
         assert outcome.reason is None
+
+    def test_no_compatible_tensor(self):
+        outcome = classify_potential(Potential.from_expression("x*y*z", Fraction(1, 2)))
+        assert outcome.solution.dimension == 0
+        assert outcome.web_type is None and outcome.member is None
+        assert outcome.reason == "no compatible rotational tensor"
 
     def test_underdetermined_case(self):
         outcome = classify_potential(Potential.from_expression("0", 0))
