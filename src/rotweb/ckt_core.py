@@ -12,6 +12,7 @@ formulas and tests pin that choice.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -77,18 +78,14 @@ class VectorField:
 @dataclass(frozen=True)
 class SymTensorField:
     """Symmetric contravariant 2-tensor field; flat metric, so index
-    placement is immaterial.  Stored as a full 3x3 grid of polynomials."""
+    placement is immaterial.  Stored as a 3x3 grid of polynomials whose
+    lower triangle holds the upper triangle's objects (``from_upper``)."""
 
     comps: tuple[tuple[Poly, Poly, Poly], ...]
 
     @classmethod
     def from_upper(cls, xx, xy, xz, yy, yz, zz) -> SymTensorField:
         return cls(((xx, xy, xz), (xy, yy, yz), (xz, yz, zz)))
-
-    @classmethod
-    def zero(cls, nvars: int = 3) -> SymTensorField:
-        z = Poly.zero(nvars)
-        return cls.from_upper(z, z, z, z, z, z)
 
     @property
     def nvars(self) -> int:
@@ -97,29 +94,43 @@ class SymTensorField:
     def __getitem__(self, i: int):
         return self.comps[i]
 
+    @classmethod
+    def combination(cls, terms, nvars: int) -> SymTensorField:
+        """The tensor sum c T over the (c, T) pairs of ``terms``, in nvars
+        variables: c a rational or a Poly in nvars variables, T a tensor in
+        nvars variables or fewer, extended once.  Each upper component is one
+        ``Poly.dot``, with a rational c as (c, 1, T_ij) and a polynomial c as
+        (1, c, T_ij): no partial sum is built."""
+        one = Poly.const(1, nvars)
+        products: list = [[] for _ in _UPPER]
+        for c, t in terms:
+            if c:
+                s, c = (1, c) if isinstance(c, Poly) else (c, one)
+                for acc, (i, j) in zip(products, _UPPER):
+                    acc.append((s, c, t.comps[i][j].extend(nvars)))
+        return cls.from_upper(*(Poly.dot(nvars, acc) for acc in products))
+
     def __add__(self, other: SymTensorField) -> SymTensorField:
-        return SymTensorField(tuple(
-            tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.comps, other.comps)))
+        return SymTensorField.combination([(1, self), (1, other)], self.nvars)
 
     def __sub__(self, other: SymTensorField) -> SymTensorField:
-        return SymTensorField(tuple(
-            tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.comps, other.comps)))
+        return SymTensorField.combination([(1, self), (-1, other)], self.nvars)
 
     def __neg__(self) -> SymTensorField:
-        return SymTensorField(tuple(tuple(-a for a in row) for row in self.comps))
+        return SymTensorField.combination([(-1, self)], self.nvars)
 
     def scale(self, factor) -> SymTensorField:
         """Multiply by a rational or polynomial scalar."""
-        return SymTensorField(tuple(tuple(a * factor for a in row) for row in self.comps))
+        return SymTensorField.combination([(factor, self)], self.nvars)
 
     @property
     def is_zero(self) -> bool:
-        return all(a.is_zero for row in self.comps for a in row)
+        return all(self.comps[i][j].is_zero for i, j in _UPPER)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymTensorField):
             return NotImplemented
-        return all(a == b for r1, r2 in zip(self.comps, other.comps) for a, b in zip(r1, r2))
+        return all(self.comps[i][j] == other.comps[i][j] for i, j in _UPPER)
 
     __hash__ = None
 
@@ -127,7 +138,7 @@ class SymTensorField:
         return self.comps[0][0] + self.comps[1][1] + self.comps[2][2]
 
     def degree(self) -> int:
-        return max(a.degree() for row in self.comps for a in row)
+        return max(self.comps[i][j].degree() for i, j in _UPPER)
 
     def dot_vector(self, v: VectorField) -> VectorField:
         nvars = self.nvars
@@ -145,7 +156,7 @@ class SymTensorField:
         return [[self.comps[i][j].eval(point) for j in range(3)] for i in range(3)]
 
     def extend(self, nvars: int) -> SymTensorField:
-        return SymTensorField(tuple(tuple(a.extend(nvars) for a in row) for row in self.comps))
+        return SymTensorField.from_upper(*(self.comps[i][j].extend(nvars) for i, j in _UPPER))
 
 
 @dataclass(frozen=True)
@@ -160,19 +171,6 @@ class OneForm:
     @property
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.components)
-
-
-@dataclass(frozen=True)
-class TwoForm:
-    """Two-form in 3-space: the three independent components d_{12}, d_{13}, d_{23}."""
-
-    d12: RationalFunction
-    d13: RationalFunction
-    d23: RationalFunction
-
-    @property
-    def is_zero(self) -> bool:
-        return self.d12.is_zero and self.d13.is_zero and self.d23.is_zero
 
 
 def metric(nvars: int = 3) -> SymTensorField:
@@ -194,29 +192,18 @@ def ckv_basis(nvars: int = 3) -> tuple[VectorField, ...]:
     x = [Poly.variable(i, nvars) for i in range(3)]
     zero = Poly.zero(nvars)
     one = Poly.const(1, nvars)
-    r2 = x[0] * x[0] + x[1] * x[1] + x[2] * x[2]
+    r2 = Poly.dot(nvars, [(1, xi, xi) for xi in x])
 
     fields = []
     for i in range(3):
         fields.append(VectorField(tuple(one if k == i else zero for k in range(3))))
     for i in range(3):
-        comps = []
-        for k in range(3):
-            acc = zero
-            for j in range(3):
-                if EPS[i][j][k]:
-                    acc = acc + x[j] * EPS[i][j][k]
-            comps.append(acc)
-        fields.append(VectorField(tuple(comps)))
+        fields.append(VectorField(tuple(Poly.dot(nvars, [(EPS[i][j][k], one, x[j]) for j in range(3)])
+                                        for k in range(3))))
     fields.append(VectorField(tuple(x)))
-    for i in range(3):
-        comps = []
-        for k in range(3):
-            c = x[i] * x[k] * 2
-            if k == i:
-                c = c - r2
-            comps.append(c)
-        fields.append(VectorField(tuple(comps)))
+    for i in range(3):  # I_i = 2 x_i x - r^2 e_i
+        fields.append(VectorField(tuple(Poly.dot(nvars, [(2, x[i], x[k])] + [(-1, one, r2)] * (k == i))
+                                        for k in range(3))))
     return tuple(fields)
 
 
@@ -231,52 +218,30 @@ def ckv_by_name(name: str, nvars: int = 3) -> VectorField:
 
 
 def commutator(v: VectorField, w: VectorField) -> VectorField:
-    out = []
-    for i in range(3):
-        acc = Poly.zero(v.nvars)
-        for j in range(3):
-            acc = acc + v[j] * w[i].diff(j) - w[j] * v[i].diff(j)
-        out.append(acc)
-    return VectorField(tuple(out))
+    return VectorField(tuple(Poly.dot(v.nvars, [product for j in range(3) for product in (
+        (1, v[j], w[i].diff(j)), (-1, w[j], v[i].diff(j)))]) for i in range(3)))
 
 
 def symmetric_product(v: VectorField, w: VectorField) -> SymTensorField:
     half = Fraction(1, 2)
-    rows = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            row.append((v[i] * w[j] + v[j] * w[i]) * half)
-        rows.append(tuple(row))
-    return SymTensorField(tuple(rows))
+    return SymTensorField.from_upper(*(Poly.dot(v.nvars, [(half, v[i], w[j]), (half, v[j], w[i])])
+                                       for i, j in _UPPER))
 
 
 def conformal_factor(v: VectorField) -> Poly | None:
     """The factor f with Lie_v(g) = f g for the covariant flat metric,
     or None when v is not conformal."""
-    grad = [[v[j].diff(i) + v[i].diff(j) for j in range(3)] for i in range(3)]
-    for i in range(3):
-        for j in range(3):
-            if i != j and not grad[i][j].is_zero:
-                return None
-    if grad[0][0] != grad[1][1] or grad[1][1] != grad[2][2]:
+    grad = {(i, j): v[j].diff(i) + v[i].diff(j) for i, j in _UPPER}
+    if any(grad[i, j] for i, j in _UPPER if i != j) or not grad[0, 0] == grad[1, 1] == grad[2, 2]:
         return None
-    return grad[0][0]
+    return grad[0, 0]
 
 
 def lie_derivative(v: VectorField, k: SymTensorField) -> SymTensorField:
-    rows = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            acc = Poly.zero(k.nvars)
-            for m in range(3):
-                acc = acc + v[m] * k[i][j].diff(m)
-                acc = acc - k[m][j] * v[i].diff(m)
-                acc = acc - k[i][m] * v[j].diff(m)
-            row.append(acc)
-        rows.append(tuple(row))
-    return SymTensorField(tuple(rows))
+    dk, dv = _partials(k), [[v[i].diff(m) for m in range(3)] for i in range(3)]
+    return SymTensorField.from_upper(*(Poly.dot(k.nvars, [product for m in range(3) for product in (
+        (1, v[m], dk[i][j][m]), (-1, k[m][j], dv[i][m]), (-1, k[i][m], dv[j][m]))])
+        for i, j in _UPPER))
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +334,9 @@ class CktCoefficients:
 
 
 @lru_cache(maxsize=None)
-def basis_product(i: int, j: int, nvars: int = 3) -> SymTensorField:
+def basis_product(i: int, j: int) -> SymTensorField:
     """Symmetric product of the basis CKVs i and j (``ckv_basis`` order)."""
-    basis = ckv_basis(nvars)
+    basis = ckv_basis()
     return symmetric_product(basis[i], basis[j])
 
 
@@ -398,7 +363,7 @@ def assemble_ckt(coeffs: CktCoefficients) -> SymTensorField:
     coeffs.validate()
     terms = _block_terms(coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.e,
                          coeffs.f, coeffs.g, coeffs.h, coeffs.l, coeffs.m)
-    return sum((basis_product(*key).scale(coeff) for coeff, key in terms), SymTensorField.zero())
+    return SymTensorField.combination([(coeff, basis_product(*key)) for coeff, key in terms], 3)
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +380,11 @@ def _partials(k: SymTensorField) -> list:
 
 
 def _contraction_from_partials(dk: list) -> VectorField:
-    """``contraction_vector`` from the partials of ``_partials``."""
-    fifth = Fraction(1, 5)
-    return VectorField(tuple((dk[0][0][i] + dk[1][1][i] + dk[2][2][i]
-                              + (dk[0][i][0] + dk[1][i][1] + dk[2][i][2]) * 2) * fifth
+    """Five times ``contraction_vector``, d_i tr K + 2 d_j K_ji, from the
+    partials of ``_partials``: integer for an integer tensor."""
+    one = Poly.const(1, dk[0][0][0].nvars)
+    return VectorField(tuple(Poly.dot(one.nvars, [(1, one, dk[a][a][i]) for a in range(3)]
+                                      + [(2, one, dk[a][i][a]) for a in range(3)])
                              for i in range(3)))
 
 
@@ -426,45 +392,53 @@ def contraction_vector(k: SymTensorField) -> VectorField:
     """The vector k_i = (d_i tr K + 2 d_j K_ji) / 5 obtained by contracting
     the valence-2 conformal Killing equation with the metric in dimension 3.
     """
-    return _contraction_from_partials(_partials(k))
+    return _contraction_from_partials(_partials(k)).scale(Fraction(1, 5))
+
+
+def _equation_terms(i: int, j: int, m: int) -> tuple[Counter, Counter]:
+    """The equation 5 (d_i K_jm + d_j K_im + d_m K_ij) = u_i g_jm + u_j g_im
+    + u_m g_ij, i <= j <= m, as the multiplicities of its partials d_c K_ab,
+    keyed (a, b, c) with a <= b, and of its components u_c: each of the 18
+    partials is in one equation, once."""
+    terms = ((i, j, m), (j, i, m), (m, i, j))  # (c, a, b) of d_c K_ab
+    return Counter((a, b, c) for c, a, b in terms), Counter(c for c, a, b in terms if a == b)
+
+
+# The ten equations of the symmetrized conformal Killing equation.
+_EQUATIONS = [_equation_terms(i, j, m) for i in range(3) for j in range(i, 3) for m in range(j, 3)]
+
+
+def _cleared(k: SymTensorField) -> tuple[int, SymTensorField]:
+    """The least common denominator q of K's coefficients, and q K."""
+    q = math.lcm(*(c.denominator for i, j in _UPPER for c in k.comps[i][j].terms.values()))
+    return q, k if q == 1 else k.scale(q)
 
 
 def verify_ckt(k: SymTensorField) -> tuple[bool, VectorField]:
-    """Check d_(i K_jk) = k_(i g_jk) identically; returns the verdict and k."""
+    """Check d_(i K_jk) = k_(i g_jk) identically; returns the verdict and k.
+
+    The equation is linear in K, so it is tested on the integer tensor
+    q K of ``_cleared``.  Both sides carry a factor 1/3, which is dropped,
+    and each of the ten equations is tested times 5 against the unscaled
+    contraction u = 5 q k, as one ``Poly.dot`` of lhs - rhs."""
+    q, k = _cleared(k)
     dk = _partials(k)
-    kv = _contraction_from_partials(dk)
-    # Both sides of the symmetrized equation carry a factor 1/3; it is dropped.
-    for i in range(3):
-        for j in range(i, 3):
-            for m in range(j, 3):
-                lhs = dk[j][m][i] + dk[i][m][j] + dk[i][j][m]
-                rhs = Poly.zero(k.nvars)
-                if j == m:
-                    rhs = rhs + kv[i]
-                if i == m:
-                    rhs = rhs + kv[j]
-                if i == j:
-                    rhs = rhs + kv[m]
-                if lhs != rhs:
-                    return False, kv
-    return True, kv
+    u = _contraction_from_partials(dk)
+    one = Poly.const(1, k.nvars)
+    holds = not any(Poly.dot(k.nvars, [(5 * n, one, dk[a][b][c]) for (a, b, c), n in partials.items()]
+                             + [(-n, one, u[c]) for c, n in traces.items()])
+                    for partials, traces in _EQUATIONS)
+    return holds, u.scale(Fraction(1, 5 * q))
 
 
-def killing_obstruction(k: SymTensorField) -> TwoForm:
-    """The two-form d(k-flat); identically zero iff the equivalence class of
+def killing_obstruction(k: SymTensorField) -> VectorField:
+    """The curl of k, the Hodge dual of the two-form d(k-flat), as the
+    components (23, 31, 12); identically zero iff the equivalence class of
     K modulo metric multiples contains a Killing tensor."""
     holds, kv = verify_ckt(k)
     if not holds:
         raise CktError("killing_obstruction requires a conformal Killing tensor")
-
-    def rf(p: Poly) -> RationalFunction:
-        return RationalFunction(p)
-
-    return TwoForm(
-        d12=rf(kv[1].diff(0) - kv[0].diff(1)),
-        d13=rf(kv[2].diff(0) - kv[0].diff(2)),
-        d23=rf(kv[2].diff(1) - kv[1].diff(2)),
-    )
+    return VectorField(tuple(kv[c].diff(b) - kv[b].diff(c) for b, c in ((1, 2), (2, 0), (0, 1))))
 
 
 def tsn_check(k: SymTensorField, plane: tuple[int, int] | None = None) -> bool:
@@ -483,9 +457,7 @@ def tsn_check(k: SymTensorField, plane: tuple[int, int] | None = None) -> bool:
     its derivatives are restricted to the plane, then multiplied.  That
     decides the identity only for tensors whose scalars are determined by
     their values on the plane; ``tsn_filter`` states when that holds."""
-    lcd = math.lcm(*(p.content().denominator for row in k.comps for p in row))
-    if lcd != 1:
-        k = k.scale(lcd)
+    _, k = _cleared(k)
     nvars = k.nvars
     dk = _partials(k)
     if plane is not None:
@@ -505,12 +477,10 @@ def tsn_check(k: SymTensorField, plane: tuple[int, int] | None = None) -> bool:
     # The (i, j, kk) with eps_ijk != 0 and j < kk, with the sign of eps.
     slots = [(i, j, kk, EPS[i][j][kk]) for j, kk in pairs for i in range(3) if EPS[i][j][kk]]
 
-    def contract(a: SymTensorField | None) -> Poly:
-        if a is None:
-            return sum((n[(i, j, kk)] * s for i, j, kk, s in slots), Poly.zero(nvars))
+    def contract(a: SymTensorField) -> Poly:
         return Poly.dot(nvars, [(s, a[i][ll], n[(ll, j, kk)]) for i, j, kk, s in slots for ll in range(3)])
 
-    if not contract(None).is_zero:
+    if not contract(metric(nvars)).is_zero:
         return False
     if not contract(k).is_zero:
         return False
@@ -647,21 +617,15 @@ def assemble_free(vec: Sequence) -> SymTensorField:
     over the basis tensors F_c of ``_free_basis``."""
     if len(vec) != DIM_TRACE_FREE:
         raise CktError(f"expected {DIM_TRACE_FREE} free parameters")
-    total = SymTensorField.zero()
-    for x, basis_tensor in zip(vec, _free_basis()):
-        if x:
-            total = total + basis_tensor.scale(x)
-    return total
+    return SymTensorField.combination(zip(vec, _free_basis()), 3)
 
 
 def symbolic_family(vecs: Sequence) -> SymTensorField:
     """The family sum_a t_a assemble_free(vec_a), with the t_a extra
     polynomial variables after x, y, z."""
     nvars = 3 + len(vecs)
-    family = SymTensorField.zero(nvars)
-    for idx, vec in enumerate(vecs):
-        family = family + assemble_free(vec).extend(nvars).scale(Poly.variable(3 + idx, nvars))
-    return family
+    return SymTensorField.combination([(Poly.variable(3 + idx, nvars), assemble_free(vec))
+                                       for idx, vec in enumerate(vecs)], nvars)
 
 
 @lru_cache(maxsize=None)
@@ -695,8 +659,7 @@ def _free_terms() -> tuple:
 @lru_cache(maxsize=None)
 def _free_basis() -> tuple[SymTensorField, ...]:
     """The tensors F_c of the 35 unit free-parameter vectors."""
-    return tuple(sum((basis_product(*key).scale(coeff) for coeff, key in terms), SymTensorField.zero())
-                 for terms in _free_terms())
+    return tuple(assemble_ckt(CktCoefficients(*blocks)) for blocks in _unit_blocks())
 
 
 @lru_cache(maxsize=None)

@@ -1,8 +1,9 @@
 """Command-line interface: classification, table reproduction, compatibility
 solving, and symmetry scans, with deterministic JSON-first output.
 
-Exit codes: 0 success, 1 internal classification inconsistency or failed
-canonicalization (reported as findings), 2 input error.
+Exit codes: 0 success, 1 internal classification inconsistency, failed
+canonicalization or a failed internal certificate (reported as findings),
+2 input error.
 """
 
 from __future__ import annotations
@@ -42,6 +43,13 @@ def _report(command: str, inputs: dict, results: dict, findings: list, started: 
         "findings": findings,
         "timing_ms": round((time.time() - started) * 1000, 3),
     }
+
+
+def _internal_failure(command: str, inputs: dict, exc: CktError, started: float) -> tuple[dict, int]:
+    """The report of a command whose input was usable but whose internal
+    certificate failed: no results and an internal_check_failed finding."""
+    return _report(command, inputs, None, [{"kind": "internal_check_failed", "detail": str(exc)}],
+                   started), 1
 
 
 def _parse_rationals(text: str, count: int, what: str) -> tuple[Fraction, ...]:
@@ -203,28 +211,24 @@ def cmd_compat(args) -> tuple[dict, int]:
         pot = Potential.from_expression(args.potential, energy)
     except ExprError as exc:
         raise InputError(f"cannot parse potential: {exc}") from exc
-    outcome = classify_potential(pot)
+    inputs = {"potential": args.potential, "energy": rat_str(energy)}
+    try:
+        outcome = classify_potential(pot)
+    except CktError as exc:
+        return _internal_failure("compat", inputs, exc, started)
     findings = []
     if outcome.reason and outcome.web_type is None and outcome.solution.dimension not in (0, 6):
         findings.append({"kind": "compat_degenerate", "detail": outcome.reason})
-    results = outcome.to_json_dict()
-    return _report("compat", {"potential": args.potential, "energy": rat_str(energy)},
-                   results, findings, started), 0
+    return _report("compat", inputs, outcome.to_json_dict(), findings, started), 0
 
 
 _GENERATORS = ("X3", "D", "I3", "R3")
 
 
-def cmd_symmetry(args) -> tuple[dict, int]:
-    started = time.time()
-    if args.generator not in _GENERATORS:
-        raise InputError(f"unknown generator {args.generator!r}; expected one of {_GENERATORS}")
-    mode = "h_zero" if args.h == "0" else "h_constant"
-    v = ckv_by_name(args.generator)
-    spaces = symmetry_subspace(v, mode)
-    findings: list = []
-    results: dict = {"generator": args.generator, "mode": mode, "eigenvalues": []}
-    for h, basis in spaces:
+def _symmetry_blocks(v, mode: str) -> tuple[list, list]:
+    """The report blocks of the scan's eigenspaces, and its findings."""
+    blocks, findings = [], []
+    for h, basis in symmetry_subspace(v, mode):
         block = {
             "h": rat_str(h),
             "dimension": len(basis),
@@ -244,16 +248,31 @@ def cmd_symmetry(args) -> tuple[dict, int]:
             block["killing_obstruction_zero"] = [
                 killing_obstruction(k).is_zero for k in filtered.tensors
             ]
-        results["eigenvalues"].append(block)
+        blocks.append(block)
+    return blocks, findings
+
+
+def cmd_symmetry(args) -> tuple[dict, int]:
+    started = time.time()
+    if args.generator not in _GENERATORS:
+        raise InputError(f"unknown generator {args.generator!r}; expected one of {_GENERATORS}")
+    mode = "h_zero" if args.h == "0" else "h_constant"
+    inputs = {"generator": args.generator, "h": args.h}
+    try:
+        blocks, findings = _symmetry_blocks(ckv_by_name(args.generator), mode)
+    except CktError as exc:
+        return _internal_failure("symmetry", inputs, exc, started)
     # Informational findings never signal failure here; surprises are data.
-    return _report("symmetry", {"generator": args.generator, "h": args.h},
-                   results, findings, started), 0
+    results = {"generator": args.generator, "mode": mode, "eigenvalues": blocks}
+    return _report("symmetry", inputs, results, findings, started), 0
 
 
 def _render_human(report: dict) -> str:
     lines = [f"command: {report['command']}"]
     results = report["results"]
-    if report["command"] == "classify":
+    if results is None:
+        pass  # an internal check failed; the findings below say which
+    elif report["command"] == "classify":
         lines.append(f"type: {results['type']} (invariants: {results['type_by_invariants']})")
         lines.append(f"invariants: {results['invariants']}")
         canonical = results["canonical"]

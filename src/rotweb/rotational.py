@@ -13,7 +13,7 @@ from importlib import resources
 from typing import TYPE_CHECKING, Sequence
 
 from .ckt_core import CktError, SymTensorField, basis_product, ckv_basis, eigenvector_cross, verify_ckt
-from .exactmath import Poly, UniPoly, rat, rat_str
+from .exactmath import UniPoly, rat, rat_str
 from .expr import eval_rational
 
 if TYPE_CHECKING:
@@ -68,17 +68,11 @@ def assemble_rotational(p: RotParams) -> SymTensorField:
 
 
 def assemble_rotational_generic(values: Sequence, nvars: int = 3) -> SymTensorField:
-    """Assemble with rational or polynomial parameter values (the latter lets
-    callers work with the whole family symbolically)."""
-    total = SymTensorField.zero(nvars)
-    for value, key in zip(values, _PIECES):
-        if isinstance(value, Poly):
-            if value.is_zero:
-                continue
-        elif value == 0:
-            continue
-        total = total + basis_product(*key, nvars).scale(value)
-    return total
+    """Assemble with rational or polynomial parameter values, the latter in
+    nvars variables (which lets callers work with the whole family
+    symbolically)."""
+    return SymTensorField.combination([(value, basis_product(*key)) for value, key in zip(values, _PIECES)],
+                                      nvars)
 
 
 def rotational_eigencondition(k: SymTensorField) -> bool:

@@ -101,12 +101,12 @@ def _potential_parts(v: RationalFunction, energy=0) -> tuple[list[Poly], Poly, l
     return grad, Poly.dot(d.nvars, [(e, d, d), (-b, n, d)]), dd, d
 
 
-def _form_numerators(tensor: SymTensorField, grad: list[Poly], kvec=None, weight=None) -> list[Poly]:
+def _form_numerators(tensor: SymTensorField, grad: list[Poly], kvec: VectorField,
+                     weight: Poly) -> list[Poly]:
     """Numerators P_i over D^2 of b omega for the compatibility one-form
     omega = (E - V) k_flat - K dV, from the potential's parts, which keeps
-    the exact arithmetic to polynomials; without kvec, of -b K dV alone."""
-    return [Poly.dot(tensor.nvars, ([] if kvec is None else [(1, weight, kvec[i])])
-                     + [(-1, a, b) for a, b in zip(tensor[i], grad)])
+    the exact arithmetic to polynomials."""
+    return [Poly.dot(tensor.nvars, [(1, weight, kvec[i])] + [(-1, a, b) for a, b in zip(tensor[i], grad)])
             for i in range(3)]
 
 

@@ -9,7 +9,7 @@ from rotweb.ckt_core import (CktCoefficients, CktError, SymTensorField, assemble
                              commutator, conformal_factor, coefficients_from_free, killing_obstruction,
                              lie_derivative, lie_operator, metric, symmetric_product,
                              symbolic_family, symmetry_subspace, tsn_check, tsn_filter, verify_ckt)
-from rotweb.exactmath import Poly, UniPoly
+from rotweb.exactmath import ExactMathError, Poly, UniPoly
 from rotweb.linalg import char_poly, solve_many
 
 from conftest import rand_fraction
@@ -103,14 +103,14 @@ class TestCommutators:
 class TestDependencyRelations:
     def test_x_dot_r_vanishes(self):
         basis = ckv_basis(3)
-        total = SymTensorField.zero(3)
+        total = SymTensorField.combination([], 3)
         for i in range(3):
             total = total + symmetric_product(basis[i], basis[3 + i])
         assert total.is_zero
 
     def test_i_dot_r_vanishes(self):
         basis = ckv_basis(3)
-        total = SymTensorField.zero(3)
+        total = SymTensorField.combination([], 3)
         for i in range(3):
             total = total + symmetric_product(basis[7 + i], basis[3 + i])
         assert total.is_zero
@@ -119,7 +119,7 @@ class TestDependencyRelations:
         basis = ckv_basis(3)
         d = basis[6]
         lhs = symmetric_product(d, d)
-        rhs = SymTensorField.zero(3)
+        rhs = SymTensorField.combination([], 3)
         for i in range(3):
             rhs = rhs + symmetric_product(basis[i], basis[7 + i])
             rhs = rhs + symmetric_product(basis[3 + i], basis[3 + i])
@@ -151,6 +151,79 @@ class TestSymmetricProduct:
         k = symmetric_product(ckv_by_name("X1"), ckv_by_name("X2"))
         assert k[0][1] == Poly.const(Fraction(1, 2), 3)
         assert k[0][0].is_zero
+
+
+def chained_combination(terms, nvars):
+    """The tensor sum c T as the package assembled it before
+    ``SymTensorField.combination``: term by term, each of the nine entries of
+    a 3x3 grid of Polys extended, scaled and added with Poly * and +."""
+    grid = [[Poly.zero(nvars)] * 3 for _ in range(3)]
+    for c, t in terms:
+        grid = [[grid[i][j] + t[i][j].extend(nvars) * c for j in range(3)] for i in range(3)]
+    return SymTensorField(tuple(tuple(row) for row in grid))
+
+
+def random_poly(rng, nvars, degree=2, count=4):
+    return Poly.from_terms({tuple(rng.randint(0, degree) for _ in range(nvars)): rand_fraction(rng)
+                            for _ in range(count)}, nvars)
+
+
+def random_tensor(rng, nvars):
+    return SymTensorField.from_upper(*(random_poly(rng, nvars) if rng.random() < 0.8 else Poly.zero(nvars)
+                                       for _ in range(6)))
+
+
+class TestCombination:
+    def seeded_terms(self, rng, nvars, count):
+        """Terms with rational, integer, polynomial and zero coefficients,
+        over tensors in 3 variables and in nvars."""
+        terms = []
+        for _ in range(count):
+            t = random_tensor(rng, rng.choice((3, nvars)))
+            kind = rng.randrange(5)
+            c = (rand_fraction(rng), rng.randint(-4, 4), random_poly(rng, nvars, 1, 2),
+                 Poly.variable(rng.randrange(nvars), nvars), rng.choice((0, Fraction(0), Poly.zero(nvars))))[kind]
+            terms.append((c, t))
+        return terms
+
+    @pytest.mark.parametrize("nvars", [3, 9])
+    def test_matches_the_chained_assembly(self, nvars):
+        rng = random.Random(1900 + nvars)
+        for trial in range(40):
+            terms = self.seeded_terms(rng, nvars, trial % 7)
+            combined = SymTensorField.combination(terms, nvars)
+            expected = chained_combination(terms, nvars)
+            assert combined == expected
+            assert combined.nvars == nvars
+            assert all(combined[i][j] is combined[j][i] for i in range(3) for j in range(3))
+
+    def test_empty_and_zero_coefficients_give_zero(self):
+        t = cc.basis_product(6, 9)
+        for nvars in (3, 9):
+            for terms in ([], [(0, t)], [(Fraction(0), t), (Poly.zero(nvars), t)]):
+                zero = SymTensorField.combination(terms, nvars)
+                assert zero.is_zero and zero.nvars == nvars
+
+    def test_operators(self, rng):
+        for _ in range(20):
+            a, b = random_tensor(rng, 3), random_tensor(rng, 3)
+            q, f = rand_fraction(rng), random_poly(rng, 3)
+            assert a + b == chained_combination([(1, a), (1, b)], 3)
+            assert a - b == chained_combination([(1, a), (-1, b)], 3)
+            assert -a == chained_combination([(-1, a)], 3)
+            assert a.scale(q) == chained_combination([(q, a)], 3)
+            assert a.scale(f) == chained_combination([(f, a)], 3)
+
+    def test_mismatched_variable_sets_raise(self, rng):
+        small, large = random_tensor(rng, 3), random_tensor(rng, 9)
+        with pytest.raises(ExactMathError):
+            SymTensorField.combination([(1, large)], 3)
+        with pytest.raises(ExactMathError):
+            SymTensorField.combination([(Poly.variable(0, 4), small)], 9)
+        with pytest.raises(ExactMathError):
+            SymTensorField.combination([(Poly.variable(0, 3), small)], 9)
+        with pytest.raises(ExactMathError):
+            small + large
 
 
 class TestAssemble:
@@ -195,6 +268,49 @@ class TestVerifyCkt:
         assert family.trace().is_zero
         holds, _ = verify_ckt(family)
         assert holds
+
+
+def oracle_contraction(k):
+    """k_i = (d_i tr K + 2 d_j K_ji) / 5, with Poly + and *."""
+    return [(k[0][0].diff(i) + k[1][1].diff(i) + k[2][2].diff(i)
+             + (k[0][i].diff(0) + k[1][i].diff(1) + k[2][i].diff(2)) * 2) * Fraction(1, 5) for i in range(3)]
+
+
+def ck_residual(k, i, j, m):
+    """d_i K_jm + d_j K_im + d_m K_ij - (k_i g_jm + k_j g_im + k_m g_ij)."""
+    kv = oracle_contraction(k)
+    rhs = [kv[a] for a, b, c in ((i, j, m), (j, i, m), (m, i, j)) if b == c]
+    return k[j][m].diff(i) + k[i][m].diff(j) + k[i][j].diff(m) - sum(rhs, Poly.zero(k.nvars))
+
+
+CK_EQUATIONS = [(i, j, m) for i in range(3) for j in range(i, 3) for m in range(j, 3)]
+
+
+class TestVerifyCktEquations:
+    def test_returns_the_contraction(self, rng):
+        tensors = [assemble_free([rand_fraction(rng, -9, 9, 7) for _ in range(35)]) for _ in range(10)]
+        tensors += [assemble_free([rng.randint(-9, 9) for _ in range(35)]) for _ in range(5)]
+        for k in tensors:
+            holds, kv = verify_ckt(k)
+            assert holds
+            assert list(kv.components) == oracle_contraction(k) == list(cc.contraction_vector(k).components)
+
+    @pytest.mark.parametrize("i,j,m", CK_EQUATIONS, ids=[f"{i}{j}{m}" for i, j, m in CK_EQUATIONS])
+    def test_rejects_a_perturbation_of_each_equation(self, i, j, m):
+        # A seeded multiple of a power of x_i added to K_jm: of the 18
+        # partials d_c K_ab only d_i K_jm moves, and it is in equation
+        # (i, j, m) alone.  Through the contraction and the trace relations
+        # sum_a E_caa = 0 other equations may fail too, except for (0, 1, 2).
+        rng = random.Random(f"ck-{i}{j}{m}")
+        k = assemble_free([rand_fraction(rng, -9, 9, 7) for _ in range(35)])
+        assert verify_ckt(k)[0]
+        bump = Poly.variable(i, 3) ** rng.randint(1, 4) * rand_fraction(rng, 1, 9, 5)
+        perturbed = k + SymTensorField.from_upper(*(bump if (a, b) == (j, m) else ZERO for a, b in cc._UPPER))
+        failing = [eq for eq in CK_EQUATIONS if not ck_residual(perturbed, *eq).is_zero]
+        assert (i, j, m) in failing
+        if len({i, j, m}) == 3:
+            assert failing == [(i, j, m)]
+        assert verify_ckt(perturbed)[0] is False
 
 
 def oracle_coefficients_from_free(vec):
@@ -247,7 +363,7 @@ class TestFreeCoordinates:
         ts = [Poly.variable(3 + i, nv) for i in range(len(rows))]
         family = symbolic_family(rows)
         assert family == sum((assemble_ckt(coefficients_from_free(row)).extend(nv).scale(t)
-                              for t, row in zip(ts, rows)), SymTensorField.zero(nv))
+                              for t, row in zip(ts, rows)), SymTensorField.combination([], nv))
         for bad in (vecs[0][:34], vecs[0] + [1]):
             with pytest.raises(CktError, match="35 free parameters"):
                 assemble_free(bad)
@@ -301,6 +417,19 @@ class TestKillingObstruction:
         k = SymTensorField.from_upper(X ** 3, ZERO, ZERO, ZERO, ZERO, ZERO)
         with pytest.raises(CktError):
             killing_obstruction(k)
+
+    def test_components_are_the_former_two_form(self, rng):
+        # The two-form d(k-flat) as (d12, d13, d23) was returned before; the
+        # curl (23, 31, 12) is (d23, -d13, d12).
+        i3 = ckv_by_name("I3")
+        tensors = [metric(3), symmetric_product(i3, i3)]
+        tensors += [assemble_free([rand_fraction(rng, -3, 3) for _ in range(35)]) for _ in range(10)]
+        for k in tensors:
+            kv = oracle_contraction(k)
+            d12 = kv[1].diff(0) - kv[0].diff(1)
+            d13 = kv[2].diff(0) - kv[0].diff(2)
+            d23 = kv[2].diff(1) - kv[1].diff(2)
+            assert killing_obstruction(k).components == (d23, -d13, d12)
 
 
 def nijenhuis(k: SymTensorField):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from rotweb import cli, quartic_class
+from rotweb import cli, linalg, quartic_class
 from rotweb.ckt_core import CktCoefficients, assemble_ckt, assemble_free, ckv_by_name, symmetry_subspace
 from rotweb.cli import main
 from rotweb.exactmath import rat_str
@@ -223,6 +223,20 @@ class TestCompat:
         assert run(capsys, "compat", "--potential", "x +")[0] == 2
         assert run(capsys, "compat", "--potential", "1/(x-x)")[0] == 2
 
+    def test_failed_self_check_exits_1(self, capsys, monkeypatch):
+        # M33 alone is not compatible with the worked example: the solver's
+        # self-check fails after the input has been read, so this is no
+        # input error.
+        monkeypatch.setattr(linalg, "vanishing_combinations", lambda images: [[1, 0, 0, 0, 0, 0]])
+        code, report = run_json(capsys, "compat", "--potential", "-4/((x^2+y^2+z^2-1)^2 + 4*z^2)")
+        assert code == 1
+        assert report["results"] is None
+        assert report["findings"] == [{"kind": "internal_check_failed",
+                                       "detail": "solver self-check failed: a solution is not closed"}]
+        code, out, _ = run(capsys, "compat", "--potential", "0", "--energy", "1", "--human")
+        assert code == 1
+        assert "internal_check_failed: solver self-check failed" in out
+
 
 class TestSymmetry:
     def test_rotation_scan(self, capsys):
@@ -254,6 +268,18 @@ class TestSymmetry:
 
     def test_unknown_generator_exits_2(self, capsys):
         assert run(capsys, "symmetry", "R1")[0] == 2
+
+    def test_failed_tsn_certificate_exits_1(self, capsys, monkeypatch):
+        # Every kernel direction taken as an eigenvector of R3: the symbolic
+        # family of all nine fails the TSN certificate.
+        monkeypatch.setattr(linalg, "vanishing_combinations",
+                            lambda images: [[int(i == j) for i in range(len(images))] for j in range(len(images))])
+        code, report = run_json(capsys, "symmetry", "R3", "--h", "0")
+        assert code == 1
+        assert report["results"] is None
+        assert report["findings"] == [{"kind": "internal_check_failed",
+                                       "detail": "eigenvector subspace fails the TSN conditions; "
+                                                 "filter is unsound"}]
 
 
 def without_timing(out: str) -> str:
@@ -309,6 +335,40 @@ def test_classify_output_is_unchanged(capsys):
         assert code == 0
         lines.append(without_timing(out))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CLASSIFY_DIGEST
+
+
+# (potential, energy) for the compat digest: the worked example, the rational
+# potential at a rational energy, three polynomial potentials, and the first
+# eight draws of bench/gen.py's POTENTIALS with random.Random(19), two rounds
+# of scaled_example, radial, harmonic and linear_z.
+COMPAT_INPUTS = [
+    ("-4/((x^2+y^2+z^2-1)^2 + 4*z^2)", "0"),
+    ("(3/7)/(x^2+y^2+z^2+1/2)", "-5/3"),
+    ("z", "0"),
+    ("x*y*z", "1/2"),
+    ("0", "1"),
+    ("-4*(36)/((x^2+y^2+z^2-(36))^2+4*(36)*z^2)", "0"),
+    ("(7)/(x^2+y^2+z^2)", "3"),
+    ("(7/3)*(x^2+y^2)+(3)*z^2", "4"),
+    ("(-1)*z", "-1/2"),
+    ("-4*(1)/((x^2+y^2+z^2-(1))^2+4*(1)*z^2)", "0"),
+    ("(-2)/(x^2+y^2+z^2)", "-1"),
+    ("(4)*(x^2+y^2)+(4)*z^2", "3/2"),
+    ("(3)*z", "-2"),
+]
+
+# sha256 of the compat reports of COMPAT_INPUTS without timing_ms, as
+# json.dumps(..., sort_keys=True), one line each.
+COMPAT_DIGEST = "20bab17e0c40f7fd2ffec6c6f38c3a85cc9741871fc11fb7d97591ef9763159a"
+
+
+def test_compat_output_is_unchanged(capsys):
+    lines = []
+    for potential, energy in COMPAT_INPUTS:
+        code, out, _ = run(capsys, "compat", "--potential=" + potential, "--energy=" + energy)
+        assert code == 0
+        lines.append(without_timing(out))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == COMPAT_DIGEST
 
 
 def test_classify_computes_the_invariants_once(capsys, monkeypatch):

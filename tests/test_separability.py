@@ -10,7 +10,7 @@ from rotweb.exactmath import Poly, RationalFunction
 from rotweb.expr import ExprError
 from rotweb.quartic_class import WebType
 from rotweb.rotational import RotParams, assemble_rotational, assemble_rotational_generic
-from rotweb.separability import (Potential, _curl_numerators, _form_numerators, _potential_parts,
+from rotweb.separability import (Potential, _curl_numerators, _potential_parts,
                                  classify_potential, compatibility_form, is_closed,
                                  parse_potential, solve_compatible)
 
@@ -272,8 +272,9 @@ def dkdv_check(k: SymTensorField, v: RationalFunction) -> bool:
         raise CktError("tensor class has no Killing representative; use solve_compatible "
                        "with the full compatibility condition")
     grad, _, dd, d = _potential_parts(v)
-    curl = _curl_numerators(_form_numerators(k, grad), d, dd, 2)
-    return all(c.is_zero for c in curl)
+    # The numerators over D^2 of -K dV.
+    form = [Poly.dot(3, [(-1, k[i][j], grad[j]) for j in range(3)]) for i in range(3)]
+    return all(c.is_zero for c in _curl_numerators(form, d, dd, 2))
 
 
 class TestDkdv:
