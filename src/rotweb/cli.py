@@ -95,7 +95,7 @@ def cmd_classify(args) -> tuple[dict, int]:
             "audit": audit,
         })
     try:
-        canonical, witness = canonical_form(quartic, structure, inv)
+        canonical, witness = canonical_form(quartic, structure)
         canonical, witness = canonical.to_json_dict(), witness.to_json_dict()
     except ClassificationError as exc:
         canonical = witness = None

@@ -10,7 +10,11 @@ total degrees to 2^32 - 1.
 
 The univariate kernel (gcd, square-free decomposition, Sturm counts, root
 isolation and rational roots) runs on primitive integer coefficient lists:
-``UniPoly`` and ``Fraction`` appear only at its API boundary.  Gcds and
+``UniPoly`` and ``Fraction`` appear only at its API boundary.  Its integer
+entry points (``int_cleared``, ``int_squarefree``, ``int_real_root_count``,
+``int_sign_at`` and ``int_refine_root``) take and give those lists
+directly, so a caller that already holds integer coefficients, as the
+quartic pipeline does, never builds a ``UniPoly``.  Gcds and
 Yun's square-free decomposition use primitive pseudo-remainder sequences and
 exact integer quotients by primitive divisors (Gauss's lemma); Sturm
 sequences use a sign-keeping primitive PRS (Collins 1967; Brown and Traub
@@ -211,6 +215,23 @@ class Poly:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        """self / other: a Poly when other is a nonzero constant, and a
+        RationalFunction when other is a nonconstant Poly or a
+        RationalFunction."""
+        if isinstance(other, RationalFunction):
+            return RationalFunction(self) / other
+        if isinstance(other, Poly):
+            self._check(other)
+            if other.degree() > 0:
+                return RationalFunction(self, other)
+            other = other.terms.get(0, 0)
+        elif not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if other == 0:
+            raise ExactMathError("division by zero")
+        return self * (1 / Fraction(other))
+
     @staticmethod
     def dot(nvars: int, products: Iterable[tuple]) -> Poly:
         """The sum of s a b over the (s, a, b) triples of ``products``, with
@@ -225,10 +246,14 @@ class Poly:
             ta, tb = a.terms, b.terms
             if not ta or not tb or not s:
                 continue
-            degree = (max(ta) >> shift) + (max(tb) >> shift)
-            if degree > DEGREE_LIMIT:
-                raise ExactMathError(f"product of total degree {degree} exceeds the degree limit "
-                                     f"{DEGREE_LIMIT} = 2^32 - 1")
+            # A constant factor leaves the other's degree, which every
+            # constructor keeps within DEGREE_LIMIT, so only a product of
+            # two nonconstant factors is checked.
+            if not (len(ta) == 1 and 0 in ta or len(tb) == 1 and 0 in tb):
+                degree = (max(ta) >> shift) + (max(tb) >> shift)
+                if degree > DEGREE_LIMIT:
+                    raise ExactMathError(f"product of total degree {degree} exceeds the degree "
+                                         f"limit {DEGREE_LIMIT} = 2^32 - 1")
             for e1, c1 in ta.items():
                 if s != 1:
                     c1 = c1 * s
@@ -454,17 +479,20 @@ class UniPoly:
 # or a root is handed back.
 
 
-def _cleared(p: UniPoly) -> list[int]:
-    """The primitive integer polynomial c p with c > 0."""
-    coeffs = p.coeffs
+def int_cleared(coeffs: Sequence) -> list[int]:
+    """The primitive integer polynomial c p with c > 0 of rational (int or
+    Fraction) coefficients, low degree first, with trailing zeros dropped."""
     den = lcm(*(c.denominator for c in coeffs))
-    return _primitive([c.numerator * (den // c.denominator) for c in coeffs])
+    a = [c.numerator * (den // c.denominator) for c in coeffs]
+    while a and not a[-1]:
+        a.pop()
+    return _primitive(a)
 
 
 def _nonzero(p: UniPoly, what: str) -> list[int]:
     if p.is_zero:
         raise ExactMathError(f"{what} of the zero polynomial")
-    return _cleared(p)
+    return int_cleared(p.coeffs)
 
 
 def _primitive(a: list[int]) -> list[int]:
@@ -538,10 +566,11 @@ def _gcd(a: list[int], b: list[int]) -> list[int]:
     return a if a[-1] > 0 else [-c for c in a]
 
 
-def _squarefree(p: list[int]) -> list[tuple[list[int], int]]:
-    """Yun's algorithm on a nonconstant p: primitive square-free factors and
-    their multiplicities.  b and c = d + b' are always divided by the same
-    primitive polynomial, exactly, so they stay integral and in step."""
+def int_squarefree(p: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's algorithm on a nonconstant p: primitive square-free factors,
+    each with a positive leading coefficient, and their multiplicities.  b
+    and c = d + b' are always divided by the same primitive polynomial,
+    exactly, so they stay integral and in step."""
     dp = _derivative(p)
     g = _gcd(p, dp)
     b = _quotient(p, g)
@@ -578,7 +607,7 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def _sign_at(a: list[int], num: int, den: int) -> int:
+def int_sign_at(a: list[int], num: int, den: int) -> int:
     """The sign of a at num/den with den > 0: the sign of the integer
     den^n a(num/den), by homogeneous Horner."""
     coeffs = reversed(a)
@@ -595,7 +624,7 @@ def _variations(signs: Iterable[int]) -> int:
 
 
 def _variations_at(seq: list[list[int]], num: int, den: int) -> int:
-    return _variations(_sign_at(a, num, den) for a in seq)
+    return _variations(int_sign_at(a, num, den) for a in seq)
 
 
 def _variations_at_inf(seq: list[list[int]], positive: bool) -> int:
@@ -630,16 +659,24 @@ def _isolate(sf: list[int]) -> list[tuple[Fraction, Fraction]]:
     return out
 
 
-def _refine(a: list[int], lo: Fraction, hi: Fraction, max_width: Fraction) -> tuple[Fraction, Fraction]:
+def int_real_root_count(a: list[int]) -> int:
+    """Number of distinct real roots of a nonzero a; see ``real_root_count``."""
+    seq = _sturm(a)
+    return _variations_at_inf(seq, positive=False) - _variations_at_inf(seq, positive=True)
+
+
+def int_refine_root(a: list[int], lo: Fraction, hi: Fraction,
+                    max_width: Fraction) -> tuple[Fraction, Fraction]:
+    """``refine_root`` on a square-free integer polynomial a."""
     den = lcm(lo.denominator, hi.denominator)
     low, high = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
-    shi = _sign_at(a, high, den)
+    shi = int_sign_at(a, high, den)
     if shi == 0:
         return hi, hi
     width_num, width_den = max_width.numerator, max_width.denominator
     while (high - low) * width_den > width_num * den:
         mid, low, high, den = low + high, 2 * low, 2 * high, 2 * den
-        smid = _sign_at(a, mid, den)
+        smid = int_sign_at(a, mid, den)
         if smid == 0:
             return Fraction(mid, den), Fraction(mid, den)
         if smid == shi:
@@ -653,7 +690,7 @@ def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     """Monic greatest common divisor."""
     if p.is_zero and q.is_zero:
         raise ExactMathError("gcd of two zero polynomials is undefined")
-    return _monic(_gcd(_cleared(p), _cleared(q)))
+    return _monic(_gcd(int_cleared(p.coeffs), int_cleared(q.coeffs)))
 
 
 def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
@@ -664,7 +701,7 @@ def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
     a = _nonzero(p, "square-free decomposition")
     if len(a) == 1:
         return []
-    return [(_monic(factor), mult) for factor, mult in _squarefree(a)]
+    return [(_monic(factor), mult) for factor, mult in int_squarefree(a)]
 
 
 def squarefree_part(p: UniPoly) -> UniPoly:
@@ -679,13 +716,12 @@ def real_root_count(p: UniPoly) -> int:
     changes no sign variation at either infinity, so a repeated root is
     counted once.
     """
-    seq = _sturm(_nonzero(p, "root count"))
-    return _variations_at_inf(seq, positive=False) - _variations_at_inf(seq, positive=True)
+    return int_real_root_count(_nonzero(p, "root count"))
 
 
 def sign_at(p: UniPoly, x: int | Fraction) -> int:
     """The sign of p(x): -1, 0 or 1."""
-    return _sign_at(_cleared(p), x.numerator, x.denominator)
+    return int_sign_at(int_cleared(p.coeffs), x.numerator, x.denominator)
 
 
 def isolate_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
@@ -701,7 +737,7 @@ def refine_root(p: UniPoly, lo: Fraction, hi: Fraction, max_width: Fraction) -> 
     until its width is below max_width or the root is hit exactly.  Only the
     sign at hi is read, since lo may be the root of a neighbouring interval.
     """
-    return _refine(_cleared(p), lo, hi, max_width)
+    return int_refine_root(int_cleared(p.coeffs), lo, hi, max_width)
 
 
 def rational_roots(p: UniPoly) -> list[Fraction]:
@@ -716,9 +752,9 @@ def rational_roots(p: UniPoly) -> list[Fraction]:
     c = abs(sf[-1])
     roots = []
     for lo, hi in _isolate(sf):
-        lo, hi = _refine(sf, lo, hi, Fraction(1, 2 * c))
+        lo, hi = int_refine_root(sf, lo, hi, Fraction(1, 2 * c))
         k = floor(hi * c)
-        if (lo < Fraction(k, c) or lo == hi) and _sign_at(sf, k, c) == 0:
+        if (lo < Fraction(k, c) or lo == hi) and int_sign_at(sf, k, c) == 0:
             roots.append(Fraction(k, c))
     return roots
 

@@ -14,11 +14,18 @@ to 4 I^3 - J^2, and that is the Delta used throughout.  Covariant sign
 conditions ("H > 0") are read as global semidefiniteness: nonnegative
 everywhere and not identically zero.
 
-Exactness: the covariants behind those signs and the canonical form's
-witness image are formed in ints, on the cleared quartic c Q (the
-primitive integer multiple, c > 0).  Its H, L and M are c^2 H, c^4 L and
-c^4 M, so no sign moves, and c is absorbed exactly into the witness's
-rescaling factor.
+Exactness: the pipeline runs on the cleared quartic c Q (the primitive
+integer multiple, c > 0), formed once per quartic, and on the integer
+kernel of ``exactmath``.  The root partition comes from the primitive
+integer square-free factors of c Q(z, 1) and their Sturm counts; the
+invariants, the covariants behind the signs (c Q's H, L and M are c^2 H,
+c^4 L and c^4 M, so no sign moves) and the witness image are formed in
+ints, and c is absorbed exactly into the witness's rescaling factor.  The
+float roots start from an integer Taylor shift of each factor to a rational
+centre and a power-of-two rescaling, so every double handed to the root
+finder is the correctly rounded value of an exact rational, and the
+parameter mu is pinned on the F-equation cleared to integers.  No
+``UniPoly`` is built between the root structure and the witness.
 """
 
 from __future__ import annotations
@@ -33,8 +40,8 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .ckt_core import CktError
-from .exactmath import (UniPoly, rat, rat_str, real_root_count, refine_root, sign_at,
-                        squarefree_decomposition)
+from .exactmath import (UniPoly, int_cleared, int_real_root_count, int_refine_root, int_sign_at,
+                        int_squarefree, rat, rat_str)
 from .group_action import GroupElement, Mat2, from_gl2, substitution_action
 from .rotational import RotParams
 
@@ -101,11 +108,23 @@ class BinaryQuartic:
     def cleared(self) -> tuple[Fraction, BinaryQuartic]:
         """A c > 0 and the primitive quartic c Q with int coefficients; the
         zero quartic has c = 1."""
+        return self._cleared[:2]
+
+    @functools.cached_property
+    def _cleared(self) -> tuple[Fraction, BinaryQuartic, Invariants]:
+        """c, c Q and the invariants of c Q formed in ints, computed once
+        per quartic and kept on it."""
         coeffs = self.as_tuple()
         den = math.lcm(*(c.denominator for c in coeffs))
         ints = [c.numerator * (den // c.denominator) for c in coeffs]
         g = math.gcd(*ints) or 1
-        return Fraction(den, g), BinaryQuartic(*(c // g for c in ints))
+        m, l, h, d, a = (c // g for c in ints)
+        i_val = 12 * a * m - 3 * l * d + h * h
+        j_val = 72 * a * m * h - 27 * a * l * l - 27 * d * d * m + 9 * d * l * h - 2 * h ** 3
+        delta = 4 * i_val ** 3 - j_val ** 2
+        f_val = Fraction(i_val ** 3, j_val * j_val) if j_val != 0 else None
+        return (Fraction(den, g), BinaryQuartic(m, l, h, d, a),
+                Invariants(i_val, j_val, delta, f_val))
 
     def dehomogenize(self) -> UniPoly:
         """q(z) = Q(z, 1), low-degree-first."""
@@ -147,18 +166,20 @@ def form_sign(coeffs: Sequence) -> FormSign:
     """Global sign of an even-degree homogeneous binary form, decided exactly:
     indefinite iff its dehomogenization has a real root of odd multiplicity,
     else the sign of the leading coefficient wins.  A form that vanishes on
-    lines but never changes sign still counts as semidefinite."""
+    lines but never changes sign still counts as semidefinite.  The
+    coefficients are cleared once to a primitive integer multiple, and the
+    square-free factors and Sturm counts are read on it."""
     degree = len(coeffs) - 1
     if degree % 2 != 0:
         raise ClassificationError("form_sign requires an even-degree form")
-    if form_is_zero(coeffs):
-        return FormSign.IDENTICALLY_ZERO
     # C(x, 1): coefficient of x^k is coeffs[degree - k].
-    poly = UniPoly(list(reversed(coeffs)))
-    if any(mult % 2 == 1 and real_root_count(factor) > 0
-           for factor, mult in squarefree_decomposition(poly)):
+    poly = int_cleared(coeffs[::-1])
+    if not poly:
+        return FormSign.IDENTICALLY_ZERO
+    if len(poly) > 1 and any(mult % 2 == 1 and int_real_root_count(factor) > 0
+                             for factor, mult in int_squarefree(poly)):
         return FormSign.INDEFINITE
-    return FormSign.PSD_NONZERO if poly.lead > 0 else FormSign.NSD_NONZERO
+    return FormSign.PSD_NONZERO if poly[-1] > 0 else FormSign.NSD_NONZERO
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +203,8 @@ class Invariants:
         """The invariants of c Q (c != 0): I, J and Delta have degrees 2, 3
         and 6 in the coefficients, and F is absolute.  Integer values come
         back as ints."""
-        values = (c ** k * v for k, v in ((2, self.i), (3, self.j), (6, self.delta)))
+        n, d = c.numerator, c.denominator
+        values = (Fraction(v * n ** k, d ** k) for k, v in ((2, self.i), (3, self.j), (6, self.delta)))
         i, j, delta = (v.numerator if v.denominator == 1 else v for v in values)
         return Invariants(i, j, delta, self.f)
 
@@ -190,13 +212,7 @@ class Invariants:
 def _cleared_invariants(q: BinaryQuartic) -> tuple[Fraction, BinaryQuartic, Invariants]:
     """The c > 0 and cleared quartic c Q of ``BinaryQuartic.cleared``, with
     the invariants of c Q formed in ints."""
-    c, cleared = q.cleared()
-    m, l, h, d, a = cleared.as_tuple()
-    i_val = 12 * a * m - 3 * l * d + h * h
-    j_val = 72 * a * m * h - 27 * a * l * l - 27 * d * d * m + 9 * d * l * h - 2 * h ** 3
-    delta = 4 * i_val ** 3 - j_val ** 2
-    f_val = Fraction(i_val ** 3, j_val * j_val) if j_val != 0 else None
-    return c, cleared, Invariants(i_val, j_val, delta, f_val)
+    return q._cleared
 
 
 def invariants(q: BinaryQuartic) -> Invariants:
@@ -244,7 +260,9 @@ class RootStructure:
     multiplicity 4 - deg q; finite roots come from the square-free factors."""
 
     infinity_multiplicity: int
-    finite_factors: tuple  # (square-free monic UniPoly, multiplicity, real root count)
+    # (primitive square-free integer factor, low degree first with a positive
+    # leading coefficient, multiplicity, real root count)
+    finite_factors: tuple
     real_multiplicities: tuple
     cc_pair_multiplicities: tuple
 
@@ -252,7 +270,7 @@ class RootStructure:
         return {
             "infinity_multiplicity": self.infinity_multiplicity,
             "finite_factors": [
-                {"coefficients": [rat_str(c) for c in factor.coeffs],
+                {"coefficients": [rat_str(Fraction(c, factor[-1])) for c in factor],
                  "multiplicity": mult, "real_roots": nreal}
                 for factor, mult, nreal in self.finite_factors
             ],
@@ -262,21 +280,26 @@ class RootStructure:
 
 
 def root_structure(q: BinaryQuartic) -> RootStructure:
+    """The root partition of q(z) = Q(z, 1), from the square-free
+    decomposition and Sturm counts of the cleared quartic's dehomogenization
+    on the integer kernel."""
     if q.is_zero:
         raise ClassificationError("the zero form has no root structure")
-    poly = q.dehomogenize()
-    inf_mult = 4 - poly.degree
+    poly = list(reversed(q.cleared()[1].as_tuple()))
+    while not poly[-1]:
+        poly.pop()
+    inf_mult = 5 - len(poly)
     finite = []
     reals: list[int] = []
     pairs: list[int] = []
     if inf_mult:
         reals.append(inf_mult)
-    if poly.degree > 0:
-        for factor, mult in squarefree_decomposition(poly):
-            nreal = real_root_count(factor)
+    if len(poly) > 1:
+        for factor, mult in int_squarefree(poly):
+            nreal = int_real_root_count(factor)
             finite.append((factor, mult, nreal))
             reals.extend([mult] * nreal)
-            npairs = (factor.degree - nreal) // 2
+            npairs = (len(factor) - 1 - nreal) // 2
             pairs.extend([mult] * npairs)
     structure = RootStructure(
         infinity_multiplicity=inf_mult,
@@ -447,43 +470,59 @@ def _float_roots(structure: RootStructure) -> list[tuple]:
     return points
 
 
-def _log2(c) -> float:
-    """log2 |c| of a nonzero rational of any size."""
-    return math.log2(abs(c.numerator)) - math.log2(c.denominator)
+def _log2(num: int, den: int) -> float:
+    """log2 |num / den| (den > 0) of a nonzero rational of any size, read
+    from the reduced pair, as it would be from the ``Fraction``."""
+    g = math.gcd(num, den)
+    return math.log2(abs(num // g)) - math.log2(den // g)
 
 
-def _normalized(factor: UniPoly) -> tuple[Fraction, int, UniPoly]:
-    """A centre c, a k and the monic g(w) = factor(c + 2^k w) / 2^(k d) of a
-    monic factor of degree d, all exact.  The centre is the root centroid
-    when the factor is smaller in size there than at 0, and is 0 otherwise:
-    roots are resolved relative to their distance from the centre, so a
-    cluster of all the roots is taken about its centroid, and a root near 0
-    far from the others about 0.  2^k is near the geometric mean of the
-    sizes of the nonzero roots of factor(c + x), so the roots of g stay
-    within double range unless their sizes differ by a factor beyond
-    about 10^600."""
-    coeffs = list(factor.coeffs)
-    d = len(coeffs) - 1
-    centre = -Fraction(coeffs[-2]) / d
-    if abs(factor.eval(centre)) >= abs(coeffs[0]):
-        centre = Fraction(0)
+def _normalized(factor: list[int]) -> tuple[tuple[int, int], int, list[int]]:
+    """A centre n/q as the pair (n, q), a k, and an integer multiple of the
+    monic g(w) = f(n/q + 2^k w) / 2^(k d), where f is the monic form of a
+    primitive integer factor a of degree d with a_d > 0, all exact.  The
+    centre is the root centroid when f is smaller in size there than at 0,
+    and is 0 otherwise: roots are resolved relative to their distance from
+    the centre, so a cluster of all the roots is taken about its centroid,
+    and a root near 0 far from the others about 0.  2^k is near the
+    geometric mean of the sizes of the nonzero roots of f(n/q + x), so the
+    roots of g stay within double range unless their sizes differ by a
+    factor beyond about 10^600.
+
+    All in integers: with b_i = a_i q^(d - i) and c the Taylor shift of b
+    by n, q^d a(n/q + y) is the sum of c_j q^j y^j, so the coefficient j
+    of f(n/q + y) is c_j / (a_d q^(d - j)), and the centre test
+    |f(n/q)| >= |f(0)| reads |c_0| >= |a_0| q^d."""
+    d = len(factor) - 1
+    lead = factor[-1]
+    g = math.gcd(factor[-2], d * lead)
+    n, q = -factor[-2] // g, d * lead // g
+    coeffs = [c * q ** (d - i) for i, c in enumerate(factor)]
     for i in range(d):
         for j in range(d - 1, i - 1, -1):
-            coeffs[j] += centre * coeffs[j + 1]
+            coeffs[j] += n * coeffs[j + 1]
+    if abs(coeffs[0]) >= abs(factor[0]) * q ** d:
+        n, q, coeffs = 0, 1, list(factor)
     low = next(i for i, c in enumerate(coeffs) if c)
-    k = round(_log2(coeffs[low]) / (d - low)) if low < d else 0
-    return centre, k, UniPoly([c * Fraction(2) ** (k * (i - d)) for i, c in enumerate(coeffs)])
+    k = round(_log2(coeffs[low], lead * q ** (d - low)) / (d - low)) if low < d else 0
+    # a_d q^d 2^(k d) g(w) for k >= 0, and a_d q^d g(w) for k < 0.
+    return (n, q), k, [(c * q ** j) << (k * j if k >= 0 else -k * (d - j))
+                       for j, c in enumerate(coeffs)]
 
 
-def _aberth(poly: UniPoly) -> list[complex]:
-    """The roots of a monic square-free polynomial, by the simultaneous
-    Aberth-Ehrlich iteration in doubles (Aberth 1973; Ehrlich 1967).  The
-    starting points lie on circles whose radii come from the Newton polygon
-    of log2 |coefficient| (Bini 1996), so that roots of very different
-    sizes each start near their own size, and each Newton correction is
-    taken on the polynomial rescaled to the size of its point, so that no
-    coefficient or value leaves double range."""
-    logs = {i: _log2(c) for i, c in enumerate(poly.coeffs) if c}
+def _aberth(poly: list[int]) -> list[complex]:
+    """The roots of a square-free integer polynomial with a positive
+    leading coefficient, by the simultaneous Aberth-Ehrlich iteration in
+    doubles (Aberth 1973; Ehrlich 1967).  The starting points lie on
+    circles whose radii come from the Newton polygon of log2 |coefficient|
+    of the monic form (Bini 1996), so that roots of very different sizes
+    each start near their own size, and each Newton correction is taken on
+    the polynomial rescaled to the size of its point, so that no
+    coefficient or value leaves double range.  A monic coefficient c_i / c_d
+    is read exactly: its log from the reduced pair, and its mantissa as one
+    correctly rounded int division."""
+    lead = poly[-1]
+    logs = {i: _log2(c, lead) for i, c in enumerate(poly) if c}
     hull: list[int] = []  # upper convex hull of the points (i, logs[i])
     for i in logs:
         while len(hull) > 1 and ((logs[hull[-1]] - logs[hull[-2]]) * (i - hull[-1])
@@ -497,10 +536,10 @@ def _aberth(poly: UniPoly) -> list[complex]:
             raise ClassificationError("the roots of a factor differ in size beyond double range")
         radius = 2.0 ** size
         z += [radius * cmath.exp(1j * (2 * math.pi * t / (j - i) + 0.4)) for t in range(j - i)]
-    terms = []  # (i, m, x) with c_i = m 2^x and m about 1 in size, highest i first
-    for i in reversed(range(len(poly.coeffs))):
+    terms = []  # (i, m, x) with c_i / c_d = m 2^x and m about 1 in size, highest i first
+    for i, c in reversed(list(enumerate(poly))):
         x = math.floor(logs[i]) + 1 if i in logs else 0
-        terms.append((i, float(poly.coeffs[i] / Fraction(2) ** x), x))
+        terms.append((i, c / (lead << x) if x >= 0 else (c << -x) / lead, x))
     for _ in range(50):
         moved = False
         for j, zj in enumerate(z):
@@ -522,16 +561,15 @@ def _aberth(poly: UniPoly) -> list[complex]:
     return z
 
 
-def _polish(factor: UniPoly, z: complex) -> complex:
-    """Newton steps on a simple root, each computed exactly from the
-    factor's value and slope at z, until a step is below 1e-10 |z|: float
-    roots of clustered factors are too coarse for a 1e-9 witness, and a
-    value at a root can be far below or above double range.  With the
-    coefficients as integers n_i / den and z = (X + iY) / 2^s, the value
-    times den 2^(s d) and the slope times den 2^(s (d - 1)) are Gaussian
-    integers."""
-    den = math.lcm(*(c.denominator for c in factor.coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in factor.coeffs]
+def _polish(ints: list[int], z: complex) -> complex:
+    """Newton steps on a simple root of an integer polynomial, each
+    computed exactly from its value and slope at z, until a step is below
+    1e-10 |z|: float roots of clustered factors are too coarse for a 1e-9
+    witness, and a value at a root can be far below or above double range.
+    With z = (X + iY) / 2^s, the value times 2^(s d) and the slope times
+    2^(s (d - 1)) are Gaussian integers.  The step is their quotient, one
+    correctly rounded int division per part, so any integer multiple of the
+    polynomial gives the same step."""
     d = len(ints) - 1
     for _ in range(8):
         (xn, xd), (yn, yd) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
@@ -551,17 +589,26 @@ def _polish(factor: UniPoly, z: complex) -> complex:
     return z
 
 
-def _point(centre: Fraction, k: int, w) -> tuple:
-    """The homogeneous point of the root centre + 2^k w, computed exactly
-    and written as (z, 1) when |z| <= 1 and as (1, 1/z) otherwise; a real
-    w gives a real point."""
-    x = centre + Fraction(w.real) * Fraction(2) ** k
-    y = Fraction(w.imag) * Fraction(2) ** k
+def _point(centre: tuple[int, int], k: int, w) -> tuple:
+    """The homogeneous point of the root n/q + 2^k w, centre = (n, q),
+    computed exactly and written as (z, 1) when |z| <= 1 and as (1, 1/z)
+    otherwise; a real w gives a real point.  The root is (X + iY) / D in
+    integers, and each coordinate is rounded once, by int true division."""
+    n, q = centre
+    (xn, xd), (yn, yd) = w.real.as_integer_ratio(), w.imag.as_integer_ratio()
+    den = max(xd, yd)  # both are powers of two
+    xn, yn = xn * (den // xd), yn * (den // yd)
+    if k >= 0:
+        xn, yn = xn << k, yn << k
+    else:
+        den <<= -k
+    x, y, den = n * den + xn * q, yn * q, q * den
     norm = x * x + y * y
-    if norm > 1:
-        x, y = x / norm, -y / norm
-    z = complex(x, y) if isinstance(w, complex) else float(x)
-    return (z, 1) if norm <= 1 else (1, z)
+    far = norm > den * den
+    if far:
+        x, y, den = x * den, -y * den, norm
+    z = complex(x / den, y / den) if isinstance(w, complex) else x / den
+    return (1, z) if far else (z, 1)
 
 
 def _bracket(u, v):
@@ -642,22 +689,35 @@ def _pin_parameter(form: str, inv: Invariants, approx: float) -> tuple[Fraction 
     I(mu)^3 - F J(mu)^2 = 0 (J(mu) = 0 when J = 0), with I(mu) and J(mu) the
     invariants of the representative, and bisect to width 1/(4 * 10^12).
     Returns the rational root in the bracket with denominator up to 10^6,
-    or else the bracket's midpoint as a float."""
-    c = 1 if form == "I" else -1
-    i_mu = UniPoly([12 * c, 0, 1])
-    j_mu = UniPoly([0, 72 * c, 0, -2])
-    poly = j_mu if inv.j == 0 else i_mu * i_mu * i_mu - j_mu * j_mu * inv.f
+    or else the bracket's midpoint as a float.
+
+    inv holds the integer invariants I, J of the cleared quartic, and the
+    equation is read as J^2 I(mu)^3 - I^3 J(mu)^2, a positive multiple with
+    integer coefficients, on which every sign test and the refinement run."""
+    s = 1 if form == "I" else -1
+    if inv.j == 0:
+        poly = [0, 72 * s, 0, -2]  # J(mu) = 72 s mu - 2 mu^3
+    else:
+        # I(mu)^3 = 1728 s + 432 mu^2 + 36 s mu^4 + mu^6 with I(mu) = 12 s + mu^2,
+        # J(mu)^2 = 5184 mu^2 - 288 s mu^4 + 4 mu^6.
+        jj, iii = inv.j * inv.j, inv.i ** 3
+        poly = int_cleared([1728 * s * jj, 0, 432 * jj - 5184 * iii, 0,
+                            36 * s * jj + 288 * s * iii, 0, jj - 4 * iii])
+
+    def sign(x: Fraction) -> int:
+        return int_sign_at(poly, x.numerator, x.denominator)
+
     centre = Fraction(approx)
     for width in (Fraction(1, 10**12), Fraction(1, 10**9), Fraction(1, 10**6)):
         lo, hi = centre - width * max(1, abs(centre)), centre + width * max(1, abs(centre))
-        if sign_at(poly, lo) * sign_at(poly, hi) <= 0:
+        if sign(lo) * sign(hi) <= 0:
             break
     else:
         return approx, False
     max_width = Fraction(1, 4 * 10**12) * min(1, abs(centre) or 1)
-    lo, hi = refine_root(poly, lo, hi, max_width)
+    lo, hi = int_refine_root(poly, lo, hi, max_width)
     candidate = ((lo + hi) / 2).limit_denominator(10**6) if lo != hi else lo
-    if lo <= candidate <= hi and sign_at(poly, candidate) == 0:
+    if lo <= candidate <= hi and sign(candidate) == 0:
         return candidate, True
     return float((lo + hi) / 2), False
 
@@ -671,12 +731,12 @@ def _witness(q: BinaryQuartic, matrix: Mat2, target: tuple) -> tuple[GroupElemen
     homogeneous in both scales, so they cancel in the rescaling factor and
     in the residual, and a0, a1, a2 and the discrete flag do not depend on
     the matrix's scale."""
-    entries = [Fraction(e) for e in (matrix.alpha, matrix.beta, matrix.gamma, matrix.delta)]
-    power = math.lcm(*(e.denominator for e in entries))
-    matrix = Mat2(*(e.numerator * (power // e.denominator) for e in entries))
-    target = [Fraction(t) for t in target]
-    den = math.lcm(*(t.denominator for t in target))
-    target = [t.numerator * (den // t.denominator) for t in target]  # den times the target
+    entries = [e.as_integer_ratio() for e in (matrix.alpha, matrix.beta, matrix.gamma, matrix.delta)]
+    power = math.lcm(*(d for _, d in entries))
+    matrix = Mat2(*(n * (power // d) for n, d in entries))
+    target = [t.as_integer_ratio() for t in target]
+    den = math.lcm(*(d for _, d in target))
+    target = [n * (den // d) for n, d in target]  # den times the target
     pivot = max(range(5), key=lambda k: abs(target[k]))
     try:
         g = from_gl2(matrix)
@@ -696,8 +756,8 @@ def _witness(q: BinaryQuartic, matrix: Mat2, target: tuple) -> tuple[GroupElemen
     return g, error / (abs(moved[pivot]) * max(den, abs(target[pivot])))
 
 
-def canonical_form(q: BinaryQuartic, structure: RootStructure | None = None,
-                   inv: Invariants | None = None) -> tuple[CanonicalForm, GroupElement]:
+def canonical_form(q: BinaryQuartic,
+                   structure: RootStructure | None = None) -> tuple[CanonicalForm, GroupElement]:
     """Canonical representative of the quartic's orbit and a witness group
     element carrying it there, verified to 1e-9 relative accuracy.
 
@@ -706,7 +766,7 @@ def canonical_form(q: BinaryQuartic, structure: RootStructure | None = None,
     roots (forms I/II) the parameter mu comes from the cross-ratio of the
     chosen labeling and is then pinned exactly on the F-equation; the forms
     with a repeated root have fixed parameters.  Pass the quartic's root
-    structure and invariants when they are already at hand.
+    structure when it is already at hand.
     """
     if q.is_zero:
         raise ClassificationError("the zero form has no canonical form")
@@ -722,7 +782,7 @@ def canonical_form(q: BinaryQuartic, structure: RootStructure | None = None,
             raise ClassificationError(f"the root map for {web.value} is not real")
     else:
         approx, matrix = _generic_form(web, roots)
-        parameter, exact = _pin_parameter(form, inv or invariants(q), approx)
+        parameter, exact = _pin_parameter(form, _cleared_invariants(q)[2], approx)
     target = _canonical_coeffs(form, parameter)
     witness, residual = _witness(q, matrix, target)
     if not residual <= 1e-9:

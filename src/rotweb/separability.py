@@ -47,16 +47,12 @@ class Potential:
 
 def parse_potential(text: str) -> RationalFunction:
     """Parse an expression in x, y, z with rational constants, + - * /,
-    parentheses and integer powers into an exact rational function."""
-    env = {
-        "x": RationalFunction(Poly.variable(0, 3)),
-        "y": RationalFunction(Poly.variable(1, 3)),
-        "z": RationalFunction(Poly.variable(2, 3)),
-    }
-    value = eval_expr(text, env, const=lambda c: RationalFunction(Poly.const(c, 3)))
-    if isinstance(value, RationalFunction):
-        return value
-    return RationalFunction(Poly.const(value, 3))
+    parentheses and integer powers into an exact rational function.  It is
+    evaluated in ``Poly`` arithmetic up to the first division by a
+    nonconstant polynomial, which forms a ``RationalFunction``."""
+    env = {name: Poly.variable(i, 3) for i, name in enumerate("xyz")}
+    value = eval_expr(text, env, const=lambda c: Poly.const(c, 3))
+    return value if isinstance(value, RationalFunction) else RationalFunction(value)
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,12 @@ import numpy as np
 import pytest
 
 from rotweb import quartic_class
+from rotweb.exactmath import UniPoly, int_cleared, refine_root, sign_at
 from rotweb.group_action import GroupElement, Mat2, apply_quartic, from_gl2, substitution_action
-from rotweb.quartic_class import (BinaryQuartic, ClassificationError, WebType, _float_roots, _polish,
-                                  canonical_form, classify_by_invariants, classify_by_roots,
+from rotweb.quartic_class import (BinaryQuartic, ClassificationError, WebType, _aberth,
+                                  _cleared_invariants, _float_roots, _generic_form, _normalized,
+                                  _pin_parameter, _point, _polish, canonical_form,
+                                  classify_by_invariants, classify_by_roots, invariants,
                                   root_structure)
 
 from conftest import rand_fraction
@@ -203,8 +206,8 @@ def reference_float_roots(structure):
     reference for the package's own root finder."""
     roots = [(structure.infinity_multiplicity, (1, 0))] if structure.infinity_multiplicity else []
     for factor, mult, nreal in structure.finite_factors:
-        found = sorted((complex(z) for z in np.roots([float(c) for c in reversed(factor.coeffs)])),
-                       key=lambda z: abs(z.imag))
+        monic = [c / factor[-1] for c in reversed(factor)]
+        found = sorted((complex(z) for z in np.roots(monic)), key=lambda z: abs(z.imag))
         roots += [(mult, (_polish(factor, z.real).real, 1)) for z in found[:nreal]]
         for z in sorted(found[nreal:], key=lambda z: -z.imag)[:len(found[nreal:]) // 2]:
             z = _polish(factor, z)
@@ -245,6 +248,110 @@ def test_root_finder_matches_numpy(web, monkeypatch):
                 else abs(cf.parameter - expected.parameter) > 1e-12 * abs(expected.parameter)):
             problems.append((q.to_json(), "canonical", cf, expected))
     assert problems == []
+
+
+def fraction_normalized(factor):
+    """The reference for _normalized, in Fractions: the centre, k and the
+    monic g(w) = f(c + 2^k w) / 2^(k d) of the monic factor f, by a Taylor
+    shift of f's own coefficients."""
+    coeffs = list(factor.coeffs)
+    d = len(coeffs) - 1
+    centre = -Fraction(coeffs[-2]) / d
+    if abs(factor.eval(centre)) >= abs(coeffs[0]):
+        centre = Fraction(0)
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            coeffs[j] += centre * coeffs[j + 1]
+    low = next(i for i, c in enumerate(coeffs) if c)
+    top = Fraction(coeffs[low])
+    log = math.log2(abs(top.numerator)) - math.log2(top.denominator)
+    k = round(log / (d - low)) if low < d else 0
+    return centre, k, UniPoly([c * Fraction(2) ** (k * (i - d)) for i, c in enumerate(coeffs)])
+
+
+def fraction_point(centre, k, w):
+    """The reference for _point, in Fractions."""
+    x = centre + Fraction(w.real) * Fraction(2) ** k
+    y = Fraction(w.imag) * Fraction(2) ** k
+    norm = x * x + y * y
+    if norm > 1:
+        x, y = x / norm, -y / norm
+    z = complex(x, y) if isinstance(w, complex) else float(x)
+    return (z, 1) if norm <= 1 else (1, z)
+
+
+def fraction_pin_parameter(form, inv, approx):
+    """The reference for _pin_parameter, on the F-equation
+    I(mu)^3 - F J(mu)^2 of the quartic's own invariants as a UniPoly."""
+    c = 1 if form == "I" else -1
+    i_mu = UniPoly([12 * c, 0, 1])
+    j_mu = UniPoly([0, 72 * c, 0, -2])
+    poly = j_mu if inv.j == 0 else i_mu * i_mu * i_mu - j_mu * j_mu * inv.f
+    centre = Fraction(approx)
+    for width in (Fraction(1, 10**12), Fraction(1, 10**9), Fraction(1, 10**6)):
+        lo, hi = centre - width * max(1, abs(centre)), centre + width * max(1, abs(centre))
+        if sign_at(poly, lo) * sign_at(poly, hi) <= 0:
+            break
+    else:
+        return approx, False
+    max_width = Fraction(1, 4 * 10**12) * min(1, abs(centre) or 1)
+    lo, hi = refine_root(poly, lo, hi, max_width)
+    candidate = ((lo + hi) / 2).limit_denominator(10**6) if lo != hi else lo
+    if lo <= candidate <= hi and sign_at(poly, candidate) == 0:
+        return candidate, True
+    return float((lo + hi) / 2), False
+
+
+def integer_route_mismatches(q):
+    """Where _normalized, _polish, _point and _pin_parameter on the cleared
+    integer quartic differ from their Fraction references on q: the same
+    centre, k and monic scaled coefficients, the same step from any integer
+    multiple, bit-identical points and the same mu."""
+    structure = root_structure(q)
+    problems = []
+    for factor, _, nreal in structure.finite_factors:
+        (n, d), k, scaled = _normalized(factor)
+        centre, ref_k, ref_scaled = fraction_normalized(UniPoly([Fraction(c, factor[-1])
+                                                                 for c in factor]))
+        if (Fraction(n, d), k, [Fraction(c, scaled[-1]) for c in scaled]) != (
+                centre, ref_k, list(map(Fraction, ref_scaled.coeffs))):
+            problems.append((q.to_json(), "normalized", factor))
+            continue
+        found = sorted(_aberth(scaled), key=lambda w: abs(w.imag))
+        for i, w in enumerate(found):
+            w = w.real if i < nreal else w
+            polished = _polish(scaled, w)
+            if repr(polished) != repr(_polish(int_cleared(ref_scaled.coeffs), w)):
+                problems.append((q.to_json(), "polish", factor, w))
+            w = polished.real if i < nreal else polished
+            if repr(_point((n, d), k, w)) != repr(fraction_point(centre, ref_k, w)):
+                problems.append((q.to_json(), "point", factor, w))
+    web = classify_by_roots(q, structure)
+    stratum = quartic_class._STRATA[web]
+    if stratum.roots is None:
+        approx, _ = _generic_form(web, _float_roots(structure))
+        got = _pin_parameter(stratum.form, _cleared_invariants(q)[2], approx)
+        if got != fraction_pin_parameter(stratum.form, invariants(q), approx):
+            problems.append((q.to_json(), "parameter", got))
+    return problems
+
+
+@pytest.mark.parametrize("web", list(WebType), ids=lambda w: w.value)
+def test_integer_route_matches_the_fraction_route(web):
+    rng = random.Random(f"integer-route-{web.value}")
+    quartics = [partition_quartic(rng, web) for _ in range(40)]
+    quartics += [extreme_quartic(rng, web) for _ in range(12)]
+    problems = []
+    for q in quartics:
+        problems += integer_route_mismatches(q)
+    assert problems == []
+
+
+def test_integer_route_on_exact_parameters():
+    # An exact-mu bi-cyclide and a flat ring with a non-integer centroid.
+    for text in ("24320/9,-566768/27,1649572/27,-2131904/27,114700/3",
+                 "560/27,-10,85/9,-25/3,5/2"):
+        assert integer_route_mismatches(BinaryQuartic.from_tuple(text.split(","))) == []
 
 
 EXTREME_PER_STRATUM = 24

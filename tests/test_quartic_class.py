@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from rotweb import quartic_class as qc
+from rotweb.exactmath import UniPoly, real_root_count, squarefree_decomposition
 from rotweb.group_action import GroupElement, apply_quartic
 from rotweb.quartic_class import (BinaryQuartic, ClassificationError,
                                   FormSign, WebType, canonical_form, classify_by_invariants,
@@ -149,6 +150,63 @@ class TestFormSign:
     def test_odd_degree_rejected(self):
         with pytest.raises(ClassificationError):
             form_sign((1, 0, 0, 1))
+
+
+def unipoly_form_sign(coeffs):
+    """The reference for form_sign: the square-free factors and Sturm
+    counts of the UniPoly route."""
+    if form_is_zero(coeffs):
+        return FormSign.IDENTICALLY_ZERO
+    poly = UniPoly(list(reversed(coeffs)))
+    if any(mult % 2 == 1 and real_root_count(factor) > 0
+           for factor, mult in squarefree_decomposition(poly)):
+        return FormSign.INDEFINITE
+    return FormSign.PSD_NONZERO if poly.lead > 0 else FormSign.NSD_NONZERO
+
+
+class TestIntegerRoute:
+    """root_structure and form_sign read the integer kernel; the UniPoly
+    route is their reference."""
+
+    @pytest.fixture(scope="class")
+    def quartics(self):
+        rng = random.Random("integer-route")
+        quartics = [partition_quartic(rng, web) for web in WebType for _ in range(18)]
+        quartics += [extreme_quartic(rng, web) for web in WebType for _ in range(4)]
+        quartics += [BinaryQuartic.make(lead, 0, -1, 0, 1)
+                     for lead in (Fraction(1, 10**320), Fraction(10**320))]
+        assert len(quartics) == 200
+        return quartics
+
+    def test_root_structure_matches_the_unipoly_route(self, quartics):
+        for q in quartics:
+            structure = root_structure(q)
+            poly = q.dehomogenize()
+            assert structure.infinity_multiplicity == 4 - poly.degree
+            got = [(UniPoly([Fraction(c, factor[-1]) for c in factor]), mult, nreal)
+                   for factor, mult, nreal in structure.finite_factors]
+            expected = [(factor, mult, real_root_count(factor))
+                        for factor, mult in squarefree_decomposition(poly)]
+            assert got == expected, q.to_json()
+
+    def test_the_pipeline_builds_no_unipoly(self, quartics, monkeypatch):
+        built = []
+        init = UniPoly.__init__
+        monkeypatch.setattr(UniPoly, "__init__",
+                            lambda self, coeffs=(): built.append(coeffs) or init(self, coeffs))
+        for q in quartics[::10]:
+            structure = root_structure(q)
+            classify_by_invariants(q)
+            canonical_form(q, structure)
+        assert built == []
+
+    def test_form_sign_on_int_and_fraction_covariants(self, quartics):
+        for q in quartics:
+            _, cleared = q.cleared()
+            for covariant in (hessian, covariant_l, covariant_m):
+                rational = covariant(q)
+                verdict = form_sign(covariant(cleared))
+                assert verdict is form_sign(rational) is unipoly_form_sign(rational), q.to_json()
 
 
 class TestRootStructure:
