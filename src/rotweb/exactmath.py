@@ -1,5 +1,5 @@
 """Exact arithmetic kernel: rationals, sparse multivariate polynomials,
-dense univariate polynomials, rational functions, and real-root machinery.
+rational functions, and a univariate kernel with real-root machinery.
 
 Every classification decision downstream is a sign or vanishing test, so
 everything here is exact.  Coefficients are Python ints or
@@ -8,21 +8,17 @@ because plain int arithmetic is much faster than Fraction arithmetic.
 Multivariate monomials are keyed by packed exponent ints, which limits
 total degrees to 2^32 - 1.
 
-The univariate kernel (gcd, square-free decomposition, Sturm counts, root
-isolation and rational roots) runs on primitive integer coefficient lists:
-``UniPoly`` and ``Fraction`` appear only at its API boundary.  Its integer
-entry points (``int_cleared``, ``int_squarefree``, ``int_real_root_count``,
-``int_sign_at`` and ``int_refine_root``) take and give those lists
-directly, so a caller that already holds integer coefficients, as the
-quartic pipeline does, never builds a ``UniPoly``.  Gcds and
-Yun's square-free decomposition use primitive pseudo-remainder sequences and
-exact integer quotients by primitive divisors (Gauss's lemma); Sturm
-sequences use a sign-keeping primitive PRS (Collins 1967; Brown and Traub
-1971); a sign at p/q is the sign of q^n P(p/q), by homogeneous integer
-Horner.  Real roots are counted by the Sturm sequence of the polynomial
-itself and isolated by bisecting its square-free part at plain midpoints.
-Isolating intervals are half-open, (lo, hi] with lo < hi: a root may sit at
-hi, and lo may be the root of the interval below.
+A univariate polynomial is a primitive integer coefficient list, low degree
+first (``int_cleared`` clears rational coefficients to one).  The kernel
+(``squarefree_decomposition``, ``real_root_count``, ``isolate_real_roots``,
+``refine_root``, ``rational_roots`` and ``sign_at``) takes and gives those
+lists.  Gcds and Yun's square-free decomposition use primitive
+pseudo-remainder sequences and exact integer quotients by primitive
+divisors (Gauss's lemma); Sturm sequences use a sign-keeping primitive PRS
+(Collins 1967; Brown and Traub 1971); a sign at p/q is the sign of
+q^n P(p/q), by homogeneous integer Horner.  Real roots are counted by the
+Sturm sequence of the polynomial itself and isolated by bisecting a
+square-free polynomial at plain midpoints, in half-open intervals (lo, hi].
 """
 
 from __future__ import annotations
@@ -371,128 +367,22 @@ class Poly:
 
 
 # ---------------------------------------------------------------------------
-# Dense univariate polynomials
-
-
-class UniPoly:
-    """Dense univariate polynomial over the rationals, low degree first."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable = ()):
-        cs = [_norm(c if isinstance(c, (int, Fraction)) else Fraction(c)) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls) -> UniPoly:
-        return cls(())
-
-    @classmethod
-    def monomial(cls, degree: int, coeff=1) -> UniPoly:
-        return cls([0] * degree + [coeff])
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    @property
-    def lead(self) -> Fraction:
-        if not self.coeffs:
-            raise ExactMathError("zero polynomial has no leading coefficient")
-        return Fraction(self.coeffs[-1])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    __hash__ = None
-
-    def __add__(self, other: UniPoly) -> UniPoly:
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return UniPoly(out)
-
-    def __neg__(self) -> UniPoly:
-        return UniPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: UniPoly) -> UniPoly:
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return UniPoly([c * other for c in self.coeffs])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1) if self.coeffs and other.coeffs else []
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def derivative(self) -> UniPoly:
-        return UniPoly([c * i for i, c in enumerate(self.coeffs)][1:])
-
-    def eval(self, x) -> Fraction:
-        total = Fraction(0)
-        for c in reversed(self.coeffs):
-            total = total * Fraction(x) + c
-        return total
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(rat_str(c))
-            elif i == 1:
-                parts.append(f"{rat_str(c)}*z")
-            else:
-                parts.append(f"{rat_str(c)}*z^{i}")
-        return " + ".join(parts)
-
-    __repr__ = __str__
-
-
-# ---------------------------------------------------------------------------
 # The univariate kernel over the integers
 
-# A polynomial inside the kernel is a list of ints, low degree first, with no
-# trailing zero; [] is the zero polynomial.  Each UniPoly argument is cleared
-# once to a primitive integer multiple c p with c > 0, which has the same
-# roots and the same signs.  Remainders are pseudo-remainders and quotients
-# are exact, so no rational is divided until a monic factor, an interval end
-# or a root is handed back.
+# A polynomial is a list of ints with no trailing zero; [] is the zero
+# polynomial.  Remainders are pseudo-remainders and quotients are exact, so
+# no rational is divided until an interval end or a root is handed back.
 
 
 def int_cleared(coeffs: Sequence) -> list[int]:
     """The primitive integer polynomial c p with c > 0 of rational (int or
-    Fraction) coefficients, low degree first, with trailing zeros dropped."""
+    Fraction) coefficients, low degree first, with trailing zeros dropped:
+    it has the roots and the signs of p."""
     den = lcm(*(c.denominator for c in coeffs))
     a = [c.numerator * (den // c.denominator) for c in coeffs]
     while a and not a[-1]:
         a.pop()
     return _primitive(a)
-
-
-def _nonzero(p: UniPoly, what: str) -> list[int]:
-    if p.is_zero:
-        raise ExactMathError(f"{what} of the zero polynomial")
-    return int_cleared(p.coeffs)
 
 
 def _primitive(a: list[int]) -> list[int]:
@@ -501,9 +391,8 @@ def _primitive(a: list[int]) -> list[int]:
     return a if g <= 1 else [c // g for c in a]
 
 
-def _monic(a: list[int]) -> UniPoly:
-    lead = a[-1]
-    return UniPoly([Fraction(c, lead) for c in a])
+def _positive(a: list[int]) -> list[int]:
+    return a if a[-1] > 0 else [-c for c in a]
 
 
 def _derivative(a: list[int]) -> list[int]:
@@ -562,39 +451,14 @@ def _gcd(a: list[int], b: list[int]) -> list[int]:
     primitive pseudo-remainder sequence; a and b are not both zero."""
     while b:
         a, b = b, _primitive(_prem(a, b))
-    a = _primitive(a)
-    return a if a[-1] > 0 else [-c for c in a]
-
-
-def int_squarefree(p: list[int]) -> list[tuple[list[int], int]]:
-    """Yun's algorithm on a nonconstant p: primitive square-free factors,
-    each with a positive leading coefficient, and their multiplicities.  b
-    and c = d + b' are always divided by the same primitive polynomial,
-    exactly, so they stay integral and in step."""
-    dp = _derivative(p)
-    g = _gcd(p, dp)
-    b = _quotient(p, g)
-    d = _sub(_quotient(dp, g), _derivative(b))
-    factors = []
-    mult = 1
-    while len(b) > 1:
-        a = _gcd(b, d)
-        if len(a) > 1:
-            factors.append((a, mult))
-        b = _quotient(b, a)
-        d = _sub(_quotient(d, a), _derivative(b))
-        mult += 1
-    return factors
-
-
-def _squarefree_part(p: list[int]) -> list[int]:
-    """p / gcd(p, p'): primitive, since p is."""
-    return _quotient(p, _gcd(p, _derivative(p)))
+    return _positive(_primitive(a))
 
 
 def _sturm(p: list[int]) -> list[list[int]]:
     """The Sturm sequence of p up to positive factors: p, p', then each
-    negated pseudo-remainder divided by its positive content."""
+    negated pseudo-remainder divided by its positive content.  It is a
+    pseudo-remainder sequence of p and p', so it ends at gcd(p, p') up to a
+    nonzero constant."""
     seq = [p]
     r = _primitive(_derivative(p))
     while r:
@@ -603,11 +467,7 @@ def _sturm(p: list[int]) -> list[list[int]]:
     return seq
 
 
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
-
-
-def int_sign_at(a: list[int], num: int, den: int) -> int:
+def sign_at(a: list[int], num: int, den: int) -> int:
     """The sign of a at num/den with den > 0: the sign of the integer
     den^n a(num/den), by homogeneous Horner."""
     coeffs = reversed(a)
@@ -618,30 +478,90 @@ def int_sign_at(a: list[int], num: int, den: int) -> int:
     return (value > 0) - (value < 0)
 
 
-def _variations(signs: Iterable[int]) -> int:
-    cleaned = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(cleaned, cleaned[1:]) if a != b)
+def _variations(values: Iterable[int]) -> int:
+    """The sign changes along a sequence of numbers, zeros skipped."""
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def _variations_at(seq: list[list[int]], num: int, den: int) -> int:
-    return _variations(int_sign_at(a, num, den) for a in seq)
+    return _variations(sign_at(a, num, den) for a in seq)
 
 
-def _variations_at_inf(seq: list[list[int]], positive: bool) -> int:
-    # At -infinity a member of odd degree, that is of even length, flips.
-    return _variations(_sign(a[-1] if positive or len(a) % 2 else -a[-1]) for a in seq)
+def _root_count(seq: list[list[int]]) -> int:
+    """V(-infinity) - V(infinity) of a Sturm sequence; at -infinity a
+    member of odd degree, that is of even length, flips."""
+    return _variations(a[-1] if len(a) % 2 else -a[-1] for a in seq) - _variations(a[-1] for a in seq)
+
+
+def _check_nonzero(a: list[int], what: str) -> None:
+    if not a:
+        raise ExactMathError(f"{what} of the zero polynomial")
+
+
+def real_root_count(a: list[int]) -> int:
+    """Number of distinct real roots of a nonzero a, by the Sturm sequence
+    of a itself.
+
+    The sequence ends at g = gcd(a, a'), and dividing every member by g
+    changes no sign variation at either infinity, so a repeated root is
+    counted once.
+    """
+    _check_nonzero(a, "root count")
+    return _root_count(_sturm(a))
+
+
+def squarefree_decomposition(p: list[int]) -> list[tuple[list[int], int, int]]:
+    """(factor, multiplicity, real root count) triples of a nonzero p: the
+    factors primitive, square-free, pairwise coprime and with positive
+    leading coefficients, their product p up to a constant (none for a
+    constant p).
+
+    The Sturm sequence of p ends at gcd(p, p') up to a constant.  If that
+    is constant, p is square-free, and its count is read off the same
+    sequence.  Otherwise Yun's algorithm continues from the gcd: b and
+    c = d + b' are always divided by the same primitive polynomial, exactly,
+    so they stay integral and in step.
+    """
+    _check_nonzero(p, "square-free decomposition")
+    if len(p) == 1:
+        return []
+    p = _primitive(p)
+    seq = _sturm(p)
+    if len(seq[-1]) == 1:
+        return [(_positive(p), 1, _root_count(seq))]
+    dp = _derivative(p)
+    g = _positive(seq[-1])
+    b = _quotient(p, g)
+    d = _sub(_quotient(dp, g), _derivative(b))
+    factors = []
+    mult = 1
+    while len(b) > 1:
+        a = _gcd(b, d)
+        if len(a) > 1:
+            factors.append((a, mult, real_root_count(a)))
+        b = _quotient(b, a)
+        d = _sub(_quotient(d, a), _derivative(b))
+        mult += 1
+    return factors
 
 
 # Bisection keeps both ends of an interval as integers over one positive
 # denominator, doubled at each midpoint, so no step reduces a Fraction.
 
 
-def _isolate(sf: list[int]) -> list[tuple[Fraction, Fraction]]:
-    # For square-free sf, V(a) = V(a+) at a root a, so V(lo) - V(hi) counts
-    # the roots in (lo, hi] even when lo or hi is a root.  The bisection
-    # tree can be thousands of levels deep when the Cauchy bound is far
-    # above the root separation, so it is walked with a stack, lower half
-    # first, rather than by recursion.
+def isolate_real_roots(sf: list[int]) -> list[tuple[Fraction, Fraction]]:
+    """Isolating intervals (lo, hi], lo < hi, one for each real root of a
+    nonzero square-free sf, increasing and disjoint.  A root may sit at hi,
+    and lo may be the root of the interval below.
+
+    For square-free sf, V(a) = V(a+) at a root a, so V(lo) - V(hi) counts
+    the roots in (lo, hi] even when lo or hi is a root.  The bisection tree
+    can be thousands of levels deep when the Cauchy bound is far above the
+    root separation, so it is walked with a stack, lower half first, rather
+    than by recursion.
+    """
+    _check_nonzero(sf, "root isolation")
     seq = _sturm(sf)
     out: list[tuple[Fraction, Fraction]] = []
     # Cauchy bound: every real root lies strictly inside (-bound, bound).
@@ -659,24 +579,21 @@ def _isolate(sf: list[int]) -> list[tuple[Fraction, Fraction]]:
     return out
 
 
-def int_real_root_count(a: list[int]) -> int:
-    """Number of distinct real roots of a nonzero a; see ``real_root_count``."""
-    seq = _sturm(a)
-    return _variations_at_inf(seq, positive=False) - _variations_at_inf(seq, positive=True)
-
-
-def int_refine_root(a: list[int], lo: Fraction, hi: Fraction,
-                    max_width: Fraction) -> tuple[Fraction, Fraction]:
-    """``refine_root`` on a square-free integer polynomial a."""
+def refine_root(a: list[int], lo: Fraction, hi: Fraction,
+                max_width: Fraction) -> tuple[Fraction, Fraction]:
+    """Shrink an isolating interval (lo, hi] of a square-free a by bisection
+    until its width is below max_width or the root is hit exactly.  Only the
+    sign at hi is read, since lo may be the root of a neighbouring interval.
+    """
     den = lcm(lo.denominator, hi.denominator)
     low, high = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
-    shi = int_sign_at(a, high, den)
+    shi = sign_at(a, high, den)
     if shi == 0:
         return hi, hi
     width_num, width_den = max_width.numerator, max_width.denominator
     while (high - low) * width_den > width_num * den:
         mid, low, high, den = low + high, 2 * low, 2 * high, 2 * den
-        smid = int_sign_at(a, mid, den)
+        smid = sign_at(a, mid, den)
         if smid == 0:
             return Fraction(mid, den), Fraction(mid, den)
         if smid == shi:
@@ -686,75 +603,25 @@ def int_refine_root(a: list[int], lo: Fraction, hi: Fraction,
     return Fraction(low, den), Fraction(high, den)
 
 
-def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Monic greatest common divisor."""
-    if p.is_zero and q.is_zero:
-        raise ExactMathError("gcd of two zero polynomials is undefined")
-    return _monic(_gcd(int_cleared(p.coeffs), int_cleared(q.coeffs)))
+def rational_roots(a: list[int]) -> list[Fraction]:
+    """The distinct rational roots of a nonzero a, increasing, each verified
+    exactly.
 
-
-def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
-    """Yun's algorithm: pairwise-coprime monic square-free factors with
-    multiplicities.  The product of factor**mult equals p up to a nonzero
-    rational constant; a nonzero constant input yields the empty list.
+    The square-free part s = a / gcd(a, a') is primitive, so every rational
+    root is k / c for an integer k, with c = |lc s|.  Each isolating
+    interval (lo, hi] is narrowed below 1 / (2 c), which leaves one
+    candidate k / c in it to test; lo itself may be the root below, so it is
+    not a candidate.
     """
-    a = _nonzero(p, "square-free decomposition")
-    if len(a) == 1:
-        return []
-    return [(_monic(factor), mult) for factor, mult in int_squarefree(a)]
-
-
-def squarefree_part(p: UniPoly) -> UniPoly:
-    """Monic product of the distinct irreducible factors of p."""
-    return _monic(_squarefree_part(_nonzero(p, "square-free part")))
-
-
-def real_root_count(p: UniPoly) -> int:
-    """Number of distinct real roots, by the Sturm sequence of p itself.
-
-    The sequence ends at g = gcd(p, p'), and dividing every member by g
-    changes no sign variation at either infinity, so a repeated root is
-    counted once.
-    """
-    return int_real_root_count(_nonzero(p, "root count"))
-
-
-def sign_at(p: UniPoly, x: int | Fraction) -> int:
-    """The sign of p(x): -1, 0 or 1."""
-    return int_sign_at(int_cleared(p.coeffs), x.numerator, x.denominator)
-
-
-def isolate_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
-    """Isolating intervals (lo, hi], lo < hi, one for each distinct real root
-    of p, increasing and disjoint.  A root may sit at hi, and lo may be the
-    root of the interval below.  Raises on the zero polynomial.
-    """
-    return _isolate(_squarefree_part(_nonzero(p, "root isolation")))
-
-
-def refine_root(p: UniPoly, lo: Fraction, hi: Fraction, max_width: Fraction) -> tuple[Fraction, Fraction]:
-    """Shrink an isolating interval (lo, hi] of a square-free p by bisection
-    until its width is below max_width or the root is hit exactly.  Only the
-    sign at hi is read, since lo may be the root of a neighbouring interval.
-    """
-    return int_refine_root(int_cleared(p.coeffs), lo, hi, max_width)
-
-
-def rational_roots(p: UniPoly) -> list[Fraction]:
-    """The distinct rational roots of p, increasing, each verified exactly.
-
-    The square-free part s is primitive, so every rational root is k / c for
-    an integer k, with c = |lc s|.  Each isolating interval (lo, hi] is
-    narrowed below 1 / (2 c), which leaves one candidate k / c in it to test;
-    lo itself may be the root below, so it is not a candidate.
-    """
-    sf = _squarefree_part(_nonzero(p, "rational roots"))
+    _check_nonzero(a, "rational roots")
+    a = _primitive(a)
+    sf = _quotient(a, _gcd(a, _derivative(a)))
     c = abs(sf[-1])
     roots = []
-    for lo, hi in _isolate(sf):
-        lo, hi = int_refine_root(sf, lo, hi, Fraction(1, 2 * c))
+    for lo, hi in isolate_real_roots(sf):
+        lo, hi = refine_root(sf, lo, hi, Fraction(1, 2 * c))
         k = floor(hi * c)
-        if (lo < Fraction(k, c) or lo == hi) and int_sign_at(sf, k, c) == 0:
+        if (lo < Fraction(k, c) or lo == hi) and sign_at(sf, k, c) == 0:
             roots.append(Fraction(k, c))
     return roots
 

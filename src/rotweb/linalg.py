@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .exactmath import ExactMathError, Poly, UniPoly, rational_roots, real_root_count
+from .exactmath import ExactMathError, Poly, int_cleared, rational_roots, real_root_count
 
 Row = dict  # sparse row: {column: value} over the nonzero entries
 
@@ -229,26 +229,26 @@ def _berkowitz(rows: list[Row]) -> list[int]:
     return poly
 
 
-def char_poly(matrix: Sequence[Sequence]) -> UniPoly:
-    """Characteristic polynomial det(t*I - A), exact over the rationals.
+def char_poly(matrix: Sequence[Sequence]) -> list[list[int]]:
+    """det(t*I - A) as one primitive integer polynomial per diagonal block,
+    low degree first with a positive leading coefficient; their product is
+    a positive multiple of det(t*I - A).
 
-    The indices are split into the strongly connected components of the
-    graph i -> j for a[i][j] != 0; ordered along that graph the matrix is
-    block triangular, so the polynomial is the product of the diagonal
-    blocks'.  Each block is scaled to integers by the least common
-    denominator d of its entries and run through Berkowitz's division-free
-    algorithm: the coefficient of t^(m-i) of a block of size m is
-    c_i(d A) / d^i.  A fully connected matrix is one block.
+    The blocks are the strongly connected components of the graph i -> j
+    for a[i][j] != 0, along which the matrix is block triangular.  Each is
+    scaled to integers by the least common denominator d of its entries and
+    run through Berkowitz's division-free algorithm: the block of size m
+    times d^m has the coefficient c_i(d A) d^(m-i) at t^(m-i).
     """
     sparse = [_sparse(row) for row in matrix]
-    result = UniPoly([1])
+    blocks = []
     for component in _strong_components([list(row) for row in sparse]):
         position = {g: p for p, g in enumerate(component)}
         block = [{position[j]: x for j, x in sparse[g].items() if j in position} for g in component]
         d = lcm(1, *(x.denominator for row in block for x in row.values()))
         coeffs = _berkowitz([_scaled(row, d) for row in block])
-        result = result * UniPoly([Fraction(coeffs[i], d ** i) for i in range(len(component), -1, -1)])
-    return result
+        blocks.append(int_cleared([c * d ** k for k, c in enumerate(reversed(coeffs))]))
+    return blocks
 
 
 def rational_eigenvalues(matrix: Sequence[Sequence]) -> list[tuple[Fraction, list[list[Fraction]]]]:
@@ -258,16 +258,20 @@ def rational_eigenvalues(matrix: Sequence[Sequence]) -> list[tuple[Fraction, lis
     package diagonalizes); an irrational real eigenvalue raises, it is never
     silently dropped.
 
-    The matrix is cleared once to sparse integer rows M = d A; for an
-    eigenvalue p/q the rows q M - d p I span the row space of A - (p/q) I,
-    so only the diagonal changes from one eigenvalue to the next.
+    The spectrum is the union of the diagonal blocks', so the roots are
+    read on each distinct block polynomial of ``char_poly``.  The matrix is
+    cleared once to sparse integer rows M = d A; for an eigenvalue p/q the
+    rows q M - d p I span the row space of A - (p/q) I, so only the
+    diagonal changes from one eigenvalue to the next.
     """
     n = len(matrix)
-    p = char_poly(matrix)
-    roots = rational_roots(p)
-    # The roots are distinct and real, so a missed real root shows in the count.
-    if real_root_count(p) != len(roots):
-        raise ExactMathError("matrix has an irrational real eigenvalue; exact eigenspaces unavailable")
+    roots = set()
+    for block in {tuple(block): block for block in char_poly(matrix)}.values():
+        found = rational_roots(block)
+        # The roots are distinct and real, so a missed real root shows in the count.
+        if real_root_count(block) != len(found):
+            raise ExactMathError("matrix has an irrational real eigenvalue; exact eigenspaces unavailable")
+        roots.update(found)
     sparse = [_sparse(row) for row in matrix]
     d = lcm(1, *(x.denominator for row in sparse for x in row.values()))
     cleared = [_scaled(row, d) for row in sparse]

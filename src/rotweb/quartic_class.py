@@ -24,8 +24,9 @@ ints, and c is absorbed exactly into the witness's rescaling factor.  The
 float roots start from an integer Taylor shift of each factor to a rational
 centre and a power-of-two rescaling, so every double handed to the root
 finder is the correctly rounded value of an exact rational, and the
-parameter mu is pinned on the F-equation cleared to integers.  No
-``UniPoly`` is built between the root structure and the witness.
+parameter mu is pinned on the F-equation cleared to integers.  Every
+univariate polynomial in the pipeline is one of the kernel's own integer
+coefficient lists.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .ckt_core import CktError
-from .exactmath import (UniPoly, int_cleared, int_real_root_count, int_refine_root, int_sign_at,
-                        int_squarefree, rat, rat_str)
+from .exactmath import int_cleared, rat, rat_str, refine_root, sign_at, squarefree_decomposition
 from .group_action import GroupElement, Mat2, from_gl2, substitution_action
 from .rotational import RotParams
 
@@ -126,10 +126,6 @@ class BinaryQuartic:
         return (Fraction(den, g), BinaryQuartic(m, l, h, d, a),
                 Invariants(i_val, j_val, delta, f_val))
 
-    def dehomogenize(self) -> UniPoly:
-        """q(z) = Q(z, 1), low-degree-first."""
-        return UniPoly([self.y4, self.xy3, self.x2y2, self.x3y, self.x4])
-
     def to_json(self) -> list[str]:
         return [rat_str(c) for c in self.as_tuple()]
 
@@ -176,8 +172,7 @@ def form_sign(coeffs: Sequence) -> FormSign:
     poly = int_cleared(coeffs[::-1])
     if not poly:
         return FormSign.IDENTICALLY_ZERO
-    if len(poly) > 1 and any(mult % 2 == 1 and int_real_root_count(factor) > 0
-                             for factor, mult in int_squarefree(poly)):
+    if any(mult % 2 == 1 and nreal > 0 for _, mult, nreal in squarefree_decomposition(poly)):
         return FormSign.INDEFINITE
     return FormSign.PSD_NONZERO if poly[-1] > 0 else FormSign.NSD_NONZERO
 
@@ -289,18 +284,12 @@ def root_structure(q: BinaryQuartic) -> RootStructure:
     while not poly[-1]:
         poly.pop()
     inf_mult = 5 - len(poly)
-    finite = []
-    reals: list[int] = []
+    finite = squarefree_decomposition(poly)
+    reals = [inf_mult] if inf_mult else []
     pairs: list[int] = []
-    if inf_mult:
-        reals.append(inf_mult)
-    if len(poly) > 1:
-        for factor, mult in int_squarefree(poly):
-            nreal = int_real_root_count(factor)
-            finite.append((factor, mult, nreal))
-            reals.extend([mult] * nreal)
-            npairs = (len(factor) - 1 - nreal) // 2
-            pairs.extend([mult] * npairs)
+    for factor, mult, nreal in finite:
+        reals.extend([mult] * nreal)
+        pairs.extend([mult] * ((len(factor) - 1 - nreal) // 2))
     structure = RootStructure(
         infinity_multiplicity=inf_mult,
         finite_factors=tuple(finite),
@@ -705,7 +694,7 @@ def _pin_parameter(form: str, inv: Invariants, approx: float) -> tuple[Fraction 
                             36 * s * jj + 288 * s * iii, 0, jj - 4 * iii])
 
     def sign(x: Fraction) -> int:
-        return int_sign_at(poly, x.numerator, x.denominator)
+        return sign_at(poly, x.numerator, x.denominator)
 
     centre = Fraction(approx)
     for width in (Fraction(1, 10**12), Fraction(1, 10**9), Fraction(1, 10**6)):
@@ -715,7 +704,7 @@ def _pin_parameter(form: str, inv: Invariants, approx: float) -> tuple[Fraction 
     else:
         return approx, False
     max_width = Fraction(1, 4 * 10**12) * min(1, abs(centre) or 1)
-    lo, hi = int_refine_root(poly, lo, hi, max_width)
+    lo, hi = refine_root(poly, lo, hi, max_width)
     candidate = ((lo + hi) / 2).limit_denominator(10**6) if lo != hi else lo
     if lo <= candidate <= hi and sign(candidate) == 0:
         return candidate, True

@@ -13,7 +13,7 @@ from importlib import resources
 from typing import TYPE_CHECKING, Sequence
 
 from .ckt_core import CktError, SymTensorField, basis_product, ckv_basis, eigenvector_cross, verify_ckt
-from .exactmath import UniPoly, rat, rat_str
+from .exactmath import rat, rat_str
 from .expr import eval_rational
 
 if TYPE_CHECKING:
@@ -105,12 +105,6 @@ def extract_parameters(k: SymTensorField) -> RotParams:
     d3 = 2 * k13.coeff((1, 0, 0))
     a33 = k[2][2].coeff((0, 0, 0)) - k[1][1].coeff((0, 0, 0))
     return RotParams(m33, l3, h, c33, d3, a33)
-
-
-def singular_polynomial(p: RotParams) -> UniPoly:
-    """q(z) = M33 z^4 + L3 z^3 + H z^2 + D3 z + A33, whose roots on the
-    extended z-axis are the points where all three eigenvalues coincide."""
-    return UniPoly([p.a33, p.d3, p.h, p.l3, p.m33])
 
 
 def eigenvalues_at(p: RotParams, point: Sequence) -> tuple[Fraction, Fraction, Fraction]:

@@ -18,9 +18,10 @@ from rotweb.quartic_class import (BinaryQuartic, WebType, classify_by_invariants
                                   classify_by_roots, covariant_l, form_is_zero, form_sign,
                                   FormSign, hessian, invariants, root_structure)
 from rotweb.rotational import RotParams, assemble_rotational, catalog, eigenvalues_at, \
-    extract_parameters, rotational_eigencondition, singular_polynomial
+    extract_parameters, rotational_eigencondition
 from rotweb.separability import Potential, classify_potential, solve_compatible
 
+from ref_univariate import dehomogenize, singular_polynomial
 from test_ckt_core import expected_commutator
 from test_group_action import covariance_residual
 
@@ -204,7 +205,7 @@ def test_criterion_6_classifier_cross_validation():
             continue
         tried += 1
         structure = root_structure(q)
-        poly = q.dehomogenize()
+        poly = dehomogenize(q)
         cs = [float(c) for c in poly.coeffs]
         roots = np.roots(list(reversed(cs)))
         numeric = np.polynomial.Polynomial(cs)

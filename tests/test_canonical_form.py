@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from rotweb import quartic_class
-from rotweb.exactmath import UniPoly, int_cleared, refine_root, sign_at
+from rotweb.exactmath import int_cleared
 from rotweb.group_action import GroupElement, Mat2, apply_quartic, from_gl2, substitution_action
 from rotweb.quartic_class import (BinaryQuartic, ClassificationError, WebType, _aberth,
                                   _cleared_invariants, _float_roots, _generic_form, _normalized,
@@ -25,6 +25,7 @@ from rotweb.quartic_class import (BinaryQuartic, ClassificationError, WebType, _
                                   root_structure)
 
 from conftest import rand_fraction
+from ref_univariate import UniPoly, ref_refine, ref_sign
 
 PER_STRATUM = 112  # 9 x 112 = 1008 quartics
 
@@ -282,7 +283,8 @@ def fraction_point(centre, k, w):
 
 def fraction_pin_parameter(form, inv, approx):
     """The reference for _pin_parameter, on the F-equation
-    I(mu)^3 - F J(mu)^2 of the quartic's own invariants as a UniPoly."""
+    I(mu)^3 - F J(mu)^2 of the quartic's own invariants as a UniPoly, with
+    Fraction signs and bisection."""
     c = 1 if form == "I" else -1
     i_mu = UniPoly([12 * c, 0, 1])
     j_mu = UniPoly([0, 72 * c, 0, -2])
@@ -290,14 +292,14 @@ def fraction_pin_parameter(form, inv, approx):
     centre = Fraction(approx)
     for width in (Fraction(1, 10**12), Fraction(1, 10**9), Fraction(1, 10**6)):
         lo, hi = centre - width * max(1, abs(centre)), centre + width * max(1, abs(centre))
-        if sign_at(poly, lo) * sign_at(poly, hi) <= 0:
+        if ref_sign(poly.eval(lo)) * ref_sign(poly.eval(hi)) <= 0:
             break
     else:
         return approx, False
     max_width = Fraction(1, 4 * 10**12) * min(1, abs(centre) or 1)
-    lo, hi = refine_root(poly, lo, hi, max_width)
+    lo, hi = ref_refine(poly, lo, hi, max_width)
     candidate = ((lo + hi) / 2).limit_denominator(10**6) if lo != hi else lo
-    if lo <= candidate <= hi and sign_at(poly, candidate) == 0:
+    if lo <= candidate <= hi and poly.eval(candidate) == 0:
         return candidate, True
     return float((lo + hi) / 2), False
 

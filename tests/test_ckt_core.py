@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,10 +10,11 @@ from rotweb.ckt_core import (CktCoefficients, CktError, SymTensorField, assemble
                              commutator, conformal_factor, coefficients_from_free, killing_obstruction,
                              lie_derivative, lie_operator, metric, symmetric_product,
                              symbolic_family, symmetry_subspace, tsn_check, tsn_filter, verify_ckt)
-from rotweb.exactmath import ExactMathError, Poly, UniPoly
-from rotweb.linalg import char_poly, solve_many
+from rotweb.exactmath import ExactMathError, Poly
+from rotweb.linalg import char_poly, solve_many, vanishing_combinations
 
 from conftest import rand_fraction
+from ref_univariate import UniPoly, product, ref_monic
 
 X, Y, Z = (Poly.variable(i, 3) for i in range(3))
 ZERO = Poly.zero(3)
@@ -284,6 +286,7 @@ def ck_residual(k, i, j, m):
 
 
 CK_EQUATIONS = [(i, j, m) for i in range(3) for j in range(i, 3) for m in range(j, 3)]
+INDEPENDENT = [eq for eq in CK_EQUATIONS if len(set(eq)) > 1]
 
 
 class TestVerifyCktEquations:
@@ -311,6 +314,25 @@ class TestVerifyCktEquations:
         if len({i, j, m}) == 3:
             assert failing == [(i, j, m)]
         assert verify_ckt(perturbed)[0] is False
+
+    @pytest.mark.parametrize("i,j,m", INDEPENDENT, ids=[f"{i}{j}{m}" for i, j, m in INDEPENDENT])
+    def test_each_tested_equation_is_needed(self, i, j, m):
+        # verify_ckt tests the seven equations other than (c, c, c).  For
+        # each of them a tensor of degree 1 satisfies the six others but not
+        # this one, so dropping any of the seven would pass a non-CKT: found
+        # as a null combination, under the six other residuals, of the
+        # tensors with one monomial of degree <= 2 in one upper component.
+        others = [eq for eq in INDEPENDENT if eq != (i, j, m)]
+        monomials = [e for e in itertools.product(range(3), repeat=3) if sum(e) <= 2]
+        basis = [SymTensorField.from_upper(*(Poly.from_terms({e: 1}, 3) if ab == upper else ZERO
+                                             for ab in cc._UPPER))
+                 for upper in cc._UPPER for e in monomials]
+        null = vanishing_combinations([[ck_residual(t, *eq) for eq in others] for t in basis])
+        tensors = (SymTensorField.combination([(c, t) for c, t in zip(vec, basis) if c], 3) for vec in null)
+        k = next(k for k in tensors if not ck_residual(k, i, j, m).is_zero)
+        failing = [eq for eq in CK_EQUATIONS if not ck_residual(k, *eq).is_zero]
+        assert (i, j, m) in failing and all(eq == (i, j, m) or len(set(eq)) == 1 for eq in failing)
+        assert verify_ckt(k)[0] is False
 
 
 def oracle_coefficients_from_free(vec):
@@ -677,7 +699,7 @@ class TestSymmetrySubspace:
             for _ in basis:
                 expected = expected * UniPoly([-h, 1])
         assert sum(len(basis) for _, basis in spaces) == cc.DIM_TRACE_FREE
-        assert char_poly(operator) == expected
+        assert ref_monic(product(char_poly(operator))) == expected
 
     @pytest.mark.parametrize("name", ["X3", "I3", "R3"])
     def test_constant_mode_finds_only_the_kernel(self, name):

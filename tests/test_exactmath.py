@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -8,14 +7,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rotweb.ckt_core import ckv_by_name, lie_operator
-from rotweb.exactmath import (DEGREE_LIMIT, ExactMathError, Poly, RationalFunction, UniPoly,
-                              isolate_real_roots, poly_gcd, rat, rat_str,
-                              rational_roots, real_root_count, refine_root, sign_at,
-                              squarefree_decomposition, squarefree_part)
+from rotweb.exactmath import (DEGREE_LIMIT, ExactMathError, Poly, RationalFunction, _gcd,
+                              isolate_real_roots, rat, rat_str, rational_roots, real_root_count,
+                              refine_root, sign_at, squarefree_decomposition)
 from rotweb.linalg import char_poly
 from rotweb.quartic_class import WebType, covariant_l, covariant_m, hessian
 
 from conftest import companion_real_root_count, rand_fraction
+from ref_univariate import (UniPoly, ints, product, ref_divmod, ref_gcd, ref_isolate, ref_monic,
+                            ref_rational_roots, ref_real_root_count, ref_refine, ref_sign,
+                            ref_squarefree_decomposition, ref_squarefree_part, squarefree_ints)
 from test_canonical_form import extreme_quartic, partition_quartic
 
 
@@ -23,140 +24,18 @@ def up(*coeffs):
     return UniPoly(coeffs)
 
 
-# ---------------------------------------------------------------------------
-# The former univariate kernel over Fraction, kept as the reference: Euclid's
-# algorithm with Fraction long division, Yun's algorithm on monic gcds, and
-# Sturm sequences of Fraction remainders evaluated by Fraction Horner.
-
-
-def ref_divmod(p, q):
-    rem = [Fraction(c) for c in p.coeffs]
-    quot = [Fraction(0)] * max(0, len(rem) - len(q.coeffs) + 1)
-    d, lead = q.degree, Fraction(q.coeffs[-1])
-    for i in range(len(rem) - 1, d - 1, -1):
-        c = rem[i] / lead
-        if c:
-            quot[i - d] = c
-            for j, b in enumerate(q.coeffs):
-                rem[i - d + j] -= c * b
-    return UniPoly(quot), UniPoly(rem)
-
-
-def ref_exact_div(p, q):
-    quot, rem = ref_divmod(p, q)
-    assert rem.is_zero
-    return quot
-
-
-def ref_monic(p):
-    return UniPoly([Fraction(c) / p.lead for c in p.coeffs]) if not p.is_zero else p
-
-
-def ref_gcd(p, q):
-    a, b = p, q
-    while not b.is_zero:
-        a, b = b, ref_divmod(a, b)[1]
-    return ref_monic(a)
-
-
-def ref_squarefree_decomposition(p):
-    if p.degree == 0:
-        return []
-    factors = []
-    g = ref_gcd(p, p.derivative())
-    b = ref_exact_div(p, g)
-    d = ref_exact_div(p.derivative(), g) - b.derivative()
-    mult = 1
-    while b.degree > 0:
-        a = ref_gcd(b, d)
-        if a.degree > 0:
-            factors.append((a, mult))
-        b = ref_exact_div(b, a)
-        d = ref_exact_div(d, a) - b.derivative()
-        mult += 1
-    return factors
-
-
-def ref_squarefree_part(p):
-    return UniPoly([1]) if p.degree == 0 else ref_monic(ref_exact_div(p, ref_gcd(p, p.derivative())))
-
-
-def ref_sturm(p):
-    seq = [p, p.derivative()]
-    while not seq[-1].is_zero:
-        seq.append(-ref_divmod(seq[-2], seq[-1])[1])
-    return seq[:-1]
-
-
-def ref_sign(x):
-    return (x > 0) - (x < 0)
-
-
-def ref_variations(signs):
-    cleaned = [s for s in signs if s]
-    return sum(1 for a, b in zip(cleaned, cleaned[1:]) if a != b)
-
-
-def ref_real_root_count(p):
-    seq = ref_sturm(p)
-    at = lambda positive: ref_variations(  # noqa: E731
-        ref_sign(q.lead) * (1 if positive or q.degree % 2 == 0 else -1) for q in seq)
-    return at(False) - at(True)
-
-
-def ref_isolate(sf):
-    seq = ref_sturm(sf)
-    out = []
-
-    def variations(x):
-        return ref_variations(ref_sign(q.eval(x)) for q in seq)
-
-    bound = Fraction(1)
-    if sf.degree > 0:
-        bound += max(abs(Fraction(c)) for c in sf.coeffs[:-1]) / abs(sf.lead)
-    stack = [(-bound, bound, variations(-bound), variations(bound))]
-    while stack:
-        lo, hi, vlo, vhi = stack.pop()
-        if vlo - vhi == 1:
-            out.append((lo, hi))
-        elif vlo > vhi:
-            mid = (lo + hi) / 2
-            vmid = variations(mid)
-            stack += [(mid, hi, vmid, vhi), (lo, mid, vlo, vmid)]
-    return out
-
-
-def ref_refine(p, lo, hi, max_width):
-    shi = ref_sign(p.eval(hi))
-    if shi == 0:
-        return hi, hi
-    while hi - lo > max_width:
-        mid = (lo + hi) / 2
-        smid = ref_sign(p.eval(mid))
-        if smid == 0:
-            return mid, mid
-        lo, hi = (lo, mid) if smid == shi else (mid, hi)
-    return lo, hi
-
-
-def ref_rational_roots(p):
-    sf = ref_squarefree_part(p)
-    c = math.lcm(*(x.denominator for x in sf.coeffs))
-    roots = []
-    for lo, hi in ref_isolate(sf):
-        lo, hi = ref_refine(sf, lo, hi, Fraction(1, 2 * c))
-        candidate = Fraction(math.floor(hi * c), c)
-        if (lo < candidate or lo == hi) and sf.eval(candidate) == 0:
-            roots.append(candidate)
-    return roots
+def gcd_of(p, q):
+    """The kernel's gcd of two UniPolys, as a UniPoly."""
+    return UniPoly(_gcd(ints(p), ints(q)))
 
 
 def check_isolation(p, rationals, irrational=()) -> int:
     """Assert the root contract of p, whose distinct real roots are the given
     rationals and the irrationals sign * sqrt(c) for each (sign, c), c not a
     square: one increasing, disjoint interval (lo, hi], lo < hi, around each
-    root, the rational roots exactly, and the count.  Returns how many
-    nonzero roots sit at a right end, that is, were hit by a midpoint."""
+    root of its square-free part, the rational roots exactly, and the count.
+    Returns how many nonzero roots sit at a right end, that is, were hit by a
+    midpoint."""
     def below(x, root):  # x < root
         if isinstance(root, Fraction):
             return x < root
@@ -165,13 +44,13 @@ def check_isolation(p, rationals, irrational=()) -> int:
 
     rationals = sorted(Fraction(r) for r in rationals)
     known = rationals + list(irrational)
-    intervals = isolate_real_roots(p)
-    assert len(intervals) == len(known) == real_root_count(p)
+    intervals = isolate_real_roots(squarefree_ints(p))
+    assert len(intervals) == len(known) == real_root_count(ints(p))
     for lo, hi in intervals:
         assert lo < hi
         assert sum(below(lo, r) and not below(hi, r) for r in known) == 1
     assert all(a[1] <= b[0] for a, b in zip(intervals, intervals[1:]))
-    assert rational_roots(p) == rationals
+    assert rational_roots(ints(p)) == rationals
     return sum(hi != 0 and hi in rationals for _, hi in intervals)
 
 
@@ -188,19 +67,17 @@ class TestRational:
 
 
 class TestPolyGcd:
+    """The primitive gcd behind Yun's algorithm."""
+
     def test_shared_linear_factor(self):
-        assert poly_gcd(up(-1, 0, 1), up(-1, 1)) == up(-1, 1)
+        assert gcd_of(up(-1, 0, 1), up(-1, 1)) == up(-1, 1)
 
     def test_derivative_pair(self):
         # gcd(z^4 + 2 z^2 + 1, 4 z^3 + 4 z) = z^2 + 1
-        assert poly_gcd(up(1, 0, 2, 0, 1), up(0, 4, 0, 4)) == up(1, 0, 1)
+        assert gcd_of(up(1, 0, 2, 0, 1), up(0, 4, 0, 4)) == up(1, 0, 1)
 
     def test_monomials(self):
-        assert poly_gcd(up(0, 0, 0, 1), up(0, 0, 1)) == up(0, 0, 1)
-
-    def test_both_zero_raises(self):
-        with pytest.raises(ExactMathError):
-            poly_gcd(UniPoly(), UniPoly())
+        assert gcd_of(up(0, 0, 0, 1), up(0, 0, 1)) == up(0, 0, 1)
 
     @given(st.lists(st.integers(-9, 9), min_size=1, max_size=5),
            st.lists(st.integers(-9, 9), min_size=1, max_size=5))
@@ -208,33 +85,44 @@ class TestPolyGcd:
         p, q = UniPoly(a), UniPoly(b)
         if p.is_zero and q.is_zero:
             return
-        g = poly_gcd(p, q)
+        g = gcd_of(p, q)
+        assert g.lead > 0
         for poly in (p, q):
             if not poly.is_zero:
                 assert ref_divmod(poly, g)[1].is_zero
         assert g.degree <= min(d for d in (p.degree, q.degree) if d >= 0)
 
 
+def reference_triples(p):
+    """The square-free factors of ref_squarefree_decomposition, with their
+    multiplicities and ref_real_root_count."""
+    return [(f, m, ref_real_root_count(f)) for f, m in ref_squarefree_decomposition(p)]
+
+
+def monic_triples(a):
+    """The triples of squarefree_decomposition with monic factors."""
+    return [(ref_monic(UniPoly(f)), m, n) for f, m, n in squarefree_decomposition(a)]
+
+
 class TestSquarefree:
     def test_perfect_square(self):
-        factors = squarefree_decomposition(up(1, 0, 2, 0, 1))
-        assert factors == [(up(1, 0, 1), 2)]
+        assert squarefree_decomposition(ints(up(1, 0, 2, 0, 1))) == [([1, 0, 1], 2, 0)]
 
     def test_mixed_multiplicities(self):
         # z^3 (z - 1)
-        factors = squarefree_decomposition(up(0, 0, 0, -1, 1))
-        assert (up(0, 1), 3) in factors and (up(-1, 1), 1) in factors
+        factors = squarefree_decomposition(ints(up(0, 0, 0, -1, 1)))
+        assert ([0, 1], 3, 1) in factors and ([-1, 1], 1, 1) in factors
 
     def test_two_double_factors(self):
         # z^4 + 2 z^3 + z^2 = z^2 (z + 1)^2: one square-free factor z(z + 1)
         # of multiplicity 2 (equal-multiplicity factors stay grouped).
-        factors = squarefree_decomposition(up(0, 0, 1, 2, 1))
-        assert factors == [(up(0, 1, 1), 2)]
+        factors = squarefree_decomposition(ints(up(0, 0, 1, 2, 1)))
+        assert factors == [([0, 1, 1], 2, 2)]
         assert real_root_count(factors[0][0]) == 2
 
     def test_zero_raises(self):
         with pytest.raises(ExactMathError):
-            squarefree_decomposition(UniPoly())
+            squarefree_decomposition([])
 
     def test_reassembly_on_random_products(self):
         rng = random.Random(7)
@@ -247,11 +135,34 @@ class TestSquarefree:
                     factor = up(rng.randint(-4, 4), rng.randint(-4, 4), 1)
                 for _ in range(rng.randint(1, 3)):
                     p = p * factor
-            product = UniPoly([1])
-            for factor, mult in squarefree_decomposition(p):
-                for _ in range(mult):
-                    product = product * factor
-            assert ref_monic(product) == ref_monic(p)
+            factors = squarefree_decomposition(ints(p))
+            assert ref_monic(product(f for f, mult, _ in factors for _ in range(mult))) == ref_monic(p)
+
+    def test_triples_match_the_reference(self):
+        # Square-free inputs (read off one Sturm sequence), products with
+        # repeated factors (Yun's algorithm), either sign of the leading
+        # coefficient, linear factors and lone linear and constant inputs.
+        rng = random.Random(21)
+        kinds = {"squarefree": 0, "repeated": 0, "negative": 0, "linear": 0}
+        for trial in range(600):
+            p = up(rng.choice((-1, 1)) * rng.randint(1, 5))
+            for _ in range(trial % 4):
+                degree = rng.choice((1, 1, 2, 3))
+                factor = UniPoly([rng.randint(-6, 6) for _ in range(degree)] + [rng.randint(1, 4)])
+                for _ in range(1 if trial % 3 else rng.randint(1, 3)):
+                    p = p * factor
+            expected = reference_triples(p)
+            got = squarefree_decomposition(ints(p))
+            assert monic_triples(ints(p)) == expected, p
+            for factor, _, nreal in got:
+                assert factor[-1] > 0 and nreal == real_root_count(factor)
+            kinds["squarefree"] += p.degree > 0 and [m for _, m, _ in expected] == [1]
+            kinds["repeated"] += any(m > 1 for _, m, _ in expected)
+            kinds["negative"] += p.degree > 0 and p.lead < 0
+            kinds["linear"] += any(f.degree == 1 for f, _, _ in expected)
+        assert min(kinds.values()) >= 100, kinds
+        assert squarefree_decomposition([-3]) == []
+        assert squarefree_decomposition([6, -4]) == [([-3, 2], 1, 1)]
 
 
 class TestRealRootCount:
@@ -262,15 +173,15 @@ class TestRealRootCount:
         ((5,), 0),
     ])
     def test_examples(self, coeffs, count):
-        assert real_root_count(up(*coeffs)) == count
+        assert real_root_count(ints(up(*coeffs))) == count
 
     def test_tolerates_repeated_roots(self):
-        assert real_root_count(up(1, 0, 2, 0, 1) * up(1, 0, 2, 0, 1)) == 0
-        assert real_root_count(up(0, 0, 1)) == 1
+        assert real_root_count(ints(up(1, 0, 2, 0, 1) * up(1, 0, 2, 0, 1))) == 0
+        assert real_root_count(ints(up(0, 0, 1))) == 1
 
     def test_zero_raises(self):
         with pytest.raises(ExactMathError):
-            real_root_count(UniPoly())
+            real_root_count([])
 
     def test_against_companion_oracle(self):
         rng = random.Random(11)
@@ -278,43 +189,45 @@ class TestRealRootCount:
         while tried < 1000:
             coeffs = [rng.randint(-20, 20) for _ in range(4)] + [rng.randint(1, 20)]
             p = UniPoly(coeffs)
-            if not poly_gcd(p, p.derivative()).degree == 0:
+            if not ref_gcd(p, p.derivative()).degree == 0:
                 continue
             tried += 1
-            assert real_root_count(p) == companion_real_root_count(coeffs)
+            assert real_root_count(ints(p)) == companion_real_root_count(coeffs)
 
 
 class TestRootIsolation:
     def test_isolates_known_roots(self):
         p = up(4, 0, -5, 0, 1)  # roots -2, -1, 1, 2
-        intervals = isolate_real_roots(p)
+        intervals = isolate_real_roots(ints(p))
         assert len(intervals) == 4
         for (lo, hi), root in zip(intervals, (-2, -1, 1, 2)):
             assert lo <= root <= hi or lo < root <= hi
 
     def test_exact_rational_roots(self):
         p = up(-6, 11, -6, 1)  # (z-1)(z-2)(z-3)
-        assert rational_roots(p) == [1, 2, 3]
-        assert rational_roots(up(Fraction(-1, 2), 1)) == [Fraction(1, 2)]
+        assert rational_roots(ints(p)) == [1, 2, 3]
+        assert rational_roots(ints(up(Fraction(-1, 2), 1))) == [Fraction(1, 2)]
 
     def test_irrational_roots_not_reported(self):
-        assert rational_roots(up(-2, 0, 1)) == []
+        assert rational_roots(ints(up(-2, 0, 1))) == []
 
     def test_large_denominators(self):
         a, b = Fraction(1, 10**7 + 1), Fraction(-5, 2**70)
-        assert rational_roots(up(-a, 1)) == [a]
-        assert rational_roots(up(-b, 1)) == [b]
+        assert rational_roots(ints(up(-a, 1))) == [a]
+        assert rational_roots(ints(up(-b, 1))) == [b]
         # sqrt(2) and -sqrt(2) sit between and around them and are not reported.
-        assert rational_roots(up(-a, 1) * up(-b, 1) * up(-2, 0, 1)) == [b, a]
+        assert rational_roots(ints(up(-a, 1) * up(-b, 1) * up(-2, 0, 1))) == [b, a]
 
     def test_repeated_root_once(self):
         r = Fraction(3, 7)
-        assert rational_roots(up(-r, 1) * up(-r, 1) * up(-r, 1) * up(1, 1)) == [-1, r]
+        assert rational_roots(ints(up(-r, 1) * up(-r, 1) * up(-r, 1) * up(1, 1))) == [-1, r]
 
     def test_zero_and_constant(self):
-        assert rational_roots(up(0, -1, 0, 1)) == [-1, 0, 1]
-        assert rational_roots(up(0, 0, 5)) == [0]
-        assert rational_roots(up(Fraction(7, 3))) == []
+        assert rational_roots(ints(up(0, -1, 0, 1))) == [-1, 0, 1]
+        assert rational_roots(ints(up(0, 0, 5))) == [0]
+        assert rational_roots(ints(up(Fraction(7, 3)))) == []
+        with pytest.raises(ExactMathError):
+            rational_roots([])
 
     def test_random_products_of_factors(self):
         rng = random.Random(17)
@@ -329,12 +242,12 @@ class TestRootIsolation:
                 p = p * up(-rng.choice((2, 3, 5, 7)), 0, 1)  # two irrational roots
             if rng.random() < 0.5:
                 p = p * up(rng.randint(1, 9), 0, 1)  # no real roots
-            assert rational_roots(p) == sorted(roots)
+            assert rational_roots(ints(p)) == sorted(roots)
 
     def test_midpoints_that_are_roots(self):
         # z^3 - z: the Cauchy bound is 2, so the midpoints 0 and -1 are roots,
         # and they come back as the right ends of their intervals.
-        p = up(0, -1, 0, 1)
+        p = ints(up(0, -1, 0, 1))
         assert isolate_real_roots(p) == [(-2, -1), (-1, 0), (0, 2)]
         assert real_root_count(p) == 3
         assert rational_roots(p) == [-1, 0, 1]
@@ -343,13 +256,13 @@ class TestRootIsolation:
         # z (z^2 - 1000 z + 1): 0 is the first midpoint, and the irrational
         # root near 1/1000 is isolated in an interval (0, hi] narrowed to
         # width 1/2, where floor(hi) = 0 is the root below, not this one.
-        p = up(0, 1, -1000, 1)
+        p = ints(up(0, 1, -1000, 1))
         assert isolate_real_roots(p)[1][0] == 0
         assert rational_roots(p) == [0]
 
     def test_refine_from_a_root_at_lo(self):
         # z^3 - 2 z isolates sqrt(2) in (0, 3], and 0 is the root below it.
-        p = up(0, -2, 0, 1)
+        p = ints(up(0, -2, 0, 1))
         lo, hi = isolate_real_roots(p)[2]
         assert (lo, hi) == (0, 3)
         lo, hi = refine_root(p, lo, hi, Fraction(1, 10**6))
@@ -393,12 +306,12 @@ class TestRootIsolation:
         # Two roots 10^-400 apart lie some 1330 bisection levels below the
         # Cauchy bound, deeper than Python's default recursion limit.
         a, b = Fraction(1, 10**400), Fraction(2, 10**400)
-        p = up(a * b, -(a + b), 1)
+        p = ints(up(a * b, -(a + b), 1))
         assert len(isolate_real_roots(p)) == 2
         assert rational_roots(p) == [a, b]
 
     def test_refine_narrows(self):
-        p = up(-2, 0, 1)
+        p = ints(up(-2, 0, 1))
         lo, hi = isolate_real_roots(p)[1]  # the positive root sqrt(2)
         lo2, hi2 = refine_root(p, lo, hi, Fraction(1, 10**6))
         assert hi2 - lo2 <= Fraction(1, 10**6)
@@ -408,24 +321,25 @@ class TestRootIsolation:
 
 def assert_same_as_reference(p, intervals=True):
     """The integer kernel gives exactly what the Fraction kernel gave: the
-    same printed factors, counts, gcd and square-free part, and unless
-    intervals is false the same isolating intervals, refinements and
-    rational roots."""
-    factors = squarefree_decomposition(p)
-    assert [(str(f), m) for f, m in factors] == [(str(f), m) for f, m in ref_squarefree_decomposition(p)]
-    assert [real_root_count(f) for f, _ in factors] == [ref_real_root_count(f) for f, _ in factors]
-    assert real_root_count(p) == ref_real_root_count(p)
-    assert str(poly_gcd(p, p.derivative())) == str(ref_gcd(p, p.derivative()))
+    same monic factors, multiplicities and counts, gcd and square-free part,
+    and unless intervals is false the same isolating intervals, refinements
+    and rational roots."""
+    a = ints(p)
+    factors = monic_triples(a)
+    assert factors == reference_triples(p)
+    assert [real_root_count(ints(f)) for f, _, _ in factors] == [n for _, _, n in factors]
+    assert real_root_count(a) == ref_real_root_count(p)
+    assert ref_monic(gcd_of(p, p.derivative())) == ref_gcd(p, p.derivative())
     sf = ref_squarefree_part(p)
-    assert str(squarefree_part(p)) == str(sf)
+    assert ref_monic(UniPoly(squarefree_ints(p))) == sf
     if not intervals:
         return
-    found = isolate_real_roots(p)
+    found = isolate_real_roots(ints(sf))
     assert found == ref_isolate(sf)
     width = Fraction(1, 10**12)
-    assert [refine_root(squarefree_part(p), lo, hi, width) for lo, hi in found] == [
+    assert [refine_root(ints(sf), lo, hi, width) for lo, hi in found] == [
         ref_refine(sf, lo, hi, width) for lo, hi in found]
-    assert rational_roots(p) == ref_rational_roots(p)
+    assert rational_roots(a) == ref_rational_roots(p)
 
 
 def quartic_and_covariants(q) -> dict:
@@ -456,7 +370,8 @@ class TestReferenceParity:
 
     @pytest.mark.parametrize("name", ["X3", "R3", "D", "I3"])
     def test_lie_operator_char_polys(self, name):
-        p = char_poly(lie_operator(ckv_by_name(name)))
+        # The product of the diagonal blocks' polynomials.
+        p = product(char_poly(lie_operator(ckv_by_name(name))))
         assert p.degree == 35
         assert_same_as_reference(p)
 
@@ -470,6 +385,12 @@ def irreducible_quadratic(rng, digits, real):
     return up(r * r - s * s * d, -2 * r, 1)
 
 
+def kernel_sign_at(p, x):
+    """sign_at on the kernel's polynomial for p, at the rational x."""
+    x = Fraction(x)
+    return sign_at(ints(p), x.numerator, x.denominator)
+
+
 class TestExtremeHeights:
     def test_root_counts_of_constructed_products(self):
         # Distinct rational roots and irreducible quadratics with p/q of up
@@ -481,17 +402,17 @@ class TestExtremeHeights:
             roots = {Fraction(rng.randint(-10**digits, 10**digits), rng.randint(1, 10**digits))
                      for _ in range(rng.randint(0, 3))}
             real = [rng.random() < 0.5 for _ in range(rng.randint(0, 2))]
-            quadratics = {str(q): q for q in (irreducible_quadratic(rng, digits, r) for r in real)}
+            quadratics = {repr(q): q for q in (irreducible_quadratic(rng, digits, r) for r in real)}
             p = up(Fraction(10) ** rng.randint(-400, 400) * rng.choice((-1, 1)))
             for factor in [up(-r, 1) for r in roots] + list(quadratics.values()):
                 for _ in range(rng.randint(1, 3)):
                     p = p * factor
             highest = max(highest, *(max(abs(c.numerator), c.denominator) for c in p.coeffs))
             count = len(roots) + sum(2 for q in quadratics.values() if q.coeffs[1] ** 2 > 4 * q.coeffs[0])
-            assert real_root_count(p) == len(isolate_real_roots(p)) == count
+            assert real_root_count(ints(p)) == len(isolate_real_roots(squarefree_ints(p))) == count
             for x in list(roots) + [Fraction(rng.randint(-10**digits, 10**digits), rng.randint(1, 10**digits))
                                     for _ in range(5)]:
-                assert sign_at(p, x) == ref_sign(p.eval(x))
+                assert kernel_sign_at(p, x) == ref_sign(p.eval(x))
         assert highest > 10**400
 
     def test_sign_at_random_points(self):
@@ -500,7 +421,7 @@ class TestExtremeHeights:
             p = UniPoly([Fraction(rng.randint(-10**k, 10**k), rng.randint(1, 10**k))
                          for k in (rng.randint(0, 400) for _ in range(rng.randint(1, 9)))])
             for x in (Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**9)), rng.randint(-5, 5)):
-                assert sign_at(p, x) == ref_sign(p.eval(x))
+                assert kernel_sign_at(p, x) == ref_sign(p.eval(x))
 
 
 class TestPoly:

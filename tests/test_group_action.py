@@ -3,14 +3,15 @@ from fractions import Fraction
 import pytest
 
 from rotweb.ckt_core import CktError
-from rotweb.exactmath import UniPoly, rat
+from rotweb.exactmath import rat
 from rotweb.group_action import (INFINITY, GroupElement, Mat2, apply, apply_quartic,
                                  axis_action, compose, from_gl2, inverse,
                                  substitution_action)
 from rotweb.quartic_class import BinaryQuartic, invariants, root_structure
-from rotweb.rotational import RotParams, singular_polynomial
+from rotweb.rotational import RotParams
 
 from conftest import rand_fraction
+from ref_univariate import UniPoly, singular_polynomial
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,24 @@ import numpy as np
 import pytest
 
 from rotweb import ckt_core
-from rotweb.exactmath import ExactMathError, Poly, UniPoly, rational_roots, real_root_count
+from rotweb.exactmath import ExactMathError, Poly, rational_roots, real_root_count
 from rotweb.linalg import (char_poly, extended_coordinates, nullspace, rank, rational_eigenvalues,
                            row_echelon, solve_many, vanishing_combinations)
+
+from ref_univariate import UniPoly, ints, product, ref_monic
 
 
 def frac_matrix(rows):
     return [[Fraction(x) for x in row] for row in rows]
+
+
+def block_product(m):
+    """The product of char_poly's block polynomials, each checked to be a
+    primitive integer polynomial with a positive leading coefficient."""
+    blocks = char_poly(m)
+    for block in blocks:
+        assert all(type(c) is int for c in block) and block[-1] > 0 and gcd(*block) == 1
+    return product(blocks)
 
 
 class TestElimination:
@@ -65,16 +76,18 @@ class TestElimination:
 
 class TestCharPoly:
     def test_small_known(self):
-        assert char_poly(frac_matrix([[2]])) == UniPoly([-2, 1])
+        assert char_poly(frac_matrix([[2]])) == [[-2, 1]]
         # [[1, 2], [3, 4]]: t^2 - 5t - 2
-        assert char_poly(frac_matrix([[1, 2], [3, 4]])) == UniPoly([-2, -5, 1])
+        assert char_poly(frac_matrix([[1, 2], [3, 4]])) == [[-2, -5, 1]]
+        # Two 1x1 blocks: 2 t - 1 and t - 3.
+        assert sorted(char_poly(frac_matrix([[Fraction(1, 2), 0], [1, 3]]))) == [[-3, 1], [-1, 2]]
 
     def test_against_numpy(self):
         rng = random.Random(5)
         for _ in range(25):
             n = rng.randint(1, 6)
             m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-            cp = char_poly(m)
+            cp = ref_monic(block_product(m))
             expected = np.poly(np.array(m, dtype=float))  # high-first
             got = [float(c) for c in reversed(cp.coeffs)]
             assert np.allclose(got, expected, atol=1e-6)
@@ -189,21 +202,34 @@ class TestCharPolyParity:
                 density = 0.25 if kind == 0 else 1.0
                 m = [[random_entry(rng) if rng.random() < density else 0 for _ in range(n)]
                      for _ in range(n)]
-            assert char_poly(m) == interpolated_char_poly(m), m
+            assert ref_monic(block_product(m)) == interpolated_char_poly(m), m
+
+    def test_block_product_is_a_positive_multiple(self):
+        # Scattered blocks of mixed sizes and denominators: the product of
+        # the blocks is c det(t*I - A) with c > 0, one polynomial per block.
+        rng = random.Random(2025)
+        for trial in range(60):
+            m = block_triangular(rng, 1 + trial % 8)
+            product, expected = block_product(m), interpolated_char_poly(m)
+            c = product.lead
+            assert c > 0 and product == expected * c, m
+            assert sum(len(block) - 1 for block in char_poly(m)) == len(m)
 
     def test_empty_matrix(self):
-        assert char_poly([]) == UniPoly([1])
+        assert char_poly([]) == []
+        assert block_product([]) == UniPoly([1])
 
     def test_strictly_upper_triangular(self):
         rng = random.Random(8)
         for n in range(1, 9):
             m = [[random_entry(rng) if j > i else 0 for j in range(n)] for i in range(n)]
-            assert char_poly(m) == UniPoly.monomial(n)
+            assert char_poly(m) == [[0, 1]] * n
 
     def test_rotation_block(self):
         m = frac_matrix([[0, -1, 5, 0], [1, 0, 2, 0], [0, 0, 3, 0], [7, 0, 1, Fraction(1, 2)]])
         expected = UniPoly([1, 0, 1]) * UniPoly([-3, 1]) * UniPoly([Fraction(-1, 2), 1])
-        assert char_poly(m) == expected == interpolated_char_poly(m)
+        assert ref_monic(block_product(m)) == expected == interpolated_char_poly(m)
+        assert sorted(char_poly(m)) == [[-3, 1], [-1, 2], [1, 0, 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +436,14 @@ class TestEliminationParity:
 
 
 # ---------------------------------------------------------------------------
-# rational_eigenvalues against its former implementation, which built a dense
-# shifted Fraction matrix for every eigenvalue.
+# rational_eigenvalues against its former implementation, which read the
+# roots on the product of the blocks' polynomials and built a dense shifted
+# Fraction matrix for every eigenvalue.
 
 
 def dense_rational_eigenvalues(matrix):
     n = len(matrix)
-    p = char_poly(matrix)
+    p = ints(block_product(matrix))
     roots = rational_roots(p)
     if real_root_count(p) != len(roots):
         raise ExactMathError("matrix has an irrational real eigenvalue; exact eigenspaces unavailable")
@@ -471,6 +498,43 @@ class TestRationalEigenvaluesParity:
             for h, space in result:
                 for vec in space:
                     assert [sum(a * x for a, x in zip(row, vec)) for row in m] == [h * x for x in vec]
+
+    def test_blocks_sharing_an_eigenvalue(self):
+        # Diagonal blocks [[1, 1], [1, 1]] (eigenvalues 0, 2), [[2]], [[2]]
+        # and [[1/2, 3/2], [3/2, 1/2]] (eigenvalues 2, -1), coupled below the
+        # diagonal and scattered by a permutation: 2 is an eigenvalue of
+        # three blocks, two of whose polynomials are equal, and comes back
+        # once, with one eigenspace.
+        rng = random.Random(83)
+        half, three_halves = Fraction(1, 2), Fraction(3, 2)
+        m = frac_matrix([[1, 1, 0, 0, 0, 0],
+                         [1, 1, 0, 0, 0, 0],
+                         [3, 0, 2, 0, 0, 0],
+                         [0, -1, 5, 2, 0, 0],
+                         [1, 0, 0, 7, half, three_halves],
+                         [0, 2, 0, 0, three_halves, half]])
+        perm = list(range(6))
+        rng.shuffle(perm)
+        m = [[m[perm[i]][perm[j]] for j in range(6)] for i in range(6)]
+        assert len(char_poly(m)) == 4
+        result = rational_eigenvalues(m)
+        assert [h for h, _ in result] == [-1, 0, 2]
+        assert result == dense_rational_eigenvalues(m)
+        for h, space in result:
+            for vec in space:
+                assert [sum(a * x for a, x in zip(row, vec)) for row in m] == [h * x for x in vec]
+
+    def test_irrational_block_beside_rational_blocks(self):
+        # Blocks [[1/3]], [[0, 2], [1, 0]] (eigenvalues +-sqrt(2)) and [[5]],
+        # coupled below the diagonal: the rational blocks' roots do not hide
+        # the irrational pair.
+        m = frac_matrix([[Fraction(1, 3), 0, 0, 0],
+                         [1, 0, 2, 0],
+                         [0, 1, 0, 0],
+                         [4, 0, -1, 5]])
+        assert len(char_poly(m)) == 3
+        with pytest.raises(ExactMathError, match="irrational"):
+            rational_eigenvalues(m)
 
     def test_irrational_eigenvalue_still_raises(self):
         # Eigenvalues 1/3, -1/2 and the irrational pair +-sqrt(2).

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from rotweb import quartic_class as qc
-from rotweb.exactmath import UniPoly, real_root_count, squarefree_decomposition
 from rotweb.group_action import GroupElement, apply_quartic
 from rotweb.quartic_class import (BinaryQuartic, ClassificationError,
                                   FormSign, WebType, canonical_form, classify_by_invariants,
@@ -12,6 +11,8 @@ from rotweb.quartic_class import (BinaryQuartic, ClassificationError,
                                   form_scale, form_sign, hessian, invariants, root_structure)
 
 from conftest import rand_fraction
+from ref_univariate import (UniPoly, dehomogenize, ref_monic, ref_real_root_count,
+                            ref_squarefree_decomposition)
 from test_canonical_form import extreme_quartic, partition_quartic
 
 CANONICAL_REPRESENTATIVES = {
@@ -154,19 +155,19 @@ class TestFormSign:
 
 def unipoly_form_sign(coeffs):
     """The reference for form_sign: the square-free factors and Sturm
-    counts of the UniPoly route."""
+    counts of the Fraction reference kernel."""
     if form_is_zero(coeffs):
         return FormSign.IDENTICALLY_ZERO
     poly = UniPoly(list(reversed(coeffs)))
-    if any(mult % 2 == 1 and real_root_count(factor) > 0
-           for factor, mult in squarefree_decomposition(poly)):
+    if any(mult % 2 == 1 and ref_real_root_count(factor) > 0
+           for factor, mult in ref_squarefree_decomposition(poly)):
         return FormSign.INDEFINITE
     return FormSign.PSD_NONZERO if poly.lead > 0 else FormSign.NSD_NONZERO
 
 
 class TestIntegerRoute:
-    """root_structure and form_sign read the integer kernel; the UniPoly
-    route is their reference."""
+    """root_structure and form_sign read the integer kernel; the Fraction
+    reference kernel on UniPolys is their reference."""
 
     @pytest.fixture(scope="class")
     def quartics(self):
@@ -181,24 +182,13 @@ class TestIntegerRoute:
     def test_root_structure_matches_the_unipoly_route(self, quartics):
         for q in quartics:
             structure = root_structure(q)
-            poly = q.dehomogenize()
+            poly = dehomogenize(q)
             assert structure.infinity_multiplicity == 4 - poly.degree
-            got = [(UniPoly([Fraction(c, factor[-1]) for c in factor]), mult, nreal)
+            got = [(ref_monic(UniPoly(factor)), mult, nreal)
                    for factor, mult, nreal in structure.finite_factors]
-            expected = [(factor, mult, real_root_count(factor))
-                        for factor, mult in squarefree_decomposition(poly)]
+            expected = [(factor, mult, ref_real_root_count(factor))
+                        for factor, mult in ref_squarefree_decomposition(poly)]
             assert got == expected, q.to_json()
-
-    def test_the_pipeline_builds_no_unipoly(self, quartics, monkeypatch):
-        built = []
-        init = UniPoly.__init__
-        monkeypatch.setattr(UniPoly, "__init__",
-                            lambda self, coeffs=(): built.append(coeffs) or init(self, coeffs))
-        for q in quartics[::10]:
-            structure = root_structure(q)
-            classify_by_invariants(q)
-            canonical_form(q, structure)
-        assert built == []
 
     def test_form_sign_on_int_and_fraction_covariants(self, quartics):
         for q in quartics:

@@ -5,14 +5,14 @@ import pytest
 
 from rotweb import ckt_core as cc
 from rotweb.ckt_core import CktError, ckv_by_name, lie_derivative, metric, symmetric_product, tsn_check
-from rotweb.exactmath import Poly, UniPoly
+from rotweb.exactmath import Poly
 from rotweb.rotational import (RotParams, assemble_rotational,
                                assemble_rotational_generic, catalog,
                                cyclide_surface_residual, eigenvalues_at,
-                               extract_parameters, rotational_eigencondition,
-                               singular_polynomial)
+                               extract_parameters, rotational_eigencondition)
 
 from conftest import rand_fraction
+from ref_univariate import UniPoly, ints, singular_polynomial
 
 
 class TestAssemble:
@@ -128,7 +128,7 @@ class TestEigenvalues:
             q = singular_polynomial(entry.params)
             if q.is_zero:
                 continue
-            for z0 in rational_roots(q):
+            for z0 in rational_roots(ints(q)):
                 if z0 == 0:
                     continue
                 found += 1
