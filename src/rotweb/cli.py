@@ -9,11 +9,12 @@ canonicalization or a failed internal certificate (reported as findings),
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from . import __version__, ckt_core
 from .ckt_core import CktError, ckv_by_name, killing_obstruction, symmetry_subspace, tsn_filter
@@ -301,6 +302,61 @@ def _render_human(report: dict) -> str:
     return "\n".join(lines)
 
 
+_FLOAT_WORDS = {math.inf: "Infinity", -math.inf: "-Infinity"}
+
+
+def _write(value, indent: str, out: list) -> None:
+    """Append the JSON text of value to out, byte for byte as
+    json.dumps(value, indent=2, sort_keys=True) writes it, nested at the
+    given indent.  Only the types a report holds are written: str, int,
+    bool, None, float, list, tuple and dict with str keys."""
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write(value[key], inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    elif kind is int:
+        out.append(repr(value))
+    elif kind is bool:
+        out.append("true" if value else "false")
+    elif value is None:
+        out.append("null")
+    elif kind is float:
+        out.append("NaN" if value != value else _FLOAT_WORDS.get(value) or repr(value))
+    else:
+        raise TypeError(f"a report cannot hold a {kind.__name__}")
+
+
+def dump_report(report: dict) -> str:
+    """The report as JSON text, as json.dumps(report, indent=2,
+    sort_keys=True) writes it."""
+    out: list = []
+    _write(report, "", out)
+    return "".join(out)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--human", action="store_true", help="render a plain-text summary")
@@ -368,7 +424,7 @@ def main(argv=None) -> int:
     if args.human:
         print(_render_human(report))
     else:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(dump_report(report))
     return code
 
 

@@ -74,29 +74,39 @@ def row_echelon(matrix: Sequence[Sequence]) -> tuple[list[Row], list[int]]:
     return _echelon([row for row in map(_sparse, matrix) if row])
 
 
-def _back_substitute(ech: list[Row], pivots: list[int], x: list, rhs: Sequence) -> list:
+def _back_substitute(ech: list[Row], pivots: list[int], x: list[int],
+                     rhs: Sequence[int]) -> list[Fraction]:
     """Set the pivot entries of x so that each echelon row r satisfies
-    ech[r] . x = rhs[r] over the columns of x; the free entries of x are kept
-    as given."""
+    ech[r] . x = rhs[r] over the columns of x; the free entries of x, ints,
+    are kept as given.
+
+    Fraction-free: the entries are integer numerators over one common
+    denominator, which each pivot multiplies by the least factor that keeps
+    them integers, and are divided by it once at the end."""
     n = len(x)
+    den = 1
     for r in range(len(ech) - 1, -1, -1):
-        pc = pivots[r]
-        s = Fraction(rhs[r])
-        for c, v in ech[r].items():
-            if c != pc and c < n and x[c]:
-                s -= v * x[c]
-        x[pc] = s / ech[r][pc]
-    return x
+        row, pc = ech[r], pivots[r]
+        s = rhs[r] * den - sum(v * x[c] for c, v in row.items() if c != pc and c < n and x[c])
+        p = row[pc]
+        g = gcd(s, p) if p > 0 else -gcd(s, p)
+        if (scale := p // g) != 1:
+            den *= scale
+            x = [v * scale for v in x]
+        x[pc] = s // g
+    zero = Fraction(0)
+    return [Fraction(v, den) if v else zero for v in x]
 
 
 def _null_basis(rows: list[Row], ncols: int) -> list[list[Fraction]]:
     ech, pivots = _echelon(rows)
     zeros = [0] * len(ech)
+    is_pivot = set(pivots)
     basis = []
     for fc in range(ncols):
-        if fc not in pivots:
-            vec = [Fraction(0)] * ncols
-            vec[fc] = Fraction(1)
+        if fc not in is_pivot:
+            vec = [0] * ncols
+            vec[fc] = 1
             basis.append(_back_substitute(ech, pivots, vec, zeros))
     return basis
 
@@ -140,7 +150,7 @@ def solve_many(matrix: Sequence[Sequence], rhs_columns: Sequence[Sequence]) -> l
     ech, pivots = _echelon(aug)
     if any(p >= ncols for p in pivots):
         return None
-    return [_back_substitute(ech, pivots, [Fraction(0)] * ncols, [row.get(ncols + j, 0) for row in ech])
+    return [_back_substitute(ech, pivots, [0] * ncols, [row.get(ncols + j, 0) for row in ech])
             for j in range(len(rhs_columns))]
 
 
@@ -170,9 +180,9 @@ def extended_coordinates(basis: Sequence[Sequence], vectors: Sequence[Sequence])
             continue
         # Free column c: the null vector x with x[c] = 1 expands
         # vectors[c - n] as -sum_p x[p] (column p) over the pivot columns.
-        x = [Fraction(0)] * len(cols)
-        x[c] = Fraction(1)
-        _back_substitute(ech, pivots, x, zeros)
+        x = [0] * len(cols)
+        x[c] = 1
+        x = _back_substitute(ech, pivots, x, zeros)
         coords.append({p: -x[p] for p in pivots if x[p]})
     return coords
 

@@ -11,15 +11,16 @@ line (a degree drop puts roots at infinity, which count as real).
 Note on normalization: with the invariants I and J in the non-binomial
 coefficient convention used here, the quartic discriminant is proportional
 to 4 I^3 - J^2, and that is the Delta used throughout.  Covariant sign
-conditions ("H > 0") are read as global semidefiniteness: nonnegative
-everywhere and not identically zero.
+conditions ("H > 0") mean global semidefiniteness, nonnegative everywhere
+and not identically zero, and are decided by the covariants' values at one
+point (see ``classify_by_invariants``).
 
 Exactness: the pipeline runs on the cleared quartic c Q (the primitive
 integer multiple, c > 0), formed once per quartic, and on the integer
 kernel of ``exactmath``.  The root partition comes from the primitive
 integer square-free factors of c Q(z, 1) and their Sturm counts; the
-invariants, the covariants behind the signs (c Q's H, L and M are c^2 H,
-c^4 L and c^4 M, so no sign moves) and the witness image are formed in
+invariants, the covariant values behind the signs (c Q's H and L are
+c^2 H and c^4 L, so no sign moves) and the witness image are formed in
 ints, and c is absorbed exactly into the witness's rescaling factor.  The
 float roots start from an integer Taylor shift of each factor to a rational
 centre and a power-of-two rescaling, so every double handed to the root
@@ -144,20 +145,22 @@ def form_mul(a: Sequence, b: Sequence) -> tuple:
     return tuple(out)
 
 
-def form_scale(a: Sequence, c) -> tuple:
-    return tuple(x * c for x in a)
-
-
 def form_sub(a: Sequence, b: Sequence) -> tuple:
     if len(a) != len(b):
         raise ClassificationError("cannot subtract forms of different degree")
     return tuple(x - y for x, y in zip(a, b))
 
 
-def form_is_zero(a: Sequence) -> bool:
-    return all(c == 0 for c in a)
+def form_at(a: Sequence, x: int, y: int):
+    """The value of the binary form at the point (x, y)."""
+    n = len(a) - 1
+    return sum(c * x ** (n - k) * y ** k for k, c in enumerate(a) if c)
 
 
+# The decision list no longer calls form_sign.  It stays because the
+# benchmark's tracer (bench/tracing.py) wraps it by name, and CI checks that
+# every function the tracer names exists; its row reads 0 calls until the
+# benchmark's tracer targets are revised.
 def form_sign(coeffs: Sequence) -> FormSign:
     """Global sign of an even-degree homogeneous binary form, decided exactly:
     indefinite iff its dehomogenization has a real root of odd multiplicity,
@@ -227,22 +230,6 @@ def hessian(q: BinaryQuartic) -> tuple:
     qyy = (2 * h, 6 * d, 12 * a)
     qxy = (3 * l, 4 * h, 3 * d)
     return form_sub(form_mul(qxx, qyy), form_mul(qxy, qxy))
-
-
-def covariant_l(q: BinaryQuartic, inv: Invariants | None = None) -> tuple:
-    """L(X, Y) = I H(X, Y) - 6 J Q(X, Y), a quartic covariant.  Pass the
-    quartic's invariants when they are already at hand."""
-    inv = inv or invariants(q)
-    return form_sub(form_scale(hessian(q), inv.i), form_scale(q.as_tuple(), 6 * inv.j))
-
-
-def covariant_m(q: BinaryQuartic, inv: Invariants | None = None) -> tuple:
-    """M(X, Y) = 12 H(X, Y)^2 - I Q(X, Y)^2, a degree-8 covariant.  Pass
-    the quartic's invariants when they are already at hand."""
-    inv = inv or invariants(q)
-    h = hessian(q)
-    return form_sub(form_scale(form_mul(h, h), 12),
-                    form_scale(form_mul(q.as_tuple(), q.as_tuple()), inv.i))
 
 
 # ---------------------------------------------------------------------------
@@ -347,48 +334,94 @@ def classify_by_roots(q: BinaryQuartic, structure: RootStructure | None = None) 
         raise ClassificationError(f"unmatched root partition {key}") from None
 
 
+# The points of RP^1 at which classify_by_invariants reads its covariants,
+# in order.  A nonzero quartic vanishes at no more than four points, so one
+# of these five is never a root.
+_PROBES = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1))
+
+
 def classify_by_invariants(q: BinaryQuartic) -> tuple[WebType, list[dict]]:
     """The algebraic decision list over (Delta, H, L, M, I, J), evaluated
-    strictly top to bottom; covariant inequalities are read semidefinitely.
-    The invariants and each covariant sign, computed when a row first needs
-    it, are read in integers on the cleared quartic c Q (c > 0), whose I, J,
-    Delta, H, L and M are c^2 I, c^3 J, c^6 Delta, c^2 H, c^4 L and c^4 M,
-    so every sign is that of Q's.  Returns the type and the audit trail of
-    every condition evaluated."""
+    strictly top to bottom.  Returns the type and the audit trail of every
+    condition evaluated.
+
+    A covariant condition means global semidefiniteness ("H < 0": H <= 0
+    everywhere and H not identically zero), and each one the list needs is
+    decided by integer values at one point p, the first of ``_PROBES`` with
+    Q(p) != 0: H(p), L(p) = I H(p) - 6 J Q(p) (read only by the Delta = 0
+    rows) and R(p) = H(p)^2 - 144 I Q(p)^2.  They are formed on the cleared
+    quartic c Q (c > 0), whose I, J, Delta, H, L and R are c^2 I, c^3 J,
+    c^6 Delta, c^2 H, c^4 L and c^4 R, so every sign is that of Q's.
+
+    Why one point suffices.  H, L and I Q^2 - H^2/144 are covariants of
+    even weight (2, 6 and 4), so a real substitution of (X, Y) that moves p
+    to another point multiplies each value by a positive factor, a power of
+    its determinant squared; each case below may be read after such a move.
+
+    - Delta > 0: four simple roots, all real or none.  At p = (1 : 0),
+      where Q(p) = M33 != 0, H = 3 P with P = 8 M33 H - 3 L3^2, and
+      27 D = 144 I M33^2 - H^2, where P and D are the quantities of Rees's
+      criterion (Rees 1922, "Graphical discussion of the roots of a quartic
+      equation"), so R(p) = -27 D.  By that criterion the roots are all real
+      iff P < 0 and D < 0, that is iff H(p) < 0 and R(p) > 0: the
+      bi-cyclide row.  M(p) is not read; its sign at one point does not
+      decide that row.
+    - Delta = 0.  A real repeated root moved to (1 : 0) gives
+      Q = Y^2 (h X^2 + d X Y + a Y^2) and L = 9 h^2 (4 a h - d^2) Y^4:
+      semidefinite, and nonzero at every point but that root unless L = 0
+      identically.  So L(p) < 0 exactly for a real pair beside the double
+      root (prolate), L(p) > 0 for a complex pair (oblate), and L(p) = 0
+      iff L = 0.  The one partition with no real repeated root, a doubled
+      complex pair, is k (X^2 + Y^2)^2 after a real substitution, and has
+      L = 0.
+    - L = 0 and I, J not both 0.  In the form above, h = 0 is a triple or
+      quadruple root, which has I = J = 0, and d^2 = 4 a h with h != 0 is
+      two real double roots, k X^2 Y^2 after a real substitution.  So Q is
+      k X^2 Y^2, with H = -12 k^2 X^2 Y^2, or k (X^2 + Y^2)^2, with
+      H = 48 k^2 (X^2 + Y^2)^2: H(p) < 0 iff both double roots are real.
+    - I = J = 0: a triple root, Q = Y^3 (d X + a Y) with d != 0, has
+      H = -9 d^2 Y^4, nonzero at p; a quadruple root has H = 0
+      identically.
+
+    The rows below the flat-ring row are reached only when Delta = 0."""
     if q.is_zero:
         raise ClassificationError("the zero form has no web type")
     _, cleared, inv = _cleared_invariants(q)
-    h_sign = functools.cache(lambda: form_sign(hessian(cleared)))
-    l_sign = functools.cache(lambda: form_sign(covariant_l(cleared, inv)))
-    m_sign = functools.cache(lambda: form_sign(covariant_m(cleared, inv)))
+    coeffs = cleared.as_tuple()
+    for x, y in _PROBES:
+        q_p = form_at(coeffs, x, y)
+        if q_p:
+            break
+    h_p = form_at(hessian(cleared), x, y)
+
+    def l_p() -> int:
+        return inv.i * h_p - 6 * inv.j * q_p
+
     rows = [
         (WebType.DISK_CYCLIDE, "Delta < 0",
          lambda: inv.delta < 0),
         (WebType.BI_CYCLIDE, "Delta > 0 and H < 0 and M > 0",
-         lambda: inv.delta > 0 and h_sign() is FormSign.NSD_NONZERO
-         and m_sign() is FormSign.PSD_NONZERO),
+         lambda: inv.delta > 0 and h_p < 0 and h_p * h_p - 144 * inv.i * q_p * q_p > 0),
         # Delta > 0 leaves four real roots or two complex pairs, and the row
         # above takes the first, so no covariant is needed here.
         (WebType.FLAT_RING_CYCLIDE, "Delta > 0",
          lambda: inv.delta > 0),
         (WebType.INVERSE_PROLATE_SPHEROIDAL, "Delta = 0 and L < 0",
-         lambda: inv.delta == 0 and l_sign() is FormSign.NSD_NONZERO),
+         lambda: inv.delta == 0 and l_p() < 0),
         (WebType.INVERSE_OBLATE_SPHEROIDAL, "Delta = 0 and L > 0",
-         lambda: inv.delta == 0 and l_sign() is FormSign.PSD_NONZERO),
+         lambda: inv.delta == 0 and l_p() > 0),
         # Triple-root quartics also satisfy L = 0 with a semidefinite Hessian,
         # so the next two rows carry the guard I, J not both zero (always true
         # on genuine toroidal/bispherical orbits, where I scales as a3^2 from
         # 16); without it they would swallow every cardioid quartic.
         (WebType.TOROIDAL, "L = 0 and H > 0 and not I = J = 0",
-         lambda: l_sign() is FormSign.IDENTICALLY_ZERO and h_sign() is FormSign.PSD_NONZERO
-         and not (inv.i == 0 and inv.j == 0)),
+         lambda: l_p() == 0 and h_p > 0 and not (inv.i == 0 and inv.j == 0)),
         (WebType.BISPHERICAL, "L = 0 and H < 0 and not I = J = 0",
-         lambda: l_sign() is FormSign.IDENTICALLY_ZERO and h_sign() is FormSign.NSD_NONZERO
-         and not (inv.i == 0 and inv.j == 0)),
+         lambda: l_p() == 0 and h_p < 0 and not (inv.i == 0 and inv.j == 0)),
         (WebType.CARDIOID, "I = J = 0 and H != 0",
-         lambda: inv.i == 0 and inv.j == 0 and h_sign() is not FormSign.IDENTICALLY_ZERO),
+         lambda: inv.i == 0 and inv.j == 0 and h_p != 0),
         (WebType.TANGENT_SPHERE, "H = 0",
-         lambda: h_sign() is FormSign.IDENTICALLY_ZERO),
+         lambda: h_p == 0),
     ]
     audit: list[dict] = []
     for web, condition, test in rows:

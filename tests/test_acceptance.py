@@ -15,12 +15,13 @@ from rotweb.ckt_core import (assemble_free, ckt_dimension, ckv_basis, commutator
 from rotweb.exactmath import Poly
 from rotweb.group_action import GroupElement, apply_quartic
 from rotweb.quartic_class import (BinaryQuartic, WebType, classify_by_invariants,
-                                  classify_by_roots, covariant_l, form_is_zero, form_sign,
-                                  FormSign, hessian, invariants, root_structure)
+                                  classify_by_roots, form_sign, FormSign, hessian, invariants,
+                                  root_structure)
 from rotweb.rotational import RotParams, assemble_rotational, catalog, eigenvalues_at, \
     extract_parameters, rotational_eigencondition
 from rotweb.separability import Potential, classify_potential, solve_compatible
 
+from ref_covariants import covariant_l, form_is_zero
 from ref_univariate import dehomogenize, singular_polynomial
 from test_ckt_core import expected_commutator
 from test_group_action import covariance_residual

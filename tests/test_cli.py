@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import random
 import shlex
@@ -10,6 +11,8 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotweb import cli, linalg, quartic_class
 from rotweb.ckt_core import CktCoefficients, assemble_ckt, assemble_free, ckv_by_name, symmetry_subspace
@@ -371,9 +374,72 @@ def test_compat_output_is_unchanged(capsys):
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == COMPAT_DIGEST
 
 
+def json_dumps_report(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+# Everything a report may hold, nested: text with non-ASCII and control
+# characters, ints far beyond 64 bits, every kind of float, and lists,
+# tuples and dicts, empty or not.
+REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text()
+    | st.integers(min_value=-10**400, max_value=10**400)
+    | st.floats() | st.sampled_from([0.1, 1e-300, -0.0, math.nan, math.inf, -math.inf, 1e16]),
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(st.text(max_size=8), children, max_size=4)),
+    max_leaves=30)
+
+
+class TestReportWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(REPORT_VALUES)
+    def test_bytes_match_json_dumps(self, value):
+        assert cli.dump_report(value) == json_dumps_report(value)
+
+    def test_edge_values(self):
+        deep: object = "leaf"
+        for depth in range(60):
+            deep = [deep, {}] if depth % 2 else {"k\u00e9\x00": deep, "": [], "t": ()}
+        values = ["\x00\x1f\x7f\u00e9\u2028\U0001f600\ud800\"\\/", 10**399, -10**399,
+                  0.1, 1e-300, math.nan, math.inf, -math.inf, [], {}, (), ((1, 2), [()]), deep]
+        for value in values:
+            assert cli.dump_report(value) == json_dumps_report(value)
+        assert cli.dump_report({"all": values}) == json_dumps_report({"all": values})
+
+    @pytest.mark.parametrize("value", [Fraction(1, 2), {1: "a"}, {"a": {None: 1}}, [{"a", "b"}],
+                                       {"a": [1, Fraction(3)]}, WebType.TOROIDAL])
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            cli.dump_report(value)
+
+    def test_every_report_of_a_seeded_round(self, capsys, monkeypatch):
+        # The reports of the classify, compat and scan digest inputs and of
+        # the catalog tables, compared with json.dumps on the report itself.
+        written, write = [], cli.dump_report
+
+        def recorded(report):
+            text = write(report)
+            written.append((text, json_dumps_report(report)))
+            return text
+
+        monkeypatch.setattr(cli, "dump_report", recorded)
+        calls = [["classify", "--quartic=" + ",".join(q)] for q in digest_quartics()]
+        calls += [["classify", "--params", "1/2,0,1,0,0,1/2"]]
+        calls += [["symmetry", generator, "--h", h] for generator, h in SCAN_DIGESTS]
+        calls += [["compat", "--potential=" + p, "--energy=" + e] for p, e in COMPAT_INPUTS]
+        calls += [["tables"], ["tables", "--scale", "a=2", "--scale", "k=1/3"]]
+        for argv in calls:
+            assert main(argv) == 0
+            capsys.readouterr()
+        assert len(written) == len(calls)
+        for text, expected in written:
+            assert text == expected
+
+
 def test_classify_computes_the_invariants_once(capsys, monkeypatch):
-    # The decision list, its L and M covariants, the canonical parameter and
-    # the report all share one computation of I, J, Delta and F.
+    # The decision list, its covariant values at the probe point, the
+    # canonical parameter and the report all share one computation of I, J,
+    # Delta and F.
     calls = []
 
     def counted(q):

@@ -11,9 +11,10 @@ from rotweb.exactmath import (DEGREE_LIMIT, ExactMathError, Poly, RationalFuncti
                               isolate_real_roots, rat, rat_str, rational_roots, real_root_count,
                               refine_root, sign_at, squarefree_decomposition)
 from rotweb.linalg import char_poly
-from rotweb.quartic_class import WebType, covariant_l, covariant_m, hessian
+from rotweb.quartic_class import WebType, hessian
 
 from conftest import companion_real_root_count, rand_fraction
+from ref_covariants import covariant_l, covariant_m
 from ref_univariate import (UniPoly, ints, product, ref_divmod, ref_gcd, ref_isolate, ref_monic,
                             ref_rational_roots, ref_real_root_count, ref_refine, ref_sign,
                             ref_squarefree_decomposition, ref_squarefree_part, squarefree_ints)

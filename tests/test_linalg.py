@@ -327,9 +327,13 @@ def assert_parity(m, rhs_sets):
         # Primitive integer rows, each starting at its pivot column.
         assert min(row) == pc and all(type(v) is int and v for v in row.values())
         assert gcd(*row.values()) == 1
-    assert nullspace(m, ncols) == dense_nullspace(m, ncols)
+    basis = nullspace(m, ncols)
+    assert basis == dense_nullspace(m, ncols)
     results = [solve_many(m, rhs) for rhs in rhs_sets]
     assert results == [dense_solve_many(m, rhs) for rhs in rhs_sets]
+    # The integer back-substitution still hands out Fraction entries.
+    vectors = basis + [vec for columns in results if columns for vec in columns]
+    assert all(type(x) is Fraction for vec in vectors for x in vec)
     return results
 
 

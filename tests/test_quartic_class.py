@@ -7,13 +7,15 @@ from rotweb import quartic_class as qc
 from rotweb.group_action import GroupElement, apply_quartic
 from rotweb.quartic_class import (BinaryQuartic, ClassificationError,
                                   FormSign, WebType, canonical_form, classify_by_invariants,
-                                  classify_by_roots, covariant_l, covariant_m, form_is_zero,
-                                  form_scale, form_sign, hessian, invariants, root_structure)
+                                  classify_by_roots, form_at, form_sign, hessian, invariants,
+                                  root_structure)
 
 from conftest import rand_fraction
+from ref_covariants import (classify_by_form_signs, covariant_l, covariant_m, form_is_zero,
+                            form_scale)
 from ref_univariate import (UniPoly, dehomogenize, ref_monic, ref_real_root_count,
                             ref_squarefree_decomposition)
-from test_canonical_form import extreme_quartic, partition_quartic
+from test_canonical_form import PER_STRATUM, extreme_quartic, partition_quartic
 
 CANONICAL_REPRESENTATIVES = {
     WebType.BI_CYCLIDE: (1, 0, -3, 0, 1),
@@ -267,6 +269,124 @@ class TestClassifyByInvariants:
                 assert classify_by_roots(q) is web
                 got, audit = classify_by_invariants(q)
                 assert got is web, audit
+
+
+def _point_form(point):
+    """The linear form vanishing at the point (x : y) of RP^1."""
+    x, y = point
+    return [y, -x]
+
+
+def _small_points(rng, count):
+    """count distinct points (x : y) of RP^1 with |x|, |y| <= 3, each one of
+    the probe points with probability 1/2."""
+    points = []
+    while len(points) < count:
+        if rng.random() < 0.5:
+            x, y = rng.choice(qc._PROBES)
+        else:
+            x, y = rng.randint(-3, 3), rng.randint(-3, 3)
+        if (x, y) == (0, 0) or any(x * v - y * u == 0 for u, v in points):
+            continue
+        points.append((x, y))
+    return points
+
+
+def _complex_quadratics(rng, count):
+    """count pairwise non-proportional definite quadratics a X^2 + b XY + c Y^2
+    with small integer coefficients."""
+    out = []
+    while len(out) < count:
+        a, b, c = rng.randint(1, 3), rng.randint(-3, 3), rng.randint(1, 4)
+        if b * b < 4 * a * c and not any((a * v, a * w) == (b * u, c * u) for u, v, w in out):
+            out.append((a, b, c))
+    return out
+
+
+def small_root_quartic(rng, web):
+    """An integer quartic with the web's root partition, its real roots at
+    small integer points of RP^1 (the probe points among them) and its
+    complex pairs the roots of small integer quadratics."""
+    shapes = {
+        WebType.BI_CYCLIDE: ((1, 1, 1, 1), 0), WebType.FLAT_RING_CYCLIDE: ((), 2),
+        WebType.DISK_CYCLIDE: ((1, 1), 1), WebType.INVERSE_PROLATE_SPHEROIDAL: ((2, 1, 1), 0),
+        WebType.INVERSE_OBLATE_SPHEROIDAL: ((2,), 1), WebType.TOROIDAL: ((), 1),
+        WebType.BISPHERICAL: ((2, 2), 0), WebType.CARDIOID: ((3, 1), 0),
+        WebType.TANGENT_SPHERE: ((4,), 0),
+    }
+    reals, pairs = shapes[web]
+    factors = [_point_form(point) for point, mult in zip(_small_points(rng, len(reals)), reals)
+               for _ in range(mult)]
+    quadratics = _complex_quadratics(rng, pairs)
+    if web is WebType.TOROIDAL:
+        quadratics *= 2
+    factors += [list(quad) for quad in quadratics]
+    form = [rng.choice((-3, -2, -1, 1, 2, 3))]
+    for factor in factors:
+        form = list(qc.form_mul(form, factor))
+    return BinaryQuartic.make(*form)
+
+
+def _probe(q):
+    """The first probe point at which q does not vanish."""
+    return next(p for p in qc._PROBES if form_at(q.as_tuple(), *p))
+
+
+class TestOnePointReading:
+    """classify_by_invariants reads H, L and R at one probe point; the
+    decision list read on the global signs of the whole covariant forms is
+    its oracle, with the same rows, type and audit."""
+
+    @staticmethod
+    def assert_same_as_form_signs(quartics):
+        for q in quartics:
+            got = classify_by_invariants(q)
+            assert got == classify_by_form_signs(q), q.to_json()
+            assert got[0] is classify_by_roots(q), q.to_json()
+
+    def test_stratified_quartics(self):
+        quartics = []
+        for web in WebType:
+            rng = random.Random(f"one-point-{web.value}")
+            quartics += [partition_quartic(rng, web) for _ in range(PER_STRATUM)]
+        assert len(quartics) == 1008
+        self.assert_same_as_form_signs(quartics)
+
+    def test_extreme_quartics(self):
+        rng = random.Random("one-point-extreme")
+        self.assert_same_as_form_signs([extreme_quartic(rng, web) for web in WebType for _ in range(6)])
+
+    def test_small_integer_roots_move_the_probe(self):
+        rng = random.Random("one-point-small-roots")
+        quartics = [small_root_quartic(rng, web) for web in WebType for _ in range(60)]
+        quartics += [BinaryQuartic.make(*c) for c in ((0, 1, 0, -1, 0), (0, 0, 1, -3, 2))]
+        assert {_probe(q) for q in quartics} == set(qc._PROBES)
+        for web in set(WebType) - {WebType.FLAT_RING_CYCLIDE, WebType.TOROIDAL}:
+            # Every stratum with a real root has quartics read away from (1 : 0).
+            assert {_probe(q) for q in quartics if classify_by_roots(q) is web} != {(1, 0)}, web
+        self.assert_same_as_form_signs(quartics)
+
+    @pytest.mark.parametrize("coeffs,probe,expected", [
+        ((0, 1, 0, -1, 0), (2, 1), WebType.BI_CYCLIDE),   # roots at the first four probes
+        ((0, 0, 1, -3, 2), (0, 1), WebType.INVERSE_PROLATE_SPHEROIDAL),  # double root at (1 : 0)
+        ((0, 0, 1, 0, 0), (1, 1), WebType.BISPHERICAL),
+        ((0, 1, 0, 0, 0), (1, 1), WebType.CARDIOID),
+        ((1, -4, 6, -4, 1), (1, 0), WebType.TANGENT_SPHERE),
+    ])
+    def test_examples(self, coeffs, probe, expected):
+        q = BinaryQuartic.make(*coeffs)
+        assert _probe(q) == probe
+        assert classify_by_invariants(q) == classify_by_form_signs(q)
+        assert classify_by_invariants(q)[0] is expected
+
+    def test_reads_no_univariate_kernel(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the decision list called the univariate kernel")
+
+        monkeypatch.setattr(qc, "form_sign", forbidden)
+        monkeypatch.setattr(qc, "squarefree_decomposition", forbidden)
+        for web, rep in CANONICAL_REPRESENTATIVES.items():
+            assert classify_by_invariants(BinaryQuartic.make(*rep))[0] is web
 
 
 class TestCanonicalForm:
