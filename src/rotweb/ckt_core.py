@@ -145,13 +145,6 @@ class SymTensorField:
         return VectorField(tuple(Poly.dot(nvars, [(1, a, b) for a, b in zip(row, v.components)])
                                  for row in self.comps))
 
-    def square(self) -> SymTensorField:
-        """Matrix square K.K, symmetric since K is: only the upper triangle
-        is multiplied out."""
-        k, nvars = self.comps, self.nvars
-        return SymTensorField.from_upper(*(Poly.dot(nvars, [(1, k[i][m], k[m][j]) for m in range(3)])
-                                           for i, j in _UPPER))
-
     def matrix_at(self, point: Sequence) -> list[list[Fraction]]:
         return [[self.comps[i][j].eval(point) for j in range(3)] for i in range(3)]
 
@@ -262,6 +255,45 @@ def _vec3(entries) -> tuple:
     return out
 
 
+# The blocks a, b, c, d, e, f, g, h, l, m of ``CktCoefficients`` and
+# ``_blocks_from_free``, as their JSON names and their sizes: a 3x3 grid, a
+# vector of 3 or the scalar h.  Laid out flat, row by row, they are 64
+# entries (``_flat`` and ``_sliced``).
+_BLOCK_NAMES = ("A", "B", "C", "D", "E", "F", "G", "Hscalar", "L", "M")
+_BLOCK_SIZES = (9, 9, 9, 3, 9, 3, 9, 1, 3, 9)
+_FLAT_SIZE = sum(_BLOCK_SIZES)
+
+
+def _flat(blocks) -> list:
+    """The entries of the ten blocks, row by row."""
+    out = []
+    for block, size in zip(blocks, _BLOCK_SIZES):
+        if size == 9:
+            for row in block:
+                out += row
+        elif size == 3:
+            out += block
+        else:
+            out.append(block)
+    return out
+
+
+def _sliced(flat: list, row=tuple) -> list:
+    """The ten blocks of the flat entries of ``_flat``, cut by slicing: a
+    grid as a ``row`` of three ``row``s, a vector as one ``row``, h as its
+    entry."""
+    blocks, at = [], 0
+    for size in _BLOCK_SIZES:
+        if size == 9:
+            blocks.append(row((row(flat[at:at + 3]), row(flat[at + 3:at + 6]), row(flat[at + 6:at + 9]))))
+        elif size == 3:
+            blocks.append(row(flat[at:at + 3]))
+        else:
+            blocks.append(flat[at])
+        at += size
+    return blocks
+
+
 @dataclass(frozen=True)
 class CktCoefficients:
     """Coefficients of the general linear combination of symmetric products
@@ -313,16 +345,8 @@ class CktCoefficients:
                         raise CktError(f"coefficient block {name} must be symmetric")
 
     def to_json_dict(self) -> dict:
-        def grid(block):
-            return [[rat_str(x) for x in row] for row in block]
-
-        return {
-            "A": grid(self.a), "B": grid(self.b), "C": grid(self.c),
-            "D": [rat_str(x) for x in self.d], "E": grid(self.e),
-            "F": [rat_str(x) for x in self.f], "G": grid(self.g),
-            "Hscalar": rat_str(self.h), "L": [rat_str(x) for x in self.l],
-            "M": grid(self.m),
-        }
+        blocks = (self.a, self.b, self.c, self.d, self.e, self.f, self.g, self.h, self.l, self.m)
+        return dict(zip(_BLOCK_NAMES, _sliced([rat_str(x) for x in _flat(blocks)], list)))
 
     @classmethod
     def from_json_dict(cls, data: dict) -> CktCoefficients:
@@ -435,20 +459,36 @@ def verify_ckt(k: SymTensorField) -> tuple[bool, VectorField]:
     return holds, u.scale(Fraction(1, 5 * q))
 
 
-def killing_obstruction(k: SymTensorField) -> VectorField:
-    """The curl of k, the Hodge dual of the two-form d(k-flat), as the
-    components (23, 31, 12); identically zero iff the equivalence class of
-    K modulo metric multiples contains a Killing tensor."""
-    holds, kv = verify_ckt(k)
-    if not holds:
-        raise CktError("killing_obstruction requires a conformal Killing tensor")
-    return VectorField(tuple(kv[c].diff(b) - kv[b].diff(c) for b, c in ((1, 2), (2, 0), (0, 1))))
+# The (i, j, kk) with eps_ijk != 0 and j < kk, with the sign of eps.
+_PLANE_PAIRS = ((0, 1), (0, 2), (1, 2))
+_SLOTS = [(i, j, kk, EPS[i][j][kk]) for j, kk in _PLANE_PAIRS for i in range(3) if EPS[i][j][kk]]
+
+
+def _tsn_scalars(k, dk, one, dot):
+    """The three scalars of ``tsn_check``, lazily, for A = g, K, K.K in
+    turn, from the entries k[a][b] of K, its partials dk[a][b][c] = d_c K_ab
+    and the unit one of their ring, where dot(products) sums s a b over the
+    (s, a, b) triples of products: polynomials with ``Poly.dot``, or the
+    numbers of one point with plain sums."""
+    # curl[m][(j, kk)] = d_kk K_mj - d_j K_mkk, shared by the three rows ll.
+    curl = [{(j, kk): dk[m][j][kk] - dk[m][kk][j] for j, kk in _PLANE_PAIRS} for m in range(3)]
+    n = {(ll, j, kk): dot([product for m in range(3) for product in (
+        (1, k[ll][m], curl[m][(j, kk)]), (1, k[m][j], dk[ll][kk][m]), (-1, k[m][kk], dk[ll][j][m]))])
+        for j, kk in _PLANE_PAIRS for ll in range(3)}
+    yield dot([(s, one, n[(i, j, kk)]) for i, j, kk, s in _SLOTS])
+    yield dot([(s, k[i][ll], n[(ll, j, kk)]) for i, j, kk, s in _SLOTS for ll in range(3)])
+    # K.K is symmetric since K is: only its upper triangle is multiplied out.
+    square = [[None] * 3 for _ in range(3)]
+    for i, j in _UPPER:
+        square[i][j] = square[j][i] = dot([(1, k[i][m], k[m][j]) for m in range(3)])
+    yield dot([(s, square[i][ll], n[(ll, j, kk)]) for i, j, kk, s in _SLOTS for ll in range(3)])
 
 
 def tsn_check(k: SymTensorField, plane: tuple[int, int] | None = None) -> bool:
     """Normal-eigenvector test: the three antisymmetrized conditions
     N^l_[jk A_i]l = 0 for A = g, K, K.K, each a single polynomial identity
-    in 3 dimensions via contraction with the Levi-Civita symbol.
+    in 3 dimensions via contraction with the Levi-Civita symbol
+    (``_tsn_scalars``).
 
     N is antisymmetric in its lower pair, so only the three (j < k) slices
     are computed; overall constants are dropped (vanishing is all that
@@ -469,26 +509,7 @@ def tsn_check(k: SymTensorField, plane: tuple[int, int] | None = None) -> bool:
         k = SymTensorField.from_upper(*(k[i][j].restrict(var, value) for i, j in _UPPER))
         for a, b in _UPPER:
             dk[a][b] = dk[b][a] = [p.restrict(var, value) for p in dk[a][b]]
-    pairs = ((0, 1), (0, 2), (1, 2))
-    # curl[m][(j, kk)] = d_kk K_mj - d_j K_mkk, shared by the three rows ll.
-    curl = [{(j, kk): dk[m][j][kk] - dk[m][kk][j] for j, kk in pairs} for m in range(3)]
-    n: dict = {}
-    for j, kk in pairs:
-        for ll in range(3):
-            n[(ll, j, kk)] = Poly.dot(nvars, [product for m in range(3) for product in (
-                (1, k[ll][m], curl[m][(j, kk)]), (1, k[m][j], dk[ll][kk][m]),
-                (-1, k[m][kk], dk[ll][j][m]))])
-    # The (i, j, kk) with eps_ijk != 0 and j < kk, with the sign of eps.
-    slots = [(i, j, kk, EPS[i][j][kk]) for j, kk in pairs for i in range(3) if EPS[i][j][kk]]
-
-    def contract(a: SymTensorField) -> Poly:
-        return Poly.dot(nvars, [(s, a[i][ll], n[(ll, j, kk)]) for i, j, kk, s in slots for ll in range(3)])
-
-    if not contract(metric(nvars)).is_zero:
-        return False
-    if not contract(k).is_zero:
-        return False
-    return contract(k.square()).is_zero
+    return not any(_tsn_scalars(k, dk, Poly.const(1, nvars), lambda products: Poly.dot(nvars, products)))
 
 
 def ckt_dimension(n: int, p: int) -> int:
@@ -563,27 +584,6 @@ def _blocks_from_free(vec: Sequence):
     return a, b, c, d, e, f, g, 0, l, m
 
 
-# The shapes of the blocks a, b, c, d, e, f, g, h, l, m of
-# ``_blocks_from_free`` and ``CktCoefficients``: grids, vectors and the
-# scalar h.
-_BLOCK_SHAPES = ((3, 3), (3, 3), (3, 3), (3,), (3, 3), (3,), (3, 3), (), (3,), (3, 3))
-
-
-def _flatten(block, shape: tuple) -> list:
-    """The entries of a block of the given shape, row by row."""
-    if not shape:
-        return [block]
-    return [x for part in block for x in _flatten(part, shape[1:])]
-
-
-def _unflatten(entries, shape: tuple):
-    """The block of the given shape, as nested tuples, taken from the front
-    of the entry iterator."""
-    if not shape:
-        return next(entries)
-    return tuple(_unflatten(entries, shape[1:]) for _ in range(shape[0]))
-
-
 @lru_cache(maxsize=None)
 def _unit_blocks() -> tuple:
     """``_blocks_from_free`` of each of the 35 unit free-parameter vectors."""
@@ -592,28 +592,50 @@ def _unit_blocks() -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _free_entries() -> tuple:
-    """Per free coordinate c, the nonzero (entry, coefficient) of the
-    flattened blocks of its unit vector: the sparse matrix of the linear map
-    ``_blocks_from_free``."""
-    rows = []
-    for blocks in _unit_blocks():
-        flat = [x for block, shape in zip(blocks, _BLOCK_SHAPES) for x in _flatten(block, shape)]
-        rows.append(tuple((entry, x) for entry, x in enumerate(flat) if x))
-    return tuple(rows)
+def _free_entries() -> tuple[int, tuple]:
+    """The sparse matrix of the linear map ``_blocks_from_free`` in
+    integers: a common denominator q of its entries and, per free coordinate
+    c, the nonzero (entry, q x) of the flat blocks (``_flat``) of its unit
+    vector."""
+    rows = [[(entry, x) for entry, x in enumerate(_flat(blocks)) if x] for blocks in _unit_blocks()]
+    q = math.lcm(*(x.denominator for row in rows for _, x in row))
+    return q, tuple(tuple((entry, int(x * q)) for entry, x in row) for row in rows)
+
+
+def _free_numerators(vec: Sequence) -> tuple[list[int], int]:
+    """The flat blocks of ``_blocks_from_free(vec)`` as integer numerators
+    over one positive common denominator, and that denominator."""
+    if len(vec) != DIM_TRACE_FREE:
+        raise CktError(f"expected {DIM_TRACE_FREE} free parameters")
+    vec = [x if x.__class__ is Fraction else rat(x) for x in vec]
+    d = math.lcm(*(x.denominator for x in vec))
+    q, rows = _free_entries()
+    flat = [0] * _FLAT_SIZE
+    for x, entries in zip(vec, rows):
+        if x:
+            n = x.numerator * (d // x.denominator)
+            for entry, c in entries:
+                flat[entry] += n * c
+    return flat, q * d
 
 
 def coefficients_from_free(vec: Sequence) -> CktCoefficients:
-    if len(vec) != DIM_TRACE_FREE:
-        raise CktError(f"expected {DIM_TRACE_FREE} free parameters")
-    flat = [0] * sum(math.prod(shape) for shape in _BLOCK_SHAPES)
-    for value, entries in zip(vec, _free_entries()):
-        value = rat(value)
-        if value:
-            for entry, x in entries:
-                flat[entry] += x * value
-    entries = iter(flat)
-    return CktCoefficients(*(_unflatten(entries, shape) for shape in _BLOCK_SHAPES))
+    flat, den = _free_numerators(vec)
+    zero = Fraction(0)
+    return CktCoefficients(*_sliced([Fraction(n, den) if n else zero for n in flat]))
+
+
+def free_json_dict(vec: Sequence) -> dict:
+    """``coefficients_from_free(vec).to_json_dict()``, written from the
+    integer numerators without a Fraction: a scan's report block."""
+    flat, den = _free_numerators(vec)
+    return dict(zip(_BLOCK_NAMES, _sliced([_ratio_str(n, den) if n else "0" for n in flat], list)))
+
+
+def _ratio_str(n: int, den: int) -> str:
+    """``rat_str`` of n / den, for den > 0."""
+    g = math.gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
 def assemble_free(vec: Sequence) -> SymTensorField:
@@ -673,6 +695,94 @@ def _assembly_matrix() -> list[list[Fraction]]:
     return [[col[r] for col in cols] for r in range(len(cols[0]))]
 
 
+def _jet_at(items, powers: list) -> tuple:
+    """The value and the three first partials at a point of the polynomial
+    in x, y, z with the (exponents, coefficient) items, from the powers
+    powers[c][e] of the point's coordinates."""
+    p0, p1, p2 = powers
+    value = dx = dy = dz = 0
+    for (e0, e1, e2), coeff in items:
+        value += coeff * p0[e0] * p1[e1] * p2[e2]
+        if e0:
+            dx += coeff * e0 * p0[e0 - 1] * p1[e1] * p2[e2]
+        if e1:
+            dy += coeff * e1 * p0[e0] * p1[e1 - 1] * p2[e2]
+        if e2:
+            dz += coeff * e2 * p0[e0] * p1[e1] * p2[e2 - 1]
+    return value, dx, dy, dz
+
+
+@lru_cache(maxsize=None)
+def _basis_jets(point: tuple[int, int, int]) -> tuple:
+    """The first jets at the integer point of the free basis tensors F_c,
+    cleared by one common denominator: per c, the nonzero (4 u + i, value)
+    of K_ab (i = 0) and its partials d_x, d_y, d_z K_ab (i = 1, 2, 3) for
+    the u-th pair (a, b) of ``_UPPER``."""
+    basis = _free_basis()
+    q = math.lcm(*(c.denominator for k in basis for a, b in _UPPER for c in k[a][b].terms.values()))
+    powers = [[x ** e for e in range(5)] for x in point]
+    jets = [[x for a, b in _UPPER
+             for x in _jet_at(((e, int(c * q)) for e, c in k[a][b].exponent_items()), powers)]
+            for k in basis]
+    return tuple(tuple((s, x) for s, x in enumerate(jet) if x) for jet in jets)
+
+
+def _tsn_refuted_at(vec: Sequence[Fraction], point: tuple[int, int, int]) -> bool:
+    """Whether a scalar of ``tsn_check`` of ``assemble_free(vec)`` is
+    nonzero at the integer point.  The scalars are read on the first jet of
+    the tensor there, K and its partials, which is linear in the tensor: in
+    integers, as sum_c n_c times the cleared jets of ``_basis_jets``, for
+    the integer vector n = d vec.  The scalars are homogeneous in K, so a
+    positive multiple of the tensor has the same zeros.  True proves that
+    the scalars do not vanish identically, nor on any plane through the
+    point."""
+    d = math.lcm(*(x.denominator for x in vec))
+    jet = [0] * 24
+    for x, entries in zip(vec, _basis_jets(point)):
+        if x:
+            n = x.numerator * (d // x.denominator)
+            for s, value in entries:
+                jet[s] += n * value
+    k = [[0] * 3 for _ in range(3)]
+    dk = [[None] * 3 for _ in range(3)]
+    for u, (a, b) in enumerate(_UPPER):
+        k[a][b] = k[b][a] = jet[4 * u]
+        dk[a][b] = dk[b][a] = jet[4 * u + 1:4 * u + 4]
+    return any(_tsn_scalars(k, dk, 1, lambda products: sum(s * a * b for s, a, b in products)))
+
+
+@lru_cache(maxsize=None)
+def _killing_columns() -> tuple[VectorField, ...]:
+    """The Killing obstruction of each free basis tensor F_c: the curl of
+    its contraction vector.  ``verify_ckt`` runs on every F_c here, and a
+    failure raises CktError.  The conformal Killing equation is linear in
+    K, so every sum_c x_c F_c is then a conformal Killing tensor, with
+    contraction vector sum_c x_c k_c: no check is lost."""
+    columns = []
+    for index, k in enumerate(_free_basis()):
+        holds, kv = verify_ckt(k)
+        if not holds:
+            raise CktError(f"free basis tensor {index} fails the conformal Killing equation")
+        columns.append(VectorField(tuple(kv[c].diff(b) - kv[b].diff(c) for b, c in ((1, 2), (2, 0), (0, 1)))))
+    return tuple(columns)
+
+
+def obstruction_from_free(vec: Sequence) -> VectorField:
+    """The Killing obstruction of ``assemble_free(vec)``: the curl of its
+    contraction vector k, the Hodge dual of the two-form d(k-flat), as the
+    components (23, 31, 12).  It vanishes identically iff the equivalence
+    class of the tensor modulo metric multiples contains a Killing tensor.
+    The curl is linear in the tensor, so it is sum_c x_c times that of F_c
+    (``_killing_columns``, built once): no tensor is assembled or
+    differentiated."""
+    if len(vec) != DIM_TRACE_FREE:
+        raise CktError(f"expected {DIM_TRACE_FREE} free parameters")
+    one = Poly.const(1, 3)
+    columns = _killing_columns()
+    return VectorField(tuple(Poly.dot(3, [(x, one, col[i]) for x, col in zip(vec, columns)])
+                             for i in range(3)))
+
+
 # ---------------------------------------------------------------------------
 # Symmetry subspace scans
 
@@ -727,10 +837,11 @@ def _ckv_coordinates(v: VectorField) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _structure_constants() -> tuple:
-    """[X_k, X_p] = sum_r c[k][p][r] X_r, as sparse dicts c[k][p]."""
+def _structure_constants(k: int) -> tuple:
+    """[X_k, X_p] = sum_r c[k][p][r] X_r, as the sparse dicts c[k][p] of
+    one k: a scan of one generator needs one row of the table."""
     basis = ckv_basis()
-    return tuple(tuple(_ckv_coordinates(commutator(x, y)) for y in basis) for x in basis)
+    return tuple(_ckv_coordinates(commutator(basis[k], y)) for y in basis)
 
 
 @lru_cache(maxsize=None)
@@ -782,7 +893,7 @@ def _lie_columns(v: VectorField) -> list[dict]:
 def _basis_lie_columns(k: int) -> tuple[dict, ...]:
     """The columns of ``lie_operator`` of the basis field X_k, as sparse
     dicts {row: value}."""
-    ad = _structure_constants()[k]
+    ad = _structure_constants(k)
     coords = _pair_coordinates()
     columns = []
     for terms in _free_terms():
@@ -808,11 +919,15 @@ def symmetry_subspace(v: VectorField, mode: str) -> list[tuple[Fraction, list[li
     """
     if mode not in ("h_zero", "h_constant"):
         raise CktError(f"unknown mode {mode!r}; expected h_zero or h_constant")
-    lam = lie_operator(v)
-    if mode == "h_zero":
-        kernel = linalg.nullspace(lam, DIM_TRACE_FREE)
-        return [(Fraction(0), kernel)] if kernel else []
-    return linalg.rational_eigenvalues(lam)
+    # Both read the operator as its sparse rows {column: value}.
+    rows: list[dict] = [{} for _ in range(DIM_TRACE_FREE)]
+    for c, column in enumerate(_lie_columns(v)):
+        for r, x in column.items():
+            rows[r][c] = x
+    if mode == "h_constant":
+        return linalg.rational_eigenvalues(rows)
+    kernel = linalg.nullspace(rows, DIM_TRACE_FREE)
+    return [(Fraction(0), kernel)] if kernel else []
 
 
 def eigenvector_cross(k: SymTensorField, v: VectorField) -> VectorField:
@@ -861,22 +976,25 @@ class TsnFilterResult:
     indexes the basis directions outside the subspace that also satisfy TSN
     individually; when there is one, the full TSN solution set inside the
     span is not a linear space, and the offending directions are reported
-    rather than silently absorbed.  ``tensors`` holds the tensors of the
-    input basis vectors, in basis order."""
+    rather than silently absorbed."""
 
     subspace: tuple[list[Fraction], ...]
     outside_tsn_directions: tuple[int, ...]
-    tensors: tuple[SymTensorField, ...]
 
     @property
     def variety_is_linear(self) -> bool:
         return not self.outside_tsn_directions
 
 
+# The probe point of ``tsn_filter`` on a plane x_i = c: c on axis i, and
+# these coordinates, in axis order, on the other two.
+_PROBE = (2, 3)
+
+
 def tsn_filter(v: VectorField, basis: list[list[Fraction]]) -> TsnFilterResult:
-    """Restrict span(basis), a list of free-coordinate vectors such as one
-    eigenspace of ``symmetry_subspace``, to the members satisfying the
-    normal-eigenvector (TSN) conditions identically.
+    """Restrict span(basis), a list of linearly independent free-coordinate
+    vectors such as one eigenspace of ``symmetry_subspace``, to the members
+    satisfying the normal-eigenvector (TSN) conditions identically.
 
     The basis must lie in one eigenspace of Lie_v, Lie_v K = h K; this is
     checked exactly against ``lie_operator(v)`` and CktError is raised
@@ -888,13 +1006,24 @@ def tsn_filter(v: VectorField, basis: list[list[Fraction]]) -> TsnFilterResult:
     eigenvector condition and the spot checks.  The subspace vectors sub_a
     are combined from the basis as sparse rows, and the symbolic family is
     ``symbolic_family(sub)``: sum_a t_a assemble_free(sub_a), with t_a extra
-    polynomial variables.
+    polynomial variables.  A direction is outside the candidate when its
+    unit vector in basis coordinates is outside the span of the
+    ``vanishing_combinations`` vectors, which are as long as the basis.
 
-    Both checks run ``tsn_check`` on one coordinate plane x_i = c
-    transversal to v (``_transversal_plane``: z = 0 for X3 and I3, x = 0
-    for R3, x = 1 for D).  That is exact because the TSN conditions are
-    conformally invariant, the invariance on which the classification of
-    the webs up to the conformal group rests:
+    A spot check first reads the three TSN scalars at one integer point of
+    the plane below, the point whose other two coordinates are ``_PROBE``
+    (``_tsn_refuted_at``: in integers, from the first jets of the basis
+    tensors there).  That refutation is exact: restricted to the plane,
+    the scalars are polynomials, and one nonzero value at a point of the
+    plane proves that one of them does not vanish there identically, which
+    is ``tsn_check(k, plane)`` being False.  Only a direction whose three
+    values are all zero goes on to the full ``tsn_check`` on the plane.
+
+    The certificate and the full spot checks run ``tsn_check`` on one
+    coordinate plane x_i = c transversal to v (``_transversal_plane``:
+    z = 0 for X3 and I3, x = 0 for R3, x = 1 for D).  That is exact because
+    the TSN conditions are conformally invariant, the invariance on which
+    the classification of the webs up to the conformal group rests:
 
     - The flow phi_t of v is conformal, phi_t^* g = w g with w > 0, and
       Lie_v K = h K + f g integrates to phi_t^* K = e^(ht) K + b g for some
@@ -932,8 +1061,11 @@ def tsn_filter(v: VectorField, basis: list[list[Fraction]]) -> TsnFilterResult:
     if sub:
         if not tsn_check(symbolic_family(sub), plane):
             raise CktError("eigenvector subspace fails the TSN conditions; filter is unsound")
-    base_rank = linalg.rank(sub)
+    var, value = plane
+    point = (*_PROBE[:var], value, *_PROBE[var:])
+    base_rank = linalg.rank(combos)
+    units = [[int(i == idx) for i in range(len(basis))] for idx in range(len(basis))]
     outside = [idx for idx, (vec, k) in enumerate(zip(basis, tensors))
-               if linalg.rank(sub + [vec]) > base_rank and tsn_check(k, plane)]
-    return TsnFilterResult(subspace=tuple(sub), outside_tsn_directions=tuple(outside),
-                           tensors=tuple(tensors))
+               if linalg.rank(combos + [units[idx]]) > base_rank
+               and not _tsn_refuted_at(vec, point) and tsn_check(k, plane)]
+    return TsnFilterResult(subspace=tuple(sub), outside_tsn_directions=tuple(outside))

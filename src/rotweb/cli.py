@@ -16,8 +16,9 @@ from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
-from . import __version__, ckt_core
-from .ckt_core import CktError, ckv_by_name, killing_obstruction, symmetry_subspace, tsn_filter
+from . import __version__
+from .ckt_core import (CktError, ckv_by_name, free_json_dict, obstruction_from_free, symmetry_subspace,
+                       tsn_filter)
 from .exactmath import ExactMathError, rat, rat_str
 from .expr import ExprError, eval_rational
 from .group_action import apply_quartic
@@ -233,7 +234,7 @@ def _symmetry_blocks(v, mode: str) -> tuple[list, list]:
         block = {
             "h": rat_str(h),
             "dimension": len(basis),
-            "basis": [ckt_core.coefficients_from_free(vec).to_json_dict() for vec in basis],
+            "basis": [free_json_dict(vec) for vec in basis],
         }
         if mode == "h_zero":
             filtered = tsn_filter(v, basis)
@@ -246,9 +247,7 @@ def _symmetry_blocks(v, mode: str) -> tuple[list, list]:
                               "the TSN solution set inside the kernel is not a linear space",
                     "directions": list(filtered.outside_tsn_directions),
                 })
-            block["killing_obstruction_zero"] = [
-                killing_obstruction(k).is_zero for k in filtered.tensors
-            ]
+            block["killing_obstruction_zero"] = [obstruction_from_free(vec).is_zero for vec in basis]
         blocks.append(block)
     return blocks, findings
 

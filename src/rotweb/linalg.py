@@ -25,6 +25,12 @@ def _sparse(row: Sequence) -> Row:
     return {j: x for j, x in enumerate(row) if x}
 
 
+def _rows(matrix: Sequence[Sequence | Row]) -> list[Row]:
+    """The rows of a matrix as sparse rows: a dense row is made sparse, and
+    a ``Row`` is read as it is."""
+    return [row if type(row) is dict else _sparse(row) for row in matrix]
+
+
 def _scaled(row: Row, d: int) -> Row:
     """The rational row times d, a common multiple of its denominators."""
     return {j: x.numerator * (d // x.denominator) for j, x in row.items()}
@@ -111,12 +117,13 @@ def _null_basis(rows: list[Row], ncols: int) -> list[list[Fraction]]:
     return basis
 
 
-def nullspace(matrix: Sequence[Sequence], ncols: int | None = None) -> list[list[Fraction]]:
+def nullspace(matrix: Sequence[Sequence | Row], ncols: int | None = None) -> list[list[Fraction]]:
     """Basis of the right null space, as Fraction vectors: one per free
-    column, with that entry 1 and the other free entries 0."""
+    column, with that entry 1 and the other free entries 0.  The rows may
+    be dense or sparse (``_rows``); a matrix of sparse rows needs ncols."""
     if ncols is None:
         ncols = len(matrix[0]) if matrix else 0
-    return _null_basis([row for row in map(_sparse, matrix) if row], ncols)
+    return _null_basis([row for row in _rows(matrix) if row], ncols)
 
 
 def vanishing_combinations(images: Sequence[Sequence[Poly]]) -> list[list[Fraction]]:
@@ -239,7 +246,7 @@ def _berkowitz(rows: list[Row]) -> list[int]:
     return poly
 
 
-def char_poly(matrix: Sequence[Sequence]) -> list[list[int]]:
+def char_poly(matrix: Sequence[Sequence | Row]) -> list[list[int]]:
     """det(t*I - A) as one primitive integer polynomial per diagonal block,
     low degree first with a positive leading coefficient; their product is
     a positive multiple of det(t*I - A).
@@ -248,9 +255,10 @@ def char_poly(matrix: Sequence[Sequence]) -> list[list[int]]:
     for a[i][j] != 0, along which the matrix is block triangular.  Each is
     scaled to integers by the least common denominator d of its entries and
     run through Berkowitz's division-free algorithm: the block of size m
-    times d^m has the coefficient c_i(d A) d^(m-i) at t^(m-i).
+    times d^m has the coefficient c_i(d A) d^(m-i) at t^(m-i).  The rows
+    may be dense or sparse (``_rows``).
     """
-    sparse = [_sparse(row) for row in matrix]
+    sparse = _rows(matrix)
     blocks = []
     for component in _strong_components([list(row) for row in sparse]):
         position = {g: p for p, g in enumerate(component)}
@@ -261,7 +269,7 @@ def char_poly(matrix: Sequence[Sequence]) -> list[list[int]]:
     return blocks
 
 
-def rational_eigenvalues(matrix: Sequence[Sequence]) -> list[tuple[Fraction, list[list[Fraction]]]]:
+def rational_eigenvalues(matrix: Sequence[Sequence | Row]) -> list[tuple[Fraction, list[list[Fraction]]]]:
     """All real eigenvalues of a rational matrix, with exact eigenspaces.
 
     Every real eigenvalue must be rational (true for the operators this
@@ -272,17 +280,18 @@ def rational_eigenvalues(matrix: Sequence[Sequence]) -> list[tuple[Fraction, lis
     read on each distinct block polynomial of ``char_poly``.  The matrix is
     cleared once to sparse integer rows M = d A; for an eigenvalue p/q the
     rows q M - d p I span the row space of A - (p/q) I, so only the
-    diagonal changes from one eigenvalue to the next.
+    diagonal changes from one eigenvalue to the next.  The rows may be
+    dense or sparse (``_rows``).
     """
     n = len(matrix)
+    sparse = _rows(matrix)
     roots = set()
-    for block in {tuple(block): block for block in char_poly(matrix)}.values():
+    for block in {tuple(block): block for block in char_poly(sparse)}.values():
         found = rational_roots(block)
         # The roots are distinct and real, so a missed real root shows in the count.
         if real_root_count(block) != len(found):
             raise ExactMathError("matrix has an irrational real eigenvalue; exact eigenspaces unavailable")
         roots.update(found)
-    sparse = [_sparse(row) for row in matrix]
     d = lcm(1, *(x.denominator for row in sparse for x in row.values()))
     cleared = [_scaled(row, d) for row in sparse]
     out = []

@@ -10,8 +10,8 @@ import numpy as np
 from rotweb import ckt_core as cc
 from rotweb import linalg
 from rotweb.ckt_core import (assemble_free, ckt_dimension, ckv_basis, commutator,
-                             conformal_factor, killing_obstruction, lie_derivative,
-                             metric, symmetry_subspace, tsn_check, tsn_filter)
+                             conformal_factor, lie_derivative, metric, symmetry_subspace,
+                             tsn_check, tsn_filter)
 from rotweb.exactmath import Poly
 from rotweb.group_action import GroupElement, apply_quartic
 from rotweb.quartic_class import (BinaryQuartic, WebType, classify_by_invariants,
@@ -23,7 +23,7 @@ from rotweb.separability import Potential, classify_potential, solve_compatible
 
 from ref_covariants import covariant_l, form_is_zero
 from ref_univariate import dehomogenize, singular_polynomial
-from test_ckt_core import expected_commutator
+from test_ckt_core import expected_commutator, killing_obstruction
 from test_group_action import covariance_residual
 
 

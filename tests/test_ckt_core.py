@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -7,11 +8,13 @@ import pytest
 from rotweb import ckt_core as cc
 from rotweb.ckt_core import (CktCoefficients, CktError, SymTensorField, assemble_ckt,
                              assemble_free, ckt_dimension, ckv_basis, ckv_by_name,
-                             commutator, conformal_factor, coefficients_from_free, killing_obstruction,
-                             lie_derivative, lie_operator, metric, symmetric_product,
-                             symbolic_family, symmetry_subspace, tsn_check, tsn_filter, verify_ckt)
-from rotweb.exactmath import ExactMathError, Poly
-from rotweb.linalg import char_poly, solve_many, vanishing_combinations
+                             commutator, conformal_factor, coefficients_from_free, free_json_dict,
+                             lie_derivative, lie_operator, metric, obstruction_from_free,
+                             symmetric_product, symbolic_family, symmetry_subspace, tsn_check,
+                             tsn_filter, verify_ckt)
+from rotweb.exactmath import ExactMathError, Poly, rat_str
+from rotweb.linalg import (char_poly, nullspace, rank, rational_eigenvalues, solve_many,
+                           vanishing_combinations)
 
 from conftest import rand_fraction
 from ref_univariate import UniPoly, product, ref_monic
@@ -335,12 +338,42 @@ class TestVerifyCktEquations:
         assert verify_ckt(k)[0] is False
 
 
+# The eigenspaces of the eight scans: X3, I3 and R3 have only h = 0, the
+# same kernel in both modes; D has h = -2..2, and its h = 0 is its kernel.
+SCAN_EIGENSPACES = [("X3", 0), ("I3", 0), ("R3", 0)] + [("D", h) for h in range(-2, 3)]
+
+
+def scan_eigenspace(name, h):
+    v = ckv_by_name(name)
+    return v, dict(symmetry_subspace(v, "h_constant"))[h]
+
+
+def combination(members, weights):
+    return assemble_free([sum(w * vec[j] for w, vec in zip(weights, members)) for j in range(cc.DIM_TRACE_FREE)])
+
+
 def oracle_coefficients_from_free(vec):
     """``coefficients_from_free`` as it was before the cached sparse map:
     ``_blocks_from_free`` run on the vector itself."""
     a, b, c, d, e, f, g, h, l, m = cc._blocks_from_free([Fraction(v) for v in vec])
     a, b, c, e, g, m = (tuple(map(tuple, block)) for block in (a, b, c, e, g, m))
     return CktCoefficients(a=a, b=b, c=c, d=tuple(d), e=e, f=tuple(f), g=g, h=h, l=tuple(l), m=m)
+
+
+def oracle_json_dict(coeffs):
+    """``CktCoefficients.to_json_dict`` as it was before the flat layout:
+    each block formatted on its own."""
+    def grid(block):
+        return [[rat_str(x) for x in row] for row in block]
+
+    return {"A": grid(coeffs.a), "B": grid(coeffs.b), "C": grid(coeffs.c),
+            "D": [rat_str(x) for x in coeffs.d], "E": grid(coeffs.e),
+            "F": [rat_str(x) for x in coeffs.f], "G": grid(coeffs.g),
+            "Hscalar": rat_str(coeffs.h), "L": [rat_str(x) for x in coeffs.l], "M": grid(coeffs.m)}
+
+
+def json_bytes(data):
+    return json.dumps(data, indent=2, sort_keys=True)
 
 
 class TestFreeCoordinates:
@@ -354,10 +387,37 @@ class TestFreeCoordinates:
             coeffs = coefficients_from_free(vec)
             expected = oracle_coefficients_from_free(vec)
             assert coeffs == expected
-            assert coeffs.to_json_dict() == expected.to_json_dict()
+            assert all(type(x) is Fraction for x in cc._flat(
+                (coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.e, coeffs.f, coeffs.g, coeffs.h,
+                 coeffs.l, coeffs.m)))
+            assert coeffs.to_json_dict() == expected.to_json_dict() == oracle_json_dict(expected)
+            assert json_bytes(free_json_dict(vec)) == json_bytes(oracle_json_dict(expected))
         for bad in ([0] * 34, [0] * 36):
-            with pytest.raises(CktError, match="35 free parameters"):
-                coefficients_from_free(bad)
+            for build in (coefficients_from_free, free_json_dict):
+                with pytest.raises(CktError, match="35 free parameters"):
+                    build(bad)
+
+    @pytest.mark.parametrize("name,h", SCAN_EIGENSPACES, ids=[f"{n} h={h}" for n, h in SCAN_EIGENSPACES])
+    def test_scan_blocks_match_the_block_route(self, name, h):
+        # The report blocks of every basis vector of the eight scans, byte
+        # for byte as the former block route writes them.
+        _, basis = scan_eigenspace(name, h)
+        for vec in basis:
+            expected = oracle_json_dict(oracle_coefficients_from_free(vec))
+            assert json_bytes(free_json_dict(vec)) == json_bytes(expected)
+            assert json_bytes(coefficients_from_free(vec).to_json_dict()) == json_bytes(expected)
+
+    def test_outside_coefficients_round_trip_through_the_layout(self, rng):
+        # Blocks with every entry free, as outside input gives them.
+        for _ in range(20):
+            grids = [[[rand_fraction(rng) for _ in range(3)] for _ in range(3)] for _ in range(7)]
+            a, c, m = ([[g[min(i, j)][max(i, j)] for j in range(3)] for i in range(3)]
+                       for g in grids[:3])
+            coeffs = CktCoefficients.make(a=a, b=grids[3], c=c, d=grids[4][0], e=grids[5],
+                                          f=grids[4][1], g=grids[6], h=rand_fraction(rng),
+                                          l=grids[4][2], m=m)
+            assert coeffs.to_json_dict() == oracle_json_dict(coeffs)
+            assert CktCoefficients.from_json_dict(coeffs.to_json_dict()) == coeffs
 
     def test_c_block_follows_e(self, rng):
         for _ in range(20):
@@ -401,6 +461,16 @@ class TestFreeCoordinates:
         diff = assemble_ckt(raw) - assemble_ckt(reduced)
         assert diff[0][1].is_zero and diff[0][2].is_zero and diff[1][2].is_zero
         assert diff[0][0] == diff[1][1] == diff[2][2]
+
+
+def killing_obstruction(k: SymTensorField) -> cc.VectorField:
+    """The curl of k, the Hodge dual of the two-form d(k-flat), as the
+    components (23, 31, 12), from the contraction vector that ``verify_ckt``
+    returns for the tensor itself: the oracle of ``obstruction_from_free``."""
+    holds, kv = verify_ckt(k)
+    if not holds:
+        raise CktError("killing_obstruction requires a conformal Killing tensor")
+    return cc.VectorField(tuple(kv[c].diff(b) - kv[b].diff(c) for b, c in ((1, 2), (2, 0), (0, 1))))
 
 
 class TestKillingObstruction:
@@ -452,6 +522,76 @@ class TestKillingObstruction:
             d13 = kv[2].diff(0) - kv[0].diff(2)
             d23 = kv[2].diff(1) - kv[1].diff(2)
             assert killing_obstruction(k).components == (d23, -d13, d12)
+
+
+def killing_shaped(rng):
+    """A free vector with only a, b and a symmetric e: Killing-representable."""
+    vec = [Fraction(0)] * 35
+    for idx, (block, i, j) in enumerate(cc.FREE_COORDS):
+        if block in ("a", "b"):
+            vec[idx] = rand_fraction(rng, -20, 20, 9)
+        elif block == "e" and i <= j:
+            vec[idx] = vec[cc.FREE_COORDS.index(("e", j, i))] = rand_fraction(rng, -20, 20, 9)
+    return vec
+
+
+class TestKillingMap:
+    """``obstruction_from_free`` reads the cached curls of the 35 basis
+    tensors; the oracle is ``killing_obstruction`` of the tensor itself."""
+
+    def test_seeded_vectors_match_the_tensor_route(self):
+        rng = random.Random(4021)
+        for trial in range(60):
+            density = (0.15, 0.5, 1.0)[trial % 3]
+            vec = [rand_fraction(rng, -20, 20, 9) if rng.random() < density else 0 for _ in range(35)]
+            assert obstruction_from_free(vec) == killing_obstruction(assemble_free(vec))
+
+    def test_g_m_or_antisymmetric_e_obstructs(self):
+        rng = random.Random(4022)
+        blocks = {"g": [], "m": [], "e": []}
+        for idx, (block, _, _) in enumerate(cc.FREE_COORDS):
+            if block in blocks:
+                blocks[block].append(idx)
+        for trial in range(45):
+            vec = killing_shaped(rng)
+            assert obstruction_from_free(vec).is_zero
+            assert killing_obstruction(assemble_free(vec)).is_zero
+            kind = ("g", "m", "e")[trial % 3]
+            if kind == "e":  # an antisymmetric part added to e
+                i, j = rng.choice([(0, 1), (0, 2), (1, 2)])
+                w = rand_fraction(rng, 1, 9, 5) * rng.choice((-1, 1))
+                vec[cc.FREE_COORDS.index(("e", i, j))] += w
+                vec[cc.FREE_COORDS.index(("e", j, i))] -= w
+            else:
+                for idx in rng.sample(blocks[kind], rng.randint(1, len(blocks[kind]))):
+                    vec[idx] = rand_fraction(rng, 1, 9, 5) * rng.choice((-1, 1))
+            obstruction = obstruction_from_free(vec)
+            assert not obstruction.is_zero, kind
+            assert obstruction == killing_obstruction(assemble_free(vec))
+
+    @pytest.mark.parametrize("name,h", SCAN_EIGENSPACES, ids=[f"{n} h={h}" for n, h in SCAN_EIGENSPACES])
+    def test_scan_basis_vectors(self, name, h):
+        _, basis = scan_eigenspace(name, h)
+        for vec in basis:
+            assert obstruction_from_free(vec) == killing_obstruction(assemble_free(vec))
+
+    def test_wrong_length_raises(self):
+        for bad in ([0] * 34, [0] * 36):
+            with pytest.raises(CktError, match="35 free parameters"):
+                obstruction_from_free(bad)
+
+    def test_a_failing_basis_tensor_raises(self, monkeypatch):
+        # The map checks every basis tensor when it is built; it is cached,
+        # so it is cleared before the call and again at teardown.
+        real = verify_ckt
+        failing = cc._free_basis()[17]
+        monkeypatch.setattr(cc, "verify_ckt", lambda k: (k is not failing and real(k)[0], real(k)[1]))
+        cc._killing_columns.cache_clear()
+        try:
+            with pytest.raises(CktError, match="free basis tensor 17 fails"):
+                obstruction_from_free([1] * 35)
+        finally:
+            cc._killing_columns.cache_clear()
 
 
 def nijenhuis(k: SymTensorField):
@@ -607,7 +747,7 @@ class TestLieOperator:
         # The per-generator operators are cached from the real constants;
         # clear them before the call and again at teardown.
         cc._basis_lie_columns.cache_clear()
-        monkeypatch.setattr(cc, "_structure_constants", lambda: constants)
+        monkeypatch.setattr(cc, "_structure_constants", lambda k: constants[k])
         try:
             with pytest.raises(CktError, match="left the trace-free space"):
                 lie_operator(ckv_by_name("X1"))
@@ -708,6 +848,21 @@ class TestSymmetrySubspace:
         assert [h for h, _ in spaces] == [0]
         assert spaces == symmetry_subspace(v, "h_zero")
 
+    def test_sparse_rows_match_the_dense_operator(self):
+        # The scans read the operator's sparse rows; the dense matrix of
+        # lie_operator gives the same kernel and eigenspaces.
+        rng = random.Random(5)
+        fields = list(ckv_basis(3))
+        fields += [sum((f.scale(rand_fraction(rng)) for f in rng.sample(ckv_basis(3), 3)), vector(ZERO, ZERO, ZERO))
+                   for _ in range(6)]
+        for v in fields:
+            operator = lie_operator(v)
+            kernel = nullspace(operator, cc.DIM_TRACE_FREE)
+            assert symmetry_subspace(v, "h_zero") == ([(0, kernel)] if kernel else [])
+        for name in ("D", "R3", "X3"):
+            v = ckv_by_name(name)
+            assert symmetry_subspace(v, "h_constant") == rational_eigenvalues(lie_operator(v))
+
     def test_inversion_kernel_dimension(self):
         i3 = ckv_by_name("I3")
         (h, basis), = symmetry_subspace(i3, "h_zero")
@@ -722,20 +877,6 @@ class TestSymmetrySubspace:
         # system of lie_operator is inconsistent.
         with pytest.raises(CktError, match="left the trace-free space"):
             lie_operator(vector(X, ZERO, ZERO))
-
-
-# The eigenspaces of the eight scans: X3, I3 and R3 have only h = 0, the
-# same kernel in both modes; D has h = -2..2, and its h = 0 is its kernel.
-SCAN_EIGENSPACES = [("X3", 0), ("I3", 0), ("R3", 0)] + [("D", h) for h in range(-2, 3)]
-
-
-def scan_eigenspace(name, h):
-    v = ckv_by_name(name)
-    return v, dict(symmetry_subspace(v, "h_constant"))[h]
-
-
-def combination(members, weights):
-    return assemble_free([sum(w * vec[j] for w, vec in zip(weights, members)) for j in range(cc.DIM_TRACE_FREE)])
 
 
 class TestTsnPlane:
@@ -790,3 +931,89 @@ class TestTsnPlane:
         moved = next(vec for vec in units if not lie_derivative(r3, assemble_free(vec)).is_zero)
         with pytest.raises(CktError, match="one eigenspace"):
             tsn_filter(r3, kernel + [moved])
+
+
+def spot_check_route(v, basis):
+    """The outside directions of ``tsn_filter`` as they were found before
+    point refutation: membership by the rank of 35-long vectors, then the
+    full ``tsn_check`` on the plane for every direction outside."""
+    plane = cc._transversal_plane(v)
+    sub = list(tsn_filter(v, basis).subspace)
+    base = rank(sub)
+    return tuple(idx for idx, vec in enumerate(basis)
+                 if rank(sub + [vec]) > base and tsn_check(assemble_free(vec), plane))
+
+
+def tsn_scalars(vec):
+    """The three scalars of ``tsn_check`` of ``assemble_free(vec)``, as
+    polynomials of the cleared tensor."""
+    _, k = cc._cleared(assemble_free(vec))
+    return list(cc._tsn_scalars(k, cc._partials(k), ONE, lambda products: Poly.dot(3, products)))
+
+
+PLANES = [(var, value) for value in (0, 1) for var in range(3)]
+
+
+class TestPointRefutation:
+    """``tsn_filter`` refutes a direction when a TSN scalar is nonzero at
+    one integer point of the plane; that must imply the plane check fails."""
+
+    def test_plane_chooser_planes_are_covered(self):
+        rng = random.Random(6)
+        fields = list(ckv_basis(3))
+        fields += [sum((f.scale(rand_fraction(rng)) for f in rng.sample(ckv_basis(3), 4)), vector(ZERO, ZERO, ZERO))
+                   for _ in range(20)]
+        assert {cc._transversal_plane(v) for v in fields} <= set(PLANES)
+
+    def test_refuted_implies_the_plane_check_fails(self):
+        rng = random.Random(7)
+        vecs = [[rand_fraction(rng, -9, 9, 7) if rng.random() < 0.4 else 0 for _ in range(35)]
+                for _ in range(12)]
+        inside = []
+        for name, h in SCAN_EIGENSPACES:
+            v, basis = scan_eigenspace(name, h)
+            vecs += basis
+            inside += tsn_filter(v, basis).subspace
+        refuted_count = 0
+        for vec in vecs:
+            scalars = tsn_scalars(vec)
+            for plane in PLANES:
+                var, value = plane
+                refuted = False
+                for off in (cc._PROBE, (3, -2)):  # the filter's probe point, and another
+                    point = (*off[:var], value, *off[var:])
+                    at_point = cc._tsn_refuted_at(vec, point)
+                    assert at_point == any(p.eval(point) for p in scalars)
+                    refuted |= at_point
+                if refuted:
+                    refuted_count += 1
+                    assert not tsn_check(assemble_free(vec), plane)
+        assert refuted_count > len(vecs)
+        for vec in inside:  # TSN holds identically: never refuted
+            for var, value in PLANES:
+                for off in (cc._PROBE, (3, -2)):
+                    assert not cc._tsn_refuted_at(vec, (*off[:var], value, *off[var:]))
+
+    @pytest.mark.parametrize("name,h", SCAN_EIGENSPACES, ids=[f"{n} h={h}" for n, h in SCAN_EIGENSPACES])
+    def test_filter_matches_the_spot_check_route(self, name, h):
+        rng = random.Random(f"spot-{name}{h}")
+        v, basis = scan_eigenspace(name, h)
+        bases = [basis, basis[::-1], rng.sample(basis, len(basis) // 2 + 1)]
+        # A change of basis of the same span: a unit lower-triangular mix.
+        weights = [[rand_fraction(rng, -2, 2) for _ in range(i)] for i in range(len(basis))]
+        mixed = [[x + sum(w * basis[j][c] for j, w in enumerate(weights[i])) for c, x in enumerate(vec)]
+                 for i, vec in enumerate(basis)]
+        bases.append(mixed)
+        for members in bases:
+            result = tsn_filter(v, members)
+            assert result.outside_tsn_directions == spot_check_route(v, members)
+        # The probe point is not degenerate for the scans: every direction
+        # outside the subspace that fails TSN is refuted there, so only the
+        # directions that satisfy TSN pay for the full plane check.
+        var, value = cc._transversal_plane(v)
+        point = (*cc._PROBE[:var], value, *cc._PROBE[var:])
+        result = tsn_filter(v, basis)
+        sub = list(result.subspace)
+        for idx, vec in enumerate(basis):
+            if rank(sub + [vec]) > rank(sub):
+                assert cc._tsn_refuted_at(vec, point) == (idx not in result.outside_tsn_directions)

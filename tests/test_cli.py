@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotweb import cli, linalg, quartic_class
+from rotweb import ckt_core, cli, linalg, quartic_class
 from rotweb.ckt_core import CktCoefficients, assemble_ckt, assemble_free, ckv_by_name, symmetry_subspace
 from rotweb.cli import main
 from rotweb.exactmath import rat_str
@@ -283,6 +283,23 @@ class TestSymmetry:
         assert report["findings"] == [{"kind": "internal_check_failed",
                                        "detail": "eigenvector subspace fails the TSN conditions; "
                                                  "filter is unsound"}]
+
+
+    def test_failed_killing_check_exits_1(self, capsys, monkeypatch):
+        # The conformal Killing check runs on the 35 basis tensors when the
+        # cached Killing map is built; the map is cleared before the call
+        # and again at teardown.
+        real = ckt_core.verify_ckt
+        monkeypatch.setattr(ckt_core, "verify_ckt", lambda k: (False, real(k)[1]))
+        ckt_core._killing_columns.cache_clear()
+        try:
+            code, report = run_json(capsys, "symmetry", "X3", "--h", "0")
+        finally:
+            ckt_core._killing_columns.cache_clear()
+        assert code == 1
+        assert report["results"] is None
+        assert report["findings"] == [{"kind": "internal_check_failed",
+                                       "detail": "free basis tensor 0 fails the conformal Killing equation"}]
 
 
 def without_timing(out: str) -> str:

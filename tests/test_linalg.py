@@ -329,6 +329,8 @@ def assert_parity(m, rhs_sets):
         assert gcd(*row.values()) == 1
     basis = nullspace(m, ncols)
     assert basis == dense_nullspace(m, ncols)
+    # Sparse rows {column: value} are read as they are, zero rows included.
+    assert nullspace([{j: x for j, x in enumerate(row) if x} for row in m], ncols) == basis
     results = [solve_many(m, rhs) for rhs in rhs_sets]
     assert results == [dense_solve_many(m, rhs) for rhs in rhs_sets]
     # The integer back-substitution still hands out Fraction entries.
@@ -498,6 +500,9 @@ class TestRationalEigenvaluesParity:
             m = conjugated(rng, triangular(rng, eigenvalues))
             result = rational_eigenvalues(m)
             assert result == dense_rational_eigenvalues(m)
+            # Sparse rows {column: value} are read as they are.
+            rows = [{j: x for j, x in enumerate(row) if x} for row in m]
+            assert rational_eigenvalues(rows) == result and char_poly(rows) == char_poly(m)
             assert [h for h, _ in result] == sorted(set(eigenvalues))
             for h, space in result:
                 for vec in space:

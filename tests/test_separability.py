@@ -5,7 +5,7 @@ import pytest
 
 from rotweb import linalg
 from rotweb.ckt_core import (CktError, OneForm, SymTensorField, ckv_by_name, contraction_vector,
-                             killing_obstruction, metric, symmetric_product, verify_ckt)
+                             metric, symmetric_product, verify_ckt)
 from rotweb.exactmath import Poly, RationalFunction
 from rotweb.expr import ExprError
 from rotweb.quartic_class import WebType
@@ -15,6 +15,7 @@ from rotweb.separability import (Potential, _curl_numerators, _potential_parts,
                                  parse_potential, solve_compatible)
 
 from conftest import rand_fraction
+from test_ckt_core import killing_obstruction
 
 EXAMPLE_POTENTIAL = "-4/((x^2+y^2+z^2-1)^2 + 4*z^2)"
 
