@@ -305,8 +305,8 @@ class CktCoefficients:
     A, C, M are symmetric.  This is the JSON and outside-input form of a
     tensor: ``assemble_ckt`` expands it, and the symmetry scans work on the
     35 free coordinates instead (``FREE_COORDS``, ``assemble_free``).
-    Coefficients built by coefficients_from_free satisfy the trace
-    relations tr A = tr B = tr G = tr M = 0, H = 0, F = 0, D =
+    The coefficients of free coordinates (``free_json_dict``) satisfy the
+    trace relations tr A = tr B = tr G = tr M = 0, H = 0, F = 0, D =
     eps-contraction of B, L = eps-contraction of G, and C_ij = E_ij + E_ji -
     (1/2) tr E delta_ij, which make the assembled tensor trace-free.
     """
@@ -619,15 +619,10 @@ def _free_numerators(vec: Sequence) -> tuple[list[int], int]:
     return flat, q * d
 
 
-def coefficients_from_free(vec: Sequence) -> CktCoefficients:
-    flat, den = _free_numerators(vec)
-    zero = Fraction(0)
-    return CktCoefficients(*_sliced([Fraction(n, den) if n else zero for n in flat]))
-
-
 def free_json_dict(vec: Sequence) -> dict:
-    """``coefficients_from_free(vec).to_json_dict()``, written from the
-    integer numerators without a Fraction: a scan's report block."""
+    """The ``CktCoefficients.to_json_dict()`` of the tensor with free
+    coordinates vec, written from the integer numerators without a
+    Fraction: a scan's report block."""
     flat, den = _free_numerators(vec)
     return dict(zip(_BLOCK_NAMES, _sliced([_ratio_str(n, den) if n else "0" for n in flat], list)))
 
@@ -853,34 +848,13 @@ def _pair_coordinates() -> list:
     return linalg.extended_coordinates(list(zip(*_assembly_matrix())), products)
 
 
-def lie_operator(v: VectorField) -> list[list[Fraction]]:
-    """Matrix of Lie_v on the 35 trace-free coordinates: column c holds the
-    coordinates of Lie_v applied to basis vector c.
-
-    No tensor is differentiated.  Lie_v is linear in v, so for v = sum_k
-    c_k X_k in ``ckv_basis`` coordinates the matrix is sum_k c_k rho(X_k),
-    where rho(X_k), the matrix of one basis field, is built once per k and
-    cached.  Lie_X is a derivation, so on products of conformal Killing
-    vectors L_X(X_p.X_q) = [X, X_p].X_q + X_p.[X, X_q].  With ad_X the 10x10
-    matrix whose column p holds [X, X_p] (for X = X_k, the structure
-    constants c[k][p]), the tensor sum S_pq X_p.X_q of basis vector c goes to
-    the one with coefficients ad_X S + S ad_X^T.  That combination of the 55
-    products X_p.X_q, p <= q, is reduced to the 35 free coordinates by
-    ``_pair_coordinates``, built on first use by one elimination of the
-    assembly matrix beside the 55 vectorized products.  Their span has
-    dimension 49, so each column also has 14 complement coordinates; they
-    must vanish exactly, and v must lie in the span of ``ckv_basis``, or
-    this raises CktError.
-    """
-    columns = _lie_columns(v)
-    zero = Fraction(0)
-    return [[col.get(r, zero) for col in columns] for r in range(DIM_TRACE_FREE)]
-
-
 def _lie_columns(v: VectorField) -> list[dict]:
-    """The columns of ``lie_operator(v)`` as sparse dicts {row: value}:
-    Lie_v is linear in v, so they are sum_k c_k times those of the basis
-    field X_k, for v = sum_k c_k X_k."""
+    """The matrix of Lie_v on the 35 trace-free coordinates, as its columns,
+    sparse dicts {row: value}: column c holds the coordinates of Lie_v
+    applied to basis vector c.  Lie_v is linear in v, so they are
+    sum_k c_k times those of the basis field X_k (``_basis_lie_columns``),
+    for v = sum_k c_k X_k in ``ckv_basis`` coordinates; v outside that span
+    raises CktError."""
     columns: list[dict] = [{} for _ in range(DIM_TRACE_FREE)]
     for k, a in _ckv_coordinates(v).items():
         for col, basis_col in zip(columns, _basis_lie_columns(k)):
@@ -891,8 +865,19 @@ def _lie_columns(v: VectorField) -> list[dict]:
 
 @lru_cache(maxsize=None)
 def _basis_lie_columns(k: int) -> tuple[dict, ...]:
-    """The columns of ``lie_operator`` of the basis field X_k, as sparse
-    dicts {row: value}."""
+    """The columns of the matrix of Lie_X on the 35 trace-free coordinates,
+    for the basis field X = X_k, as sparse dicts {row: value}.
+
+    No tensor is differentiated.  Lie_X is a derivation, so on products of
+    conformal Killing vectors L_X(X_p.X_q) = [X, X_p].X_q + X_p.[X, X_q].
+    With ad_X the 10x10 matrix whose column p holds [X, X_p] (the structure
+    constants c[k][p]), the tensor sum S_pq X_p.X_q of basis vector c goes
+    to the one with coefficients ad_X S + S ad_X^T.  That combination of the
+    55 products X_p.X_q, p <= q, is reduced to the 35 free coordinates by
+    ``_pair_coordinates``, built on first use by one elimination of the
+    assembly matrix beside the 55 vectorized products.  Their span has
+    dimension 49, so each column also has 14 complement coordinates; they
+    must vanish exactly, or this raises CktError."""
     ad = _structure_constants(k)
     coords = _pair_coordinates()
     columns = []
@@ -951,7 +936,7 @@ def _transversal_plane(v: VectorField) -> tuple[int, int]:
 
 def _check_one_eigenspace(v: VectorField, basis: list[list[Fraction]]) -> None:
     """Raise unless every free-coordinate vector lies in one eigenspace of
-    ``lie_operator(v)``, with one eigenvalue for all of them."""
+    Lie_v (``_lie_columns``), with one eigenvalue for all of them."""
     columns = _lie_columns(v)
     h = None
     for vec in basis:
@@ -997,12 +982,12 @@ def tsn_filter(v: VectorField, basis: list[list[Fraction]]) -> TsnFilterResult:
     satisfying the normal-eigenvector (TSN) conditions identically.
 
     The basis must lie in one eigenspace of Lie_v, Lie_v K = h K; this is
-    checked exactly against ``lie_operator(v)`` and CktError is raised
-    otherwise.  The candidate is the linear eigenvector condition
-    (K.v) x v = 0, whose sufficiency is certified symbolically (parameters
-    as extra polynomial variables).  Basis directions outside the candidate
-    are spot-checked; any that satisfy TSN individually are reported in the
-    result.  Each basis tensor is assembled once and serves both the
+    checked exactly against the columns of Lie_v (``_lie_columns``), and
+    CktError is raised otherwise.  The candidate is the linear eigenvector
+    condition (K.v) x v = 0, whose sufficiency is certified symbolically
+    (parameters as extra polynomial variables).  Basis directions outside
+    the candidate are spot-checked; any that satisfy TSN individually are
+    reported in the result.  Each basis tensor is assembled once and serves both the
     eigenvector condition and the spot checks.  The subspace vectors sub_a
     are combined from the basis as sparse rows, and the symbolic family is
     ``symbolic_family(sub)``: sum_a t_a assemble_free(sub_a), with t_a extra

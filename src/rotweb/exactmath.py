@@ -50,8 +50,21 @@ def rat(value: int | str | Fraction) -> Fraction:
 def rat_str(value: int | Fraction) -> str:
     """Format a rational as "p/q", or "p" when the denominator is 1."""
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _int_str(value.numerator)
+    return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
+
+
+def _int_str(n: int) -> str:
+    """str(n) for an int of any size: Python refuses str() beyond a digit
+    limit (at least 640 digits, 4300 by default), so a longer int is split
+    at a power of ten and written in halves."""
+    if n.bit_length() < 2000:
+        return str(n)
+    if n < 0:
+        return "-" + _int_str(-n)
+    half = n.bit_length() * 3 // 20  # about half the digits
+    high, low = divmod(n, 10 ** half)
+    return _int_str(high) + _int_str(low).zfill(half)
 
 
 def _norm(c):

@@ -22,27 +22,27 @@ integer square-free factors of c Q(z, 1) and their Sturm counts; the
 invariants, the covariant values behind the signs (c Q's H and L are
 c^2 H and c^4 L, so no sign moves) and the witness image are formed in
 ints, and c is absorbed exactly into the witness's rescaling factor.  The
-float roots start from an integer Taylor shift of each factor to a rational
-centre and a power-of-two rescaling, so every double handed to the root
-finder is the correctly rounded value of an exact rational, and the
-parameter mu is pinned on the F-equation cleared to integers.  Every
-univariate polynomial in the pipeline is one of the kernel's own integer
-coefficient lists.
+canonical form is a construction with no float decision: forms I/II come
+from the real root of the resolvent t^3 - 3 I t + J that the stratum's rule
+picks by the roots' order and the sign of J, each root held in a certified
+bracket, and the other forms map the rational or quadratic roots of the
+square-free factors.  Floats appear only in a reported irrational mu and in
+proposals that exact sign tests certify.  Every univariate polynomial in the pipeline is one of the
+kernel's own integer coefficient lists.
 """
 
 from __future__ import annotations
 
-import cmath
 import enum
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .ckt_core import CktError
-from .exactmath import int_cleared, rat, rat_str, refine_root, sign_at, squarefree_decomposition
+from .exactmath import (int_cleared, isolate_real_roots, rat, rat_str, refine_root, sign_at,
+                        squarefree_decomposition)
 from .group_action import GroupElement, Mat2, from_gl2, substitution_action
 from .rotational import RotParams
 
@@ -292,31 +292,23 @@ def root_structure(q: BinaryQuartic) -> RootStructure:
 class _Stratum(NamedTuple):
     """One of the nine strata: its root partition over RP^1 (real
     multiplicities, complex-pair multiplicities), its canonical form, and
-    either the fixed parameter and distinct roots of a representative with a
-    repeated root, or the open range of mu for four simple roots."""
+    the fixed parameter of a stratum with a repeated root."""
 
     partition: tuple
     form: str
     parameter: Fraction | None = None
-    roots: tuple | None = None
-    mu_range: tuple = (-math.inf, math.inf)
 
 
-# Canonical roots are homogeneous points (x, y) for the root (x : y), in
-# the order in which _float_roots gives the input's roots: by decreasing
-# multiplicity, and a complex pair as z then conj(z), with Im z > 0.
 _STRATA = {
-    WebType.BI_CYCLIDE: _Stratum(((1, 1, 1, 1), ()), "I", mu_range=(-math.inf, -2)),
-    WebType.FLAT_RING_CYCLIDE: _Stratum(((), (1, 1)), "I", mu_range=(-2, 2)),
+    WebType.BI_CYCLIDE: _Stratum(((1, 1, 1, 1), ()), "I"),
+    WebType.FLAT_RING_CYCLIDE: _Stratum(((), (1, 1)), "I"),
     WebType.DISK_CYCLIDE: _Stratum(((1, 1), (1,)), "II"),
-    WebType.INVERSE_PROLATE_SPHEROIDAL: _Stratum(((2, 1, 1), ()), "III", Fraction(-1),
-                                                 ((0, 1), (1, 1), (-1, 1))),
-    WebType.INVERSE_OBLATE_SPHEROIDAL: _Stratum(((2,), (1,)), "III", Fraction(1),
-                                                ((0, 1), (1j, 1), (-1j, 1))),
-    WebType.TOROIDAL: _Stratum(((), (2,)), "I", Fraction(2), ((1j, 1), (-1j, 1))),
-    WebType.BISPHERICAL: _Stratum(((2, 2), ()), "I", Fraction(-2), ((1, 1), (-1, 1))),
-    WebType.CARDIOID: _Stratum(((3, 1), ()), "IV", roots=((0, 1), (1, 0))),
-    WebType.TANGENT_SPHERE: _Stratum(((4,), ()), "V", roots=((0, 1),)),
+    WebType.INVERSE_PROLATE_SPHEROIDAL: _Stratum(((2, 1, 1), ()), "III", Fraction(-1)),
+    WebType.INVERSE_OBLATE_SPHEROIDAL: _Stratum(((2,), (1,)), "III", Fraction(1)),
+    WebType.TOROIDAL: _Stratum(((), (2,)), "I", Fraction(2)),
+    WebType.BISPHERICAL: _Stratum(((2, 2), ()), "I", Fraction(-2)),
+    WebType.CARDIOID: _Stratum(((3, 1), ()), "IV"),
+    WebType.TANGENT_SPHERE: _Stratum(((4,), ()), "V"),
 }
 
 _PARTITION_TO_TYPE = {stratum.partition: web for web, stratum in _STRATA.items()}
@@ -465,291 +457,265 @@ def _canonical_coeffs(form: str, p) -> tuple:
             "IV": (0, 1, 0, 0, 0), "V": (1, 0, 0, 0, 0)}[form]
 
 
-def _float_roots(structure: RootStructure) -> list[tuple]:
-    """Distinct roots over the projective line as homogeneous float points,
-    (1, 0) for infinity, ordered by decreasing multiplicity.  Real roots are
-    exactly real (the exact structure says how many there are) and complex
-    roots come as exactly conjugate neighbours.  Roots are found and
-    polished in the variable of ``_normalized`` and then written exactly as
-    points with no coordinate above 1 in size, so roots of any size stay
-    within double range."""
-    roots = []
-    if structure.infinity_multiplicity:
-        roots.append((structure.infinity_multiplicity, (1, 0)))
-    for factor, mult, nreal in structure.finite_factors:
-        centre, k, scaled = _normalized(factor)
-        found = sorted(_aberth(scaled), key=lambda w: abs(w.imag))
-        for w in found[:nreal]:
-            roots.append((mult, _point(centre, k, _polish(scaled, w.real).real)))
-        pairs = sorted(found[nreal:], key=lambda w: -w.imag)[:len(found[nreal:]) // 2]
-        for w in pairs:
-            x, y = _point(centre, k, _polish(scaled, w))
-            roots.extend([(mult, (x, y)), (mult, (x.conjugate(), y.conjugate()))])
+def _point_roots(structure: RootStructure, bits: int) -> list[tuple]:
+    """The distinct roots over the projective line by decreasing
+    multiplicity, read off the square-free factors, each of degree at most
+    2 when a root is repeated: a real root as an integer point (x, y) for
+    (x : y), (1, 0) for infinity, and a complex pair as (u, v, w) for
+    (u +- i v : w).  A square root of a quadratic's discriminant is taken
+    to ``bits`` binary places; a rational root is exact."""
+    roots = [(structure.infinity_multiplicity, (1, 0))] if structure.infinity_multiplicity else []
+    for factor, mult, _ in structure.finite_factors:
+        if len(factor) == 2:
+            roots.append((mult, (-factor[0], factor[1])))
+            continue
+        c, b, a = factor
+        disc = b * b - 4 * a * c
+        root, u, w = math.isqrt(abs(disc) << 2 * bits), -b << bits, 2 * a << bits
+        roots += [(mult, (u + root, w)), (mult, (u - root, w))] if disc > 0 else [(mult, (u, root, w))]
     roots.sort(key=lambda item: -item[0])
-    points = [point for _, point in roots]
-    if any(_bracket(u, v) == 0 for u, v in itertools.combinations(points, 2)):
-        raise ClassificationError("two roots coincide in floating point")
-    return points
-
-
-def _log2(num: int, den: int) -> float:
-    """log2 |num / den| (den > 0) of a nonzero rational of any size, read
-    from the reduced pair, as it would be from the ``Fraction``."""
-    g = math.gcd(num, den)
-    return math.log2(abs(num // g)) - math.log2(den // g)
-
-
-def _normalized(factor: list[int]) -> tuple[tuple[int, int], int, list[int]]:
-    """A centre n/q as the pair (n, q), a k, and an integer multiple of the
-    monic g(w) = f(n/q + 2^k w) / 2^(k d), where f is the monic form of a
-    primitive integer factor a of degree d with a_d > 0, all exact.  The
-    centre is the root centroid when f is smaller in size there than at 0,
-    and is 0 otherwise: roots are resolved relative to their distance from
-    the centre, so a cluster of all the roots is taken about its centroid,
-    and a root near 0 far from the others about 0.  2^k is near the
-    geometric mean of the sizes of the nonzero roots of f(n/q + x), so the
-    roots of g stay within double range unless their sizes differ by a
-    factor beyond about 10^600.
-
-    All in integers: with b_i = a_i q^(d - i) and c the Taylor shift of b
-    by n, q^d a(n/q + y) is the sum of c_j q^j y^j, so the coefficient j
-    of f(n/q + y) is c_j / (a_d q^(d - j)), and the centre test
-    |f(n/q)| >= |f(0)| reads |c_0| >= |a_0| q^d."""
-    d = len(factor) - 1
-    lead = factor[-1]
-    g = math.gcd(factor[-2], d * lead)
-    n, q = -factor[-2] // g, d * lead // g
-    coeffs = [c * q ** (d - i) for i, c in enumerate(factor)]
-    for i in range(d):
-        for j in range(d - 1, i - 1, -1):
-            coeffs[j] += n * coeffs[j + 1]
-    if abs(coeffs[0]) >= abs(factor[0]) * q ** d:
-        n, q, coeffs = 0, 1, list(factor)
-    low = next(i for i, c in enumerate(coeffs) if c)
-    k = round(_log2(coeffs[low], lead * q ** (d - low)) / (d - low)) if low < d else 0
-    # a_d q^d 2^(k d) g(w) for k >= 0, and a_d q^d g(w) for k < 0.
-    return (n, q), k, [(c * q ** j) << (k * j if k >= 0 else -k * (d - j))
-                       for j, c in enumerate(coeffs)]
-
-
-def _aberth(poly: list[int]) -> list[complex]:
-    """The roots of a square-free integer polynomial with a positive
-    leading coefficient, by the simultaneous Aberth-Ehrlich iteration in
-    doubles (Aberth 1973; Ehrlich 1967).  The starting points lie on
-    circles whose radii come from the Newton polygon of log2 |coefficient|
-    of the monic form (Bini 1996), so that roots of very different sizes
-    each start near their own size, and each Newton correction is taken on
-    the polynomial rescaled to the size of its point, so that no
-    coefficient or value leaves double range.  A monic coefficient c_i / c_d
-    is read exactly: its log from the reduced pair, and its mantissa as one
-    correctly rounded int division."""
-    lead = poly[-1]
-    logs = {i: _log2(c, lead) for i, c in enumerate(poly) if c}
-    hull: list[int] = []  # upper convex hull of the points (i, logs[i])
-    for i in logs:
-        while len(hull) > 1 and ((logs[hull[-1]] - logs[hull[-2]]) * (i - hull[-1])
-                                 <= (logs[i] - logs[hull[-1]]) * (hull[-1] - hull[-2])):
-            hull.pop()
-        hull.append(i)
-    z = [0j] * hull[0]
-    for i, j in zip(hull, hull[1:]):
-        size = (logs[i] - logs[j]) / (j - i)
-        if abs(size) > 1000:
-            raise ClassificationError("the roots of a factor differ in size beyond double range")
-        radius = 2.0 ** size
-        z += [radius * cmath.exp(1j * (2 * math.pi * t / (j - i) + 0.4)) for t in range(j - i)]
-    terms = []  # (i, m, x) with c_i / c_d = m 2^x and m about 1 in size, highest i first
-    for i, c in reversed(list(enumerate(poly))):
-        x = math.floor(logs[i]) + 1 if i in logs else 0
-        terms.append((i, c / (lead << x) if x >= 0 else (c << -x) / lead, x))
-    for _ in range(50):
-        moved = False
-        for j, zj in enumerate(z):
-            e = math.frexp(abs(zj))[1]
-            top = max(x + i * e for i, m, x in terms if m)
-            u = complex(math.ldexp(zj.real, -e), math.ldexp(zj.imag, -e))
-            p = dp = 0j
-            for i, m, x in terms:
-                dp = dp * u + p
-                p = p * u + math.ldexp(m, x + i * e - top)
-            scale = 2.0 ** e
-            denom = dp - scale * p * sum(1 / (zj - zk) for zk in z if zk != zj)
-            if denom:
-                step = scale * p / denom
-                z[j] = zj - step
-                moved = moved or abs(step) > 1e-14 * abs(zj)
-        if not moved:
-            break
-    return z
-
-
-def _polish(ints: list[int], z: complex) -> complex:
-    """Newton steps on a simple root of an integer polynomial, each
-    computed exactly from its value and slope at z, until a step is below
-    1e-10 |z|: float roots of clustered factors are too coarse for a 1e-9
-    witness, and a value at a root can be far below or above double range.
-    With z = (X + iY) / 2^s, the value times 2^(s d) and the slope times
-    2^(s (d - 1)) are Gaussian integers.  The step is their quotient, one
-    correctly rounded int division per part, so any integer multiple of the
-    polynomial gives the same step."""
-    d = len(ints) - 1
-    for _ in range(8):
-        (xn, xd), (yn, yd) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
-        shift = max(xd, yd).bit_length() - 1
-        x, y = xn << (shift - xd.bit_length() + 1), yn << (shift - yd.bit_length() + 1)
-        re, im, dre, dim = ints[d], 0, 0, 0
-        for i in range(d - 1, -1, -1):
-            dre, dim = dre * x - dim * y + re, dre * y + dim * x + im
-            re, im = re * x - im * y + (ints[i] << (shift * (d - i))), re * y + im * x
-        norm = (dre * dre + dim * dim) << shift
-        if not norm:
-            break
-        step = complex((re * dre + im * dim) / norm, (im * dre - re * dim) / norm)
-        z -= step
-        if abs(step) <= 1e-10 * abs(z):
-            break
-    return z
-
-
-def _point(centre: tuple[int, int], k: int, w) -> tuple:
-    """The homogeneous point of the root n/q + 2^k w, centre = (n, q),
-    computed exactly and written as (z, 1) when |z| <= 1 and as (1, 1/z)
-    otherwise; a real w gives a real point.  The root is (X + iY) / D in
-    integers, and each coordinate is rounded once, by int true division."""
-    n, q = centre
-    (xn, xd), (yn, yd) = w.real.as_integer_ratio(), w.imag.as_integer_ratio()
-    den = max(xd, yd)  # both are powers of two
-    xn, yn = xn * (den // xd), yn * (den // yd)
-    if k >= 0:
-        xn, yn = xn << k, yn << k
-    else:
-        den <<= -k
-    x, y, den = n * den + xn * q, yn * q, q * den
-    norm = x * x + y * y
-    far = norm > den * den
-    if far:
-        x, y, den = x * den, -y * den, norm
-    z = complex(x / den, y / den) if isinstance(w, complex) else x / den
-    return (1, z) if far else (z, 1)
+    return [point for _, point in roots]
 
 
 def _bracket(u, v):
-    """u0 v1 - u1 v0: the difference u - v of two finite points."""
+    """u0 v1 - u1 v0, zero iff u and v are the same point."""
     return u[0] * v[1] - u[1] * v[0]
 
 
-def _frame(points) -> Mat2:
-    """A matrix whose Moebius map sends 0, infinity and 1 to the given
-    distinct points, in that order; with two points the image of 1 is free,
-    and a lone real point gets its orthogonal point as the image of
-    infinity."""
-    if len(points) == 1:
-        points = (points[0], (points[0][1], -points[0][0]))
-    a, b = points[:2]
-    s, t = 1, 1
-    if len(points) == 3:
-        c = points[2]
-        s, t = _bracket(c, a), _bracket(b, c)
-    return Mat2(s * b[0], t * a[0], s * b[1], t * a[1])
+def _root_frame(web: WebType, structure: RootStructure, bits: int) -> Mat2:
+    """An integer matrix whose Moebius map sends the representative's roots
+    onto the quartic's distinct roots (``_point_roots`` at the precision
+    bits), for the strata with a repeated root.  Its columns m1, m2 are the
+    images of (1 : 0) and (0 : 1), so the representative's root (X : Y)
+    goes to X m1 + Y m2."""
+    roots = _point_roots(structure, bits)
+    if web is WebType.TANGENT_SPHERE:  # X^4: (0 : 1)
+        (x, y), = roots
+        return Mat2(y, x, -x, y)
+    if web is WebType.CARDIOID:  # X^3 Y: (0 : 1) triple, (1 : 0)
+        r, w = roots
+        return Mat2(w[0], r[0], w[1], r[1])
+    if web is WebType.TOROIDAL:  # (X^2 + Y^2)^2: (+-i : 1) double
+        (u, v, w), = roots
+        return Mat2(v, u, 0, w)
+    if web is WebType.INVERSE_OBLATE_SPHEROIDAL:  # X^2 (X^2 + Y^2): (0 : 1) double, (+-i : 1)
+        # i m1 + m2 = (v r1 + i e) (u + i v, w): m2, its real part, is v w r.
+        r, (u, v, w) = roots
+        e = u * r[1] - w * r[0]
+        return Mat2(e * u + v * v * r[1], v * w * r[0], e * w, v * w * r[1])
+    # m1 = ka a - kb b and m2 = ka a + kb b send (1 : 1) to a and (-1 : 1) to b.
+    a, b = roots[-2:]
+    ka = kb = 1  # bispherical, (X^2 - Y^2)^2: (+-1 : 1) double
+    if web is WebType.INVERSE_PROLATE_SPHEROIDAL:  # X^2 (X^2 - Y^2): (0 : 1) double, (+-1 : 1)
+        r = roots[0]
+        ka, kb = _bracket(b, r), _bracket(r, a)  # then m2 is a multiple of r
+    return Mat2(ka * a[0] - kb * b[0], ka * a[0] + kb * b[0], ka * a[1] - kb * b[1],
+                ka * a[1] + kb * b[1])
 
 
-def _real_matrix(src, dst) -> Mat2 | None:
-    """The real matrix, up to scale, whose Moebius map sends the source
-    points onto the target points (up to three used), or None when that map
-    is not real."""
-    m = _frame(dst).mul(_frame(src).adjugate())
-    entries = (m.alpha, m.beta, m.gamma, m.delta)
-    pivot = complex(max(entries, key=abs))
-    entries = [complex(e) / pivot for e in entries]
-    if max(abs(e.imag) for e in entries) > 1e-7:
-        return None
-    return Mat2(*(e.real for e in entries))
+# Forms I/II come from the Hessian pencil H - 12 t Q at a real root t of the
+# resolvent R(t) = t^3 - 3 I t + J (discriminant 27 Delta), with I, J and H
+# those of the cleared quartic.  At each root, H - 12 t Q is a constant
+# times the square of a quadratic phi_t, and a substitution sending the
+# roots of a real phi_t to 0 and infinity makes Q even,
+# A U^4 + B U^2 V^2 + C V^4 with sign(B) = sign(t).  On X^4 + mu X^2 Y^2
+# + s Y^4 the roots are t = 2 mu (phi_t = X Y) and, for s = 1, 6 - mu
+# (phi_t = X^2 - Y^2) and -6 - mu (phi_t = X^2 + Y^2, not real); for
+# s = -1 the other two are not real.  Real substitutions and positive
+# scales multiply t by a positive factor and I by its square, so
+#
+#     s = sign(4 I - t^2),  mu^2 = 12 s t^2 / (4 I - t^2) = 12 s (3 I t - J) / (I t + J).
+#
+# A bi-cyclide (mu < -2) has the roots 2 mu < -6 - mu < 6 - mu; the
+# outer two have real phi_t, the lower one the smaller |mu| iff the middle
+# one, of the sign of R(0) = J, is negative.  A flat ring (|mu| < 2) has
+# -6 - mu < 2 mu < 6 - mu, and the middle root gives mu in range, of sign
+# sign(J) sign(Q), Q being definite.  A disk has one real root, and X <-> Y
+# flips the sign of mu, so mu >= 0.  So the choice is the order of the
+# roots and the sign of J, and mu is rational iff mu^2 is a rational square
+# with t an integer (R is monic), or J = 0, where the roots are 0 (mu = 0)
+# and +-sqrt(3 I) (mu = -6).
 
 
-def _generic_form(web: WebType, roots: list) -> tuple[float, Mat2]:
-    """Parameter and matrix for four simple roots (forms I and II).  Each
-    labeling (z1, z2, z3, z4) of the roots with z1 fixed has the
-    cross-ratio lam = [z1 z3][z2 z4] / ([z1 z4][z2 z3]), which the canonical
-    roots (a, -a, s/a, -s/a) of X^4 + mu X^2 Y^2 + s^2 Y^4 take for
-    mu = 2 s (lam + 1) / (lam - 1) = 2 s ([z1 z3][z2 z4] + [z1 z4][z2 z3]) /
-    ([z1 z2][z3 z4]), with s = 1 (form I) or i (form II).  A labeling
-    qualifies when mu is real and in range and the Moebius map from the
-    canonical roots onto the labeled ones is real; the smallest |mu| wins,
-    then mu >= 0."""
-    stratum = _STRATA[web]
-    low, high = stratum.mu_range
-    s = 1j if stratum.form == "II" else 1
-    first, *rest = roots
-    found = []
-    for z2, z3, z4 in itertools.permutations(rest):
-        # Each bracket is divided before any two are multiplied, so that no
-        # product of small brackets underflows.
-        b12, b34 = _bracket(first, z2), _bracket(z3, z4)
-        mu = 2 * s * (_bracket(first, z3) / b12 * (_bracket(z2, z4) / b34)
-                      + _bracket(first, z4) / b12 * (_bracket(z2, z3) / b34))
-        if abs(mu.imag) > 1e-7 * max(1.0, abs(mu)) or not low < mu.real < high:
-            continue
-        # a^2 = (-mu + r) / 2 with r = sqrt(mu^2 - 4 s^2), which is taken as
-        # c sqrt((mu/c)^2 - 4 (s/c)^2) to stay within double range, and
-        # evaluated as 2 s^2 / (-mu - r) where -mu + r would cancel.
-        c = max(1.0, abs(mu.real))
-        r = c * cmath.sqrt((mu.real / c) ** 2 - 4 * (s / c) ** 2)
-        a = cmath.sqrt((-mu.real + r) / 2 if mu.real * r.real <= 0 else 2 * s * s / (-mu.real - r))
-        matrix = _real_matrix([(a, 1), (-a, 1), (s / a, 1)], [first, z2, z3])
-        if matrix is not None:
-            found.append((mu.real, matrix))
-    if not found:
-        raise ClassificationError(f"no real labeling of the roots reaches form "
-                                  f"{stratum.form} for {web.value}")
-    smallest = min(abs(mu) for mu, _ in found)
-    return max((item for item in found if abs(item[0]) <= smallest * (1 + 1e-9) + 1e-12),
-               key=lambda item: item[0])
+def _resolvent_roots(inv: Invariants) -> tuple[list[int], list[list[Fraction]]]:
+    """R and its real roots, increasing, each a bracket [lo, hi] with
+    lo < t <= hi, or lo = hi = t for an integer root; Delta gives their
+    count, three or one.
 
-
-def _pin_parameter(form: str, inv: Invariants, approx: float) -> tuple[Fraction | float, bool]:
-    """Bracket the parameter of form I/II exactly on the F-equation
-    I(mu)^3 - F J(mu)^2 = 0 (J(mu) = 0 when J = 0), with I(mu) and J(mu) the
-    invariants of the representative, and bisect to width 1/(4 * 10^12).
-    Returns the rational root in the bracket with denominator up to 10^6,
-    or else the bracket's midpoint as a float.
-
-    inv holds the integer invariants I, J of the cleared quartic, and the
-    equation is read as J^2 I(mu)^3 - I^3 J(mu)^2, a positive multiple with
-    integer coefficients, on which every sign test and the refinement run."""
-    s = 1 if form == "I" else -1
-    if inv.j == 0:
-        poly = [0, 72 * s, 0, -2]  # J(mu) = 72 s mu - 2 mu^3
+    Each root is proposed in doubles, by the trigonometric or Cardano
+    formula on R scaled by 2^e into double range and Newton steps, then
+    rounded to an integer k and moved by Newton steps in integers, which
+    reach the integer nearest a root of any size.  An integer root from any
+    proposal is exact, and the other two roots are then those of the
+    quadratic R / (t - k).
+    Otherwise a proposal is accepted when R changes sign across a bracket
+    about it, of relative width 2^-44 or between two integers, and if any
+    is not, the roots are isolated exactly instead, and narrowed below
+    width 1 to find an integer root."""
+    i, j = inv.i, inv.j
+    poly = [j, -3 * i, 0, 1]
+    e = max((abs(i).bit_length() + 1) // 2, (abs(j).bit_length() + 2) // 3)
+    a, b = i / (1 << 2 * e), j / (1 << 3 * e)
+    if inv.delta > 0:
+        angle = math.acos(max(-1.0, min(1.0, -b / (2 * a * math.sqrt(a))))) / 3
+        guesses = [2 * math.sqrt(a) * math.cos(angle - 2 * math.pi * k / 3) for k in (2, 1, 0)]
     else:
-        # I(mu)^3 = 1728 s + 432 mu^2 + 36 s mu^4 + mu^6 with I(mu) = 12 s + mu^2,
-        # J(mu)^2 = 5184 mu^2 - 288 s mu^4 + 4 mu^6.
-        jj, iii = inv.j * inv.j, inv.i ** 3
-        poly = int_cleared([1728 * s * jj, 0, 432 * jj - 5184 * iii, 0,
-                            36 * s * jj + 288 * s * iii, 0, jj - 4 * iii])
-
-    def sign(x: Fraction) -> int:
-        return sign_at(poly, x.numerator, x.denominator)
-
-    centre = Fraction(approx)
-    for width in (Fraction(1, 10**12), Fraction(1, 10**9), Fraction(1, 10**6)):
-        lo, hi = centre - width * max(1, abs(centre)), centre + width * max(1, abs(centre))
-        if sign(lo) * sign(hi) <= 0:
+        w = -math.copysign((abs(b) / 2 + math.sqrt(max(0.0, b * b / 4 - a ** 3))) ** (1 / 3), b)
+        guesses = [w + a / w]
+    proposals = []
+    for u in guesses:
+        for _ in range(3):
+            slope = 3 * (u * u - a)
+            if slope:
+                u -= (u * u * u - 3 * a * u + b) / slope
+        t = Fraction(u) * (1 << e)
+        k = round(t)
+        for _ in range(8):
+            value, slope = k ** 3 - 3 * i * k + j, 3 * (k * k - i)
+            step = (2 * value + slope) // (2 * slope) if slope else 0  # value / slope, rounded
+            if not step:
+                break
+            k -= step
+        if not value:
+            return poly, sorted([[Fraction(k)] * 2] + (_deflated(i, k) if inv.delta > 0 else []))
+        proposals.append((t, k, value * slope, step))
+    roots: list[list[Fraction]] = []
+    for t, k, direction, step in proposals:
+        if abs(t) < 2 ** 44:  # then an integer root is round(t)
+            root = [t - abs(t) / 2 ** 45, t + abs(t) / 2 ** 45]
+        else:  # where Newton stopped, t is near k - value / slope
+            low = k - 1 if direction > 0 else k
+            root = [Fraction(low), Fraction(low + 1)]
+        if step or not _certified(poly, root) or roots and roots[-1][1] >= root[0]:
+            roots = [list(bracket) for bracket in isolate_real_roots(poly)]
+            for root in roots:  # an integer root, narrowed out of its bracket
+                if root[1] - root[0] >= 1:
+                    root[:] = refine_root(poly, *root, Fraction(1, 2))
+                k = math.floor(root[1])
+                if root[0] < k and sign_at(poly, k, 1) == 0:
+                    root[:] = [Fraction(k)] * 2
             break
+        roots.append(root)
+    return poly, roots
+
+
+def _deflated(i: int, k: int) -> list[list[Fraction]]:
+    """The roots (-k +- sqrt(d)) / 2, d = 12 I - 3 k^2 > 0, of R / (t - k)
+    for an integer root k: exact when d is a square, else brackets of width
+    2^-(p+1) < 2^-64 / I, which leave out k since |k - t2| |k - t3| =
+    3 |k^2 - I| >= 3 and every root is below 2 sqrt(I) in size."""
+    p = abs(i).bit_length() + 64
+    d = (12 * i - 3 * k * k) << 2 * p
+    r, c, den = math.isqrt(d), -k << p, 1 << p + 1
+    if r * r == d:
+        return [[Fraction(c - r, den)] * 2, [Fraction(c + r, den)] * 2]
+    return [[Fraction(c - r - 1, den), Fraction(c - r, den)],
+            [Fraction(c + r, den), Fraction(c + r + 1, den)]]
+
+
+def _certified(poly: list[int], root: list[Fraction]) -> bool:
+    """Whether R changes sign across the bracket."""
+    return sign_at(poly, root[0].numerator, root[0].denominator) * sign_at(
+        poly, root[1].numerator, root[1].denominator) < 0
+
+
+def _narrow(poly: list[int], root: list[Fraction], bits: int) -> None:
+    """Narrow a root's bracket, in place, to relative width 2^-bits."""
+    while root[0] != root[1]:
+        lo, hi = root
+        size = min(abs(lo), abs(hi)) if lo * hi > 0 else 0
+        if size and (hi - lo) * 2 ** bits <= size:
+            return
+        root[:] = refine_root(poly, lo, hi, size / 2 ** bits if size else (hi - lo) / 2 ** 16)
+
+
+def _pencil_parameter(web: WebType, inv: Invariants, lead: int) -> tuple:
+    """R, the bracket of the chosen root t, and mu with its exactness, for
+    four simple roots; lead is the sign of Q, used where Q is definite."""
+    poly, roots = _resolvent_roots(inv)
+    i, j = inv.i, inv.j
+    s = 1 if inv.delta > 0 else -1
+    if web is WebType.FLAT_RING_CYCLIDE:
+        root, sign = roots[1], lead if j > 0 else -lead
+    elif web is WebType.BI_CYCLIDE:
+        root, sign = roots[2 if j > 0 else 0], -1
     else:
-        return approx, False
-    max_width = Fraction(1, 4 * 10**12) * min(1, abs(centre) or 1)
-    lo, hi = refine_root(poly, lo, hi, max_width)
-    candidate = ((lo + hi) / 2).limit_denominator(10**6) if lo != hi else lo
-    if lo <= candidate <= hi and sign(candidate) == 0:
-        return candidate, True
-    return float((lo + hi) / 2), False
+        root, sign = roots[0], 1
+    lo, hi = root
+    if lo == hi or j == 0:
+        square = Fraction(12 * s * lo * lo, 4 * i - lo * lo) if lo == hi else Fraction(36)
+        num, den = square.numerator, square.denominator
+        rn, rd = math.isqrt(num), math.isqrt(den)
+        if rn * rn == num and rd * rd == den:
+            return poly, root, sign * Fraction(rn, rd), True
+    else:
+        bits = 64
+        while True:
+            _narrow(poly, root, bits)
+            ends = [(3 * i * t - j, i * t + j) for t in root]
+            if all(n * d * s > 0 for n, d in ends):
+                low, high = sorted(12 * s * n / d for n, d in ends)
+                if (high - low) * 2 ** 60 <= low:
+                    break
+            bits += 32
+        square = (low + high) / 2
+    return poly, root, sign * _float_sqrt(square), False
+
+
+def _float_sqrt(x: Fraction) -> float:
+    """The square root of a rational x > 0 as a double; one beyond double
+    range is a finding."""
+    k = (x.numerator.bit_length() - x.denominator.bit_length()) // 2
+    try:
+        return math.ldexp(math.sqrt(x * Fraction(2) ** (-2 * k)), k)
+    except OverflowError:
+        raise ClassificationError("the canonical parameter is irrational and beyond "
+                                  "double range") from None
+
+
+def _pencil_frame(cleared: BinaryQuartic, poly: list[int], root: list[Fraction], form: str,
+                  bits: int) -> Mat2 | None:
+    """An integer matrix carrying c Q to a multiple of
+    X^4 + mu X^2 Y^2 +- Y^4, up to rounding at about 2^-bits: its columns
+    are the roots of phi_t, with t narrowed to relative width 2^-(bits+2),
+    the second scaled by |A/C|^(1/4) for the images A, C of X^4 and Y^4.
+    None when phi_t does not show two distinct real roots at this
+    precision.  A form-II frame puts first the root where Q has the sign
+    of t, so that mu >= 0."""
+    _narrow(poly, root, bits + 2)
+    t = (root[0] + root[1]) / 2
+    q = cleared.as_tuple()
+    p0, p1, p2, p3, p4 = (t.denominator * h - 12 * t.numerator * c
+                          for h, c in zip(hessian(cleared), q))
+    # phi_t = f0 X^2 + f1 X Y + f2 Y^2 from p = k phi_t^2, led by the larger end.
+    if p0 == p4 == 0:
+        f0, f1, f2 = 0, 1, 0
+    elif abs(p0) >= abs(p4):
+        f0, f1, f2 = 8 * p0 * p0, 4 * p0 * p1, 4 * p0 * p2 - p1 * p1
+    else:
+        f0, f1, f2 = 4 * p4 * p2 - p3 * p3, 4 * p4 * p3, 8 * p4 * p4
+    disc = f1 * f1 - 4 * f0 * f2
+    if disc <= 0:
+        return None
+    root_disc = math.isqrt(disc << 2 * bits)
+    g = -(f1 << bits) - (root_disc if f1 >= 0 else -root_disc)
+    r1, r2 = (g, f0 << bits + 1), (f2 << bits + 1, g)
+    a, _, _, _, c = substitution_action(Mat2(r1[0], r2[0], r1[1], r2[1]), q)
+    if not a or not c:
+        return None
+    if form == "II" and a * t < 0:
+        r1, r2, a, c = r2, r1, c, a
+    shift = bits + max(0, (abs(c).bit_length() - abs(a).bit_length()) // 4 + 1)
+    scale = math.isqrt(math.isqrt((abs(a) << 4 * shift) // abs(c)))
+    return Mat2(r1[0] << shift, r2[0] * scale, r1[1] << shift, r2[1] * scale)
 
 
 def _witness(q: BinaryQuartic, matrix: Mat2, target: tuple) -> tuple[GroupElement, float]:
     """The group element substituting by the matrix, rescaled to agree with
     the target at its largest coefficient, and its residual.
 
-    All in integers: the matrix of doubles is multiplied by the power of two
-    that clears it, and acts on the cleared quartic c Q.  The image is
+    All in integers: the rational matrix is multiplied by the common
+    denominator that clears it, and acts on the cleared quartic c Q.  The image is
     homogeneous in both scales, so they cancel in the rescaling factor and
     in the residual, and a0, a1, a2 and the discrete flag do not depend on
     the matrix's scale."""
@@ -778,16 +744,25 @@ def _witness(q: BinaryQuartic, matrix: Mat2, target: tuple) -> tuple[GroupElemen
     return g, error / (abs(moved[pivot]) * max(den, abs(target[pivot])))
 
 
+# The witness precision doubles from 64 bits while the residual is above
+# 1e-9, up to this cap.
+_MAX_BITS = 4096
+
+
 def canonical_form(q: BinaryQuartic,
                    structure: RootStructure | None = None) -> tuple[CanonicalForm, GroupElement]:
     """Canonical representative of the quartic's orbit and a witness group
     element carrying it there, verified to 1e-9 relative accuracy.
 
-    The witness substitutes by the real Moebius map sending the
-    representative's roots onto the quartic's float roots.  For four simple
-    roots (forms I/II) the parameter mu comes from the cross-ratio of the
-    chosen labeling and is then pinned exactly on the F-equation; the forms
-    with a repeated root have fixed parameters.  Pass the quartic's root
+    The witness substitutes by a real matrix with rational entries.  For
+    four simple roots (forms I/II) it sends the roots of the chosen real
+    square phi_t of the Hessian pencil to 0 and infinity, and mu is read off
+    the chosen root t of the resolvent, exactly when it is rational (see the
+    notes above ``_resolvent_roots``).  The forms with a repeated root have
+    fixed parameters, and their matrix sends the representative's roots onto
+    the quartic's, which are rational or quadratic.  Every choice is exact;
+    square roots in the matrix are rounded to a precision that doubles until
+    the witness's exact residual meets 1e-9.  Pass the quartic's root
     structure when it is already at hand.
     """
     if q.is_zero:
@@ -796,19 +771,23 @@ def canonical_form(q: BinaryQuartic,
     web = classify_by_roots(q, structure)
     stratum = _STRATA[web]
     form = stratum.form
-    roots = _float_roots(structure)
-    if stratum.roots is not None:
-        parameter, exact = stratum.parameter, True
-        matrix = _real_matrix(stratum.roots, roots)
-        if matrix is None:
-            raise ClassificationError(f"the root map for {web.value} is not real")
+    _, cleared, inv = _cleared_invariants(q)
+    if inv.delta:
+        poly, root, parameter, exact = _pencil_parameter(web, inv, 1 if cleared.x4 > 0 else -1)
+        frame = functools.partial(_pencil_frame, cleared, poly, root, form)
     else:
-        approx, matrix = _generic_form(web, roots)
-        parameter, exact = _pin_parameter(form, _cleared_invariants(q)[2], approx)
+        parameter, exact = stratum.parameter, True
+        frame = functools.partial(_root_frame, web, structure)
     target = _canonical_coeffs(form, parameter)
-    witness, residual = _witness(q, matrix, target)
-    if not residual <= 1e-9:
-        raise ClassificationError(
-            f"the witness for {web.value} (form {form}) misses the representative "
-            f"by {residual:.3g}")
-    return CanonicalForm(form, parameter, exact, residual), witness
+    bits, residual = 64, math.inf
+    while True:
+        matrix = frame(bits)
+        if matrix is not None:
+            witness, residual = _witness(q, matrix, target)
+            if residual <= 1e-9:
+                return CanonicalForm(form, parameter, exact, residual), witness
+        if bits >= _MAX_BITS:
+            raise ClassificationError(
+                f"the witness for {web.value} (form {form}) misses the representative "
+                f"by {residual:.3g}")
+        bits *= 2

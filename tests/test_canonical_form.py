@@ -8,6 +8,7 @@ roots at infinity), then moves the product by a random rational GL(2)
 substitution and a random scale.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -16,16 +17,15 @@ import numpy as np
 import pytest
 
 from rotweb import quartic_class
-from rotweb.exactmath import int_cleared
+from rotweb.exactmath import int_cleared, rational_roots
 from rotweb.group_action import GroupElement, Mat2, apply_quartic, from_gl2, substitution_action
-from rotweb.quartic_class import (BinaryQuartic, ClassificationError, WebType, _aberth,
-                                  _cleared_invariants, _float_roots, _generic_form, _normalized,
-                                  _pin_parameter, _point, _polish, canonical_form,
-                                  classify_by_invariants, classify_by_roots, invariants,
-                                  root_structure)
+from rotweb.quartic_class import (BinaryQuartic, ClassificationError, WebType, _cleared_invariants,
+                                  _resolvent_roots, canonical_form, classify_by_invariants,
+                                  classify_by_roots, invariants, root_structure)
 
 from conftest import rand_fraction
-from ref_univariate import UniPoly, ref_refine, ref_sign
+from ref_univariate import (UniPoly, dehomogenize, ref_isolate, ref_monic, ref_rational_roots,
+                            ref_refine, ref_sign, ref_squarefree_decomposition)
 
 PER_STRATUM = 112  # 9 x 112 = 1008 quartics
 
@@ -105,6 +105,12 @@ def partition_quartic(rng, web):
         factors = [triple] * 3 + [simple]
     else:
         factors = _real_roots(rng, 1) * 4
+    return moved_product(rng, factors)
+
+
+def moved_product(rng, factors):
+    """The product of the factors, moved by a random rational GL(2)
+    substitution and scale."""
     form = [Fraction(1)]
     for factor in factors:
         form = _mul(form, factor)
@@ -186,9 +192,32 @@ def canonicalization_problems(q, web):
     residual = witness_residual(witness, q, target)
     if cf.form != FORMS[web] or not parameter_in_range(web, cf.parameter):
         problems.append((q.to_json(), "form", cf))
+    elif cf.form in ("I", "II") and web not in FIXED_PARAMETERS and not solves_f_equation(q, cf):
+        problems.append((q.to_json(), "F-equation", cf))
     if not residual <= 1e-9 or abs(residual - cf.witness_residual) > 1e-12:
         problems.append((q.to_json(), "residual", residual, cf.witness_residual))
     return problems
+
+
+def solves_f_equation(q, cf):
+    """Whether mu is a root of the quartic's F-equation, the representative
+    having Q's absolute invariant: J^2 I(mu)^3 - I^3 J(mu)^2 = 0, or
+    J(mu) = 0 when J = 0, with I(mu) = 12 s + mu^2 and
+    J(mu) = 72 s mu - 2 mu^3.  An exact mu must solve it exactly, and an
+    inexact one must lie within 1e-14 relative of a root: the equation
+    changes sign across that bracket, decided in Fractions."""
+    inv = invariants(q)
+    s = 1 if cf.form == "I" else -1
+
+    def phi(mu):
+        i_mu, j_mu = 12 * s + mu * mu, 72 * s * mu - 2 * mu ** 3
+        return j_mu if inv.j == 0 else inv.j ** 2 * i_mu ** 3 - inv.i ** 3 * j_mu ** 2
+
+    if cf.exact:
+        return phi(cf.parameter) == 0
+    mu = Fraction(cf.parameter)
+    width = abs(mu) / 10**14 or Fraction(1, 10**14)
+    return phi(mu - width) * phi(mu + width) <= 0
 
 
 @pytest.mark.parametrize("web", list(WebType), ids=lambda w: w.value)
@@ -199,22 +228,6 @@ def test_stratified_canonicalization(web, witness_mismatches):
         problems += canonicalization_problems(partition_quartic(rng, web), web)
     assert problems == []
     assert witness_mismatches == []
-
-
-def reference_float_roots(structure):
-    """numpy's companion-matrix roots of each square-free factor, each
-    polished by _polish and ordered as _float_roots orders its roots: the
-    reference for the package's own root finder."""
-    roots = [(structure.infinity_multiplicity, (1, 0))] if structure.infinity_multiplicity else []
-    for factor, mult, nreal in structure.finite_factors:
-        monic = [c / factor[-1] for c in reversed(factor)]
-        found = sorted((complex(z) for z in np.roots(monic)), key=lambda z: abs(z.imag))
-        roots += [(mult, (_polish(factor, z.real).real, 1)) for z in found[:nreal]]
-        for z in sorted(found[nreal:], key=lambda z: -z.imag)[:len(found[nreal:]) // 2]:
-            z = _polish(factor, z)
-            roots += [(mult, (z, 1)), (mult, (z.conjugate(), 1))]
-    roots.sort(key=lambda item: -item[0])
-    return [point for _, point in roots]
 
 
 def chordal_distance(p, q):
@@ -230,122 +243,130 @@ def set_distance(points, others):
                for a, b in ((points, others), (others, points)))
 
 
+def float_points(points):
+    """The points of ``_point_roots`` as float homogeneous points, a complex
+    pair as both of its points."""
+    out = []
+    for p in points:
+        if len(p) == 2:
+            out.append((p[0] / max(map(abs, p)), p[1] / max(map(abs, p))))
+        else:
+            u, v, w = (x / max(map(abs, p)) for x in p)
+            out += [(complex(u, v), w), (complex(u, -v), w)]
+    return out
+
+
 @pytest.mark.parametrize("web", list(WebType), ids=lambda w: w.value)
-def test_root_finder_matches_numpy(web, monkeypatch):
+def test_root_finder_matches_numpy(web):
+    # The roots the construction starts from, against numpy's companion
+    # matrix: the real roots of the resolvent for four simple roots, and the
+    # distinct roots of each square-free factor, with infinity, otherwise.
     rng = random.Random(f"canonical-{web.value}")
     problems = []
     for _ in range(PER_STRATUM):
         q = partition_quartic(rng, web)
         structure = root_structure(q)
-        points, reference = _float_roots(structure), reference_float_roots(structure)
+        inv = _cleared_invariants(q)[2]
+        if inv.delta:
+            # Each certified bracket holds numpy's root, to 1e-9 of the roots' size.
+            _, roots = _resolvent_roots(inv)
+            scale = math.sqrt(abs(float(inv.i))) + abs(float(inv.j)) ** (1 / 3)
+            reference = sorted(z.real for z in np.roots([1, 0, -3 * float(inv.i), float(inv.j)])
+                               if abs(z.imag) <= 1e-7 * scale)
+            if len(roots) != len(reference) or any(
+                    not lo - 1e-9 * scale <= r <= hi + 1e-9 * scale
+                    for (lo, hi), r in zip(roots, reference)):
+                problems.append((q.to_json(), "resolvent", roots, reference))
+            continue
+        reference = [(1.0, 0.0)] if structure.infinity_multiplicity else []
+        for factor, _, _ in structure.finite_factors:
+            reference += [(complex(z), 1.0) for z in np.roots([float(c) for c in reversed(factor)])]
+        points = float_points(quartic_class._point_roots(structure, 64))
         if len(points) != len(reference) or set_distance(points, reference) > 1e-9:
             problems.append((q.to_json(), "roots", points, reference))
-        cf, _ = canonical_form(q, structure)
-        with monkeypatch.context() as patch:
-            patch.setattr(quartic_class, "_float_roots", reference_float_roots)
-            expected, _ = canonical_form(q, structure)
-        if (cf.form, cf.exact) != (expected.form, expected.exact) or (
-                cf.parameter != expected.parameter if cf.exact
-                else abs(cf.parameter - expected.parameter) > 1e-12 * abs(expected.parameter)):
-            problems.append((q.to_json(), "canonical", cf, expected))
     assert problems == []
 
 
-def fraction_normalized(factor):
-    """The reference for _normalized, in Fractions: the centre, k and the
-    monic g(w) = f(c + 2^k w) / 2^(k d) of the monic factor f, by a Taylor
-    shift of f's own coefficients."""
-    coeffs = list(factor.coeffs)
-    d = len(coeffs) - 1
-    centre = -Fraction(coeffs[-2]) / d
-    if abs(factor.eval(centre)) >= abs(coeffs[0]):
-        centre = Fraction(0)
-    for i in range(d):
-        for j in range(d - 1, i - 1, -1):
-            coeffs[j] += centre * coeffs[j + 1]
-    low = next(i for i, c in enumerate(coeffs) if c)
-    top = Fraction(coeffs[low])
-    log = math.log2(abs(top.numerator)) - math.log2(top.denominator)
-    k = round(log / (d - low)) if low < d else 0
-    return centre, k, UniPoly([c * Fraction(2) ** (k * (i - d)) for i, c in enumerate(coeffs)])
-
-
-def fraction_point(centre, k, w):
-    """The reference for _point, in Fractions."""
-    x = centre + Fraction(w.real) * Fraction(2) ** k
-    y = Fraction(w.imag) * Fraction(2) ** k
-    norm = x * x + y * y
-    if norm > 1:
-        x, y = x / norm, -y / norm
-    z = complex(x, y) if isinstance(w, complex) else float(x)
-    return (z, 1) if norm <= 1 else (1, z)
-
-
-def fraction_pin_parameter(form, inv, approx):
-    """The reference for _pin_parameter, on the F-equation
-    I(mu)^3 - F J(mu)^2 of the quartic's own invariants as a UniPoly, with
-    Fraction signs and bisection."""
-    c = 1 if form == "I" else -1
-    i_mu = UniPoly([12 * c, 0, 1])
-    j_mu = UniPoly([0, 72 * c, 0, -2])
-    poly = j_mu if inv.j == 0 else i_mu * i_mu * i_mu - j_mu * j_mu * inv.f
-    centre = Fraction(approx)
-    for width in (Fraction(1, 10**12), Fraction(1, 10**9), Fraction(1, 10**6)):
-        lo, hi = centre - width * max(1, abs(centre)), centre + width * max(1, abs(centre))
-        if ref_sign(poly.eval(lo)) * ref_sign(poly.eval(hi)) <= 0:
-            break
+def fraction_route(q, web):
+    """The rule on Q's own invariants, in Fractions and reference Sturm
+    isolation: the resolvent t^3 - 3 I t + J's real roots by their order and
+    the sign of J, mu^2 = 12 s t^2 / (4 I - t^2) exact at a rational root
+    (36 when J = 0), else refined to 2^-80; (mu, exact)."""
+    inv = invariants(q)
+    resolvent = UniPoly([inv.j, -3 * inv.i, 0, 1])
+    rational = ref_rational_roots(resolvent)
+    roots = []
+    for lo, hi in ref_isolate(resolvent):
+        exact = [r for r in rational if lo < r <= hi]
+        roots.append((exact[0], exact[0]) if exact else ref_refine(resolvent, lo, hi, (hi - lo) / 2**80))
+    s, j = (1 if inv.delta > 0 else -1), inv.j
+    if web is WebType.FLAT_RING_CYCLIDE:
+        (lo, hi), sign = roots[1], ref_sign(j) * ref_sign(q.x4)
+    elif web is WebType.BI_CYCLIDE:
+        (lo, hi), sign = roots[2 if j > 0 else 0], -1
     else:
-        return approx, False
-    max_width = Fraction(1, 4 * 10**12) * min(1, abs(centre) or 1)
-    lo, hi = ref_refine(poly, lo, hi, max_width)
-    candidate = ((lo + hi) / 2).limit_denominator(10**6) if lo != hi else lo
-    if lo <= candidate <= hi and poly.eval(candidate) == 0:
-        return candidate, True
-    return float((lo + hi) / 2), False
+        (lo, hi), sign = roots[0], 1
+    if lo == hi or j == 0:
+        square = 12 * s * lo * lo / (4 * inv.i - lo * lo) if lo == hi else Fraction(36)
+        rn, rd = math.isqrt(square.numerator), math.isqrt(square.denominator)
+        if (rn * rn, rd * rd) == (square.numerator, square.denominator):
+            return sign * Fraction(rn, rd), True
+        return sign * math.sqrt(square), False
+    t = (lo + hi) / 2
+    return sign * math.sqrt(12 * s * t * t / (4 * inv.i - t * t)), False
 
 
 def integer_route_mismatches(q):
-    """Where _normalized, _polish, _point and _pin_parameter on the cleared
-    integer quartic differ from their Fraction references on q: the same
-    centre, k and monic scaled coefficients, the same step from any integer
-    multiple, bit-identical points and the same mu."""
+    """Where canonical_form, on the cleared integer quartic, differs from
+    the Fraction route on Q: for four simple roots the same exactness and
+    mu (within 1e-12 relative when inexact), and otherwise the same
+    distinct roots and multiplicities as the reference square-free
+    factors of q(z, 1) over Fractions, rational ones exactly and quadratic
+    ones to 2^-60."""
+    web = classify_by_roots(q)
+    if invariants(q).delta:
+        cf, _ = canonical_form(q)
+        mu, exact = fraction_route(q, web)
+        if cf.exact != exact or (cf.parameter != mu if exact
+                                 else abs(cf.parameter - mu) > 1e-12 * abs(mu)):
+            return [(q.to_json(), "parameter", cf.parameter, mu)]
+        return []
     structure = root_structure(q)
-    problems = []
-    for factor, _, nreal in structure.finite_factors:
-        (n, d), k, scaled = _normalized(factor)
-        centre, ref_k, ref_scaled = fraction_normalized(UniPoly([Fraction(c, factor[-1])
-                                                                 for c in factor]))
-        if (Fraction(n, d), k, [Fraction(c, scaled[-1]) for c in scaled]) != (
-                centre, ref_k, list(map(Fraction, ref_scaled.coeffs))):
-            problems.append((q.to_json(), "normalized", factor))
+    points = quartic_class._point_roots(structure, 64)
+    reals = [Fraction(p[0], p[1]) if p[1] else None for p in points if len(p) == 2]
+    pairs = [(Fraction(u, w), Fraction(v, w)) for u, v, w in (p for p in points if len(p) == 3)]
+    poly = dehomogenize(q)
+    while poly.coeffs[-1] == 0:
+        poly = UniPoly(poly.coeffs[:-1])
+    real_mults, pair_mults = [4 - poly.degree] * (poly.degree < 4), []
+    ok = None in reals if real_mults else True
+    for factor, mult in ref_squarefree_decomposition(poly):
+        coeffs = [Fraction(c) for c in ref_monic(factor).coeffs]
+        if len(coeffs) == 2:
+            real_mults.append(mult)
+            ok = ok and -coeffs[0] in reals
             continue
-        found = sorted(_aberth(scaled), key=lambda w: abs(w.imag))
-        for i, w in enumerate(found):
-            w = w.real if i < nreal else w
-            polished = _polish(scaled, w)
-            if repr(polished) != repr(_polish(int_cleared(ref_scaled.coeffs), w)):
-                problems.append((q.to_json(), "polish", factor, w))
-            w = polished.real if i < nreal else polished
-            if repr(_point((n, d), k, w)) != repr(fraction_point(centre, ref_k, w)):
-                problems.append((q.to_json(), "point", factor, w))
-    web = classify_by_roots(q, structure)
-    stratum = quartic_class._STRATA[web]
-    if stratum.roots is None:
-        approx, _ = _generic_form(web, _float_roots(structure))
-        got = _pin_parameter(stratum.form, _cleared_invariants(q)[2], approx)
-        if got != fraction_pin_parameter(stratum.form, invariants(q), approx):
-            problems.append((q.to_json(), "parameter", got))
-    return problems
+        centre, disc = -coeffs[1] / 2, coeffs[1] ** 2 / 4 - coeffs[0]
+        if disc > 0:
+            real_mults += [mult, mult]
+            ok = ok and sum(z is not None and abs((z - centre) ** 2 - disc) <= disc / 2**60
+                            for z in reals) == 2
+        else:
+            pair_mults.append(mult)
+            ok = ok and any(u == centre and abs(v * v + disc) <= -disc / 2**60 for u, v in pairs)
+    if not ok or len(reals) != len(real_mults) or len(pairs) != len(pair_mults) or (
+            sorted(real_mults, reverse=True), sorted(pair_mults, reverse=True)) != (
+            list(structure.real_multiplicities), list(structure.cc_pair_multiplicities)):
+        return [(q.to_json(), "roots", points)]
+    return []
 
 
 @pytest.mark.parametrize("web", list(WebType), ids=lambda w: w.value)
 def test_integer_route_matches_the_fraction_route(web):
     rng = random.Random(f"integer-route-{web.value}")
-    quartics = [partition_quartic(rng, web) for _ in range(40)]
-    quartics += [extreme_quartic(rng, web) for _ in range(12)]
     problems = []
-    for q in quartics:
-        problems += integer_route_mismatches(q)
+    for _ in range(40):
+        problems += integer_route_mismatches(partition_quartic(rng, web))
     assert problems == []
 
 
@@ -415,11 +436,181 @@ def test_root_cluster_beside_a_far_root():
     assert canonicalization_problems(q, WebType.DISK_CYCLIDE) == []
 
 
-def test_root_sizes_beyond_double_range_are_a_finding():
-    # Roots near 10^400 and 10^-400 in one factor: no power-of-two scale
-    # brings both within double range.
-    with pytest.raises(ClassificationError, match="differ in size beyond double range"):
-        canonical_form(BinaryQuartic.make(1, 0, -Fraction(10**800), 0, 1))
+def test_root_sizes_beyond_double_range_canonicalize():
+    # Roots near 10^400 and 10^-400 in one factor: the resolvent has the
+    # integer roots -2 10^800, 10^800 + 6 and 10^800 - 6, and the rule
+    # picks the second.
+    n = 10**800
+    cf, _ = canonical_form(BinaryQuartic.make(1, 0, -n, 0, 1))
+    assert (cf.form, cf.parameter, cf.exact) == ("I", Fraction(-2 * (n + 6), n - 2), True)
+    assert cf.witness_residual <= 1e-9
+
+
+def clustered_quartic(rng):
+    """A bi-cyclide with roots c, c + k1 10^-6, c + k2 10^-6 and
+    c + 100 + j/4, for 1 <= k1 <= 200 < k2 <= 400, |j| <= 4 and c in
+    [-50, 50] in steps of 1/4."""
+    c = Fraction(rng.randint(-200, 200), 4)
+    roots = (c, c + Fraction(rng.randint(1, 200), 10**6), c + Fraction(rng.randint(201, 400), 10**6),
+             c + 100 + Fraction(rng.randint(-4, 4), 4))
+    form = [Fraction(1)]
+    for r in roots:
+        form = _mul(form, [Fraction(1), -r])
+    return BinaryQuartic.make(*form)
+
+
+def test_clustered_roots(witness_mismatches):
+    rng = random.Random(2024)
+    problems = []
+    for _ in range(60):
+        problems += canonicalization_problems(clustered_quartic(rng), WebType.BI_CYCLIDE)
+    assert problems == []
+    assert witness_mismatches == []
+
+
+@pytest.mark.parametrize("web", [WebType.BI_CYCLIDE, WebType.FLAT_RING_CYCLIDE, WebType.DISK_CYCLIDE],
+                         ids=lambda w: w.value)
+def test_tight_clusters(web, witness_mismatches):
+    # Roots, real or complex, 10^-40 apart beside others about 1 away.
+    rng, eps = random.Random(f"tight-{web.value}"), Fraction(1, 10**40)
+    for _ in range(4):
+        c = Fraction(rng.randint(-40, 40), 4)
+        d = c + rng.randint(1, 9) * eps
+        if web is WebType.BI_CYCLIDE:
+            factors = [[1, -2 * c, c * c - 2 * eps * eps], [1, -d], [1, -c - 1]]
+        elif web is WebType.FLAT_RING_CYCLIDE:
+            factors = [[1, -2 * c, c * c + eps * eps], [1, -2 * d, d * d + 4 * eps * eps]]
+        else:
+            factors = [[1, -c], [1, -d], [1, -2 * c, c * c + 1]]
+        q = moved_product(rng, [list(map(Fraction, f)) for f in factors])
+        assert canonicalization_problems(q, web) == []
+    assert witness_mismatches == []
+
+
+def test_precision_doubles_until_the_residual_holds(monkeypatch):
+    # Residuals refused below 512 bits: the frame is rebuilt at 128, 256
+    # and 512 bits; refused at every precision, the cap makes a finding.
+    precisions, witness = [], quartic_class._witness
+
+    def refused(q, matrix, target, below):
+        g, residual = witness(q, matrix, target)
+        precisions.append(max(abs(e).bit_length() for e in (matrix.alpha, matrix.beta)))
+        return g, residual if len(precisions) > below else 1.0
+
+    q = BinaryQuartic.make(3, -7, 2, 5, -11)
+    monkeypatch.setattr(quartic_class, "_witness", lambda *args: refused(*args, 3))
+    cf, _ = canonical_form(q)
+    assert cf.witness_residual <= 1e-9 and len(precisions) == 4
+    assert all(b > a + 32 for a, b in zip(precisions, precisions[1:]))
+    precisions.clear()
+    monkeypatch.setattr(quartic_class, "_witness", lambda *args: refused(*args, 100))
+    with pytest.raises(ClassificationError, match="misses the representative by 1"):
+        canonical_form(q)
+    assert len(precisions) == 7  # 64 to 4096 bits
+
+
+@pytest.mark.parametrize("text,mu", [
+    ("1,0,1e100,0,1", Fraction(12 - 2 * 10**100, 10**100 + 2)),
+    ("1e-320,0,-1,0,1", Fraction(12 + 2 * 10**160, 2 - 10**160)),
+    ("1,0,-1e800,0,1", Fraction(-2 * (10**800 + 6), 10**800 - 2)),
+    ("1e320,0,-1,0,1", Fraction(-1, 10**160)),
+    ("1,0,1e400,0,-1", Fraction(10**400)),
+], ids=["flat_ring_near_2", "bi_cyclide_near_minus_2", "bi_cyclide_1e800", "flat_ring_tiny",
+        "disk_1e400"])
+def test_exact_parameters_far_from_double_range(text, mu):
+    cf, _ = canonical_form(BinaryQuartic.from_tuple(text.split(",")))
+    assert (cf.parameter, cf.exact) == (mu, True)
+    assert cf.witness_residual <= 1e-9
+
+
+def test_integer_roots_need_no_isolation(monkeypatch):
+    # Integer resolvent roots of any size, two of them 12 apart, come from
+    # Newton steps in integers and the deflated quadratic, not from exact
+    # isolation from the Cauchy bound.
+    def refused(poly):
+        raise AssertionError("isolate_real_roots called")
+
+    monkeypatch.setattr(quartic_class, "isolate_real_roots", refused)
+    for text in ("1,0,1e100,0,1", "1e-320,0,-1,0,1", "1,0,-1e800,0,1", "1,0,1e400,0,-1"):
+        assert canonical_form(BinaryQuartic.from_tuple(text.split(",")))[0].exact
+
+
+def test_irrational_parameter_beyond_double_range_is_a_finding():
+    # mu = 10^400 / sqrt(2).
+    with pytest.raises(ClassificationError, match="beyond double range"):
+        canonical_form(BinaryQuartic.from_tuple("1,0,1e400,0,-2".split(",")))
+
+
+def test_parameter_with_a_large_denominator_is_exact():
+    mu = -2 - Fraction(1, 10**7 + 1)
+    rng = random.Random("large-denominator")
+    for _ in range(5):
+        q = moved_product(rng, [[Fraction(1), 0, mu, 0, Fraction(1)]])
+        cf, _ = canonical_form(q)
+        assert (cf.form, cf.parameter, cf.exact) == ("I", mu, True)
+
+
+@pytest.mark.parametrize("coeffs,form,mu", [
+    ((1, 0, 0, 0, -1), "II", 0), ((1, 0, 0, 0, 1), "I", 0), ((1, 0, -6, 0, 1), "I", -6),
+], ids=["disk", "flat_ring", "bi_cyclide"])
+def test_vanishing_j(coeffs, form, mu):
+    # J = 0: the resolvent's roots are 0 and +-sqrt(3 I), where mu = 0 and
+    # mu^2 = 36; orbits keep J = 0.
+    rng = random.Random(f"vanishing-j-{form}-{mu}")
+    for _ in range(5):
+        q = moved_product(rng, [list(map(Fraction, coeffs))])
+        assert invariants(q).j == 0
+        cf, _ = canonical_form(q)
+        assert (cf.form, cf.parameter, cf.exact) == (form, mu, True)
+
+
+def homogeneous_roots(q):
+    """The roots of a quartic with four rational roots as points (x, y)."""
+    poly = int_cleared(list(reversed(q.as_tuple())))
+    return [(r, Fraction(1)) for r in rational_roots(poly)] + [(Fraction(1), Fraction(0))] * (5 - len(poly))
+
+
+def labeling_rule(points):
+    """The rule on four real roots, in Fractions: each labeling's
+    mu = 2 ([z1 z3][z2 z4] + [z1 z4][z2 z3]) / ([z1 z2][z3 z4]), for the
+    pairs {z1, z2} and {z3, z4}, with [u v] = u0 v1 - u1 v0, is a form-I
+    parameter when the map is real; of those below -2 the smallest |mu|
+    wins, then mu >= 0."""
+    def b(u, v):
+        return u[0] * v[1] - u[1] * v[0]
+
+    found = []
+    for z1, z2, z3, z4 in itertools.permutations(points):
+        found.append(2 * (b(z1, z3) * b(z2, z4) + b(z1, z4) * b(z2, z3)) / (b(z1, z2) * b(z3, z4)))
+    found = [mu for mu in found if mu < -2]
+    smallest = min(abs(mu) for mu in found)
+    return max(mu for mu in found if abs(mu) == smallest)
+
+
+def test_rule_on_rational_bi_cyclides():
+    rng = random.Random("rational-bi-cyclides")
+    for _ in range(60):
+        q = moved_product(rng, _real_roots(rng, 4))
+        points = homogeneous_roots(q)
+        assert len(points) == 4, q.to_json()
+        cf, _ = canonical_form(q)
+        assert (cf.form, cf.parameter, cf.exact) == ("I", labeling_rule(points), True), q.to_json()
+
+
+def test_isolation_fallback_gives_the_same_forms(monkeypatch):
+    # With every double proposal refused, the resolvent's roots come from
+    # exact isolation, and the canonical forms are the same.
+    quartics = []
+    for web in (WebType.BI_CYCLIDE, WebType.FLAT_RING_CYCLIDE, WebType.DISK_CYCLIDE):
+        rng = random.Random(f"fallback-{web.value}")
+        quartics += [partition_quartic(rng, web) for _ in range(20)]
+        quartics += [extreme_quartic(rng, web) for _ in range(4)]
+    expected = [canonical_form(q)[0] for q in quartics]
+    monkeypatch.setattr(quartic_class, "_certified", lambda poly, root: False)
+    for q, cf in zip(quartics, expected):
+        got = canonical_form(q)[0]
+        assert (got.form, got.parameter, got.exact) == (cf.form, cf.parameter, cf.exact), q.to_json()
+        assert got.witness_residual <= 1e-9
 
 
 class TestFaultRegressions:

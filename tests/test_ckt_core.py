@@ -6,12 +6,11 @@ from fractions import Fraction
 import pytest
 
 from rotweb import ckt_core as cc
-from rotweb.ckt_core import (CktCoefficients, CktError, SymTensorField, assemble_ckt,
-                             assemble_free, ckt_dimension, ckv_basis, ckv_by_name,
-                             commutator, conformal_factor, coefficients_from_free, free_json_dict,
-                             lie_derivative, lie_operator, metric, obstruction_from_free,
-                             symmetric_product, symbolic_family, symmetry_subspace, tsn_check,
-                             tsn_filter, verify_ckt)
+from rotweb.ckt_core import (DIM_TRACE_FREE, CktCoefficients, CktError, SymTensorField,
+                             assemble_ckt, assemble_free, ckt_dimension, ckv_basis, ckv_by_name,
+                             commutator, conformal_factor, free_json_dict, lie_derivative, metric,
+                             obstruction_from_free, symmetric_product, symbolic_family,
+                             symmetry_subspace, tsn_check, tsn_filter, verify_ckt)
 from rotweb.exactmath import ExactMathError, Poly, rat_str
 from rotweb.linalg import (char_poly, nullspace, rank, rational_eigenvalues, solve_many,
                            vanishing_combinations)
@@ -26,6 +25,23 @@ ONE = Poly.const(1, 3)
 
 def vector(vx, vy, vz):
     return cc.VectorField((vx, vy, vz))
+
+
+def lie_operator(v):
+    """The dense matrix of Lie_v on the 35 trace-free coordinates, from the
+    package's sparse columns: column c holds the coordinates of Lie_v
+    applied to basis vector c."""
+    columns = cc._lie_columns(v)
+    zero = Fraction(0)
+    return [[col.get(r, zero) for col in columns] for r in range(DIM_TRACE_FREE)]
+
+
+def coefficients_from_free(vec):
+    """The CktCoefficients of the tensor with free coordinates vec, from
+    the package's integer numerators."""
+    flat, den = cc._free_numerators(vec)
+    zero = Fraction(0)
+    return CktCoefficients(*cc._sliced([Fraction(n, den) if n else zero for n in flat]))
 
 
 class TestBasis:

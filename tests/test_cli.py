@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import math
@@ -24,6 +25,19 @@ from test_canonical_form import extreme_quartic, partition_quartic
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
+
+
+@contextlib.contextmanager
+def unlimited_int_strings():
+    """Lift the digit limit of str(int), where the interpreter has one."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def run(capsys, *argv):
@@ -117,6 +131,18 @@ class TestClassify:
                                          "F": rat_str(i ** 3 / j ** 2)}
         assert results["canonical"]["form"] == "I"
         assert results["canonical"]["witness_residual"] <= 1e-9
+
+    def test_report_numbers_beyond_the_int_string_limit(self, capsys):
+        # F = I^3 / J^2 has a numerator of 4801 digits, past the digit limit
+        # of str(int).
+        code, report = run_json(capsys, "classify", "--quartic", "1,0,-1e800,0,1")
+        assert code == 0, report["findings"]
+        n = 10**800
+        i, j = 12 + n * n, 2 * n ** 3 - 72 * n
+        f = Fraction(i ** 3, j ** 2)
+        assert len(report["results"]["invariants"]["F"]) > 4800
+        with unlimited_int_strings():
+            assert report["results"]["invariants"]["F"] == f"{f.numerator}/{f.denominator}"
 
     def test_canonicalization_failure_is_a_finding(self, capsys, monkeypatch):
         def fail(*args):
@@ -345,7 +371,7 @@ def digest_quartics() -> list:
 
 # sha256 of the classify reports of digest_quartics() without timing_ms, as
 # json.dumps(..., sort_keys=True), one line each.
-CLASSIFY_DIGEST = "e933259d8ed38837d3201332a55db7bbf30fab2eacbf856ee63280f9e74d0bf2"
+CLASSIFY_DIGEST = "7667ecd56c992071a85d59ddcd147bc658825f72d610d9d50ea0c76cde986312"
 
 
 def test_classify_output_is_unchanged(capsys):

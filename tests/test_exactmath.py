@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rotweb.ckt_core import ckv_by_name, lie_operator
+from rotweb.ckt_core import ckv_by_name
 from rotweb.exactmath import (DEGREE_LIMIT, ExactMathError, Poly, RationalFunction, _gcd,
                               isolate_real_roots, rat, rat_str, rational_roots, real_root_count,
                               refine_root, sign_at, squarefree_decomposition)
@@ -19,6 +19,7 @@ from ref_univariate import (UniPoly, ints, product, ref_divmod, ref_gcd, ref_iso
                             ref_rational_roots, ref_real_root_count, ref_refine, ref_sign,
                             ref_squarefree_decomposition, ref_squarefree_part, squarefree_ints)
 from test_canonical_form import extreme_quartic, partition_quartic
+from test_ckt_core import lie_operator
 
 
 def up(*coeffs):

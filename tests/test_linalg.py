@@ -11,6 +11,7 @@ from rotweb.linalg import (char_poly, extended_coordinates, nullspace, rank, rat
                            row_echelon, solve_many, vanishing_combinations)
 
 from ref_univariate import UniPoly, ints, product, ref_monic
+from test_ckt_core import lie_operator
 
 
 def frac_matrix(rows):
@@ -489,7 +490,7 @@ def triangular(rng, eigenvalues):
 class TestRationalEigenvaluesParity:
     @pytest.mark.parametrize("name", ["X1", "X2", "X3", "R1", "R2", "R3", "D", "I1", "I2", "I3"])
     def test_lie_operators(self, name):
-        operator = ckt_core.lie_operator(ckt_core.ckv_by_name(name))
+        operator = lie_operator(ckt_core.ckv_by_name(name))
         assert rational_eigenvalues(operator) == dense_rational_eigenvalues(operator)
 
     def test_random_mixed_denominators(self):
