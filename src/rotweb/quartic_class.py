@@ -674,14 +674,14 @@ def _float_sqrt(x: Fraction) -> float:
 
 
 def _pencil_frame(cleared: BinaryQuartic, poly: list[int], root: list[Fraction], form: str,
-                  bits: int) -> Mat2 | None:
+                  bits: int) -> tuple[Mat2, tuple] | None:
     """An integer matrix carrying c Q to a multiple of
-    X^4 + mu X^2 Y^2 +- Y^4, up to rounding at about 2^-bits: its columns
-    are the roots of phi_t, with t narrowed to relative width 2^-(bits+2),
-    the second scaled by |A/C|^(1/4) for the images A, C of X^4 and Y^4.
-    None when phi_t does not show two distinct real roots at this
-    precision.  A form-II frame puts first the root where Q has the sign
-    of t, so that mu >= 0."""
+    X^4 + mu X^2 Y^2 +- Y^4, up to rounding at about 2^-bits, with its
+    image of c Q: its columns are the roots of phi_t, with t narrowed to
+    relative width 2^-(bits+2), the second scaled by |A/C|^(1/4) for the
+    images A, C of X^4 and Y^4.  None when phi_t does not show two distinct
+    real roots at this precision.  A form-II frame puts first the root
+    where Q has the sign of t, so that mu >= 0."""
     _narrow(poly, root, bits + 2)
     t = (root[0] + root[1]) / 2
     q = cleared.as_tuple()
@@ -700,17 +700,22 @@ def _pencil_frame(cleared: BinaryQuartic, poly: list[int], root: list[Fraction],
     root_disc = math.isqrt(disc << 2 * bits)
     g = -(f1 << bits) - (root_disc if f1 >= 0 else -root_disc)
     r1, r2 = (g, f0 << bits + 1), (f2 << bits + 1, g)
-    a, _, _, _, c = substitution_action(Mat2(r1[0], r2[0], r1[1], r2[1]), q)
+    image = substitution_action(Mat2(r1[0], r2[0], r1[1], r2[1]), q)
+    a, c = image[0], image[4]
     if not a or not c:
         return None
-    if form == "II" and a * t < 0:
-        r1, r2, a, c = r2, r1, c, a
+    if form == "II" and a * t < 0:  # swapping the columns reverses the image
+        r1, r2, a, c, image = r2, r1, c, a, image[::-1]
     shift = bits + max(0, (abs(c).bit_length() - abs(a).bit_length()) // 4 + 1)
     scale = math.isqrt(math.isqrt((abs(a) << 4 * shift) // abs(c)))
-    return Mat2(r1[0] << shift, r2[0] * scale, r1[1] << shift, r2[1] * scale)
+    # Scaling the columns by 2^shift and scale multiplies the coefficient of
+    # X^(4-i) Y^i by 2^(shift (4-i)) scale^i.
+    moved = tuple((coeff << shift * (4 - i)) * scale ** i for i, coeff in enumerate(image))
+    return Mat2(r1[0] << shift, r2[0] * scale, r1[1] << shift, r2[1] * scale), moved
 
 
-def _witness(q: BinaryQuartic, matrix: Mat2, target: tuple) -> tuple[GroupElement, float]:
+def _witness(q: BinaryQuartic, matrix: Mat2, target: tuple,
+             moved: tuple | None = None) -> tuple[GroupElement, float]:
     """The group element substituting by the matrix, rescaled to agree with
     the target at its largest coefficient, and its residual.
 
@@ -718,7 +723,8 @@ def _witness(q: BinaryQuartic, matrix: Mat2, target: tuple) -> tuple[GroupElemen
     denominator that clears it, and acts on the cleared quartic c Q.  The image is
     homogeneous in both scales, so they cancel in the rescaling factor and
     in the residual, and a0, a1, a2 and the discrete flag do not depend on
-    the matrix's scale."""
+    the matrix's scale.  moved, when given, is the image of c Q under an
+    integer matrix, already at hand."""
     entries = [e.as_integer_ratio() for e in (matrix.alpha, matrix.beta, matrix.gamma, matrix.delta)]
     power = math.lcm(*(d for _, d in entries))
     matrix = Mat2(*(n * (power // d) for n, d in entries))
@@ -731,7 +737,8 @@ def _witness(q: BinaryQuartic, matrix: Mat2, target: tuple) -> tuple[GroupElemen
     except CktError as exc:
         raise ClassificationError(f"degenerate canonicalization matrix: {exc}") from None
     c, cleared = q.cleared()
-    moved = substitution_action(matrix, cleared.as_tuple())  # c times g's image of Q
+    if moved is None:
+        moved = substitution_action(matrix, cleared.as_tuple())  # c times g's image of Q
     if moved[pivot] == 0:
         raise ClassificationError("degenerate canonicalization matrix: "
                                   "the image vanishes at the target's largest coefficient")
@@ -777,13 +784,14 @@ def canonical_form(q: BinaryQuartic,
         frame = functools.partial(_pencil_frame, cleared, poly, root, form)
     else:
         parameter, exact = stratum.parameter, True
-        frame = functools.partial(_root_frame, web, structure)
+        frame = lambda bits: (_root_frame(web, structure, bits), None)
     target = _canonical_coeffs(form, parameter)
     bits, residual = 64, math.inf
     while True:
-        matrix = frame(bits)
-        if matrix is not None:
-            witness, residual = _witness(q, matrix, target)
+        framed = frame(bits)
+        if framed is not None:
+            matrix, moved = framed
+            witness, residual = _witness(q, matrix, target, moved)
             if residual <= 1e-9:
                 return CanonicalForm(form, parameter, exact, residual), witness
         if bits >= _MAX_BITS:

@@ -10,10 +10,16 @@ numerators built from the parts b (N_j D - N D_j), (e D - b N) D, D_j and D
 (``_potential_parts``).  The solver works with these polynomials in x, y, z
 alone: the curl numerators, over D^3, of twice the six unit parameter
 vectors' tensors are the columns of a linear system, solved by
-``linalg.vanishing_combinations``.  Its self-check rebuilds each solution
-from integer parameters with ``assemble_rotational`` and ``verify_ckt`` and
-tests that the curl numerators of its form over D^3 vanish: the identity of
-``is_closed(compatibility_form(...))`` without the D^2 denominator.
+``linalg.vanishing_combinations``.
+
+Its self-check is a linearity certificate.  ``verify_ckt`` runs once per
+process, on the six doubled unit tensors T_j (``_unit_tensors``).  The
+tensor of parameters x is sum_j x_j T_j / 2, and the conformal Killing
+equation and the curl numerators are linear in (K, k), so that tensor is a
+conformal Killing tensor and its curl numerators over D^3 are
+sum_j x_j images[j] / 2 (``_combination``).  Each solution is certified by
+this combination vanishing exactly, which proves what rebuilding it with
+``assemble_rotational`` and ``verify_ckt`` would.
 """
 
 from __future__ import annotations
@@ -67,9 +73,9 @@ class ParamSolution:
         return len(self.basis)
 
     def c33_free(self) -> bool:
+        # The basis rows are independent, so their rank is the dimension.
         rows = [list(p.as_tuple()) for p in self.basis]
-        e_c33 = [0, 0, 0, 1, 0, 0]
-        return linalg.rank(rows) == linalg.rank(rows + [e_c33]) and bool(rows)
+        return bool(rows) and linalg.rank(rows + [[0, 0, 0, 1, 0, 0]]) == self.dimension
 
     def to_json_dict(self) -> dict:
         return {
@@ -114,36 +120,6 @@ def _curl_numerators(p: list[Poly], d: Poly, dd: list[Poly], power: int) -> list
             for i, j in _PAIRS]
 
 
-def compatibility_form(p: RotParams, pot: Potential) -> OneForm:
-    """The compatibility one-form (E - V) k_flat - K dV for the rotational
-    tensor of p; its exact closedness characterizes fixed-energy separation.
-
-    The relative weight of the two terms is pinned mechanically: with k
-    normalized by d_(i K_jk) = k_(i g_jk), this combination (and no other
-    rational weighting) makes the closedness condition reproduce the known
-    two-parameter compatible family of the benchmark potential
-    -4 c^2 / ((x^2+y^2+z^2-c^2)^2 + 4 c^2 z^2) at every scale c, and it
-    reduces to d(K dV) = 0 when the class is Killing-representable with a
-    constant E - V.
-    """
-    parts = _potential_parts(pot.v, pot.energy)
-    d = parts[3]
-    den = Poly.dot(d.nvars, [(rat(pot.energy).denominator, d, d)])
-    return OneForm(tuple(RationalFunction(num, den) for num in _member_numerators(p, parts)))
-
-
-def _member_numerators(p: RotParams, parts) -> list[Poly]:
-    """The numerators P_i over D^2 of b omega for the tensor of p, given
-    the potential's parts; the tensor must pass the conformal Killing check,
-    which gives its vector k."""
-    k = assemble_rotational(p)
-    holds, kvec = verify_ckt(k)
-    if not holds:
-        raise CktError("rotational tensor failed the conformal Killing check")
-    grad, weight, _, _ = parts
-    return _form_numerators(k, grad, kvec, weight)
-
-
 def is_closed(omega: OneForm) -> bool:
     """Exact closedness of a one-form with rational-function components.
     When the nonzero components share one denominator d, the curl
@@ -166,10 +142,34 @@ _NPARAMS = 6
 @lru_cache(maxsize=None)
 def _unit_tensors() -> tuple[tuple[SymTensorField, VectorField], ...]:
     """Twice the tensor of each unit parameter vector, with its vector k;
-    the factor 2 makes every coefficient of both an integer."""
-    tensors = (assemble_rotational(RotParams.make(*(2 * (i == j) for i in range(_NPARAMS))))
-               for j in range(_NPARAMS))
-    return tuple((k, contraction_vector(k)) for k in tensors)
+    the factor 2 makes every coefficient of both an integer.  Each passes
+    ``verify_ckt`` here, once per process, and the vector it returns must be
+    the contraction vector; a failure raises CktError."""
+    out = []
+    for j in range(_NPARAMS):
+        k = assemble_rotational(RotParams.make(*(2 * (i == j) for i in range(_NPARAMS))))
+        holds, kvec = verify_ckt(k)
+        if not holds or kvec != contraction_vector(k):
+            raise CktError(f"unit tensor {j} fails the conformal Killing check")
+        out.append((k, kvec))
+    return tuple(out)
+
+
+def _curl_images(parts) -> list[list[Poly]]:
+    """The curl numerators over D^3 of b omega for each doubled unit
+    tensor, given the potential's parts."""
+    grad, weight, dd, d = parts
+    # b omega_i = P_i / D^2, d(b omega) over D^3.
+    return [_curl_numerators(_form_numerators(k, grad, kvec, weight), d, dd, 2)
+            for k, kvec in _unit_tensors()]
+
+
+def _combination(vec, images: list[list[Poly]]) -> list[Poly]:
+    """sum_j vec[j] images[j], component by component: twice the curl
+    numerators over D^3 of b omega for the tensor of the parameters vec."""
+    one = Poly.const(1, images[0][0].nvars)
+    return [Poly.dot(one.nvars, [(x, one, image[r]) for x, image in zip(vec, images) if x])
+            for r in range(3)]
 
 
 def solve_compatible(pot: Potential) -> ParamSolution:
@@ -180,19 +180,15 @@ def solve_compatible(pot: Potential) -> ParamSolution:
     parameters is the linear system whose column j is the curl numerator of
     b omega for twice the j-th unit parameter vector's tensor, matched
     coefficient by coefficient in x, y, z; a common nonzero scale of the
-    columns changes neither the null space nor its normal form."""
-    parts = grad, weight, dd, d = _potential_parts(pot.v, pot.energy)
-    # b omega_i = P_i / D^2, d(b omega) over D^3.
-    images = [_curl_numerators(_form_numerators(k, grad, kvec, weight), d, dd, 2)
-              for k, kvec in _unit_tensors()]
-    members = tuple(RotParams.make(*vec) for vec in linalg.vanishing_combinations(images))
-    for member in members:
-        # An integer multiple of the member, doubled so that its tensor is integer too.
-        scale = 2 * lcm(*(c.denominator for c in member.as_tuple()))
-        whole = RotParams.make(*(c * scale for c in member.as_tuple()))
-        if any(_curl_numerators(_member_numerators(whole, parts), d, dd, 2)):
+    columns changes neither the null space nor its normal form.  Each
+    solution is certified by its combination of the columns vanishing (see
+    the module docstring)."""
+    images = _curl_images(_potential_parts(pot.v, pot.energy))
+    basis = linalg.vanishing_combinations(images)
+    for vec in basis:
+        if any(_combination(vec, images)):
             raise CktError("solver self-check failed: a solution is not closed")
-    return ParamSolution(basis=members)
+    return ParamSolution(basis=tuple(RotParams.make(*vec) for vec in basis))
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +219,6 @@ def characteristic_member(solution: ParamSolution) -> RotParams | None:
     """A representative with nonzero quartic part, normalized so that the
     x^2 y^2 coefficient H is 1 when possible, else the first nonzero quartic
     coefficient is 1."""
-    quartics = [list(p.quartic_tuple()) for p in solution.basis]
-    if not quartics or linalg.rank(quartics) == 0:
-        return None
     for p in solution.basis:
         tup = p.quartic_tuple()
         if any(c != 0 for c in tup):
@@ -258,7 +251,9 @@ def classify_potential(pot: Potential) -> PotentialClassification:
             solution, None, None,
             "no characteristic member: compatible tensors are multiples of the metric "
             "and R3.R3 only; no web defined", ())
-    web = classify_by_roots(BinaryQuartic.from_rot_params(member))
+    # The member rescales the first basis member with a nonzero quartic
+    # part, and a nonzero scale keeps the root partition.
+    web = member_types[0][1]
     reason = None
     if any(t is not web for _, t in member_types):
         reason = "solution space mixes inequivalent web types; representative type reported"

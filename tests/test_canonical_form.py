@@ -154,12 +154,13 @@ def fraction_witness(q, matrix, target):
 @pytest.fixture
 def witness_mismatches(monkeypatch):
     """Every _witness call is checked against fraction_witness: the same
-    group element and a bit-identical residual.  Collects the mismatches."""
+    group element and a bit-identical residual, also when the frame hands
+    over its own image of the quartic.  Collects the mismatches."""
     mismatches = []
     witness = quartic_class._witness
 
-    def checked(q, matrix, target):
-        got = witness(q, matrix, target)
+    def checked(q, matrix, target, moved=None):
+        got = witness(q, matrix, target, moved)
         expected = fraction_witness(q, matrix, target)
         if got != expected:
             mismatches.append((q.to_json(), got, expected))
@@ -492,8 +493,8 @@ def test_precision_doubles_until_the_residual_holds(monkeypatch):
     # and 512 bits; refused at every precision, the cap makes a finding.
     precisions, witness = [], quartic_class._witness
 
-    def refused(q, matrix, target, below):
-        g, residual = witness(q, matrix, target)
+    def refused(q, matrix, target, moved, below):
+        g, residual = witness(q, matrix, target, moved)
         precisions.append(max(abs(e).bit_length() for e in (matrix.alpha, matrix.beta)))
         return g, residual if len(precisions) > below else 1.0
 

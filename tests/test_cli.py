@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotweb import ckt_core, cli, linalg, quartic_class
+from rotweb import ckt_core, cli, linalg, quartic_class, separability
 from rotweb.ckt_core import CktCoefficients, assemble_ckt, assemble_free, ckv_by_name, symmetry_subspace
 from rotweb.cli import main
 from rotweb.exactmath import rat_str
@@ -265,6 +265,23 @@ class TestCompat:
         code, out, _ = run(capsys, "compat", "--potential", "0", "--energy", "1", "--human")
         assert code == 1
         assert "internal_check_failed: solver self-check failed" in out
+
+    def test_failed_unit_tensor_check_exits_1(self, capsys, monkeypatch):
+        # The conformal Killing check runs on the six unit tensors when they
+        # are cached; the cache is cleared before the call and again at
+        # teardown.
+        real = separability.verify_ckt
+        monkeypatch.setattr(separability, "verify_ckt", lambda k: (False, real(k)[1]))
+        separability._unit_tensors.cache_clear()
+        try:
+            code, report = run_json(capsys, "compat", "--potential", "-4/((x^2+y^2+z^2-1)^2 + 4*z^2)",
+                                    "--energy", "0")
+        finally:
+            separability._unit_tensors.cache_clear()
+        assert code == 1
+        assert report["results"] is None
+        assert report["findings"] == [{"kind": "internal_check_failed",
+                                       "detail": "unit tensor 0 fails the conformal Killing check"}]
 
 
 class TestSymmetry:

@@ -3,16 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from rotweb import linalg
+from rotweb import linalg, separability
 from rotweb.ckt_core import (CktError, OneForm, SymTensorField, ckv_by_name, contraction_vector,
                              metric, symmetric_product, verify_ckt)
-from rotweb.exactmath import Poly, RationalFunction
+from rotweb.exactmath import Poly, RationalFunction, rat
 from rotweb.expr import ExprError
 from rotweb.quartic_class import WebType
 from rotweb.rotational import RotParams, assemble_rotational, assemble_rotational_generic
-from rotweb.separability import (Potential, _curl_numerators, _potential_parts,
-                                 classify_potential, compatibility_form, is_closed,
-                                 parse_potential, solve_compatible)
+from rotweb.separability import (Potential, _combination, _curl_images, _curl_numerators,
+                                 _form_numerators, _potential_parts, classify_potential,
+                                 is_closed, parse_potential, solve_compatible)
 
 from conftest import rand_fraction
 from test_ckt_core import killing_obstruction
@@ -39,6 +39,37 @@ def raw_quotient(num: Poly, den: Poly) -> RationalFunction:
 
 def one_form(*polys):
     return OneForm(tuple(RationalFunction(p) for p in polys))
+
+
+def compatibility_form(p: RotParams, pot: Potential) -> OneForm:
+    """The compatibility one-form (E - V) k_flat - K dV for the rotational
+    tensor of p; its exact closedness characterizes fixed-energy separation.
+
+    The relative weight of the two terms is pinned mechanically: with k
+    normalized by d_(i K_jk) = k_(i g_jk), this combination (and no other
+    rational weighting) makes the closedness condition reproduce the known
+    two-parameter compatible family of the benchmark potential
+    -4 c^2 / ((x^2+y^2+z^2-c^2)^2 + 4 c^2 z^2) at every scale c, and it
+    reduces to d(K dV) = 0 when the class is Killing-representable with a
+    constant E - V.  Built tensor by tensor, it is the oracle of the
+    solver's linearity certificate.
+    """
+    parts = _potential_parts(pot.v, pot.energy)
+    d = parts[3]
+    den = Poly.dot(d.nvars, [(rat(pot.energy).denominator, d, d)])
+    return OneForm(tuple(RationalFunction(num, den) for num in member_numerators(p, parts)))
+
+
+def member_numerators(p: RotParams, parts) -> list[Poly]:
+    """The numerators P_i over D^2 of b omega for the tensor of p, given
+    the potential's parts; the tensor must pass the conformal Killing check,
+    which gives its vector k."""
+    k = assemble_rotational(p)
+    holds, kvec = verify_ckt(k)
+    if not holds:
+        raise CktError("rotational tensor failed the conformal Killing check")
+    grad, weight, _, _ = parts
+    return _form_numerators(k, grad, kvec, weight)
 
 
 def poincare_potential(omega: OneForm) -> Poly:
@@ -222,6 +253,73 @@ def _seeded_potentials():
     return [(text, Fraction(rng.randint(-5, 5), rng.randint(1, 3))) for text in out]
 
 
+EDGE_POTENTIALS = ["0", "3", "x^300", "1/z^2", "x*y/(1+z^2)"]
+EDGE_ENERGIES = [0, 1, Fraction(-5, 3)]
+CLEARED_ENERGIES = [0, Fraction(-5, 3), Fraction(7, 2)]
+CERTIFIED = (_seeded_potentials()
+             + [(text, energy) for text in CLEARED_POTENTIALS for energy in CLEARED_ENERGIES]
+             + [(text, energy) for text in EDGE_POTENTIALS for energy in EDGE_ENERGIES])
+
+
+class TestLinearCertificate:
+    """The solver certifies each solution by its combination of the six
+    curl images; the route it replaced builds the member's tensor, checks
+    it and takes its curl numerators.  The images are those of the doubled
+    unit tensors, so the combination is twice the route's numerators."""
+
+    @pytest.mark.parametrize("text,energy", CERTIFIED)
+    def test_combination_is_twice_the_member_route(self, text, energy):
+        pot = Potential.from_expression(text, energy)
+        parts = _potential_parts(pot.v, pot.energy)
+        _, _, dd, d = parts
+        images = _curl_images(parts)
+        members = [p.as_tuple() for p in solve_compatible(pot).basis]
+        rng = random.Random(f"{text} {energy}")
+        vectors = members + [tuple(rand_fraction(rng) for _ in range(6)) for _ in range(20)]
+        closed = []
+        for vec in vectors:
+            route = _curl_numerators(member_numerators(RotParams.make(*vec), parts), d, dd, 2)
+            assert _combination(vec, images) == [2 * c for c in route]
+            closed.append(not any(route))
+        # Members are closed; random vectors are not, unless every one is.
+        assert all(closed[:len(members)])
+        assert all(closed) == (len(members) == 6)
+
+
+class TestUnitTensorCheck:
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        separability._unit_tensors.cache_clear()
+        yield
+        separability._unit_tensors.cache_clear()
+
+    def test_failed_check_raises(self, monkeypatch):
+        real, calls = separability.verify_ckt, []
+
+        def third_fails(k):
+            calls.append(k)
+            holds, kvec = real(k)
+            return holds and len(calls) != 3, kvec
+
+        monkeypatch.setattr(separability, "verify_ckt", third_fails)
+        with pytest.raises(CktError, match="unit tensor 2 fails the conformal Killing check"):
+            solve_compatible(Potential.from_expression(EXAMPLE_POTENTIAL, 0))
+
+    def test_wrong_vector_raises(self, monkeypatch):
+        real = separability.verify_ckt
+        monkeypatch.setattr(separability, "verify_ckt", lambda k: (True, real(k)[1].scale(2)))
+        with pytest.raises(CktError, match="unit tensor 0 fails the conformal Killing check"):
+            solve_compatible(Potential.from_expression(EXAMPLE_POTENTIAL, 0))
+
+    def test_checked_once_per_process(self, monkeypatch):
+        calls = []
+        real = separability.verify_ckt
+        monkeypatch.setattr(separability, "verify_ckt", lambda k: calls.append(k) or real(k))
+        for text, energy in _seeded_potentials()[:8]:
+            solve_compatible(Potential.from_expression(text, energy))
+        assert len(calls) == 6
+
+
 class TestClearedParts:
     @pytest.mark.parametrize("text", CLEARED_POTENTIALS + [EXAMPLE_POTENTIAL, "0", "7/3"])
     @pytest.mark.parametrize("energy", [0, Fraction(-5, 3), Fraction(7, 2)])
@@ -244,14 +342,14 @@ class TestSolverOracle:
         pot = Potential.from_expression(text, energy)
         assert [p.as_tuple() for p in solve_compatible(pot).basis] == reference_solve(pot)
 
-    @pytest.mark.parametrize("text", ["0", "3", "x^300", "1/z^2", "x*y/(1+z^2)"])
-    @pytest.mark.parametrize("energy", [0, 1, Fraction(-5, 3)])
+    @pytest.mark.parametrize("text", EDGE_POTENTIALS)
+    @pytest.mark.parametrize("energy", EDGE_ENERGIES)
     def test_edge_potentials(self, text, energy):
         pot = Potential.from_expression(text, energy)
         assert [p.as_tuple() for p in solve_compatible(pot).basis] == reference_solve(pot)
 
     @pytest.mark.parametrize("num,den", CLEARED)
-    @pytest.mark.parametrize("energy", [0, Fraction(-5, 3), Fraction(7, 2)])
+    @pytest.mark.parametrize("energy", CLEARED_ENERGIES)
     def test_cleared_coefficients(self, num, den, energy):
         pot = Potential.from_expression(f"({num})/({den})", energy)
         basis = [p.as_tuple() for p in solve_compatible(pot).basis]
