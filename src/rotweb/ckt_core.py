@@ -134,9 +134,6 @@ class SymTensorField:
 
     __hash__ = None
 
-    def trace(self) -> Poly:
-        return self.comps[0][0] + self.comps[1][1] + self.comps[2][2]
-
     def degree(self) -> int:
         return max(self.comps[i][j].degree() for i, j in _UPPER)
 
@@ -144,9 +141,6 @@ class SymTensorField:
         nvars = self.nvars
         return VectorField(tuple(Poly.dot(nvars, [(1, a, b) for a, b in zip(row, v.components)])
                                  for row in self.comps))
-
-    def matrix_at(self, point: Sequence) -> list[list[Fraction]]:
-        return [[self.comps[i][j].eval(point) for j in range(3)] for i in range(3)]
 
     def extend(self, nvars: int) -> SymTensorField:
         return SymTensorField.from_upper(*(self.comps[i][j].extend(nvars) for i, j in _UPPER))
@@ -332,10 +326,6 @@ class CktCoefficients:
             d=_vec3(d or zero3), e=_sym3(e or zero33), f=_vec3(f or zero3),
             g=_sym3(g or zero33), h=rat(h), l=_vec3(l or zero3), m=_sym3(m or zero33),
         )
-
-    @classmethod
-    def zero(cls) -> CktCoefficients:
-        return cls.make()
 
     def validate(self) -> None:
         for name, block in (("A", self.a), ("C", self.c), ("M", self.m)):

@@ -3,13 +3,15 @@ solving, and symmetry scans, with deterministic JSON-first output.
 
 Exit codes: 0 success, 1 internal classification inconsistency, failed
 canonicalization or a failed internal certificate (reported as findings),
-2 input error.
+2 input error, 141 the reader closed standard output before the report was
+written (128 + SIGPIPE, as a shell reports a command killed by SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -420,10 +422,15 @@ def main(argv=None) -> int:
     except (InputError, ExactMathError, ExprError, CktError, ClassificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.human:
-        print(_render_human(report))
-    else:
-        print(dump_report(report))
+    try:
+        print(_render_human(report) if args.human else dump_report(report))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull, so the flush at interpreter exit does not
+        # raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
     return code
 
 

@@ -300,26 +300,8 @@ class Poly:
             return -1
         return max(self.terms) >> (_BITS * self.nvars)
 
-    def degree_in(self, var: int) -> int:
-        shift = self._shift(var)
-        if not self.terms:
-            return -1
-        return max((key >> shift) & _MASK for key in self.terms)
-
     def coeff(self, exps: Sequence[int]) -> Fraction:
         return Fraction(self.terms.get(_pack(exps, self.nvars), 0))
-
-    def eval(self, point: Sequence) -> Fraction:
-        if len(point) != self.nvars:
-            raise ExactMathError("evaluation point has wrong dimension")
-        total = Fraction(0)
-        for exps, coeff in self.exponent_items():
-            term = Fraction(coeff)
-            for value, k in zip(point, exps):
-                if k:
-                    term *= Fraction(value) ** k
-            total += term
-        return total
 
     def restrict(self, var: int, value) -> Poly:
         """Substitute the constant ``value`` for variable ``var``; the result
@@ -745,12 +727,6 @@ class RationalFunction:
             self.num.diff(var) * self.den - self.num * self.den.diff(var),
             self.den * self.den,
         )
-
-    def eval(self, point: Sequence) -> Fraction:
-        d = self.den.eval(point)
-        if d == 0:
-            raise ExactMathError("evaluation at a pole")
-        return self.num.eval(point) / d
 
     def __str__(self) -> str:
         if self.den == Poly.const(1, self.nvars):

@@ -28,23 +28,6 @@ from .exactmath import rat, rat_str
 from .rotational import RotParams
 
 
-class _Infinity:
-    """The point at infinity of the extended rational line."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "inf"
-
-
-INFINITY = _Infinity()
-
-
 @dataclass(frozen=True)
 class GroupElement:
     """(a0, a1, a2, a3, a4) plus the discrete-inversion flag; a2, a3 != 0."""
@@ -63,20 +46,11 @@ class GroupElement:
             raise CktError("group element requires a2 != 0 and a3 != 0")
         return cls(a0, a1, a2, a3, a4, bool(discrete))
 
-    @classmethod
-    def identity(cls) -> GroupElement:
-        return cls.make()
-
     def to_json_dict(self) -> dict:
         return {
             "a0": rat_str(self.a0), "a1": rat_str(self.a1), "a2": rat_str(self.a2),
             "a3": rat_str(self.a3), "a4": rat_str(self.a4), "discrete": self.discrete,
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> GroupElement:
-        return cls.make(data.get("a0", 0), data.get("a1", 0), data.get("a2", 1),
-                        data.get("a3", 1), data.get("a4", 0), data.get("discrete", False))
 
 
 @dataclass(frozen=True)
@@ -153,16 +127,6 @@ def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
 
 def inverse(g: GroupElement) -> GroupElement:
     return _from_rep(_rep(g).adjugate(), 1 / g.a3, -g.a4 / g.a3)
-
-
-def axis_action(g: GroupElement, z):
-    """Moebius image of a point of the extended z-axis (Fraction or INFINITY)."""
-    m = _rep(g)
-    if z is INFINITY:
-        return INFINITY if m.gamma == 0 else m.alpha / m.gamma
-    z = Fraction(z)
-    den = m.gamma * z + m.delta
-    return INFINITY if den == 0 else (m.alpha * z + m.beta) / den
 
 
 # ---------------------------------------------------------------------------

@@ -93,12 +93,6 @@ class BinaryQuartic:
     def from_rot_params(cls, p: RotParams) -> BinaryQuartic:
         return cls.make(*p.quartic_tuple())
 
-    @classmethod
-    def from_tuple(cls, values: Sequence) -> BinaryQuartic:
-        if len(values) != 5:
-            raise ClassificationError("expected five quartic coefficients")
-        return cls.make(*values)
-
     def as_tuple(self) -> tuple[Fraction, ...]:
         return (self.x4, self.x3y, self.x2y2, self.xy3, self.y4)
 
@@ -106,15 +100,11 @@ class BinaryQuartic:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.as_tuple())
 
-    def cleared(self) -> tuple[Fraction, BinaryQuartic]:
-        """A c > 0 and the primitive quartic c Q with int coefficients; the
-        zero quartic has c = 1."""
-        return self._cleared[:2]
-
     @functools.cached_property
-    def _cleared(self) -> tuple[Fraction, BinaryQuartic, Invariants]:
-        """c, c Q and the invariants of c Q formed in ints, computed once
-        per quartic and kept on it."""
+    def cleared(self) -> tuple[Fraction, BinaryQuartic, Invariants]:
+        """A c > 0, the primitive quartic c Q with int coefficients, and the
+        invariants of c Q formed in ints, computed once per quartic and kept
+        on it; the zero quartic has c = 1."""
         coeffs = self.as_tuple()
         den = math.lcm(*(c.denominator for c in coeffs))
         ints = [c.numerator * (den // c.denominator) for c in coeffs]
@@ -133,22 +123,6 @@ class BinaryQuartic:
 
 # ---------------------------------------------------------------------------
 # Binary forms of general even degree (coefficients X-degree-descending)
-
-
-def form_mul(a: Sequence, b: Sequence) -> tuple:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return tuple(out)
-
-
-def form_sub(a: Sequence, b: Sequence) -> tuple:
-    if len(a) != len(b):
-        raise ClassificationError("cannot subtract forms of different degree")
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def form_at(a: Sequence, x: int, y: int):
@@ -197,39 +171,25 @@ class Invariants:
             "F": rat_str(self.f) if self.f is not None else None,
         }
 
-    def scaled(self, c: Fraction) -> Invariants:
-        """The invariants of c Q (c != 0): I, J and Delta have degrees 2, 3
-        and 6 in the coefficients, and F is absolute.  Integer values come
-        back as ints."""
-        n, d = c.numerator, c.denominator
-        values = (Fraction(v * n ** k, d ** k) for k, v in ((2, self.i), (3, self.j), (6, self.delta)))
-        i, j, delta = (v.numerator if v.denominator == 1 else v for v in values)
-        return Invariants(i, j, delta, self.f)
-
-
-def _cleared_invariants(q: BinaryQuartic) -> tuple[Fraction, BinaryQuartic, Invariants]:
-    """The c > 0 and cleared quartic c Q of ``BinaryQuartic.cleared``, with
-    the invariants of c Q formed in ints."""
-    return q._cleared
-
 
 def invariants(q: BinaryQuartic) -> Invariants:
     """I, J, the discriminant Delta = 4 I^3 - J^2, and the absolute invariant
     F = I^3 / J^2 when J != 0.  They are formed in ints on the cleared
     quartic c Q, then divided once by c^2, c^3 and c^6 (F is absolute);
     integer values come back as ints."""
-    c, _, inv = _cleared_invariants(q)
-    return inv.scaled(1 / c)
+    c, _, inv = q.cleared
+    n, d = c.denominator, c.numerator  # 1 / c
+    values = (Fraction(v * n ** k, d ** k) for k, v in ((2, inv.i), (3, inv.j), (6, inv.delta)))
+    i, j, delta = (v.numerator if v.denominator == 1 else v for v in values)
+    return Invariants(i, j, delta, inv.f)
 
 
 def hessian(q: BinaryQuartic) -> tuple:
-    """H(X, Y) = Q_XX Q_YY - Q_XY^2, a quartic covariant; identically zero
-    iff Q has a quadruple root."""
+    """H(X, Y) = Q_XX Q_YY - Q_XY^2, a quartic covariant (coefficients
+    X-degree-descending); identically zero iff Q has a quadruple root."""
     m, l, h, d, a = q.as_tuple()
-    qxx = (12 * m, 6 * l, 2 * h)          # degree-2 form, X-descending
-    qyy = (2 * h, 6 * d, 12 * a)
-    qxy = (3 * l, 4 * h, 3 * d)
-    return form_sub(form_mul(qxx, qyy), form_mul(qxy, qxy))
+    return (24 * m * h - 9 * l * l, 72 * m * d - 12 * l * h, 144 * m * a + 18 * l * d - 12 * h * h,
+            72 * l * a - 12 * h * d, 24 * h * a - 9 * d * d)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +227,7 @@ def root_structure(q: BinaryQuartic) -> RootStructure:
     on the integer kernel."""
     if q.is_zero:
         raise ClassificationError("the zero form has no root structure")
-    poly = list(reversed(q.cleared()[1].as_tuple()))
+    poly = list(reversed(q.cleared[1].as_tuple()))
     while not poly[-1]:
         poly.pop()
     inf_mult = 5 - len(poly)
@@ -378,7 +338,7 @@ def classify_by_invariants(q: BinaryQuartic) -> tuple[WebType, list[dict]]:
     The rows below the flat-ring row are reached only when Delta = 0."""
     if q.is_zero:
         raise ClassificationError("the zero form has no web type")
-    _, cleared, inv = _cleared_invariants(q)
+    _, cleared, inv = q.cleared
     coeffs = cleared.as_tuple()
     for x, y in _PROBES:
         q_p = form_at(coeffs, x, y)
@@ -719,15 +679,10 @@ def _witness(q: BinaryQuartic, matrix: Mat2, target: tuple,
     """The group element substituting by the matrix, rescaled to agree with
     the target at its largest coefficient, and its residual.
 
-    All in integers: the rational matrix is multiplied by the common
-    denominator that clears it, and acts on the cleared quartic c Q.  The image is
-    homogeneous in both scales, so they cancel in the rescaling factor and
-    in the residual, and a0, a1, a2 and the discrete flag do not depend on
-    the matrix's scale.  moved, when given, is the image of c Q under an
-    integer matrix, already at hand."""
-    entries = [e.as_integer_ratio() for e in (matrix.alpha, matrix.beta, matrix.gamma, matrix.delta)]
-    power = math.lcm(*(d for _, d in entries))
-    matrix = Mat2(*(n * (power // d) for n, d in entries))
+    All in integers: the integer matrix acts on the cleared quartic c Q.
+    The image is homogeneous in c, so it cancels in the rescaling factor and
+    in the residual.  moved, when given, is the image of c Q under the
+    matrix, already at hand."""
     target = [t.as_integer_ratio() for t in target]
     den = math.lcm(*(d for _, d in target))
     target = [n * (den // d) for n, d in target]  # den times the target
@@ -736,7 +691,7 @@ def _witness(q: BinaryQuartic, matrix: Mat2, target: tuple,
         g = from_gl2(matrix)
     except CktError as exc:
         raise ClassificationError(f"degenerate canonicalization matrix: {exc}") from None
-    c, cleared = q.cleared()
+    c, cleared, _ = q.cleared
     if moved is None:
         moved = substitution_action(matrix, cleared.as_tuple())  # c times g's image of Q
     if moved[pivot] == 0:
@@ -778,7 +733,7 @@ def canonical_form(q: BinaryQuartic,
     web = classify_by_roots(q, structure)
     stratum = _STRATA[web]
     form = stratum.form
-    _, cleared, inv = _cleared_invariants(q)
+    _, cleared, inv = q.cleared
     if inv.delta:
         poly, root, parameter, exact = _pencil_parameter(web, inv, 1 if cleared.x4 > 0 else -1)
         frame = functools.partial(_pencil_frame, cleared, poly, root, form)

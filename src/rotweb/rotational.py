@@ -64,15 +64,8 @@ _PIECES = ((9, 9), (6, 9), (6, 6), (5, 5), (6, 2), (2, 2))
 
 def assemble_rotational(p: RotParams) -> SymTensorField:
     """Expand the rotational combination into exact Cartesian components."""
-    return assemble_rotational_generic(p.as_tuple(), nvars=3)
-
-
-def assemble_rotational_generic(values: Sequence, nvars: int = 3) -> SymTensorField:
-    """Assemble with rational or polynomial parameter values, the latter in
-    nvars variables (which lets callers work with the whole family
-    symbolically)."""
-    return SymTensorField.combination([(value, basis_product(*key)) for value, key in zip(values, _PIECES)],
-                                      nvars)
+    return SymTensorField.combination(
+        [(value, basis_product(*key)) for value, key in zip(p.as_tuple(), _PIECES)], 3)
 
 
 def rotational_eigencondition(k: SymTensorField) -> bool:

@@ -1,8 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+
+from rotweb.ckt_core import SymTensorField, basis_product
+from rotweb.exactmath import Poly, RationalFunction
+from rotweb.rotational import _PIECES
 
 
 def rand_fraction(rng: random.Random, lo=-9, hi=9, max_den=4) -> Fraction:
@@ -31,6 +36,32 @@ def companion_real_root_count(coeffs_low_first, tol=1e-9) -> int:
         if abs(z.imag) < tol:
             count += 1
     return count
+
+
+def evaluate(f, point) -> Fraction:
+    """The value of a Poly or a RationalFunction at a rational point."""
+    if isinstance(f, RationalFunction):
+        return evaluate(f.num, point) / evaluate(f.den, point)
+    return sum((c * math.prod(Fraction(v) ** k for v, k in zip(point, exps))
+                for exps, c in f.exponent_items()), Fraction(0))
+
+
+def degree_in(p: Poly, var: int) -> int:
+    """The degree of p in one variable; -1 for the zero polynomial."""
+    return max((exps[var] for exps, _ in p.exponent_items()), default=-1)
+
+
+def matrix_at(k: SymTensorField, point) -> list:
+    """The tensor's 3x3 matrix of values at a point."""
+    return [[evaluate(k[i][j], point) for j in range(3)] for i in range(3)]
+
+
+def symbolic_rotational(nvars: int = 9) -> SymTensorField:
+    """The whole rotational family at once: ``assemble_rotational`` with its
+    six parameters the polynomial variables 3..8 of nvars."""
+    return SymTensorField.combination(
+        [(Poly.variable(3 + i, nvars), basis_product(*key)) for i, key in enumerate(_PIECES)],
+        nvars)
 
 
 @pytest.fixture

@@ -9,8 +9,20 @@ as a global sign, with ``form_sign``'s square-free factors and Sturm counts.
 from typing import Sequence
 
 from rotweb.quartic_class import (BinaryQuartic, ClassificationError, FormSign, Invariants,
-                                  WebType, _cleared_invariants, form_mul, form_sign, form_sub,
-                                  hessian, invariants)
+                                  WebType, form_sign, hessian, invariants)
+
+
+def form_mul(a: Sequence, b: Sequence) -> tuple:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return tuple(out)
+
+
+def form_sub(a: Sequence, b: Sequence) -> tuple:
+    assert len(a) == len(b), "forms of different degree"
+    return tuple(x - y for x, y in zip(a, b))
 
 
 def form_scale(a: Sequence, c) -> tuple:
@@ -43,7 +55,7 @@ def classify_by_form_signs(q: BinaryQuartic) -> tuple[WebType, list[dict]]:
     texts and audit."""
     if q.is_zero:
         raise ClassificationError("the zero form has no web type")
-    _, cleared, inv = _cleared_invariants(q)
+    _, cleared, inv = q.cleared
     h_sign = form_sign(hessian(cleared))
     l_sign = form_sign(covariant_l(cleared, inv))
     m_sign = form_sign(covariant_m(cleared, inv))

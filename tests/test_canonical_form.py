@@ -19,8 +19,8 @@ import pytest
 from rotweb import quartic_class
 from rotweb.exactmath import int_cleared, rational_roots
 from rotweb.group_action import GroupElement, Mat2, apply_quartic, from_gl2, substitution_action
-from rotweb.quartic_class import (BinaryQuartic, ClassificationError, WebType, _cleared_invariants,
-                                  _resolvent_roots, canonical_form, classify_by_invariants,
+from rotweb.quartic_class import (BinaryQuartic, ClassificationError, WebType, _resolvent_roots,
+                                  canonical_form, classify_by_invariants,
                                   classify_by_roots, invariants, root_structure)
 
 from conftest import rand_fraction
@@ -267,7 +267,7 @@ def test_root_finder_matches_numpy(web):
     for _ in range(PER_STRATUM):
         q = partition_quartic(rng, web)
         structure = root_structure(q)
-        inv = _cleared_invariants(q)[2]
+        inv = q.cleared[2]
         if inv.delta:
             # Each certified bracket holds numpy's root, to 1e-9 of the roots' size.
             _, roots = _resolvent_roots(inv)
@@ -375,7 +375,7 @@ def test_integer_route_on_exact_parameters():
     # An exact-mu bi-cyclide and a flat ring with a non-integer centroid.
     for text in ("24320/9,-566768/27,1649572/27,-2131904/27,114700/3",
                  "560/27,-10,85/9,-25/3,5/2"):
-        assert integer_route_mismatches(BinaryQuartic.from_tuple(text.split(","))) == []
+        assert integer_route_mismatches(BinaryQuartic.make(*text.split(","))) == []
 
 
 EXTREME_PER_STRATUM = 24
@@ -519,7 +519,7 @@ def test_precision_doubles_until_the_residual_holds(monkeypatch):
 ], ids=["flat_ring_near_2", "bi_cyclide_near_minus_2", "bi_cyclide_1e800", "flat_ring_tiny",
         "disk_1e400"])
 def test_exact_parameters_far_from_double_range(text, mu):
-    cf, _ = canonical_form(BinaryQuartic.from_tuple(text.split(",")))
+    cf, _ = canonical_form(BinaryQuartic.make(*text.split(",")))
     assert (cf.parameter, cf.exact) == (mu, True)
     assert cf.witness_residual <= 1e-9
 
@@ -533,13 +533,13 @@ def test_integer_roots_need_no_isolation(monkeypatch):
 
     monkeypatch.setattr(quartic_class, "isolate_real_roots", refused)
     for text in ("1,0,1e100,0,1", "1e-320,0,-1,0,1", "1,0,-1e800,0,1", "1,0,1e400,0,-1"):
-        assert canonical_form(BinaryQuartic.from_tuple(text.split(",")))[0].exact
+        assert canonical_form(BinaryQuartic.make(*text.split(",")))[0].exact
 
 
 def test_irrational_parameter_beyond_double_range_is_a_finding():
     # mu = 10^400 / sqrt(2).
     with pytest.raises(ClassificationError, match="beyond double range"):
-        canonical_form(BinaryQuartic.from_tuple("1,0,1e400,0,-2".split(",")))
+        canonical_form(BinaryQuartic.make(*"1,0,1e400,0,-2".split(",")))
 
 
 def test_parameter_with_a_large_denominator_is_exact():
@@ -624,15 +624,15 @@ class TestFaultRegressions:
                              "matched": True}
 
     def test_rational_bicyclide_parameter_is_exact(self):
-        cf, _ = canonical_form(BinaryQuartic.from_tuple(
-            "24320/9,-566768/27,1649572/27,-2131904/27,114700/3".split(",")))
+        text = "24320/9,-566768/27,1649572/27,-2131904/27,114700/3"
+        cf, _ = canonical_form(BinaryQuartic.make(*text.split(",")))
         assert cf.exact and cf.parameter == Fraction(-886, 341)
 
 
 def test_smallest_mu_is_chosen():
     # Both -114/25 and -33/4 are real-equivalent form-I parameters of this
     # bi-cyclide; the smaller |mu| wins.
-    cf, _ = canonical_form(BinaryQuartic.from_tuple("-125/12,125/3,255/2,-1015/3,155/12".split(",")))
+    cf, _ = canonical_form(BinaryQuartic.make(*"-125/12,125/3,255/2,-1015/3,155/12".split(",")))
     assert (cf.form, cf.parameter, cf.exact) == ("I", Fraction(-114, 25), True)
 
 

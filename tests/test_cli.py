@@ -568,6 +568,20 @@ def test_commands_run_without_numpy():
     assert json.loads(done.stdout) == [0] * len(calls)
 
 
+def test_closed_stdout_exits_141_quietly():
+    # `rotweb tables | true`: the reader is gone before the report is
+    # written, so the write fails with EPIPE.  That is no finding (exit 1)
+    # and no traceback, but the shell's code for a command killed by SIGPIPE.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    proc = subprocess.Popen([sys.executable, "-m", "rotweb", "tables"], stdout=write_end,
+                            stderr=subprocess.PIPE, cwd=ROOT,
+                            env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    os.close(write_end)
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (141, b"")
+
+
 def readme_commands() -> list:
     """The arguments of every distinct `rotweb ...` line in the README's
     code blocks."""

@@ -4,14 +4,34 @@ import pytest
 
 from rotweb.ckt_core import CktError
 from rotweb.exactmath import rat
-from rotweb.group_action import (INFINITY, GroupElement, Mat2, apply, apply_quartic,
-                                 axis_action, compose, from_gl2, inverse,
-                                 substitution_action)
+from rotweb.group_action import (GroupElement, Mat2, _rep, apply, apply_quartic, compose,
+                                 from_gl2, inverse, substitution_action)
 from rotweb.quartic_class import BinaryQuartic, invariants, root_structure
 from rotweb.rotational import RotParams
 
 from conftest import rand_fraction
 from ref_univariate import UniPoly, singular_polynomial
+
+
+class _Infinity:
+    """The point at infinity of the extended rational line."""
+
+    def __repr__(self) -> str:
+        return "inf"
+
+
+INFINITY = _Infinity()
+
+
+def axis_action(g: GroupElement, z):
+    """Moebius image of a point of the extended z-axis (Fraction or
+    INFINITY), read off the program's one Moebius matrix."""
+    m = _rep(g)
+    if z is INFINITY:
+        return INFINITY if m.gamma == 0 else m.alpha / m.gamma
+    z = Fraction(z)
+    den = m.gamma * z + m.delta
+    return INFINITY if den == 0 else (m.alpha * z + m.beta) / den
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +142,7 @@ def random_params(rng):
 class TestApply:
     def test_identity(self, rng):
         p = random_params(rng)
-        assert apply(GroupElement.identity(), p) == p
+        assert apply(GroupElement.make(), p) == p
 
     def test_dilation_on_ones(self):
         g = GroupElement.make(0, 0, 2, 1, 0, False)
@@ -157,7 +177,7 @@ class TestGroupLaws:
 
     def test_double_discrete_is_identity(self, rng):
         disc = GroupElement.make(0, 0, 1, 1, 0, True)
-        assert compose(disc, disc) == GroupElement.identity()
+        assert compose(disc, disc) == GroupElement.make()
 
     def test_continuous_inversion_is_conjugated_translation(self, rng):
         # phi_0(t) = I o phi_1(t) o I on the parameters.
@@ -173,10 +193,10 @@ class TestGroupLaws:
 
 class TestGl2Bridge:
     def test_identity(self):
-        m = to_gl2(GroupElement.identity())
+        m = to_gl2(GroupElement.make())
         assert (m.alpha, m.beta, m.gamma, m.delta) == (1.0, 0.0, -0.0, 1.0)
         assert from_gl2(Mat2(Fraction(1), Fraction(0), Fraction(0), Fraction(1))) \
-            == GroupElement.identity()
+            == GroupElement.make()
 
     def test_swap_matrix(self):
         element = from_gl2(Mat2(Fraction(0), Fraction(1), Fraction(1), Fraction(0)))
@@ -271,7 +291,7 @@ class TestOneMoebiusMatrix:
 
 class TestAxisAction:
     def test_identity(self):
-        assert axis_action(GroupElement.identity(), Fraction(3, 2)) == Fraction(3, 2)
+        assert axis_action(GroupElement.make(), Fraction(3, 2)) == Fraction(3, 2)
 
     def test_translation(self):
         g = GroupElement.make(0, 3, 1, 1, 0, False)
@@ -316,7 +336,7 @@ class TestCovariance:
             assert covariance_residual(g, p, z) == 0
 
     def test_identity_trivial(self, rng):
-        assert covariance_residual(GroupElement.identity(), random_params(rng), 7) == 0
+        assert covariance_residual(GroupElement.make(), random_params(rng), 7) == 0
 
     def test_pole_rejected(self):
         g = GroupElement.make(1, 0, 1, 1, 0, False)

@@ -12,7 +12,7 @@ from rotweb.quartic_class import (BinaryQuartic, ClassificationError,
 
 from conftest import rand_fraction
 from ref_covariants import (classify_by_form_signs, covariant_l, covariant_m, form_is_zero,
-                            form_scale)
+                            form_mul, form_scale)
 from ref_univariate import (UniPoly, dehomogenize, ref_monic, ref_real_root_count,
                             ref_squarefree_decomposition)
 from test_canonical_form import PER_STRATUM, extreme_quartic, partition_quartic
@@ -126,10 +126,12 @@ class TestIntegerCovariants:
             cq = BinaryQuartic.make(*(c * x for x in q.as_tuple()))
             for covariant, degree in ((hessian, 2), (covariant_l, 4), (covariant_m, 4)):
                 assert covariant(cq) == form_scale(covariant(q), c ** degree)
-            factor, cleared = q.cleared()
+            factor, cleared, scaled = q.cleared
             assert cleared.as_tuple() == tuple(factor * x for x in q.as_tuple())
-            scaled = invariants(q).scaled(factor)
-            assert qc._cleared_invariants(q) == (factor, cleared, scaled)
+            assert scaled == invariants(cleared)
+            inv = invariants(q)
+            assert (scaled.i, scaled.j, scaled.delta, scaled.f) == (
+                inv.i * factor ** 2, inv.j * factor ** 3, inv.delta * factor ** 6, inv.f)
             for covariant in (hessian, covariant_l, covariant_m):
                 ints = covariant(cleared)
                 assert all(type(x) is int for x in ints)
@@ -194,7 +196,7 @@ class TestIntegerRoute:
 
     def test_form_sign_on_int_and_fraction_covariants(self, quartics):
         for q in quartics:
-            _, cleared = q.cleared()
+            _, cleared, _ = q.cleared
             for covariant in (hessian, covariant_l, covariant_m):
                 rational = covariant(q)
                 verdict = form_sign(covariant(cleared))
@@ -323,7 +325,7 @@ def small_root_quartic(rng, web):
     factors += [list(quad) for quad in quadratics]
     form = [rng.choice((-3, -2, -1, 1, 2, 3))]
     for factor in factors:
-        form = list(qc.form_mul(form, factor))
+        form = list(form_mul(form, factor))
     return BinaryQuartic.make(*form)
 
 

@@ -6,12 +6,11 @@ import pytest
 from rotweb import ckt_core as cc
 from rotweb.ckt_core import CktError, ckv_by_name, lie_derivative, metric, symmetric_product, tsn_check
 from rotweb.exactmath import Poly
-from rotweb.rotational import (RotParams, assemble_rotational,
-                               assemble_rotational_generic, catalog,
+from rotweb.rotational import (RotParams, assemble_rotational, catalog,
                                cyclide_surface_residual, eigenvalues_at,
                                extract_parameters, rotational_eigencondition)
 
-from conftest import rand_fraction
+from conftest import matrix_at, rand_fraction, symbolic_rotational
 from ref_univariate import UniPoly, ints, singular_polynomial
 
 
@@ -39,10 +38,8 @@ class TestAssemble:
 
     def test_symbolic_family_checks(self):
         """One symbolic run covers the whole six-parameter family."""
-        nv = 9
-        params = [Poly.variable(3 + i, nv) for i in range(6)]
-        k = assemble_rotational_generic(params, nvars=nv)
-        assert lie_derivative(cc.ckv_basis(nv)[5], k).is_zero
+        k = symbolic_rotational(9)
+        assert lie_derivative(cc.ckv_basis(9)[5], k).is_zero
         assert tsn_check(k)
         assert rotational_eigencondition(k)
 
@@ -110,7 +107,7 @@ class TestEigenvalues:
                 continue
             lam1, a, b = eigenvalues_at(p, point)
             matrix = np.array([[float(x) for x in row]
-                               for row in assemble_rotational(p).matrix_at(point)])
+                               for row in matrix_at(assemble_rotational(p), point)])
             eigs = sorted(np.linalg.eigvalsh(matrix))
             mine = sorted([float(lam1),
                            (float(a) + float(b) ** 0.5) / 2,

@@ -9,12 +9,12 @@ from rotweb.ckt_core import (CktError, OneForm, SymTensorField, ckv_by_name, con
 from rotweb.exactmath import Poly, RationalFunction, rat
 from rotweb.expr import ExprError
 from rotweb.quartic_class import WebType
-from rotweb.rotational import RotParams, assemble_rotational, assemble_rotational_generic
+from rotweb.rotational import RotParams, assemble_rotational
 from rotweb.separability import (Potential, _combination, _curl_images, _curl_numerators,
                                  _form_numerators, _potential_parts, classify_potential,
                                  is_closed, parse_potential, solve_compatible)
 
-from conftest import rand_fraction
+from conftest import evaluate, rand_fraction, symbolic_rotational
 from test_ckt_core import killing_obstruction
 
 EXAMPLE_POTENTIAL = "-4/((x^2+y^2+z^2-1)^2 + 4*z^2)"
@@ -85,7 +85,7 @@ def poincare_potential(omega: OneForm) -> Poly:
 class TestParsePotential:
     def test_round_trip_value(self):
         v = parse_potential("(x^2 + y^2 - 1/2) / (z + 2)")
-        assert v.eval((1, 1, 0)) == Fraction(3, 4)
+        assert evaluate(v, (1, 1, 0)) == Fraction(3, 4)
 
     def test_rejects_unknown_symbols(self):
         with pytest.raises(ExprError):
@@ -218,7 +218,7 @@ def reference_solve(pot):
     one-form numerators P_i over d^2 and the curl numerators over d^3 are
     spelled out here, independent of the module's helpers."""
     nvars = 9
-    tensor = assemble_rotational_generic([Poly.variable(3 + i, nvars) for i in range(6)], nvars=nvars)
+    tensor = symbolic_rotational(nvars)
     n, d = pot.v.num.extend(nvars), pot.v.den.extend(nvars)
     kvec = contraction_vector(tensor)
     grad = [n.diff(j) * d - n * d.diff(j) for j in range(3)]
@@ -253,7 +253,8 @@ def _seeded_potentials():
     return [(text, Fraction(rng.randint(-5, 5), rng.randint(1, 3))) for text in out]
 
 
-EDGE_POTENTIALS = ["0", "3", "x^300", "1/z^2", "x*y/(1+z^2)"]
+EDGE_POTENTIALS = ["0", "3", "x^300", "1/z^2", "x*y/(1+z^2)", "1/x + 1/y", "x^-2",
+                   "1/(x^2+y^2+1) + z/(z^2+1)"]
 EDGE_ENERGIES = [0, 1, Fraction(-5, 3)]
 CLEARED_ENERGIES = [0, Fraction(-5, 3), Fraction(7, 2)]
 CERTIFIED = (_seeded_potentials()
