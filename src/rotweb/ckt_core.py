@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import linalg
-from .exactmath import Poly, RationalFunction, rat, rat_str
+from .exactmath import Poly, RationalFunction, rat
 
 EPS = [[[0] * 3 for _ in range(3)] for _ in range(3)]
 for _i, _j, _k, _s in [(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
@@ -134,16 +134,10 @@ class SymTensorField:
 
     __hash__ = None
 
-    def degree(self) -> int:
-        return max(self.comps[i][j].degree() for i, j in _UPPER)
-
     def dot_vector(self, v: VectorField) -> VectorField:
         nvars = self.nvars
         return VectorField(tuple(Poly.dot(nvars, [(1, a, b) for a, b in zip(row, v.components)])
                                  for row in self.comps))
-
-    def extend(self, nvars: int) -> SymTensorField:
-        return SymTensorField.from_upper(*(self.comps[i][j].extend(nvars) for i, j in _UPPER))
 
 
 @dataclass(frozen=True)
@@ -202,11 +196,6 @@ def ckv_by_name(name: str, nvars: int = 3) -> VectorField:
         return ckv_basis(nvars)[_NAMES.index(name)]
     except ValueError:
         raise CktError(f"unknown generator {name!r}; expected one of {_NAMES}") from None
-
-
-def commutator(v: VectorField, w: VectorField) -> VectorField:
-    return VectorField(tuple(Poly.dot(v.nvars, [product for j in range(3) for product in (
-        (1, v[j], w[i].diff(j)), (-1, w[j], v[i].diff(j)))]) for i in range(3)))
 
 
 def symmetric_product(v: VectorField, w: VectorField) -> SymTensorField:
@@ -333,10 +322,6 @@ class CktCoefficients:
                 for j in range(i + 1, 3):
                     if block[i][j] != block[j][i]:
                         raise CktError(f"coefficient block {name} must be symmetric")
-
-    def to_json_dict(self) -> dict:
-        blocks = (self.a, self.b, self.c, self.d, self.e, self.f, self.g, self.h, self.l, self.m)
-        return dict(zip(_BLOCK_NAMES, _sliced([rat_str(x) for x in _flat(blocks)], list)))
 
     @classmethod
     def from_json_dict(cls, data: dict) -> CktCoefficients:
@@ -610,9 +595,10 @@ def _free_numerators(vec: Sequence) -> tuple[list[int], int]:
 
 
 def free_json_dict(vec: Sequence) -> dict:
-    """The ``CktCoefficients.to_json_dict()`` of the tensor with free
-    coordinates vec, written from the integer numerators without a
-    Fraction: a scan's report block."""
+    """The coefficient blocks of the tensor with free coordinates vec, under
+    their JSON names (``_BLOCK_NAMES``) and with each entry as ``rat_str``
+    writes it, from the integer numerators without a Fraction: a scan's
+    report block."""
     flat, den = _free_numerators(vec)
     return dict(zip(_BLOCK_NAMES, _sliced([_ratio_str(n, den) if n else "0" for n in flat], list)))
 
@@ -658,13 +644,6 @@ def _vectorize(k: SymTensorField) -> list[Fraction]:
                 raise CktError("tensor component outside the degree-4 space")
             out[comp * len(mons) + index[exps]] = Fraction(coeff)
     return out
-
-
-@lru_cache(maxsize=None)
-def _free_terms() -> tuple:
-    """Per free coordinate c, the (coefficient, (p, q)) of its unit vector's
-    tensor sum coefficient X_p.X_q."""
-    return tuple(tuple(_block_terms(*blocks)) for blocks in _unit_blocks())
 
 
 @lru_cache(maxsize=None)
@@ -774,68 +753,33 @@ def obstruction_from_free(vec: Sequence) -> VectorField:
 
 _LEFT_SPACE = "Lie derivative left the trace-free space; v is not a CKV"
 
-_PAIRS = [(p, q) for p in range(10) for q in range(p, 10)]
-# _PAIR[p][q]: the index in _PAIRS of the product X_p.X_q.
-_PAIR = [[_PAIRS.index((min(p, q), max(p, q))) for q in range(10)] for p in range(10)]
-
-
-def _within(weights: dict, coords: list, n: int) -> dict:
-    """The basis coordinates of sum_j weights[j] coords[j], a combination of
-    ``linalg.extended_coordinates`` entries over a basis of n columns;
-    raises when it has a component outside the span of that basis."""
-    acc: dict = {}
-    for j, w in weights.items():
-        for k, x in coords[j].items():
-            acc[k] = acc.get(k, 0) + w * x
-    if any(x for k, x in acc.items() if k >= n):
-        raise CktError(_LEFT_SPACE)
-    return acc
-
 
 @lru_cache(maxsize=None)
-def _slot_coordinates() -> list:
-    """Extended coordinates, over ``ckv_basis``, of the 30 unit fields with
-    one monomial of degree <= 2 in one component (slot 10 i + monomial)."""
-    index, _ = _monomials()
-    columns = []
-    for field in ckv_basis():
-        col = [0] * 30
-        for i, p in enumerate(field.components):
-            for exps, coeff in p.exponent_items():
-                col[10 * i + index[exps]] = coeff
-        columns.append(col)
-    return linalg.extended_coordinates(columns, [[int(s == t) for s in range(30)] for t in range(30)])
+def _ckv_slots() -> tuple[tuple[int, int, int], ...]:
+    """Per basis field X_k of ``ckv_basis``, a slot (component, packed
+    monomial) where X_k alone of the ten has a nonzero coefficient, and that
+    coefficient."""
+    terms = [{(i, key): x for i, p in enumerate(field.components) for key, x in p.terms.items()}
+             for field in ckv_basis()]
+    return tuple(next((*slot, x) for slot, x in own.items()
+                      if not any(slot in other for other in terms if other is not own))
+                 for own in terms)
 
 
 def _ckv_coordinates(v: VectorField) -> dict:
-    """{k: c_k} with v = sum c_k X_k over ``ckv_basis``; raises when v is
-    not in their span."""
-    index, _ = _monomials()
-    weights: dict = {}
-    for i, p in enumerate(v.components):
-        for exps, coeff in p.exponent_items():
-            slot = index.get(exps, 10)
-            if slot >= 10:
-                raise CktError(_LEFT_SPACE)
-            weights[10 * i + slot] = coeff
-    return {k: x for k, x in _within(weights, _slot_coordinates(), 10).items() if x}
-
-
-@lru_cache(maxsize=None)
-def _structure_constants(k: int) -> tuple:
-    """[X_k, X_p] = sum_r c[k][p][r] X_r, as the sparse dicts c[k][p] of
-    one k: a scan of one generator needs one row of the table."""
-    basis = ckv_basis()
-    return tuple(_ckv_coordinates(commutator(basis[k], y)) for y in basis)
-
-
-@lru_cache(maxsize=None)
-def _pair_coordinates() -> list:
-    """Extended coordinates of the 55 products X_p.X_q, p <= q, over the 35
-    free basis tensors: 41 lie in the span of those before them, 14 extend
-    it to their 49-dimensional span."""
-    products = [_vectorize(basis_product(p, q)) for p, q in _PAIRS]
-    return linalg.extended_coordinates(list(zip(*_assembly_matrix())), products)
+    """{k: c_k} with v = sum c_k X_k over ``ckv_basis``: c_k is read at the
+    slot of X_k (``_ckv_slots``), and the sum is then checked against v
+    exactly; raises when v is not in their span."""
+    coords = {}
+    for k, (i, key, x) in enumerate(_ckv_slots()):
+        value = v[i].terms.get(key)
+        if value:
+            coords[k] = Fraction(value, x)
+    basis, one = ckv_basis(), Poly.const(1, 3)
+    if v != VectorField(tuple(Poly.dot(3, [(c, one, basis[k][i]) for k, c in coords.items()])
+                              for i in range(3))):
+        raise CktError(_LEFT_SPACE)
+    return coords
 
 
 def _lie_columns(v: VectorField) -> list[dict]:
@@ -856,32 +800,17 @@ def _lie_columns(v: VectorField) -> list[dict]:
 @lru_cache(maxsize=None)
 def _basis_lie_columns(k: int) -> tuple[dict, ...]:
     """The columns of the matrix of Lie_X on the 35 trace-free coordinates,
-    for the basis field X = X_k, as sparse dicts {row: value}.
-
-    No tensor is differentiated.  Lie_X is a derivation, so on products of
-    conformal Killing vectors L_X(X_p.X_q) = [X, X_p].X_q + X_p.[X, X_q].
-    With ad_X the 10x10 matrix whose column p holds [X, X_p] (the structure
-    constants c[k][p]), the tensor sum S_pq X_p.X_q of basis vector c goes
-    to the one with coefficients ad_X S + S ad_X^T.  That combination of the
-    55 products X_p.X_q, p <= q, is reduced to the 35 free coordinates by
-    ``_pair_coordinates``, built on first use by one elimination of the
-    assembly matrix beside the 55 vectorized products.  Their span has
-    dimension 49, so each column also has 14 complement coordinates; they
-    must vanish exactly, or this raises CktError."""
-    ad = _structure_constants(k)
-    coords = _pair_coordinates()
-    columns = []
-    for terms in _free_terms():
-        image: dict = {}
-        for s, (p, q) in terms:
-            for r, x in ad[p].items():
-                pair = _PAIR[r][q]
-                image[pair] = image.get(pair, 0) + s * x
-            for r, x in ad[q].items():
-                pair = _PAIR[p][r]
-                image[pair] = image.get(pair, 0) + s * x
-        columns.append({r: x for r, x in _within(image, coords, DIM_TRACE_FREE).items() if x})
-    return tuple(columns)
+    for the basis field X = X_k, as sparse dicts {row: value}.  By its
+    definition, column c holds the free coordinates of Lie_X F_c, for the
+    basis tensor F_c of ``_free_basis``: the 35 images are vectorized and
+    solved against the assembly matrix by one elimination.  An image outside
+    the span of the F_c has no solution, and this raises CktError."""
+    field = ckv_basis()[k]
+    images = [_vectorize(lie_derivative(field, f)) for f in _free_basis()]
+    solutions = linalg.solve_many(_assembly_matrix(), images)
+    if solutions is None:
+        raise CktError(_LEFT_SPACE)
+    return tuple({r: x for r, x in enumerate(col) if x} for col in solutions)
 
 
 def symmetry_subspace(v: VectorField, mode: str) -> list[tuple[Fraction, list[list[Fraction]]]]:
@@ -931,7 +860,11 @@ def _check_one_eigenspace(v: VectorField, basis: list[list[Fraction]]) -> None:
     h = None
     for vec in basis:
         row = {j: x for j, x in enumerate(vec) if x}
-        image = {c: x for c, x in _within(row, columns, DIM_TRACE_FREE).items() if x}
+        image: dict = {}
+        for j, w in row.items():
+            for c, x in columns[j].items():
+                image[c] = image.get(c, 0) + w * x
+        image = {c: x for c, x in image.items() if x}
         if row and h is None:
             j = next(iter(row))
             h = Fraction(image.get(j, 0)) / row[j]

@@ -72,7 +72,9 @@ class _Parser:
             rhs = self.unary()
             try:
                 value = value * rhs if op == "*" else value / rhs
-            except (ZeroDivisionError, ExactMathError) as exc:
+            except ZeroDivisionError as exc:
+                raise ExprError("division by zero") from exc
+            except ExactMathError as exc:
                 raise ExprError(str(exc)) from exc
         return value
 
@@ -102,7 +104,9 @@ class _Parser:
                 if negative:
                     result = self.const(1) / result
                 return result
-            except (ZeroDivisionError, ExactMathError) as exc:
+            except ZeroDivisionError as exc:
+                raise ExprError("division by zero") from exc
+            except ExactMathError as exc:
                 raise ExprError(str(exc)) from exc
         return base
 

@@ -161,39 +161,6 @@ def solve_many(matrix: Sequence[Sequence], rhs_columns: Sequence[Sequence]) -> l
             for j in range(len(rhs_columns))]
 
 
-def extended_coordinates(basis: Sequence[Sequence], vectors: Sequence[Sequence]) -> list[Row]:
-    """Coordinates of each of ``vectors`` in a basis of the span of both
-    lists: the independent columns ``basis`` first, then the leftmost of
-    ``vectors`` outside the span of those before them.
-
-    Entry j is a sparse dict: key r < n = len(basis) holds the coefficient
-    of basis[r], key n + p that of vectors[p].  So sum_j w_j vectors[j] lies
-    in span(basis) iff sum_j w_j coords[j] has no nonzero key >= n, and its
-    keys < n are then its coordinates in ``basis``.  One elimination of the
-    columns [basis | vectors].
-    """
-    n = len(basis)
-    cols = [*basis, *vectors]
-    rows = [{c: col[i] for c, col in enumerate(cols) if col[i]} for i in range(len(cols[0]))]
-    ech, pivots = _echelon([row for row in rows if row])
-    if pivots[:n] != list(range(n)):
-        raise ExactMathError("basis columns are linearly dependent")
-    is_pivot = set(pivots)
-    zeros = [0] * len(ech)
-    coords = []
-    for c in range(n, len(cols)):
-        if c in is_pivot:
-            coords.append({c: Fraction(1)})
-            continue
-        # Free column c: the null vector x with x[c] = 1 expands
-        # vectors[c - n] as -sum_p x[p] (column p) over the pivot columns.
-        x = [0] * len(cols)
-        x[c] = 1
-        x = _back_substitute(ech, pivots, x, zeros)
-        coords.append({p: -x[p] for p in pivots if x[p]})
-    return coords
-
-
 def rank(matrix: Sequence[Sequence]) -> int:
     return len(row_echelon(matrix)[1])
 

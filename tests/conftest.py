@@ -51,6 +51,11 @@ def degree_in(p: Poly, var: int) -> int:
     return max((exps[var] for exps, _ in p.exponent_items()), default=-1)
 
 
+def tensor_degree(k: SymTensorField) -> int:
+    """The total degree of a tensor: the largest of its components'."""
+    return max(k[i][j].degree() for i in range(3) for j in range(i, 3))
+
+
 def matrix_at(k: SymTensorField, point) -> list:
     """The tensor's 3x3 matrix of values at a point."""
     return [[evaluate(k[i][j], point) for j in range(3)] for i in range(3)]

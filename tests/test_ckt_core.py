@@ -8,14 +8,14 @@ import pytest
 from rotweb import ckt_core as cc
 from rotweb.ckt_core import (DIM_TRACE_FREE, CktCoefficients, CktError, SymTensorField,
                              assemble_ckt, assemble_free, ckt_dimension, ckv_basis, ckv_by_name,
-                             commutator, conformal_factor, free_json_dict, lie_derivative, metric,
+                             conformal_factor, free_json_dict, lie_derivative, metric,
                              obstruction_from_free, symmetric_product, symbolic_family,
                              symmetry_subspace, tsn_check, tsn_filter, verify_ckt)
 from rotweb.exactmath import ExactMathError, Poly, rat_str
 from rotweb.linalg import (char_poly, nullspace, rank, rational_eigenvalues, solve_many,
                            vanishing_combinations)
 
-from conftest import degree_in, evaluate, rand_fraction
+from conftest import degree_in, evaluate, rand_fraction, tensor_degree
 from ref_univariate import UniPoly, product, ref_monic
 
 X, Y, Z = (Poly.variable(i, 3) for i in range(3))
@@ -34,6 +34,24 @@ def lie_operator(v):
     columns = cc._lie_columns(v)
     zero = Fraction(0)
     return [[col.get(r, zero) for col in columns] for r in range(DIM_TRACE_FREE)]
+
+
+def commutator(v, w):
+    """The Lie bracket [v, w] of two vector fields."""
+    return cc.VectorField(tuple(Poly.dot(v.nvars, [product for j in range(3) for product in (
+        (1, v[j], w[i].diff(j)), (-1, w[j], v[i].diff(j)))]) for i in range(3)))
+
+
+def coefficients_json(coeffs):
+    """The JSON blocks of CktCoefficients, each entry written by rat_str."""
+    blocks = (coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.e, coeffs.f, coeffs.g, coeffs.h,
+              coeffs.l, coeffs.m)
+    return dict(zip(cc._BLOCK_NAMES, cc._sliced([rat_str(x) for x in cc._flat(blocks)], list)))
+
+
+def extend_tensor(k, nvars):
+    """The tensor with its components embedded in nvars variables."""
+    return SymTensorField.from_upper(*(k[i][j].extend(nvars) for i, j in cc._UPPER))
 
 
 def coefficients_from_free(vec):
@@ -406,7 +424,7 @@ class TestFreeCoordinates:
             assert all(type(x) is Fraction for x in cc._flat(
                 (coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.e, coeffs.f, coeffs.g, coeffs.h,
                  coeffs.l, coeffs.m)))
-            assert coeffs.to_json_dict() == expected.to_json_dict() == oracle_json_dict(expected)
+            assert coefficients_json(coeffs) == coefficients_json(expected) == oracle_json_dict(expected)
             assert json_bytes(free_json_dict(vec)) == json_bytes(oracle_json_dict(expected))
         for bad in ([0] * 34, [0] * 36):
             for build in (coefficients_from_free, free_json_dict):
@@ -421,7 +439,7 @@ class TestFreeCoordinates:
         for vec in basis:
             expected = oracle_json_dict(oracle_coefficients_from_free(vec))
             assert json_bytes(free_json_dict(vec)) == json_bytes(expected)
-            assert json_bytes(coefficients_from_free(vec).to_json_dict()) == json_bytes(expected)
+            assert json_bytes(coefficients_json(coefficients_from_free(vec))) == json_bytes(expected)
 
     def test_outside_coefficients_round_trip_through_the_layout(self, rng):
         # Blocks with every entry free, as outside input gives them.
@@ -432,8 +450,8 @@ class TestFreeCoordinates:
             coeffs = CktCoefficients.make(a=a, b=grids[3], c=c, d=grids[4][0], e=grids[5],
                                           f=grids[4][1], g=grids[6], h=rand_fraction(rng),
                                           l=grids[4][2], m=m)
-            assert coeffs.to_json_dict() == oracle_json_dict(coeffs)
-            assert CktCoefficients.from_json_dict(coeffs.to_json_dict()) == coeffs
+            assert coefficients_json(coeffs) == oracle_json_dict(coeffs)
+            assert CktCoefficients.from_json_dict(coefficients_json(coeffs)) == coeffs
 
     def test_c_block_follows_e(self, rng):
         for _ in range(20):
@@ -460,7 +478,7 @@ class TestFreeCoordinates:
         nv = 3 + len(rows)
         ts = [Poly.variable(3 + i, nv) for i in range(len(rows))]
         family = symbolic_family(rows)
-        assert family == sum((assemble_ckt(coefficients_from_free(row)).extend(nv).scale(t)
+        assert family == sum((extend_tensor(assemble_ckt(coefficients_from_free(row)), nv).scale(t)
                               for t, row in zip(ts, rows)), SymTensorField.combination([], nv))
         for bad in (vecs[0][:34], vecs[0] + [1]):
             with pytest.raises(CktError, match="35 free parameters"):
@@ -711,7 +729,7 @@ class TestLieDerivative:
 class TestLeibnizRule:
     @pytest.mark.parametrize("index", range(10))
     def test_lie_derivative_of_products(self, index):
-        # The identity lie_operator rests on, over every product X_a.X_b.
+        # The derivation rule of leibniz_image, over every product X_a.X_b.
         basis = ckv_basis(3)
         v = basis[index]
         for a in range(10):
@@ -732,13 +750,28 @@ def reference_lie_operator(v):
     return [[solutions[c][r] for c in range(cc.DIM_TRACE_FREE)] for r in range(cc.DIM_TRACE_FREE)]
 
 
+def leibniz_image(k, c):
+    """Lie_X F_c for the basis field X = X_k and the free basis tensor F_c,
+    with no tensor differentiated: F_c is the sum of s X_p.X_q over the
+    terms of its unit blocks, and Lie_X is a derivation on such products,
+    Lie_X(X_p.X_q) = [X, X_p].X_q + X_p.[X, X_q]."""
+    basis = ckv_basis(3)
+    x = basis[k]
+    return SymTensorField.combination(
+        [(s, symmetric_product(commutator(x, basis[p]), basis[q])
+          + symmetric_product(basis[p], commutator(x, basis[q])))
+         for s, (p, q) in cc._block_terms(*cc._unit_blocks()[c])], 3)
+
+
 class TestLieOperator:
     @pytest.mark.parametrize("index", range(10))
-    def test_basis_fields_match_the_reference(self, index):
-        v = ckv_basis(3)[index]
-        operator = lie_operator(v)
-        assert operator == reference_lie_operator(v)
-        assert all(type(x) is Fraction for row in operator for x in row)
+    def test_basis_fields_follow_the_leibniz_rule(self, index):
+        columns = cc._basis_lie_columns(index)
+        assert len(columns) == DIM_TRACE_FREE
+        for c, column in enumerate(columns):
+            vec = [column.get(r, 0) for r in range(DIM_TRACE_FREE)]
+            assert assemble_free(vec) == leibniz_image(index, c), c
+        assert all(type(x) is Fraction for column in columns for x in column.values())
 
     def test_rational_combinations_match_the_reference(self, rng):
         basis = ckv_basis(3)
@@ -755,15 +788,13 @@ class TestLieOperator:
         with pytest.raises(CktError, match="left the trace-free space"):
             lie_operator(v)
 
-    def test_complement_check_rejects_a_non_derivation(self, monkeypatch):
-        # Structure constants of the map scaling X1 alone, which is no
-        # derivation: it sends X1.X1 - X3.X3 to 2 X1.X1, which has a trace.
-        constants = tuple(tuple({0: 1} if (k, p) == (0, 0) else {} for p in range(10))
-                          for k in range(10))
-        # The per-generator operators are cached from the real constants;
-        # clear them before the call and again at teardown.
+    def test_an_image_outside_the_span_raises(self, monkeypatch):
+        # K + g has a trace, so it lies outside the span of the trace-free
+        # basis tensors.  The per-generator operators are cached from the
+        # real Lie derivative; clear them before the call and again at
+        # teardown.
         cc._basis_lie_columns.cache_clear()
-        monkeypatch.setattr(cc, "_structure_constants", lambda k: constants[k])
+        monkeypatch.setattr(cc, "lie_derivative", lambda v, k: k + metric(3))
         try:
             with pytest.raises(CktError, match="left the trace-free space"):
                 lie_operator(ckv_by_name("X1"))
@@ -786,13 +817,13 @@ class TestCoefficientsJson:
     def test_round_trip(self, rng):
         vec = [rand_fraction(rng) for _ in range(35)]
         coeffs = coefficients_from_free(vec)
-        data = coeffs.to_json_dict()
+        data = coefficients_json(coeffs)
         assert set(data) == {"A", "B", "C", "D", "E", "F", "G", "Hscalar", "L", "M"}
         assert CktCoefficients.from_json_dict(data) == coeffs
 
     def test_rational_strings(self):
         coeffs = CktCoefficients.make(h=Fraction(1, 3))
-        assert coeffs.to_json_dict()["Hscalar"] == "1/3"
+        assert coefficients_json(coeffs)["Hscalar"] == "1/3"
 
 
 class TestGroupElementJson:
@@ -826,7 +857,7 @@ class TestSymmetrySubspace:
         for vec in basis:
             k = assemble_free(vec)
             assert lie_derivative(x3, k).is_zero
-            assert k.degree() <= 2
+            assert tensor_degree(k) <= 2
             assert all(degree_in(p, 2) <= 0 for row in k.comps for p in row)
             assert killing_obstruction(k).is_zero
         # Requiring X3 as eigenvector leaves the printed six-parameter family:

@@ -179,6 +179,12 @@ class TestTables:
         assert run(capsys, "tables", "--scale", "q=2")[0] == 2
         assert run(capsys, "tables", "--scale", "k=7")[0] == 2
 
+    @pytest.mark.parametrize("scale", ["a=1/0", "k=0^-1"])
+    def test_zero_division_scale_exits_2(self, capsys, scale):
+        code, out, err = run(capsys, "tables", "--scale", scale)
+        assert (code, out) == (2, "")
+        assert "division by zero" in err
+
 
 def drop_m33(text):
     data = json.loads(text)

@@ -7,8 +7,8 @@ import pytest
 
 from rotweb import ckt_core
 from rotweb.exactmath import ExactMathError, Poly, rational_roots, real_root_count
-from rotweb.linalg import (char_poly, extended_coordinates, nullspace, rank, rational_eigenvalues,
-                           row_echelon, solve_many, vanishing_combinations)
+from rotweb.linalg import (char_poly, nullspace, rank, rational_eigenvalues, row_echelon, solve_many,
+                           vanishing_combinations)
 
 from ref_univariate import UniPoly, ints, product, ref_monic
 from test_ckt_core import lie_operator
@@ -338,39 +338,6 @@ def assert_parity(m, rhs_sets):
     vectors = basis + [vec for columns in results if columns for vec in columns]
     assert all(type(x) is Fraction for vec in vectors for x in vec)
     return results
-
-
-class TestExtendedCoordinates:
-    def test_expansions_and_span_test(self):
-        rng = random.Random(75)
-        seen = set()
-        for _ in range(40):
-            length, n = rng.randint(2, 8), rng.randint(0, 4)
-            basis = [[random_entry(rng) for _ in range(length)] for _ in range(n)]
-            if rank(list(zip(*basis))) < n:
-                continue
-            vectors = sparse_rational(rng, rng.randint(1, 6), length, 3)
-            vectors += images(rng, list(zip(*basis)), 2) if n else []
-            coords = extended_coordinates(basis, vectors)
-            extending = sorted({k - n for c in coords for k in c if k >= n})
-            assert rank(list(zip(*basis, *(vectors[p] for p in extending)))) == n + len(extending)
-            for vec, c in zip(vectors, coords):
-                total = [Fraction(0)] * length
-                for k, x in c.items():
-                    column = basis[k] if k < n else vectors[k - n]
-                    total = [t + x * y for t, y in zip(total, column)]
-                assert total == vec
-            # A combination lies in span(basis) iff it has no extending key.
-            weights = [random_entry(rng) for _ in vectors]
-            combo = [sum(w * vec[i] for w, vec in zip(weights, vectors)) for i in range(length)]
-            outside = any(sum(w * c.get(n + p, 0) for w, c in zip(weights, coords)) for p in extending)
-            assert outside == (rank(list(zip(*basis, combo))) > n)
-            seen.add(outside)
-        assert seen == {True, False}
-
-    def test_dependent_basis_raises(self):
-        with pytest.raises(ExactMathError):
-            extended_coordinates([[1, 2], [2, 4]], [[1, 0]])
 
 
 class TestEliminationParity:
