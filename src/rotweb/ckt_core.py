@@ -15,7 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
 from . import linalg
@@ -287,7 +287,8 @@ class CktCoefficients:
 
     A, C, M are symmetric.  This is the JSON and outside-input form of a
     tensor: ``assemble_ckt`` expands it, and the symmetry scans work on the
-    35 free coordinates instead (``FREE_COORDS``, ``assemble_free``).
+    35 free coordinates instead (``FREE_COORDS``), the tensor of a vector x
+    being sum_c x_c F_c over the basis tensors F_c of ``_free_basis``.
     The coefficients of free coordinates (``free_json_dict``) satisfy the
     trace relations tr A = tr B = tr G = tr M = 0, H = 0, F = 0, D =
     eps-contraction of B, L = eps-contraction of G, and C_ij = E_ij + E_ji -
@@ -439,12 +440,12 @@ _PLANE_PAIRS = ((0, 1), (0, 2), (1, 2))
 _SLOTS = [(i, j, kk, EPS[i][j][kk]) for j, kk in _PLANE_PAIRS for i in range(3) if EPS[i][j][kk]]
 
 
-def _tsn_scalars(k, dk, one, dot):
+def _tsn_scalars(k, dk):
     """The three scalars of ``tsn_check``, lazily, for A = g, K, K.K in
-    turn, from the entries k[a][b] of K, its partials dk[a][b][c] = d_c K_ab
-    and the unit one of their ring, where dot(products) sums s a b over the
-    (s, a, b) triples of products: polynomials with ``Poly.dot``, or the
-    numbers of one point with plain sums."""
+    turn, from the polynomial entries k[a][b] of K and its partials
+    dk[a][b][c] = d_c K_ab."""
+    one = Poly.const(1, k[0][0].nvars)
+    dot = partial(Poly.dot, one.nvars)
     # curl[m][(j, kk)] = d_kk K_mj - d_j K_mkk, shared by the three rows ll.
     curl = [{(j, kk): dk[m][j][kk] - dk[m][kk][j] for j, kk in _PLANE_PAIRS} for m in range(3)]
     n = {(ll, j, kk): dot([product for m in range(3) for product in (
@@ -459,7 +460,7 @@ def _tsn_scalars(k, dk, one, dot):
     yield dot([(s, square[i][ll], n[(ll, j, kk)]) for i, j, kk, s in _SLOTS for ll in range(3)])
 
 
-def tsn_check(k: SymTensorField, plane: tuple[int, int] | None = None) -> bool:
+def tsn_check(k: SymTensorField) -> bool:
     """Normal-eigenvector test: the three antisymmetrized conditions
     N^l_[jk A_i]l = 0 for A = g, K, K.K, each a single polynomial identity
     in 3 dimensions via contraction with the Levi-Civita symbol
@@ -469,22 +470,10 @@ def tsn_check(k: SymTensorField, plane: tuple[int, int] | None = None) -> bool:
     are computed; overall constants are dropped (vanishing is all that
     matters).  The conditions are homogeneous in K (of degrees 2, 3 and 4),
     so K is first multiplied by the least common denominator of its
-    coefficients and everything runs on integers.
-
-    With ``plane = (i, c)`` the three scalars are only required to vanish
-    on the plane x_i = c: K is differentiated in x, y, z first, then K and
-    its derivatives are restricted to the plane, then multiplied.  That
-    decides the identity only for tensors whose scalars are determined by
-    their values on the plane; ``tsn_filter`` states when that holds."""
+    coefficients and everything runs on integers.  ``tsn_filter`` reads the
+    same scalars on a plane."""
     _, k = _cleared(k)
-    nvars = k.nvars
-    dk = _partials(k)
-    if plane is not None:
-        var, value = plane
-        k = SymTensorField.from_upper(*(k[i][j].restrict(var, value) for i, j in _UPPER))
-        for a, b in _UPPER:
-            dk[a][b] = dk[b][a] = [p.restrict(var, value) for p in dk[a][b]]
-    return not any(_tsn_scalars(k, dk, Poly.const(1, nvars), lambda products: Poly.dot(nvars, products)))
+    return not any(_tsn_scalars(k, _partials(k)))
 
 
 def ckt_dimension(n: int, p: int) -> int:
@@ -609,22 +598,6 @@ def _ratio_str(n: int, den: int) -> str:
     return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
-def assemble_free(vec: Sequence) -> SymTensorField:
-    """The tensor sum_c x_c F_c of a vector x of rational free parameters
-    over the basis tensors F_c of ``_free_basis``."""
-    if len(vec) != DIM_TRACE_FREE:
-        raise CktError(f"expected {DIM_TRACE_FREE} free parameters")
-    return SymTensorField.combination(zip(vec, _free_basis()), 3)
-
-
-def symbolic_family(vecs: Sequence) -> SymTensorField:
-    """The family sum_a t_a assemble_free(vec_a), with the t_a extra
-    polynomial variables after x, y, z."""
-    nvars = 3 + len(vecs)
-    return SymTensorField.combination([(Poly.variable(3 + idx, nvars), assemble_free(vec))
-                                       for idx, vec in enumerate(vecs)], nvars)
-
-
 @lru_cache(maxsize=None)
 def _monomials() -> tuple[dict, list]:
     mons = []
@@ -659,60 +632,52 @@ def _assembly_matrix() -> list[list[Fraction]]:
     return [[col[r] for col in cols] for r in range(len(cols[0]))]
 
 
-def _jet_at(items, powers: list) -> tuple:
-    """The value and the three first partials at a point of the polynomial
-    in x, y, z with the (exponents, coefficient) items, from the powers
-    powers[c][e] of the point's coordinates."""
-    p0, p1, p2 = powers
-    value = dx = dy = dz = 0
-    for (e0, e1, e2), coeff in items:
-        value += coeff * p0[e0] * p1[e1] * p2[e2]
-        if e0:
-            dx += coeff * e0 * p0[e0 - 1] * p1[e1] * p2[e2]
-        if e1:
-            dy += coeff * e1 * p0[e0] * p1[e1 - 1] * p2[e2]
-        if e2:
-            dz += coeff * e2 * p0[e0] * p1[e1] * p2[e2 - 1]
-    return value, dx, dy, dz
-
-
 @lru_cache(maxsize=None)
-def _basis_jets(point: tuple[int, int, int]) -> tuple:
-    """The first jets at the integer point of the free basis tensors F_c,
-    cleared by one common denominator: per c, the nonzero (4 u + i, value)
-    of K_ab (i = 0) and its partials d_x, d_y, d_z K_ab (i = 1, 2, 3) for
-    the u-th pair (a, b) of ``_UPPER``."""
+def _plane_jets(plane: tuple[int, int]) -> tuple:
+    """The first jets on the plane x_i = c, plane = (i, c), of the basis
+    tensors F_c, cleared to integers by one common denominator: per c, the
+    nonzero ((4 u + m, key), value) of K_ab (m = 0) and d_x, d_y, d_z K_ab
+    (m = 1, 2, 3), differentiated before they are restricted, for the u-th
+    pair (a, b) of ``_UPPER`` and the packed monomials of ``Poly.terms``."""
+    var, value = plane
     basis = _free_basis()
     q = math.lcm(*(c.denominator for k in basis for a, b in _UPPER for c in k[a][b].terms.values()))
-    powers = [[x ** e for e in range(5)] for x in point]
-    jets = [[x for a, b in _UPPER
-             for x in _jet_at(((e, int(c * q)) for e, c in k[a][b].exponent_items()), powers)]
-            for k in basis]
-    return tuple(tuple((s, x) for s, x in enumerate(jet) if x) for jet in jets)
+    jets = []
+    for k in basis:
+        entries = []
+        for u, (a, b) in enumerate(_UPPER):
+            p = k[a][b] * q
+            for m, part in enumerate((p, p.diff(0), p.diff(1), p.diff(2))):
+                entries += [((4 * u + m, key), int(x)) for key, x in part.restrict(var, value).terms.items()]
+        jets.append(tuple(entries))
+    return tuple(jets)
 
 
-def _tsn_refuted_at(vec: Sequence[Fraction], point: tuple[int, int, int]) -> bool:
-    """Whether a scalar of ``tsn_check`` of ``assemble_free(vec)`` is
-    nonzero at the integer point.  The scalars are read on the first jet of
-    the tensor there, K and its partials, which is linear in the tensor: in
-    integers, as sum_c n_c times the cleared jets of ``_basis_jets``, for
-    the integer vector n = d vec.  The scalars are homogeneous in K, so a
-    positive multiple of the tensor has the same zeros.  True proves that
-    the scalars do not vanish identically, nor on any plane through the
-    point."""
-    d = math.lcm(*(x.denominator for x in vec))
-    jet = [0] * 24
-    for x, entries in zip(vec, _basis_jets(point)):
-        if x:
-            n = x.numerator * (d // x.denominator)
-            for s, value in entries:
-                jet[s] += n * value
-    k = [[0] * 3 for _ in range(3)]
+def _jets_on(plane: tuple[int, int], vecs: Sequence) -> list[list[Poly]]:
+    """The jets on the plane of the tensors of the vectors, 24 polynomials
+    each: sum_c n_c times the jets of ``_plane_jets``, for n = d vec and one
+    d > 0 for all the vectors.  That common factor keeps the zeros of the
+    TSN scalars, homogeneous in K, and the vanishing combinations of the
+    eigenvector condition, linear in K."""
+    d = math.lcm(*(x.denominator for vec in vecs for x in vec))
+    out = []
+    for vec in vecs:
+        slots: list[dict] = [{} for _ in range(24)]
+        for x, entries in zip(vec, _plane_jets(plane)):
+            if x:
+                n = x.numerator * (d // x.denominator)
+                for (s, key), value in entries:
+                    slots[s][key] = slots[s].get(key, 0) + n * value
+        out.append([Poly(3, {key: c for key, c in slot.items() if c}) for slot in slots])
+    return out
+
+
+def _tsn_on(jet: list[Poly]) -> bool:
+    """Whether the three TSN scalars vanish on a jet of ``_jets_on``."""
     dk = [[None] * 3 for _ in range(3)]
     for u, (a, b) in enumerate(_UPPER):
-        k[a][b] = k[b][a] = jet[4 * u]
         dk[a][b] = dk[b][a] = jet[4 * u + 1:4 * u + 4]
-    return any(_tsn_scalars(k, dk, 1, lambda products: sum(s * a * b for s, a, b in products)))
+    return not any(_tsn_scalars(SymTensorField.from_upper(*jet[::4]), dk))
 
 
 @lru_cache(maxsize=None)
@@ -732,9 +697,9 @@ def _killing_columns() -> tuple[VectorField, ...]:
 
 
 def obstruction_from_free(vec: Sequence) -> VectorField:
-    """The Killing obstruction of ``assemble_free(vec)``: the curl of its
-    contraction vector k, the Hodge dual of the two-form d(k-flat), as the
-    components (23, 31, 12).  It vanishes identically iff the equivalence
+    """The Killing obstruction of the tensor sum_c x_c F_c of vec: the curl
+    of its contraction vector k, the Hodge dual of the two-form d(k-flat), as
+    the components (23, 31, 12).  It vanishes identically iff the equivalence
     class of the tensor modulo metric multiples contains a Killing tensor.
     The curl is linear in the tensor, so it is sum_c x_c times that of F_c
     (``_killing_columns``, built once): no tensor is assembled or
@@ -818,8 +783,9 @@ def symmetry_subspace(v: VectorField, mode: str) -> list[tuple[Fraction, list[li
     coefficient space.  mode "h_zero" returns the kernel; mode "h_constant"
     returns every real eigenvalue with its exact eigenspace.  Each basis
     vector is a list of 35 free coordinates (``FREE_COORDS``), as
-    ``linalg.nullspace`` and ``linalg.rational_eigenvalues`` give it;
-    ``assemble_free`` turns one into its tensor.
+    ``linalg.nullspace`` and ``linalg.rational_eigenvalues`` give it; its
+    tensor is ``assemble_ckt(CktCoefficients.from_json_dict(
+    free_json_dict(vec)))``.
     """
     if mode not in ("h_zero", "h_constant"):
         raise CktError(f"unknown mode {mode!r}; expected h_zero or h_constant")
@@ -894,11 +860,6 @@ class TsnFilterResult:
         return not self.outside_tsn_directions
 
 
-# The probe point of ``tsn_filter`` on a plane x_i = c: c on axis i, and
-# these coordinates, in axis order, on the other two.
-_PROBE = (2, 3)
-
-
 def tsn_filter(v: VectorField, basis: list[list[Fraction]]) -> TsnFilterResult:
     """Restrict span(basis), a list of linearly independent free-coordinate
     vectors such as one eigenspace of ``symmetry_subspace``, to the members
@@ -907,31 +868,21 @@ def tsn_filter(v: VectorField, basis: list[list[Fraction]]) -> TsnFilterResult:
     The basis must lie in one eigenspace of Lie_v, Lie_v K = h K; this is
     checked exactly against the columns of Lie_v (``_lie_columns``), and
     CktError is raised otherwise.  The candidate is the linear eigenvector
-    condition (K.v) x v = 0, whose sufficiency is certified symbolically
-    (parameters as extra polynomial variables).  Basis directions outside
-    the candidate are spot-checked; any that satisfy TSN individually are
-    reported in the result.  Each basis tensor is assembled once and serves both the
-    eigenvector condition and the spot checks.  The subspace vectors sub_a
-    are combined from the basis as sparse rows, and the symbolic family is
-    ``symbolic_family(sub)``: sum_a t_a assemble_free(sub_a), with t_a extra
-    polynomial variables.  A direction is outside the candidate when its
-    unit vector in basis coordinates is outside the span of the
-    ``vanishing_combinations`` vectors, which are as long as the basis.
+    condition (K.v) x v = 0, whose sufficiency is certified on the symbolic
+    family sum_a t_a K_a of its members sub_a, the t_a extra polynomial
+    variables.  Basis directions outside the candidate, whose unit vectors
+    in basis coordinates are outside the span of the
+    ``vanishing_combinations`` vectors, are spot-checked; any that satisfy
+    TSN individually are reported in the result.
 
-    A spot check first reads the three TSN scalars at one integer point of
-    the plane below, the point whose other two coordinates are ``_PROBE``
-    (``_tsn_refuted_at``: in integers, from the first jets of the basis
-    tensors there).  That refutation is exact: restricted to the plane,
-    the scalars are polynomials, and one nonzero value at a point of the
-    plane proves that one of them does not vanish there identically, which
-    is ``tsn_check(k, plane)`` being False.  Only a direction whose three
-    values are all zero goes on to the full ``tsn_check`` on the plane.
-
-    The certificate and the full spot checks run ``tsn_check`` on one
-    coordinate plane x_i = c transversal to v (``_transversal_plane``:
-    z = 0 for X3 and I3, x = 0 for R3, x = 1 for D).  That is exact because
-    the TSN conditions are conformally invariant, the invariance on which
-    the classification of the webs up to the conformal group rests:
+    Every condition is read on the first jets, K and d_m K, on one
+    coordinate plane P transversal to v (``_transversal_plane``: z = 0 for
+    X3 and I3, x = 0 for R3, x = 1 for D), as sums of the cached jets of
+    the basis tensors (``_jets_on``): the eigenvector rows are (K.v) x v on
+    P, and the certificate and the spot checks run ``_tsn_scalars`` there.
+    That is exact because the conditions are conformally invariant, the
+    invariance on which the classification of the webs up to the conformal
+    group rests:
 
     - The flow phi_t of v is conformal, phi_t^* g = w g with w > 0, and
       Lie_v K = h K + f g integrates to phi_t^* K = e^(ht) K + b g for some
@@ -943,20 +894,25 @@ def tsn_filter(v: VectorField, basis: list[list[Fraction]]) -> TsnFilterResult:
       p = 0, 1, 2, and g(B Y, L^p Z) is symmetric in (Y, Z), so such terms
       drop out.  Hence C_p(s L + c I; w g) is w s^(2+p) C_p(L; g) plus a
       combination of the C_q with q < p: an invertible map.
+    - The flow carries v to itself, phi_t^* v = v, and (s L + c I) v is a
+      multiple of v iff L v is.  So v is an eigenvector of K at phi_t(x)
+      iff it is one at x.
     - These objects are natural under diffeomorphisms.  So the scalars at
       phi_t(x) vanish iff those at x do.
 
-    If the scalars vanish on the plane P, they vanish on the flow-out of P,
-    which contains an open set wherever v is transversal to P.  Being
+    If the scalars, or (K.v) x v, vanish on P, they vanish on the flow-out
+    of P, which contains an open set wherever v is transversal to P.  Being
     polynomials, they then vanish identically; for a family, this holds for
     each value of the parameters.  The converse is immediate.  The argument
     is the same for isometries, the dilation and the special conformal I_i.
     A plane that v does not cross (z = 0 for R3) gives wrong verdicts.
     """
     _check_one_eigenspace(v, basis)
-    plane = _transversal_plane(v)
-    tensors = [assemble_free(vec) for vec in basis]
-    combos = linalg.vanishing_combinations([eigenvector_cross(k, v).components for k in tensors])
+    plane = var, value = _transversal_plane(v)
+    jets = _jets_on(plane, basis)
+    on_plane = VectorField(tuple(p.restrict(var, value) for p in v.components))
+    combos = linalg.vanishing_combinations(
+        [eigenvector_cross(SymTensorField.from_upper(*jet[::4]), on_plane).components for jet in jets])
     rows = [{j: x for j, x in enumerate(vec) if x} for vec in basis]
     sub = []
     for combo in combos:
@@ -967,13 +923,13 @@ def tsn_filter(v: VectorField, basis: list[list[Fraction]]) -> TsnFilterResult:
                     acc[j] = acc.get(j, 0) + w * x
         sub.append([Fraction(acc.get(j, 0)) for j in range(DIM_TRACE_FREE)])
     if sub:
-        if not tsn_check(symbolic_family(sub), plane):
+        nvars = 3 + len(sub)
+        members = [(Poly.variable(3 + a, nvars), jet) for a, jet in enumerate(_jets_on(plane, sub))]
+        family = [Poly.dot(nvars, [(1, t, jet[s].extend(nvars)) for t, jet in members]) for s in range(24)]
+        if not _tsn_on(family):
             raise CktError("eigenvector subspace fails the TSN conditions; filter is unsound")
-    var, value = plane
-    point = (*_PROBE[:var], value, *_PROBE[var:])
     base_rank = linalg.rank(combos)
     units = [[int(i == idx) for i in range(len(basis))] for idx in range(len(basis))]
-    outside = [idx for idx, (vec, k) in enumerate(zip(basis, tensors))
-               if linalg.rank(combos + [units[idx]]) > base_rank
-               and not _tsn_refuted_at(vec, point) and tsn_check(k, plane)]
+    outside = [idx for idx, jet in enumerate(jets)
+               if linalg.rank(combos + [units[idx]]) > base_rank and _tsn_on(jet)]
     return TsnFilterResult(subspace=tuple(sub), outside_tsn_directions=tuple(outside))

@@ -724,8 +724,8 @@ def canonical_form(q: BinaryQuartic,
     fixed parameters, and their matrix sends the representative's roots onto
     the quartic's, which are rational or quadratic.  Every choice is exact;
     square roots in the matrix are rounded to a precision that doubles until
-    the witness's exact residual meets 1e-9.  Pass the quartic's root
-    structure when it is already at hand.
+    the matrix is regular and the witness's exact residual meets 1e-9.  Pass
+    the quartic's root structure when it is already at hand.
     """
     if q.is_zero:
         raise ClassificationError("the zero form has no canonical form")
@@ -744,7 +744,7 @@ def canonical_form(q: BinaryQuartic,
     bits, residual = 64, math.inf
     while True:
         framed = frame(bits)
-        if framed is not None:
+        if framed is not None and framed[0].det():  # else two roots merged at these bits
             matrix, moved = framed
             witness, residual = _witness(q, matrix, target, moved)
             if residual <= 1e-9:

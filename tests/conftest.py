@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rotweb.ckt_core import SymTensorField, basis_product
+from rotweb import ckt_core
+from rotweb.ckt_core import CktError, SymTensorField, basis_product
 from rotweb.exactmath import Poly, RationalFunction
 from rotweb.rotational import _PIECES
 
@@ -59,6 +60,23 @@ def tensor_degree(k: SymTensorField) -> int:
 def matrix_at(k: SymTensorField, point) -> list:
     """The tensor's 3x3 matrix of values at a point."""
     return [[evaluate(k[i][j], point) for j in range(3)] for i in range(3)]
+
+
+def assemble_free(vec) -> SymTensorField:
+    """The tensor sum_c x_c F_c of a vector x of rational free parameters
+    over the basis tensors F_c of ``_free_basis``: the assembled oracle of
+    the routes that read a vector through cached linear images."""
+    if len(vec) != ckt_core.DIM_TRACE_FREE:
+        raise CktError(f"expected {ckt_core.DIM_TRACE_FREE} free parameters")
+    return SymTensorField.combination(zip(vec, ckt_core._free_basis()), 3)
+
+
+def symbolic_family(vecs) -> SymTensorField:
+    """The family sum_a t_a assemble_free(vec_a), with the t_a extra
+    polynomial variables after x, y, z."""
+    nvars = 3 + len(vecs)
+    return SymTensorField.combination([(Poly.variable(3 + idx, nvars), assemble_free(vec))
+                                       for idx, vec in enumerate(vecs)], nvars)
 
 
 def symbolic_rotational(nvars: int = 9) -> SymTensorField:

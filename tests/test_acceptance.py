@@ -9,8 +9,8 @@ import numpy as np
 
 from rotweb import ckt_core as cc
 from rotweb import linalg
-from rotweb.ckt_core import (assemble_free, ckt_dimension, ckv_basis, conformal_factor,
-                             lie_derivative, metric, symmetry_subspace, tsn_check, tsn_filter)
+from rotweb.ckt_core import (ckt_dimension, ckv_basis, conformal_factor, lie_derivative, metric,
+                             symmetry_subspace, tsn_check, tsn_filter)
 from rotweb.exactmath import Poly
 from rotweb.group_action import GroupElement, apply_quartic
 from rotweb.quartic_class import (BinaryQuartic, WebType, classify_by_invariants,
@@ -20,7 +20,7 @@ from rotweb.rotational import RotParams, assemble_rotational, catalog, eigenvalu
     extract_parameters, rotational_eigencondition
 from rotweb.separability import Potential, classify_potential, solve_compatible
 
-from conftest import degree_in, matrix_at, tensor_degree
+from conftest import assemble_free, degree_in, matrix_at, tensor_degree
 from ref_covariants import covariant_l, form_is_zero
 from ref_univariate import dehomogenize, singular_polynomial
 from test_ckt_core import commutator, expected_commutator, killing_obstruction

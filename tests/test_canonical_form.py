@@ -418,6 +418,18 @@ def test_roots_far_apart(coeffs, web):
     assert canonicalization_problems(BinaryQuartic.make(*coeffs), web) == []
 
 
+def test_tiny_simple_root_beside_the_double_root():
+    # x^2 (a x^2 + 10^e x y + c y^2): a simple root of size about c / 10^e
+    # beside the double root at 0.  At 64 bits the two rounded roots can
+    # coincide, so the root frame is singular and the precision doubles.
+    rng = random.Random(2811)
+    for e in range(10, 80, 5):
+        for _ in range(5):
+            a, c = (rand_fraction(rng, 1, 9, 5) * rng.choice((-1, 1)) for _ in range(2))
+            q = BinaryQuartic.make(a, 10 ** e, c, 0, 0)
+            assert canonicalization_problems(q, WebType.INVERSE_PROLATE_SPHEROIDAL) == [], (e, a, c)
+
+
 @pytest.mark.parametrize("centre,spread", [(7, Fraction(1, 10**4)), (25, Fraction(1, 10**5)),
                                            (Fraction(100, 3), Fraction(1, 10**5))])
 def test_four_clustered_roots(centre, spread):

@@ -6,16 +6,18 @@ from fractions import Fraction
 import pytest
 
 from rotweb import ckt_core as cc
+from rotweb import linalg
 from rotweb.ckt_core import (DIM_TRACE_FREE, CktCoefficients, CktError, SymTensorField,
-                             assemble_ckt, assemble_free, ckt_dimension, ckv_basis, ckv_by_name,
-                             conformal_factor, free_json_dict, lie_derivative, metric,
-                             obstruction_from_free, symmetric_product, symbolic_family,
-                             symmetry_subspace, tsn_check, tsn_filter, verify_ckt)
+                             assemble_ckt, ckt_dimension, ckv_basis, ckv_by_name, conformal_factor,
+                             eigenvector_cross, free_json_dict, lie_derivative, metric,
+                             obstruction_from_free, symmetric_product, symmetry_subspace, tsn_check,
+                             tsn_filter, verify_ckt)
 from rotweb.exactmath import ExactMathError, Poly, rat_str
 from rotweb.linalg import (char_poly, nullspace, rank, rational_eigenvalues, solve_many,
                            vanishing_combinations)
 
-from conftest import degree_in, evaluate, rand_fraction, tensor_degree
+from conftest import (assemble_free, degree_in, evaluate, rand_fraction, symbolic_family,
+                      tensor_degree)
 from ref_univariate import UniPoly, product, ref_monic
 
 X, Y, Z = (Poly.variable(i, 3) for i in range(3))
@@ -383,7 +385,7 @@ def scan_eigenspace(name, h):
 
 
 def combination(members, weights):
-    return assemble_free([sum(w * vec[j] for w, vec in zip(weights, members)) for j in range(cc.DIM_TRACE_FREE)])
+    return [sum(w * vec[j] for w, vec in zip(weights, members)) for j in range(cc.DIM_TRACE_FREE)]
 
 
 def oracle_coefficients_from_free(vec):
@@ -927,6 +929,117 @@ class TestSymmetrySubspace:
             lie_operator(vector(X, ZERO, ZERO))
 
 
+PLANES = [(var, value) for value in (0, 1) for var in range(3)]
+
+
+def restricted_jet(k, plane):
+    """K and its partials d_c K_ab, differentiated in x, y, z first and then
+    restricted to the plane, in the slot order of ``_plane_jets``: the
+    oracle of the cached plane jets."""
+    var, value = plane
+    return [p.restrict(var, value) for a, b in cc._UPPER
+            for p in (k[a][b], k[a][b].diff(0), k[a][b].diff(1), k[a][b].diff(2))]
+
+
+def plane_check(k, plane):
+    """Whether the TSN scalars of K, cleared to integers, vanish on the
+    plane: K and its 3-D partials restricted there, as grids."""
+    _, k = cc._cleared(k)
+    var, value = plane
+    dk = cc._partials(k)
+    on_plane = [[k[a][b].restrict(var, value) for b in range(3)] for a in range(3)]
+    partials = [[[p.restrict(var, value) for p in dk[a][b]] for b in range(3)] for a in range(3)]
+    return not any(cc._tsn_scalars(on_plane, partials))
+
+
+def positive_ratio(jet, expected):
+    """The r > 0 with jet = r expected, slot by slot; fails when there is
+    none."""
+    slot = next(s for s, p in enumerate(expected) if p)
+    key, x = next(iter(expected[slot].terms.items()))
+    r = Fraction(jet[slot].terms.get(key, 0)) / x
+    assert r > 0
+    assert jet == [p * r for p in expected]
+    return r
+
+
+def eigenvector_rows(v, basis):
+    """The rows (K.v) x v of the assembled tensors: the oracle."""
+    return [eigenvector_cross(assemble_free(vec), v).components for vec in basis]
+
+
+def plane_eigenvector_rows(v, basis):
+    """The rows (K.v) x v read on the plane jets, as ``tsn_filter`` forms
+    them."""
+    var, value = plane = cc._transversal_plane(v)
+    on_plane = cc.VectorField(tuple(p.restrict(var, value) for p in v.components))
+    return [eigenvector_cross(SymTensorField.from_upper(*jet[::4]), on_plane).components
+            for jet in cc._jets_on(plane, basis)]
+
+
+class TestPlaneJets:
+    """``tsn_filter`` reads every condition on the sums of the cached plane
+    jets of the 35 basis tensors; the tensors themselves, differentiated
+    and then restricted, are the oracle."""
+
+    @pytest.mark.parametrize("plane", PLANES, ids=[f"x{var}={value}" for var, value in PLANES])
+    def test_jets_are_the_restricted_jets_of_the_tensor(self, plane):
+        rng = random.Random(f"jets-{plane}")
+        vecs = [vec for name, h in SCAN_EIGENSPACES for vec in scan_eigenspace(name, h)[1]]
+        vecs += [[rand_fraction(rng, -9, 9, 7) if rng.random() < 0.5 else 0 for _ in range(35)]
+                 for _ in range(20)]
+        expected = [restricted_jet(assemble_free(vec), plane) for vec in vecs]
+        for vec, oracle in zip(vecs, expected):
+            positive_ratio(cc._jets_on(plane, [vec])[0], oracle)
+        # One call scales all its vectors by one common positive factor.
+        jets = cc._jets_on(plane, vecs[-5:])
+        assert len({positive_ratio(jet, oracle) for jet, oracle in zip(jets, expected[-5:])}) == 1
+
+    @pytest.mark.parametrize("name,h", SCAN_EIGENSPACES, ids=[f"{n} h={h}" for n, h in SCAN_EIGENSPACES])
+    def test_scalars_are_the_restricted_scalars(self, name, h):
+        # The three TSN scalars read on a jet are those of the tensor,
+        # restricted, times r^2, r^3 and r^4 for the jet's factor r.
+        v, basis = scan_eigenspace(name, h)
+        var, value = plane = cc._transversal_plane(v)
+        for vec, jet in zip(basis, cc._jets_on(plane, basis)):
+            _, k = cc._cleared(assemble_free(vec))
+            r = positive_ratio(jet, restricted_jet(k, plane))
+            dk = [[None] * 3 for _ in range(3)]
+            for u, (a, b) in enumerate(cc._UPPER):
+                dk[a][b] = dk[b][a] = jet[4 * u + 1:4 * u + 4]
+            scalars = list(cc._tsn_scalars(SymTensorField.from_upper(*jet[::4]), dk))
+            assert scalars == [p.restrict(var, value) * r ** e for p, e in zip(tsn_scalars(vec), (2, 3, 4))]
+
+    @pytest.mark.parametrize("name,h", SCAN_EIGENSPACES, ids=[f"{n} h={h}" for n, h in SCAN_EIGENSPACES])
+    def test_eigenvector_rows_on_the_plane(self, name, h):
+        v, basis = scan_eigenspace(name, h)
+        combos = vanishing_combinations(plane_eigenvector_rows(v, basis))
+        assert combos == vanishing_combinations(eigenvector_rows(v, basis))
+        sub = [[sum(w * vec[j] for w, vec in zip(combo, basis)) for j in range(35)] for combo in combos]
+        assert list(tsn_filter(v, basis).subspace) == sub
+
+    def test_eigenvector_rows_on_random_kernels(self):
+        rng = random.Random(8)
+        for _ in range(6):
+            v = sum((f.scale(rand_fraction(rng)) for f in ckv_basis(3)[1:]), ckv_basis(3)[0])
+            (_, basis), = symmetry_subspace(v, "h_zero")
+            assert (vanishing_combinations(plane_eigenvector_rows(v, basis))
+                    == vanishing_combinations(eigenvector_rows(v, basis)))
+
+    def test_certificate_reads_the_whole_family(self, monkeypatch):
+        # Two subspace vectors whose sum satisfies TSN and whose family does
+        # not: the first candidate plus an outside direction, and minus it.
+        r3 = ckv_by_name("R3")
+        (_, basis), = symmetry_subspace(r3, "h_zero")
+        combos = vanishing_combinations(eigenvector_rows(r3, basis))
+        units = [[int(i == idx) for i in range(len(basis))] for idx in range(len(basis))]
+        unit = next(unit for unit in units if rank(combos + [unit]) > rank(combos))
+        patched = [[a + b for a, b in zip(combos[0], unit)], [-x for x in unit]]
+        monkeypatch.setattr(linalg, "vanishing_combinations", lambda images: patched)
+        with pytest.raises(CktError, match="fails the TSN conditions"):
+            tsn_filter(r3, basis)
+
+
 class TestTsnPlane:
     """``tsn_filter`` certifies on a plane transversal to v; the unsliced
     ``tsn_check`` is the oracle."""
@@ -938,15 +1051,15 @@ class TestTsnPlane:
         plane = cc._transversal_plane(v)
         sub = tsn_filter(v, basis).subspace
         if sub:
-            family = symbolic_family(sub)
-            assert tsn_check(family) and tsn_check(family, plane)
-        tensors = [assemble_free(vec) for vec in basis]
+            assert tsn_check(symbolic_family(sub))
+        vecs = list(basis)
         for members in (sub, basis):  # inside, then mostly outside the subspace
             if members:
-                tensors += [combination(members, [rand_fraction(rng, -3, 3) for _ in members])
-                            for _ in range(25)]
-        for k in tensors:
-            assert tsn_check(k, plane) == tsn_check(k)
+                vecs += [combination(members, [rand_fraction(rng, -3, 3) for _ in members])
+                         for _ in range(25)]
+        for vec, jet in zip(vecs, cc._jets_on(plane, vecs)):
+            verdict = tsn_check(assemble_free(vec))
+            assert cc._tsn_on(jet) == plane_check(assemble_free(vec), plane) == verdict
 
     def test_plane_chooser(self):
         expected = {"X1": (0, 0), "X2": (1, 0), "X3": (2, 0), "R1": (1, 0), "R2": (0, 0),
@@ -982,29 +1095,27 @@ class TestTsnPlane:
 
 
 def spot_check_route(v, basis):
-    """The outside directions of ``tsn_filter`` as they were found before
-    point refutation: membership by the rank of 35-long vectors, then the
-    full ``tsn_check`` on the plane for every direction outside."""
+    """The outside directions of ``tsn_filter`` found with assembled
+    tensors: membership by the rank of 35-long vectors, then the oracle's
+    check on the plane for every direction outside."""
     plane = cc._transversal_plane(v)
     sub = list(tsn_filter(v, basis).subspace)
     base = rank(sub)
     return tuple(idx for idx, vec in enumerate(basis)
-                 if rank(sub + [vec]) > base and tsn_check(assemble_free(vec), plane))
+                 if rank(sub + [vec]) > base and plane_check(assemble_free(vec), plane))
 
 
 def tsn_scalars(vec):
     """The three scalars of ``tsn_check`` of ``assemble_free(vec)``, as
     polynomials of the cleared tensor."""
     _, k = cc._cleared(assemble_free(vec))
-    return list(cc._tsn_scalars(k, cc._partials(k), ONE, lambda products: Poly.dot(3, products)))
+    return list(cc._tsn_scalars(k, cc._partials(k)))
 
 
-PLANES = [(var, value) for value in (0, 1) for var in range(3)]
-
-
-class TestPointRefutation:
-    """``tsn_filter`` refutes a direction when a TSN scalar is nonzero at
-    one integer point of the plane; that must imply the plane check fails."""
+class TestSpotChecks:
+    """``tsn_filter`` spot-checks each direction outside the candidate on
+    its plane jet; the assembled tensor checked on the plane is the
+    oracle."""
 
     def test_plane_chooser_planes_are_covered(self):
         rng = random.Random(6)
@@ -1012,35 +1123,6 @@ class TestPointRefutation:
         fields += [sum((f.scale(rand_fraction(rng)) for f in rng.sample(ckv_basis(3), 4)), vector(ZERO, ZERO, ZERO))
                    for _ in range(20)]
         assert {cc._transversal_plane(v) for v in fields} <= set(PLANES)
-
-    def test_refuted_implies_the_plane_check_fails(self):
-        rng = random.Random(7)
-        vecs = [[rand_fraction(rng, -9, 9, 7) if rng.random() < 0.4 else 0 for _ in range(35)]
-                for _ in range(12)]
-        inside = []
-        for name, h in SCAN_EIGENSPACES:
-            v, basis = scan_eigenspace(name, h)
-            vecs += basis
-            inside += tsn_filter(v, basis).subspace
-        refuted_count = 0
-        for vec in vecs:
-            scalars = tsn_scalars(vec)
-            for plane in PLANES:
-                var, value = plane
-                refuted = False
-                for off in (cc._PROBE, (3, -2)):  # the filter's probe point, and another
-                    point = (*off[:var], value, *off[var:])
-                    at_point = cc._tsn_refuted_at(vec, point)
-                    assert at_point == any(evaluate(p, point) for p in scalars)
-                    refuted |= at_point
-                if refuted:
-                    refuted_count += 1
-                    assert not tsn_check(assemble_free(vec), plane)
-        assert refuted_count > len(vecs)
-        for vec in inside:  # TSN holds identically: never refuted
-            for var, value in PLANES:
-                for off in (cc._PROBE, (3, -2)):
-                    assert not cc._tsn_refuted_at(vec, (*off[:var], value, *off[var:]))
 
     @pytest.mark.parametrize("name,h", SCAN_EIGENSPACES, ids=[f"{n} h={h}" for n, h in SCAN_EIGENSPACES])
     def test_filter_matches_the_spot_check_route(self, name, h):
@@ -1055,13 +1137,3 @@ class TestPointRefutation:
         for members in bases:
             result = tsn_filter(v, members)
             assert result.outside_tsn_directions == spot_check_route(v, members)
-        # The probe point is not degenerate for the scans: every direction
-        # outside the subspace that fails TSN is refuted there, so only the
-        # directions that satisfy TSN pay for the full plane check.
-        var, value = cc._transversal_plane(v)
-        point = (*cc._PROBE[:var], value, *cc._PROBE[var:])
-        result = tsn_filter(v, basis)
-        sub = list(result.subspace)
-        for idx, vec in enumerate(basis):
-            if rank(sub + [vec]) > rank(sub):
-                assert cc._tsn_refuted_at(vec, point) == (idx not in result.outside_tsn_directions)

@@ -16,11 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotweb import ckt_core, cli, linalg, quartic_class, separability
-from rotweb.ckt_core import CktCoefficients, assemble_ckt, assemble_free, ckv_by_name, symmetry_subspace
+from rotweb.ckt_core import CktCoefficients, assemble_ckt, ckv_by_name, symmetry_subspace
 from rotweb.cli import main
 from rotweb.exactmath import rat_str
 from rotweb.quartic_class import ClassificationError, WebType, invariants
 
+from conftest import assemble_free
 from test_canonical_form import extreme_quartic, partition_quartic
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -143,6 +144,14 @@ class TestClassify:
         assert len(report["results"]["invariants"]["F"]) > 4800
         with unlimited_int_strings():
             assert report["results"]["invariants"]["F"] == f"{f.numerator}/{f.denominator}"
+
+    def test_tiny_simple_root_beside_the_double_root(self, capsys):
+        # Roots 0 twice, about -2e-41 and -4e29: at 64 bits the tiny root
+        # rounds onto the double root, and the precision doubles.
+        code, report = run_json(capsys, "classify", "--quartic=-7/3,1e30,2,0,0")
+        assert code == 0, report["findings"]
+        assert report["results"]["type"] == "inverse_prolate_spheroidal"
+        assert report["results"]["canonical"]["witness_residual"] <= 1e-9
 
     def test_canonicalization_failure_is_a_finding(self, capsys, monkeypatch):
         def fail(*args):
@@ -333,6 +342,20 @@ class TestSymmetry:
                                        "detail": "eigenvector subspace fails the TSN conditions; "
                                                  "filter is unsound"}]
 
+    def test_warm_kernel_scans_assemble_no_tensor(self, capsys, monkeypatch):
+        # Once the caches are filled, the Lie operator, the Killing map and
+        # the TSN stage read cached linear images: no tensor is summed.
+        scans = [("symmetry", name, "--h", "0") for name in ("X3", "D", "I3", "R3")]
+        warm = [run_json(capsys, *argv)[1]["results"] for argv in scans]
+
+        def refuse(cls, terms, nvars):
+            raise AssertionError("a tensor was assembled")
+
+        monkeypatch.setattr(ckt_core.SymTensorField, "combination", classmethod(refuse))
+        for argv, results in zip(scans, warm):
+            code, report = run_json(capsys, *argv)
+            assert code == 0
+            assert report["results"] == results
 
     def test_failed_killing_check_exits_1(self, capsys, monkeypatch):
         # The conformal Killing check runs on the 35 basis tensors when the

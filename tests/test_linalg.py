@@ -10,6 +10,7 @@ from rotweb.exactmath import ExactMathError, Poly, rational_roots, real_root_cou
 from rotweb.linalg import (char_poly, nullspace, rank, rational_eigenvalues, row_echelon, solve_many,
                            vanishing_combinations)
 
+from conftest import assemble_free
 from ref_univariate import UniPoly, ints, product, ref_monic
 from test_ckt_core import lie_operator
 
@@ -402,7 +403,7 @@ class TestEliminationParity:
         for idx in range(ckt_core.DIM_TRACE_FREE):
             unit = [Fraction(0)] * ckt_core.DIM_TRACE_FREE
             unit[idx] = Fraction(1)
-            columns.append(ckt_core._vectorize(ckt_core.lie_derivative(v, ckt_core.assemble_free(unit))))
+            columns.append(ckt_core._vectorize(ckt_core.lie_derivative(v, assemble_free(unit))))
         a = ckt_core._assembly_matrix()
         solutions = solve_many(a, columns)
         assert solutions is not None and solutions == dense_solve_many(a, columns)
