@@ -11,6 +11,7 @@ formulas and tests pin that choice.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -93,6 +94,11 @@ class SymTensorField:
 
     def __getitem__(self, i: int):
         return self.comps[i]
+
+    @property
+    def upper(self) -> tuple[Poly, ...]:
+        """The six components of the upper triangle, row by row."""
+        return tuple(self.comps[i][j] for i, j in _UPPER)
 
     @classmethod
     def combination(cls, terms, nvars: int) -> SymTensorField:
@@ -238,33 +244,18 @@ def _vec3(entries) -> tuple:
     return out
 
 
-# The blocks a, b, c, d, e, f, g, h, l, m of ``CktCoefficients`` and
-# ``_blocks_from_free``, as their JSON names and their sizes: a 3x3 grid, a
-# vector of 3 or the scalar h.  Laid out flat, row by row, they are 64
-# entries (``_flat`` and ``_sliced``).
+# The blocks a, b, c, d, e, f, g, h, l, m of ``CktCoefficients``, as their
+# JSON names and their sizes: a 3x3 grid, a vector of 3 or the scalar h.
+# Laid out flat, row by row, they are 64 entries (``_sliced``), which
+# ``_free_entries`` indexes.
 _BLOCK_NAMES = ("A", "B", "C", "D", "E", "F", "G", "Hscalar", "L", "M")
 _BLOCK_SIZES = (9, 9, 9, 3, 9, 3, 9, 1, 3, 9)
 _FLAT_SIZE = sum(_BLOCK_SIZES)
 
 
-def _flat(blocks) -> list:
-    """The entries of the ten blocks, row by row."""
-    out = []
-    for block, size in zip(blocks, _BLOCK_SIZES):
-        if size == 9:
-            for row in block:
-                out += row
-        elif size == 3:
-            out += block
-        else:
-            out.append(block)
-    return out
-
-
 def _sliced(flat: list, row=tuple) -> list:
-    """The ten blocks of the flat entries of ``_flat``, cut by slicing: a
-    grid as a ``row`` of three ``row``s, a vector as one ``row``, h as its
-    entry."""
+    """The ten blocks of the 64 flat entries, cut by slicing: a grid as a
+    ``row`` of three ``row``s, a vector as one ``row``, h as its entry."""
     blocks, at = [], 0
     for size in _BLOCK_SIZES:
         if size == 9:
@@ -506,69 +497,37 @@ FREE_COORDS: list[tuple[str, int, int]] = (
 DIM_TRACE_FREE = len(FREE_COORDS)  # 35
 
 
-def _blocks_from_free(vec: Sequence):
-    """Expand 35 free parameters into the full coefficient blocks, filling in
-    the dependent entries that make the assembled tensor trace-free."""
-    if len(vec) != DIM_TRACE_FREE:
-        raise CktError(f"expected {DIM_TRACE_FREE} free parameters")
-    zero = 0
-
-    def grid():
-        return [[zero] * 3 for _ in range(3)]
-
-    a, b, e, g, m = grid(), grid(), grid(), grid(), grid()
-    for value, (block, i, j) in zip(vec, FREE_COORDS):
-        target = {"a": a, "b": b, "e": e, "g": g, "m": m}[block]
-        target[i][j] = value
-        if block in ("a", "m") and i != j:
-            target[j][i] = value
-    a[2][2] = -(a[0][0] + a[1][1])
-    b[2][2] = -(b[0][0] + b[1][1])
-    g[2][2] = -(g[0][0] + g[1][1])
-    m[2][2] = -(m[0][0] + m[1][1])
-
-    d = [zero] * 3
-    l = [zero] * 3
-    for i in range(3):
-        for j in range(3):
-            for kk in range(3):
-                if EPS[kk][j][i]:
-                    d[i] = d[i] + b[j][kk] * EPS[kk][j][i]
-                if EPS[j][kk][i]:
-                    l[i] = l[i] + g[kk][j] * EPS[j][kk][i]
-    tr_e = e[0][0] + e[1][1] + e[2][2]
-    half = Fraction(1, 2)
-    c = grid()
-    for i in range(3):
-        for j in range(3):
-            c[i][j] = e[i][j] + e[j][i]
-            if i == j:
-                c[i][j] = c[i][j] - tr_e * half
-    f = [zero] * 3
-    return a, b, c, d, e, f, g, 0, l, m
-
-
-@lru_cache(maxsize=None)
-def _unit_blocks() -> tuple:
-    """``_blocks_from_free`` of each of the 35 unit free-parameter vectors."""
-    return tuple(_blocks_from_free([int(i == c) for i in range(DIM_TRACE_FREE)])
-                 for c in range(DIM_TRACE_FREE))
-
-
 @lru_cache(maxsize=None)
 def _free_entries() -> tuple[int, tuple]:
-    """The sparse matrix of the linear map ``_blocks_from_free`` in
-    integers: a common denominator q of its entries and, per free coordinate
-    c, the nonzero (entry, q x) of the flat blocks (``_flat``) of its unit
-    vector."""
-    rows = [[(entry, x) for entry, x in enumerate(_flat(blocks)) if x] for blocks in _unit_blocks()]
-    q = math.lcm(*(x.denominator for row in rows for _, x in row))
-    return q, tuple(tuple((entry, int(x * q)) for entry, x in row) for row in rows)
+    """The linear map from the free coordinates to the flat blocks, in
+    integers over the common denominator 2: per coordinate of
+    ``FREE_COORDS``, the nonzero (entry, 2 x) of its unit vector, which are
+    its own entry and the entries that the trace relations of
+    ``CktCoefficients`` tie to it."""
+    at = dict(zip("abcdefghlm", itertools.accumulate(_BLOCK_SIZES, initial=0)))
+    rows = []
+    for block, i, j in FREE_COORDS:
+        entries = Counter({at[block] + 3 * i + j: 2})
+        if block in "am" and i != j:  # A and M are symmetric
+            entries[at[block] + 3 * j + i] += 2
+        if block in "abgm" and i == j:  # tr A = tr B = tr G = tr M = 0
+            entries[at[block] + 8] -= 2
+        if block in "bg":  # D and L, the eps-contractions of B and G
+            for r in range(3):
+                entries[at["d" if block == "b" else "l"] + r] += 2 * EPS[j][i][r]
+        if block == "e":  # C = E + E^T - (1/2) tr E delta
+            entries[at["c"] + 3 * i + j] += 2
+            entries[at["c"] + 3 * j + i] += 2
+            for r in range(3 if i == j else 0):
+                entries[at["c"] + 4 * r] -= 1
+        rows.append(tuple(sorted((entry, x) for entry, x in entries.items() if x)))
+    return 2, tuple(rows)
 
 
 def _free_numerators(vec: Sequence) -> tuple[list[int], int]:
-    """The flat blocks of ``_blocks_from_free(vec)`` as integer numerators
-    over one positive common denominator, and that denominator."""
+    """The flat blocks of the tensor with free coordinates vec
+    (``_free_entries``) as integer numerators over one positive common
+    denominator, and that denominator."""
     if len(vec) != DIM_TRACE_FREE:
         raise CktError(f"expected {DIM_TRACE_FREE} free parameters")
     vec = [x if x.__class__ is Fraction else rat(x) for x in vec]
@@ -599,37 +558,19 @@ def _ratio_str(n: int, den: int) -> str:
 
 
 @lru_cache(maxsize=None)
-def _monomials() -> tuple[dict, list]:
-    mons = []
-    for total in range(5):
-        for i in range(total + 1):
-            for j in range(total - i + 1):
-                mons.append((i, j, total - i - j))
-    return {m: idx for idx, m in enumerate(mons)}, mons
-
-
-def _vectorize(k: SymTensorField) -> list[Fraction]:
-    index, mons = _monomials()
-    out = [Fraction(0)] * (6 * len(mons))
-    for comp, (i, j) in enumerate(_UPPER):
-        for exps, coeff in k[i][j].exponent_items():
-            if exps not in index:
-                raise CktError("tensor component outside the degree-4 space")
-            out[comp * len(mons) + index[exps]] = Fraction(coeff)
-    return out
-
-
-@lru_cache(maxsize=None)
 def _free_basis() -> tuple[SymTensorField, ...]:
-    """The tensors F_c of the 35 unit free-parameter vectors."""
-    return tuple(assemble_ckt(CktCoefficients(*blocks)) for blocks in _unit_blocks())
+    """The tensors F_c of the 35 unit free-coordinate vectors, assembled
+    from their blocks (``_free_numerators``)."""
+    units = ([int(i == c) for i in range(DIM_TRACE_FREE)] for c in range(DIM_TRACE_FREE))
+    return tuple(assemble_ckt(CktCoefficients(*_sliced([Fraction(n, den) for n in flat])))
+                 for flat, den in map(_free_numerators, units))
 
 
 @lru_cache(maxsize=None)
-def _assembly_matrix() -> list[list[Fraction]]:
-    """Columns are the vectorized tensors of the 35 free-parameter basis."""
-    cols = [_vectorize(k) for k in _free_basis()]
-    return [[col[r] for col in cols] for r in range(len(cols[0]))]
+def _assembly_matrix() -> tuple[tuple[Poly, ...], ...]:
+    """The upper components of the 35 basis tensors F_c: the columns of
+    ``linalg.solve_many`` in ``_basis_lie_columns``."""
+    return tuple(k.upper for k in _free_basis())
 
 
 @lru_cache(maxsize=None)
@@ -767,11 +708,12 @@ def _basis_lie_columns(k: int) -> tuple[dict, ...]:
     """The columns of the matrix of Lie_X on the 35 trace-free coordinates,
     for the basis field X = X_k, as sparse dicts {row: value}.  By its
     definition, column c holds the free coordinates of Lie_X F_c, for the
-    basis tensor F_c of ``_free_basis``: the 35 images are vectorized and
-    solved against the assembly matrix by one elimination.  An image outside
-    the span of the F_c has no solution, and this raises CktError."""
+    basis tensor F_c of ``_free_basis``: the 35 images are solved against
+    the F_c (``_assembly_matrix``) by one elimination of their (component,
+    monomial) rows.  An image outside the span of the F_c, one of degree 5
+    among them, has no solution, and this raises CktError."""
     field = ckv_basis()[k]
-    images = [_vectorize(lie_derivative(field, f)) for f in _free_basis()]
+    images = [lie_derivative(field, f).upper for f in _free_basis()]
     solutions = linalg.solve_many(_assembly_matrix(), images)
     if solutions is None:
         raise CktError(_LEFT_SPACE)
@@ -928,8 +870,10 @@ def tsn_filter(v: VectorField, basis: list[list[Fraction]]) -> TsnFilterResult:
         family = [Poly.dot(nvars, [(1, t, jet[s].extend(nvars)) for t, jet in members]) for s in range(24)]
         if not _tsn_on(family):
             raise CktError("eigenvector subspace fails the TSN conditions; filter is unsound")
-    base_rank = linalg.rank(combos)
-    units = [[int(i == idx) for i in range(len(basis))] for idx in range(len(basis))]
+    # combos is in the normal form of ``nullspace``: one vector per free
+    # column, 1 there and 0 at the other free columns.  A unit vector in
+    # their span is read off at the free columns as one of them, so it lies
+    # in the span iff it is one of them.
     outside = [idx for idx, jet in enumerate(jets)
-               if linalg.rank(combos + [units[idx]]) > base_rank and _tsn_on(jet)]
+               if [int(i == idx) for i in range(len(basis))] not in combos and _tsn_on(jet)]
     return TsnFilterResult(subspace=tuple(sub), outside_tsn_directions=tuple(outside))

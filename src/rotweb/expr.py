@@ -130,10 +130,16 @@ def eval_expr(text: str, env: Mapping, const: Callable = Fraction):
     """Evaluate an expression over the ring defined by env/const.
 
     env maps variable names to ring elements; const embeds a Fraction.
+    The parser recurses once per nesting level (a parenthesis or a unary
+    sign), so input nested past the interpreter's recursion limit is an
+    unusable expression.
     """
     if not text.strip():
         raise ExprError("empty expression")
-    return _Parser(_tokenize(text), env, const).parse()
+    try:
+        return _Parser(_tokenize(text), env, const).parse()
+    except RecursionError:
+        raise ExprError("expression is nested too deeply") from None
 
 
 def eval_rational(text: str, env: Mapping[str, Fraction] | None = None) -> Fraction:

@@ -5,7 +5,8 @@ nonzero entries: each row is cleared to integers once, the columns are taken
 from the left, the pivot is the row with the fewest nonzeros, and each
 combined row is divided by its gcd, so every entry stays an int.
 A polynomial identity that is linear in some unknowns becomes one such row
-per (component, monomial) in ``vanishing_combinations``.
+per (component, monomial) (``_identity_rows``), which both
+``vanishing_combinations`` and ``solve_many`` eliminate.
 The characteristic polynomial runs Berkowitz's division-free algorithm on
 the same rows, per diagonal block of the matrix's block-triangular form.
 """
@@ -126,39 +127,39 @@ def nullspace(matrix: Sequence[Sequence | Row], ncols: int | None = None) -> lis
     return _null_basis([row for row in _rows(matrix) if row], ncols)
 
 
-def vanishing_combinations(images: Sequence[Sequence[Poly]]) -> list[list[Fraction]]:
-    """Basis, in the normal form of ``nullspace``, of the vectors x with
-    sum_c x_c images[c] = 0 identically, where each image is a sequence of
-    polynomial components.  Each (component, monomial) pair is one row of
-    the system, keyed by the packed monomial of ``Poly.terms``."""
+def _identity_rows(images: Sequence[Sequence[Poly]]) -> list[Row]:
+    """The system sum_c x_c images[c] = 0 identically, where each image is
+    a sequence of polynomial components: one sparse row {c: coefficient}
+    per (component, monomial) pair, keyed by the packed monomial of
+    ``Poly.terms``."""
     rows: dict = {}
     for c, image in enumerate(images):
         for i, poly in enumerate(image):
             for key, coeff in poly.terms.items():
                 rows.setdefault((i, key), {})[c] = coeff
-    return _null_basis(list(rows.values()), len(images))
+    return list(rows.values())
 
 
-def solve_many(matrix: Sequence[Sequence], rhs_columns: Sequence[Sequence]) -> list[list[Fraction]] | None:
-    """Solve A X = B column by column over a single elimination of A, with
-    free variables set to zero.
+def vanishing_combinations(images: Sequence[Sequence[Poly]]) -> list[list[Fraction]]:
+    """Basis, in the normal form of ``nullspace``, of the vectors x with
+    sum_c x_c images[c] = 0 identically (``_identity_rows``)."""
+    return _null_basis(_identity_rows(images), len(images))
 
-    Returns the solution columns, or None if any column is inconsistent.
+
+def solve_many(columns: Sequence[Sequence[Poly]],
+               rhs: Sequence[Sequence[Poly]]) -> list[list[Fraction]] | None:
+    """Solve sum_c x_c columns[c] = rhs[j] identically for every j over a
+    single elimination, with free variables set to zero; the images are
+    read as in ``vanishing_combinations``, rhs[j] in column len(columns) + j.
+
+    Returns the solutions, or None if any right-hand side is inconsistent.
     """
-    ncols = len(matrix[0]) if matrix else 0
-    aug = []
-    for i, row in enumerate(matrix):
-        entries = _sparse(row)
-        for j, col in enumerate(rhs_columns):
-            if col[i]:
-                entries[ncols + j] = col[i]
-        if entries:
-            aug.append(entries)
-    ech, pivots = _echelon(aug)
+    ncols = len(columns)
+    ech, pivots = _echelon(_identity_rows([*columns, *rhs]))
     if any(p >= ncols for p in pivots):
         return None
     return [_back_substitute(ech, pivots, [0] * ncols, [row.get(ncols + j, 0) for row in ech])
-            for j in range(len(rhs_columns))]
+            for j in range(len(rhs))]
 
 
 def rank(matrix: Sequence[Sequence]) -> int:

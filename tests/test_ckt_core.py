@@ -46,9 +46,13 @@ def commutator(v, w):
 
 def coefficients_json(coeffs):
     """The JSON blocks of CktCoefficients, each entry written by rat_str."""
-    blocks = (coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.e, coeffs.f, coeffs.g, coeffs.h,
-              coeffs.l, coeffs.m)
-    return dict(zip(cc._BLOCK_NAMES, cc._sliced([rat_str(x) for x in cc._flat(blocks)], list)))
+    def grid(block):
+        return [[rat_str(x) for x in row] for row in block]
+
+    return {"A": grid(coeffs.a), "B": grid(coeffs.b), "C": grid(coeffs.c),
+            "D": [rat_str(x) for x in coeffs.d], "E": grid(coeffs.e),
+            "F": [rat_str(x) for x in coeffs.f], "G": grid(coeffs.g),
+            "Hscalar": rat_str(coeffs.h), "L": [rat_str(x) for x in coeffs.l], "M": grid(coeffs.m)}
 
 
 def extend_tensor(k, nvars):
@@ -56,12 +60,20 @@ def extend_tensor(k, nvars):
     return SymTensorField.from_upper(*(k[i][j].extend(nvars) for i, j in cc._UPPER))
 
 
-def coefficients_from_free(vec):
-    """The CktCoefficients of the tensor with free coordinates vec, from
-    the package's integer numerators."""
+def free_blocks(vec):
+    """The ten coefficient blocks of the tensor with free coordinates vec,
+    from the package's integer numerators."""
     flat, den = cc._free_numerators(vec)
     zero = Fraction(0)
-    return CktCoefficients(*cc._sliced([Fraction(n, den) if n else zero for n in flat]))
+    return cc._sliced([Fraction(n, den) if n else zero for n in flat])
+
+
+def coefficients_from_free(vec):
+    return CktCoefficients(*free_blocks(vec))
+
+
+def unit_vector(c):
+    return [int(i == c) for i in range(DIM_TRACE_FREE)]
 
 
 class TestBasis:
@@ -388,62 +400,57 @@ def combination(members, weights):
     return [sum(w * vec[j] for w, vec in zip(weights, members)) for j in range(cc.DIM_TRACE_FREE)]
 
 
-def oracle_coefficients_from_free(vec):
-    """``coefficients_from_free`` as it was before the cached sparse map:
-    ``_blocks_from_free`` run on the vector itself."""
-    a, b, c, d, e, f, g, h, l, m = cc._blocks_from_free([Fraction(v) for v in vec])
-    a, b, c, e, g, m = (tuple(map(tuple, block)) for block in (a, b, c, e, g, m))
-    return CktCoefficients(a=a, b=b, c=c, d=tuple(d), e=e, f=tuple(f), g=g, h=h, l=tuple(l), m=m)
-
-
-def oracle_json_dict(coeffs):
-    """``CktCoefficients.to_json_dict`` as it was before the flat layout:
-    each block formatted on its own."""
-    def grid(block):
-        return [[rat_str(x) for x in row] for row in block]
-
-    return {"A": grid(coeffs.a), "B": grid(coeffs.b), "C": grid(coeffs.c),
-            "D": [rat_str(x) for x in coeffs.d], "E": grid(coeffs.e),
-            "F": [rat_str(x) for x in coeffs.f], "G": grid(coeffs.g),
-            "Hscalar": rat_str(coeffs.h), "L": [rat_str(x) for x in coeffs.l], "M": grid(coeffs.m)}
-
-
 def json_bytes(data):
     return json.dumps(data, indent=2, sort_keys=True)
 
 
+def assert_trace_relations(vec):
+    """The report blocks of vec, read back, hold the free coordinates at
+    their entries and obey the trace relations of CktCoefficients, which fix
+    the other entries; rat_str writes each entry as ``free_json_dict`` does."""
+    def read(value):
+        return [read(x) for x in value] if isinstance(value, list) else Fraction(value)
+
+    data = free_json_dict(vec)
+    a, b, c, d, e, f, g, h, l, m = (read(data[name]) for name in
+                                    ("A", "B", "C", "D", "E", "F", "G", "Hscalar", "L", "M"))
+    for (block, i, j), x in zip(cc.FREE_COORDS, vec):
+        assert {"a": a, "b": b, "e": e, "g": g, "m": m}[block][i][j] == Fraction(x)
+    for grid in (a, m):
+        assert all(grid[i][j] == grid[j][i] for i in range(3) for j in range(3))
+    for grid in (a, b, g, m):
+        assert grid[0][0] + grid[1][1] + grid[2][2] == 0
+    assert h == 0 and f == [0, 0, 0]
+    for vec3, grid in ((d, b), (l, g)):
+        assert vec3 == [sum(cc.EPS[kk][j][i] * grid[j][kk] for j in range(3) for kk in range(3))
+                        for i in range(3)]
+    tr_e = e[0][0] + e[1][1] + e[2][2]
+    assert c == [[e[i][j] + e[j][i] - (tr_e / 2 if i == j else 0) for j in range(3)] for i in range(3)]
+    assert json_bytes(data) == json_bytes(coefficients_json(coefficients_from_free(vec)))
+
+
 class TestFreeCoordinates:
-    def test_sparse_map_matches_the_block_route(self):
+    def test_blocks_obey_the_trace_relations(self):
         rng = random.Random(3517)
-        for trial in range(200):
+        vecs = [unit_vector(c) for c in range(DIM_TRACE_FREE)]
+        for trial in range(60):
             density = (0.1, 0.3, 1.0)[trial % 3]
             vec = [rand_fraction(rng, -20, 20, 9) if rng.random() < density else 0 for _ in range(35)]
-            if trial % 7 == 0:
-                vec = [int(x) if x == int(x) else str(x) for x in vec]
-            coeffs = coefficients_from_free(vec)
-            expected = oracle_coefficients_from_free(vec)
-            assert coeffs == expected
-            assert all(type(x) is Fraction for x in cc._flat(
-                (coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.e, coeffs.f, coeffs.g, coeffs.h,
-                 coeffs.l, coeffs.m)))
-            assert coefficients_json(coeffs) == coefficients_json(expected) == oracle_json_dict(expected)
-            assert json_bytes(free_json_dict(vec)) == json_bytes(oracle_json_dict(expected))
+            vecs.append([int(x) if x == int(x) else str(x) for x in vec] if trial % 7 == 0 else vec)
+        for vec in vecs:
+            assert_trace_relations(vec)
         for bad in ([0] * 34, [0] * 36):
             for build in (coefficients_from_free, free_json_dict):
                 with pytest.raises(CktError, match="35 free parameters"):
                     build(bad)
 
     @pytest.mark.parametrize("name,h", SCAN_EIGENSPACES, ids=[f"{n} h={h}" for n, h in SCAN_EIGENSPACES])
-    def test_scan_blocks_match_the_block_route(self, name, h):
-        # The report blocks of every basis vector of the eight scans, byte
-        # for byte as the former block route writes them.
-        _, basis = scan_eigenspace(name, h)
-        for vec in basis:
-            expected = oracle_json_dict(oracle_coefficients_from_free(vec))
-            assert json_bytes(free_json_dict(vec)) == json_bytes(expected)
-            assert json_bytes(coefficients_json(coefficients_from_free(vec))) == json_bytes(expected)
+    def test_scan_blocks_obey_the_trace_relations(self, name, h):
+        # The report blocks of every basis vector of the eight scans.
+        for vec in scan_eigenspace(name, h)[1]:
+            assert_trace_relations(vec)
 
-    def test_outside_coefficients_round_trip_through_the_layout(self, rng):
+    def test_outside_coefficients_round_trip_through_json(self, rng):
         # Blocks with every entry free, as outside input gives them.
         for _ in range(20):
             grids = [[[rand_fraction(rng) for _ in range(3)] for _ in range(3)] for _ in range(7)]
@@ -452,7 +459,6 @@ class TestFreeCoordinates:
             coeffs = CktCoefficients.make(a=a, b=grids[3], c=c, d=grids[4][0], e=grids[5],
                                           f=grids[4][1], g=grids[6], h=rand_fraction(rng),
                                           l=grids[4][2], m=m)
-            assert coefficients_json(coeffs) == oracle_json_dict(coeffs)
             assert CktCoefficients.from_json_dict(coefficients_json(coeffs)) == coeffs
 
     def test_c_block_follows_e(self, rng):
@@ -743,10 +749,10 @@ class TestLeibnizRule:
 
 def reference_lie_operator(v):
     """Lie_v on the 35 free coordinates through polynomial tensors: each
-    basis tensor is differentiated, vectorized and solved against the
+    basis tensor is differentiated by v itself and solved against the
     assembly matrix."""
-    columns = [cc._vectorize(lie_derivative(v, k)) for k in cc._free_basis()]
-    solutions = solve_many(cc._assembly_matrix(), columns)
+    images = [lie_derivative(v, k).upper for k in cc._free_basis()]
+    solutions = solve_many(cc._assembly_matrix(), images)
     if solutions is None:
         raise CktError("Lie derivative left the trace-free space; v is not a CKV")
     return [[solutions[c][r] for c in range(cc.DIM_TRACE_FREE)] for r in range(cc.DIM_TRACE_FREE)]
@@ -762,7 +768,7 @@ def leibniz_image(k, c):
     return SymTensorField.combination(
         [(s, symmetric_product(commutator(x, basis[p]), basis[q])
           + symmetric_product(basis[p], commutator(x, basis[q])))
-         for s, (p, q) in cc._block_terms(*cc._unit_blocks()[c])], 3)
+         for s, (p, q) in cc._block_terms(*free_blocks(unit_vector(c)))], 3)
 
 
 class TestLieOperator:
@@ -800,6 +806,18 @@ class TestLieOperator:
         try:
             with pytest.raises(CktError, match="left the trace-free space"):
                 lie_operator(ckv_by_name("X1"))
+        finally:
+            cc._basis_lie_columns.cache_clear()
+
+    def test_a_degree_5_image_raises(self, monkeypatch):
+        # A trace-free image of degree 5 has a monomial that no basis
+        # tensor has, so no combination of them reaches it.
+        cc._basis_lie_columns.cache_clear()
+        bump = SymTensorField.from_upper(ZERO, X ** 5, ZERO, ZERO, ZERO, ZERO)
+        monkeypatch.setattr(cc, "lie_derivative", lambda v, k: k + bump)
+        try:
+            with pytest.raises(CktError, match="left the trace-free space"):
+                cc._basis_lie_columns(0)
         finally:
             cc._basis_lie_columns.cache_clear()
 

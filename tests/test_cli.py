@@ -597,6 +597,22 @@ def test_commands_run_without_numpy():
     assert json.loads(done.stdout) == [0] * len(calls)
 
 
+@pytest.mark.parametrize("argv", [
+    ["compat", "--potential", "(" * 300 + "x" + ")" * 300],
+    ["compat", "--potential=" + "-" * 2000 + "x"],
+    ["tables", "--scale", "a=" + "(" * 400 + "2" + ")" * 400],
+], ids=["parentheses", "signs", "scale"])
+def test_deeply_nested_expression_exits_2(argv):
+    # The parser recurses once per nesting level: input nested past the
+    # recursion limit is unusable, so it exits 2 with one error line and no
+    # traceback.
+    done = subprocess.run([sys.executable, "-m", "rotweb", *argv], capture_output=True, text=True,
+                          cwd=ROOT, timeout=120, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert (done.returncode, done.stdout) == (2, "")
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "nested too deeply" in lines[0]
+
+
 def test_closed_stdout_exits_141_quietly():
     # `rotweb tables | true`: the reader is gone before the report is
     # written, so the write fails with EPIPE.  That is no finding (exit 1)

@@ -19,6 +19,14 @@ def frac_matrix(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
+def solve_constant(matrix, rhs_columns):
+    """``solve_many`` on the dense system A X = B, each row a component:
+    column c of A, and each column of B, as an image of constant Polys."""
+    ncols = len(matrix[0]) if matrix else 0
+    columns = [[Poly.const(row[c]) for row in matrix] for c in range(ncols)]
+    return solve_many(columns, [[Poly.const(x) for x in col] for col in rhs_columns])
+
+
 def block_product(m):
     """The product of char_poly's block polynomials, each checked to be a
     primitive integer polynomial with a positive leading coefficient."""
@@ -50,13 +58,23 @@ class TestElimination:
 
     def test_solve_many_consistent_and_inconsistent(self):
         m = frac_matrix([[1, 1], [1, -1]])
-        assert solve_many(m, [[Fraction(2), Fraction(0)]]) == [[1, 1]]
+        assert solve_constant(m, [[Fraction(2), Fraction(0)]]) == [[1, 1]]
         # Free variables are set to zero.
-        assert solve_many(frac_matrix([[1, 1], [2, 2]]), [[Fraction(1), Fraction(2)]]) == [[1, 0]]
+        assert solve_constant(frac_matrix([[1, 1], [2, 2]]), [[Fraction(1), Fraction(2)]]) == [[1, 0]]
         bad = frac_matrix([[1, 1], [2, 2]])
-        assert solve_many(bad, [[Fraction(1), Fraction(3)]]) is None
+        assert solve_constant(bad, [[Fraction(1), Fraction(3)]]) is None
         # One inconsistent column makes the whole system inconsistent.
-        assert solve_many(bad, [[Fraction(1), Fraction(2)], [Fraction(1), Fraction(3)]]) is None
+        assert solve_constant(bad, [[Fraction(1), Fraction(2)], [Fraction(1), Fraction(3)]]) is None
+
+    def test_solve_many_on_polynomial_images(self):
+        # a (1 + y) + 2 b y z = 3 + 3 y + 4 y z and 2 b y z = 4 y z hold
+        # identically at a = 3, b = 2, and no a, b give z^2.
+        y, z = Poly.variable(1), Poly.variable(2)
+        one = Poly.const(1)
+        columns = [[one + y, Poly.zero()], [y * z * 2, y * z * 2]]
+        assert solve_many(columns, [[one * 3 + y * 3 + y * z * 4, y * z * 4]]) == [[3, 2]]
+        assert solve_many(columns, [[z * z, Poly.zero()]]) is None
+        assert solve_many(columns, [[Poly.zero(), Poly.zero()]]) == [[0, 0]]
 
     def test_solve_many_residual(self):
         rng = random.Random(11)
@@ -69,7 +87,7 @@ class TestElimination:
             xs = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(cols)]
                   for _ in range(rng.randint(1, 3))]
             rhs = [[sum(a * x for a, x in zip(row, xv)) for row in m] for xv in xs]
-            solutions = solve_many(m, rhs)
+            solutions = solve_constant(m, rhs)
             assert solutions is not None and len(solutions) == len(rhs)
             for b, x in zip(rhs, solutions):
                 assert len(x) == cols
@@ -138,6 +156,36 @@ class TestVanishingCombinations:
             images = [[Poly.from_terms({e: m[4 * k + i][c] for i, e in enumerate(monomials)}, 2)
                        for k in range(2)] for c in range(ncols)]
             assert vanishing_combinations(images) == nullspace(m, ncols)
+
+    def test_a_unit_vector_in_the_span_is_a_basis_member(self):
+        # The basis has 1 at its own free column and 0 at the others, so a
+        # unit vector in its span, as rank tells, is one of its vectors.
+        rng = random.Random(75)
+        x, y = Poly.variable(0, 2), Poly.variable(1, 2)
+        monomials = [Poly.const(1, 2), x, y, x * y]
+        members = 0
+        for _ in range(60):
+            images = []
+            for _ in range(rng.randint(1, 7)):
+                kind = rng.random()
+                if kind < 0.2 or not images:
+                    weights = [[random_entry(rng) if rng.random() < 0.5 else 0 for _ in monomials]
+                               for _ in range(2)]
+                    images.append([sum((w * p for w, p in zip(row, monomials)), Poly.zero(2))
+                                   for row in weights])
+                elif kind < 0.4:
+                    images.append([Poly.zero(2)] * 2)
+                else:
+                    a, b = rng.choice(images), rng.choice(images)
+                    u, v = random_entry(rng), random_entry(rng)
+                    images.append([p * u + q * v for p, q in zip(a, b)])
+            basis = vanishing_combinations(images)
+            for idx in range(len(images)):
+                unit = [int(i == idx) for i in range(len(images))]
+                in_span = rank(basis + [unit]) == rank(basis)
+                assert in_span == (unit in basis)
+                members += in_span
+        assert members
 
 
 def bareiss_det(m):
@@ -333,7 +381,7 @@ def assert_parity(m, rhs_sets):
     assert basis == dense_nullspace(m, ncols)
     # Sparse rows {column: value} are read as they are, zero rows included.
     assert nullspace([{j: x for j, x in enumerate(row) if x} for row in m], ncols) == basis
-    results = [solve_many(m, rhs) for rhs in rhs_sets]
+    results = [solve_constant(m, rhs) for rhs in rhs_sets]
     assert results == [dense_solve_many(m, rhs) for rhs in rhs_sets]
     # The integer back-substitution still hands out Fraction entries.
     vectors = basis + [vec for columns in results if columns for vec in columns]
@@ -398,16 +446,24 @@ class TestEliminationParity:
 
     @pytest.mark.parametrize("name", ["X3", "D", "I3", "R3"])
     def test_assembly_matrix_against_lie_columns(self, name):
+        # The oracle reads the images as dense vectors over their (component,
+        # monomial) pairs.
         v = ckt_core.ckv_by_name(name)
-        columns = []
+        images = []
         for idx in range(ckt_core.DIM_TRACE_FREE):
             unit = [Fraction(0)] * ckt_core.DIM_TRACE_FREE
             unit[idx] = Fraction(1)
-            columns.append(ckt_core._vectorize(ckt_core.lie_derivative(v, assemble_free(unit))))
+            images.append(ckt_core.lie_derivative(v, assemble_free(unit)).upper)
         a = ckt_core._assembly_matrix()
-        solutions = solve_many(a, columns)
-        assert solutions is not None and solutions == dense_solve_many(a, columns)
-        assert rank(a) == ckt_core.DIM_TRACE_FREE
+        solutions = solve_many(a, images)
+        keys = sorted({(i, key) for image in (*a, *images) for i, p in enumerate(image) for key in p.terms})
+
+        def dense(image):
+            return [Fraction(image[i].terms.get(key, 0)) for i, key in keys]
+
+        matrix = [list(row) for row in zip(*map(dense, a))]
+        assert solutions is not None and solutions == dense_solve_many(matrix, [dense(im) for im in images])
+        assert rank(matrix) == ckt_core.DIM_TRACE_FREE
 
 
 # ---------------------------------------------------------------------------
