@@ -18,14 +18,15 @@ divisors (Gauss's lemma); Sturm sequences use a sign-keeping primitive PRS
 (Collins 1967; Brown and Traub 1971); a sign at p/q is the sign of
 q^n P(p/q), by homogeneous integer Horner.  Real roots are counted by the
 Sturm sequence of the polynomial itself and isolated by bisecting a
-square-free polynomial at plain midpoints, in half-open intervals (lo, hi].
+square-free polynomial at plain midpoints, in half-open intervals (lo, hi],
+which quadratic interval refinement narrows to bisection's own answers.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import floor, gcd, lcm
+from math import floor, gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 
@@ -576,26 +577,63 @@ def isolate_real_roots(sf: list[int]) -> list[tuple[Fraction, Fraction]]:
 
 def refine_root(a: list[int], lo: Fraction, hi: Fraction,
                 max_width: Fraction) -> tuple[Fraction, Fraction]:
-    """Shrink an isolating interval (lo, hi] of a square-free a by bisection
-    until its width is below max_width or the root is hit exactly.  Only the
-    sign at hi is read, since lo may be the root of a neighbouring interval.
+    """Shrink an isolating interval (lo, hi] of a square-free a to what
+    bisection returns.  Bisection stops at the first level m where the
+    width (hi - lo) / 2^m is at most max_width, so the answer is (r, r)
+    when the root r is hi or a point of the level-m grid
+    lo + k (hi - lo) / 2^m, and else the level-m cell (lo', hi'] that
+    holds r.
+
+    That cell is found by quadratic interval refinement on the grid
+    (Abbott 2006).  The secant through the values at the cell's ends
+    guesses the root, and the signs at the guess and at the point 1/n of
+    the cell beyond it, on the root's side, narrow the cell; n squares
+    when the root lies between those two points and falls to its square
+    root, not below 2, when it does not.  The value at lo only steers the
+    secant: lo may be the root of a neighbouring interval.
     """
     den = lcm(lo.denominator, hi.denominator)
     low, high = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
-    shi = sign_at(a, high, den)
-    if shi == 0:
+    width, span = high - low, max_width.numerator * den
+    m = max(0, (width * max_width.denominator).bit_length() - span.bit_length())
+    if width * max_width.denominator > span << m:
+        m += 1
+    # Grid point k is x / den with x = base + k width.  Every point has that
+    # den, so den^n a(x / den) is the sum of a_i den^(n-i) x^i.
+    base, den = low << m, den << m
+    scaled, power = [], 1
+    for c in reversed(a):
+        scaled.append(c * power)
+        power *= den
+
+    def value(k: int) -> int:
+        x, v = base + k * width, 0
+        for c in scaled:
+            v = v * x + c
+        return v
+
+    ka, kb = 0, 1 << m
+    fa, fb = value(ka), value(kb)
+    if fb == 0:
         return hi, hi
-    width_num, width_den = max_width.numerator, max_width.denominator
-    while (high - low) * width_den > width_num * den:
-        mid, low, high, den = low + high, 2 * low, 2 * high, 2 * den
-        smid = sign_at(a, mid, den)
-        if smid == 0:
-            return Fraction(mid, den), Fraction(mid, den)
-        if smid == shi:
-            high = mid
-        else:
-            low = mid
-    return Fraction(low, den), Fraction(high, den)
+    above = fb > 0  # the sign above the root
+    n = 4
+    while kb - ka > 1:
+        step = (kb - ka) // n or 1
+        k = ka + (kb - ka) * fa // (fa - fb)
+        for _ in range(2):
+            if ka < k < kb:
+                f = value(k)
+                if f == 0:
+                    root = Fraction(base + k * width, den)
+                    return root, root
+                if (f > 0) == above:
+                    kb, fb = k, f
+                else:
+                    ka, fa = k, f
+            k = ka + step if k == ka else kb - step
+        n = n * n if kb - ka <= step else max(2, isqrt(n))
+    return Fraction(base + ka * width, den), Fraction(base + kb * width, den)
 
 
 def rational_roots(a: list[int]) -> list[Fraction]:
@@ -605,8 +643,8 @@ def rational_roots(a: list[int]) -> list[Fraction]:
     The square-free part s = a / gcd(a, a') is primitive, so every rational
     root is k / c for an integer k, with c = |lc s|.  Each isolating
     interval (lo, hi] is narrowed below 1 / (2 c), which leaves one
-    candidate k / c in it to test; lo itself may be the root below, so it is
-    not a candidate.
+    candidate k / c in it to test, unless the narrowing hit the root
+    exactly; lo itself may be the root below, so it is not a candidate.
     """
     _check_nonzero(a, "rational roots")
     a = _primitive(a)
@@ -615,8 +653,11 @@ def rational_roots(a: list[int]) -> list[Fraction]:
     roots = []
     for lo, hi in isolate_real_roots(sf):
         lo, hi = refine_root(sf, lo, hi, Fraction(1, 2 * c))
+        if lo == hi:
+            roots.append(lo)
+            continue
         k = floor(hi * c)
-        if (lo < Fraction(k, c) or lo == hi) and sign_at(sf, k, c) == 0:
+        if lo < Fraction(k, c) and sign_at(sf, k, c) == 0:
             roots.append(Fraction(k, c))
     return roots
 

@@ -24,11 +24,11 @@ c^2 H and c^4 L, so no sign moves) and the witness image are formed in
 ints, and c is absorbed exactly into the witness's rescaling factor.  The
 canonical form is a construction with no float decision: forms I/II come
 from the real root of the resolvent t^3 - 3 I t + J that the stratum's rule
-picks by the roots' order and the sign of J, each root held in a certified
-bracket, and the other forms map the rational or quadratic roots of the
-square-free factors.  Floats appear only in a reported irrational mu and in
-proposals that exact sign tests certify.  Every univariate polynomial in the pipeline is one of the
-kernel's own integer coefficient lists.
+picks by the roots' order and the sign of J, bracketed by exact separators
+and narrowed by the kernel's refiner, and the other forms map the rational
+or quadratic roots of the square-free factors.  Floats appear only in a
+reported irrational mu.  Every univariate polynomial in the pipeline is one
+of the kernel's own integer coefficient lists.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .ckt_core import CktError
-from .exactmath import (int_cleared, isolate_real_roots, rat, rat_str, refine_root, sign_at,
+from .exactmath import (int_cleared, rat, rat_str, refine_root, sign_at,
                         squarefree_decomposition)
 from .group_action import GroupElement, Mat2, from_gl2, substitution_action
 from .rotational import RotParams
@@ -494,99 +494,51 @@ def _root_frame(web: WebType, structure: RootStructure, bits: int) -> Mat2:
 # flips the sign of mu, so mu >= 0.  So the choice is the order of the
 # roots and the sign of J, and mu is rational iff mu^2 is a rational square
 # with t an integer (R is monic), or J = 0, where the roots are 0 (mu = 0)
-# and +-sqrt(3 I) (mu = -6).
+# and +-sqrt(3 I) (mu = -6).  Only the chosen root is narrowed: to width
+# 1/2, which leaves one integer candidate to test, then as far as mu and
+# the frame need.
 
 
 def _resolvent_roots(inv: Invariants) -> tuple[list[int], list[list[Fraction]]]:
     """R and its real roots, increasing, each a bracket [lo, hi] with
-    lo < t <= hi, or lo = hi = t for an integer root; Delta gives their
-    count, three or one.
+    lo < t <= hi and no other root; Delta gives their count, three or one.
 
-    Each root is proposed in doubles, by the trigonometric or Cardano
-    formula on R scaled by 2^e into double range and Newton steps, then
-    rounded to an integer k and moved by Newton steps in integers, which
-    reach the integer nearest a root of any size.  An integer root from any
-    proposal is exact, and the other two roots are then those of the
-    quadratic R / (t - k).
-    Otherwise a proposal is accepted when R changes sign across a bracket
-    about it, of relative width 2^-44 or between two integers, and if any
-    is not, the roots are isolated exactly instead, and narrowed below
-    width 1 to find an integer root."""
+    For Delta > 0, R' = 3 (t^2 - I) vanishes at +-sqrt(I), where
+    R(-sqrt(I)) = J + 2 I sqrt(I) > 0 > R(sqrt(I)) = J - 2 I sqrt(I), so
+    -2 sqrt(I) < t1 < -sqrt(I) < t2 < sqrt(I) < t3 < 2 sqrt(I).  Dyadic
+    s <= sqrt(I) <= s' from isqrt(4^k I), with k grown until R(s) < 0 <
+    R(-s'), split the roots, and 2^e > 2 sqrt(I) bounds them.  For
+    Delta < 0 the one root is below Fujiwara's bound
+    2 max(sqrt(3 |I|), (|J| / 2)^(1/3)) < 2^e in size, and of the sign of
+    -J = -R(0)."""
     i, j = inv.i, inv.j
     poly = [j, -3 * i, 0, 1]
-    e = max((abs(i).bit_length() + 1) // 2, (abs(j).bit_length() + 2) // 3)
-    a, b = i / (1 << 2 * e), j / (1 << 3 * e)
-    if inv.delta > 0:
-        angle = math.acos(max(-1.0, min(1.0, -b / (2 * a * math.sqrt(a))))) / 3
-        guesses = [2 * math.sqrt(a) * math.cos(angle - 2 * math.pi * k / 3) for k in (2, 1, 0)]
-    else:
-        w = -math.copysign((abs(b) / 2 + math.sqrt(max(0.0, b * b / 4 - a ** 3))) ** (1 / 3), b)
-        guesses = [w + a / w]
-    proposals = []
-    for u in guesses:
-        for _ in range(3):
-            slope = 3 * (u * u - a)
-            if slope:
-                u -= (u * u * u - 3 * a * u + b) / slope
-        t = Fraction(u) * (1 << e)
-        k = round(t)
-        for _ in range(8):
-            value, slope = k ** 3 - 3 * i * k + j, 3 * (k * k - i)
-            step = (2 * value + slope) // (2 * slope) if slope else 0  # value / slope, rounded
-            if not step:
-                break
-            k -= step
-        if not value:
-            return poly, sorted([[Fraction(k)] * 2] + (_deflated(i, k) if inv.delta > 0 else []))
-        proposals.append((t, k, value * slope, step))
-    roots: list[list[Fraction]] = []
-    for t, k, direction, step in proposals:
-        if abs(t) < 2 ** 44:  # then an integer root is round(t)
-            root = [t - abs(t) / 2 ** 45, t + abs(t) / 2 ** 45]
-        else:  # where Newton stopped, t is near k - value / slope
-            low = k - 1 if direction > 0 else k
-            root = [Fraction(low), Fraction(low + 1)]
-        if step or not _certified(poly, root) or roots and roots[-1][1] >= root[0]:
-            roots = [list(bracket) for bracket in isolate_real_roots(poly)]
-            for root in roots:  # an integer root, narrowed out of its bracket
-                if root[1] - root[0] >= 1:
-                    root[:] = refine_root(poly, *root, Fraction(1, 2))
-                k = math.floor(root[1])
-                if root[0] < k and sign_at(poly, k, 1) == 0:
-                    root[:] = [Fraction(k)] * 2
+    if inv.delta < 0:
+        e = max(((3 * abs(i)).bit_length() + 1) // 2 + 1, (abs(j).bit_length() + 4) // 3)
+        return poly, [[Fraction(-1 << e), Fraction(0)] if j >= 0 else [Fraction(0), Fraction(1 << e)]]
+    e, k = (i.bit_length() + 1) // 2 + 1, 0
+    while True:
+        s = math.isqrt(i << 2 * k)
+        s_up = s + (s * s != i << 2 * k)
+        if sign_at(poly, s, 1 << k) < 0 < sign_at(poly, -s_up, 1 << k):
             break
-        roots.append(root)
-    return poly, roots
-
-
-def _deflated(i: int, k: int) -> list[list[Fraction]]:
-    """The roots (-k +- sqrt(d)) / 2, d = 12 I - 3 k^2 > 0, of R / (t - k)
-    for an integer root k: exact when d is a square, else brackets of width
-    2^-(p+1) < 2^-64 / I, which leave out k since |k - t2| |k - t3| =
-    3 |k^2 - I| >= 3 and every root is below 2 sqrt(I) in size."""
-    p = abs(i).bit_length() + 64
-    d = (12 * i - 3 * k * k) << 2 * p
-    r, c, den = math.isqrt(d), -k << p, 1 << p + 1
-    if r * r == d:
-        return [[Fraction(c - r, den)] * 2, [Fraction(c + r, den)] * 2]
-    return [[Fraction(c - r - 1, den), Fraction(c - r, den)],
-            [Fraction(c + r, den), Fraction(c + r + 1, den)]]
-
-
-def _certified(poly: list[int], root: list[Fraction]) -> bool:
-    """Whether R changes sign across the bracket."""
-    return sign_at(poly, root[0].numerator, root[0].denominator) * sign_at(
-        poly, root[1].numerator, root[1].denominator) < 0
+        k = 2 * k + 1
+    low, high = Fraction(-s_up, 1 << k), Fraction(s, 1 << k)
+    return poly, [[Fraction(-1 << e), low], [low, high], [high, Fraction(1 << e)]]
 
 
 def _narrow(poly: list[int], root: list[Fraction], bits: int) -> None:
-    """Narrow a root's bracket, in place, to relative width 2^-bits."""
+    """Narrow a root's bracket, in place, to relative width 2^-bits: away
+    from 0, then in one step, as narrowing only raises min(|lo|, |hi|)."""
     while root[0] != root[1]:
         lo, hi = root
-        size = min(abs(lo), abs(hi)) if lo * hi > 0 else 0
-        if size and (hi - lo) * 2 ** bits <= size:
-            return
-        root[:] = refine_root(poly, lo, hi, size / 2 ** bits if size else (hi - lo) / 2 ** 16)
+        if lo <= 0 <= hi:
+            root[:] = refine_root(poly, lo, hi, (hi - lo) / 2 ** 16)
+            continue
+        size = min(abs(lo), abs(hi))
+        if (hi - lo) * 2 ** bits > size:
+            root[:] = refine_root(poly, lo, hi, size / 2 ** bits)
+        return
 
 
 def _pencil_parameter(web: WebType, inv: Invariants, lead: int) -> tuple:
@@ -601,24 +553,29 @@ def _pencil_parameter(web: WebType, inv: Invariants, lead: int) -> tuple:
         root, sign = roots[2 if j > 0 else 0], -1
     else:
         root, sign = roots[0], 1
-    lo, hi = root
-    if lo == hi or j == 0:
-        square = Fraction(12 * s * lo * lo, 4 * i - lo * lo) if lo == hi else Fraction(36)
-        num, den = square.numerator, square.denominator
-        rn, rd = math.isqrt(num), math.isqrt(den)
-        if rn * rn == num and rd * rd == den:
-            return poly, root, sign * Fraction(rn, rd), True
+    lo, hi = root[:] = refine_root(poly, *root, Fraction(1, 2))
+    k = math.floor(hi)
+    if lo < k and sign_at(poly, k, 1) == 0:
+        lo = hi = root[0] = root[1] = Fraction(k)
+    if lo == hi:
+        square = Fraction(12 * s * k * k, 4 * i - k * k)
+    elif j == 0:
+        square = Fraction(36)
     else:
         bits = 64
         while True:
             _narrow(poly, root, bits)
-            ends = [(3 * i * t - j, i * t + j) for t in root]
+            ends = [(3 * i * p - j * q, i * p + j * q) for p, q in map(Fraction.as_integer_ratio, root)]
             if all(n * d * s > 0 for n, d in ends):
-                low, high = sorted(12 * s * n / d for n, d in ends)
+                low, high = sorted(Fraction(12 * s * n, d) for n, d in ends)
                 if (high - low) * 2 ** 60 <= low:
                     break
             bits += 32
-        square = (low + high) / 2
+        return poly, root, sign * _float_sqrt((low + high) / 2), False
+    num, den = square.numerator, square.denominator
+    rn, rd = math.isqrt(num), math.isqrt(den)
+    if rn * rn == num and rd * rd == den:
+        return poly, root, Fraction(sign * rn, rd), True
     return poly, root, sign * _float_sqrt(square), False
 
 
@@ -638,12 +595,13 @@ def _pencil_frame(cleared: BinaryQuartic, poly: list[int], root: list[Fraction],
     """An integer matrix carrying c Q to a multiple of
     X^4 + mu X^2 Y^2 +- Y^4, up to rounding at about 2^-bits, with its
     image of c Q: its columns are the roots of phi_t, with t narrowed to
-    relative width 2^-(bits+2), the second scaled by |A/C|^(1/4) for the
+    relative width 2^-bits, the second scaled by |A/C|^(1/4) for the
     images A, C of X^4 and Y^4.  None when phi_t does not show two distinct
     real roots at this precision.  A form-II frame puts first the root
     where Q has the sign of t, so that mu >= 0."""
-    _narrow(poly, root, bits + 2)
-    t = (root[0] + root[1]) / 2
+    _narrow(poly, root, bits)
+    lo, hi = root
+    t = lo if lo == hi else (lo + hi) / 2
     q = cleared.as_tuple()
     p0, p1, p2, p3, p4 = (t.denominator * h - 12 * t.numerator * c
                           for h, c in zip(hessian(cleared), q))

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rotweb import quartic_class
+from rotweb import exactmath, quartic_class
 from rotweb.exactmath import int_cleared, rational_roots
 from rotweb.group_action import GroupElement, Mat2, apply_quartic, from_gl2, substitution_action
 from rotweb.quartic_class import (BinaryQuartic, ClassificationError, WebType, _resolvent_roots,
@@ -269,8 +269,15 @@ def test_root_finder_matches_numpy(web):
         structure = root_structure(q)
         inv = q.cleared[2]
         if inv.delta:
-            # Each certified bracket holds numpy's root, to 1e-9 of the roots' size.
-            _, roots = _resolvent_roots(inv)
+            # Each bracket, narrowed to relative width 2^-44, holds numpy's
+            # root to 1e-9 of the roots' size.  J = R(0) = 0 puts a root at 0,
+            # which has no relative width.
+            poly, roots = _resolvent_roots(inv)
+            for root in roots:
+                if inv.j == 0 and root[0] < 0 < root[1]:
+                    root[:] = [0, 0]
+                else:
+                    quartic_class._narrow(poly, root, 44)
             scale = math.sqrt(abs(float(inv.i))) + abs(float(inv.j)) ** (1 / 3)
             reference = sorted(z.real for z in np.roots([1, 0, -3 * float(inv.i), float(inv.j)])
                                if abs(z.imag) <= 1e-7 * scale)
@@ -537,13 +544,13 @@ def test_exact_parameters_far_from_double_range(text, mu):
 
 
 def test_integer_roots_need_no_isolation(monkeypatch):
-    # Integer resolvent roots of any size, two of them 12 apart, come from
-    # Newton steps in integers and the deflated quadratic, not from exact
-    # isolation from the Cauchy bound.
+    # Integer resolvent roots of any size, two of them 12 apart, are found
+    # in brackets split by the separators +-sqrt(I) and narrowed to width
+    # 1/2, not by exact isolation from the Cauchy bound.
     def refused(poly):
         raise AssertionError("isolate_real_roots called")
 
-    monkeypatch.setattr(quartic_class, "isolate_real_roots", refused)
+    monkeypatch.setattr(exactmath, "isolate_real_roots", refused)
     for text in ("1,0,1e100,0,1", "1e-320,0,-1,0,1", "1,0,-1e800,0,1", "1,0,1e400,0,-1"):
         assert canonical_form(BinaryQuartic.make(*text.split(",")))[0].exact
 
@@ -608,22 +615,6 @@ def test_rule_on_rational_bi_cyclides():
         assert len(points) == 4, q.to_json()
         cf, _ = canonical_form(q)
         assert (cf.form, cf.parameter, cf.exact) == ("I", labeling_rule(points), True), q.to_json()
-
-
-def test_isolation_fallback_gives_the_same_forms(monkeypatch):
-    # With every double proposal refused, the resolvent's roots come from
-    # exact isolation, and the canonical forms are the same.
-    quartics = []
-    for web in (WebType.BI_CYCLIDE, WebType.FLAT_RING_CYCLIDE, WebType.DISK_CYCLIDE):
-        rng = random.Random(f"fallback-{web.value}")
-        quartics += [partition_quartic(rng, web) for _ in range(20)]
-        quartics += [extreme_quartic(rng, web) for _ in range(4)]
-    expected = [canonical_form(q)[0] for q in quartics]
-    monkeypatch.setattr(quartic_class, "_certified", lambda poly, root: False)
-    for q, cf in zip(quartics, expected):
-        got = canonical_form(q)[0]
-        assert (got.form, got.parameter, got.exact) == (cf.form, cf.parameter, cf.exact), q.to_json()
-        assert got.witness_residual <= 1e-9
 
 
 class TestFaultRegressions:

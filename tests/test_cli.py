@@ -417,7 +417,7 @@ def digest_quartics() -> list:
 
 # sha256 of the classify reports of digest_quartics() without timing_ms, as
 # json.dumps(..., sort_keys=True), one line each.
-CLASSIFY_DIGEST = "7667ecd56c992071a85d59ddcd147bc658825f72d610d9d50ea0c76cde986312"
+CLASSIFY_DIGEST = "cac17f01a2494cd024bfbb51c1f5162869e780148abf6a7f96f7dde8fabaf61f"
 
 
 def test_classify_output_is_unchanged(capsys):

@@ -338,9 +338,10 @@ def assert_same_as_reference(p, intervals=True):
         return
     found = isolate_real_roots(ints(sf))
     assert found == ref_isolate(sf)
-    width = Fraction(1, 10**12)
-    assert [refine_root(ints(sf), lo, hi, width) for lo, hi in found] == [
-        ref_refine(sf, lo, hi, width) for lo, hi in found]
+    half_step = Fraction(1, 2 * abs(ints(sf)[-1]))
+    for lo, hi in found:
+        for width in (Fraction(1, 10**12), (hi - lo) / 2**200, half_step):
+            assert refine_root(ints(sf), lo, hi, width) == ref_refine(sf, lo, hi, width)
     assert rational_roots(a) == ref_rational_roots(p)
 
 
@@ -412,6 +413,7 @@ class TestExtremeHeights:
             highest = max(highest, *(max(abs(c.numerator), c.denominator) for c in p.coeffs))
             count = len(roots) + sum(2 for q in quadratics.values() if q.coeffs[1] ** 2 > 4 * q.coeffs[0])
             assert real_root_count(ints(p)) == len(isolate_real_roots(squarefree_ints(p))) == count
+            assert rational_roots(ints(p)) == sorted(roots)
             for x in list(roots) + [Fraction(rng.randint(-10**digits, 10**digits), rng.randint(1, 10**digits))
                                     for _ in range(5)]:
                 assert kernel_sign_at(p, x) == ref_sign(p.eval(x))
