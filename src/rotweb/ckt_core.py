@@ -787,8 +787,8 @@ class TsnFilterResult:
 
     ``subspace`` is a basis, as free-coordinate vectors, of the members of
     the span that admit v as an eigenvector; it always satisfies TSN
-    identically (certified on the whole symbolic family, on a plane
-    transversal to v; see ``tsn_filter``).  ``outside_tsn_directions``
+    identically (certified by hypersurface orthogonality of v; see
+    ``tsn_filter``).  ``outside_tsn_directions``
     indexes the basis directions outside the subspace that also satisfy TSN
     individually; when there is one, the full TSN solution set inside the
     span is not a linear space, and the offending directions are reported
@@ -802,6 +802,13 @@ class TsnFilterResult:
         return not self.outside_tsn_directions
 
 
+def _twist(v: VectorField) -> Poly:
+    """v . curl v = eps_ijk v_i d_j v_k, a polynomial of degree <= 3 for a
+    conformal Killing vector.  It vanishes identically iff v is
+    hypersurface-orthogonal: v^perp is integrable (Frobenius)."""
+    return Poly.dot(v.nvars, [(EPS[i][j][k], v[i], v[k].diff(j)) for i, j, k in itertools.permutations(range(3))])
+
+
 def tsn_filter(v: VectorField, basis: list[list[Fraction]]) -> TsnFilterResult:
     """Restrict span(basis), a list of linearly independent free-coordinate
     vectors such as one eigenspace of ``symmetry_subspace``, to the members
@@ -810,21 +817,22 @@ def tsn_filter(v: VectorField, basis: list[list[Fraction]]) -> TsnFilterResult:
     The basis must lie in one eigenspace of Lie_v, Lie_v K = h K; this is
     checked exactly against the columns of Lie_v (``_lie_columns``), and
     CktError is raised otherwise.  The candidate is the linear eigenvector
-    condition (K.v) x v = 0, whose sufficiency is certified on the symbolic
-    family sum_a t_a K_a of its members sub_a, the t_a extra polynomial
-    variables.  Basis directions outside the candidate, whose unit vectors
-    in basis coordinates are outside the span of the
-    ``vanishing_combinations`` vectors, are spot-checked; any that satisfy
-    TSN individually are reported in the result.
+    condition (K.v) x v = 0.  When it is nonempty, it is certified by the
+    lemma below: v . curl v must vanish identically (``_twist``), and
+    CktError naming hypersurface orthogonality is raised otherwise; and
+    (K.v) x v is read again on each member of the candidate, which raises
+    "filter is unsound" if one is nonzero.  Basis directions outside the
+    candidate, whose unit vectors in basis coordinates are outside the span
+    of the ``vanishing_combinations`` vectors, are spot-checked; any that
+    satisfy TSN individually are reported in the result.
 
     Every condition is read on the first jets, K and d_m K, on one
     coordinate plane P transversal to v (``_transversal_plane``: z = 0 for
     X3 and I3, x = 0 for R3, x = 1 for D), as sums of the cached jets of
     the basis tensors (``_jets_on``): the eigenvector rows are (K.v) x v on
-    P, and the certificate and the spot checks run ``_tsn_scalars`` there.
-    That is exact because the conditions are conformally invariant, the
-    invariance on which the classification of the webs up to the conformal
-    group rests:
+    P, and the spot checks run ``_tsn_scalars`` there.  That is exact
+    because the conditions are conformally invariant, the invariance on
+    which the classification of the webs up to the conformal group rests:
 
     - The flow phi_t of v is conformal, phi_t^* g = w g with w > 0, and
       Lie_v K = h K + f g integrates to phi_t^* K = e^(ht) K + b g for some
@@ -844,17 +852,44 @@ def tsn_filter(v: VectorField, basis: list[list[Fraction]]) -> TsnFilterResult:
 
     If the scalars, or (K.v) x v, vanish on P, they vanish on the flow-out
     of P, which contains an open set wherever v is transversal to P.  Being
-    polynomials, they then vanish identically; for a family, this holds for
-    each value of the parameters.  The converse is immediate.  The argument
-    is the same for isometries, the dilation and the special conformal I_i.
-    A plane that v does not cross (z = 0 for R3) gives wrong verdicts.
+    polynomials, they then vanish identically.  The converse is immediate.
+    The argument is the same for isometries, the dilation and the special
+    conformal I_i.  A plane that v does not cross (z = 0 for R3) gives
+    wrong verdicts.
+
+    The lemma: if v . curl v = 0, every K with Lie_v K = h K + f g and
+    (K.v) x v = 0 satisfies the TSN conditions identically.  Work where
+    v != 0 and the number of distinct eigenvalues of L is locally constant,
+    an open dense set.  There the flow pulls L back to s L + c I with
+    s > 0, so it preserves each eigenspace of L, and v spans or lies in
+    one of them.
+
+    - Three simple eigenvalues: the conditions say that each eigenline has
+      an integrable orthogonal complement.  The complement of v's line is
+      v^perp, integrable iff v . curl v = 0.  Each other complement is
+      spanned by v and a flow-invariant eigenline, which has a section w
+      with [v, w] = 0, so it is involutive.
+    - Two eigenvalues: the conditions are invariant under L -> s L + c I
+      for functions s != 0 and c, so they are those of the projector P
+      onto the simple line, and N_P = 0 iff ker P is integrable.  ker P
+      is v^perp when v spans the simple line; otherwise it is the
+      flow-invariant double eigenspace that contains v, spanned by v and a
+      flow-invariant w with [v, w] = 0.
+    - One eigenvalue: L = mu I and N = 0.
+
+    The scalars are polynomials, so they vanish identically.  When
+    v . curl v != 0, a nonempty candidate is not certified, and CktError
+    is raised rather than an uncertified answer given.
     """
     _check_one_eigenspace(v, basis)
     plane = var, value = _transversal_plane(v)
-    jets = _jets_on(plane, basis)
     on_plane = VectorField(tuple(p.restrict(var, value) for p in v.components))
-    combos = linalg.vanishing_combinations(
-        [eigenvector_cross(SymTensorField.from_upper(*jet[::4]), on_plane).components for jet in jets])
+
+    def eigenvector_rows(jets):
+        return [eigenvector_cross(SymTensorField.from_upper(*jet[::4]), on_plane) for jet in jets]
+
+    jets = _jets_on(plane, basis)
+    combos = linalg.vanishing_combinations([row.components for row in eigenvector_rows(jets)])
     rows = [{j: x for j, x in enumerate(vec) if x} for vec in basis]
     sub = []
     for combo in combos:
@@ -865,10 +900,10 @@ def tsn_filter(v: VectorField, basis: list[list[Fraction]]) -> TsnFilterResult:
                     acc[j] = acc.get(j, 0) + w * x
         sub.append([Fraction(acc.get(j, 0)) for j in range(DIM_TRACE_FREE)])
     if sub:
-        nvars = 3 + len(sub)
-        members = [(Poly.variable(3 + a, nvars), jet) for a, jet in enumerate(_jets_on(plane, sub))]
-        family = [Poly.dot(nvars, [(1, t, jet[s].extend(nvars)) for t, jet in members]) for s in range(24)]
-        if not _tsn_on(family):
+        if not _twist(v).is_zero:
+            raise CktError("v is not hypersurface-orthogonal (v . curl v != 0); "
+                           "the eigenvector candidate is not certified to satisfy TSN")
+        if not all(row.is_zero for row in eigenvector_rows(_jets_on(plane, sub))):
             raise CktError("eigenvector subspace fails the TSN conditions; filter is unsound")
     # combos is in the normal form of ``nullspace``: one vector per free
     # column, 1 there and 0 at the other free columns.  A unit vector in

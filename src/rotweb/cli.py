@@ -310,7 +310,9 @@ def _write(value, indent: str, out: list) -> None:
     """Append the JSON text of value to out, byte for byte as
     json.dumps(value, indent=2, sort_keys=True) writes it, nested at the
     given indent.  Only the types a report holds are written: str, int,
-    bool, None, float, list, tuple and dict with str keys."""
+    bool, None, float, list, tuple and dict with str keys.  The container
+    loops write their str, int, bool and None items in place, with no call
+    per leaf."""
     kind = type(value)
     if kind is str:
         out.append(encode_basestring_ascii(value))
@@ -324,7 +326,18 @@ def _write(value, indent: str, out: list) -> None:
             if type(key) is not str:
                 raise TypeError(f"report keys must be str, not {type(key).__name__}")
             out.append(sep + encode_basestring_ascii(key) + ": ")
-            _write(value[key], inner, out)
+            item = value[key]
+            kind = type(item)
+            if kind is str:
+                out.append(encode_basestring_ascii(item))
+            elif kind is int:
+                out.append(repr(item))
+            elif kind is bool:
+                out.append("true" if item else "false")
+            elif item is None:
+                out.append("null")
+            else:
+                _write(item, inner, out)
             sep = ",\n" + inner
         out.append("\n" + indent + "}")
     elif kind is list or kind is tuple:
@@ -335,7 +348,17 @@ def _write(value, indent: str, out: list) -> None:
         sep = "[\n" + inner
         for item in value:
             out.append(sep)
-            _write(item, inner, out)
+            kind = type(item)
+            if kind is str:
+                out.append(encode_basestring_ascii(item))
+            elif kind is int:
+                out.append(repr(item))
+            elif kind is bool:
+                out.append("true" if item else "false")
+            elif item is None:
+                out.append("null")
+            else:
+                _write(item, inner, out)
             sep = ",\n" + inner
         out.append("\n" + indent + "]")
     elif kind is int:

@@ -529,9 +529,14 @@ def _resolvent_roots(inv: Invariants) -> tuple[list[int], list[list[Fraction]]]:
 
 def _narrow(poly: list[int], root: list[Fraction], bits: int) -> None:
     """Narrow a root's bracket, in place, to relative width 2^-bits: away
-    from 0, then in one step, as narrowing only raises min(|lo|, |hi|)."""
+    from 0, then in one step, as narrowing only raises min(|lo|, |hi|).  A
+    root at exactly 0 never leaves 0 and has no relative width: its bracket
+    becomes (0, 0)."""
     while root[0] != root[1]:
         lo, hi = root
+        if lo < 0 <= hi and not poly[0]:
+            root[:] = [Fraction(0), Fraction(0)]
+            return
         if lo <= 0 <= hi:
             root[:] = refine_root(poly, lo, hi, (hi - lo) / 2 ** 16)
             continue

@@ -543,6 +543,32 @@ def test_exact_parameters_far_from_double_range(text, mu):
     assert cf.witness_residual <= 1e-9
 
 
+def test_narrow_reads_a_root_at_zero(monkeypatch):
+    # J = R(0) = 0 puts a root of t^3 - 3 I t at exactly 0, which has no
+    # relative width and is off the refiner's dyadic grid of this bracket:
+    # narrowing never leaves it, so the bracket becomes (0, 0).  The
+    # counted refiner turns a loop into a failure.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        assert len(calls) < 100
+        return exactmath.refine_root(*args)
+
+    monkeypatch.setattr(quartic_class, "refine_root", counted)
+    poly = [0, -3 * 4976640, 0, 1]
+    root = [Fraction(-2231), Fraction(2230)]
+    quartic_class._narrow(poly, root, 44)
+    assert root == [0, 0]
+    # The root sqrt(3 I) beside it, in the bracket (0, 5000], is narrowed
+    # as before.
+    root = [Fraction(0), Fraction(5000)]
+    quartic_class._narrow(poly, root, 44)
+    lo, hi = root
+    assert 0 < lo < hi and lo * lo < 3 * 4976640 <= hi * hi
+    assert (hi - lo) * 2 ** 44 <= lo
+
+
 def test_integer_roots_need_no_isolation(monkeypatch):
     # Integer resolvent roots of any size, two of them 12 apart, are found
     # in brackets split by the separators +-sqrt(I) and narrowed to width

@@ -1045,8 +1045,10 @@ class TestPlaneJets:
                     == vanishing_combinations(eigenvector_rows(v, basis)))
 
     def test_certificate_reads_the_whole_family(self, monkeypatch):
-        # Two subspace vectors whose sum satisfies TSN and whose family does
-        # not: the first candidate plus an outside direction, and minus it.
+        # Two subspace vectors whose sum is the first candidate and which are
+        # not eigenvectors themselves: the first candidate plus an outside
+        # direction, and minus it.  The certificate reads (K.v) x v on each
+        # member, not only on their sum.
         r3 = ckv_by_name("R3")
         (_, basis), = symmetry_subspace(r3, "h_zero")
         combos = vanishing_combinations(eigenvector_rows(r3, basis))
@@ -1059,8 +1061,8 @@ class TestPlaneJets:
 
 
 class TestTsnPlane:
-    """``tsn_filter`` certifies on a plane transversal to v; the unsliced
-    ``tsn_check`` is the oracle."""
+    """``tsn_filter`` reads its conditions on a plane transversal to v; the
+    unsliced ``tsn_check`` is the oracle."""
 
     @pytest.mark.parametrize("name,h", SCAN_EIGENSPACES, ids=[f"{n} h={h}" for n, h in SCAN_EIGENSPACES])
     def test_plane_verdict_matches_the_full_check(self, name, h):
@@ -1155,3 +1157,87 @@ class TestSpotChecks:
         for members in bases:
             result = tsn_filter(v, members)
             assert result.outside_tsn_directions == spot_check_route(v, members)
+
+
+def twist(v):
+    """v . curl v, multiplied out term by term: the oracle of ``_twist``."""
+    curl = (v[2].diff(1) - v[1].diff(2), v[0].diff(2) - v[2].diff(0), v[1].diff(0) - v[0].diff(1))
+    return v[0] * curl[0] + v[1] * curl[1] + v[2] * curl[2]
+
+
+def field(weights):
+    """sum c X over the {name: c} of ``ckv_basis`` fields."""
+    return sum((ckv_by_name(name).scale(c) for name, c in weights.items()), vector(ZERO, ZERO, ZERO))
+
+
+def seeded_field(rng):
+    return sum((f.scale(rand_fraction(rng)) for f in ckv_basis(3)[1:]), ckv_basis(3)[0])
+
+
+# Eighteen conformal Killing vectors: the ten basis fields and two sums are
+# hypersurface-orthogonal, two sums and four seeded combinations are not.
+ORTHOGONAL = [field({name: 1}) for name in cc._NAMES] + [field({"X3": 1, "I3": 1}), field({"X1": 1, "R3": 1})]
+TWISTED = [field({"R3": 1, "D": 1}), field({"X3": 1, "R3": 1})]
+TWISTED += [seeded_field(random.Random(f"twisted-{seed}")) for seed in range(4)]
+
+
+def translated_fields():
+    """Seeded hypersurface-orthogonal fields off the baseline: dilations
+    about a point, D + a X1 + b X2 + c X3 (curl 0), and rotations about a
+    shifted axis, R3 + a X1 + b X2 (curl along z, v_z = 0)."""
+    rng = random.Random(12)
+    fields = []
+    for _ in range(3):
+        a, b, c = (rand_fraction(rng) for _ in range(3))
+        fields += [field({"D": 1, "X1": a, "X2": b, "X3": c}), field({"R3": 1, "X1": a, "X2": b})]
+    return fields
+
+
+class TestHypersurfaceOrthogonality:
+    """``tsn_filter`` certifies its candidate by the lemma in its docstring:
+    for v with v . curl v = 0, every member of an eigenspace of Lie_v that
+    has v as an eigenvector satisfies the TSN conditions.  The symbolic
+    family of the members, checked by ``tsn_check``, is the oracle."""
+
+    def test_twist_splits_the_fields(self):
+        for v in ORTHOGONAL + translated_fields():
+            assert cc._twist(v) == twist(v)
+            assert cc._twist(v).is_zero
+        for v in TWISTED:
+            assert cc._twist(v) == twist(v)
+            assert not cc._twist(v).is_zero
+
+    def test_certified_subspaces_satisfy_tsn(self):
+        rng = random.Random(13)
+        for v in ORTHOGONAL + translated_fields():
+            (_, kernel), = symmetry_subspace(v, "h_zero")
+            half = rng.sample(kernel, len(kernel) // 2)
+            for basis, dimension in ((kernel, 6), (half, None)):
+                sub = tsn_filter(v, basis).subspace
+                assert len(sub) == len(vanishing_combinations(eigenvector_rows(v, basis)))
+                assert dimension in (None, len(sub))
+                if sub:
+                    assert tsn_check(symbolic_family(sub))
+
+    def test_twisted_candidates_raise(self):
+        # The candidate is nonempty and fails the TSN conditions: the
+        # lemma's hypothesis v . curl v = 0 cannot be dropped.
+        for v in TWISTED:
+            (_, kernel), = symmetry_subspace(v, "h_zero")
+            combos = vanishing_combinations(eigenvector_rows(v, kernel))
+            assert combos
+            assert not tsn_check(symbolic_family([combination(kernel, combo) for combo in combos]))
+            with pytest.raises(CktError, match="not hypersurface-orthogonal"):
+                tsn_filter(v, kernel)
+
+    def test_twisted_field_with_an_empty_candidate_answers(self):
+        v = TWISTED[0]
+        spaces = [basis for h, basis in symmetry_subspace(v, "h_constant") if h]
+        (_, kernel), = symmetry_subspace(v, "h_zero")
+        combos = vanishing_combinations(eigenvector_rows(v, kernel))
+        spaces += [[vec] for vec in kernel if combination(kernel, combos[0]) != vec]
+        assert len(spaces) == 7
+        for basis in spaces:
+            result = tsn_filter(v, basis)
+            assert result.subspace == ()
+            assert result.outside_tsn_directions == spot_check_route(v, basis)

@@ -331,8 +331,9 @@ class TestSymmetry:
         assert run(capsys, "symmetry", "R1")[0] == 2
 
     def test_failed_tsn_certificate_exits_1(self, capsys, monkeypatch):
-        # Every kernel direction taken as an eigenvector of R3: the symbolic
-        # family of all nine fails the TSN certificate.
+        # Every kernel direction taken as an eigenvector of R3: R3 is
+        # hypersurface-orthogonal, and the certificate's second hypothesis,
+        # (K.v) x v = 0 read again on each member, fails.
         monkeypatch.setattr(linalg, "vanishing_combinations",
                             lambda images: [[int(i == j) for i in range(len(images))] for j in range(len(images))])
         code, report = run_json(capsys, "symmetry", "R3", "--h", "0")
