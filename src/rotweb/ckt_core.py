@@ -524,21 +524,28 @@ def _free_entries() -> tuple[int, tuple]:
     return 2, tuple(rows)
 
 
+def _nonzero_numerators(vecs: Sequence[Sequence]) -> tuple[int, list[list[tuple[int, int]]]]:
+    """One positive common denominator d of the entries of the
+    free-coordinate vectors, each anything ``rat`` reads, and per vector the
+    (coordinate, d x) of its nonzero entries x: every linear map of the
+    scans reads a vector at these alone."""
+    vecs = [[x if x.__class__ is Fraction else rat(x) for x in vec] for vec in vecs]
+    if any(len(vec) != DIM_TRACE_FREE for vec in vecs):
+        raise CktError(f"expected {DIM_TRACE_FREE} free parameters")
+    d = math.lcm(*(x.denominator for vec in vecs for x in vec if x))
+    return d, [[(c, x.numerator * (d // x.denominator)) for c, x in enumerate(vec) if x] for vec in vecs]
+
+
 def _free_numerators(vec: Sequence) -> tuple[list[int], int]:
     """The flat blocks of the tensor with free coordinates vec
     (``_free_entries``) as integer numerators over one positive common
     denominator, and that denominator."""
-    if len(vec) != DIM_TRACE_FREE:
-        raise CktError(f"expected {DIM_TRACE_FREE} free parameters")
-    vec = [x if x.__class__ is Fraction else rat(x) for x in vec]
-    d = math.lcm(*(x.denominator for x in vec))
+    d, (nonzero,) = _nonzero_numerators([vec])
     q, rows = _free_entries()
     flat = [0] * _FLAT_SIZE
-    for x, entries in zip(vec, rows):
-        if x:
-            n = x.numerator * (d // x.denominator)
-            for entry, c in entries:
-                flat[entry] += n * c
+    for c, n in nonzero:
+        for entry, x in rows[c]:
+            flat[entry] += n * x
     return flat, q * d
 
 
@@ -600,15 +607,14 @@ def _jets_on(plane: tuple[int, int], vecs: Sequence) -> list[list[Poly]]:
     d > 0 for all the vectors.  That common factor keeps the zeros of the
     TSN scalars, homogeneous in K, and the vanishing combinations of the
     eigenvector condition, linear in K."""
-    d = math.lcm(*(x.denominator for vec in vecs for x in vec))
+    _, numerators = _nonzero_numerators(vecs)
+    jets = _plane_jets(plane)
     out = []
-    for vec in vecs:
+    for nonzero in numerators:
         slots: list[dict] = [{} for _ in range(24)]
-        for x, entries in zip(vec, _plane_jets(plane)):
-            if x:
-                n = x.numerator * (d // x.denominator)
-                for (s, key), value in entries:
-                    slots[s][key] = slots[s].get(key, 0) + n * value
+        for c, n in nonzero:
+            for (s, key), value in jets[c]:
+                slots[s][key] = slots[s].get(key, 0) + n * value
         out.append([Poly(3, {key: c for key, c in slot.items() if c}) for slot in slots])
     return out
 
@@ -622,35 +628,41 @@ def _tsn_on(jet: list[Poly]) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _killing_columns() -> tuple[VectorField, ...]:
-    """The Killing obstruction of each free basis tensor F_c: the curl of
-    its contraction vector.  ``verify_ckt`` runs on every F_c here, and a
-    failure raises CktError.  The conformal Killing equation is linear in
-    K, so every sum_c x_c F_c is then a conformal Killing tensor, with
+def _killing_columns() -> tuple[int, tuple[dict, ...]]:
+    """The Killing obstruction of each free basis tensor F_c, the curl of
+    its contraction vector, as the integer table {(component, packed
+    monomial): n} of its terms over one common denominator q; returns q and
+    the 35 tables.  ``verify_ckt`` runs on every F_c here, and a failure
+    raises CktError.  The conformal Killing equation is linear in K, so
+    every sum_c x_c F_c is then a conformal Killing tensor, with
     contraction vector sum_c x_c k_c: no check is lost."""
-    columns = []
+    curls = []
     for index, k in enumerate(_free_basis()):
         holds, kv = verify_ckt(k)
         if not holds:
             raise CktError(f"free basis tensor {index} fails the conformal Killing equation")
-        columns.append(VectorField(tuple(kv[c].diff(b) - kv[b].diff(c) for b, c in ((1, 2), (2, 0), (0, 1)))))
-    return tuple(columns)
+        curls.append([kv[c].diff(b) - kv[b].diff(c) for b, c in ((1, 2), (2, 0), (0, 1))])
+    q = math.lcm(*(x.denominator for curl in curls for p in curl for x in p.terms.values()))
+    return q, tuple({(i, key): int(x * q) for i, p in enumerate(curl) for key, x in p.terms.items()}
+                    for curl in curls)
 
 
-def obstruction_from_free(vec: Sequence) -> VectorField:
-    """The Killing obstruction of the tensor sum_c x_c F_c of vec: the curl
-    of its contraction vector k, the Hodge dual of the two-form d(k-flat), as
-    the components (23, 31, 12).  It vanishes identically iff the equivalence
-    class of the tensor modulo metric multiples contains a Killing tensor.
-    The curl is linear in the tensor, so it is sum_c x_c times that of F_c
-    (``_killing_columns``, built once): no tensor is assembled or
-    differentiated."""
-    if len(vec) != DIM_TRACE_FREE:
-        raise CktError(f"expected {DIM_TRACE_FREE} free parameters")
-    one = Poly.const(1, 3)
-    columns = _killing_columns()
-    return VectorField(tuple(Poly.dot(3, [(x, one, col[i]) for x, col in zip(vec, columns)])
-                             for i in range(3)))
+def killing_obstruction_terms(vec: Sequence) -> dict:
+    """The Killing obstruction of the tensor sum_c x_c F_c of vec, the curl
+    of its contraction vector k (the Hodge dual of the two-form d(k-flat),
+    as the components (23, 31, 12)), as its nonzero terms {(component,
+    packed monomial): coefficient}.  It is empty iff the equivalence class
+    of the tensor modulo metric multiples contains a Killing tensor.  The
+    curl is linear in the tensor, so it is sum_c x_c times that of F_c
+    (``_killing_columns``, built once), read at the nonzero coordinates of
+    vec: no tensor is assembled or differentiated."""
+    d, (nonzero,) = _nonzero_numerators([vec])
+    q, columns = _killing_columns()
+    terms: dict = {}
+    for c, n in nonzero:
+        for slot, x in columns[c].items():
+            terms[slot] = terms.get(slot, 0) + n * x
+    return {slot: Fraction(x, q * d) for slot, x in terms.items() if x}
 
 
 # ---------------------------------------------------------------------------
@@ -688,28 +700,14 @@ def _ckv_coordinates(v: VectorField) -> dict:
     return coords
 
 
-def _lie_columns(v: VectorField) -> list[dict]:
-    """The matrix of Lie_v on the 35 trace-free coordinates, as its columns,
-    sparse dicts {row: value}: column c holds the coordinates of Lie_v
-    applied to basis vector c.  Lie_v is linear in v, so they are
-    sum_k c_k times those of the basis field X_k (``_basis_lie_columns``),
-    for v = sum_k c_k X_k in ``ckv_basis`` coordinates; v outside that span
-    raises CktError."""
-    columns: list[dict] = [{} for _ in range(DIM_TRACE_FREE)]
-    for k, a in _ckv_coordinates(v).items():
-        for col, basis_col in zip(columns, _basis_lie_columns(k)):
-            for r, x in basis_col.items():
-                col[r] = col.get(r, 0) + a * x
-    return [{r: x for r, x in col.items() if x} for col in columns]
-
-
 @lru_cache(maxsize=None)
-def _basis_lie_columns(k: int) -> tuple[dict, ...]:
+def _basis_lie_columns(k: int) -> tuple[int, tuple[dict, ...]]:
     """The columns of the matrix of Lie_X on the 35 trace-free coordinates,
-    for the basis field X = X_k, as sparse dicts {row: value}.  By its
-    definition, column c holds the free coordinates of Lie_X F_c, for the
-    basis tensor F_c of ``_free_basis``: the 35 images are solved against
-    the F_c (``_assembly_matrix``) by one elimination of their (component,
+    for the basis field X = X_k, as integer sparse dicts {row: n} over one
+    positive denominator d; returns d and the columns.  By its definition,
+    column c holds the free coordinates of Lie_X F_c, for the basis tensor
+    F_c of ``_free_basis``: the 35 images are solved against the F_c
+    (``_assembly_matrix``) by one elimination of their (component,
     monomial) rows.  An image outside the span of the F_c, one of degree 5
     among them, has no solution, and this raises CktError."""
     field = ckv_basis()[k]
@@ -717,7 +715,38 @@ def _basis_lie_columns(k: int) -> tuple[dict, ...]:
     solutions = linalg.solve_many(_assembly_matrix(), images)
     if solutions is None:
         raise CktError(_LEFT_SPACE)
-    return tuple({r: x for r, x in enumerate(col) if x} for col in solutions)
+    d = math.lcm(*(x.denominator for col in solutions for x in col))
+    return d, tuple({r: x.numerator * (d // x.denominator) for r, x in enumerate(col) if x}
+                    for col in solutions)
+
+
+def _lie_terms(v: VectorField) -> tuple[int, list[tuple[int, tuple[dict, ...]]]]:
+    """Lie_v as (1/den) sum_k n_k N_k, for v = sum_k c_k X_k in ``ckv_basis``
+    coordinates and the integer columns N_k over d_k of
+    ``_basis_lie_columns``: Lie_v is linear in v, so n_k = den c_k / d_k,
+    integers over the least common denominator den of the c_k / d_k.
+    Returns den and the pairs (n_k, N_k); v outside that span raises
+    CktError."""
+    weights = []
+    for k, c in _ckv_coordinates(v).items():
+        d, columns = _basis_lie_columns(k)
+        weights.append((c / d, columns))
+    den = math.lcm(*(w.denominator for w, _ in weights))
+    return den, [(w.numerator * (den // w.denominator), columns) for w, columns in weights]
+
+
+def _lie_columns(v: VectorField) -> tuple[int, list[dict]]:
+    """The matrix of Lie_v on the 35 trace-free coordinates, as integer
+    columns over one positive denominator den (``_lie_terms``): column c, a
+    sparse dict {row: n}, holds den times the coordinates of Lie_v applied
+    to basis vector c.  Returns den and the columns."""
+    den, terms = _lie_terms(v)
+    columns: list[dict] = [{} for _ in range(DIM_TRACE_FREE)]
+    for n, basis_columns in terms:
+        for col, basis_col in zip(columns, basis_columns):
+            for r, x in basis_col.items():
+                col[r] = col.get(r, 0) + n * x
+    return den, [{r: x for r, x in col.items() if x} for col in columns]
 
 
 def symmetry_subspace(v: VectorField, mode: str) -> list[tuple[Fraction, list[list[Fraction]]]]:
@@ -731,13 +760,15 @@ def symmetry_subspace(v: VectorField, mode: str) -> list[tuple[Fraction, list[li
     """
     if mode not in ("h_zero", "h_constant"):
         raise CktError(f"unknown mode {mode!r}; expected h_zero or h_constant")
-    # Both read the operator as its sparse rows {column: value}.
+    # Both read den Lie_v as its integer sparse rows {column: n}; its
+    # eigenvalues are den h, and its eigenspaces those of Lie_v.
+    den, columns = _lie_columns(v)
     rows: list[dict] = [{} for _ in range(DIM_TRACE_FREE)]
-    for c, column in enumerate(_lie_columns(v)):
+    for c, column in enumerate(columns):
         for r, x in column.items():
             rows[r][c] = x
     if mode == "h_constant":
-        return linalg.rational_eigenvalues(rows)
+        return [(h / den, space) for h, space in linalg.rational_eigenvalues(rows)]
     kernel = linalg.nullspace(rows, DIM_TRACE_FREE)
     return [(Fraction(0), kernel)] if kernel else []
 
@@ -763,20 +794,23 @@ def _transversal_plane(v: VectorField) -> tuple[int, int]:
 
 def _check_one_eigenspace(v: VectorField, basis: list[list[Fraction]]) -> None:
     """Raise unless every free-coordinate vector lies in one eigenspace of
-    Lie_v (``_lie_columns``), with one eigenvalue for all of them."""
-    columns = _lie_columns(v)
-    h = None
-    for vec in basis:
-        row = {j: x for j, x in enumerate(vec) if x}
+    Lie_v, with one eigenvalue for all of them.  Lie_v is applied to the
+    vectors' integer numerators n (``_nonzero_numerators``) as
+    sum_k n_k N_k (``_lie_terms``), reading the cached columns at the
+    nonzero coordinates of n alone; the image is den Lie_v n, an eigenvector
+    image when it is p/q times n, for one ratio p/q (den h) for all."""
+    _, terms = _lie_terms(v)
+    p = q = None
+    for nonzero in _nonzero_numerators(basis)[1]:
         image: dict = {}
-        for j, w in row.items():
-            for c, x in columns[j].items():
-                image[c] = image.get(c, 0) + w * x
-        image = {c: x for c, x in image.items() if x}
-        if row and h is None:
-            j = next(iter(row))
-            h = Fraction(image.get(j, 0)) / row[j]
-        if image != {c: h * x for c, x in row.items() if h}:
+        for weight, columns in terms:
+            for j, n in nonzero:
+                for c, x in columns[j].items():
+                    image[c] = image.get(c, 0) + weight * n * x
+        if nonzero and q is None:
+            j, q = nonzero[0]
+            p = image.get(j, 0)
+        if {c: q * x for c, x in image.items() if x} != {c: p * n for c, n in nonzero if p}:
             raise CktError("basis does not lie in one eigenspace of Lie_v; "
                            "the TSN certificate on a transversal plane does not apply")
 
@@ -815,13 +849,16 @@ def tsn_filter(v: VectorField, basis: list[list[Fraction]]) -> TsnFilterResult:
     satisfying the normal-eigenvector (TSN) conditions identically.
 
     The basis must lie in one eigenspace of Lie_v, Lie_v K = h K; this is
-    checked exactly against the columns of Lie_v (``_lie_columns``), and
+    checked exactly on each basis vector (``_check_one_eigenspace``), and
     CktError is raised otherwise.  The candidate is the linear eigenvector
     condition (K.v) x v = 0.  When it is nonempty, it is certified by the
     lemma below: v . curl v must vanish identically (``_twist``), and
     CktError naming hypersurface orthogonality is raised otherwise; and
     (K.v) x v is read again on each member of the candidate, which raises
-    "filter is unsound" if one is nonzero.  Basis directions outside the
+    "filter is unsound" if one is nonzero.  It is linear in K, as are the
+    jets, so on a member it is the member's combination of the basis rows
+    (``linalg.combination``): the rows of the member's own jets times one
+    positive factor.  Basis directions outside the
     candidate, whose unit vectors in basis coordinates are outside the span
     of the ``vanishing_combinations`` vectors, are spot-checked; any that
     satisfy TSN individually are reported in the result.
@@ -884,31 +921,29 @@ def tsn_filter(v: VectorField, basis: list[list[Fraction]]) -> TsnFilterResult:
     _check_one_eigenspace(v, basis)
     plane = var, value = _transversal_plane(v)
     on_plane = VectorField(tuple(p.restrict(var, value) for p in v.components))
-
-    def eigenvector_rows(jets):
-        return [eigenvector_cross(SymTensorField.from_upper(*jet[::4]), on_plane) for jet in jets]
-
     jets = _jets_on(plane, basis)
-    combos = linalg.vanishing_combinations([row.components for row in eigenvector_rows(jets)])
+    images = [eigenvector_cross(SymTensorField.from_upper(*jet[::4]), on_plane).components for jet in jets]
+    combos = linalg.vanishing_combinations(images)
     rows = [{j: x for j, x in enumerate(vec) if x} for vec in basis]
-    sub = []
+    sub, zero = [], Fraction(0)
     for combo in combos:
         acc: dict = {}
         for w, row in zip(combo, rows):
             if w:
                 for j, x in row.items():
-                    acc[j] = acc.get(j, 0) + w * x
-        sub.append([Fraction(acc.get(j, 0)) for j in range(DIM_TRACE_FREE)])
+                    acc[j] = acc.get(j, zero) + w * x
+        sub.append([acc.get(j, zero) for j in range(DIM_TRACE_FREE)])
     if sub:
         if not _twist(v).is_zero:
             raise CktError("v is not hypersurface-orthogonal (v . curl v != 0); "
                            "the eigenvector candidate is not certified to satisfy TSN")
-        if not all(row.is_zero for row in eigenvector_rows(_jets_on(plane, sub))):
+        if any(any(linalg.combination(combo, images)) for combo in combos):
             raise CktError("eigenvector subspace fails the TSN conditions; filter is unsound")
     # combos is in the normal form of ``nullspace``: one vector per free
     # column, 1 there and 0 at the other free columns.  A unit vector in
     # their span is read off at the free columns as one of them, so it lies
-    # in the span iff it is one of them.
-    outside = [idx for idx, jet in enumerate(jets)
-               if [int(i == idx) for i in range(len(basis))] not in combos and _tsn_on(jet)]
+    # in the span iff it is one of them: one whose only nonzero entry is the
+    # 1 at its free column.
+    inside = {combo.index(1) for combo in combos if sum(map(bool, combo)) == 1}
+    outside = [idx for idx, jet in enumerate(jets) if idx not in inside and _tsn_on(jet)]
     return TsnFilterResult(subspace=tuple(sub), outside_tsn_directions=tuple(outside))

@@ -19,7 +19,7 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .ckt_core import (CktError, ckv_by_name, free_json_dict, obstruction_from_free, symmetry_subspace,
+from .ckt_core import (CktError, ckv_by_name, free_json_dict, killing_obstruction_terms, symmetry_subspace,
                        tsn_filter)
 from .exactmath import ExactMathError, rat, rat_str
 from .expr import ExprError, eval_rational
@@ -249,7 +249,7 @@ def _symmetry_blocks(v, mode: str) -> tuple[list, list]:
                               "the TSN solution set inside the kernel is not a linear space",
                     "directions": list(filtered.outside_tsn_directions),
                 })
-            block["killing_obstruction_zero"] = [obstruction_from_free(vec).is_zero for vec in basis]
+            block["killing_obstruction_zero"] = [not killing_obstruction_terms(vec) for vec in basis]
         blocks.append(block)
     return blocks, findings
 

@@ -52,7 +52,9 @@ def _echelon(rows: list[Row]) -> tuple[list[Row], list[int]]:
     """
     by_lead: dict[int, list[Row]] = {}
     for row in rows:
-        row = _primitive(_scaled(row, lcm(*(x.denominator for x in row.values()))))
+        if not all(x.__class__ is int for x in row.values()):
+            row = _scaled(row, lcm(*(x.denominator for x in row.values())))
+        row = _primitive(row)
         by_lead.setdefault(min(row), []).append(row)
     ech: list[Row] = []
     pivots: list[int] = []
@@ -85,7 +87,7 @@ def _back_substitute(ech: list[Row], pivots: list[int], x: list[int],
                      rhs: Sequence[int]) -> list[Fraction]:
     """Set the pivot entries of x so that each echelon row r satisfies
     ech[r] . x = rhs[r] over the columns of x; the free entries of x, ints,
-    are kept as given.
+    are kept as given, and the pivot entries are given as 0.
 
     Fraction-free: the entries are integer numerators over one common
     denominator, which each pivot multiplies by the least factor that keeps
@@ -94,6 +96,8 @@ def _back_substitute(ech: list[Row], pivots: list[int], x: list[int],
     den = 1
     for r in range(len(ech) - 1, -1, -1):
         row, pc = ech[r], pivots[r]
+        if len(row) == 1 and not rhs[r]:
+            continue  # x[pc] stays 0
         s = rhs[r] * den - sum(v * x[c] for c, v in row.items() if c != pc and c < n and x[c])
         p = row[pc]
         g = gcd(s, p) if p > 0 else -gcd(s, p)
@@ -144,6 +148,15 @@ def vanishing_combinations(images: Sequence[Sequence[Poly]]) -> list[list[Fracti
     """Basis, in the normal form of ``nullspace``, of the vectors x with
     sum_c x_c images[c] = 0 identically (``_identity_rows``)."""
     return _null_basis(_identity_rows(images), len(images))
+
+
+def combination(weights: Sequence, images: Sequence[Sequence[Poly]]) -> list[Poly]:
+    """sum_c weights[c] images[c], component by component: zero iff the
+    weights are a vanishing combination, which certifies a solution of
+    ``vanishing_combinations`` exactly."""
+    one = Poly.const(1, images[0][0].nvars)
+    return [Poly.dot(one.nvars, [(w, one, image[r]) for w, image in zip(weights, images) if w])
+            for r in range(len(images[0]))]
 
 
 def solve_many(columns: Sequence[Sequence[Poly]],

@@ -17,9 +17,9 @@ process, on the six doubled unit tensors T_j (``_unit_tensors``).  The
 tensor of parameters x is sum_j x_j T_j / 2, and the conformal Killing
 equation and the curl numerators are linear in (K, k), so that tensor is a
 conformal Killing tensor and its curl numerators over D^3 are
-sum_j x_j images[j] / 2 (``_combination``).  Each solution is certified by
-this combination vanishing exactly, which proves what rebuilding it with
-``assemble_rotational`` and ``verify_ckt`` would.
+sum_j x_j images[j] / 2 (``linalg.combination``).  Each solution is
+certified by this combination vanishing exactly, which proves what
+rebuilding it with ``assemble_rotational`` and ``verify_ckt`` would.
 """
 
 from __future__ import annotations
@@ -164,14 +164,6 @@ def _curl_images(parts) -> list[list[Poly]]:
             for k, kvec in _unit_tensors()]
 
 
-def _combination(vec, images: list[list[Poly]]) -> list[Poly]:
-    """sum_j vec[j] images[j], component by component: twice the curl
-    numerators over D^3 of b omega for the tensor of the parameters vec."""
-    one = Poly.const(1, images[0][0].nvars)
-    return [Poly.dot(one.nvars, [(x, one, image[r]) for x, image in zip(vec, images) if x])
-            for r in range(3)]
-
-
 def solve_compatible(pot: Potential) -> ParamSolution:
     """All rotational parameters whose tensor satisfies the closedness of
     (E - V) k_flat - K dV, solved exactly (no sampling in the certified path).
@@ -186,7 +178,7 @@ def solve_compatible(pot: Potential) -> ParamSolution:
     images = _curl_images(_potential_parts(pot.v, pot.energy))
     basis = linalg.vanishing_combinations(images)
     for vec in basis:
-        if any(_combination(vec, images)):
+        if any(linalg.combination(vec, images)):
             raise CktError("solver self-check failed: a solution is not closed")
     return ParamSolution(basis=tuple(RotParams.make(*vec) for vec in basis))
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -9,10 +10,10 @@ from rotweb import ckt_core as cc
 from rotweb import linalg
 from rotweb.ckt_core import (DIM_TRACE_FREE, CktCoefficients, CktError, SymTensorField,
                              assemble_ckt, ckt_dimension, ckv_basis, ckv_by_name, conformal_factor,
-                             eigenvector_cross, free_json_dict, lie_derivative, metric,
-                             obstruction_from_free, symmetric_product, symmetry_subspace, tsn_check,
+                             eigenvector_cross, free_json_dict, killing_obstruction_terms,
+                             lie_derivative, metric, symmetric_product, symmetry_subspace, tsn_check,
                              tsn_filter, verify_ckt)
-from rotweb.exactmath import ExactMathError, Poly, rat_str
+from rotweb.exactmath import ExactMathError, Poly, rat, rat_str
 from rotweb.linalg import (char_poly, nullspace, rank, rational_eigenvalues, solve_many,
                            vanishing_combinations)
 
@@ -31,11 +32,10 @@ def vector(vx, vy, vz):
 
 def lie_operator(v):
     """The dense matrix of Lie_v on the 35 trace-free coordinates, from the
-    package's sparse columns: column c holds the coordinates of Lie_v
-    applied to basis vector c."""
-    columns = cc._lie_columns(v)
-    zero = Fraction(0)
-    return [[col.get(r, zero) for col in columns] for r in range(DIM_TRACE_FREE)]
+    package's sparse integer columns over one denominator: column c holds
+    the coordinates of Lie_v applied to basis vector c."""
+    den, columns = cc._lie_columns(v)
+    return [[Fraction(col.get(r, 0), den) for col in columns] for r in range(DIM_TRACE_FREE)]
 
 
 def commutator(v, w):
@@ -515,6 +515,29 @@ def killing_obstruction(k: SymTensorField) -> cc.VectorField:
     return cc.VectorField(tuple(kv[c].diff(b) - kv[b].diff(c) for b, c in ((1, 2), (2, 0), (0, 1))))
 
 
+@functools.lru_cache(maxsize=None)
+def basis_obstructions():
+    return tuple(killing_obstruction(k) for k in cc._free_basis())
+
+
+def obstruction_from_free(vec):
+    """The Killing obstruction of the tensor sum_c x_c F_c of vec as a sum of
+    polynomial fields: sum_c x_c times the obstruction of each basis tensor
+    F_c, by ``killing_obstruction``.  The oracle of the integer table of
+    ``killing_obstruction_terms``."""
+    one = Poly.const(1, 3)
+    columns = basis_obstructions()
+    return cc.VectorField(tuple(Poly.dot(3, [(rat(x), one, col[i]) for x, col in zip(vec, columns)])
+                                for i in range(3)))
+
+
+def terms_field(terms):
+    """The field of the {(component, packed monomial): coefficient} terms of
+    ``killing_obstruction_terms``."""
+    return cc.VectorField(tuple(Poly(3, {key: x for (i, key), x in terms.items() if i == component})
+                                for component in range(3)))
+
+
 class TestKillingObstruction:
     def test_killing_shaped_coefficients_pass(self, rng):
         for _ in range(25):
@@ -577,16 +600,45 @@ def killing_shaped(rng):
     return vec
 
 
+def assert_killing_terms(vec):
+    """The table's terms and flag for vec against both oracles: the tensor's
+    own obstruction and the sum of the basis tensors' obstructions."""
+    terms = killing_obstruction_terms(vec)
+    expected = killing_obstruction(assemble_free(vec))
+    assert terms_field(terms) == expected == obstruction_from_free(vec)
+    assert all(x for x in terms.values())
+    assert (not terms) == expected.is_zero
+    return terms
+
+
 class TestKillingMap:
-    """``obstruction_from_free`` reads the cached curls of the 35 basis
-    tensors; the oracle is ``killing_obstruction`` of the tensor itself."""
+    """``killing_obstruction_terms`` reads the cached integer table of the
+    curls of the 35 basis tensors at the nonzero coordinates of a vector;
+    the oracles are ``killing_obstruction`` of the tensor itself and the
+    polynomial sum of ``obstruction_from_free``."""
 
     def test_seeded_vectors_match_the_tensor_route(self):
         rng = random.Random(4021)
         for trial in range(60):
             density = (0.15, 0.5, 1.0)[trial % 3]
             vec = [rand_fraction(rng, -20, 20, 9) if rng.random() < density else 0 for _ in range(35)]
-            assert obstruction_from_free(vec) == killing_obstruction(assemble_free(vec))
+            assert_killing_terms(vec)
+
+    def test_table_is_integer_over_one_denominator(self):
+        q, columns = cc._killing_columns()
+        assert len(columns) == DIM_TRACE_FREE and q >= 1
+        assert all(type(n) is int and n for column in columns for n in column.values())
+        for c, column in enumerate(columns):
+            assert terms_field({slot: Fraction(n, q) for slot, n in column.items()}) == obstruction_from_free(
+                unit_vector(c))
+
+    def test_entries_as_rat_reads_them(self):
+        # The entries may be ints, Fractions or strings, as in free_json_dict.
+        rng = random.Random(4023)
+        for _ in range(20):
+            vec = [rand_fraction(rng, -9, 9, 5) if rng.random() < 0.3 else 0 for _ in range(35)]
+            terms = assert_killing_terms(vec)
+            assert killing_obstruction_terms([str(x) for x in vec]) == terms
 
     def test_g_m_or_antisymmetric_e_obstructs(self):
         rng = random.Random(4022)
@@ -596,8 +648,7 @@ class TestKillingMap:
                 blocks[block].append(idx)
         for trial in range(45):
             vec = killing_shaped(rng)
-            assert obstruction_from_free(vec).is_zero
-            assert killing_obstruction(assemble_free(vec)).is_zero
+            assert not assert_killing_terms(vec)
             kind = ("g", "m", "e")[trial % 3]
             if kind == "e":  # an antisymmetric part added to e
                 i, j = rng.choice([(0, 1), (0, 2), (1, 2)])
@@ -607,20 +658,18 @@ class TestKillingMap:
             else:
                 for idx in rng.sample(blocks[kind], rng.randint(1, len(blocks[kind]))):
                     vec[idx] = rand_fraction(rng, 1, 9, 5) * rng.choice((-1, 1))
-            obstruction = obstruction_from_free(vec)
-            assert not obstruction.is_zero, kind
-            assert obstruction == killing_obstruction(assemble_free(vec))
+            assert assert_killing_terms(vec), kind
 
     @pytest.mark.parametrize("name,h", SCAN_EIGENSPACES, ids=[f"{n} h={h}" for n, h in SCAN_EIGENSPACES])
     def test_scan_basis_vectors(self, name, h):
         _, basis = scan_eigenspace(name, h)
         for vec in basis:
-            assert obstruction_from_free(vec) == killing_obstruction(assemble_free(vec))
+            assert_killing_terms(vec)
 
     def test_wrong_length_raises(self):
         for bad in ([0] * 34, [0] * 36):
             with pytest.raises(CktError, match="35 free parameters"):
-                obstruction_from_free(bad)
+                killing_obstruction_terms(bad)
 
     def test_a_failing_basis_tensor_raises(self, monkeypatch):
         # The map checks every basis tensor when it is built; it is cached,
@@ -631,7 +680,7 @@ class TestKillingMap:
         cc._killing_columns.cache_clear()
         try:
             with pytest.raises(CktError, match="free basis tensor 17 fails"):
-                obstruction_from_free([1] * 35)
+                killing_obstruction_terms([1] * 35)
         finally:
             cc._killing_columns.cache_clear()
 
@@ -774,12 +823,12 @@ def leibniz_image(k, c):
 class TestLieOperator:
     @pytest.mark.parametrize("index", range(10))
     def test_basis_fields_follow_the_leibniz_rule(self, index):
-        columns = cc._basis_lie_columns(index)
-        assert len(columns) == DIM_TRACE_FREE
+        d, columns = cc._basis_lie_columns(index)
+        assert len(columns) == DIM_TRACE_FREE and d >= 1
         for c, column in enumerate(columns):
-            vec = [column.get(r, 0) for r in range(DIM_TRACE_FREE)]
+            vec = [Fraction(column.get(r, 0), d) for r in range(DIM_TRACE_FREE)]
             assert assemble_free(vec) == leibniz_image(index, c), c
-        assert all(type(x) is Fraction for column in columns for x in column.values())
+        assert all(type(x) is int and x for column in columns for x in column.values())
 
     def test_rational_combinations_match_the_reference(self, rng):
         basis = ckv_basis(3)
@@ -1043,6 +1092,28 @@ class TestPlaneJets:
             (_, basis), = symmetry_subspace(v, "h_zero")
             assert (vanishing_combinations(plane_eigenvector_rows(v, basis))
                     == vanishing_combinations(eigenvector_rows(v, basis)))
+
+    def test_reread_is_the_members_rows(self):
+        # tsn_filter re-reads (K.v) x v on each member of its candidate as
+        # the member's combination of the rows it has computed for the
+        # basis; re-deriving them from the member's own jets gives the same
+        # rows, up to one positive factor, for any combination.
+        rng = random.Random(10)
+        cases = [scan_eigenspace(name, h) for name, h in SCAN_EIGENSPACES]
+        cases += [(v, symmetry_subspace(v, "h_zero")[0][1])
+                  for v in translated_fields()[:2] + TWISTED[:3] + [seeded_field(rng)]]
+        for v, basis in cases:
+            images = plane_eigenvector_rows(v, basis)
+            combos = vanishing_combinations(images)
+            weights = combos + [[rand_fraction(rng, -3, 3) for _ in basis] for _ in range(3)]
+            for w in weights:
+                combined = linalg.combination(w, images)
+                rederived, = plane_eigenvector_rows(v, [combination(basis, w)])
+                if any(rederived):
+                    positive_ratio(combined, rederived)
+                else:
+                    assert not any(combined)
+            assert all(not any(linalg.combination(w, images)) for w in combos)
 
     def test_certificate_reads_the_whole_family(self, monkeypatch):
         # Two subspace vectors whose sum is the first candidate and which are

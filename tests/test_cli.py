@@ -358,6 +358,21 @@ class TestSymmetry:
             assert code == 0
             assert report["results"] == results
 
+    def test_warm_kernel_scans_build_the_operator_once(self, capsys, monkeypatch):
+        # symmetry_subspace sums the 35-column operator of v once per scan;
+        # the TSN stage's eigenspace check applies the cached columns of the
+        # basis fields to each basis vector instead of summing it again.
+        scans = [("symmetry", name, "--h", "0") for name in ("X3", "D", "I3", "R3")]
+        for argv in scans:
+            run_json(capsys, *argv)
+        real, calls = ckt_core._lie_columns, []
+        monkeypatch.setattr(ckt_core, "_lie_columns", lambda v: calls.append(v) or real(v))
+        for argv in scans:
+            calls.clear()
+            code, _ = run_json(capsys, *argv)
+            assert code == 0
+            assert len(calls) == 1, argv
+
     def test_failed_killing_check_exits_1(self, capsys, monkeypatch):
         # The conformal Killing check runs on the 35 basis tensors when the
         # cached Killing map is built; the map is cleared before the call

@@ -10,7 +10,7 @@ from rotweb.exactmath import Poly, RationalFunction, rat
 from rotweb.expr import ExprError
 from rotweb.quartic_class import WebType
 from rotweb.rotational import RotParams, assemble_rotational
-from rotweb.separability import (Potential, _combination, _curl_images, _curl_numerators,
+from rotweb.separability import (Potential, _curl_images, _curl_numerators,
                                  _form_numerators, _potential_parts, classify_potential,
                                  is_closed, parse_potential, solve_compatible)
 
@@ -280,7 +280,7 @@ class TestLinearCertificate:
         closed = []
         for vec in vectors:
             route = _curl_numerators(member_numerators(RotParams.make(*vec), parts), d, dd, 2)
-            assert _combination(vec, images) == [2 * c for c in route]
+            assert linalg.combination(vec, images) == [2 * c for c in route]
             closed.append(not any(route))
         # Members are closed; random vectors are not, unless every one is.
         assert all(closed[:len(members)])
