@@ -439,16 +439,21 @@ def _tsn_scalars(k, dk):
     dot = partial(Poly.dot, one.nvars)
     # curl[m][(j, kk)] = d_kk K_mj - d_j K_mkk, shared by the three rows ll.
     curl = [{(j, kk): dk[m][j][kk] - dk[m][kk][j] for j, kk in _PLANE_PAIRS} for m in range(3)]
-    n = {(ll, j, kk): dot([product for m in range(3) for product in (
-        (1, k[ll][m], curl[m][(j, kk)]), (1, k[m][j], dk[ll][kk][m]), (-1, k[m][kk], dk[ll][j][m]))])
-        for j, kk in _PLANE_PAIRS for ll in range(3)}
-    yield dot([(s, one, n[(i, j, kk)]) for i, j, kk, s in _SLOTS])
-    yield dot([(s, k[i][ll], n[(ll, j, kk)]) for i, j, kk, s in _SLOTS for ll in range(3)])
+
+    # The torsion entries, each formed when first read: the g-scalar reads
+    # only the three at _SLOTS.
+    @lru_cache(maxsize=None)
+    def n(ll, j, kk):
+        return dot([product for m in range(3) for product in (
+            (1, k[ll][m], curl[m][(j, kk)]), (1, k[m][j], dk[ll][kk][m]), (-1, k[m][kk], dk[ll][j][m]))])
+
+    yield dot([(s, one, n(i, j, kk)) for i, j, kk, s in _SLOTS])
+    yield dot([(s, k[i][ll], n(ll, j, kk)) for i, j, kk, s in _SLOTS for ll in range(3)])
     # K.K is symmetric since K is: only its upper triangle is multiplied out.
     square = [[None] * 3 for _ in range(3)]
     for i, j in _UPPER:
         square[i][j] = square[j][i] = dot([(1, k[i][m], k[m][j]) for m in range(3)])
-    yield dot([(s, square[i][ll], n[(ll, j, kk)]) for i, j, kk, s in _SLOTS for ll in range(3)])
+    yield dot([(s, square[i][ll], n(ll, j, kk)) for i, j, kk, s in _SLOTS for ll in range(3)])
 
 
 def tsn_check(k: SymTensorField) -> bool:
@@ -524,37 +529,36 @@ def _free_entries() -> tuple[int, tuple]:
     return 2, tuple(rows)
 
 
-def _nonzero_numerators(vecs: Sequence[Sequence]) -> tuple[int, list[list[tuple[int, int]]]]:
-    """One positive common denominator d of the entries of the
-    free-coordinate vectors, each anything ``rat`` reads, and per vector the
-    (coordinate, d x) of its nonzero entries x: every linear map of the
-    scans reads a vector at these alone."""
-    vecs = [[x if x.__class__ is Fraction else rat(x) for x in vec] for vec in vecs]
-    if any(len(vec) != DIM_TRACE_FREE for vec in vecs):
+def _free_vector(vec) -> linalg.Numerators:
+    """A free-coordinate vector as ``linalg.Numerators``, which the scans
+    hand on and read at its nonzero coordinates alone: as given when it is
+    one, else read once from its 35 entries, each anything ``rat`` reads."""
+    if vec.__class__ is linalg.Numerators:
+        return vec
+    values = [rat(x) for x in vec]
+    if len(values) != DIM_TRACE_FREE:
         raise CktError(f"expected {DIM_TRACE_FREE} free parameters")
-    d = math.lcm(*(x.denominator for vec in vecs for x in vec if x))
-    return d, [[(c, x.numerator * (d // x.denominator)) for c, x in enumerate(vec) if x] for vec in vecs]
+    return linalg.Numerators.of(values)
 
 
-def _free_numerators(vec: Sequence) -> tuple[list[int], int]:
+def _free_numerators(vec: linalg.Numerators) -> tuple[list[int], int]:
     """The flat blocks of the tensor with free coordinates vec
     (``_free_entries``) as integer numerators over one positive common
     denominator, and that denominator."""
-    d, (nonzero,) = _nonzero_numerators([vec])
     q, rows = _free_entries()
     flat = [0] * _FLAT_SIZE
-    for c, n in nonzero:
+    for c, n in vec.entries:
         for entry, x in rows[c]:
             flat[entry] += n * x
-    return flat, q * d
+    return flat, q * vec.den
 
 
-def free_json_dict(vec: Sequence) -> dict:
-    """The coefficient blocks of the tensor with free coordinates vec, under
-    their JSON names (``_BLOCK_NAMES``) and with each entry as ``rat_str``
-    writes it, from the integer numerators without a Fraction: a scan's
-    report block."""
-    flat, den = _free_numerators(vec)
+def free_json_dict(vec) -> dict:
+    """The coefficient blocks of the tensor with free coordinates vec
+    (``_free_vector``), under their JSON names (``_BLOCK_NAMES``) and with
+    each entry as ``rat_str`` writes it, from the integer numerators without
+    a Fraction: a scan's report block."""
+    flat, den = _free_numerators(_free_vector(vec))
     return dict(zip(_BLOCK_NAMES, _sliced([_ratio_str(n, den) if n else "0" for n in flat], list)))
 
 
@@ -568,7 +572,7 @@ def _ratio_str(n: int, den: int) -> str:
 def _free_basis() -> tuple[SymTensorField, ...]:
     """The tensors F_c of the 35 unit free-coordinate vectors, assembled
     from their blocks (``_free_numerators``)."""
-    units = ([int(i == c) for i in range(DIM_TRACE_FREE)] for c in range(DIM_TRACE_FREE))
+    units = (linalg.Numerators(1, ((c, 1),)) for c in range(DIM_TRACE_FREE))
     return tuple(assemble_ckt(CktCoefficients(*_sliced([Fraction(n, den) for n in flat])))
                  for flat, den in map(_free_numerators, units))
 
@@ -601,18 +605,18 @@ def _plane_jets(plane: tuple[int, int]) -> tuple:
     return tuple(jets)
 
 
-def _jets_on(plane: tuple[int, int], vecs: Sequence) -> list[list[Poly]]:
+def _jets_on(plane: tuple[int, int], rows: Sequence[dict]) -> list[list[Poly]]:
     """The jets on the plane of the tensors of the vectors, 24 polynomials
-    each: sum_c n_c times the jets of ``_plane_jets``, for n = d vec and one
-    d > 0 for all the vectors.  That common factor keeps the zeros of the
-    TSN scalars, homogeneous in K, and the vanishing combinations of the
-    eigenvector condition, linear in K."""
-    _, numerators = _nonzero_numerators(vecs)
+    each: sum_c n_c times the jets of ``_plane_jets``, for the integer
+    numerators n = d x {c: n_c} of the vectors x over one d > 0 for all of
+    them.  That common factor keeps the zeros of the TSN scalars,
+    homogeneous in K, and the vanishing combinations of the eigenvector
+    condition, linear in K."""
     jets = _plane_jets(plane)
     out = []
-    for nonzero in numerators:
+    for row in rows:
         slots: list[dict] = [{} for _ in range(24)]
-        for c, n in nonzero:
+        for c, n in row.items():
             for (s, key), value in jets[c]:
                 slots[s][key] = slots[s].get(key, 0) + n * value
         out.append([Poly(3, {key: c for key, c in slot.items() if c}) for slot in slots])
@@ -647,22 +651,23 @@ def _killing_columns() -> tuple[int, tuple[dict, ...]]:
                     for curl in curls)
 
 
-def killing_obstruction_terms(vec: Sequence) -> dict:
-    """The Killing obstruction of the tensor sum_c x_c F_c of vec, the curl
-    of its contraction vector k (the Hodge dual of the two-form d(k-flat),
+def killing_obstruction_terms(vec) -> dict:
+    """The Killing obstruction of the tensor sum_c x_c F_c of vec
+    (``_free_vector``), the curl of its contraction vector k (the Hodge
+    dual of the two-form d(k-flat),
     as the components (23, 31, 12)), as its nonzero terms {(component,
     packed monomial): coefficient}.  It is empty iff the equivalence class
     of the tensor modulo metric multiples contains a Killing tensor.  The
     curl is linear in the tensor, so it is sum_c x_c times that of F_c
     (``_killing_columns``, built once), read at the nonzero coordinates of
     vec: no tensor is assembled or differentiated."""
-    d, (nonzero,) = _nonzero_numerators([vec])
+    vec = _free_vector(vec)
     q, columns = _killing_columns()
     terms: dict = {}
-    for c, n in nonzero:
+    for c, n in vec.entries:
         for slot, x in columns[c].items():
             terms[slot] = terms.get(slot, 0) + n * x
-    return {slot: Fraction(x, q * d) for slot, x in terms.items() if x}
+    return {slot: Fraction(x, q * vec.den) for slot, x in terms.items() if x}
 
 
 # ---------------------------------------------------------------------------
@@ -715,9 +720,8 @@ def _basis_lie_columns(k: int) -> tuple[int, tuple[dict, ...]]:
     solutions = linalg.solve_many(_assembly_matrix(), images)
     if solutions is None:
         raise CktError(_LEFT_SPACE)
-    d = math.lcm(*(x.denominator for col in solutions for x in col))
-    return d, tuple({r: x.numerator * (d // x.denominator) for r, x in enumerate(col) if x}
-                    for col in solutions)
+    d = math.lcm(*(col.den for col in solutions))
+    return d, tuple({r: n * (d // col.den) for r, n in col.entries} for col in solutions)
 
 
 def _lie_terms(v: VectorField) -> tuple[int, list[tuple[int, tuple[dict, ...]]]]:
@@ -749,14 +753,15 @@ def _lie_columns(v: VectorField) -> tuple[int, list[dict]]:
     return den, [{r: x for r, x in col.items() if x} for col in columns]
 
 
-def symmetry_subspace(v: VectorField, mode: str) -> list[tuple[Fraction, list[list[Fraction]]]]:
+def symmetry_subspace(v: VectorField, mode: str) -> list[tuple[Fraction, list[linalg.Numerators]]]:
     """Treat Lie_v as a linear operator on the 35-dimensional trace-free
     coefficient space.  mode "h_zero" returns the kernel; mode "h_constant"
     returns every real eigenvalue with its exact eigenspace.  Each basis
-    vector is a list of 35 free coordinates (``FREE_COORDS``), as
-    ``linalg.nullspace`` and ``linalg.rational_eigenvalues`` give it; its
-    tensor is ``assemble_ckt(CktCoefficients.from_json_dict(
-    free_json_dict(vec)))``.
+    vector holds 35 free coordinates (``FREE_COORDS``) as the integer
+    numerators over one denominator that ``linalg.nullspace`` and
+    ``linalg.rational_eigenvalues`` give (``linalg.Numerators``), and every
+    reader of a scan takes it as it is; its tensor is
+    ``assemble_ckt(CktCoefficients.from_json_dict(free_json_dict(vec)))``.
     """
     if mode not in ("h_zero", "h_constant"):
         raise CktError(f"unknown mode {mode!r}; expected h_zero or h_constant")
@@ -792,16 +797,16 @@ def _transversal_plane(v: VectorField) -> tuple[int, int]:
     raise CktError("no coordinate plane x_i = 0 or x_i = 1 is transversal to v")
 
 
-def _check_one_eigenspace(v: VectorField, basis: list[list[Fraction]]) -> None:
+def _check_one_eigenspace(v: VectorField, basis: list[linalg.Numerators]) -> None:
     """Raise unless every free-coordinate vector lies in one eigenspace of
     Lie_v, with one eigenvalue for all of them.  Lie_v is applied to the
-    vectors' integer numerators n (``_nonzero_numerators``) as
+    vectors' integer numerators n as
     sum_k n_k N_k (``_lie_terms``), reading the cached columns at the
     nonzero coordinates of n alone; the image is den Lie_v n, an eigenvector
     image when it is p/q times n, for one ratio p/q (den h) for all."""
     _, terms = _lie_terms(v)
     p = q = None
-    for nonzero in _nonzero_numerators(basis)[1]:
+    for _, nonzero in basis:
         image: dict = {}
         for weight, columns in terms:
             for j, n in nonzero:
@@ -819,7 +824,8 @@ def _check_one_eigenspace(v: VectorField, basis: list[list[Fraction]]) -> None:
 class TsnFilterResult:
     """Outcome of restricting a symmetry subspace by the TSN conditions.
 
-    ``subspace`` is a basis, as free-coordinate vectors, of the members of
+    ``subspace`` is a basis, as free-coordinate vectors in the form of
+    ``symmetry_subspace`` (``linalg.Numerators``), of the members of
     the span that admit v as an eigenvector; it always satisfies TSN
     identically (certified by hypersurface orthogonality of v; see
     ``tsn_filter``).  ``outside_tsn_directions``
@@ -828,7 +834,7 @@ class TsnFilterResult:
     span is not a linear space, and the offending directions are reported
     rather than silently absorbed."""
 
-    subspace: tuple[list[Fraction], ...]
+    subspace: tuple[linalg.Numerators, ...]
     outside_tsn_directions: tuple[int, ...]
 
     @property
@@ -843,9 +849,10 @@ def _twist(v: VectorField) -> Poly:
     return Poly.dot(v.nvars, [(EPS[i][j][k], v[i], v[k].diff(j)) for i, j, k in itertools.permutations(range(3))])
 
 
-def tsn_filter(v: VectorField, basis: list[list[Fraction]]) -> TsnFilterResult:
+def tsn_filter(v: VectorField, basis: Sequence) -> TsnFilterResult:
     """Restrict span(basis), a list of linearly independent free-coordinate
-    vectors such as one eigenspace of ``symmetry_subspace``, to the members
+    vectors (``_free_vector``) such as one eigenspace of
+    ``symmetry_subspace``, read as they are given, to the members
     satisfying the normal-eigenvector (TSN) conditions identically.
 
     The basis must lie in one eigenspace of Lie_v, Lie_v K = h K; this is
@@ -918,21 +925,24 @@ def tsn_filter(v: VectorField, basis: list[list[Fraction]]) -> TsnFilterResult:
     v . curl v != 0, a nonempty candidate is not certified, and CktError
     is raised rather than an uncertified answer given.
     """
+    basis = [_free_vector(vec) for vec in basis]
     _check_one_eigenspace(v, basis)
     plane = var, value = _transversal_plane(v)
     on_plane = VectorField(tuple(p.restrict(var, value) for p in v.components))
-    jets = _jets_on(plane, basis)
+    # The rows are d x over one common d; a member is their combination / d.
+    d = math.lcm(*(vec.den for vec in basis))
+    rows = [{c: n * (d // vec.den) for c, n in vec.entries} for vec in basis]
+    jets = _jets_on(plane, rows)
     images = [eigenvector_cross(SymTensorField.from_upper(*jet[::4]), on_plane).components for jet in jets]
     combos = linalg.vanishing_combinations(images)
-    rows = [{j: x for j, x in enumerate(vec) if x} for vec in basis]
-    sub, zero = [], Fraction(0)
+    sub = []
     for combo in combos:
         acc: dict = {}
-        for w, row in zip(combo, rows):
-            if w:
-                for j, x in row.items():
-                    acc[j] = acc.get(j, zero) + w * x
-        sub.append([acc.get(j, zero) for j in range(DIM_TRACE_FREE)])
+        for i, w in combo.entries:
+            for c, n in rows[i].items():
+                acc[c] = acc.get(c, 0) + w * n
+        g = math.gcd(combo.den * d, *acc.values())
+        sub.append(linalg.Numerators(combo.den * d // g, tuple(sorted((c, n // g) for c, n in acc.items() if n))))
     if sub:
         if not _twist(v).is_zero:
             raise CktError("v is not hypersurface-orthogonal (v . curl v != 0); "
@@ -944,6 +954,6 @@ def tsn_filter(v: VectorField, basis: list[list[Fraction]]) -> TsnFilterResult:
     # their span is read off at the free columns as one of them, so it lies
     # in the span iff it is one of them: one whose only nonzero entry is the
     # 1 at its free column.
-    inside = {combo.index(1) for combo in combos if sum(map(bool, combo)) == 1}
+    inside = {combo.entries[0][0] for combo in combos if len(combo.entries) == 1}
     outside = [idx for idx, jet in enumerate(jets) if idx not in inside and _tsn_on(jet)]
     return TsnFilterResult(subspace=tuple(sub), outside_tsn_directions=tuple(outside))

@@ -3,7 +3,9 @@
 Elimination works on sparse integer rows, ``{column: value}`` dicts over the
 nonzero entries: each row is cleared to integers once, the columns are taken
 from the left, the pivot is the row with the fewest nonzeros, and each
-combined row is divided by its gcd, so every entry stays an int.
+combined row is divided by its gcd, so every entry stays an int.  Its
+solutions stay integers too: each is handed out as ``Numerators``, integer
+numerators over one denominator at the nonzero coordinates.
 A polynomial identity that is linear in some unknowns becomes one such row
 per (component, monomial) (``_identity_rows``), which both
 ``vanishing_combinations`` and ``solve_many`` eliminate.
@@ -15,11 +17,33 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exactmath import ExactMathError, Poly, int_cleared, rational_roots, real_root_count
 
 Row = dict  # sparse row: {column: value} over the nonzero entries
+
+
+class Numerators(NamedTuple):
+    """A rational vector as integer numerators over one denominator: den,
+    the least common denominator of its entries, and entries, the
+    (coordinate, numerator) pairs at its nonzero coordinates in coordinate
+    order; the entry at coordinate c is numerator / den.  The form is
+    unique, so two vectors are equal iff their forms are."""
+
+    den: int
+    entries: tuple[tuple[int, int], ...]
+
+    @classmethod
+    def of(cls, values: Sequence) -> Numerators:
+        """The form of a dense vector of ints and Fractions."""
+        den = lcm(*(x.denominator for x in values if x))
+        return cls(den, tuple((c, x.numerator * (den // x.denominator)) for c, x in enumerate(values) if x))
+
+    def dense(self, n: int) -> list[Fraction]:
+        """The vector as n Fractions."""
+        values = dict(self.entries)
+        return [Fraction(values.get(c, 0), self.den) for c in range(n)]
 
 
 def _sparse(row: Sequence) -> Row:
@@ -83,47 +107,52 @@ def row_echelon(matrix: Sequence[Sequence]) -> tuple[list[Row], list[int]]:
     return _echelon([row for row in map(_sparse, matrix) if row])
 
 
-def _back_substitute(ech: list[Row], pivots: list[int], x: list[int],
-                     rhs: Sequence[int]) -> list[Fraction]:
-    """Set the pivot entries of x so that each echelon row r satisfies
-    ech[r] . x = rhs[r] over the columns of x; the free entries of x, ints,
-    are kept as given, and the pivot entries are given as 0.
+def _back_substitute(ech: list[Row], pivots: list[int], x: dict, rhs: Sequence[int],
+                     order: Sequence[int]) -> Numerators:
+    """x, given as a dict {column: int} of its nonzero entries, with its
+    pivot entries solved so that each echelon row r of order, visited in
+    that order (descending), satisfies ech[r] . x = rhs[r] over the columns
+    of x; the entries given are kept, and the rows not in order must hold
+    already.
 
     Fraction-free: the entries are integer numerators over one common
     denominator, which each pivot multiplies by the least factor that keeps
-    them integers, and are divided by it once at the end."""
-    n = len(x)
+    them integers; so it stays the least common denominator of the
+    entries."""
     den = 1
-    for r in range(len(ech) - 1, -1, -1):
+    for r in order:
         row, pc = ech[r], pivots[r]
-        if len(row) == 1 and not rhs[r]:
-            continue  # x[pc] stays 0
-        s = rhs[r] * den - sum(v * x[c] for c, v in row.items() if c != pc and c < n and x[c])
-        p = row[pc]
-        g = gcd(s, p) if p > 0 else -gcd(s, p)
-        if (scale := p // g) != 1:
-            den *= scale
-            x = [v * scale for v in x]
-        x[pc] = s // g
-    zero = Fraction(0)
-    return [Fraction(v, den) if v else zero for v in x]
+        s = rhs[r] * den - sum(v * x[c] for c, v in row.items() if c in x)
+        if s:
+            p = row[pc]
+            g = gcd(s, p) if p > 0 else -gcd(s, p)
+            if (scale := p // g) != 1:
+                den *= scale
+                x = {c: v * scale for c, v in x.items()}
+            x[pc] = s // g
+    return Numerators(den, tuple(sorted(x.items())))
 
 
-def _null_basis(rows: list[Row], ncols: int) -> list[list[Fraction]]:
+def _null_basis(rows: list[Row], ncols: int) -> list[Numerators]:
+    """The basis of ``nullspace``.  For free column fc, x[fc] = 1 and only
+    the echelon rows reached from fc are solved, by descending pivot: those
+    with an entry at fc or at the pivot of a reached row (Gilbert and
+    Peierls' sparse triangular solve); the others have a zero pivot entry."""
     ech, pivots = _echelon(rows)
+    row_of = {pc: r for r, pc in enumerate(pivots)}
+    reaches: list[list[int]] = [[] for _ in range(ncols)]
+    for row, pc in zip(ech, pivots):
+        for c in row:
+            if c != pc:
+                reaches[c].append(pc)
     zeros = [0] * len(ech)
-    is_pivot = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc not in is_pivot:
-            vec = [0] * ncols
-            vec[fc] = 1
-            basis.append(_back_substitute(ech, pivots, vec, zeros))
-    return basis
+    return [_back_substitute(ech, pivots, {fc: 1}, zeros,
+                             sorted((row_of[c] for c in _reach(fc, reaches) if c != fc), reverse=True))
+            for fc in range(ncols) if fc not in row_of]
 
 
-def nullspace(matrix: Sequence[Sequence | Row], ncols: int | None = None) -> list[list[Fraction]]:
-    """Basis of the right null space, as Fraction vectors: one per free
+def nullspace(matrix: Sequence[Sequence | Row], ncols: int | None = None) -> list[Numerators]:
+    """Basis of the right null space, as ``Numerators``: one per free
     column, with that entry 1 and the other free entries 0.  The rows may
     be dense or sparse (``_rows``); a matrix of sparse rows needs ncols."""
     if ncols is None:
@@ -144,34 +173,35 @@ def _identity_rows(images: Sequence[Sequence[Poly]]) -> list[Row]:
     return list(rows.values())
 
 
-def vanishing_combinations(images: Sequence[Sequence[Poly]]) -> list[list[Fraction]]:
+def vanishing_combinations(images: Sequence[Sequence[Poly]]) -> list[Numerators]:
     """Basis, in the normal form of ``nullspace``, of the vectors x with
     sum_c x_c images[c] = 0 identically (``_identity_rows``)."""
     return _null_basis(_identity_rows(images), len(images))
 
 
-def combination(weights: Sequence, images: Sequence[Sequence[Poly]]) -> list[Poly]:
-    """sum_c weights[c] images[c], component by component: zero iff the
-    weights are a vanishing combination, which certifies a solution of
-    ``vanishing_combinations`` exactly."""
+def combination(weights: Numerators, images: Sequence[Sequence[Poly]]) -> list[Poly]:
+    """den sum_c weights[c] images[c], component by component, from the
+    integer numerators of the weights: zero iff the weights are a vanishing
+    combination, which certifies a solution of ``vanishing_combinations``
+    exactly."""
     one = Poly.const(1, images[0][0].nvars)
-    return [Poly.dot(one.nvars, [(w, one, image[r]) for w, image in zip(weights, images) if w])
+    return [Poly.dot(one.nvars, [(n, one, images[c][r]) for c, n in weights.entries])
             for r in range(len(images[0]))]
 
 
 def solve_many(columns: Sequence[Sequence[Poly]],
-               rhs: Sequence[Sequence[Poly]]) -> list[list[Fraction]] | None:
+               rhs: Sequence[Sequence[Poly]]) -> list[Numerators] | None:
     """Solve sum_c x_c columns[c] = rhs[j] identically for every j over a
     single elimination, with free variables set to zero; the images are
     read as in ``vanishing_combinations``, rhs[j] in column len(columns) + j.
 
-    Returns the solutions, or None if any right-hand side is inconsistent.
+    Returns the solutions as ``Numerators``, or None if any is inconsistent.
     """
     ncols = len(columns)
     ech, pivots = _echelon(_identity_rows([*columns, *rhs]))
     if any(p >= ncols for p in pivots):
         return None
-    return [_back_substitute(ech, pivots, [0] * ncols, [row.get(ncols + j, 0) for row in ech])
+    return [_back_substitute(ech, pivots, {}, [row.get(ncols + j, 0) for row in ech], reversed(range(len(ech))))
             for j in range(len(rhs))]
 
 
@@ -233,15 +263,20 @@ def char_poly(matrix: Sequence[Sequence | Row]) -> list[list[int]]:
     a positive multiple of det(t*I - A).
 
     The blocks are the strongly connected components of the graph i -> j
-    for a[i][j] != 0, along which the matrix is block triangular.  Each is
-    scaled to integers by the least common denominator d of its entries and
-    run through Berkowitz's division-free algorithm: the block of size m
-    times d^m has the coefficient c_i(d A) d^(m-i) at t^(m-i).  The rows
-    may be dense or sparse (``_rows``).
+    for a[i][j] != 0, along which the matrix is block triangular.  A 1x1
+    block {i} is t - a_ii, read off the diagonal as q t - p for a_ii = p/q.
+    A larger one is scaled to integers by the least common denominator d of
+    its entries and run through Berkowitz's division-free algorithm: the
+    block of size m times d^m has the coefficient c_i(d A) d^(m-i) at
+    t^(m-i).  The rows may be dense or sparse (``_rows``).
     """
     sparse = _rows(matrix)
     blocks = []
     for component in _strong_components([list(row) for row in sparse]):
+        if len(component) == 1:
+            a = sparse[component[0]].get(component[0], 0)
+            blocks.append([-a.numerator, a.denominator])
+            continue
         position = {g: p for p, g in enumerate(component)}
         block = [{position[j]: x for j, x in sparse[g].items() if j in position} for g in component]
         d = lcm(1, *(x.denominator for row in block for x in row.values()))
@@ -250,8 +285,8 @@ def char_poly(matrix: Sequence[Sequence | Row]) -> list[list[int]]:
     return blocks
 
 
-def rational_eigenvalues(matrix: Sequence[Sequence | Row]) -> list[tuple[Fraction, list[list[Fraction]]]]:
-    """All real eigenvalues of a rational matrix, with exact eigenspaces.
+def rational_eigenvalues(matrix: Sequence[Sequence | Row]) -> list[tuple[Fraction, list[Numerators]]]:
+    """All real eigenvalues of a rational matrix, with exact eigenspaces as ``nullspace`` gives them.
 
     Every real eigenvalue must be rational (true for the operators this
     package diagonalizes); an irrational real eigenvalue raises, it is never

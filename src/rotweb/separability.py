@@ -180,7 +180,7 @@ def solve_compatible(pot: Potential) -> ParamSolution:
     for vec in basis:
         if any(linalg.combination(vec, images)):
             raise CktError("solver self-check failed: a solution is not closed")
-    return ParamSolution(basis=tuple(RotParams.make(*vec) for vec in basis))
+    return ParamSolution(basis=tuple(RotParams.make(*vec.dense(_NPARAMS)) for vec in basis))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from rotweb import ckt_core
 from rotweb.ckt_core import CktError, SymTensorField, basis_product
 from rotweb.exactmath import Poly, RationalFunction
+from rotweb.linalg import Numerators
 from rotweb.rotational import _PIECES
 
 
@@ -62,10 +63,18 @@ def matrix_at(k: SymTensorField, point) -> list:
     return [[evaluate(k[i][j], point) for j in range(3)] for i in range(3)]
 
 
+def free_values(vec) -> list:
+    """The 35 free coordinates of a scan vector, ``linalg.Numerators``, as
+    Fractions; a vector of values is returned as it is."""
+    return vec.dense(ckt_core.DIM_TRACE_FREE) if isinstance(vec, Numerators) else vec
+
+
 def assemble_free(vec) -> SymTensorField:
     """The tensor sum_c x_c F_c of a vector x of rational free parameters
-    over the basis tensors F_c of ``_free_basis``: the assembled oracle of
-    the routes that read a vector through cached linear images."""
+    (``free_values``) over the basis tensors F_c of ``_free_basis``: the
+    assembled oracle of the routes that read a vector through cached linear
+    images."""
+    vec = free_values(vec)
     if len(vec) != ckt_core.DIM_TRACE_FREE:
         raise CktError(f"expected {ckt_core.DIM_TRACE_FREE} free parameters")
     return SymTensorField.combination(zip(vec, ckt_core._free_basis()), 3)

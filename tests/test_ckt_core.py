@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -14,10 +15,10 @@ from rotweb.ckt_core import (DIM_TRACE_FREE, CktCoefficients, CktError, SymTenso
                              lie_derivative, metric, symmetric_product, symmetry_subspace, tsn_check,
                              tsn_filter, verify_ckt)
 from rotweb.exactmath import ExactMathError, Poly, rat, rat_str
-from rotweb.linalg import (char_poly, nullspace, rank, rational_eigenvalues, solve_many,
+from rotweb.linalg import (Numerators, char_poly, nullspace, rank, rational_eigenvalues, solve_many,
                            vanishing_combinations)
 
-from conftest import (assemble_free, degree_in, evaluate, rand_fraction, symbolic_family,
+from conftest import (assemble_free, degree_in, evaluate, free_values, rand_fraction, symbolic_family,
                       tensor_degree)
 from ref_univariate import UniPoly, product, ref_monic
 
@@ -63,7 +64,7 @@ def extend_tensor(k, nvars):
 def free_blocks(vec):
     """The ten coefficient blocks of the tensor with free coordinates vec,
     from the package's integer numerators."""
-    flat, den = cc._free_numerators(vec)
+    flat, den = cc._free_numerators(cc._free_vector(vec))
     zero = Fraction(0)
     return cc._sliced([Fraction(n, den) if n else zero for n in flat])
 
@@ -379,7 +380,8 @@ class TestVerifyCktEquations:
                                              for ab in cc._UPPER))
                  for upper in cc._UPPER for e in monomials]
         null = vanishing_combinations([[ck_residual(t, *eq) for eq in others] for t in basis])
-        tensors = (SymTensorField.combination([(c, t) for c, t in zip(vec, basis) if c], 3) for vec in null)
+        tensors = (SymTensorField.combination([(c, t) for c, t in zip(vec.dense(len(basis)), basis) if c], 3)
+                   for vec in null)
         k = next(k for k in tensors if not ck_residual(k, i, j, m).is_zero)
         failing = [eq for eq in CK_EQUATIONS if not ck_residual(k, *eq).is_zero]
         assert (i, j, m) in failing and all(eq == (i, j, m) or len(set(eq)) == 1 for eq in failing)
@@ -397,6 +399,11 @@ def scan_eigenspace(name, h):
 
 
 def combination(members, weights):
+    """sum_i weights[i] members[i] as 35 Fractions; the members and the
+    weights may be ``Numerators``."""
+    members = [free_values(vec) for vec in members]
+    if isinstance(weights, Numerators):
+        weights = weights.dense(len(members))
     return [sum(w * vec[j] for w, vec in zip(weights, members)) for j in range(cc.DIM_TRACE_FREE)]
 
 
@@ -414,7 +421,7 @@ def assert_trace_relations(vec):
     data = free_json_dict(vec)
     a, b, c, d, e, f, g, h, l, m = (read(data[name]) for name in
                                     ("A", "B", "C", "D", "E", "F", "G", "Hscalar", "L", "M"))
-    for (block, i, j), x in zip(cc.FREE_COORDS, vec):
+    for (block, i, j), x in zip(cc.FREE_COORDS, free_values(vec)):
         assert {"a": a, "b": b, "e": e, "g": g, "m": m}[block][i][j] == Fraction(x)
     for grid in (a, m):
         assert all(grid[i][j] == grid[j][i] for i in range(3) for j in range(3))
@@ -527,7 +534,8 @@ def obstruction_from_free(vec):
     ``killing_obstruction_terms``."""
     one = Poly.const(1, 3)
     columns = basis_obstructions()
-    return cc.VectorField(tuple(Poly.dot(3, [(rat(x), one, col[i]) for x, col in zip(vec, columns)])
+    values = free_values(vec)
+    return cc.VectorField(tuple(Poly.dot(3, [(rat(x), one, col[i]) for x, col in zip(values, columns)])
                                 for i in range(3)))
 
 
@@ -804,7 +812,8 @@ def reference_lie_operator(v):
     solutions = solve_many(cc._assembly_matrix(), images)
     if solutions is None:
         raise CktError("Lie derivative left the trace-free space; v is not a CKV")
-    return [[solutions[c][r] for c in range(cc.DIM_TRACE_FREE)] for r in range(cc.DIM_TRACE_FREE)]
+    columns = [solution.dense(cc.DIM_TRACE_FREE) for solution in solutions]
+    return [[columns[c][r] for c in range(cc.DIM_TRACE_FREE)] for r in range(cc.DIM_TRACE_FREE)]
 
 
 def leibniz_image(k, c):
@@ -1030,6 +1039,14 @@ def positive_ratio(jet, expected):
     return r
 
 
+def jets_on(plane, vecs):
+    """``_jets_on`` of the vectors, read as ``tsn_filter`` reads them: their
+    integer numerators over one common denominator."""
+    vecs = [cc._free_vector(vec) for vec in vecs]
+    d = math.lcm(*(vec.den for vec in vecs))
+    return cc._jets_on(plane, [{c: n * (d // vec.den) for c, n in vec.entries} for vec in vecs])
+
+
 def eigenvector_rows(v, basis):
     """The rows (K.v) x v of the assembled tensors: the oracle."""
     return [eigenvector_cross(assemble_free(vec), v).components for vec in basis]
@@ -1041,7 +1058,7 @@ def plane_eigenvector_rows(v, basis):
     var, value = plane = cc._transversal_plane(v)
     on_plane = cc.VectorField(tuple(p.restrict(var, value) for p in v.components))
     return [eigenvector_cross(SymTensorField.from_upper(*jet[::4]), on_plane).components
-            for jet in cc._jets_on(plane, basis)]
+            for jet in jets_on(plane, basis)]
 
 
 class TestPlaneJets:
@@ -1057,9 +1074,9 @@ class TestPlaneJets:
                  for _ in range(20)]
         expected = [restricted_jet(assemble_free(vec), plane) for vec in vecs]
         for vec, oracle in zip(vecs, expected):
-            positive_ratio(cc._jets_on(plane, [vec])[0], oracle)
+            positive_ratio(jets_on(plane, [vec])[0], oracle)
         # One call scales all its vectors by one common positive factor.
-        jets = cc._jets_on(plane, vecs[-5:])
+        jets = jets_on(plane, vecs[-5:])
         assert len({positive_ratio(jet, oracle) for jet, oracle in zip(jets, expected[-5:])}) == 1
 
     @pytest.mark.parametrize("name,h", SCAN_EIGENSPACES, ids=[f"{n} h={h}" for n, h in SCAN_EIGENSPACES])
@@ -1068,7 +1085,7 @@ class TestPlaneJets:
         # restricted, times r^2, r^3 and r^4 for the jet's factor r.
         v, basis = scan_eigenspace(name, h)
         var, value = plane = cc._transversal_plane(v)
-        for vec, jet in zip(basis, cc._jets_on(plane, basis)):
+        for vec, jet in zip(basis, jets_on(plane, basis)):
             _, k = cc._cleared(assemble_free(vec))
             r = positive_ratio(jet, restricted_jet(k, plane))
             dk = [[None] * 3 for _ in range(3)]
@@ -1082,8 +1099,11 @@ class TestPlaneJets:
         v, basis = scan_eigenspace(name, h)
         combos = vanishing_combinations(plane_eigenvector_rows(v, basis))
         assert combos == vanishing_combinations(eigenvector_rows(v, basis))
-        sub = [[sum(w * vec[j] for w, vec in zip(combo, basis)) for j in range(35)] for combo in combos]
-        assert list(tsn_filter(v, basis).subspace) == sub
+        sub = [combination(basis, combo) for combo in combos]
+        members = tsn_filter(v, basis).subspace
+        assert [vec.dense(35) for vec in members] == sub
+        # Each member is in the unique form, as the elimination gives it.
+        assert list(members) == [Numerators.of(vec) for vec in sub]
 
     def test_eigenvector_rows_on_random_kernels(self):
         rng = random.Random(8)
@@ -1105,7 +1125,7 @@ class TestPlaneJets:
         for v, basis in cases:
             images = plane_eigenvector_rows(v, basis)
             combos = vanishing_combinations(images)
-            weights = combos + [[rand_fraction(rng, -3, 3) for _ in basis] for _ in range(3)]
+            weights = combos + [Numerators.of([rand_fraction(rng, -3, 3) for _ in basis]) for _ in range(3)]
             for w in weights:
                 combined = linalg.combination(w, images)
                 rederived, = plane_eigenvector_rows(v, [combination(basis, w)])
@@ -1124,8 +1144,9 @@ class TestPlaneJets:
         (_, basis), = symmetry_subspace(r3, "h_zero")
         combos = vanishing_combinations(eigenvector_rows(r3, basis))
         units = [[int(i == idx) for i in range(len(basis))] for idx in range(len(basis))]
-        unit = next(unit for unit in units if rank(combos + [unit]) > rank(combos))
-        patched = [[a + b for a, b in zip(combos[0], unit)], [-x for x in unit]]
+        dense = [combo.dense(len(basis)) for combo in combos]
+        unit = next(unit for unit in units if rank(dense + [unit]) > rank(dense))
+        patched = [Numerators.of([a + b for a, b in zip(dense[0], unit)]), Numerators.of([-x for x in unit])]
         monkeypatch.setattr(linalg, "vanishing_combinations", lambda images: patched)
         with pytest.raises(CktError, match="fails the TSN conditions"):
             tsn_filter(r3, basis)
@@ -1148,7 +1169,7 @@ class TestTsnPlane:
             if members:
                 vecs += [combination(members, [rand_fraction(rng, -3, 3) for _ in members])
                          for _ in range(25)]
-        for vec, jet in zip(vecs, cc._jets_on(plane, vecs)):
+        for vec, jet in zip(vecs, jets_on(plane, vecs)):
             verdict = tsn_check(assemble_free(vec))
             assert cc._tsn_on(jet) == plane_check(assemble_free(vec), plane) == verdict
 
@@ -1176,7 +1197,7 @@ class TestTsnPlane:
         with pytest.raises(CktError, match="one eigenspace"):
             tsn_filter(d, [first[0], second[0]])
         with pytest.raises(CktError, match="one eigenspace"):
-            tsn_filter(d, first + [[a + b for a, b in zip(first[0], second[0])]])
+            tsn_filter(d, first + [[a + b for a, b in zip(free_values(first[0]), free_values(second[0]))]])
         r3 = ckv_by_name("R3")
         (_, kernel), = symmetry_subspace(r3, "h_zero")
         units = ([Fraction(int(i == j)) for i in range(cc.DIM_TRACE_FREE)] for j in range(cc.DIM_TRACE_FREE))
@@ -1190,10 +1211,10 @@ def spot_check_route(v, basis):
     tensors: membership by the rank of 35-long vectors, then the oracle's
     check on the plane for every direction outside."""
     plane = cc._transversal_plane(v)
-    sub = list(tsn_filter(v, basis).subspace)
+    sub = [free_values(vec) for vec in tsn_filter(v, basis).subspace]
     base = rank(sub)
     return tuple(idx for idx, vec in enumerate(basis)
-                 if rank(sub + [vec]) > base and plane_check(assemble_free(vec), plane))
+                 if rank(sub + [free_values(vec)]) > base and plane_check(assemble_free(vec), plane))
 
 
 def tsn_scalars(vec):
@@ -1201,6 +1222,74 @@ def tsn_scalars(vec):
     polynomials of the cleared tensor."""
     _, k = cc._cleared(assemble_free(vec))
     return list(cc._tsn_scalars(k, cc._partials(k)))
+
+
+def eager_tsn_scalars(k, dk):
+    """The three scalars of ``_tsn_scalars`` with all nine torsion entries
+    n(ll, j, kk) formed up front: the oracle of the lazy entries."""
+    one = Poly.const(1, k[0][0].nvars)
+    dot = functools.partial(Poly.dot, one.nvars)
+    curl = [{(j, kk): dk[m][j][kk] - dk[m][kk][j] for j, kk in cc._PLANE_PAIRS} for m in range(3)]
+    n = {(ll, j, kk): dot([product for m in range(3) for product in (
+        (1, k[ll][m], curl[m][(j, kk)]), (1, k[m][j], dk[ll][kk][m]), (-1, k[m][kk], dk[ll][j][m]))])
+        for j, kk in cc._PLANE_PAIRS for ll in range(3)}
+    square = [[dot([(1, k[i][m], k[m][j]) for m in range(3)]) for j in range(3)] for i in range(3)]
+    return [dot([(s, one, n[(i, j, kk)]) for i, j, kk, s in cc._SLOTS]),
+            dot([(s, k[i][ll], n[(ll, j, kk)]) for i, j, kk, s in cc._SLOTS for ll in range(3)]),
+            dot([(s, square[i][ll], n[(ll, j, kk)]) for i, j, kk, s in cc._SLOTS for ll in range(3)])]
+
+
+def jet_entries(jet):
+    """K and its partials dk[a][b] = (d_x, d_y, d_z) K_ab of a plane jet."""
+    dk = [[None] * 3 for _ in range(3)]
+    for u, (a, b) in enumerate(cc._UPPER):
+        dk[a][b] = dk[b][a] = jet[4 * u + 1:4 * u + 4]
+    return SymTensorField.from_upper(*jet[::4]), dk
+
+
+class TestLazyTorsion:
+    """``_tsn_scalars`` forms the torsion entries as the scalars read them;
+    the eager entries are the oracle."""
+
+    def test_jets_of_the_eight_scans(self):
+        for name, h in SCAN_EIGENSPACES:
+            v, basis = scan_eigenspace(name, h)
+            for jet in jets_on(cc._transversal_plane(v), basis):
+                k, dk = jet_entries(jet)
+                assert list(cc._tsn_scalars(k, dk)) == eager_tsn_scalars(k, dk)
+
+    def test_seeded_tensors(self, rng):
+        from rotweb.rotational import RotParams, assemble_rotational
+        tensors = [assemble_free([rand_fraction(rng, -3, 3) if rng.random() < 0.4 else 0 for _ in range(35)])
+                   for _ in range(6)]
+        tensors += [assemble_rotational(RotParams.make(*(rand_fraction(rng) for _ in range(6))))
+                    for _ in range(4)]
+        tensors += [metric(3), symmetric_product(ckv_by_name("R3"), ckv_by_name("R3")) + metric(3)]
+        for k in tensors:
+            _, cleared = cc._cleared(k)
+            scalars = eager_tsn_scalars(cleared, cc._partials(cleared))
+            assert list(cc._tsn_scalars(cleared, cc._partials(cleared))) == scalars
+            assert tsn_check(k) == (not any(scalars))
+
+    def test_a_failing_g_scalar_forms_three_entries(self, monkeypatch):
+        # The six outside directions of D --h 0 fail at the g-scalar, which
+        # reads the three torsion entries at _SLOTS and no other.
+        d = ckv_by_name("D")
+        (_, kernel), = symmetry_subspace(d, "h_zero")
+        outside = [jet for jet in jets_on(cc._transversal_plane(d), kernel)
+                   if eager_tsn_scalars(*jet_entries(jet))[0]]
+        assert len(outside) == 6
+        real, calls = Poly.dot, []
+
+        def counted(nvars, products):
+            calls.append(nvars)
+            return real(nvars, products)
+
+        monkeypatch.setattr(Poly, "dot", staticmethod(counted))
+        for jet in outside:
+            calls.clear()
+            assert next(cc._tsn_scalars(*jet_entries(jet)))
+            assert len(calls) == 3 + 1
 
 
 class TestSpotChecks:
@@ -1222,8 +1311,9 @@ class TestSpotChecks:
         bases = [basis, basis[::-1], rng.sample(basis, len(basis) // 2 + 1)]
         # A change of basis of the same span: a unit lower-triangular mix.
         weights = [[rand_fraction(rng, -2, 2) for _ in range(i)] for i in range(len(basis))]
-        mixed = [[x + sum(w * basis[j][c] for j, w in enumerate(weights[i])) for c, x in enumerate(vec)]
-                 for i, vec in enumerate(basis)]
+        values = [free_values(vec) for vec in basis]
+        mixed = [[x + sum(w * values[j][c] for j, w in enumerate(weights[i])) for c, x in enumerate(vec)]
+                 for i, vec in enumerate(values)]
         bases.append(mixed)
         for members in bases:
             result = tsn_filter(v, members)
@@ -1306,7 +1396,7 @@ class TestHypersurfaceOrthogonality:
         spaces = [basis for h, basis in symmetry_subspace(v, "h_constant") if h]
         (_, kernel), = symmetry_subspace(v, "h_zero")
         combos = vanishing_combinations(eigenvector_rows(v, kernel))
-        spaces += [[vec] for vec in kernel if combination(kernel, combos[0]) != vec]
+        spaces += [[vec] for vec in kernel if combination(kernel, combos[0]) != free_values(vec)]
         assert len(spaces) == 7
         for basis in spaces:
             result = tsn_filter(v, basis)

@@ -271,7 +271,7 @@ class TestCompat:
         # M33 alone is not compatible with the worked example: the solver's
         # self-check fails after the input has been read, so this is no
         # input error.
-        monkeypatch.setattr(linalg, "vanishing_combinations", lambda images: [[1, 0, 0, 0, 0, 0]])
+        monkeypatch.setattr(linalg, "vanishing_combinations", lambda images: [linalg.Numerators(1, ((0, 1),))])
         code, report = run_json(capsys, "compat", "--potential", "-4/((x^2+y^2+z^2-1)^2 + 4*z^2)")
         assert code == 1
         assert report["results"] is None
@@ -335,7 +335,7 @@ class TestSymmetry:
         # hypersurface-orthogonal, and the certificate's second hypothesis,
         # (K.v) x v = 0 read again on each member, fails.
         monkeypatch.setattr(linalg, "vanishing_combinations",
-                            lambda images: [[int(i == j) for i in range(len(images))] for j in range(len(images))])
+                            lambda images: [linalg.Numerators(1, ((j, 1),)) for j in range(len(images))])
         code, report = run_json(capsys, "symmetry", "R3", "--h", "0")
         assert code == 1
         assert report["results"] is None
@@ -418,6 +418,25 @@ def test_scan_output_is_unchanged(capsys, generator, h):
     code, out, _ = run(capsys, "symmetry", generator, "--h", h)
     assert code == 0
     assert hashlib.sha256(without_timing(out).encode()).hexdigest() == SCAN_DIGESTS[(generator, h)]
+
+
+@pytest.mark.parametrize("generator", ["X3", "D", "I3", "R3"])
+def test_warm_scans_read_no_dense_vector(capsys, monkeypatch, generator):
+    # Each basis vector goes from the elimination to the report as its
+    # integer numerators: a warm scan in either mode never reads a dense
+    # free-coordinate vector, nor makes a Fraction copy of one.
+    for h in ("0", "const"):
+        assert run(capsys, "symmetry", generator, "--h", h)[0] == 0
+
+    def dense_read(*args):
+        raise AssertionError("a scan read a dense free-coordinate vector")
+
+    monkeypatch.setattr(linalg.Numerators, "of", classmethod(dense_read))
+    monkeypatch.setattr(linalg.Numerators, "dense", dense_read)
+    for h in ("0", "const"):
+        code, out, _ = run(capsys, "symmetry", generator, "--h", h)
+        assert code == 0
+        assert hashlib.sha256(without_timing(out).encode()).hexdigest() == SCAN_DIGESTS[(generator, h)]
 
 
 def digest_quartics() -> list:

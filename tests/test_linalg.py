@@ -5,8 +5,8 @@ from math import gcd, lcm
 import numpy as np
 import pytest
 
-from rotweb import ckt_core
-from rotweb.exactmath import ExactMathError, Poly, rational_roots, real_root_count
+from rotweb import ckt_core, linalg
+from rotweb.exactmath import ExactMathError, Poly, int_cleared, rational_roots, real_root_count
 from rotweb.linalg import (char_poly, nullspace, rank, rational_eigenvalues, row_echelon, solve_many,
                            vanishing_combinations)
 
@@ -19,12 +19,23 @@ def frac_matrix(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
+def dense(vecs, n):
+    """``Numerators`` vectors as lists of n Fractions; None is kept."""
+    return None if vecs is None else [vec.dense(n) for vec in vecs]
+
+
+def dense_spaces(result, n):
+    """``rational_eigenvalues`` with its eigenspaces as Fraction lists."""
+    return [(h, dense(space, n)) for h, space in result]
+
+
 def solve_constant(matrix, rhs_columns):
     """``solve_many`` on the dense system A X = B, each row a component:
-    column c of A, and each column of B, as an image of constant Polys."""
+    column c of A, and each column of B, as an image of constant Polys;
+    the solutions as Fraction lists."""
     ncols = len(matrix[0]) if matrix else 0
     columns = [[Poly.const(row[c]) for row in matrix] for c in range(ncols)]
-    return solve_many(columns, [[Poly.const(x) for x in col] for col in rhs_columns])
+    return dense(solve_many(columns, [[Poly.const(x) for x in col] for col in rhs_columns]), ncols)
 
 
 def block_product(m):
@@ -50,7 +61,7 @@ class TestElimination:
             cols = rng.randint(1, 6)
             m = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(cols)]
                  for _ in range(rows)]
-            basis = nullspace(m, cols)
+            basis = dense(nullspace(m, cols), cols)
             assert len(basis) == cols - rank(m)
             for vec in basis:
                 for row in m:
@@ -72,9 +83,9 @@ class TestElimination:
         y, z = Poly.variable(1), Poly.variable(2)
         one = Poly.const(1)
         columns = [[one + y, Poly.zero()], [y * z * 2, y * z * 2]]
-        assert solve_many(columns, [[one * 3 + y * 3 + y * z * 4, y * z * 4]]) == [[3, 2]]
+        assert dense(solve_many(columns, [[one * 3 + y * 3 + y * z * 4, y * z * 4]]), 2) == [[3, 2]]
         assert solve_many(columns, [[z * z, Poly.zero()]]) is None
-        assert solve_many(columns, [[Poly.zero(), Poly.zero()]]) == [[0, 0]]
+        assert dense(solve_many(columns, [[Poly.zero(), Poly.zero()]]), 2) == [[0, 0]]
 
     def test_solve_many_residual(self):
         rng = random.Random(11)
@@ -116,7 +127,7 @@ class TestCharPoly:
         m = frac_matrix([[2, 0, 0], [0, 2, 0], [0, 1, 3]])
         eig = rational_eigenvalues(m)
         assert [(h, len(space)) for h, space in eig] == [(2, 2), (3, 1)]
-        for h, space in eig:
+        for h, space in dense_spaces(eig, 3):
             for vec in space:
                 image = [sum(r * v for r, v in zip(row, vec)) for row in m]
                 assert image == [h * v for v in vec]
@@ -128,18 +139,18 @@ class TestCharPoly:
     def test_eigenvalue_with_large_denominator(self):
         small = Fraction(1, 10**6 + 3)
         eig = rational_eigenvalues(frac_matrix([[small, 0], [0, 2]]))
-        assert eig == [(small, [[1, 0]]), (2, [[0, 1]])]
+        assert dense_spaces(eig, 2) == [(small, [[1, 0]]), (2, [[0, 1]])]
 
 
 class TestVanishingCombinations:
     def test_dependent_images(self):
         x, y = Poly.variable(0, 2), Poly.variable(1, 2)
         p, q = [x * y, Poly.const(3, 2)], [x - y, y * y]
-        assert vanishing_combinations([p, [-c for c in p], q]) == [[1, 1, 0]]
+        assert dense(vanishing_combinations([p, [-c for c in p], q]), 3) == [[1, 1, 0]]
 
     def test_zero_images_give_identity(self):
         zero = [Poly.zero(3)] * 2
-        assert vanishing_combinations([zero] * 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert dense(vanishing_combinations([zero] * 3), 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
     def test_no_images(self):
         assert vanishing_combinations([]) == []
@@ -179,7 +190,7 @@ class TestVanishingCombinations:
                     a, b = rng.choice(images), rng.choice(images)
                     u, v = random_entry(rng), random_entry(rng)
                     images.append([p * u + q * v for p, q in zip(a, b)])
-            basis = vanishing_combinations(images)
+            basis = dense(vanishing_combinations(images), len(images))
             for idx in range(len(images)):
                 unit = [int(i == idx) for i in range(len(images))]
                 in_span = rank(basis + [unit]) == rank(basis)
@@ -282,6 +293,61 @@ class TestCharPolyParity:
         assert sorted(char_poly(m)) == [[-3, 1], [-1, 2], [1, 0, 1]]
 
 
+def berkowitz_blocks(m):
+    """char_poly's blocks by Berkowitz on every diagonal block, 1x1 blocks
+    included: each block scaled to integers by its least common
+    denominator d, run through ``_berkowitz`` and cleared."""
+    sparse = [{j: Fraction(x) for j, x in enumerate(row) if x} for row in m]
+    blocks = []
+    for component in linalg._strong_components([list(row) for row in sparse]):
+        position = {g: p for p, g in enumerate(component)}
+        block = [{position[j]: x for j, x in sparse[g].items() if j in position} for g in component]
+        d = lcm(1, *(x.denominator for row in block for x in row.values()))
+        coeffs = linalg._berkowitz([{j: int(x * d) for j, x in row.items()} for row in block])
+        blocks.append(int_cleared([c * d ** k for k, c in enumerate(reversed(coeffs))]))
+    return blocks
+
+
+def diagonal_entry(rng):
+    """Zero, negative, integer and p/q diagonal entries in turn."""
+    return rng.choice([Fraction(0), Fraction(-rng.randint(1, 9)), Fraction(rng.randint(1, 9)),
+                       Fraction(rng.randint(-9, 9), rng.randint(2, 7))])
+
+
+class TestSingletonBlocks:
+    """A 1x1 diagonal block is read off the diagonal; Berkowitz on the
+    block, the route it replaces, is the oracle."""
+
+    def test_triangular_matrices_never_run_berkowitz(self, monkeypatch):
+        rng = random.Random(91)
+        cases = []
+        for n in range(1, 10):
+            for _ in range(6):
+                m = [[diagonal_entry(rng) if i == j else random_entry(rng) if j > i and rng.random() < 0.5
+                      else Fraction(0) for j in range(n)] for i in range(n)]
+                cases.append((m, berkowitz_blocks(m)))
+        monkeypatch.setattr(linalg, "_berkowitz", lambda rows: pytest.fail("Berkowitz on a 1x1 block"))
+        for m, expected in cases:
+            assert char_poly(m) == expected
+            assert [len(block) for block in expected] == [2] * len(m)
+
+    def test_block_triangular_matrices_match_the_berkowitz_route(self):
+        rng = random.Random(92)
+        for trial in range(80):
+            m = block_triangular(rng, 1 + trial % 9)
+            for i in rng.sample(range(len(m)), len(m) // 2):
+                m[i][i] = diagonal_entry(rng)
+            assert char_poly(m) == berkowitz_blocks(m), m
+
+    def test_lie_operators_match_the_berkowitz_route(self):
+        # Every block of X3, D and I3 is 1x1; R3 has larger blocks too.
+        for name in ("X3", "D", "I3", "R3"):
+            operator = lie_operator(ckt_core.ckv_by_name(name))
+            blocks = char_poly(operator)
+            assert blocks == berkowitz_blocks(operator)
+            assert (all(len(block) == 2 for block in blocks)) == (name != "R3")
+
+
 # ---------------------------------------------------------------------------
 # Parity of the sparse elimination with dense fraction-free (Bareiss)
 # elimination, the former implementation of row_echelon, kept here as an
@@ -378,14 +444,21 @@ def assert_parity(m, rhs_sets):
         assert min(row) == pc and all(type(v) is int and v for v in row.values())
         assert gcd(*row.values()) == 1
     basis = nullspace(m, ncols)
-    assert basis == dense_nullspace(m, ncols)
+    assert dense(basis, ncols) == dense_nullspace(m, ncols)
     # Sparse rows {column: value} are read as they are, zero rows included.
     assert nullspace([{j: x for j, x in enumerate(row) if x} for row in m], ncols) == basis
-    results = [solve_constant(m, rhs) for rhs in rhs_sets]
+    columns = [[Poly.const(row[c]) for row in m] for c in range(ncols)]
+    solved = [solve_many(columns, [[Poly.const(x) for x in col] for col in rhs]) for rhs in rhs_sets]
+    results = [dense(vecs, ncols) for vecs in solved]
     assert results == [dense_solve_many(m, rhs) for rhs in rhs_sets]
-    # The integer back-substitution still hands out Fraction entries.
-    vectors = basis + [vec for columns in results if columns for vec in columns]
-    assert all(type(x) is Fraction for vec in vectors for x in vec)
+    # The back-substitution hands out its integer numerators in their unique
+    # form: the least common denominator, and the nonzero numerators at
+    # increasing coordinates.
+    for vec in basis + [vec for vecs in solved if vecs for vec in vecs]:
+        coords = [c for c, _ in vec.entries]
+        assert type(vec.den) is int and vec.den > 0 and coords == sorted(set(coords))
+        assert all(type(n) is int and n for _, n in vec.entries)
+        assert gcd(vec.den, *(n for _, n in vec.entries)) == 1
     return results
 
 
@@ -429,12 +502,12 @@ class TestEliminationParity:
     def test_zero_rows(self):
         assert row_echelon([]) == ([], [])
         assert rank([]) == 0
-        assert nullspace([], 3) == dense_nullspace([], 3) == [
+        assert dense(nullspace([], 3), 3) == dense_nullspace([], 3) == [
             [Fraction(i == j) for i in range(3)] for j in range(3)]
         assert nullspace([]) == []
-        assert solve_many([], [[], []]) == dense_solve_many([], [[], []]) == [[], []]
+        assert dense(solve_many([], [[], []]), 0) == dense_solve_many([], [[], []]) == [[], []]
         assert row_echelon([[0, 0], [Fraction(0), 0]]) == ([], [])
-        assert nullspace([[0, 0]]) == [[1, 0], [0, 1]]
+        assert dense(nullspace([[0, 0]]), 2) == [[1, 0], [0, 1]]
 
     def test_large_denominators(self):
         rng = random.Random(74)
@@ -458,18 +531,54 @@ class TestEliminationParity:
         solutions = solve_many(a, images)
         keys = sorted({(i, key) for image in (*a, *images) for i, p in enumerate(image) for key in p.terms})
 
-        def dense(image):
+        def dense_image(image):
             return [Fraction(image[i].terms.get(key, 0)) for i, key in keys]
 
-        matrix = [list(row) for row in zip(*map(dense, a))]
-        assert solutions is not None and solutions == dense_solve_many(matrix, [dense(im) for im in images])
+        matrix = [list(row) for row in zip(*map(dense_image, a))]
+        expected = dense_solve_many(matrix, [dense_image(im) for im in images])
+        assert dense(solutions, ckt_core.DIM_TRACE_FREE) == expected
         assert rank(matrix) == ckt_core.DIM_TRACE_FREE
+
+
+class TestReachBoundedNullBasis:
+    """``_null_basis`` solves only the echelon rows reached from each free
+    column; solving every row by descending pivot, and the dense Fraction
+    back-substitution, are the oracles."""
+
+    def test_seeded_sparse_matrices(self, monkeypatch):
+        real, orders = linalg._back_substitute, []
+
+        def recording(ech, pivots, x, rhs, order):
+            orders.append((ech, pivots, dict(x), list(order)))
+            return real(ech, pivots, x, rhs, orders[-1][3])
+
+        monkeypatch.setattr(linalg, "_back_substitute", recording)
+        rng = random.Random(93)
+        solved = every = 0
+        for trial in range(40):
+            rows, cols = rng.randint(1, 30), rng.randint(1, 35)
+            m = sparse_rational(rng, rows, cols, 1 + trial % 3)
+            orders.clear()
+            basis = nullspace(m, cols)
+            assert dense(basis, cols) == dense_nullspace(m, cols)
+            for vec, (ech, pivots, x, order) in zip(basis, orders):
+                # The rows reached from the free column, by descending pivot.
+                assert order == sorted(set(order), reverse=True)
+                reached = set(x)
+                for r in sorted(range(len(ech)), key=lambda r: -pivots[r]):
+                    if any(c in reached for c in ech[r] if c != pivots[r]):
+                        reached.add(pivots[r])
+                assert reached == set(x) | {pivots[r] for r in order}
+                assert vec == real(ech, pivots, x, [0] * len(ech), reversed(range(len(ech))))
+                solved, every = solved + len(order), every + len(ech)
+        assert solved < every
 
 
 # ---------------------------------------------------------------------------
 # rational_eigenvalues against its former implementation, which read the
 # roots on the product of the blocks' polynomials and built a dense shifted
-# Fraction matrix for every eigenvalue.
+# Fraction matrix for every eigenvalue, here solved by the dense Fraction
+# elimination above; the eigenspaces are compared as Fraction lists.
 
 
 def dense_rational_eigenvalues(matrix):
@@ -481,7 +590,7 @@ def dense_rational_eigenvalues(matrix):
     out = []
     for r in sorted(roots):
         shifted = [[Fraction(matrix[i][j]) - (r if i == j else 0) for j in range(n)] for i in range(n)]
-        space = nullspace(shifted, n)
+        space = dense_nullspace(shifted, n)
         if space:
             out.append((r, space))
     return out
@@ -515,7 +624,8 @@ class TestRationalEigenvaluesParity:
     @pytest.mark.parametrize("name", ["X1", "X2", "X3", "R1", "R2", "R3", "D", "I1", "I2", "I3"])
     def test_lie_operators(self, name):
         operator = lie_operator(ckt_core.ckv_by_name(name))
-        assert rational_eigenvalues(operator) == dense_rational_eigenvalues(operator)
+        expected = dense_rational_eigenvalues(operator)
+        assert dense_spaces(rational_eigenvalues(operator), len(operator)) == expected
 
     def test_random_mixed_denominators(self):
         rng = random.Random(81)
@@ -524,12 +634,12 @@ class TestRationalEigenvaluesParity:
             eigenvalues = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
             m = conjugated(rng, triangular(rng, eigenvalues))
             result = rational_eigenvalues(m)
-            assert result == dense_rational_eigenvalues(m)
+            assert dense_spaces(result, len(m)) == dense_rational_eigenvalues(m)
             # Sparse rows {column: value} are read as they are.
             rows = [{j: x for j, x in enumerate(row) if x} for row in m]
             assert rational_eigenvalues(rows) == result and char_poly(rows) == char_poly(m)
             assert [h for h, _ in result] == sorted(set(eigenvalues))
-            for h, space in result:
+            for h, space in dense_spaces(result, len(m)):
                 for vec in space:
                     assert [sum(a * x for a, x in zip(row, vec)) for row in m] == [h * x for x in vec]
 
@@ -553,8 +663,8 @@ class TestRationalEigenvaluesParity:
         assert len(char_poly(m)) == 4
         result = rational_eigenvalues(m)
         assert [h for h, _ in result] == [-1, 0, 2]
-        assert result == dense_rational_eigenvalues(m)
-        for h, space in result:
+        assert dense_spaces(result, 6) == dense_rational_eigenvalues(m)
+        for h, space in dense_spaces(result, 6):
             for vec in space:
                 assert [sum(a * x for a, x in zip(row, vec)) for row in m] == [h * x for x in vec]
 
@@ -578,3 +688,24 @@ class TestRationalEigenvaluesParity:
         m += [[Fraction(0)] * 2 + [Fraction(0), Fraction(2)], [Fraction(0)] * 2 + [Fraction(1), Fraction(0)]]
         with pytest.raises(ExactMathError, match="irrational"):
             rational_eigenvalues(conjugated(rng, m))
+
+
+# The eight scans of the benchmark and of ``rotweb symmetry``.
+SCANS = [(name, mode) for name in ("X3", "D", "I3", "R3") for mode in ("h_zero", "h_constant")]
+
+
+@pytest.mark.parametrize("name,mode", SCANS, ids=[f"{n} {m}" for n, m in SCANS])
+def test_scan_vectors_match_the_dense_fraction_oracle(name, mode):
+    # Every basis vector of a scan, converted to Fractions, is the
+    # nullspace or eigenspace vector that dense Fraction elimination finds
+    # on the dense operator, and the scans hand on the integer form alone.
+    v = ckt_core.ckv_by_name(name)
+    operator = lie_operator(v)
+    if mode == "h_zero":
+        kernel = dense_nullspace(operator, 35)
+        expected = [(0, kernel)] if kernel else []
+    else:
+        expected = dense_rational_eigenvalues(operator)
+    spaces = ckt_core.symmetry_subspace(v, mode)
+    assert dense_spaces(spaces, 35) == expected
+    assert all(type(vec) is linalg.Numerators for _, space in spaces for vec in space)

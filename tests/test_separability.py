@@ -16,6 +16,7 @@ from rotweb.separability import (Potential, _curl_images, _curl_numerators,
 
 from conftest import evaluate, rand_fraction, symbolic_rotational
 from test_ckt_core import killing_obstruction
+from test_linalg import dense_nullspace
 
 EXAMPLE_POTENTIAL = "-4/((x^2+y^2+z^2-1)^2 + 4*z^2)"
 
@@ -197,7 +198,7 @@ class TestSolveCompatible:
 
     def test_self_check_rejects_a_non_solution(self, monkeypatch):
         # M33 alone is not compatible with the worked example.
-        monkeypatch.setattr(linalg, "vanishing_combinations", lambda images: [[1, 0, 0, 0, 0, 0]])
+        monkeypatch.setattr(linalg, "vanishing_combinations", lambda images: [linalg.Numerators(1, ((0, 1),))])
         with pytest.raises(CktError, match="solver self-check failed"):
             solve_compatible(Potential.from_expression(EXAMPLE_POTENTIAL, 0))
 
@@ -216,7 +217,8 @@ def reference_solve(pot):
     polynomial variables 3..8 of one 9-variable family, and the parameter
     coefficients of each (component, x y z monomial) form one row.  The
     one-form numerators P_i over d^2 and the curl numerators over d^3 are
-    spelled out here, independent of the module's helpers."""
+    spelled out here, independent of the module's helpers, and the rows are
+    solved by the dense Fraction elimination of the linalg tests."""
     nvars = 9
     tensor = symbolic_rotational(nvars)
     n, d = pot.v.num.extend(nvars), pot.v.den.extend(nvars)
@@ -236,7 +238,7 @@ def reference_solve(pot):
             params = exps[3:]
             assert sum(params) == 1, "not linear homogeneous in the parameters"
             rows.setdefault((idx, exps[:3]), [Fraction(0)] * 6)[params.index(1)] = Fraction(coeff)
-    return [tuple(vec) for vec in linalg.nullspace(list(rows.values()), 6)]
+    return [tuple(vec) for vec in dense_nullspace(list(rows.values()), 6)]
 
 
 def _seeded_potentials():
@@ -266,7 +268,8 @@ class TestLinearCertificate:
     """The solver certifies each solution by its combination of the six
     curl images; the route it replaced builds the member's tensor, checks
     it and takes its curl numerators.  The images are those of the doubled
-    unit tensors, so the combination is twice the route's numerators."""
+    unit tensors, so the combination, read on the integer numerators of
+    the weights, is 2 den times the route's numerators."""
 
     @pytest.mark.parametrize("text,energy", CERTIFIED)
     def test_combination_is_twice_the_member_route(self, text, energy):
@@ -280,7 +283,8 @@ class TestLinearCertificate:
         closed = []
         for vec in vectors:
             route = _curl_numerators(member_numerators(RotParams.make(*vec), parts), d, dd, 2)
-            assert linalg.combination(vec, images) == [2 * c for c in route]
+            weights = linalg.Numerators.of(vec)
+            assert linalg.combination(weights, images) == [2 * weights.den * c for c in route]
             closed.append(not any(route))
         # Members are closed; random vectors are not, unless every one is.
         assert all(closed[:len(members)])
@@ -362,6 +366,20 @@ class TestSolverOracle:
                             pot.energy)]
         for other in scaled:
             assert [p.as_tuple() for p in solve_compatible(other).basis] == basis
+
+
+@pytest.mark.parametrize("text,energy", CERTIFIED)
+def test_vanishing_combinations_of_the_curl_images(text, energy):
+    # compat's basis is the vanishing combinations of the six curl images:
+    # as Fractions, the dense Fraction elimination's null space of their
+    # coefficient matrix, and the solution basis itself.
+    pot = Potential.from_expression(text, energy)
+    images = _curl_images(_potential_parts(pot.v, pot.energy))
+    keys = sorted({(i, key) for image in images for i, p in enumerate(image) for key in p.terms})
+    matrix = [[Fraction(image[i].terms.get(key, 0)) for image in images] for i, key in keys]
+    expected = dense_nullspace(matrix, 6)
+    assert [vec.dense(6) for vec in linalg.vanishing_combinations(images)] == expected
+    assert [list(p.as_tuple()) for p in solve_compatible(pot).basis] == expected
 
 
 def dkdv_check(k: SymTensorField, v: RationalFunction) -> bool:
