@@ -431,12 +431,20 @@ _PLANE_PAIRS = ((0, 1), (0, 2), (1, 2))
 _SLOTS = [(i, j, kk, EPS[i][j][kk]) for j, kk in _PLANE_PAIRS for i in range(3) if EPS[i][j][kk]]
 
 
+def _int_dot(products) -> int:
+    return sum(c * a * b for c, a, b in products)
+
+
 def _tsn_scalars(k, dk):
     """The three scalars of ``tsn_check``, lazily, for A = g, K, K.K in
-    turn, from the polynomial entries k[a][b] of K and its partials
-    dk[a][b][c] = d_c K_ab."""
-    one = Poly.const(1, k[0][0].nvars)
-    dot = partial(Poly.dot, one.nvars)
+    turn, from the entries k[a][b] of K and its partials dk[a][b][c] =
+    d_c K_ab: polynomials, or their integer values at one point, which give
+    the scalars' values there."""
+    if isinstance(k[0][0], Poly):
+        one = Poly.const(1, k[0][0].nvars)
+        dot = partial(Poly.dot, one.nvars)
+    else:  # integer values at a point, where the scalars take their values
+        one, dot = 1, _int_dot
     # curl[m][(j, kk)] = d_kk K_mj - d_j K_mkk, shared by the three rows ll.
     curl = [{(j, kk): dk[m][j][kk] - dk[m][kk][j] for j, kk in _PLANE_PAIRS} for m in range(3)]
 
@@ -553,13 +561,29 @@ def _free_numerators(vec: linalg.Numerators) -> tuple[list[int], int]:
     return flat, q * vec.den
 
 
-def free_json_dict(vec) -> dict:
+class FreeBlocks(dict):
+    """The report block of ``free_json_dict``: the ten coefficient blocks
+    under their JSON names, which also keeps their ``size`` entries flat, in
+    block order, as ``flat``.  Each entry is a ``rat_str`` string, which JSON
+    writes between quotes with no escape, so a writer may fill the flat
+    entries into the text of a block of the same shape (``cli._write``)."""
+
+    __slots__ = ("flat",)
+    size = _FLAT_SIZE
+
+    def __init__(self, flat: Sequence[str]):
+        super().__init__(zip(_BLOCK_NAMES, _sliced(flat, list)))
+        self.flat = tuple(flat)
+
+
+def free_json_dict(vec) -> FreeBlocks:
     """The coefficient blocks of the tensor with free coordinates vec
     (``_free_vector``), under their JSON names (``_BLOCK_NAMES``) and with
     each entry as ``rat_str`` writes it, from the integer numerators without
-    a Fraction: a scan's report block."""
+    a Fraction: a scan's report block, which keeps its entries flat too
+    (``FreeBlocks``)."""
     flat, den = _free_numerators(_free_vector(vec))
-    return dict(zip(_BLOCK_NAMES, _sliced([_ratio_str(n, den) if n else "0" for n in flat], list)))
+    return FreeBlocks([_ratio_str(n, den) if n else "0" for n in flat])
 
 
 def _ratio_str(n: int, den: int) -> str:
@@ -585,37 +609,61 @@ def _assembly_matrix() -> tuple[tuple[Poly, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _plane_jets(plane: tuple[int, int]) -> tuple:
-    """The first jets on the plane x_i = c, plane = (i, c), of the basis
-    tensors F_c, cleared to integers by one common denominator: per c, the
-    nonzero ((4 u + m, key), value) of K_ab (m = 0) and d_x, d_y, d_z K_ab
-    (m = 1, 2, 3), differentiated before they are restricted, for the u-th
-    pair (a, b) of ``_UPPER`` and the packed monomials of ``Poly.terms``."""
-    var, value = plane
+def _basis_jets() -> tuple:
+    """The first jets of the basis tensors F_c, cleared to integers by one
+    common denominator: per c, the 24 polynomials K_ab (slot 4 u) and d_x,
+    d_y, d_z K_ab (slots 4 u + 1, 2, 3) of the u-th pair (a, b) of
+    ``_UPPER``."""
     basis = _free_basis()
     q = math.lcm(*(c.denominator for k in basis for a, b in _UPPER for c in k[a][b].terms.values()))
-    jets = []
-    for k in basis:
-        entries = []
-        for u, (a, b) in enumerate(_UPPER):
-            p = k[a][b] * q
-            for m, part in enumerate((p, p.diff(0), p.diff(1), p.diff(2))):
-                entries += [((4 * u + m, key), int(x)) for key, x in part.restrict(var, value).terms.items()]
-        jets.append(tuple(entries))
-    return tuple(jets)
+    return tuple(tuple(part for a, b in _UPPER for p in (k[a][b] * q,) for part in (p, p.diff(0), p.diff(1), p.diff(2)))
+                 for k in basis)
 
 
-def _jets_on(plane: tuple[int, int], rows: Sequence[dict]) -> list[list[Poly]]:
-    """The jets on the plane of the tensors of the vectors, 24 polynomials
-    each: sum_c n_c times the jets of ``_plane_jets``, for the integer
-    numerators n = d x {c: n_c} of the vectors x over one d > 0 for all of
-    them.  That common factor keeps the zeros of the TSN scalars,
+@lru_cache(maxsize=None)
+def _plane_jets(plane: tuple[int, int], width: int) -> tuple:
+    """The jets of ``_basis_jets`` on the plane x_i = c, plane = (i, c),
+    differentiated before they are restricted: per c, the nonzero ((slot,
+    key), value) of the packed monomials of ``Poly.terms``, keeping the
+    first width parts of each pair u at slots width u + m.  Width 4 keeps
+    all 24 slots, and width 1 the six slots of K alone."""
+    var, value = plane
+    return tuple(tuple(((width * (s // 4) + s % 4, key), int(x)) for s, part in enumerate(jet) if s % 4 < width
+                       for key, x in part.restrict(var, value).terms.items())
+                 for jet in _basis_jets())
+
+
+# The point of a plane x_i = c at which ``tsn_filter`` first evaluates the
+# TSN scalars: this one with its i-th coordinate set to c.
+_POINT = (2, 3, 5)
+
+
+@lru_cache(maxsize=None)
+def _plane_point(plane: tuple[int, int]) -> tuple:
+    """The 24 slots of ``_basis_jets`` per c as their integer values at the
+    point ``_POINT`` of the plane x_i = c, plane = (i, c)."""
+    var, value = plane
+    point = [value if i == var else x for i, x in enumerate(_POINT)]
+
+    def at(poly: Poly) -> int:
+        for i, x in enumerate(point):
+            poly = poly.restrict(i, x)
+        return int(poly.coeff((0, 0, 0)))
+
+    return tuple(tuple(map(at, jet)) for jet in _basis_jets())
+
+
+def _jets_on(plane: tuple[int, int], rows: Sequence[dict], width: int) -> list[list[Poly]]:
+    """The jets on the plane of the tensors of the vectors, 6 width
+    polynomials each: sum_c n_c times the jets of ``_plane_jets``, for the
+    integer numerators n = d x {c: n_c} of the vectors x over one d > 0 for
+    all of them.  That common factor keeps the zeros of the TSN scalars,
     homogeneous in K, and the vanishing combinations of the eigenvector
     condition, linear in K."""
-    jets = _plane_jets(plane)
+    jets = _plane_jets(plane, width)
     out = []
     for row in rows:
-        slots: list[dict] = [{} for _ in range(24)]
+        slots: list[dict] = [{} for _ in range(6 * width)]
         for c, n in row.items():
             for (s, key), value in jets[c]:
                 slots[s][key] = slots[s].get(key, 0) + n * value
@@ -623,8 +671,9 @@ def _jets_on(plane: tuple[int, int], rows: Sequence[dict]) -> list[list[Poly]]:
     return out
 
 
-def _tsn_on(jet: list[Poly]) -> bool:
-    """Whether the three TSN scalars vanish on a jet of ``_jets_on``."""
+def _tsn_on(jet: list) -> bool:
+    """Whether the three TSN scalars vanish on a jet of ``_jets_on`` (width
+    4), or at the point of ``_plane_point`` on its 24 integer values."""
     dk = [[None] * 3 for _ in range(3)]
     for u, (a, b) in enumerate(_UPPER):
         dk[a][b] = dk[b][a] = jet[4 * u + 1:4 * u + 4]
@@ -868,13 +917,18 @@ def tsn_filter(v: VectorField, basis: Sequence) -> TsnFilterResult:
     positive factor.  Basis directions outside the
     candidate, whose unit vectors in basis coordinates are outside the span
     of the ``vanishing_combinations`` vectors, are spot-checked; any that
-    satisfy TSN individually are reported in the result.
+    satisfy TSN individually are reported in the result.  A spot check
+    first reads the scalars at one point of P (``_plane_point``), as
+    integers summed from the basis tensors' jet values there: a nonzero
+    value proves that the scalar does not vanish identically, which
+    refutes the direction.  A direction whose scalars all vanish at the
+    point falls through to the polynomial identity test on its jets.
 
-    Every condition is read on the first jets, K and d_m K, on one
-    coordinate plane P transversal to v (``_transversal_plane``: z = 0 for
-    X3 and I3, x = 0 for R3, x = 1 for D), as sums of the cached jets of
-    the basis tensors (``_jets_on``): the eigenvector rows are (K.v) x v on
-    P, and the spot checks run ``_tsn_scalars`` there.  That is exact
+    Every condition is read on one coordinate plane P transversal to v
+    (``_transversal_plane``: z = 0 for X3 and I3, x = 0 for R3, x = 1 for
+    D), on sums of the cached jets of the basis tensors (``_jets_on``): the
+    eigenvector rows are (K.v) x v on P, read on K alone, and the identity
+    test runs ``_tsn_scalars`` on the first jets, K and d_m K.  That is exact
     because the conditions are conformally invariant, the invariance on
     which the classification of the webs up to the conformal group rests:
 
@@ -932,8 +986,8 @@ def tsn_filter(v: VectorField, basis: Sequence) -> TsnFilterResult:
     # The rows are d x over one common d; a member is their combination / d.
     d = math.lcm(*(vec.den for vec in basis))
     rows = [{c: n * (d // vec.den) for c, n in vec.entries} for vec in basis]
-    jets = _jets_on(plane, rows)
-    images = [eigenvector_cross(SymTensorField.from_upper(*jet[::4]), on_plane).components for jet in jets]
+    images = [eigenvector_cross(SymTensorField.from_upper(*k), on_plane).components
+              for k in _jets_on(plane, rows, 1)]
     combos = linalg.vanishing_combinations(images)
     sub = []
     for combo in combos:
@@ -955,5 +1009,10 @@ def tsn_filter(v: VectorField, basis: Sequence) -> TsnFilterResult:
     # in the span iff it is one of them: one whose only nonzero entry is the
     # 1 at its free column.
     inside = {combo.entries[0][0] for combo in combos if len(combo.entries) == 1}
-    outside = [idx for idx, jet in enumerate(jets) if idx not in inside and _tsn_on(jet)]
+    # A direction is refuted by a nonzero value of a scalar at the point of
+    # _plane_point; one that vanishes there is tested on its jet.
+    point = _plane_point(plane)
+    outside = [idx for idx, row in enumerate(rows) if idx not in inside
+               and _tsn_on([sum(n * point[c][s] for c, n in row.items()) for s in range(24)])
+               and _tsn_on(_jets_on(plane, [row], 4)[0])]
     return TsnFilterResult(subspace=tuple(sub), outside_tsn_directions=tuple(outside))

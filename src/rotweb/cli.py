@@ -19,8 +19,8 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .ckt_core import (CktError, ckv_by_name, free_json_dict, killing_obstruction_terms, symmetry_subspace,
-                       tsn_filter)
+from .ckt_core import (CktError, FreeBlocks, ckv_by_name, free_json_dict, killing_obstruction_terms,
+                       symmetry_subspace, tsn_filter)
 from .exactmath import ExactMathError, rat, rat_str
 from .expr import ExprError, eval_rational
 from .group_action import apply_quartic
@@ -310,9 +310,11 @@ def _write(value, indent: str, out: list) -> None:
     """Append the JSON text of value to out, byte for byte as
     json.dumps(value, indent=2, sort_keys=True) writes it, nested at the
     given indent.  Only the types a report holds are written: str, int,
-    bool, None, float, list, tuple and dict with str keys.  The container
-    loops write their str, int, bool and None items in place, with no call
-    per leaf."""
+    bool, None, float, list, tuple, dict with str keys and
+    ``ckt_core.FreeBlocks``.  The container loops write their str, int,
+    bool and None items in place, with no call per leaf, and a FreeBlocks
+    is its flat entries filled into the skeleton of its indent
+    (``_skeleton``) in one step."""
     kind = type(value)
     if kind is str:
         out.append(encode_basestring_ascii(value))
@@ -361,6 +363,8 @@ def _write(value, indent: str, out: list) -> None:
                 _write(item, inner, out)
             sep = ",\n" + inner
         out.append("\n" + indent + "]")
+    elif kind is FreeBlocks:
+        out.append(_skeleton(indent) % value.flat)
     elif kind is int:
         out.append(repr(value))
     elif kind is bool:
@@ -373,9 +377,21 @@ def _write(value, indent: str, out: list) -> None:
         raise TypeError(f"a report cannot hold a {kind.__name__}")
 
 
+@lru_cache(maxsize=None)
+def _skeleton(indent: str) -> str:
+    """The text ``_write`` gives a plain dict of the shape of a FreeBlocks
+    whose every entry is "%s", at the given indent: a FreeBlocks block's
+    text is this with its flat entries, in the order the sorted keys write
+    them, filled in.  The entries are ``rat_str`` strings, which need no
+    escape, and the JSON names and spaces hold no other "%"."""
+    out: list = []
+    _write(dict(FreeBlocks(["%s"] * FreeBlocks.size)), indent, out)
+    return "".join(out)
+
+
 def dump_report(report: dict) -> str:
     """The report as JSON text, as json.dumps(report, indent=2,
-    sort_keys=True) writes it."""
+    sort_keys=True) writes it (``_write``)."""
     out: list = []
     _write(report, "", out)
     return "".join(out)

@@ -133,14 +133,16 @@ def _back_substitute(ech: list[Row], pivots: list[int], x: dict, rhs: Sequence[i
     return Numerators(den, tuple(sorted(x.items())))
 
 
-def _null_basis(rows: list[Row], ncols: int) -> list[Numerators]:
-    """The basis of ``nullspace``.  For free column fc, x[fc] = 1 and only
-    the echelon rows reached from fc are solved, by descending pivot: those
-    with an entry at fc or at the pivot of a reached row (Gilbert and
-    Peierls' sparse triangular solve); the others have a zero pivot entry."""
+def _null_basis(rows: list[Row], columns: Sequence[int]) -> list[Numerators]:
+    """The basis of ``nullspace`` over the unknowns at columns, in increasing
+    order, which hold every entry of the rows.  For free column fc, x[fc] = 1
+    and only the echelon rows reached from fc are solved, by descending
+    pivot: those with an entry at fc or at the pivot of a reached row
+    (Gilbert and Peierls' sparse triangular solve); the others have a zero
+    pivot entry."""
     ech, pivots = _echelon(rows)
     row_of = {pc: r for r, pc in enumerate(pivots)}
-    reaches: list[list[int]] = [[] for _ in range(ncols)]
+    reaches: dict[int, list[int]] = {c: [] for c in columns}
     for row, pc in zip(ech, pivots):
         for c in row:
             if c != pc:
@@ -148,7 +150,7 @@ def _null_basis(rows: list[Row], ncols: int) -> list[Numerators]:
     zeros = [0] * len(ech)
     return [_back_substitute(ech, pivots, {fc: 1}, zeros,
                              sorted((row_of[c] for c in _reach(fc, reaches) if c != fc), reverse=True))
-            for fc in range(ncols) if fc not in row_of]
+            for fc in columns if fc not in row_of]
 
 
 def nullspace(matrix: Sequence[Sequence | Row], ncols: int | None = None) -> list[Numerators]:
@@ -157,7 +159,7 @@ def nullspace(matrix: Sequence[Sequence | Row], ncols: int | None = None) -> lis
     be dense or sparse (``_rows``); a matrix of sparse rows needs ncols."""
     if ncols is None:
         ncols = len(matrix[0]) if matrix else 0
-    return _null_basis([row for row in _rows(matrix) if row], ncols)
+    return _null_basis([row for row in _rows(matrix) if row], range(ncols))
 
 
 def _identity_rows(images: Sequence[Sequence[Poly]]) -> list[Row]:
@@ -176,7 +178,7 @@ def _identity_rows(images: Sequence[Sequence[Poly]]) -> list[Row]:
 def vanishing_combinations(images: Sequence[Sequence[Poly]]) -> list[Numerators]:
     """Basis, in the normal form of ``nullspace``, of the vectors x with
     sum_c x_c images[c] = 0 identically (``_identity_rows``)."""
-    return _null_basis(_identity_rows(images), len(images))
+    return _null_basis(_identity_rows(images), range(len(images)))
 
 
 def combination(weights: Numerators, images: Sequence[Sequence[Poly]]) -> list[Poly]:
@@ -257,6 +259,23 @@ def _berkowitz(rows: list[Row]) -> list[int]:
     return poly
 
 
+def _blocks(sparse: list[Row]) -> list[tuple[list[int], list[int]]]:
+    """The diagonal blocks of the matrix's block-triangular form, each as its
+    vertices and its polynomial in the form of ``char_poly``."""
+    blocks = []
+    for component in _strong_components([list(row) for row in sparse]):
+        if len(component) == 1:
+            a = sparse[component[0]].get(component[0], 0)
+            blocks.append((component, [-a.numerator, a.denominator]))
+            continue
+        position = {g: p for p, g in enumerate(component)}
+        block = [{position[j]: x for j, x in sparse[g].items() if j in position} for g in component]
+        d = lcm(1, *(x.denominator for row in block for x in row.values()))
+        coeffs = _berkowitz([_scaled(row, d) for row in block])
+        blocks.append((component, int_cleared([c * d ** k for k, c in enumerate(reversed(coeffs))])))
+    return blocks
+
+
 def char_poly(matrix: Sequence[Sequence | Row]) -> list[list[int]]:
     """det(t*I - A) as one primitive integer polynomial per diagonal block,
     low degree first with a positive leading coefficient; their product is
@@ -268,21 +287,9 @@ def char_poly(matrix: Sequence[Sequence | Row]) -> list[list[int]]:
     A larger one is scaled to integers by the least common denominator d of
     its entries and run through Berkowitz's division-free algorithm: the
     block of size m times d^m has the coefficient c_i(d A) d^(m-i) at
-    t^(m-i).  The rows may be dense or sparse (``_rows``).
+    t^(m-i) (``_blocks``).  The rows may be dense or sparse (``_rows``).
     """
-    sparse = _rows(matrix)
-    blocks = []
-    for component in _strong_components([list(row) for row in sparse]):
-        if len(component) == 1:
-            a = sparse[component[0]].get(component[0], 0)
-            blocks.append([-a.numerator, a.denominator])
-            continue
-        position = {g: p for p, g in enumerate(component)}
-        block = [{position[j]: x for j, x in sparse[g].items() if j in position} for g in component]
-        d = lcm(1, *(x.denominator for row in block for x in row.values()))
-        coeffs = _berkowitz([_scaled(row, d) for row in block])
-        blocks.append(int_cleared([c * d ** k for k, c in enumerate(reversed(coeffs))]))
-    return blocks
+    return [poly for _, poly in _blocks(_rows(matrix))]
 
 
 def rational_eigenvalues(matrix: Sequence[Sequence | Row]) -> list[tuple[Fraction, list[Numerators]]]:
@@ -292,37 +299,60 @@ def rational_eigenvalues(matrix: Sequence[Sequence | Row]) -> list[tuple[Fractio
     package diagonalizes); an irrational real eigenvalue raises, it is never
     silently dropped.
 
-    The spectrum is the union of the diagonal blocks', so the roots are
-    read on each distinct block polynomial of ``char_poly``.  The matrix is
-    cleared once to sparse integer rows M = d A; for an eigenvalue p/q the
-    rows q M - d p I span the row space of A - (p/q) I, so only the
-    diagonal changes from one eigenvalue to the next.  The rows may be
-    dense or sparse (``_rows``).
+    The spectrum is the union of the diagonal blocks' (``_blocks``): a 1x1
+    block [-p, q] has the root p/q, and the roots of a larger one are read
+    on each distinct block polynomial.  The matrix is cleared once to
+    sparse integer rows M = d A; for an eigenvalue p/q the rows q M - d p I
+    span the row space of A - (p/q) I, so only the diagonal changes from one
+    eigenvalue to the next.
+
+    Each eigenvalue h is solved on the rows and columns of R alone, the
+    vertices that reach a block with root h in the graph i -> j for
+    a_ij != 0.  The eigenspace is unchanged: the other vertices U form a
+    successor-closed set, so A_UU - h I is block triangular with the
+    diagonal blocks of U, none with root h, and is invertible.  The rows of
+    U read only the columns of U, so every eigenvector is 0 on U, and the
+    rows of R then read only the columns of R.  The eigenvectors are those
+    of A_RR extended by 0, and so are their free columns and normal form.
+    The rows may be dense or sparse (``_rows``).
     """
-    n = len(matrix)
     sparse = _rows(matrix)
-    roots = set()
-    for block in {tuple(block): block for block in char_poly(sparse)}.values():
-        found = rational_roots(block)
-        # The roots are distinct and real, so a missed real root shows in the count.
-        if real_root_count(block) != len(found):
-            raise ExactMathError("matrix has an irrational real eigenvalue; exact eigenspaces unavailable")
-        roots.update(found)
+    pred: list[list[int]] = [[] for _ in sparse]
+    for i, row in enumerate(sparse):
+        for j in row:
+            pred[j].append(i)
+    vertices: dict[tuple, list[int]] = {}  # those of the blocks of each polynomial
+    for component, block in _blocks(sparse):
+        vertices.setdefault(tuple(block), []).extend(component)
+    holders: dict[Fraction, list[int]] = {}  # each root's vertices
+    for block, held in vertices.items():
+        if len(block) == 2:
+            found = [Fraction(-block[0], block[1])]
+        else:
+            found = rational_roots(list(block))
+            # The roots are distinct and real, so a missed real root shows in the count.
+            if real_root_count(list(block)) != len(found):
+                raise ExactMathError("matrix has an irrational real eigenvalue; exact eigenspaces unavailable")
+        for r in found:
+            holders.setdefault(r, []).extend(held)
     d = lcm(1, *(x.denominator for row in sparse for x in row.values()))
     cleared = [_scaled(row, d) for row in sparse]
     out = []
-    for r in sorted(roots):
+    for r in sorted(holders):
+        reached: set[int] = set()
+        for v in holders[r]:
+            if v not in reached:
+                reached |= _reach(v, pred)
+        columns = sorted(reached)
         shift = d * r.numerator
         rows = []
-        for i, row in enumerate(cleared):
-            shifted = {j: r.denominator * x for j, x in row.items()}
+        for i in columns:
+            shifted = {j: r.denominator * x for j, x in cleared[i].items() if j in reached}
             if diag := shifted.get(i, 0) - shift:
                 shifted[i] = diag
             else:
                 shifted.pop(i, None)
             if shifted:
                 rows.append(shifted)
-        space = _null_basis(rows, n)
-        if space:
-            out.append((r, space))
+        out.append((r, _null_basis(rows, columns)))
     return out

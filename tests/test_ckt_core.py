@@ -1044,7 +1044,7 @@ def jets_on(plane, vecs):
     integer numerators over one common denominator."""
     vecs = [cc._free_vector(vec) for vec in vecs]
     d = math.lcm(*(vec.den for vec in vecs))
-    return cc._jets_on(plane, [{c: n * (d // vec.den) for c, n in vec.entries} for vec in vecs])
+    return cc._jets_on(plane, [{c: n * (d // vec.den) for c, n in vec.entries} for vec in vecs], 4)
 
 
 def eigenvector_rows(v, basis):
@@ -1320,6 +1320,85 @@ class TestSpotChecks:
             assert result.outside_tsn_directions == spot_check_route(v, members)
 
 
+def point_values(plane, vecs):
+    """The 24 integer values at the point of ``_plane_point`` of the jets of
+    ``jets_on(plane, vecs)``, summed from the basis tensors' values there
+    as ``tsn_filter`` sums them."""
+    vecs = [cc._free_vector(vec) for vec in vecs]
+    d = math.lcm(*(vec.den for vec in vecs))
+    point = cc._plane_point(plane)
+    return [[sum(n * (d // vec.den) * point[c][s] for c, n in vec.entries) for s in range(24)] for vec in vecs]
+
+
+def plane_point(plane):
+    var, value = plane
+    return [value if i == var else x for i, x in enumerate(cc._POINT)]
+
+
+# The outside directions that tsn_filter reports on the four h = 0 kernels.
+KERNEL_OUTSIDE = {"X3": (3, 4), "D": (), "I3": (7, 8), "R3": ()}
+
+
+class TestPointRefutation:
+    """``tsn_filter`` refutes a spot-checked direction by a nonzero value of
+    a TSN scalar at one point of its plane, and tests the polynomial jets of
+    the others; the jets, and their scalars, evaluated at the point are the
+    oracle."""
+
+    @pytest.mark.parametrize("plane", PLANES, ids=[f"x{var}={value}" for var, value in PLANES])
+    def test_values_are_the_jets_at_the_point(self, plane):
+        rng = random.Random(f"point-{plane}")
+        vecs = [vec for name, h in SCAN_EIGENSPACES for vec in scan_eigenspace(name, h)[1]]
+        vecs += [[rand_fraction(rng, -9, 9, 7) if rng.random() < 0.5 else 0 for _ in range(35)]
+                 for _ in range(10)]
+        point = plane_point(plane)
+        for values, jet in zip(point_values(plane, vecs), jets_on(plane, vecs)):
+            assert values == [evaluate(p, point) for p in jet]
+            assert (list(cc._tsn_scalars(*jet_entries(values)))
+                    == [evaluate(p, point) for p in cc._tsn_scalars(*jet_entries(jet))])
+
+    @pytest.mark.parametrize("name", list(KERNEL_OUTSIDE))
+    def test_a_refuted_direction_fails_on_its_jet(self, name):
+        # Every kernel direction, the members of the candidate and seeded
+        # combinations: none refuted at the point passes on its jet, and
+        # every outside direction but the reported ones is refuted.
+        rng = random.Random(f"refute-{name}")
+        v = ckv_by_name(name)
+        (_, kernel), = symmetry_subspace(v, "h_zero")
+        result = tsn_filter(v, kernel)
+        assert result.outside_tsn_directions == KERNEL_OUTSIDE[name]
+        vecs = list(kernel) + list(result.subspace)
+        vecs += [combination(kernel, [rand_fraction(rng, -3, 3) for _ in kernel]) for _ in range(10)]
+        plane = cc._transversal_plane(v)
+        verdicts = [(not cc._tsn_on(values), cc._tsn_on(jet))
+                    for values, jet in zip(point_values(plane, vecs), jets_on(plane, vecs))]
+        assert not any(refuted and passes for refuted, passes in verdicts)
+        assert all(passes for _, passes in verdicts[len(kernel):len(kernel) + len(result.subspace)])
+        inside = {combo.entries[0][0] for combo in vanishing_combinations(plane_eigenvector_rows(v, kernel))
+                  if len(combo.entries) == 1}
+        assert [idx for idx, (refuted, _) in enumerate(verdicts[:len(kernel)])
+                if idx not in inside and not refuted] == list(KERNEL_OUTSIDE[name])
+
+    def test_warm_scans_form_derivative_jets_for_the_reported_directions(self, capsys, monkeypatch):
+        from rotweb.cli import main
+
+        real, formed = cc._jets_on, []
+
+        def counted(plane, rows, width):
+            if width == 4:
+                formed.extend(rows)
+            return real(plane, rows, width)
+
+        for name in KERNEL_OUTSIDE:
+            assert main(["symmetry", name, "--h", "0"]) == 0
+        monkeypatch.setattr(cc, "_jets_on", counted)
+        for name, reported in KERNEL_OUTSIDE.items():
+            formed.clear()
+            assert main(["symmetry", name, "--h", "0"]) == 0
+            assert len(formed) == len(reported) == (2 if name in ("X3", "I3") else 0)
+        capsys.readouterr()
+
+
 def twist(v):
     """v . curl v, multiplied out term by term: the oracle of ``_twist``."""
     curl = (v[2].diff(1) - v[1].diff(2), v[0].diff(2) - v[2].diff(0), v[1].diff(0) - v[0].diff(1))
@@ -1379,6 +1458,13 @@ class TestHypersurfaceOrthogonality:
                 assert dimension in (None, len(sub))
                 if sub:
                     assert tsn_check(symbolic_family(sub))
+
+    def test_outside_directions_match_the_spot_check_route(self):
+        # The point refutation leaves the outside directions of every
+        # certified kernel as the assembled tensors give them.
+        for v in ORTHOGONAL + translated_fields():
+            (_, kernel), = symmetry_subspace(v, "h_zero")
+            assert tsn_filter(v, kernel).outside_tsn_directions == spot_check_route(v, kernel)
 
     def test_twisted_candidates_raise(self):
         # The candidate is nonempty and fails the TSN conditions: the

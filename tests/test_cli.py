@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -558,6 +559,76 @@ class TestReportWriter:
         assert len(written) == len(calls)
         for text, expected in written:
             assert text == expected
+
+
+# rat_str's output: 0, or an integer or a reduced p/q with q > 1, signed.
+RAT_STR = re.compile(r"0|-?[1-9][0-9]*(/[1-9][0-9]*)?")
+
+
+def seeded_free_blocks():
+    """free_json_dict of the zero vector and of seeded ``Numerators`` with
+    negative and p/q entries, half of them with numerators beyond 2^64."""
+    rng = random.Random(35)
+    vecs = [[0] * ckt_core.DIM_TRACE_FREE]
+    for trial in range(16):
+        top = 2 ** 90 if trial % 2 else 9
+        vecs.append([Fraction(rng.choice((-1, 1)) * rng.randint(1, top), rng.randint(1, 12))
+                     if rng.random() < 0.4 else 0 for _ in range(ckt_core.DIM_TRACE_FREE)])
+    return [ckt_core.free_json_dict(linalg.Numerators.of(vec)) for vec in vecs]
+
+
+def leaves(value):
+    """The str leaves of nested lists and of dicts in sorted key order."""
+    if type(value) is str:
+        return [value]
+    items = (value[key] for key in sorted(value)) if isinstance(value, dict) else value
+    return [leaf for item in items for leaf in leaves(item)]
+
+
+def plain(value):
+    """The value with every dict, ``FreeBlocks`` included, a plain dict."""
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(plain(item) for item in value)
+    return value
+
+
+class TestFreeBlocksSkeleton:
+    """``_write`` writes a ``FreeBlocks`` by filling its flat entries into a
+    skeleton; the generic writer on the same blocks as a plain dict, and
+    json.dumps, are the oracles."""
+
+    def test_flat_entries_are_rat_strs_in_writing_order(self):
+        # The skeleton inserts each entry between quotes unescaped: exact
+        # only for rat_str strings, in the order the sorted keys write them.
+        blocks = seeded_free_blocks()
+        assert set(blocks[0].flat) == {"0"}
+        assert any(len(entry) > 20 and "/" in entry and entry[0] == "-" for block in blocks for entry in block.flat)
+        for block in blocks:
+            assert type(block) is ckt_core.FreeBlocks and len(block.flat) == ckt_core.FreeBlocks.size
+            assert block.flat == tuple(leaves(block))
+            for entry in block.flat:
+                assert type(entry) is str and RAT_STR.fullmatch(entry), entry
+                assert rat_str(Fraction(entry)) == entry and json.dumps(entry) == f'"{entry}"'
+
+    @pytest.mark.parametrize("indent", ["", "  ", "    ", " " * 10])
+    def test_skeleton_route_is_the_generic_writer(self, indent):
+        for block in seeded_free_blocks():
+            fast, slow = [], []
+            cli._write(block, indent, fast)
+            cli._write(dict(block), indent, slow)
+            assert "".join(fast) == "".join(slow)
+            assert cli.dump_report(block) == json_dumps_report(block) == json_dumps_report(plain(block))
+
+    def test_nested_in_lists_and_dicts(self):
+        blocks = seeded_free_blocks()
+        values = [blocks, {"basis": blocks[:3], "h": "1/2"}, (blocks[4], [[blocks[5]], {"k": blocks[0]}]),
+                  {"a": {"b": [{"c": blocks[6], "d": [blocks[7], 1, None]}]}, "z": blocks[8]}]
+        for value in values + [values]:
+            text = cli.dump_report(value)
+            assert text == json_dumps_report(value) == json_dumps_report(plain(value))
+            assert text == cli.dump_report(plain(value))
 
 
 def test_classify_computes_the_invariants_once(capsys, monkeypatch):

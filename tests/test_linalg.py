@@ -690,6 +690,159 @@ class TestRationalEigenvaluesParity:
             rational_eigenvalues(conjugated(rng, m))
 
 
+def nonzero_entry(rng):
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 5))
+
+
+def two_by_two(rng, lam, mu):
+    """An irreducible 2x2 block with eigenvalues lam and mu: [[lam, b], [0,
+    mu]] conjugated by [[1, 0], [k, 1]], both off-diagonal entries
+    nonzero."""
+    while True:
+        b, k = nonzero_entry(rng), nonzero_entry(rng)
+        if k * (lam - mu - k * b):
+            return [[lam - b * k, b], [k * (lam - mu - k * b), k * b + mu]]
+
+
+def coupled(rng, blocks, links=(), density=0.3):
+    """The square blocks on the diagonal in order, each row coupled at random
+    to the columns of earlier blocks, so that the graph i -> j for a_ij != 0
+    runs from later blocks to earlier ones; each (later, earlier) pair of
+    block indices in links gets at least one coupling.  Scattered by a
+    random permutation."""
+    starts = [0]
+    for block in blocks:
+        starts.append(starts[-1] + len(block))
+    n = starts[-1]
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for b, block in enumerate(blocks):
+        for i, row in enumerate(block):
+            for j, x in enumerate(row):
+                m[starts[b] + i][starts[b] + j] = Fraction(x)
+            for j in range(starts[b]):
+                if rng.random() < density:
+                    m[starts[b] + i][j] = nonzero_entry(rng)
+    for later, earlier in links:
+        m[rng.randrange(starts[later], starts[later + 1])][rng.randrange(starts[earlier], starts[earlier + 1])] = \
+            nonzero_entry(rng)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [[m[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+
+
+def reaches(m):
+    """reach[i][j]: a path i -> ... -> j of nonzero entries, or i == j."""
+    n = len(m)
+    reach = [[i == j or bool(m[i][j]) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                reach[i] = [a or b for a, b in zip(reach[i], reach[k])]
+    return reach
+
+
+def reached_columns(m, h):
+    """The vertices that reach a diagonal block with root h: the blocks are
+    the strongly connected components of ``reaches``, and the block S has
+    root h when det(A_SS - h I) = 0."""
+    n, reach = len(m), reaches(m)
+    holders = []
+    for j in range(n):
+        block = [k for k in range(n) if reach[j][k] and reach[k][j]]
+        if bareiss_det([[m[a][b] - (h if a == b else 0) for b in block] for a in block]) == 0:
+            holders.append(j)
+    return [i for i in range(n) if any(reach[i][j] for j in holders)]
+
+
+class TestRestrictedEigenspaces:
+    """``rational_eigenvalues`` solves each eigenvalue on the vertices that
+    reach a block with that root; the dense Fraction route, which solves
+    every row, is the oracle."""
+
+    @staticmethod
+    def recorded(monkeypatch):
+        real, calls = linalg._null_basis, []
+
+        def recording(rows, columns):
+            calls.append((rows, list(columns)))
+            return real(rows, columns)
+
+        monkeypatch.setattr(linalg, "_null_basis", recording)
+        return calls
+
+    def assert_restricted(self, m, calls):
+        calls.clear()
+        result = rational_eigenvalues(m)
+        assert dense_spaces(result, len(m)) == dense_rational_eigenvalues(m)
+        assert len(calls) == len(result)
+        for (h, _), (rows, columns) in zip(result, calls):
+            assert columns == reached_columns(m, h)
+            assert all(set(row) <= set(columns) for row in rows)
+        return result, calls
+
+    def test_seeded_block_triangular_matrices(self, monkeypatch):
+        # 1x1 blocks from a small pool, so that one eigenvalue sits in
+        # several blocks, upstream and downstream of the others; 2x2 blocks
+        # with rational eigenvalues, and irreducible t^2 + c^2 blocks.
+        calls = self.recorded(monkeypatch)
+        rng = random.Random(351)
+        pool = [Fraction(0), Fraction(1, 2), Fraction(-2), Fraction(3)]
+        solved = every = 0
+        for trial in range(60):
+            blocks = []
+            while len(blocks) < 2 + trial % 7:
+                kind = rng.random()
+                if kind < 0.6:
+                    blocks.append([[rng.choice(pool)]])
+                elif kind < 0.8:
+                    blocks.append(two_by_two(rng, rng.choice(pool), rng.choice(pool)))
+                else:
+                    c = nonzero_entry(rng)
+                    blocks.append([[0, -c], [c, 0]])
+            m = coupled(rng, blocks)
+            result, _ = self.assert_restricted(m, calls)
+            solved += sum(len(columns) for _, columns in calls)
+            every += len(m) * len(result)
+        assert solved < every
+
+    def test_rotation_blocks_feeding_a_zero_block(self, monkeypatch):
+        # t^2 + 1 has no real root, yet the eigenvector of 0 is nonzero on
+        # the rotation block upstream of the zero block.
+        calls = self.recorded(monkeypatch)
+        rng = random.Random(352)
+        for trial in range(20):
+            blocks = [[[0]], [[0, -1], [1, 0]], [[Fraction(1, 2)]], [[0, -2], [2, 0]]]
+            m = coupled(rng, blocks, links=[(1, 0), (3, 1), (3, 2)], density=0.1)
+            result, _ = self.assert_restricted(m, calls)
+            (h, space), = [(h, space) for h, space in dense_spaces(result, len(m)) if h == 0]
+            assert len(space) == 1 and sum(1 for x in space[0] if x) >= 2
+
+    def test_jordan_chains(self, monkeypatch):
+        # Chains of 1x1 blocks with one eigenvalue, each coupled to the
+        # next, beside and between blocks of other eigenvalues.
+        calls = self.recorded(monkeypatch)
+        rng = random.Random(353)
+        for trial in range(30):
+            lam, other = rng.sample([Fraction(0), Fraction(-1, 3), Fraction(2), Fraction(5, 2)], 2)
+            length = 2 + trial % 4
+            blocks = [[[lam]] for _ in range(length)]
+            blocks.insert(rng.randrange(length + 1), [[other]])
+            chain = [b for b, block in enumerate(blocks) if block == [[lam]]]
+            m = coupled(rng, blocks, links=list(zip(chain[1:], chain)), density=0.15)
+            result, _ = self.assert_restricted(m, calls)
+            assert len(dict(dense_spaces(result, len(m)))[lam]) < length
+
+    def test_diagonal_operator_solves_empty_rows(self, monkeypatch):
+        # L_D scales each homogeneous part: its operator is diagonal, so each
+        # eigenvalue reaches its own coordinates alone, and every shifted row
+        # there is zero.
+        calls = self.recorded(monkeypatch)
+        operator = lie_operator(ckt_core.ckv_by_name("D"))
+        result, _ = self.assert_restricted(operator, calls)
+        assert [rows for rows, _ in calls] == [[]] * 5
+        assert sorted(c for _, columns in calls for c in columns) == list(range(35))
+
+
 # The eight scans of the benchmark and of ``rotweb symmetry``.
 SCANS = [(name, mode) for name in ("X3", "D", "I3", "R3") for mode in ("h_zero", "h_constant")]
 
