@@ -371,19 +371,12 @@ def _partials(k: SymTensorField) -> list:
 
 
 def _contraction_from_partials(dk: list) -> VectorField:
-    """Five times ``contraction_vector``, d_i tr K + 2 d_j K_ji, from the
-    partials of ``_partials``: integer for an integer tensor."""
+    """Five times the contraction vector k_i = (d_i tr K + 2 d_j K_ji) / 5,
+    from ``_partials``: integer for an integer tensor."""
     one = Poly.const(1, dk[0][0][0].nvars)
     return VectorField(tuple(Poly.dot(one.nvars, [(1, one, dk[a][a][i]) for a in range(3)]
                                       + [(2, one, dk[a][i][a]) for a in range(3)])
                              for i in range(3)))
-
-
-def contraction_vector(k: SymTensorField) -> VectorField:
-    """The vector k_i = (d_i tr K + 2 d_j K_ji) / 5 obtained by contracting
-    the valence-2 conformal Killing equation with the metric in dimension 3.
-    """
-    return _contraction_from_partials(_partials(k)).scale(Fraction(1, 5))
 
 
 def _equation_terms(i: int, j: int, m: int) -> tuple[Counter, Counter]:
@@ -603,8 +596,8 @@ def _free_basis() -> tuple[SymTensorField, ...]:
 
 @lru_cache(maxsize=None)
 def _assembly_matrix() -> tuple[tuple[Poly, ...], ...]:
-    """The upper components of the 35 basis tensors F_c: the columns of
-    ``linalg.solve_many`` in ``_basis_lie_columns``."""
+    """The upper components of the 35 basis tensors F_c: the columns of the
+    solves in ``_basis_lie_columns`` and ``rotational.extract_parameters``."""
     return tuple(k.upper for k in _free_basis())
 
 

@@ -9,11 +9,13 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 from typing import TYPE_CHECKING, Sequence
 
-from .ckt_core import CktError, SymTensorField, basis_product, ckv_basis, eigenvector_cross, verify_ckt
-from .exactmath import rat, rat_str
+from . import linalg
+from .ckt_core import CktError, SymTensorField, _assembly_matrix, basis_product, ckv_basis, eigenvector_cross
+from .exactmath import Poly, rat, rat_str
 from .expr import eval_rational
 
 if TYPE_CHECKING:
@@ -75,29 +77,35 @@ def rotational_eigencondition(k: SymTensorField) -> bool:
     return eigenvector_cross(k, ckv_basis(k.nvars)[5]).is_zero
 
 
-def extract_parameters(k: SymTensorField) -> RotParams:
-    """Read the six parameters off Cartesian components that are insensitive
-    to adding a polynomial multiple of the metric.
+def _metric_free(upper: Sequence[Poly]) -> tuple[Poly, ...]:
+    """K_xy, K_xz, K_yz, K_xx - K_zz and K_yy - K_zz from K's upper
+    components: unchanged by K -> K + f g, and all zero only for K = f g."""
+    xx, xy, xz, yy, yz, zz = upper
+    return xy, xz, yz, xx - zz, yy - zz
 
-    The precondition is checked in its metric-shift-invariant form: K must be
-    a conformal Killing tensor admitting R3 as an everywhere-eigenvector
-    (equivalent to rotational symmetry plus normal eigenvectors for the
-    trace-free representative, but stable under K -> K + f g).  Violations
-    raise naming the failed condition.
-    """
-    if not verify_ckt(k)[0]:
+
+@lru_cache(maxsize=None)
+def _piece_columns() -> tuple[tuple[Poly, ...], ...]:
+    """The metric-free components of the six ``_PIECES`` products."""
+    return tuple(_metric_free(basis_product(*key).upper) for key in _PIECES)
+
+
+def extract_parameters(k: SymTensorField) -> RotParams:
+    """The parameters p with K = assemble_rotational(p) + f g, by one exact
+    solve of K's metric-free components against the six pieces', which
+    certifies that identity.  If there is none, a solve against the 35 free
+    basis tensors' names the refusal; outside the six-span modulo g, a
+    conformal Killing tensor does not have R3 everywhere as an eigenvector.
+    - the six pieces are independent modulo g, so the parameters are unique;
+    - the 35 free basis tensors span every trace-free conformal Killing
+      tensor, so the 35-span decides whether K is one."""
+    rhs = [_metric_free(k.upper)]
+    if (solved := linalg.solve_many(_piece_columns(), rhs)) is not None:
+        return RotParams(*solved[0].dense(len(_PIECES)))
+    if linalg.solve_many([_metric_free(f) for f in _assembly_matrix()], rhs) is None:
         raise CktError("extract_parameters precondition failed: not a conformal Killing tensor")
-    if not rotational_eigencondition(k):
-        raise CktError("extract_parameters precondition failed: R3 is not an eigenvector "
-                       "(tensor is not rotationally symmetric modulo metric multiples)")
-    k12, k13 = k[0][1], k[0][2]
-    m33 = k12.coeff((1, 1, 2)) / 4
-    l3 = k12.coeff((1, 1, 1)) / 2
-    h = k13.coeff((1, 0, 1))
-    c33 = h - k12.coeff((1, 1, 0))
-    d3 = 2 * k13.coeff((1, 0, 0))
-    a33 = k[2][2].coeff((0, 0, 0)) - k[1][1].coeff((0, 0, 0))
-    return RotParams(m33, l3, h, c33, d3, a33)
+    raise CktError("extract_parameters precondition failed: R3 is not an eigenvector "
+                   "(tensor is not rotationally symmetric modulo metric multiples)")
 
 
 def eigenvalues_at(p: RotParams, point: Sequence) -> tuple[Fraction, Fraction, Fraction]:

@@ -12,8 +12,8 @@ alone: the curl numerators, over D^3, of twice the six unit parameter
 vectors' tensors are the columns of a linear system, solved by
 ``linalg.vanishing_combinations``.
 
-Its self-check is a linearity certificate.  ``verify_ckt`` runs once per
-process, on the six doubled unit tensors T_j (``_unit_tensors``).  The
+Its self-check is a linearity certificate.  Once per process, the six
+doubled unit tensors T_j must pass ``verify_ckt`` (``_unit_tensors``).  The
 tensor of parameters x is sum_j x_j T_j / 2, and the conformal Killing
 equation and the curl numerators are linear in (K, k), so that tensor is a
 conformal Killing tensor and its curl numerators over D^3 are
@@ -30,8 +30,7 @@ from functools import lru_cache
 from math import lcm
 
 from . import linalg
-from .ckt_core import (CktError, OneForm, SymTensorField, VectorField, contraction_vector,
-                       verify_ckt)
+from .ckt_core import CktError, OneForm, SymTensorField, VectorField, verify_ckt
 from .exactmath import Poly, RationalFunction, rat
 from .expr import eval_expr
 from .quartic_class import BinaryQuartic, WebType, classify_by_roots
@@ -143,13 +142,13 @@ _NPARAMS = 6
 def _unit_tensors() -> tuple[tuple[SymTensorField, VectorField], ...]:
     """Twice the tensor of each unit parameter vector, with its vector k;
     the factor 2 makes every coefficient of both an integer.  Each passes
-    ``verify_ckt`` here, once per process, and the vector it returns must be
-    the contraction vector; a failure raises CktError."""
+    ``verify_ckt`` here, once per process, which returns the vector as well;
+    a failure raises CktError."""
     out = []
     for j in range(_NPARAMS):
         k = assemble_rotational(RotParams.make(*(2 * (i == j) for i in range(_NPARAMS))))
         holds, kvec = verify_ckt(k)
-        if not holds or kvec != contraction_vector(k):
+        if not holds:
             raise CktError(f"unit tensor {j} fails the conformal Killing check")
         out.append((k, kvec))
     return tuple(out)

@@ -80,6 +80,12 @@ def assemble_free(vec) -> SymTensorField:
     return SymTensorField.combination(zip(vec, ckt_core._free_basis()), 3)
 
 
+def oracle_contraction(k):
+    """k_i = (d_i tr K + 2 d_j K_ji) / 5, with Poly + and *."""
+    return [(k[0][0].diff(i) + k[1][1].diff(i) + k[2][2].diff(i)
+             + (k[0][i].diff(0) + k[1][i].diff(1) + k[2][i].diff(2)) * 2) * Fraction(1, 5) for i in range(3)]
+
+
 def symbolic_family(vecs) -> SymTensorField:
     """The family sum_a t_a assemble_free(vec_a), with the t_a extra
     polynomial variables after x, y, z."""

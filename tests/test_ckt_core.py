@@ -18,8 +18,8 @@ from rotweb.exactmath import ExactMathError, Poly, rat, rat_str
 from rotweb.linalg import (Numerators, char_poly, nullspace, rank, rational_eigenvalues, solve_many,
                            vanishing_combinations)
 
-from conftest import (assemble_free, degree_in, evaluate, free_values, rand_fraction, symbolic_family,
-                      tensor_degree)
+from conftest import (assemble_free, degree_in, evaluate, free_values, oracle_contraction, rand_fraction,
+                      symbolic_family, tensor_degree)
 from ref_univariate import UniPoly, product, ref_monic
 
 X, Y, Z = (Poly.variable(i, 3) for i in range(3))
@@ -324,12 +324,6 @@ class TestVerifyCkt:
         assert holds
 
 
-def oracle_contraction(k):
-    """k_i = (d_i tr K + 2 d_j K_ji) / 5, with Poly + and *."""
-    return [(k[0][0].diff(i) + k[1][1].diff(i) + k[2][2].diff(i)
-             + (k[0][i].diff(0) + k[1][i].diff(1) + k[2][i].diff(2)) * 2) * Fraction(1, 5) for i in range(3)]
-
-
 def ck_residual(k, i, j, m):
     """d_i K_jm + d_j K_im + d_m K_ij - (k_i g_jm + k_j g_im + k_m g_ij)."""
     kv = oracle_contraction(k)
@@ -348,7 +342,7 @@ class TestVerifyCktEquations:
         for k in tensors:
             holds, kv = verify_ckt(k)
             assert holds
-            assert list(kv.components) == oracle_contraction(k) == list(cc.contraction_vector(k).components)
+            assert list(kv.components) == oracle_contraction(k)
 
     @pytest.mark.parametrize("i,j,m", CK_EQUATIONS, ids=[f"{i}{j}{m}" for i, j, m in CK_EQUATIONS])
     def test_rejects_a_perturbation_of_each_equation(self, i, j, m):

@@ -1,17 +1,24 @@
+import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from rotweb import ckt_core as cc
-from rotweb.ckt_core import CktError, ckv_by_name, lie_derivative, metric, symmetric_product, tsn_check
+from rotweb.ckt_core import (CktError, SymTensorField, ckv_by_name, lie_derivative, metric, symmetric_product,
+                             tsn_check)
 from rotweb.exactmath import Poly
-from rotweb.rotational import (RotParams, assemble_rotational, catalog,
+from rotweb.linalg import rank
+from rotweb.rotational import (_PIECES, RotParams, assemble_rotational, catalog,
                                cyclide_surface_residual, eigenvalues_at,
                                extract_parameters, rotational_eigencondition)
 
-from conftest import matrix_at, rand_fraction, symbolic_rotational
+from conftest import assemble_free, matrix_at, rand_fraction, symbolic_rotational
 from ref_univariate import UniPoly, ints, singular_polynomial
+
+X = Poly.variable(0, 3)
+ZERO = Poly.zero(3)
 
 
 class TestAssemble:
@@ -44,6 +51,60 @@ class TestAssemble:
         assert rotational_eigencondition(k)
 
 
+def oracle_extract(k):
+    """The former polynomial route: the precondition by ``verify_ckt`` and
+    the eigencondition, then the six parameters read off six monomials of
+    K_xy, K_xz, K_yy and K_zz that adding f g leaves alone."""
+    if not cc.verify_ckt(k)[0]:
+        raise CktError("extract_parameters precondition failed: not a conformal Killing tensor")
+    if not rotational_eigencondition(k):
+        raise CktError("extract_parameters precondition failed: R3 is not an eigenvector "
+                       "(tensor is not rotationally symmetric modulo metric multiples)")
+    k12, k13 = k[0][1], k[0][2]
+    h = k13.coeff((1, 0, 1))
+    return RotParams(k12.coeff((1, 1, 2)) / 4, k12.coeff((1, 1, 1)) / 2, h, h - k12.coeff((1, 1, 0)),
+                     2 * k13.coeff((1, 0, 0)), k[2][2].coeff((0, 0, 0)) - k[1][1].coeff((0, 0, 0)))
+
+
+def metric_free_columns(tensors):
+    """K_xy, K_xz, K_yz, K_xx - K_zz and K_yy - K_zz of each tensor."""
+    return [(k[0][1], k[0][2], k[1][2], k[0][0] - k[2][2], k[1][1] - k[2][2]) for k in tensors]
+
+
+def column_rank(columns):
+    """The rank of polynomial columns, each read as its coefficients per
+    (component, monomial)."""
+    rows = {}
+    for c, column in enumerate(columns):
+        for i, poly in enumerate(column):
+            for exps, coeff in poly.exponent_items():
+                rows.setdefault((i, exps), [0] * len(columns))[c] = coeff
+    return rank(list(rows.values()))
+
+
+def seeded_shifts(count):
+    """count pairs (p, K + f g), K = assemble_rotational(p): integer
+    parameters in the first third, p/q after; f of degree <= 3 with
+    rational coefficients."""
+    rng = random.Random("extract-shifts")
+    monomials = [e for e in itertools.product(range(4), repeat=3) if sum(e) <= 3]
+    out = []
+    for i in range(count):
+        if i < count // 3:
+            p = RotParams.make(*(rng.randint(-9, 9) for _ in range(6)))
+        else:
+            p = RotParams.make(*(rand_fraction(rng, -9, 9, 7) for _ in range(6)))
+        f = Poly.from_terms({m: rand_fraction(rng, -5, 5, 6) for m in rng.sample(monomials, rng.randint(0, 6))}, 3)
+        out.append((p, assemble_rotational(p) + metric(3).scale(f)))
+    return out
+
+
+def refusal(route, k):
+    with pytest.raises(CktError) as info:
+        route(k)
+    return str(info.value)
+
+
 class TestExtract:
     def test_round_trip(self, rng):
         for _ in range(50):
@@ -64,6 +125,49 @@ class TestExtract:
         x1 = ckv_by_name("X1")
         with pytest.raises(CktError, match="eigenvector"):
             extract_parameters(symmetric_product(x1, x1))
+
+    def test_catalog_rows_match_the_oracle(self):
+        for entry in catalog():
+            k = assemble_rotational(entry.params)
+            assert extract_parameters(k) == oracle_extract(k) == entry.params, entry.name
+
+    def test_seeded_metric_shifts_match_the_oracle(self):
+        for p, k in seeded_shifts(200):
+            assert extract_parameters(k) == oracle_extract(k) == p
+
+    def test_metric_reads_zero(self):
+        assert extract_parameters(metric(3)) == oracle_extract(metric(3)) == RotParams.make()
+
+
+class TestExtractRefusals:
+    NOT_CKT = "not a conformal Killing tensor"
+    NOT_ROTATIONAL = "R3 is not an eigenvector"
+
+    def test_degree_five_component(self):
+        k = SymTensorField.from_upper(X ** 5, ZERO, ZERO, ZERO, ZERO, ZERO)
+        assert self.NOT_CKT in refusal(extract_parameters, k) == refusal(oracle_extract, k)
+
+    def test_cubic_added_to_xx(self, rng):
+        p = RotParams.make(*(rand_fraction(rng) for _ in range(6)))
+        base = assemble_rotational(p)
+        k = SymTensorField.from_upper(base[0][0] + X ** 3, *base.upper[1:])
+        assert self.NOT_CKT in refusal(extract_parameters, k) == refusal(oracle_extract, k)
+
+    def test_free_basis_combination(self):
+        rng = random.Random("extract-free")
+        for _ in range(5):
+            k = assemble_free([rand_fraction(rng, -9, 9, 7) for _ in range(cc.DIM_TRACE_FREE)])
+            assert cc.verify_ckt(k)[0] and not rotational_eigencondition(k)
+            assert self.NOT_ROTATIONAL in refusal(extract_parameters, k) == refusal(oracle_extract, k)
+
+    def test_pieces_independent_modulo_metric(self):
+        pieces = [cc.basis_product(*key) for key in _PIECES]
+        assert column_rank(metric_free_columns(pieces)) == 6
+
+    def test_free_basis_spans_the_trace_free_ckts(self):
+        tensors = [SymTensorField.from_upper(*upper) for upper in cc._assembly_matrix()]
+        assert len(tensors) == cc.ckt_dimension(3, 2) == 35
+        assert column_rank(metric_free_columns(tensors)) == 35
 
 
 class TestSingularPolynomial:
