@@ -1,9 +1,9 @@
 """Conformal Killing vector / tensor calculus on flat 3-space.
 
 Vector and symmetric tensor fields carry exact polynomial components in
-Cartesian coordinates (x, y, z) = variables 0, 1, 2; extra polynomial
-variables, when present, act as inert parameters, which lets every check
-here run on whole linear families at once.
+Cartesian coordinates (x, y, z) = variables 0, 1, 2; ``verify_ckt``,
+``tsn_check``, ``lie_derivative`` and ``eigenvector_cross`` also take extra
+polynomial variables as inert parameters, to run on linear families at once.
 
 The Levi-Civita sign convention is fixed as eps_{123} = +1; all component
 formulas and tests pin that choice.
@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import linalg
 from .exactmath import Poly, RationalFunction, rat
@@ -230,27 +230,20 @@ def lie_derivative(v: VectorField, k: SymTensorField) -> SymTensorField:
 # Symmetric-product coefficients
 
 
-def _sym3(entries) -> tuple:
-    rows = tuple(tuple(rat(x) for x in row) for row in entries)
-    if len(rows) != 3 or any(len(r) != 3 for r in rows):
-        raise CktError("expected a 3x3 block")
-    return rows
-
-
-def _vec3(entries) -> tuple:
-    out = tuple(rat(x) for x in entries)
-    if len(out) != 3:
-        raise CktError("expected a length-3 block")
-    return out
-
-
-# The blocks a, b, c, d, e, f, g, h, l, m of ``CktCoefficients``, as their
-# JSON names and their sizes: a 3x3 grid, a vector of 3 or the scalar h.
-# Laid out flat, row by row, they are 64 entries (``_sliced``), which
-# ``_free_entries`` indexes.
-_BLOCK_NAMES = ("A", "B", "C", "D", "E", "F", "G", "Hscalar", "L", "M")
-_BLOCK_SIZES = (9, 9, 9, 3, 9, 3, 9, 1, 3, 9)
-_FLAT_SIZE = sum(_BLOCK_SIZES)
+# The ``ckv_basis`` indices of X1..X3, R1..R3, D and I1..I3.
+_X, _R, _D, _I = range(0, 3), range(3, 6), range(6, 7), range(7, 10)
+# The blocks of ``CktCoefficients`` in field order: each one's field, JSON name,
+# size (a 3x3 grid, a vector of 3 or the scalar h), and the generators p in
+# left and q in right of the products X_p.X_q that its entries weigh, row by row.
+_Block = NamedTuple("_Block", [("field", str), ("name", str), ("size", int), ("left", range), ("right", range)])
+_BLOCKS = tuple(_Block(field, name, len(left) * len(right), left, right) for field, name, left, right in [
+    ("a", "A", _X, _X), ("b", "B", _X, _R), ("c", "C", _R, _R), ("d", "D", _X, _D), ("e", "E", _X, _I),
+    ("f", "F", _R, _D), ("g", "G", _R, _I), ("h", "Hscalar", _D, _D), ("l", "L", _D, _I), ("m", "M", _I, _I)])
+_BLOCK_SIZES = tuple(block.size for block in _BLOCKS)
+# The 64 entries of the blocks laid out flat, row by row (``_sliced``), which
+# ``_free_entries`` indexes, as the (p, q) of the product X_p.X_q of each.
+_FLAT_PAIRS = tuple(pair for block in _BLOCKS for pair in itertools.product(block.left, block.right))
+_FLAT_SIZE = len(_FLAT_PAIRS)
 
 
 def _sliced(flat: list, row=tuple) -> list:
@@ -268,6 +261,17 @@ def _sliced(flat: list, row=tuple) -> list:
     return blocks
 
 
+def _entries(block, size: int) -> list:
+    """The entries of a block of ``size`` row by row, the inverse of
+    ``_sliced``: a grid as three rows of three, a vector as three, h as one."""
+    if size == 1:
+        return [block]
+    rows = block if size == 9 else [block]
+    if len(rows) != size // 3 or any(len(row) != 3 for row in rows):
+        raise CktError(f"expected a {'3x3' if size == 9 else 'length-3'} block")
+    return [x for row in rows for x in row]
+
+
 @dataclass(frozen=True)
 class CktCoefficients:
     """Coefficients of the general linear combination of symmetric products
@@ -276,10 +280,10 @@ class CktCoefficients:
         K = A_ij Xi.Xj + B_ij Xi.Rj + C_ij Ri.Rj + D_i Xi.D + E_ij Xi.Ij
           + F_i Ri.D + G_ij Ri.Ij + H D.D + L_i D.Ii + M_ij Ii.Ij
 
-    A, C, M are symmetric.  This is the JSON and outside-input form of a
-    tensor: ``assemble_ckt`` expands it, and the symmetry scans work on the
-    35 free coordinates instead (``FREE_COORDS``), the tensor of a vector x
-    being sum_c x_c F_c over the basis tensors F_c of ``_free_basis``.
+    as ``_BLOCKS`` lays it out; A, C, M are symmetric.  This is the JSON and
+    outside-input form of a tensor, which ``assemble_ckt`` expands; the scans
+    work on the 35 free coordinates (``FREE_COORDS``) instead, the tensor of
+    x being sum_c x_c F_c over the basis tensors F_c of ``_free_basis``.
     The coefficients of free coordinates (``free_json_dict``) satisfy the
     trace relations tr A = tr B = tr G = tr M = 0, H = 0, F = 0, D =
     eps-contraction of B, L = eps-contraction of G, and C_ij = E_ij + E_ji -
@@ -298,30 +302,23 @@ class CktCoefficients:
     m: tuple
 
     @classmethod
-    def make(cls, a=None, b=None, c=None, d=None, e=None, f=None, g=None,
-             h=0, l=None, m=None) -> CktCoefficients:
-        zero33 = ((0, 0, 0),) * 3
-        zero3 = (0, 0, 0)
-        return cls(
-            a=_sym3(a or zero33), b=_sym3(b or zero33), c=_sym3(c or zero33),
-            d=_vec3(d or zero3), e=_sym3(e or zero33), f=_vec3(f or zero3),
-            g=_sym3(g or zero33), h=rat(h), l=_vec3(l or zero3), m=_sym3(m or zero33),
-        )
+    def make(cls, **blocks) -> CktCoefficients:
+        """The coefficients with the given blocks, by field, each entry
+        anything ``rat`` reads; a block not given, or None, is zero."""
+        flat = [rat(x) for block, zero in zip(_BLOCKS, _sliced([0] * _FLAT_SIZE))
+                for x in _entries(blocks.pop(block.field, None) or zero, block.size)]
+        return cls(*_sliced(flat), **blocks)
 
     def validate(self) -> None:
-        for name, block in (("A", self.a), ("C", self.c), ("M", self.m)):
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    if block[i][j] != block[j][i]:
-                        raise CktError(f"coefficient block {name} must be symmetric")
+        """A grid of products of one family with itself must be symmetric."""
+        for field, name, size, left, right in _BLOCKS:
+            grid = getattr(self, field)
+            if size == 9 and left == right and any(grid[i][j] != grid[j][i] for i, j in _UPPER):
+                raise CktError(f"coefficient block {name} must be symmetric")
 
     @classmethod
     def from_json_dict(cls, data: dict) -> CktCoefficients:
-        return cls.make(
-            a=data.get("A"), b=data.get("B"), c=data.get("C"), d=data.get("D"),
-            e=data.get("E"), f=data.get("F"), g=data.get("G"),
-            h=data.get("Hscalar", 0), l=data.get("L"), m=data.get("M"),
-        )
+        return cls.make(**{block.field: data[block.name] for block in _BLOCKS if block.name in data})
 
 
 @lru_cache(maxsize=None)
@@ -331,30 +328,12 @@ def basis_product(i: int, j: int) -> SymTensorField:
     return symmetric_product(basis[i], basis[j])
 
 
-_X, _R, _D, _I = 0, 3, 6, 7  # offsets into the basis ordering
-
-
-def _block_terms(a, b, c, d, e, f, g, h, l, m):
-    """The nonzero (coefficient, (p, q)) of K = sum coefficient X_p.X_q
-    (``ckv_basis`` indices) over raw blocks of rationals."""
-    terms = []
-    for i in range(3):
-        for j in range(3):
-            terms += [(a[i][j], (_X + i, _X + j)), (b[i][j], (_X + i, _R + j)),
-                      (c[i][j], (_R + i, _R + j)), (e[i][j], (_X + i, _I + j)),
-                      (g[i][j], (_R + i, _I + j)), (m[i][j], (_I + i, _I + j))]
-    for i in range(3):
-        terms += [(d[i], (_X + i, _D)), (f[i], (_R + i, _D)), (l[i], (_D, _I + i))]
-    terms.append((h, (_D, _D)))
-    return [(coeff, key) for coeff, key in terms if coeff]
-
-
 def assemble_ckt(coeffs: CktCoefficients) -> SymTensorField:
-    """Expand the symmetric-product combination into Cartesian components."""
+    """Expand the symmetric-product combination into Cartesian components:
+    each flat entry times its product (``_FLAT_PAIRS``)."""
     coeffs.validate()
-    terms = _block_terms(coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.e,
-                         coeffs.f, coeffs.g, coeffs.h, coeffs.l, coeffs.m)
-    return SymTensorField.combination([(coeff, basis_product(*key)) for coeff, key in terms], 3)
+    flat = [x for block in _BLOCKS for x in _entries(getattr(coeffs, block.field), block.size)]
+    return SymTensorField.combination([(x, basis_product(*pq)) for x, pq in zip(flat, _FLAT_PAIRS) if x], 3)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +489,7 @@ def _free_entries() -> tuple[int, tuple]:
     ``FREE_COORDS``, the nonzero (entry, 2 x) of its unit vector, which are
     its own entry and the entries that the trace relations of
     ``CktCoefficients`` tie to it."""
-    at = dict(zip("abcdefghlm", itertools.accumulate(_BLOCK_SIZES, initial=0)))
+    at = dict(zip((block.field for block in _BLOCKS), itertools.accumulate(_BLOCK_SIZES, initial=0)))
     rows = []
     for block, i, j in FREE_COORDS:
         entries = Counter({at[block] + 3 * i + j: 2})
@@ -563,15 +542,16 @@ class FreeBlocks(dict):
 
     __slots__ = ("flat",)
     size = _FLAT_SIZE
+    _names = tuple(block.name for block in _BLOCKS)
 
     def __init__(self, flat: Sequence[str]):
-        super().__init__(zip(_BLOCK_NAMES, _sliced(flat, list)))
+        super().__init__(zip(self._names, _sliced(flat, list)))
         self.flat = tuple(flat)
 
 
 def free_json_dict(vec) -> FreeBlocks:
     """The coefficient blocks of the tensor with free coordinates vec
-    (``_free_vector``), under their JSON names (``_BLOCK_NAMES``) and with
+    (``_free_vector``), under their JSON names (``_BLOCKS``) and with
     each entry as ``rat_str`` writes it, from the integer numerators without
     a Fraction: a scan's report block, which keeps its entries flat too
     (``FreeBlocks``)."""
@@ -587,11 +567,12 @@ def _ratio_str(n: int, den: int) -> str:
 
 @lru_cache(maxsize=None)
 def _free_basis() -> tuple[SymTensorField, ...]:
-    """The tensors F_c of the 35 unit free-coordinate vectors, assembled
-    from their blocks (``_free_numerators``)."""
-    units = (linalg.Numerators(1, ((c, 1),)) for c in range(DIM_TRACE_FREE))
-    return tuple(assemble_ckt(CktCoefficients(*_sliced([Fraction(n, den) for n in flat])))
-                 for flat, den in map(_free_numerators, units))
+    """The tensors F_c of the 35 unit free-coordinate vectors: per row of
+    ``_free_entries``, the sum of x / q times the product of each entry
+    (``_FLAT_PAIRS``)."""
+    q, rows = _free_entries()
+    return tuple(SymTensorField.combination([(Fraction(x, q), basis_product(*_FLAT_PAIRS[entry]))
+                                             for entry, x in row], 3) for row in rows)
 
 
 @lru_cache(maxsize=None)
@@ -693,6 +674,16 @@ def _killing_columns() -> tuple[int, tuple[dict, ...]]:
                     for curl in curls)
 
 
+def _sparse_sum(weights, tables) -> dict:
+    """sum_i w_i T_i over the (i, w_i) of weights, each T_i a sparse dict
+    {key: x}, as one sparse dict; a key whose sum is 0 may remain."""
+    acc: dict = {}
+    for i, w in weights:
+        for key, x in tables[i].items():
+            acc[key] = acc.get(key, 0) + w * x
+    return acc
+
+
 def killing_obstruction_terms(vec) -> dict:
     """The Killing obstruction of the tensor sum_c x_c F_c of vec
     (``_free_vector``), the curl of its contraction vector k (the Hodge
@@ -705,10 +696,7 @@ def killing_obstruction_terms(vec) -> dict:
     vec: no tensor is assembled or differentiated."""
     vec = _free_vector(vec)
     q, columns = _killing_columns()
-    terms: dict = {}
-    for c, n in vec.entries:
-        for slot, x in columns[c].items():
-            terms[slot] = terms.get(slot, 0) + n * x
+    terms = _sparse_sum(vec.entries, columns)
     return {slot: Fraction(x, q * vec.den) for slot, x in terms.items() if x}
 
 
@@ -984,10 +972,7 @@ def tsn_filter(v: VectorField, basis: Sequence) -> TsnFilterResult:
     combos = linalg.vanishing_combinations(images)
     sub = []
     for combo in combos:
-        acc: dict = {}
-        for i, w in combo.entries:
-            for c, n in rows[i].items():
-                acc[c] = acc.get(c, 0) + w * n
+        acc = _sparse_sum(combo.entries, rows)
         g = math.gcd(combo.den * d, *acc.values())
         sub.append(linalg.Numerators(combo.den * d // g, tuple(sorted((c, n // g) for c, n in acc.items() if n))))
     if sub:

@@ -25,8 +25,7 @@ from .exactmath import ExactMathError, rat, rat_str
 from .expr import ExprError, eval_rational
 from .group_action import apply_quartic
 from .quartic_class import (BinaryQuartic, ClassificationError, canonical_form,
-                            classify_by_invariants, classify_by_roots, invariants,
-                            root_structure)
+                            classify_by_invariants, classify_by_roots, invariants)
 from .rotational import CatalogEntry, RotParams, catalog
 from .separability import Potential, classify_potential
 
@@ -82,9 +81,8 @@ def cmd_classify(args) -> tuple[dict, int]:
     if quartic.is_zero:
         raise InputError("tensor is equivalent to C33 * R3 . R3 + f * g; no web defined")
 
-    structure = root_structure(quartic)
     inv = invariants(quartic)
-    by_roots = classify_by_roots(quartic, structure)
+    by_roots = classify_by_roots(quartic)
     findings: list = []
     try:
         by_inv, audit = classify_by_invariants(quartic)
@@ -99,14 +97,14 @@ def cmd_classify(args) -> tuple[dict, int]:
             "audit": audit,
         })
     try:
-        canonical, witness = canonical_form(quartic, structure)
+        canonical, witness = canonical_form(quartic)
         canonical, witness = canonical.to_json_dict(), witness.to_json_dict()
     except ClassificationError as exc:
         canonical = witness = None
         findings.append({"kind": "canonicalization_failed", "detail": str(exc)})
     results = {
         "quartic": quartic.to_json(),
-        "root_structure": structure.to_json_dict(),
+        "root_structure": quartic.structure.to_json_dict(),
         "invariants": inv.to_json_dict(),
         "type": by_roots.value,
         "type_by_invariants": inv_value,

@@ -117,6 +117,12 @@ class BinaryQuartic:
         return (Fraction(den, g), BinaryQuartic(m, l, h, d, a),
                 Invariants(i_val, j_val, delta, f_val))
 
+    @functools.cached_property
+    def structure(self) -> RootStructure:
+        """The quartic's ``root_structure``, computed once per quartic and
+        kept on it."""
+        return root_structure(self)
+
     def to_json(self) -> list[str]:
         return [rat_str(c) for c in self.as_tuple()]
 
@@ -274,11 +280,10 @@ _STRATA = {
 _PARTITION_TO_TYPE = {stratum.partition: web for web, stratum in _STRATA.items()}
 
 
-def classify_by_roots(q: BinaryQuartic, structure: RootStructure | None = None) -> WebType:
+def classify_by_roots(q: BinaryQuartic) -> WebType:
     """The authoritative classifier: map the real/complex root partition of
-    the quartic (roots at infinity counting as real) to the nine web types.
-    Pass the quartic's root structure when it is already at hand."""
-    structure = structure or root_structure(q)
+    the quartic (roots at infinity counting as real) to the nine web types."""
+    structure = q.structure
     key = (structure.real_multiplicities, structure.cc_pair_multiplicities)
     try:
         return _PARTITION_TO_TYPE[key]
@@ -674,8 +679,7 @@ def _witness(q: BinaryQuartic, matrix: Mat2, target: tuple,
 _MAX_BITS = 4096
 
 
-def canonical_form(q: BinaryQuartic,
-                   structure: RootStructure | None = None) -> tuple[CanonicalForm, GroupElement]:
+def canonical_form(q: BinaryQuartic) -> tuple[CanonicalForm, GroupElement]:
     """Canonical representative of the quartic's orbit and a witness group
     element carrying it there, verified to 1e-9 relative accuracy.
 
@@ -687,13 +691,11 @@ def canonical_form(q: BinaryQuartic,
     fixed parameters, and their matrix sends the representative's roots onto
     the quartic's, which are rational or quadratic.  Every choice is exact;
     square roots in the matrix are rounded to a precision that doubles until
-    the matrix is regular and the witness's exact residual meets 1e-9.  Pass
-    the quartic's root structure when it is already at hand.
+    the matrix is regular and the witness's exact residual meets 1e-9.
     """
     if q.is_zero:
         raise ClassificationError("the zero form has no canonical form")
-    structure = structure or root_structure(q)
-    web = classify_by_roots(q, structure)
+    web = classify_by_roots(q)
     stratum = _STRATA[web]
     form = stratum.form
     _, cleared, inv = q.cleared
@@ -702,7 +704,7 @@ def canonical_form(q: BinaryQuartic,
         frame = functools.partial(_pencil_frame, cleared, poly, root, form)
     else:
         parameter, exact = stratum.parameter, True
-        frame = lambda bits: (_root_frame(web, structure, bits), None)
+        frame = lambda bits: (_root_frame(web, q.structure, bits), None)
     target = _canonical_coeffs(form, parameter)
     bits, residual = 64, math.inf
     while True:

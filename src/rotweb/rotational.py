@@ -98,7 +98,10 @@ def extract_parameters(k: SymTensorField) -> RotParams:
     conformal Killing tensor does not have R3 everywhere as an eigenvector.
     - the six pieces are independent modulo g, so the parameters are unique;
     - the 35 free basis tensors span every trace-free conformal Killing
-      tensor, so the 35-span decides whether K is one."""
+      tensor, so the 35-span decides whether K is one.
+    A tensor in other than the three variables x, y, z is refused first."""
+    if k.nvars != 3:
+        raise CktError(f"extract_parameters precondition failed: the tensor has {k.nvars} variables, not 3")
     rhs = [_metric_free(k.upper)]
     if (solved := linalg.solve_many(_piece_columns(), rhs)) is not None:
         return RotParams(*solved[0].dense(len(_PIECES)))

@@ -11,7 +11,7 @@ here rather than only on seeded orbits.  CI runs the same helper at height 3:
 import itertools
 
 from rotweb.quartic_class import (BinaryQuartic, WebType, canonical_form, classify_by_invariants,
-                                  classify_by_roots, invariants, root_structure)
+                                  classify_by_roots, invariants)
 
 # Per-stratum counts in WebType order: bi-cyclide, flat ring, disk, inverse
 # prolate and oblate spheroidal, toroidal, bispherical, cardioid, tangent sphere.
@@ -22,7 +22,7 @@ COUNTS = {
 
 
 def partition(q: BinaryQuartic) -> tuple:
-    structure = root_structure(q)
+    structure = q.structure
     return structure.real_multiplicities, structure.cc_pair_multiplicities
 
 
@@ -37,10 +37,9 @@ def census(height: int) -> list[int]:
         if not any(coeffs):
             continue
         q = BinaryQuartic.make(*coeffs)
-        structure = root_structure(q)
-        web = classify_by_roots(q, structure)
+        web = classify_by_roots(q)
         assert classify_by_invariants(q)[0] is web, coeffs
-        form, _ = canonical_form(q, structure)
+        form, _ = canonical_form(q)
         assert form.witness_residual <= 1e-9, (coeffs, form)
         if form.exact:
             rep = BinaryQuartic.make(*{

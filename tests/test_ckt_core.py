@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import json
@@ -299,6 +300,82 @@ class TestAssemble:
         coeffs = CktCoefficients.make(a=((0, 1, 0), (0, 0, 0), (0, 0, 0)))
         with pytest.raises(CktError):
             assemble_ckt(coeffs)
+
+    def test_misshapen_or_unknown_blocks_rejected(self):
+        with pytest.raises(CktError, match="expected a 3x3 block"):
+            CktCoefficients.make(b=((0, 1, 0), (0, 0, 0)))
+        with pytest.raises(CktError, match="expected a 3x3 block"):
+            CktCoefficients.make(e=((0, 1), (0, 0), (0, 0)))
+        with pytest.raises(CktError, match="expected a length-3 block"):
+            CktCoefficients.make(d=(1, 2))
+        with pytest.raises(TypeError):
+            CktCoefficients.make(k=((0, 0, 0),) * 3)
+
+
+def docstring_blocks():
+    """The blocks of the formula in the CktCoefficients docstring,
+
+        K = A_ij Xi.Xj + B_ij Xi.Rj + C_ij Ri.Rj + D_i Xi.D + E_ij Xi.Ij
+          + F_i Ri.D + G_ij Ri.Ij + H D.D + L_i D.Ii + M_ij Ii.Ij,
+
+    written out term by term: per block its field, its JSON name and the
+    ckv_basis indices (p, q) of the product X_p.X_q of each entry, row by
+    row."""
+    x, r, d, i = ["X1", "X2", "X3"], ["R1", "R2", "R3"], "D", ["I1", "I2", "I3"]
+
+    def grid(left, right):
+        return [(left[a], right[b]) for a in range(3) for b in range(3)]
+
+    names = [("a", "A", grid(x, x)), ("b", "B", grid(x, r)), ("c", "C", grid(r, r)),
+             ("d", "D", [(x[a], d) for a in range(3)]), ("e", "E", grid(x, i)),
+             ("f", "F", [(r[a], d) for a in range(3)]), ("g", "G", grid(r, i)),
+             ("h", "Hscalar", [(d, d)]), ("l", "L", [(d, i[a]) for a in range(3)]),
+             ("m", "M", grid(i, i))]
+    order = ["X1", "X2", "X3", "R1", "R2", "R3", "D", "I1", "I2", "I3"]
+    return [(field, name, [(order.index(p), order.index(q)) for p, q in products])
+            for field, name, products in names]
+
+
+class TestBlockTable:
+    def test_rows_follow_the_docstring_formula(self):
+        expected = docstring_blocks()
+        assert [f.name for f in dataclasses.fields(CktCoefficients)] == [field for field, _, _ in expected]
+        for block, (field, name, products) in zip(cc._BLOCKS, expected, strict=True):
+            assert (block.field, block.name, block.size) == (field, name, len(products))
+            assert list(itertools.product(block.left, block.right)) == products, field
+        assert cc._BLOCK_SIZES == tuple(len(products) for _, _, products in expected)
+        assert list(cc._FLAT_PAIRS) == [pair for _, _, products in expected for pair in products]
+
+    def test_each_unit_entry_assembles_its_product(self):
+        # A unit entry off the diagonal of the symmetric A, C or M is not a
+        # valid block, so it is read together with its transpose there.
+        expected = [pair for _, _, products in docstring_blocks() for pair in products]
+        at = 0
+        for block in cc._BLOCKS:
+            for entry in range(at, at + block.size):
+                row, col = divmod(entry - at, 3)
+                mirror = at + 3 * col + row if block.size == 9 and block.left == block.right else entry
+                flat = [int(e in (entry, mirror)) for e in range(cc._FLAT_SIZE)]
+                k = assemble_ckt(CktCoefficients(*cc._sliced(flat)))
+                assert k == SymTensorField.combination(
+                    [(1, cc.basis_product(*expected[e])) for e in {entry, mirror}], 3), (block.field, entry)
+            at += block.size
+        assert at == 64
+
+
+class TestFreeBasis:
+    @staticmethod
+    def coefficient_route(c):
+        """F_c by the route through the coefficient blocks: its integer
+        numerators as Fractions, cut into a CktCoefficients and assembled."""
+        flat, den = cc._free_numerators(Numerators(1, ((c, 1),)))
+        return assemble_ckt(CktCoefficients(*cc._sliced([Fraction(n, den) for n in flat])))
+
+    def test_matches_the_coefficient_route(self):
+        basis = cc._free_basis()
+        assert len(basis) == DIM_TRACE_FREE
+        for c in range(DIM_TRACE_FREE):
+            assert basis[c] == self.coefficient_route(c), c
 
 
 class TestVerifyCkt:
@@ -813,14 +890,16 @@ def reference_lie_operator(v):
 def leibniz_image(k, c):
     """Lie_X F_c for the basis field X = X_k and the free basis tensor F_c,
     with no tensor differentiated: F_c is the sum of s X_p.X_q over the
-    terms of its unit blocks, and Lie_X is a derivation on such products,
+    flat entries s of its unit blocks and their products (p, q) in
+    ``_FLAT_PAIRS``, and Lie_X is a derivation on such products,
     Lie_X(X_p.X_q) = [X, X_p].X_q + X_p.[X, X_q]."""
     basis = ckv_basis(3)
     x = basis[k]
+    flat, den = cc._free_numerators(cc._free_vector(unit_vector(c)))
     return SymTensorField.combination(
-        [(s, symmetric_product(commutator(x, basis[p]), basis[q])
+        [(Fraction(n, den), symmetric_product(commutator(x, basis[p]), basis[q])
           + symmetric_product(basis[p], commutator(x, basis[q])))
-         for s, (p, q) in cc._block_terms(*free_blocks(unit_vector(c)))], 3)
+         for n, (p, q) in zip(flat, cc._FLAT_PAIRS) if n], 3)
 
 
 class TestLieOperator:

@@ -20,7 +20,7 @@ from rotweb import ckt_core, cli, linalg, quartic_class, separability
 from rotweb.ckt_core import CktCoefficients, assemble_ckt, ckv_by_name, symmetry_subspace
 from rotweb.cli import main
 from rotweb.exactmath import rat_str
-from rotweb.quartic_class import ClassificationError, WebType, invariants
+from rotweb.quartic_class import ClassificationError, WebType, invariants, root_structure
 
 from conftest import assemble_free
 from test_canonical_form import extreme_quartic, partition_quartic
@@ -643,6 +643,24 @@ def test_classify_computes_the_invariants_once(capsys, monkeypatch):
 
     monkeypatch.setattr(quartic_class, "invariants", counted)
     monkeypatch.setattr(cli, "invariants", counted)
+    for web in WebType:
+        quartic = partition_quartic(random.Random(web.value), web).to_json()
+        calls.clear()
+        code, _ = run_json(capsys, "classify", "--quartic=" + ",".join(quartic))
+        assert code == 0
+        assert len(calls) == 1, web
+
+
+def test_classify_computes_the_root_structure_once(capsys, monkeypatch):
+    # classify_by_roots, canonical_form and the report read one root
+    # structure, kept on the quartic.
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return root_structure(q)
+
+    monkeypatch.setattr(quartic_class, "root_structure", counted)
     for web in WebType:
         quartic = partition_quartic(random.Random(web.value), web).to_json()
         calls.clear()

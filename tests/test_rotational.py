@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rotweb import ckt_core as cc
+from rotweb import linalg
 from rotweb.ckt_core import (CktError, SymTensorField, ckv_by_name, lie_derivative, metric, symmetric_product,
                              tsn_check)
 from rotweb.exactmath import Poly
@@ -159,6 +160,16 @@ class TestExtractRefusals:
             k = assemble_free([rand_fraction(rng, -9, 9, 7) for _ in range(cc.DIM_TRACE_FREE)])
             assert cc.verify_ckt(k)[0] and not rotational_eigencondition(k)
             assert self.NOT_ROTATIONAL in refusal(extract_parameters, k) == refusal(oracle_extract, k)
+
+    def test_more_than_three_variables(self, monkeypatch):
+        # The whole family with its parameters as variables 3..8 is refused
+        # for its variable count, before any solve.
+        def no_solve(*args):
+            raise AssertionError("solve_many called")
+
+        monkeypatch.setattr(linalg, "solve_many", no_solve)
+        k = symbolic_rotational(9)
+        assert "has 9 variables" in refusal(extract_parameters, k)
 
     def test_pieces_independent_modulo_metric(self):
         pieces = [cc.basis_product(*key) for key in _PIECES]
