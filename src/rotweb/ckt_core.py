@@ -323,7 +323,10 @@ class CktCoefficients:
 
 @lru_cache(maxsize=None)
 def basis_product(i: int, j: int) -> SymTensorField:
-    """Symmetric product of the basis CKVs i and j (``ckv_basis`` order)."""
+    """Symmetric product of the basis CKVs i and j (``ckv_basis`` order),
+    formed once per unordered pair."""
+    if i > j:
+        return basis_product(j, i)
     basis = ckv_basis()
     return symmetric_product(basis[i], basis[j])
 

@@ -36,23 +36,14 @@ class InputError(ValueError):
     """Unusable command-line input (exit code 2)."""
 
 
-def _report(command: str, inputs: dict, results: dict, findings: list, started: float) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "version": __version__,
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "findings": findings,
-        "timing_ms": round((time.time() - started) * 1000, 3),
-    }
+# What each command returns: (inputs, results, findings, exit code), which main wraps.
+_Outcome = tuple[dict, dict | None, list, int]
 
 
-def _internal_failure(command: str, inputs: dict, exc: CktError, started: float) -> tuple[dict, int]:
-    """The report of a command whose input was usable but whose internal
+def _internal_failure(inputs: dict, exc: CktError) -> _Outcome:
+    """The outcome of a command whose input was usable but whose internal
     certificate failed: no results and an internal_check_failed finding."""
-    return _report(command, inputs, None, [{"kind": "internal_check_failed", "detail": str(exc)}],
-                   started), 1
+    return inputs, None, [{"kind": "internal_check_failed", "detail": str(exc)}], 1
 
 
 def _parse_rationals(text: str, count: int, what: str) -> tuple[Fraction, ...]:
@@ -65,8 +56,7 @@ def _parse_rationals(text: str, count: int, what: str) -> tuple[Fraction, ...]:
         raise InputError(str(exc)) from exc
 
 
-def cmd_classify(args) -> tuple[dict, int]:
-    started = time.time()
+def cmd_classify(args) -> _Outcome:
     if (args.params is None) == (args.quartic is None):
         raise InputError("classify needs exactly one of --params or --quartic")
     if args.params is not None:
@@ -112,8 +102,7 @@ def cmd_classify(args) -> tuple[dict, int]:
         "canonical": canonical,
         "witness": witness,
     }
-    code = 1 if findings else 0
-    return _report("classify", inputs, results, findings, started), code
+    return inputs, results, findings, 1 if findings else 0
 
 
 def _check_equivalence(entry: CatalogEntry, partners: dict) -> dict:
@@ -142,8 +131,7 @@ def _check_equivalence(entry: CatalogEntry, partners: dict) -> dict:
     return result
 
 
-def cmd_tables(args) -> tuple[dict, int]:
-    started = time.time()
+def cmd_tables(args) -> _Outcome:
     scales = {"a": Fraction(1), "k": Fraction(1, 2)}
     for item in args.scale or []:
         if "=" not in item:
@@ -198,13 +186,11 @@ def cmd_tables(args) -> tuple[dict, int]:
         "passed": sum(1 for r in rows if r["ok"]),
         "total": len(rows),
     }
-    code = 1 if findings else 0
-    return _report("tables", {"scale": [f"{n}={rat_str(v)}" for n, v in scales.items()]},
-                   results, findings, started), code
+    inputs = {"scale": [f"{n}={rat_str(v)}" for n, v in scales.items()]}
+    return inputs, results, findings, 1 if findings else 0
 
 
-def cmd_compat(args) -> tuple[dict, int]:
-    started = time.time()
+def cmd_compat(args) -> _Outcome:
     try:
         energy = rat(args.energy)
     except ExactMathError as exc:
@@ -217,11 +203,11 @@ def cmd_compat(args) -> tuple[dict, int]:
     try:
         outcome = classify_potential(pot)
     except CktError as exc:
-        return _internal_failure("compat", inputs, exc, started)
+        return _internal_failure(inputs, exc)
     findings = []
     if outcome.reason and outcome.web_type is None and outcome.solution.dimension not in (0, 6):
         findings.append({"kind": "compat_degenerate", "detail": outcome.reason})
-    return _report("compat", inputs, outcome.to_json_dict(), findings, started), 0
+    return inputs, outcome.to_json_dict(), findings, 0
 
 
 _GENERATORS = ("X3", "D", "I3", "R3")
@@ -252,8 +238,7 @@ def _symmetry_blocks(v, mode: str) -> tuple[list, list]:
     return blocks, findings
 
 
-def cmd_symmetry(args) -> tuple[dict, int]:
-    started = time.time()
+def cmd_symmetry(args) -> _Outcome:
     if args.generator not in _GENERATORS:
         raise InputError(f"unknown generator {args.generator!r}; expected one of {_GENERATORS}")
     mode = "h_zero" if args.h == "0" else "h_constant"
@@ -261,10 +246,9 @@ def cmd_symmetry(args) -> tuple[dict, int]:
     try:
         blocks, findings = _symmetry_blocks(ckv_by_name(args.generator), mode)
     except CktError as exc:
-        return _internal_failure("symmetry", inputs, exc, started)
+        return _internal_failure(inputs, exc)
     # Informational findings never signal failure here; surprises are data.
-    results = {"generator": args.generator, "mode": mode, "eigenvalues": blocks}
-    return _report("symmetry", inputs, results, findings, started), 0
+    return inputs, {"generator": args.generator, "mode": mode, "eigenvalues": blocks}, findings, 0
 
 
 def _render_human(report: dict) -> str:
@@ -303,19 +287,29 @@ def _render_human(report: dict) -> str:
 
 _FLOAT_WORDS = {math.inf: "Infinity", -math.inf: "-Infinity"}
 
+# The JSON text of each leaf of a report, by its exact type, as json.dumps writes it.
+_LEAF = {
+    str: encode_basestring_ascii,
+    int: repr,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+    float: lambda x: "NaN" if x != x else _FLOAT_WORDS.get(x) or repr(x),
+}
+
 
 def _write(value, indent: str, out: list) -> None:
     """Append the JSON text of value to out, byte for byte as
     json.dumps(value, indent=2, sort_keys=True) writes it, nested at the
-    given indent.  Only the types a report holds are written: str, int,
-    bool, None, float, list, tuple, dict with str keys and
-    ``ckt_core.FreeBlocks``.  The container loops write their str, int,
-    bool and None items in place, with no call per leaf, and a FreeBlocks
-    is its flat entries filled into the skeleton of its indent
-    (``_skeleton``) in one step."""
+    given indent.  Leaves are written by ``_LEAF``, which the container
+    loops read for each item, so a leaf item costs no call of ``_write``.
+    The containers are list, tuple, dict with str keys and
+    ``ckt_core.FreeBlocks``, whose flat entries fill the skeleton of its
+    indent (``_skeleton``) in one step.  Any other type raises TypeError."""
+    leaf = _LEAF.get
     kind = type(value)
-    if kind is str:
-        out.append(encode_basestring_ascii(value))
+    write = leaf(kind)
+    if write is not None:
+        out.append(write(value))
     elif kind is dict:
         if not value:
             out.append("{}")
@@ -327,17 +321,11 @@ def _write(value, indent: str, out: list) -> None:
                 raise TypeError(f"report keys must be str, not {type(key).__name__}")
             out.append(sep + encode_basestring_ascii(key) + ": ")
             item = value[key]
-            kind = type(item)
-            if kind is str:
-                out.append(encode_basestring_ascii(item))
-            elif kind is int:
-                out.append(repr(item))
-            elif kind is bool:
-                out.append("true" if item else "false")
-            elif item is None:
-                out.append("null")
-            else:
+            write = leaf(type(item))
+            if write is None:
                 _write(item, inner, out)
+            else:
+                out.append(write(item))
             sep = ",\n" + inner
         out.append("\n" + indent + "}")
     elif kind is list or kind is tuple:
@@ -348,40 +336,27 @@ def _write(value, indent: str, out: list) -> None:
         sep = "[\n" + inner
         for item in value:
             out.append(sep)
-            kind = type(item)
-            if kind is str:
-                out.append(encode_basestring_ascii(item))
-            elif kind is int:
-                out.append(repr(item))
-            elif kind is bool:
-                out.append("true" if item else "false")
-            elif item is None:
-                out.append("null")
-            else:
+            write = leaf(type(item))
+            if write is None:
                 _write(item, inner, out)
+            else:
+                out.append(write(item))
             sep = ",\n" + inner
         out.append("\n" + indent + "]")
     elif kind is FreeBlocks:
         out.append(_skeleton(indent) % value.flat)
-    elif kind is int:
-        out.append(repr(value))
-    elif kind is bool:
-        out.append("true" if value else "false")
-    elif value is None:
-        out.append("null")
-    elif kind is float:
-        out.append("NaN" if value != value else _FLOAT_WORDS.get(value) or repr(value))
     else:
         raise TypeError(f"a report cannot hold a {kind.__name__}")
 
 
 @lru_cache(maxsize=None)
 def _skeleton(indent: str) -> str:
-    """The text ``_write`` gives a plain dict of the shape of a FreeBlocks
-    whose every entry is "%s", at the given indent: a FreeBlocks block's
-    text is this with its flat entries, in the order the sorted keys write
-    them, filled in.  The entries are ``rat_str`` strings, which need no
-    escape, and the JSON names and spaces hold no other "%"."""
+    """The JSON text of a FreeBlocks block at the given indent, with one
+    "%s" slot per flat entry: ``_write``'s text of a plain dict of the
+    block's shape whose every entry is the string "%s".  ``_write`` fills
+    the slots with the block's ``flat`` tuple in one ``%``: the sorted keys
+    write the entries in that order, the entries are ``rat_str`` strings,
+    which need no escape, and the JSON names and spaces hold no other "%"."""
     out: list = []
     _write(dict(FreeBlocks(["%s"] * FreeBlocks.size)), indent, out)
     return "".join(out)
@@ -454,11 +429,15 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(_join_values(sys.argv[1:] if argv is None else argv))
+    started = time.time()
     try:
-        report, code = args.func(args)
+        inputs, results, findings, code = args.func(args)
     except (InputError, ExactMathError, ExprError, CktError, ClassificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    report = {"schema_version": SCHEMA_VERSION, "version": __version__, "command": args.subcommand,
+              "inputs": inputs, "results": results, "findings": findings,
+              "timing_ms": round((time.time() - started) * 1000, 3)}
     try:
         print(_render_human(report) if args.human else dump_report(report))
         sys.stdout.flush()

@@ -377,6 +377,26 @@ class TestFreeBasis:
         for c in range(DIM_TRACE_FREE):
             assert basis[c] == self.coefficient_route(c), c
 
+    def test_cold_fill_forms_each_product_once(self, monkeypatch):
+        # A cold fill of the assembly matrix forms one symmetric product per
+        # unordered pair of CKVs its rows weigh: 51, where caching X_p.X_q and
+        # X_q.X_p apart formed 60.  The three caches are swapped for empty
+        # ones for the test; monkeypatch puts the warm ones back.
+        warm = cc._assembly_matrix()
+        calls = []
+        real = cc.symmetric_product
+        monkeypatch.setattr(cc, "symmetric_product", lambda v, w: calls.append((v, w)) or real(v, w))
+        for name in ("basis_product", "_free_basis", "_assembly_matrix"):
+            monkeypatch.setattr(cc, name, functools.lru_cache(maxsize=None)(getattr(cc, name).__wrapped__))
+        assert cc._assembly_matrix() == warm
+        _, rows = cc._free_entries()
+        pairs = {tuple(sorted(cc._FLAT_PAIRS[entry])) for row in rows for entry, _ in row}
+        assert len(calls) == len(pairs) == 51
+        basis = cc.ckv_basis()
+        for p, q in pairs:
+            assert cc.basis_product(q, p) is cc.basis_product(p, q) == real(basis[q], basis[p])
+        assert len(calls) == 51
+
 
 class TestVerifyCkt:
     def test_dd_contraction(self):

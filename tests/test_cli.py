@@ -48,10 +48,19 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+ENVELOPE = {"schema_version", "version", "command", "inputs", "results", "findings", "timing_ms"}
+
+
 def run_json(capsys, *argv):
+    """The exit code and the JSON report of one call, whose envelope is
+    checked: exactly its seven keys, the subcommand as the command and a
+    float timing_ms >= 0, with or without results."""
     code, out, err = run(capsys, *argv)
     assert out, err
-    return code, json.loads(out)
+    report = json.loads(out)
+    assert report.keys() == ENVELOPE and report["command"] == argv[0]
+    assert type(report["timing_ms"]) is float and report["timing_ms"] >= 0
+    return code, report
 
 
 class TestClassify:
