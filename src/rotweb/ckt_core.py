@@ -20,7 +20,7 @@ from functools import lru_cache, partial
 from typing import NamedTuple, Sequence
 
 from . import linalg
-from .exactmath import Poly, RationalFunction, rat
+from .exactmath import Poly, RationalFunction, _int_str, rat
 
 EPS = [[[0] * 3 for _ in range(3)] for _ in range(3)]
 for _i, _j, _k, _s in [(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
@@ -563,9 +563,9 @@ def free_json_dict(vec) -> FreeBlocks:
 
 
 def _ratio_str(n: int, den: int) -> str:
-    """``rat_str`` of n / den, for den > 0."""
+    """``rat_str`` of n / den, for den > 0, of any size (``_int_str``)."""
     g = math.gcd(n, den)
-    return str(n // g) if g == den else f"{n // g}/{den // g}"
+    return _int_str(n // g) if g == den else f"{_int_str(n // g)}/{_int_str(den // g)}"
 
 
 @lru_cache(maxsize=None)
@@ -707,35 +707,15 @@ def killing_obstruction_terms(vec) -> dict:
 # Symmetry subspace scans
 
 
-_LEFT_SPACE = "Lie derivative left the trace-free space; v is not a CKV"
-
-
-@lru_cache(maxsize=None)
-def _ckv_slots() -> tuple[tuple[int, int, int], ...]:
-    """Per basis field X_k of ``ckv_basis``, a slot (component, packed
-    monomial) where X_k alone of the ten has a nonzero coefficient, and that
-    coefficient."""
-    terms = [{(i, key): x for i, p in enumerate(field.components) for key, x in p.terms.items()}
-             for field in ckv_basis()]
-    return tuple(next((*slot, x) for slot, x in own.items()
-                      if not any(slot in other for other in terms if other is not own))
-                 for own in terms)
-
-
-def _ckv_coordinates(v: VectorField) -> dict:
-    """{k: c_k} with v = sum c_k X_k over ``ckv_basis``: c_k is read at the
-    slot of X_k (``_ckv_slots``), and the sum is then checked against v
-    exactly; raises when v is not in their span."""
-    coords = {}
-    for k, (i, key, x) in enumerate(_ckv_slots()):
-        value = v[i].terms.get(key)
-        if value:
-            coords[k] = Fraction(value, x)
-    basis, one = ckv_basis(), Poly.const(1, 3)
-    if v != VectorField(tuple(Poly.dot(3, [(c, one, basis[k][i]) for k, c in coords.items()])
-                              for i in range(3))):
-        raise CktError(_LEFT_SPACE)
-    return coords
+def _ckv_vector(ckv) -> tuple[Fraction, ...]:
+    """The ten coordinates c_k of the conformal Killing vector
+    v = sum_k c_k X_k in ``ckv_basis`` order (X1..X3, R1..R3, D, I1..I3),
+    each anything ``rat`` reads, as Fractions: the one form in which the
+    scans take a generator."""
+    values = tuple(rat(x) for x in ckv)
+    if len(values) != len(_NAMES):
+        raise CktError(f"expected {len(_NAMES)} CKV coordinates, got {len(values)}")
+    return values
 
 
 @lru_cache(maxsize=None)
@@ -752,32 +732,33 @@ def _basis_lie_columns(k: int) -> tuple[int, tuple[dict, ...]]:
     images = [lie_derivative(field, f).upper for f in _free_basis()]
     solutions = linalg.solve_many(_assembly_matrix(), images)
     if solutions is None:
-        raise CktError(_LEFT_SPACE)
+        raise CktError("Lie derivative left the trace-free space; v is not a CKV")
     d = math.lcm(*(col.den for col in solutions))
     return d, tuple({r: n * (d // col.den) for r, n in col.entries} for col in solutions)
 
 
-def _lie_terms(v: VectorField) -> tuple[int, list[tuple[int, tuple[dict, ...]]]]:
-    """Lie_v as (1/den) sum_k n_k N_k, for v = sum_k c_k X_k in ``ckv_basis``
-    coordinates and the integer columns N_k over d_k of
+def _lie_terms(ckv: tuple[Fraction, ...]) -> tuple[int, list[tuple[int, tuple[dict, ...]]]]:
+    """Lie_v as (1/den) sum_k n_k N_k, for v = sum_k c_k X_k with the
+    coordinates ckv of ``_ckv_vector`` and the integer columns N_k over d_k of
     ``_basis_lie_columns``: Lie_v is linear in v, so n_k = den c_k / d_k,
     integers over the least common denominator den of the c_k / d_k.
-    Returns den and the pairs (n_k, N_k); v outside that span raises
-    CktError."""
+    Returns den and the pairs (n_k, N_k) of the nonzero c_k."""
     weights = []
-    for k, c in _ckv_coordinates(v).items():
-        d, columns = _basis_lie_columns(k)
-        weights.append((c / d, columns))
+    for k, c in enumerate(ckv):
+        if c:
+            d, columns = _basis_lie_columns(k)
+            weights.append((c / d, columns))
     den = math.lcm(*(w.denominator for w, _ in weights))
     return den, [(w.numerator * (den // w.denominator), columns) for w, columns in weights]
 
 
-def _lie_columns(v: VectorField) -> tuple[int, list[dict]]:
-    """The matrix of Lie_v on the 35 trace-free coordinates, as integer
-    columns over one positive denominator den (``_lie_terms``): column c, a
-    sparse dict {row: n}, holds den times the coordinates of Lie_v applied
-    to basis vector c.  Returns den and the columns."""
-    den, terms = _lie_terms(v)
+def _lie_columns(ckv: tuple[Fraction, ...]) -> tuple[int, list[dict]]:
+    """The matrix of Lie_v on the 35 trace-free coordinates, for v with the
+    coordinates ckv of ``_ckv_vector``, as integer columns over one positive
+    denominator den (``_lie_terms``): column c, a sparse dict {row: n},
+    holds den times the coordinates of Lie_v applied to basis vector c.
+    Returns den and the columns."""
+    den, terms = _lie_terms(ckv)
     columns: list[dict] = [{} for _ in range(DIM_TRACE_FREE)]
     for n, basis_columns in terms:
         for col, basis_col in zip(columns, basis_columns):
@@ -786,13 +767,15 @@ def _lie_columns(v: VectorField) -> tuple[int, list[dict]]:
     return den, [{r: x for r, x in col.items() if x} for col in columns]
 
 
-def symmetry_subspace(v: VectorField, mode: str) -> list[tuple[Fraction, list[linalg.Numerators]]]:
+def symmetry_subspace(ckv: Sequence, mode: str) -> list[tuple[Fraction, list[linalg.Numerators]]]:
     """Treat Lie_v as a linear operator on the 35-dimensional trace-free
-    coefficient space.  mode "h_zero" returns the kernel; mode "h_constant"
-    returns every real eigenvalue with its exact eigenspace.  Each basis
-    vector holds 35 free coordinates (``FREE_COORDS``) as the integer
-    numerators over one denominator that ``linalg.nullspace`` and
-    ``linalg.rational_eigenvalues`` give (``linalg.Numerators``), and every
+    coefficient space, for the conformal Killing vector v = sum_k c_k X_k
+    given by its ten coordinates ckv (``_ckv_vector``): the operator is the
+    same sum of the cached operators of the X_k.  mode "h_zero" returns the
+    kernel; mode "h_constant" returns every real eigenvalue with its exact
+    eigenspace.  Each basis vector holds 35 free coordinates
+    (``FREE_COORDS``) as the integer numerators over one denominator that
+    ``linalg.nullspace`` and ``linalg.rational_eigenvalues`` give (``linalg.Numerators``), and every
     reader of a scan takes it as it is; its tensor is
     ``assemble_ckt(CktCoefficients.from_json_dict(free_json_dict(vec)))``.
     """
@@ -800,7 +783,7 @@ def symmetry_subspace(v: VectorField, mode: str) -> list[tuple[Fraction, list[li
         raise CktError(f"unknown mode {mode!r}; expected h_zero or h_constant")
     # Both read den Lie_v as its integer sparse rows {column: n}; its
     # eigenvalues are den h, and its eigenspaces those of Lie_v.
-    den, columns = _lie_columns(v)
+    den, columns = _lie_columns(_ckv_vector(ckv))
     rows: list[dict] = [{} for _ in range(DIM_TRACE_FREE)]
     for c, column in enumerate(columns):
         for r, x in column.items():
@@ -830,14 +813,15 @@ def _transversal_plane(v: VectorField) -> tuple[int, int]:
     raise CktError("no coordinate plane x_i = 0 or x_i = 1 is transversal to v")
 
 
-def _check_one_eigenspace(v: VectorField, basis: list[linalg.Numerators]) -> None:
+def _check_one_eigenspace(ckv: tuple[Fraction, ...], basis: list[linalg.Numerators]) -> None:
     """Raise unless every free-coordinate vector lies in one eigenspace of
-    Lie_v, with one eigenvalue for all of them.  Lie_v is applied to the
-    vectors' integer numerators n as
-    sum_k n_k N_k (``_lie_terms``), reading the cached columns at the
-    nonzero coordinates of n alone; the image is den Lie_v n, an eigenvector
-    image when it is p/q times n, for one ratio p/q (den h) for all."""
-    _, terms = _lie_terms(v)
+    Lie_v, for v with the coordinates ckv of ``_ckv_vector``, with one
+    eigenvalue for all of them.  Lie_v is applied to the vectors' integer
+    numerators n as sum_k n_k N_k (``_lie_terms``), reading the cached
+    columns at the nonzero coordinates of n alone; the image is den Lie_v n,
+    an eigenvector image when it is p/q times n, for one ratio p/q (den h)
+    for all."""
+    _, terms = _lie_terms(ckv)
     p = q = None
     for _, nonzero in basis:
         image: dict = {}
@@ -861,11 +845,11 @@ class TsnFilterResult:
     ``symmetry_subspace`` (``linalg.Numerators``), of the members of
     the span that admit v as an eigenvector; it always satisfies TSN
     identically (certified by hypersurface orthogonality of v; see
-    ``tsn_filter``).  ``outside_tsn_directions``
-    indexes the basis directions outside the subspace that also satisfy TSN
-    individually; when there is one, the full TSN solution set inside the
-    span is not a linear space, and the offending directions are reported
-    rather than silently absorbed."""
+    ``tsn_filter``).  ``outside_tsn_directions`` indexes the directions of
+    the basis as given, outside the subspace, that satisfy TSN one at a
+    time; no combination of them and no other basis of the span is tested.
+    So ``variety_is_linear`` means only that no such direction was found,
+    not that the TSN solution set inside the span is a linear space."""
 
     subspace: tuple[linalg.Numerators, ...]
     outside_tsn_directions: tuple[int, ...]
@@ -882,11 +866,12 @@ def _twist(v: VectorField) -> Poly:
     return Poly.dot(v.nvars, [(EPS[i][j][k], v[i], v[k].diff(j)) for i, j, k in itertools.permutations(range(3))])
 
 
-def tsn_filter(v: VectorField, basis: Sequence) -> TsnFilterResult:
+def tsn_filter(ckv: Sequence, basis: Sequence) -> TsnFilterResult:
     """Restrict span(basis), a list of linearly independent free-coordinate
     vectors (``_free_vector``) such as one eigenspace of
     ``symmetry_subspace``, read as they are given, to the members
-    satisfying the normal-eigenvector (TSN) conditions identically.
+    satisfying the normal-eigenvector (TSN) conditions identically, for
+    v = sum_k c_k X_k with the ten coordinates ckv of ``symmetry_subspace``.
 
     The basis must lie in one eigenspace of Lie_v, Lie_v K = h K; this is
     checked exactly on each basis vector (``_check_one_eigenspace``), and
@@ -901,7 +886,9 @@ def tsn_filter(v: VectorField, basis: Sequence) -> TsnFilterResult:
     positive factor.  Basis directions outside the
     candidate, whose unit vectors in basis coordinates are outside the span
     of the ``vanishing_combinations`` vectors, are spot-checked; any that
-    satisfy TSN individually are reported in the result.  A spot check
+    satisfy TSN individually are reported in the result.  Each direction is
+    tested alone, so the report neither proves nor rules out that the TSN
+    solution set inside the span is a linear space.  A spot check
     first reads the scalars at one point of P (``_plane_point``), as
     integers summed from the basis tensors' jet values there: a nonzero
     value proves that the scalar does not vanish identically, which
@@ -963,8 +950,12 @@ def tsn_filter(v: VectorField, basis: Sequence) -> TsnFilterResult:
     v . curl v != 0, a nonempty candidate is not certified, and CktError
     is raised rather than an uncertified answer given.
     """
+    ckv = _ckv_vector(ckv)
     basis = [_free_vector(vec) for vec in basis]
-    _check_one_eigenspace(v, basis)
+    _check_one_eigenspace(ckv, basis)
+    one = Poly.const(1, 3)
+    v = VectorField(tuple(Poly.dot(3, [(c, one, field[i]) for c, field in zip(ckv, ckv_basis()) if c])
+                          for i in range(3)))
     plane = var, value = _transversal_plane(v)
     on_plane = VectorField(tuple(p.restrict(var, value) for p in v.components))
     # The rows are d x over one common d; a member is their combination / d.

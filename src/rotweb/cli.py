@@ -19,7 +19,7 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .ckt_core import (CktError, FreeBlocks, ckv_by_name, free_json_dict, killing_obstruction_terms,
+from .ckt_core import (_NAMES, CktError, FreeBlocks, free_json_dict, killing_obstruction_terms,
                        symmetry_subspace, tsn_filter)
 from .exactmath import ExactMathError, rat, rat_str
 from .expr import ExprError, eval_rational
@@ -56,6 +56,20 @@ def _parse_rationals(text: str, count: int, what: str) -> tuple[Fraction, ...]:
         raise InputError(str(exc)) from exc
 
 
+def _classify(quartic: BinaryQuartic, findings: list, **where) -> tuple:
+    """The type by roots, the type's value by invariants and the invariant
+    audit.  When the invariant classifier finds no match, the value is None,
+    and an invariant_classifier_no_match finding, with the keys of where, is
+    appended to findings."""
+    by_roots = classify_by_roots(quartic)
+    try:
+        by_inv, audit = classify_by_invariants(quartic)
+    except ClassificationError as exc:
+        findings.append({"kind": "invariant_classifier_no_match", **where, "detail": str(exc)})
+        return by_roots, None, exc.audit
+    return by_roots, by_inv.value, audit
+
+
 def cmd_classify(args) -> _Outcome:
     if (args.params is None) == (args.quartic is None):
         raise InputError("classify needs exactly one of --params or --quartic")
@@ -72,18 +86,12 @@ def cmd_classify(args) -> _Outcome:
         raise InputError("tensor is equivalent to C33 * R3 . R3 + f * g; no web defined")
 
     inv = invariants(quartic)
-    by_roots = classify_by_roots(quartic)
     findings: list = []
-    try:
-        by_inv, audit = classify_by_invariants(quartic)
-        inv_value = by_inv.value
-    except ClassificationError as exc:
-        by_inv, audit, inv_value = None, exc.audit, None
-        findings.append({"kind": "invariant_classifier_no_match", "detail": str(exc)})
-    if by_inv is not None and by_inv is not by_roots:
+    by_roots, inv_value, audit = _classify(quartic, findings)
+    if inv_value is not None and inv_value != by_roots.value:
         findings.append({
             "kind": "classifier_disagreement",
-            "detail": f"roots say {by_roots.value}, invariants say {by_inv.value}",
+            "detail": f"roots say {by_roots.value}, invariants say {inv_value}",
             "audit": audit,
         })
     try:
@@ -153,14 +161,7 @@ def cmd_tables(args) -> _Outcome:
     rows = []
     for entry in entries:
         quartic = BinaryQuartic.from_rot_params(entry.params)
-        by_roots = classify_by_roots(quartic)
-        try:
-            by_inv, _ = classify_by_invariants(quartic)
-            inv_value = by_inv.value
-        except ClassificationError as exc:
-            inv_value = None
-            findings.append({"kind": "invariant_classifier_no_match",
-                             "row": entry.name, "detail": str(exc)})
+        by_roots, inv_value, _ = _classify(quartic, findings, row=entry.name)
         row = {
             "name": entry.name,
             "params": entry.params.to_json_dict(),
@@ -213,17 +214,18 @@ def cmd_compat(args) -> _Outcome:
 _GENERATORS = ("X3", "D", "I3", "R3")
 
 
-def _symmetry_blocks(v, mode: str) -> tuple[list, list]:
-    """The report blocks of the scan's eigenspaces, and its findings."""
+def _symmetry_blocks(ckv: list, mode: str) -> tuple[list, list]:
+    """The report blocks of the scan of the CKV with the ten coordinates ckv,
+    and its findings."""
     blocks, findings = [], []
-    for h, basis in symmetry_subspace(v, mode):
+    for h, basis in symmetry_subspace(ckv, mode):
         block = {
             "h": rat_str(h),
             "dimension": len(basis),
             "basis": [free_json_dict(vec) for vec in basis],
         }
         if mode == "h_zero":
-            filtered = tsn_filter(v, basis)
+            filtered = tsn_filter(ckv, basis)
             block["tsn_filtered_dimension"] = len(filtered.subspace)
             block["tsn_variety_is_linear"] = filtered.variety_is_linear
             if not filtered.variety_is_linear:
@@ -244,7 +246,7 @@ def cmd_symmetry(args) -> _Outcome:
     mode = "h_zero" if args.h == "0" else "h_constant"
     inputs = {"generator": args.generator, "h": args.h}
     try:
-        blocks, findings = _symmetry_blocks(ckv_by_name(args.generator), mode)
+        blocks, findings = _symmetry_blocks([int(name == args.generator) for name in _NAMES], mode)
     except CktError as exc:
         return _internal_failure(inputs, exc)
     # Informational findings never signal failure here; surprises are data.

@@ -11,13 +11,13 @@ total degrees to 2^32 - 1.
 A univariate polynomial is a primitive integer coefficient list, low degree
 first (``int_cleared`` clears rational coefficients to one).  The kernel
 (``squarefree_decomposition``, ``real_root_count``, ``isolate_real_roots``,
-``refine_root``, ``rational_roots`` and ``sign_at``) takes and gives those
-lists.  Gcds and Yun's square-free decomposition use primitive
-pseudo-remainder sequences and exact integer quotients by primitive
-divisors (Gauss's lemma); Sturm sequences use a sign-keeping primitive PRS
-(Collins 1967; Brown and Traub 1971); a sign at p/q is the sign of
-q^n P(p/q), by homogeneous integer Horner.  Real roots are counted by the
-Sturm sequence of the polynomial itself and isolated by bisecting a
+``refine_root``, ``rational_root_in``, ``rational_roots`` and ``sign_at``)
+takes and gives those lists.  Gcds and Yun's square-free decomposition use
+primitive pseudo-remainder sequences and exact integer quotients by
+primitive divisors (Gauss's lemma); Sturm sequences use a sign-keeping
+primitive PRS (Collins 1967; Brown and Traub 1971); a sign at p/q is the
+sign of q^n P(p/q), by homogeneous integer Horner.  Real roots are counted
+by the Sturm sequence of the polynomial itself and isolated by bisecting a
 square-free polynomial at plain midpoints, in half-open intervals (lo, hi],
 which quadratic interval refinement narrows to bisection's own answers.
 """
@@ -641,10 +641,8 @@ def rational_roots(a: list[int]) -> list[Fraction]:
     exactly.
 
     The square-free part s = a / gcd(a, a') is primitive, so every rational
-    root is k / c for an integer k, with c = |lc s|.  Each isolating
-    interval (lo, hi] is narrowed below 1 / (2 c), which leaves one
-    candidate k / c in it to test, unless the narrowing hit the root
-    exactly; lo itself may be the root below, so it is not a candidate.
+    root is k / c for an integer k, with c = |lc s|, and each isolating
+    interval of s is tested by ``rational_root_in``.
     """
     _check_nonzero(a, "rational roots")
     a = _primitive(a)
@@ -652,14 +650,22 @@ def rational_roots(a: list[int]) -> list[Fraction]:
     c = abs(sf[-1])
     roots = []
     for lo, hi in isolate_real_roots(sf):
-        lo, hi = refine_root(sf, lo, hi, Fraction(1, 2 * c))
+        lo, hi = rational_root_in(sf, lo, hi, c)
         if lo == hi:
             roots.append(lo)
-            continue
-        k = floor(hi * c)
-        if lo < Fraction(k, c) and sign_at(sf, k, c) == 0:
-            roots.append(Fraction(k, c))
     return roots
+
+
+def rational_root_in(a: list[int], lo: Fraction, hi: Fraction, c: int) -> tuple[Fraction, Fraction]:
+    """(r, r) when the root r of a square-free a in its isolating interval
+    (lo, hi] is rational, every rational root of a being k / c for an
+    integer k; else (lo, hi] narrowed below 1 / (2 c).  That leaves one
+    candidate, floor(hi c) / c; lo may be the root below, so it is none."""
+    lo, hi = refine_root(a, lo, hi, Fraction(1, 2 * c))
+    k = floor(hi * c)
+    if lo < Fraction(k, c) and sign_at(a, k, c) == 0:
+        return Fraction(k, c), Fraction(k, c)
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .ckt_core import CktError
-from .exactmath import (int_cleared, rat, rat_str, refine_root, sign_at,
+from .exactmath import (int_cleared, rat, rat_str, rational_root_in, refine_root, sign_at,
                         squarefree_decomposition)
 from .group_action import GroupElement, Mat2, from_gl2, substitution_action
 from .rotational import RotParams
@@ -563,12 +563,10 @@ def _pencil_parameter(web: WebType, inv: Invariants, lead: int) -> tuple:
         root, sign = roots[2 if j > 0 else 0], -1
     else:
         root, sign = roots[0], 1
-    lo, hi = root[:] = refine_root(poly, *root, Fraction(1, 2))
-    k = math.floor(hi)
-    if lo < k and sign_at(poly, k, 1) == 0:
-        lo = hi = root[0] = root[1] = Fraction(k)
-    if lo == hi:
-        square = Fraction(12 * s * k * k, 4 * i - k * k)
+    lo, hi = root[:] = rational_root_in(poly, *root, 1)
+    if lo == hi:  # the monic resolvent's rational roots are integers
+        t = lo.numerator
+        square = Fraction(12 * s * t * t, 4 * i - t * t)
     elif j == 0:
         square = Fraction(36)
     else:

@@ -69,6 +69,13 @@ def free_values(vec) -> list:
     return vec.dense(ckt_core.DIM_TRACE_FREE) if isinstance(vec, Numerators) else vec
 
 
+def ckv_coords(name: str) -> list[int]:
+    """The ten CKV coordinates of the basis field of that name: its unit
+    vector in ``ckv_basis`` order, the form in which the scans take a
+    generator."""
+    return [int(other == name) for other in ckt_core._NAMES]
+
+
 def assemble_free(vec) -> SymTensorField:
     """The tensor sum_c x_c F_c of a vector x of rational free parameters
     (``free_values``) over the basis tensors F_c of ``_free_basis``: the

@@ -20,7 +20,7 @@ from rotweb.rotational import RotParams, assemble_rotational, catalog, eigenvalu
     extract_parameters, rotational_eigencondition
 from rotweb.separability import Potential, classify_potential, solve_compatible
 
-from conftest import assemble_free, degree_in, matrix_at, tensor_degree
+from conftest import assemble_free, ckv_coords, degree_in, matrix_at, tensor_degree
 from ref_covariants import covariant_l, form_is_zero
 from ref_univariate import dehomogenize, singular_polynomial
 from test_ckt_core import commutator, expected_commutator, killing_obstruction
@@ -230,14 +230,14 @@ def test_criterion_6_classifier_cross_validation():
 
 def test_criterion_7_symmetry_scans():
     started = time.time()
-    r3 = cc.ckv_by_name("R3")
+    r3 = ckv_coords("R3")
     (h0, kernel), = symmetry_subspace(r3, "h_zero")
     assert h0 == 0 and len(kernel) == 9
     filtered = tsn_filter(r3, kernel)
     assert len(filtered.subspace) == 6 and filtered.variety_is_linear
 
     x3 = cc.ckv_by_name("X3")
-    (_, tkernel), = symmetry_subspace(x3, "h_zero")
+    (_, tkernel), = symmetry_subspace(ckv_coords("X3"), "h_zero")
     assert len(tkernel) == 9
     for vec in tkernel:
         k = assemble_free(vec)
@@ -246,8 +246,7 @@ def test_criterion_7_symmetry_scans():
         assert all(degree_in(p, 2) <= 0 for row in k.comps for p in row)
         assert killing_obstruction(k).is_zero
 
-    d = cc.ckv_by_name("D")
-    spaces = symmetry_subspace(d, "h_constant")
+    spaces = symmetry_subspace(ckv_coords("D"), "h_constant")
     values = [h for h, _ in spaces]
     assert len(values) == 5
     assert all(h.denominator == 1 for h in values)

@@ -19,8 +19,8 @@ from rotweb.exactmath import ExactMathError, Poly, rat, rat_str
 from rotweb.linalg import (Numerators, char_poly, nullspace, rank, rational_eigenvalues, solve_many,
                            vanishing_combinations)
 
-from conftest import (assemble_free, degree_in, evaluate, free_values, oracle_contraction, rand_fraction,
-                      symbolic_family, tensor_degree)
+from conftest import (assemble_free, ckv_coords, degree_in, evaluate, free_values, oracle_contraction,
+                      rand_fraction, symbolic_family, tensor_degree)
 from ref_univariate import UniPoly, product, ref_monic
 
 X, Y, Z = (Poly.variable(i, 3) for i in range(3))
@@ -32,11 +32,18 @@ def vector(vx, vy, vz):
     return cc.VectorField((vx, vy, vz))
 
 
-def lie_operator(v):
-    """The dense matrix of Lie_v on the 35 trace-free coordinates, from the
-    package's sparse integer columns over one denominator: column c holds
-    the coordinates of Lie_v applied to basis vector c."""
-    den, columns = cc._lie_columns(v)
+def ckv_field(ckv):
+    """sum_k c_k X_k over ``ckv_basis`` for ten CKV coordinates, each
+    anything ``rat`` reads: the field that the oracles read."""
+    return sum((f.scale(rat(c)) for c, f in zip(ckv, ckv_basis(3))), vector(ZERO, ZERO, ZERO))
+
+
+def lie_operator(ckv):
+    """The dense matrix of Lie_v on the 35 trace-free coordinates, for v with
+    the ten CKV coordinates ckv, from the package's sparse integer columns
+    over one denominator: column c holds the coordinates of Lie_v applied to
+    basis vector c."""
+    den, columns = cc._lie_columns(cc._ckv_vector(ckv))
     return [[Fraction(col.get(r, 0), den) for col in columns] for r in range(DIM_TRACE_FREE)]
 
 
@@ -485,8 +492,8 @@ SCAN_EIGENSPACES = [("X3", 0), ("I3", 0), ("R3", 0)] + [("D", h) for h in range(
 
 
 def scan_eigenspace(name, h):
-    v = ckv_by_name(name)
-    return v, dict(symmetry_subspace(v, "h_constant"))[h]
+    ckv = ckv_coords(name)
+    return ckv, dict(symmetry_subspace(ckv, "h_constant"))[h]
 
 
 def combination(members, weights):
@@ -577,7 +584,7 @@ class TestFreeCoordinates:
         # expands the full coefficient blocks.
         vecs = [[rand_fraction(rng) for _ in range(35)] for _ in range(20)]
         for name, mode in (("X3", "h_zero"), ("I3", "h_zero"), ("R3", "h_zero"), ("D", "h_constant")):
-            vecs += [vec for _, basis in symmetry_subspace(ckv_by_name(name), mode) for vec in basis]
+            vecs += [vec for _, basis in symmetry_subspace(ckv_coords(name), mode) for vec in basis]
         for vec in vecs:
             assert assemble_free(vec) == assemble_ckt(coefficients_from_free(vec))
         rows = vecs[18:23]  # random and scan vectors
@@ -589,6 +596,13 @@ class TestFreeCoordinates:
         for bad in (vecs[0][:34], vecs[0] + [1]):
             with pytest.raises(CktError, match="35 free parameters"):
                 assemble_free(bad)
+
+    def test_entries_past_the_digit_limit_of_str(self):
+        # str() of an int refuses more than 4300 digits by default; every
+        # entry is written as rat_str writes it.
+        for x in (10 ** 5000, Fraction(1, 7 ** 6000)):
+            data = free_json_dict([x] + [0] * 34)
+            assert (data["A"][0][0], data["A"][2][2]) == (rat_str(x), rat_str(-x))
 
     def test_e_entry_determines_c(self):
         raw = CktCoefficients.make(e=((0, 1, 0), (1, 0, 0), (0, 0, 0)))
@@ -831,7 +845,7 @@ class TestTsn:
         assert tsn_check(symmetric_product(r3, r3) + metric(3))
 
     def test_invariant_under_metric_shift(self, rng):
-        r3 = ckv_by_name("R3")
+        r3 = ckv_coords("R3")
         kernel = symmetry_subspace(r3, "h_zero")[0][1]
         filtered = tsn_filter(r3, kernel).subspace
         inside = assemble_free(filtered[0])
@@ -852,7 +866,7 @@ class TestTsn:
 
     def test_verdict_is_homogeneous(self, rng):
         from rotweb.rotational import RotParams, assemble_rotational
-        tensors = [assemble_free(vec) for vec in symmetry_subspace(ckv_by_name("R3"), "h_zero")[0][1]]
+        tensors = [assemble_free(vec) for vec in symmetry_subspace(ckv_coords("R3"), "h_zero")[0][1]]
         tensors += [assemble_rotational(RotParams.make(*(rand_fraction(rng) for _ in range(6))))
                     for _ in range(5)]
         tensors += [assemble_free([rand_fraction(rng, -3, 3) for _ in range(35)]) for _ in range(5)]
@@ -933,19 +947,11 @@ class TestLieOperator:
         assert all(type(x) is int and x for column in columns for x in column.values())
 
     def test_rational_combinations_match_the_reference(self, rng):
-        basis = ckv_basis(3)
         for _ in range(20):
-            v = vector(ZERO, ZERO, ZERO)
-            for field in rng.sample(basis, rng.randint(1, 10)):
-                v = v + field.scale(rand_fraction(rng))
-            assert lie_operator(v) == reference_lie_operator(v)
-
-    @pytest.mark.parametrize("v", [vector(Y, ZERO, ZERO), vector(X * X, ZERO, ZERO),
-                                   vector(X * Y * Z, ZERO, X * X * X)],
-                             ids=["y_dx", "x2_dx", "cubic"])
-    def test_non_ckvs_raise(self, v):
-        with pytest.raises(CktError, match="left the trace-free space"):
-            lie_operator(v)
+            ckv = [0] * 10
+            for k in rng.sample(range(10), rng.randint(1, 10)):
+                ckv[k] = rand_fraction(rng)
+            assert lie_operator(ckv) == reference_lie_operator(ckv_field(ckv))
 
     def test_an_image_outside_the_span_raises(self, monkeypatch):
         # K + g has a trace, so it lies outside the span of the trace-free
@@ -956,7 +962,7 @@ class TestLieOperator:
         monkeypatch.setattr(cc, "lie_derivative", lambda v, k: k + metric(3))
         try:
             with pytest.raises(CktError, match="left the trace-free space"):
-                lie_operator(ckv_by_name("X1"))
+                lie_operator(ckv_coords("X1"))
         finally:
             cc._basis_lie_columns.cache_clear()
 
@@ -1011,11 +1017,11 @@ class TestGroupElementJson:
 class TestSymmetrySubspace:
     def test_rotation_kernel_and_filter(self):
         r3 = ckv_by_name("R3")
-        (h, basis), = symmetry_subspace(r3, "h_zero")
+        (h, basis), = symmetry_subspace(ckv_coords("R3"), "h_zero")
         assert h == 0 and len(basis) == 9
         for vec in basis:
             assert lie_derivative(r3, assemble_free(vec)).is_zero
-        result = tsn_filter(r3, basis)
+        result = tsn_filter(ckv_coords("R3"), basis)
         assert len(result.subspace) == 6
         assert result.variety_is_linear
         for vec in result.subspace:
@@ -1023,7 +1029,7 @@ class TestSymmetrySubspace:
 
     def test_translation_kernel_pattern(self):
         x3 = ckv_by_name("X3")
-        (h, basis), = symmetry_subspace(x3, "h_zero")
+        (h, basis), = symmetry_subspace(ckv_coords("X3"), "h_zero")
         assert len(basis) == 9
         for vec in basis:
             k = assemble_free(vec)
@@ -1033,7 +1039,7 @@ class TestSymmetrySubspace:
             assert killing_obstruction(k).is_zero
         # Requiring X3 as eigenvector leaves the printed six-parameter family:
         # only K11, K12, K22, K33 occupied, translation-invariant, degree <= 2.
-        sub = tsn_filter(x3, basis).subspace
+        sub = tsn_filter(ckv_coords("X3"), basis).subspace
         assert len(sub) == 6
         for vec in sub:
             k = assemble_free(vec)
@@ -1041,7 +1047,7 @@ class TestSymmetrySubspace:
 
     def test_dilation_eigenvalues(self):
         d = ckv_by_name("D")
-        spaces = symmetry_subspace(d, "h_constant")
+        spaces = symmetry_subspace(ckv_coords("D"), "h_constant")
         eigen = {int(h): len(basis) for h, basis in spaces}
         assert eigen == {-2: 5, -1: 8, 0: 9, 1: 8, 2: 5}
         for h, basis in spaces:
@@ -1050,7 +1056,7 @@ class TestSymmetrySubspace:
                 assert lie_derivative(d, k) == k.scale(h)
 
     def test_dilation_char_poly_is_product_over_eigenspaces(self):
-        d = ckv_by_name("D")
+        d = ckv_coords("D")
         operator = lie_operator(d)
         expected = UniPoly([1])
         spaces = symmetry_subspace(d, "h_constant")
@@ -1062,7 +1068,7 @@ class TestSymmetrySubspace:
 
     @pytest.mark.parametrize("name", ["X3", "I3", "R3"])
     def test_constant_mode_finds_only_the_kernel(self, name):
-        v = ckv_by_name(name)
+        v = ckv_coords(name)
         spaces = symmetry_subspace(v, "h_constant")
         assert [h for h, _ in spaces] == [0]
         assert spaces == symmetry_subspace(v, "h_zero")
@@ -1071,31 +1077,85 @@ class TestSymmetrySubspace:
         # The scans read the operator's sparse rows; the dense matrix of
         # lie_operator gives the same kernel and eigenspaces.
         rng = random.Random(5)
-        fields = list(ckv_basis(3))
-        fields += [sum((f.scale(rand_fraction(rng)) for f in rng.sample(ckv_basis(3), 3)), vector(ZERO, ZERO, ZERO))
-                   for _ in range(6)]
+        fields = [ckv_coords(name) for name in cc._NAMES]
+        for _ in range(6):
+            fields.append([0] * 10)
+            for k in rng.sample(range(10), 3):
+                fields[-1][k] = rand_fraction(rng)
         for v in fields:
             operator = lie_operator(v)
             kernel = nullspace(operator, cc.DIM_TRACE_FREE)
             assert symmetry_subspace(v, "h_zero") == ([(0, kernel)] if kernel else [])
         for name in ("D", "R3", "X3"):
-            v = ckv_by_name(name)
+            v = ckv_coords(name)
             assert symmetry_subspace(v, "h_constant") == rational_eigenvalues(lie_operator(v))
 
     def test_inversion_kernel_dimension(self):
-        i3 = ckv_by_name("I3")
-        (h, basis), = symmetry_subspace(i3, "h_zero")
+        (h, basis), = symmetry_subspace(ckv_coords("I3"), "h_zero")
         assert len(basis) == 9
 
     def test_bad_mode(self):
         with pytest.raises(CktError):
-            symmetry_subspace(ckv_by_name("D"), "h_linear")
+            symmetry_subspace(ckv_coords("D"), "h_linear")
 
-    def test_non_ckv_leaves_the_trace_free_space(self):
-        # Lie_v maps CKTs to CKTs only for a CKV v; for x d/dx the assembly
-        # system of lie_operator is inconsistent.
-        with pytest.raises(CktError, match="left the trace-free space"):
-            lie_operator(vector(X, ZERO, ZERO))
+
+def reference_spaces(ckv, mode):
+    """The kernel or the rational eigenspaces of the reference operator on
+    the tests' own field sum_k c_k X_k, or the error that the eigenvalue
+    route raises."""
+    operator = reference_lie_operator(ckv_field(ckv))
+    if mode == "h_zero":
+        kernel = nullspace(operator, cc.DIM_TRACE_FREE)
+        return [(0, kernel)] if kernel else []
+    try:
+        return rational_eigenvalues(operator)
+    except ExactMathError as exc:
+        return str(exc)
+
+
+def scan_spaces(ckv, mode):
+    try:
+        return symmetry_subspace(ckv, mode)
+    except ExactMathError as exc:
+        return str(exc)
+
+
+class TestCkvCoordinates:
+    """The scans take a generator as its ten coordinates in ``ckv_basis``
+    order; the reference operator on the tests' own field sum_k c_k X_k is
+    the oracle."""
+
+    def test_seeded_coordinates_match_the_reference_operator(self):
+        rng = random.Random(14)
+        cases = [ckv_coords("R1"), [Fraction(-3, 2) if k == 7 else 0 for k in range(10)], [0] * 10,
+                 [rng.randint(-3, 3) for _ in range(10)], [rand_fraction(rng) for _ in range(10)],
+                 field({"X3": 2, "I3": Fraction(-1, 3)}), field({"D": Fraction(1, 2), "X1": 3, "R3": -1})]
+        for ckv in cases:
+            for mode in ("h_zero", "h_constant"):
+                assert scan_spaces(ckv, mode) == reference_spaces(ckv, mode), (ckv, mode)
+
+    def test_wrong_length_or_value_raises(self):
+        (_, kernel), = symmetry_subspace(ckv_coords("R3"), "h_zero")
+        for bad in ([0] * 9, [0] * 11):
+            with pytest.raises(CktError, match="expected 10 CKV coordinates"):
+                symmetry_subspace(bad, "h_zero")
+            with pytest.raises(CktError, match="expected 10 CKV coordinates"):
+                tsn_filter(bad, kernel)
+        bad = ["1/0"] + [0] * 9
+        with pytest.raises(ExactMathError):
+            symmetry_subspace(bad, "h_zero")
+        with pytest.raises(ExactMathError):
+            tsn_filter(bad, kernel)
+
+    def test_int_str_and_fraction_forms_agree(self):
+        forms = [[0, 3, 0, 0, 0, 0, 2, 0, 0, 0], ["0", " 3", "0", "0", "0", "0", "2/1", "0", "0", "0"],
+                 [Fraction(n) for n in (0, 3, 0, 0, 0, 0, 2, 0, 0, 0)]]
+        results = []
+        for ckv in forms:
+            (_, kernel), = symmetry_subspace(ckv, "h_zero")
+            results.append((kernel, symmetry_subspace(ckv, "h_constant"), tsn_filter(ckv, kernel)))
+        assert results[0] == results[1] == results[2]
+        assert len(results[0][2].subspace) == 6
 
 
 PLANES = [(var, value) for value in (0, 1) for var in range(3)]
@@ -1140,14 +1200,17 @@ def jets_on(plane, vecs):
     return cc._jets_on(plane, [{c: n * (d // vec.den) for c, n in vec.entries} for vec in vecs], 4)
 
 
-def eigenvector_rows(v, basis):
-    """The rows (K.v) x v of the assembled tensors: the oracle."""
+def eigenvector_rows(ckv, basis):
+    """The rows (K.v) x v of the assembled tensors, for v with the CKV
+    coordinates ckv: the oracle."""
+    v = ckv_field(ckv)
     return [eigenvector_cross(assemble_free(vec), v).components for vec in basis]
 
 
-def plane_eigenvector_rows(v, basis):
-    """The rows (K.v) x v read on the plane jets, as ``tsn_filter`` forms
-    them."""
+def plane_eigenvector_rows(ckv, basis):
+    """The rows (K.v) x v read on the plane jets, for v with the CKV
+    coordinates ckv, as ``tsn_filter`` forms them."""
+    v = ckv_field(ckv)
     var, value = plane = cc._transversal_plane(v)
     on_plane = cc.VectorField(tuple(p.restrict(var, value) for p in v.components))
     return [eigenvector_cross(SymTensorField.from_upper(*jet[::4]), on_plane).components
@@ -1176,8 +1239,8 @@ class TestPlaneJets:
     def test_scalars_are_the_restricted_scalars(self, name, h):
         # The three TSN scalars read on a jet are those of the tensor,
         # restricted, times r^2, r^3 and r^4 for the jet's factor r.
-        v, basis = scan_eigenspace(name, h)
-        var, value = plane = cc._transversal_plane(v)
+        ckv, basis = scan_eigenspace(name, h)
+        var, value = plane = cc._transversal_plane(ckv_field(ckv))
         for vec, jet in zip(basis, jets_on(plane, basis)):
             _, k = cc._cleared(assemble_free(vec))
             r = positive_ratio(jet, restricted_jet(k, plane))
@@ -1201,7 +1264,7 @@ class TestPlaneJets:
     def test_eigenvector_rows_on_random_kernels(self):
         rng = random.Random(8)
         for _ in range(6):
-            v = sum((f.scale(rand_fraction(rng)) for f in ckv_basis(3)[1:]), ckv_basis(3)[0])
+            v = [1] + [rand_fraction(rng) for _ in range(9)]
             (_, basis), = symmetry_subspace(v, "h_zero")
             assert (vanishing_combinations(plane_eigenvector_rows(v, basis))
                     == vanishing_combinations(eigenvector_rows(v, basis)))
@@ -1233,7 +1296,7 @@ class TestPlaneJets:
         # not eigenvectors themselves: the first candidate plus an outside
         # direction, and minus it.  The certificate reads (K.v) x v on each
         # member, not only on their sum.
-        r3 = ckv_by_name("R3")
+        r3 = ckv_coords("R3")
         (_, basis), = symmetry_subspace(r3, "h_zero")
         combos = vanishing_combinations(eigenvector_rows(r3, basis))
         units = [[int(i == idx) for i in range(len(basis))] for idx in range(len(basis))]
@@ -1253,7 +1316,7 @@ class TestTsnPlane:
     def test_plane_verdict_matches_the_full_check(self, name, h):
         rng = random.Random(1)
         v, basis = scan_eigenspace(name, h)
-        plane = cc._transversal_plane(v)
+        plane = cc._transversal_plane(ckv_field(v))
         sub = tsn_filter(v, basis).subspace
         if sub:
             assert tsn_check(symbolic_family(sub))
@@ -1282,7 +1345,7 @@ class TestTsnPlane:
             cc._transversal_plane(vector(ZERO, ZERO, ZERO))
 
     def test_basis_outside_one_eigenspace_raises(self):
-        d = ckv_by_name("D")
+        d = ckv_coords("D")
         spaces = symmetry_subspace(d, "h_constant")
         for _, basis in spaces:
             tsn_filter(d, basis)
@@ -1291,20 +1354,21 @@ class TestTsnPlane:
             tsn_filter(d, [first[0], second[0]])
         with pytest.raises(CktError, match="one eigenspace"):
             tsn_filter(d, first + [[a + b for a, b in zip(free_values(first[0]), free_values(second[0]))]])
-        r3 = ckv_by_name("R3")
+        r3 = ckv_coords("R3")
         (_, kernel), = symmetry_subspace(r3, "h_zero")
         units = ([Fraction(int(i == j)) for i in range(cc.DIM_TRACE_FREE)] for j in range(cc.DIM_TRACE_FREE))
-        moved = next(vec for vec in units if not lie_derivative(r3, assemble_free(vec)).is_zero)
+        moved = next(vec for vec in units if not lie_derivative(ckv_by_name("R3"), assemble_free(vec)).is_zero)
         with pytest.raises(CktError, match="one eigenspace"):
             tsn_filter(r3, kernel + [moved])
 
 
-def spot_check_route(v, basis):
+def spot_check_route(ckv, basis):
     """The outside directions of ``tsn_filter`` found with assembled
-    tensors: membership by the rank of 35-long vectors, then the oracle's
-    check on the plane for every direction outside."""
-    plane = cc._transversal_plane(v)
-    sub = [free_values(vec) for vec in tsn_filter(v, basis).subspace]
+    tensors, for v with the CKV coordinates ckv: membership by the rank of
+    35-long vectors, then the oracle's check on the plane for every
+    direction outside."""
+    plane = cc._transversal_plane(ckv_field(ckv))
+    sub = [free_values(vec) for vec in tsn_filter(ckv, basis).subspace]
     base = rank(sub)
     return tuple(idx for idx, vec in enumerate(basis)
                  if rank(sub + [free_values(vec)]) > base and plane_check(assemble_free(vec), plane))
@@ -1347,7 +1411,7 @@ class TestLazyTorsion:
     def test_jets_of_the_eight_scans(self):
         for name, h in SCAN_EIGENSPACES:
             v, basis = scan_eigenspace(name, h)
-            for jet in jets_on(cc._transversal_plane(v), basis):
+            for jet in jets_on(cc._transversal_plane(ckv_field(v)), basis):
                 k, dk = jet_entries(jet)
                 assert list(cc._tsn_scalars(k, dk)) == eager_tsn_scalars(k, dk)
 
@@ -1367,9 +1431,8 @@ class TestLazyTorsion:
     def test_a_failing_g_scalar_forms_three_entries(self, monkeypatch):
         # The six outside directions of D --h 0 fail at the g-scalar, which
         # reads the three torsion entries at _SLOTS and no other.
-        d = ckv_by_name("D")
-        (_, kernel), = symmetry_subspace(d, "h_zero")
-        outside = [jet for jet in jets_on(cc._transversal_plane(d), kernel)
+        (_, kernel), = symmetry_subspace(ckv_coords("D"), "h_zero")
+        outside = [jet for jet in jets_on(cc._transversal_plane(ckv_by_name("D")), kernel)
                    if eager_tsn_scalars(*jet_entries(jet))[0]]
         assert len(outside) == 6
         real, calls = Poly.dot, []
@@ -1456,13 +1519,13 @@ class TestPointRefutation:
         # combinations: none refuted at the point passes on its jet, and
         # every outside direction but the reported ones is refuted.
         rng = random.Random(f"refute-{name}")
-        v = ckv_by_name(name)
+        v = ckv_coords(name)
         (_, kernel), = symmetry_subspace(v, "h_zero")
         result = tsn_filter(v, kernel)
         assert result.outside_tsn_directions == KERNEL_OUTSIDE[name]
         vecs = list(kernel) + list(result.subspace)
         vecs += [combination(kernel, [rand_fraction(rng, -3, 3) for _ in kernel]) for _ in range(10)]
-        plane = cc._transversal_plane(v)
+        plane = cc._transversal_plane(ckv_by_name(name))
         verdicts = [(not cc._tsn_on(values), cc._tsn_on(jet))
                     for values, jet in zip(point_values(plane, vecs), jets_on(plane, vecs))]
         assert not any(refuted and passes for refuted, passes in verdicts)
@@ -1499,12 +1562,13 @@ def twist(v):
 
 
 def field(weights):
-    """sum c X over the {name: c} of ``ckv_basis`` fields."""
-    return sum((ckv_by_name(name).scale(c) for name, c in weights.items()), vector(ZERO, ZERO, ZERO))
+    """The CKV coordinates of sum c X over the {name: c} of ``ckv_basis``
+    fields."""
+    return [weights.get(name, 0) for name in cc._NAMES]
 
 
 def seeded_field(rng):
-    return sum((f.scale(rand_fraction(rng)) for f in ckv_basis(3)[1:]), ckv_basis(3)[0])
+    return [1] + [rand_fraction(rng) for _ in range(9)]
 
 
 # Eighteen conformal Killing vectors: the ten basis fields and two sums are
@@ -1533,10 +1597,10 @@ class TestHypersurfaceOrthogonality:
     family of the members, checked by ``tsn_check``, is the oracle."""
 
     def test_twist_splits_the_fields(self):
-        for v in ORTHOGONAL + translated_fields():
+        for v in map(ckv_field, ORTHOGONAL + translated_fields()):
             assert cc._twist(v) == twist(v)
             assert cc._twist(v).is_zero
-        for v in TWISTED:
+        for v in map(ckv_field, TWISTED):
             assert cc._twist(v) == twist(v)
             assert not cc._twist(v).is_zero
 

@@ -17,12 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotweb import ckt_core, cli, linalg, quartic_class, separability
-from rotweb.ckt_core import CktCoefficients, assemble_ckt, ckv_by_name, symmetry_subspace
+from rotweb.ckt_core import CktCoefficients, assemble_ckt, symmetry_subspace
 from rotweb.cli import main
 from rotweb.exactmath import rat_str
 from rotweb.quartic_class import ClassificationError, WebType, invariants, root_structure
 
-from conftest import assemble_free
+from conftest import assemble_free, ckv_coords
 from test_canonical_form import extreme_quartic, partition_quartic
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -325,7 +325,7 @@ class TestSymmetry:
         assert eigen == {"-2": 5, "-1": 8, "0": 9, "1": 8, "2": 5}
         # The JSON coefficients, read back as outside input, give the tensors
         # of the scan's free-coordinate vectors.
-        spaces = symmetry_subspace(ckv_by_name("D"), "h_constant")
+        spaces = symmetry_subspace(ckv_coords("D"), "h_constant")
         assert [[assemble_ckt(CktCoefficients.from_json_dict(entry)) for entry in block["basis"]]
                 for block in report["results"]["eigenvalues"]] == [
             [assemble_free(vec) for vec in basis] for _, basis in spaces]

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rotweb.ckt_core import ckv_by_name
 from rotweb.exactmath import (DEGREE_LIMIT, ExactMathError, Poly, RationalFunction, _gcd,
                               isolate_real_roots, rat, rat_str, rational_roots, real_root_count,
                               refine_root, sign_at, squarefree_decomposition)
 from rotweb.linalg import char_poly
 from rotweb.quartic_class import WebType, hessian
 
-from conftest import companion_real_root_count, degree_in, evaluate, rand_fraction
+from conftest import ckv_coords, companion_real_root_count, degree_in, evaluate, rand_fraction
 from ref_covariants import covariant_l, covariant_m
 from ref_univariate import (UniPoly, ints, product, ref_divmod, ref_gcd, ref_isolate, ref_monic,
                             ref_rational_roots, ref_real_root_count, ref_refine, ref_sign,
@@ -374,7 +373,7 @@ class TestReferenceParity:
     @pytest.mark.parametrize("name", ["X3", "R3", "D", "I3"])
     def test_lie_operator_char_polys(self, name):
         # The product of the diagonal blocks' polynomials.
-        p = product(char_poly(lie_operator(ckv_by_name(name))))
+        p = product(char_poly(lie_operator(ckv_coords(name))))
         assert p.degree == 35
         assert_same_as_reference(p)
 

@@ -10,7 +10,7 @@ from rotweb.exactmath import ExactMathError, Poly, int_cleared, rational_roots, 
 from rotweb.linalg import (char_poly, nullspace, rank, rational_eigenvalues, row_echelon, solve_many,
                            vanishing_combinations)
 
-from conftest import assemble_free
+from conftest import assemble_free, ckv_coords
 from ref_univariate import UniPoly, ints, product, ref_monic
 from test_ckt_core import lie_operator
 
@@ -342,7 +342,7 @@ class TestSingletonBlocks:
     def test_lie_operators_match_the_berkowitz_route(self):
         # Every block of X3, D and I3 is 1x1; R3 has larger blocks too.
         for name in ("X3", "D", "I3", "R3"):
-            operator = lie_operator(ckt_core.ckv_by_name(name))
+            operator = lie_operator(ckv_coords(name))
             blocks = char_poly(operator)
             assert blocks == berkowitz_blocks(operator)
             assert (all(len(block) == 2 for block in blocks)) == (name != "R3")
@@ -623,7 +623,7 @@ def triangular(rng, eigenvalues):
 class TestRationalEigenvaluesParity:
     @pytest.mark.parametrize("name", ["X1", "X2", "X3", "R1", "R2", "R3", "D", "I1", "I2", "I3"])
     def test_lie_operators(self, name):
-        operator = lie_operator(ckt_core.ckv_by_name(name))
+        operator = lie_operator(ckv_coords(name))
         expected = dense_rational_eigenvalues(operator)
         assert dense_spaces(rational_eigenvalues(operator), len(operator)) == expected
 
@@ -837,7 +837,7 @@ class TestRestrictedEigenspaces:
         # eigenvalue reaches its own coordinates alone, and every shifted row
         # there is zero.
         calls = self.recorded(monkeypatch)
-        operator = lie_operator(ckt_core.ckv_by_name("D"))
+        operator = lie_operator(ckv_coords("D"))
         result, _ = self.assert_restricted(operator, calls)
         assert [rows for rows, _ in calls] == [[]] * 5
         assert sorted(c for _, columns in calls for c in columns) == list(range(35))
@@ -852,7 +852,7 @@ def test_scan_vectors_match_the_dense_fraction_oracle(name, mode):
     # Every basis vector of a scan, converted to Fractions, is the
     # nullspace or eigenspace vector that dense Fraction elimination finds
     # on the dense operator, and the scans hand on the integer form alone.
-    v = ckt_core.ckv_by_name(name)
+    v = ckv_coords(name)
     operator = lie_operator(v)
     if mode == "h_zero":
         kernel = dense_nullspace(operator, 35)
